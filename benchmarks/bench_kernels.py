@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels: numba JIT path vs the pure-numpy fallback.
+"""Benchmark the hot kernels: best wall time of each over a few repeats.
 
 Run:  python benchmarks/bench_kernels.py [--repeat 5]
 
-The same comparison can be forced package-wide by setting
-RADIXAPPROX_NO_NUMBA=1, which makes every caller take the numpy path.
+The last case uses a modulus above MOD_LIMIT, so it times the Python-int
+(object array) path of the residue scan.
 """
 import argparse
 import time
@@ -30,11 +30,11 @@ def cases():
     rng = np.random.default_rng(0)
 
     modulus = (1 << 22) - 1
-    pow_mod = np.array([pow(2, d, modulus) for d in range(21)], dtype=np.int64)
+    pow_mod = [pow(2, d, modulus) for d in range(21)]
     yield "digit_scan_min (N=2^20, b=2)", K.digit_scan_min, (pow_mod, 1 << 20, modulus)
 
     q = 999983
-    adds = np.array([(37 * pow(3, d, q)) % q for d in range(21)], dtype=np.int64)
+    adds = [(37 * pow(3, d, q)) % q for d in range(21)]
     yield "subset_residues (2^21 entries)", K.subset_residues, (adds, q)
 
     res = rng.integers(0, q, size=1 << 21).astype(np.int64)
@@ -42,17 +42,14 @@ def cases():
 
     nums = rng.integers(0, 1 << 40, size=2000).tolist()
     w, lt, eq = _candidate_tables(nums, 1 << 40)
-    arrs = (
-        np.array(w, dtype=np.int64),
-        np.array(lt, dtype=np.int64),
-        np.array(eq, dtype=np.int64),
-        2000,
-        1 << 40,
-    )
-    yield "interval_deviation_max (T=2000)", K.interval_deviation_max, arrs
+    yield "interval_deviation_max (T=2000)", K.interval_deviation_max, (w, lt, eq, 2000, 1 << 40)
 
     xs = np.linspace(-2.0, 2.0, 400_000)
     yield "cos_margin_values (4e5 points)", K.cos_margin_values, (xs,)
+
+    big = (1 << 61) - 1
+    pow_mod = [(12345 * pow(3, d, big)) % big for d in range(17)]
+    yield "digit_scan_min (N=2^16, q=2^61-1)", K.digit_scan_min, (pow_mod, 1 << 16, big)
 
 
 def main():
@@ -60,20 +57,9 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    if not K.NUMBA_AVAILABLE:
-        print("numba unavailable (or disabled); only the numpy path will run")
-
-    print(f"{'kernel':38s} {'numpy':>10s} {'numba':>10s} {'speedup':>9s}")
+    print(f"{'kernel':38s} {'best':>10s}")
     for name, fn, fargs in cases():
-        K.USE_NUMBA = False
-        t_np = bench(fn, *fargs, repeat=args.repeat)
-        if K.NUMBA_AVAILABLE:
-            K.USE_NUMBA = True
-            t_nb = bench(fn, *fargs, repeat=args.repeat)
-            print(f"{name:38s} {t_np*1e3:9.2f}ms {t_nb*1e3:9.2f}ms {t_np/t_nb:8.1f}x")
-        else:
-            print(f"{name:38s} {t_np*1e3:9.2f}ms {'-':>10s} {'-':>9s}")
-    K.USE_NUMBA = K.NUMBA_AVAILABLE
+        print(f"{name:38s} {bench(fn, *fargs, repeat=args.repeat) * 1e3:8.2f}ms")
 
 
 if __name__ == "__main__":

@@ -1,298 +1,168 @@
-"""Hot numeric kernels: numba-compiled loops with a pure-numpy fallback.
+"""Hot numeric kernels over numpy arrays; the only module that knows the
+int64 limits.
 
-Path selection: numba is used when it imports cleanly, unless the
-environment variable ``RADIXAPPROX_NO_NUMBA`` is set to a truthy value, in
-which case the numpy implementations run.  ``USE_NUMBA`` may also be
-flipped at runtime (the test suite and the benchmark do this).
-
-Every kernel here assumes its caller has already checked the documented
-64-bit safety bounds; the exact big-integer fall-back paths live with the
-callers, not here.  Integer kernels return bit-identical results on both
-paths; float kernels agree up to summation rounding.
+Residues and products are int64 arrays while the bound documented next to
+each kernel keeps every intermediate below 2**62, and numpy ``object``
+arrays of Python ints otherwise, so callers never branch on the size of
+their integers.  Integer results are exact on both kinds of array; float
+sums differ only by rounding that ``expsum._sum_radius`` accounts for.
 """
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 __all__ = [
     "USE_NUMBA",
-    "NUMBA_AVAILABLE",
     "MOD_LIMIT",
+    "residue_blocks",
     "digit_scan_min",
     "digit_scan_min_sharded",
     "subset_residues",
+    "scaled_residues",
     "cos_sin_sum",
     "first_close",
     "interval_deviation_max",
     "cos_margin_values",
 ]
 
-#: Largest modulus for which the bit-DP residue kernels are 64-bit safe
-#: (up to 63 unreduced additions of values < modulus).
+#: Always False: every kernel has one numpy implementation.  The benchmark's
+#: environment record still reads this name.
+USE_NUMBA = False
+
+#: Moduli below this get int64 residue tables (a sum of two residues stays
+#: below 2**58); larger ones get Python ints.
 MOD_LIMIT = 1 << 57
 
-_LO_BITS = 18  # chunk width for the numpy bit-DP paths
+_PRODUCT_LIMIT = 1 << 62  # int64 products and sums must stay below this
+_FIRST_BITS = 10  # the first block covers indices [0, 2**10)
+_BLOCK_BITS = 18  # the low table stops doubling at 2**18 residues
 
 
-def _env_disabled() -> bool:
-    return os.environ.get("RADIXAPPROX_NO_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-try:
-    if _env_disabled():
-        raise ImportError("numba disabled by RADIXAPPROX_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via the env flag
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-USE_NUMBA = NUMBA_AVAILABLE
+def _int_array(values, bound: int) -> np.ndarray:
+    """values as int64 when bound, the largest intermediate the caller will
+    form, is below 2**62; as Python ints otherwise."""
+    return np.asarray(values, dtype=np.int64 if bound < _PRODUCT_LIMIT else object)
 
 
 # ---------------------------------------------------------------------------
-# residue scan: min over n = 1..count of min(r, M - r) where
-# r = sum of pow_mod[d] over the set bits d of n, reduced mod M
+# residues of the subset sums, indexed by bitmask: entry n holds the sum of
+# add_mod[d] over the set bits d of n, reduced mod the modulus
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _digit_scan_min_nb(pow_mod, start, stop, modulus):
-    # residues split as res(hi * 2^L + lo) = res(hi<<L) + table[lo] mod M
-    nbits = 0
-    x = stop
-    while x:
-        nbits += 1
-        x >>= 1
-    lo_bits = nbits if nbits < 18 else 18
-    size = 1 << lo_bits
-    table = np.zeros(size, dtype=np.int64)
-    length = 1
-    for d in range(lo_bits):
-        a = pow_mod[d]
-        for i in range(length):
-            v = table[i] + a
-            if v >= modulus:
-                v -= modulus
-            table[length + i] = v
-        length *= 2
-    best = modulus
-    best_idx = np.int64(0)
-    for hi in range(start >> lo_bits, (stop >> lo_bits) + 1):
-        base_idx = hi << lo_bits
-        s0 = start - base_idx
-        if s0 < 0:
-            s0 = 0
-        s1 = stop - base_idx + 1
-        if s1 > size:
-            s1 = size
-        if s1 <= s0:
-            continue
-        base = np.int64(0)
-        m = hi
-        d = lo_bits
-        while m:
-            if m & 1:
-                base += pow_mod[d]
-                if base >= modulus:
-                    base -= modulus
-            m >>= 1
-            d += 1
-        for i in range(s0, s1):
-            r = table[i] + base
-            if r >= modulus:
-                r -= modulus
-            v = r if r <= modulus - r else modulus - r
-            if v < best:
-                best = v
-                best_idx = base_idx + i
-    return best, best_idx
+def subset_residues(add_mod, modulus: int) -> np.ndarray:
+    """Residues of every subset sum of add_mod, indexed by bitmask.
 
-
-def _subset_res_np(add_mod, modulus):
-    arr = np.zeros(1, dtype=np.int64)
+    Entry m holds (sum of add_mod[d] over set bits d of m) mod modulus.
+    Requires all 0 <= add_mod[d] < modulus.  The table is int64 when
+    modulus < MOD_LIMIT and holds Python ints otherwise.
+    """
+    table = np.zeros(1, dtype=np.int64 if modulus < MOD_LIMIT else object)
     for a in add_mod:
-        arr = np.concatenate([arr, (arr + a) % modulus])
-    return arr
+        table = np.concatenate([table, (table + int(a)) % modulus])
+    return table
 
 
-def _digit_scan_min_np(pow_mod, start, stop, modulus):
-    lo_bits = min(int(stop).bit_length(), _LO_BITS)
-    lo_res = _subset_res_np(pow_mod[:lo_bits], modulus)
-    size = 1 << lo_bits
-    best = modulus
-    best_idx = 0
-    hi_pows = pow_mod[lo_bits:]
-    for hi in range(start >> lo_bits, (stop >> lo_bits) + 1):
-        base_idx = hi << lo_bits
-        s0 = max(start - base_idx, 0)
-        s1 = min(size, stop - base_idx + 1)
-        if s1 <= s0:
-            continue
-        base = 0
-        m, d = hi, 0
-        while m:
-            if m & 1:
-                base = (base + int(hi_pows[d])) % modulus
-            m >>= 1
-            d += 1
-        res = (lo_res[s0:s1] + base) % modulus
-        dist = np.minimum(res, modulus - res)
-        k = int(np.argmin(dist))
-        v = int(dist[k])
-        if v < best:
-            best = v
-            best_idx = base_idx + s0 + k
-    return best, best_idx
+def residue_blocks(add_mod, modulus: int, start: int, stop: int):
+    """Yield (first, res) blocks covering the indices n in [start, stop) in
+    ascending order, where res[i] is the subset residue of n = first + i.
+
+    The first block is [0, 2**10); the low table then doubles, each new half
+    being the next block, so a reducer that stops at its first hit builds at
+    most twice the prefix it inspected.  Past 2**18 every block is the low
+    table shifted by the residue of its high bits.  Requires
+    len(add_mod) >= bit_length(stop - 1).
+    """
+    if start >= stop:
+        return
+    adds = [int(a) % modulus for a in add_mod]
+    lo_bits = min((stop - 1).bit_length(), _BLOCK_BITS)
+    table = subset_residues(adds[: min(lo_bits, _FIRST_BITS)], modulus)
+    first, block = 0, table
+    while True:
+        s0, s1 = max(start - first, 0), min(stop - first, len(block))
+        if s0 < s1:
+            yield first + s0, block[s0:s1]
+        if len(table) == 1 << lo_bits:
+            break
+        first, block = len(table), (table + adds[len(table).bit_length() - 1]) % modulus
+        table = np.concatenate([table, block])
+    width = len(table)
+    for first in range(max(width, start - start % width), stop, width):
+        base = sum(a for d, a in enumerate(adds) if first >> d & 1) % modulus
+        s0, s1 = max(start - first, 0), min(stop - first, width)
+        yield first + s0, (table[s0:s1] + base) % modulus
 
 
-def digit_scan_min(pow_mod: np.ndarray, count: int, modulus: int, start: int = 1):
+# ---------------------------------------------------------------------------
+# reducers over the residue blocks and over caller-built residue arrays
+# ---------------------------------------------------------------------------
+
+
+def digit_scan_min(pow_mod, count: int, modulus: int, start: int = 1):
     """(min over n in [start, count] of min(res_n, M - res_n), first argmin n).
 
     res_n is the mod-M sum of pow_mod over the set bits of n.  Requires
-    modulus < MOD_LIMIT and len(pow_mod) >= bit_length(count).
+    len(pow_mod) >= bit_length(count); any modulus works.
     """
-    pow_mod = np.ascontiguousarray(pow_mod, dtype=np.int64)
-    if USE_NUMBA:
-        v, i = _digit_scan_min_nb(
-            pow_mod, np.int64(start), np.int64(count), np.int64(modulus)
-        )
-        return int(v), int(i)
-    v, i = _digit_scan_min_np(pow_mod, int(start), int(count), int(modulus))
-    return int(v), int(i)
+    best, best_idx = modulus, 0
+    for first, res in residue_blocks(pow_mod, modulus, start, count + 1):
+        dist = np.minimum(res, modulus - res)
+        k = int(np.argmin(dist))
+        if dist[k] < best:
+            best, best_idx = int(dist[k]), first + k
+    return best, best_idx
 
 
-def digit_scan_min_sharded(pow_mod, count, modulus, threads: int = 1):
-    """Thread-sharded digit_scan_min with a deterministic min/index merge."""
+def digit_scan_min_sharded(pow_mod, count: int, modulus: int, threads: int = 1):
+    """digit_scan_min split over at most one thread per usable core.
+
+    Shards are contiguous index ranges in ascending order, so the first of
+    the minimal shard results carries the smallest argmin: the result does
+    not depend on the thread count.
+    """
+    threads = min(threads, len(os.sched_getaffinity(0)))
     if threads <= 1 or count < (1 << 16):
         return digit_scan_min(pow_mod, count, modulus)
-    from concurrent.futures import ThreadPoolExecutor
-
     bounds = [1 + (count * i) // threads for i in range(threads)] + [count + 1]
     spans = [(lo, hi - 1) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(
             pool.map(lambda s: digit_scan_min(pow_mod, s[1], modulus, start=s[0]), spans)
         )
-    best, idx = modulus + 1, 0
-    for v, i in parts:
-        if i and (v < best or (v == best and i < idx)):
-            best, idx = v, i
-    return best, idx
-
-
-# ---------------------------------------------------------------------------
-# subset residue table (doubling construction), ordered by bitmask
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _subset_res_nb(add_mod, modulus):
-    n = 1 << len(add_mod)
-    out = np.zeros(n, dtype=np.int64)
-    size = 1
-    for a in add_mod:
-        for i in range(size):
-            v = out[i] + a
-            if v >= modulus:
-                v -= modulus
-            out[size + i] = v
-        size *= 2
-    return out
-
-
-def subset_residues(add_mod: np.ndarray, modulus: int) -> np.ndarray:
-    """Residues of every subset sum of add_mod, indexed by bitmask.
-
-    Entry m holds (sum of add_mod[d] over set bits d of m) mod modulus.
-    Requires all 0 <= add_mod[d] < modulus < 2**62.
-    """
-    add_mod = np.ascontiguousarray(add_mod, dtype=np.int64)
-    if USE_NUMBA:
-        return _subset_res_nb(add_mod, np.int64(modulus))
-    return _subset_res_np(add_mod, int(modulus))
-
-
-# ---------------------------------------------------------------------------
-# trigonometric accumulation over a residue table
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _cos_sin_sum_nb(res, inv_mod):
-    # Kahan-compensated accumulation keeps the worst-case summation error
-    # proportional to the term count rather than to partial-sum growth.
-    two_pi = 2.0 * np.pi
-    sc = 0.0
-    cc = 0.0
-    ss = 0.0
-    cs = 0.0
-    for i in range(len(res)):
-        theta = two_pi * (res[i] * inv_mod)
-        t = np.cos(theta)
-        y = t - cc
-        v = sc + y
-        cc = (v - sc) - y
-        sc = v
-        t = np.sin(theta)
-        y = t - cs
-        v = ss + y
-        cs = (v - ss) - y
-        ss = v
-    return sc, ss
-
-
-def cos_sin_sum(res: np.ndarray, modulus: int):
-    """(sum of cos(2 pi r/M), sum of sin(2 pi r/M)) over the residue table."""
-    res = np.ascontiguousarray(res, dtype=np.int64)
-    if USE_NUMBA:
-        return _cos_sin_sum_nb(res, 1.0 / modulus)
-    theta = res * (2.0 * np.pi / modulus)
-    return float(np.cos(theta).sum()), float(np.sin(theta).sum())
-
-
-# ---------------------------------------------------------------------------
-# first subset (in bitmask order) whose scaled distance drops to <= beta
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _first_close_nb(res, modulus, num, den):
-    for i in range(1, len(res)):
-        r = res[i]
-        v = r if r <= modulus - r else modulus - r
-        if v * den <= num * modulus:
-            return i
-    return -1
+    return min(parts, key=lambda part: part[0])
 
 
 def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> int:
-    """First index i >= 1 with min(res, M - res)/M <= beta, or -1.
-
-    Requires modulus * beta_den < 2**62 and modulus * beta_num < 2**62.
+    """First index i with min(res[i], M - res[i]) / M <= beta_num / beta_den,
+    or -1.  The comparison runs in int64 while
+    modulus * max(beta_num, beta_den) < 2**62, on Python ints otherwise.
     """
-    res = np.ascontiguousarray(res, dtype=np.int64)
-    if USE_NUMBA:
-        return int(_first_close_nb(res, np.int64(modulus), np.int64(beta_num), np.int64(beta_den)))
-    dist = np.minimum(res, modulus - res)
-    mask = dist * beta_den <= beta_num * modulus
-    mask[0] = False
-    hits = np.nonzero(mask)[0]
+    dist = _int_array(np.minimum(res, modulus - res), modulus * max(beta_num, beta_den))
+    hits = np.flatnonzero(dist * beta_den <= beta_num * modulus)
     return int(hits[0]) if hits.size else -1
+
+
+def scaled_residues(values, factor: int, modulus: int) -> np.ndarray:
+    """(factor * v) mod modulus for each v in [0, modulus): int64 while
+    factor * modulus < 2**62, Python ints otherwise."""
+    return (_int_array(values, factor * modulus) * factor) % modulus
+
+
+def cos_sin_sum(res: np.ndarray, modulus: int):
+    """(sum of cos(2 pi r/M), sum of sin(2 pi r/M)) over the residue array.
+
+    int64 residues are scaled by the float 2 pi / M; Python-int residues are
+    divided by M with one rounding, then scaled by 2 pi.
+    """
+    if res.dtype == object:
+        theta = (res / modulus).astype(np.float64) * (2.0 * np.pi)
+    else:
+        theta = res * (2.0 * np.pi / modulus)
+    return float(np.cos(theta).sum()), float(np.sin(theta).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -305,88 +175,29 @@ def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> 
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _interval_dev_nb(w, lt, eq, total, scale):
-    m = len(w)
-    best = np.int64(-1)
-    bi = 0
-    bj = 0
-    bc = 0
-    for i in range(m):
-        li_closed = lt[i]
-        li_open = lt[i] + eq[i]
-        for j in range(i, m):
-            width = total * (w[j] - w[i])
-            hj_closed = lt[j] + eq[j]
-            hj_open = lt[j]
-            for combo in range(4):
-                if j == i and combo != 0:
-                    continue
-                if j == m - 1 and (combo == 0 or combo == 2):
-                    continue  # right endpoint 1 may not be included
-                if combo == 0:
-                    cnt = hj_closed - li_closed
-                elif combo == 1:
-                    cnt = hj_open - li_closed
-                elif combo == 2:
-                    cnt = hj_closed - li_open
-                else:
-                    cnt = hj_open - li_open
-                dev = cnt * scale - width
-                if dev < 0:
-                    dev = -dev
-                if dev > best:
-                    best = dev
-                    bi = i
-                    bj = j
-                    bc = combo
-    return best, bi, bj, bc
-
-
-def _interval_dev_np(w, lt, eq, total, scale):
-    m = len(w)
-    best, bi, bj, bc = -1, 0, 0, 0
-    li_closed = lt
-    li_open = lt + eq
-    hj_closed = lt + eq
-    hj_open = lt
-    for i in range(m):
-        js = np.arange(i, m)
-        width = total * (w[i:] - w[i])
-        devs = np.empty((m - i, 4), dtype=np.int64)
-        devs[:, 0] = np.abs((hj_closed[i:] - li_closed[i]) * scale - width)
-        devs[:, 1] = np.abs((hj_open[i:] - li_closed[i]) * scale - width)
-        devs[:, 2] = np.abs((hj_closed[i:] - li_open[i]) * scale - width)
-        devs[:, 3] = np.abs((hj_open[i:] - li_open[i]) * scale - width)
-        devs[0, 1:] = -1
-        if js[-1] == m - 1:
-            devs[-1, 0] = -1
-            devs[-1, 2] = -1
-        flat = devs.ravel()  # j-major, combo-minor: matches the tie order
-        k = int(np.argmax(flat))
-        v = int(flat[k])
-        if v > best:
-            best = v
-            bi = i
-            bj = i + k // 4
-            bc = k % 4
-    return best, bi, bj, bc
-
-
 def interval_deviation_max(w, lt, eq, total: int, scale: int):
     """Maximal |count - T*measure| over the endpoint candidate family.
 
-    Returns (deviation * scale, i, j, combo).  Requires
-    total * scale < 2**62.
+    Returns (deviation * scale, i, j, combo).  Runs in int64 while
+    total * scale < 2**62, on Python ints otherwise.
     """
-    w = np.ascontiguousarray(w, dtype=np.int64)
-    lt = np.ascontiguousarray(lt, dtype=np.int64)
-    eq = np.ascontiguousarray(eq, dtype=np.int64)
-    if USE_NUMBA:
-        d, i, j, c = _interval_dev_nb(w, lt, eq, np.int64(total), np.int64(scale))
-    else:
-        d, i, j, c = _interval_dev_np(w, lt, eq, int(total), int(scale))
-    return int(d), int(i), int(j), int(c)
+    w, lt, eq = (_int_array(a, total * scale) for a in (w, lt, eq))
+    # count * scale - total * width splits into a right-end term minus a
+    # left-end term; each end counts the points up to w (closed right, open
+    # left) or below w (open right, closed left)
+    upto = (lt + eq) * scale - total * w
+    below = lt * scale - total * w
+    best, bi, bj, bc = -1, 0, 0, 0
+    for i in range(len(w)):
+        devs = np.abs(np.stack([upto[i:] - below[i], below[i:] - below[i],
+                                upto[i:] - upto[i], below[i:] - upto[i]], axis=1))
+        devs[0, 1:] = -1  # a degenerate interval is closed at both ends
+        devs[-1, [0, 2]] = -1  # right endpoint 1 may not be included
+        flat = devs.ravel()  # j-major, combo-minor: matches the tie order
+        k = int(np.argmax(flat))
+        if flat[k] > best:
+            best, bi, bj, bc = int(flat[k]), i, i + k // 4, k % 4
+    return best, bi, bj, bc
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +205,8 @@ def interval_deviation_max(w, lt, eq, total: int, scale: int):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _cos_margin_nb(xs):
-    out = np.empty(len(xs))
-    for i in range(len(xs)):
-        x = xs[i]
-        w = abs(x - np.rint(x))
-        out[i] = 1.0 - np.pi * w * w - abs(np.cos(np.pi * x))
-    return out
-
-
 def cos_margin_values(xs: np.ndarray) -> np.ndarray:
     """(1 - pi*||x||^2) - |cos(pi x)| evaluated in float64 per grid point."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if USE_NUMBA:
-        return _cos_margin_nb(xs)
     w = np.abs(xs - np.rint(xs))
     return 1.0 - np.pi * w * w - np.abs(np.cos(np.pi * xs))

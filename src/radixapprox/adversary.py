@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import digitsets as ds
-from ._kernels import MOD_LIMIT, digit_scan_min_sharded
+from ._kernels import digit_scan_min_sharded
 from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real
 
@@ -82,23 +80,8 @@ def adversarial_gamma(
     modulus = b**k - 1
     gamma = Fraction(1, modulus)
 
-    if modulus < MOD_LIMIT and N.bit_length() <= 62:
-        pow_mod = np.array(
-            [pow(b, d, modulus) for d in range(N.bit_length())], dtype=np.int64
-        )
-        num, idx = digit_scan_min_sharded(pow_mod, N, modulus, threads)
-    else:
-        num, idx = modulus, 0
-        for i in range(1, N + 1):
-            res, m, d = 0, i, 0
-            while m:
-                if m & 1:
-                    res = (res + pow(b, d, modulus)) % modulus
-                m >>= 1
-                d += 1
-            v = min(res, modulus - res)
-            if v < num:
-                num, idx = v, i
+    pow_mod = [pow(b, d, modulus) for d in range(N.bit_length())]
+    num, idx = digit_scan_min_sharded(pow_mod, N, modulus, threads)
 
     if num < 1:
         raise InvariantViolation(

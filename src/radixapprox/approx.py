@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import digitsets as ds
-from ._kernels import MOD_LIMIT, digit_scan_min_sharded
+from ._kernels import digit_scan_min_sharded
 from .errors import (
     DomainError,
     IndeterminateComparison,
@@ -76,27 +74,19 @@ def oracle_min(
                 raise ResourceLimit(
                     f"enumeration of {count} elements exceeds the cap {cap}"
                 )
-            if q < MOD_LIMIT and count.bit_length() <= 62:
-                pow_mod = np.array(
-                    [(p * pow(b, d, q)) % q for d in range(count.bit_length())],
-                    dtype=np.int64,
-                )
-                num, idx = digit_scan_min_sharded(pow_mod, count, q, threads)
-                witness = ds.unrank(b, idx)
-                return ApproxResult(
-                    witness=witness,
-                    distance=Real(Fraction(num, q)),
-                    set_tag=spec,
-                    guarantee=None,
-                    mode="exact",
-                )
+            pow_mod = [(p * pow(b, d, q)) % q for d in range(count.bit_length())]
+            num, idx = digit_scan_min_sharded(pow_mod, count, q, threads)
+            witness = ds.unrank(b, idx)
+            return ApproxResult(
+                witness=witness,
+                distance=Real(Fraction(num, q)),
+                set_tag=spec,
+                guarantee=None,
+                mode="exact",
+            )
         # generic exact enumeration
-        if by_index:
-            stream = (ds.unrank(b, i) for i in range(1, N + 1))
-        else:
-            stream = ds.iter_spec_upto(spec, N, cap=cap)
         best_num, best_w = None, None
-        for s in stream:
+        for s in ds.iter_spec_upto(spec, N, cap=cap):
             num = (p * s) % q
             num = min(num, q - num)
             if best_num is None or num < best_num:

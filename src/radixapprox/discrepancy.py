@@ -21,17 +21,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from ._kernels import cos_sin_sum, interval_deviation_max
+from ._kernels import cos_sin_sum, interval_deviation_max, scaled_residues
 from .errors import DomainError, InvariantViolation
 from .exact import Real, frac, frac_exact
-from .expsum import pi_bounds
+from .expsum import _sum_radius, pi_bounds
 
 GRID_BITS = 50
-
-_TERM_ERR = Fraction(4, 10**15)
-_EPS = Fraction(12, 10**17)
 
 _COMBO_FLAGS = {0: (True, True), 1: (True, False), 2: (False, True), 3: (False, False)}
 
@@ -117,19 +112,9 @@ def discrepancy_L(points: Sequence[Real]) -> DiscrepancyReport:
     if T < 1:
         raise DomainError("need at least one point")
     nums, q, worst = _scaled_points(points)
-    if T * q < 1 << 62:
-        w, lt, eq = _candidate_tables(nums, q)
-        dev, i, j, combo = interval_deviation_max(
-            np.array(w, dtype=np.int64),
-            np.array(lt, dtype=np.int64),
-            np.array(eq, dtype=np.int64),
-            T,
-            q,
-        )
-        left, right = Fraction(w[i], q), Fraction(w[j], q)
-    else:
-        dev, wi, wj, combo = deviation_max_py(nums, q, T)
-        left, right = Fraction(wi, q), Fraction(wj, q)
+    w, lt, eq = _candidate_tables(nums, q)
+    dev, i, j, combo = interval_deviation_max(w, lt, eq, T, q)
+    left, right = Fraction(w[i], q), Fraction(w[j], q)
     L = Fraction(dev, q)
     radius = 2 * T * worst
     if not (1 - radius <= L <= T + radius):
@@ -141,16 +126,11 @@ def discrepancy_L(points: Sequence[Real]) -> DiscrepancyReport:
 def _exp_sum_magnitude(nums: list[int], q: int, g: int, pt_err: Fraction):
     """|sum of e(g * x_n)| as an enclosure, x_n given as scaled integers."""
     T = len(nums)
-    if g * q < 1 << 62:
-        res = (np.array(nums, dtype=np.int64) * g) % q
-        c, s = cos_sin_sum(res, q)
-    else:
-        two_pi = 2.0 * math.pi
-        c = math.fsum(math.cos(two_pi * ((g * n) % q / q)) for n in nums)
-        s = math.fsum(math.sin(two_pi * ((g * n) % q / q)) for n in nums)
+    c, s = cos_sin_sum(scaled_residues(nums, g, q), q)
     mid = Fraction(math.hypot(c, s))
-    bits = max(T.bit_length(), 1)
-    rad = T * (_TERM_ERR + (bits + 6) * _EPS + 7 * g * pt_err) + mid / (1 << 50)
+    # each component is within _sum_radius(T); the point error moves every
+    # angle by at most 2 pi g pt_err
+    rad = 2 * _sum_radius(T) + 7 * g * T * pt_err + mid / (1 << 50)
     lo = max(Fraction(0), mid - rad)
     return Real.from_interval(lo, min(mid + rad, Fraction(T) + rad))
 

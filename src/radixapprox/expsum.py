@@ -23,10 +23,9 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
-import numpy as np
 
 from . import digitsets as ds
-from ._kernels import MOD_LIMIT, cos_sin_sum, first_close, subset_residues
+from ._kernels import cos_sin_sum, first_close, residue_blocks
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -39,9 +38,8 @@ from .exact import Real, dist_exact, dist_to_nearest_int, iv_to_real
 #: Default cap on r: at most 2**(R_CAP_DEFAULT + 1) terms per direct sum.
 R_CAP_DEFAULT = 26
 
-_CHUNK_BITS = 20
-
-# float64 budgets: |e(theta) evaluated - true| per component, and machine eps
+# float64 budgets: |e(theta) evaluated - true| per component, and the unit
+# roundoff 2**-53 with room for the factor 1/(1 - h u); see _sum_radius
 _TERM_ERR = Fraction(4, 10**15)
 _EPS = Fraction(12, 10**17)
 # relative envelope for one float64 sin factor at an exactly reduced argument
@@ -66,9 +64,27 @@ def pi_bounds() -> tuple[Fraction, Fraction]:
 
 
 def _sum_radius(n: int) -> Fraction:
-    """Worst-case float64 radius for one component of an n-term unit sum."""
+    """Worst-case float64 radius for one component of an n-term sum of
+    cos(2 pi v/q) or sin(2 pi v/q), summed by ``cos_sin_sum`` block by block
+    and, over several blocks, by ``math.fsum``.  With u = 2**-53:
+
+    Each term is within _TERM_ERR = 4e-15.  int64 residues form the angle
+    as v * fl(2 pi / q): five roundings (pi, q, the quotient, v, the
+    product) put it within 2 pi * 5.01 u < 3.5e-15.  Python-int residues
+    round v / q, 2 pi and the product: three roundings, < 2.1e-15.  cos and
+    sin are 1-Lipschitz, and numpy evaluates them within 4 ulp, 4.5e-16.
+
+    Summation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 4): numpy's ``sum`` halves a block until it is at most 128 long, in
+    at most bits(n) - 6 levels.  A leaf of 128 holds 8 interleaved
+    accumulators of at most 16 terms (15 additions), combines them in 3
+    more, then adds at most 7 leftover terms one by one.  So a term passes
+    at most h = bits(n) + 19 additions, and ``fsum`` rounds once more.  The
+    error is at most gamma_(h+1) * sum |x_i| <= (bits(n) + 20) * 1.01 u * n,
+    and _EPS = 1.2e-16 exceeds 1.01 u.
+    """
     bits = max(n.bit_length(), 1)
-    return n * (_TERM_ERR + (bits + 6) * _EPS)
+    return n * (_TERM_ERR + (bits + 20) * _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -145,41 +161,13 @@ def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationR
     if gamma.is_exact:
         q = gamma.mid.denominator
         p = gamma.mid.numerator % q
+        add_mod = [(p * pow(b, d, q)) % q for d in range(r + 1)]
         worst: Optional[int] = None
-        if (
-            q < MOD_LIMIT
-            and q * beta.denominator < (1 << 62)
-            and q * beta.numerator < (1 << 62)
-        ):
-            add_mod = [(p * pow(b, d, q)) % q for d in range(r + 1)]
-            lo_bits = min(r + 1, _CHUNK_BITS)
-            lo_table = subset_residues(np.array(add_mod[:lo_bits], dtype=np.int64), q)
-            hi_mods = add_mod[lo_bits:]
-            for hi in range(1 << (r + 1 - lo_bits)):
-                base, mask, d = 0, hi, 0
-                while mask:
-                    if mask & 1:
-                        base = (base + hi_mods[d]) % q
-                    mask >>= 1
-                    d += 1
-                hit = -1
-                if hi > 0:
-                    # block index 0 is the subset with empty low part, the
-                    # smallest value of this block; first_close starts at 1
-                    if min(base, q - base) * beta.denominator <= beta.numerator * q:
-                        hit = 0
-                if hit == -1:
-                    block = (lo_table + base) % q
-                    hit = first_close(block, q, beta.numerator, beta.denominator)
-                if hit != -1:
-                    worst = ds.unrank(b, (hi << lo_bits) | hit)
-                    break
-        else:
-            for i in range(1, 1 << (r + 1)):
-                x = ds.unrank(b, i)
-                if dist_exact(gamma.mid * x) <= beta:
-                    worst = x
-                    break
+        for first, res in residue_blocks(add_mod, q, 1, 1 << (r + 1)):
+            hit = first_close(res, q, beta.numerator, beta.denominator)
+            if hit >= 0:
+                worst = ds.unrank(b, first + hit)
+                break
         for x in _gap_values(b, r):
             if worst is not None and x >= worst:
                 break
@@ -284,33 +272,10 @@ def _direct_sum_exact(b: int, r: int, k: int, gamma_q: Fraction):
     q, res_mods = _shift_residues(b, r, k, gamma_q)
     if all(v == 0 for v in res_mods):
         return Real(Fraction(n)), Real(Fraction(0)), n
+    parts = [cos_sin_sum(res, q) for _, res in residue_blocks(res_mods, q, 0, n)]
     rad = _sum_radius(n)
-    if q < MOD_LIMIT:
-        lo_bits = min(r + 1, _CHUNK_BITS)
-        lo_table = subset_residues(np.array(res_mods[:lo_bits], dtype=np.int64), q)
-        hi_mods = res_mods[lo_bits:]
-        re_parts, im_parts = [], []
-        for hi in range(1 << (r + 1 - lo_bits)):
-            base, mask, d = 0, hi, 0
-            while mask:
-                if mask & 1:
-                    base = (base + hi_mods[d]) % q
-                mask >>= 1
-                d += 1
-            block = (lo_table + base) % q
-            c, s = cos_sin_sum(block, q)
-            re_parts.append(c)
-            im_parts.append(s)
-        re_mid = Fraction(math.fsum(re_parts))
-        im_mid = Fraction(math.fsum(im_parts))
-    else:
-        # big-modulus fallback: doubling residue table in python integers
-        two_pi = 2.0 * math.pi
-        res_list = [0]
-        for a in res_mods:
-            res_list += [(v + a) % q for v in res_list]
-        re_mid = Fraction(math.fsum(math.cos(two_pi * (v / q)) for v in res_list))
-        im_mid = Fraction(math.fsum(math.sin(two_pi * (v / q)) for v in res_list))
+    re_mid = Fraction(math.fsum(c for c, _ in parts))
+    im_mid = Fraction(math.fsum(s for _, s in parts))
     return Real(re_mid, rad), Real(im_mid, rad), n
 
 

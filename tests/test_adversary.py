@@ -54,6 +54,15 @@ class TestCertificate:
             o = oracle_min(Real.exact(c.gamma_N), ds.SetSpec.zero_one(b), N, by_index=True)
             assert o.distance.mid == c.min_distance
 
+    def test_big_base_modulus(self):
+        # b**k - 1 is far past 2^57 here, so the scan runs on Python ints
+        for b, N in ((10**6, 300), (10**9, 700)):
+            c = adversarial_gamma(b, N)
+            brute = min(
+                (dist_exact(c.gamma_N * ds.unrank(b, i)), i) for i in range(1, N + 1)
+            )
+            assert (c.min_distance, c.min_witness_index) == brute
+
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             adversarial_gamma(2, 100, cap=50)

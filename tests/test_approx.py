@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import radixapprox.digitsets as ds
+from radixapprox._kernels import MOD_LIMIT
 from radixapprox.approx import oracle_min, pigeonhole_witness, transfer_witness
 from radixapprox.errors import DomainError, IndeterminateComparison
 from radixapprox.exact import Real, dist_exact
@@ -32,6 +33,17 @@ class TestOracleMin:
             best = min(range(1, N + 1), key=lambda n: (dist_exact(gamma * n), n))
             assert r.witness == best
             assert r.distance.mid == dist_exact(gamma * best)
+
+    @pytest.mark.parametrize("q", [MOD_LIMIT - 1, MOD_LIMIT, MOD_LIMIT + 1, (1 << 64) + 13])
+    def test_moduli_around_the_int64_limit(self, q):
+        rng = random.Random(q)
+        for b in (2, 3, 10):
+            gamma = Fraction(rng.randrange(1, q), q)
+            N = rng.randint(1, 600)
+            r = oracle_min(Real.exact(gamma), ds.SetSpec.zero_one(b), N, by_index=True)
+            best = min(range(1, N + 1), key=lambda i: (dist_exact(gamma * ds.unrank(b, i)), i))
+            assert r.witness == ds.unrank(b, best)
+            assert r.distance.mid == dist_exact(gamma * r.witness)
 
     def test_other_set_kinds(self):
         r = oracle_min(Real.exact(Fraction(2, 7)), ds.SetSpec.repunit_set(3, 50), 50)

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from radixapprox.discrepancy import (
+    _exp_sum_magnitude,
     deviation_max_py,
     discrepancy_L,
     erdos_turan_check,
@@ -161,6 +163,18 @@ class TestErdosTuran:
         assert rep.L_value - rep.L_radius <= rep.et_rhs.hi
         # the golden-standard equidistributed sequence keeps L small
         assert rep.L_value < 20
+
+    # g * q = 2^62 - 1, 2^62, 2^62 + 1, and past 2^67
+    @pytest.mark.parametrize("g, q", [(3, 1537228672809129301), (4, 1 << 60),
+                                      (5, 922337203685477581), (50, (1 << 62) - 57)])
+    def test_exp_sum_magnitude_at_the_product_limit(self, g, q):
+        rng = random.Random(g)
+        nums = [rng.randrange(q) for _ in range(300)] + [0, q - 1]
+        mag = _exp_sum_magnitude(nums, q, g, Fraction(0))
+        with mpmath.workprec(200):
+            exact = abs(mpmath.fsum(mpmath.expjpi(2 * mpmath.mpf(g * n % q) / q) for n in nums))
+        assert mpmath.mpf(mag.lo.numerator) / mag.lo.denominator <= exact
+        assert exact <= mpmath.mpf(mag.hi.numerator) / mag.hi.denominator
 
     def test_bad_G(self):
         with pytest.raises(DomainError):

@@ -2,11 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from radixapprox._kernels import MOD_LIMIT
+from radixapprox.digitsets import unrank
 from radixapprox.errors import DomainError, HypothesisViolation, IndeterminateComparison
 from radixapprox.exact import Real, dist_exact
 from radixapprox.expsum import (
+    _direct_sum_exact,
+    _sum_radius,
     classify_G,
     decay_bound_check,
     eval_expsum,
@@ -15,6 +20,10 @@ from radixapprox.expsum import (
 )
 
 E = lambda *a: Real.exact(Fraction(*a))
+
+
+def _mpf(f: Fraction):
+    return mpmath.mpf(f.numerator) / f.denominator
 
 
 class TestClassify:
@@ -80,6 +89,34 @@ class TestSeparation:
     def test_enclosure_gamma(self):
         gamma = Real.approx(Fraction(2, 5), Fraction(1, 10**25))
         assert separation_check(2, 1, Fraction(1, 8), gamma).ok
+
+    @pytest.mark.parametrize(
+        "b, r, beta, gamma",
+        [
+            # q < MOD_LIMIT, but q * beta_den wraps int64
+            (10, 6, Fraction(1, 2000), Fraction(25038706291147849, 33122781086234565)),
+            (2, 13, Fraction(1, 10000), Fraction(43709930429851096, MOD_LIMIT - 1)),
+            # q at and just above MOD_LIMIT: Python-int residues
+            (3, 7, Fraction(1, 1000), Fraction(98765432123456789, MOD_LIMIT)),
+            (2, 13, Fraction(1, 10000), Fraction(25969627795047259, MOD_LIMIT + 1)),
+            (10, 5, Fraction(1, 5000), Fraction(987654321987654321, MOD_LIMIT + 1)),
+            # q * beta_den = 2^62 - 1, 2^62, 2^62 + 1
+            (2, 10, Fraction(1, 2147483647), Fraction(1234567, 2147483649)),
+            (3, 9, Fraction(1, 1 << 31), Fraction((1 << 29) + 1, 1 << 31)),
+            (5, 6, Fraction(1, 5), Fraction(123456789012345677, 922337203685477581)),
+            (5, 6, Fraction(1, 20), Fraction(123456789012345677, 922337203685477581)),
+        ],
+    )
+    def test_counterexample_at_the_int64_limits(self, b, r, beta, gamma):
+        from radixapprox.digitsets import SetSpec, iter_spec
+
+        rep = separation_check(b, r, beta, Real.exact(gamma))
+        least = next(
+            (x for x in iter_spec(SetSpec.zero_one_ext_trunc(b, r))
+             if x and dist_exact(gamma * x) <= beta),
+            None,
+        )
+        assert (rep.ok, rep.counterexample) == (least is None, least)
 
 
 class TestSmallShifts:
@@ -162,6 +199,30 @@ class TestEvalExpsum:
         rep = eval_expsum(2, 3, 1, E(1, q))
         # gamma is nearly 0, so the sum is nearly the term count
         assert abs(rep.magnitude.mid - 16) < Fraction(1, 10**6)
+
+    @pytest.mark.parametrize("q", [MOD_LIMIT - 1, MOD_LIMIT + 1, (1 << 64) + 13])
+    def test_sum_radius_covers_angles_near_zero(self, q):
+        # gamma = 1/q puts every angle within 2^-40 of 0: all terms add up
+        # with one sign, the worst case for the summation error
+        re, im, n = _direct_sum_exact(2, 11, 1, Fraction(1, q))
+        with mpmath.workprec(200):
+            exact_re = mpmath.fsum(mpmath.cos(2 * mpmath.pi * v / q) for v in range(n))
+            exact_im = mpmath.fsum(mpmath.sin(2 * mpmath.pi * v / q) for v in range(n))
+        assert re.rad == im.rad == _sum_radius(n)
+        assert abs(_mpf(re.mid) - exact_re) <= _mpf(re.rad)
+        assert abs(_mpf(im.mid) - exact_im) <= _mpf(im.rad)
+
+    @pytest.mark.parametrize("q", [MOD_LIMIT - 1, MOD_LIMIT + 1])
+    def test_sum_radius_covers_spread_angles(self, q):
+        b, r, k, gamma = 3, 10, 7, Fraction(q // 3 + 1, q)
+        re, im, n = _direct_sum_exact(b, r, k, gamma)
+        with mpmath.workprec(200):
+            angles = [2 * mpmath.pi * ((k * gamma.numerator * x) % q) / q
+                      for x in [0] + [unrank(b, i) for i in range(1, n)]]
+            exact_re = mpmath.fsum(mpmath.cos(t) for t in angles)
+            exact_im = mpmath.fsum(mpmath.sin(t) for t in angles)
+        assert abs(_mpf(re.mid) - exact_re) <= _mpf(re.rad)
+        assert abs(_mpf(im.mid) - exact_im) <= _mpf(im.rad)
 
     def test_enclosure_gamma_widens_radius(self):
         gamma = Real.approx(Fraction(2, 7), Fraction(1, 10**25))
