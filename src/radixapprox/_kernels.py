@@ -1,11 +1,11 @@
-"""Hot numeric kernels over numpy arrays; the only module that knows the
-int64 limits.
+"""Hot numeric kernels; the only module that knows the int64 limits.
 
 Residues and products are int64 arrays while the bound documented next to
 each kernel keeps every intermediate below 2**62, and numpy ``object``
 arrays of Python ints otherwise, so callers never branch on the size of
 their integers.  Integer results are exact on both kinds of array; float
 sums differ only by rounding that ``expsum._sum_radius`` accounts for.
+The discrepancy scan is pure Python over unbounded ints: no int64 bound.
 """
 from __future__ import annotations
 
@@ -124,7 +124,9 @@ def digit_scan_min_sharded(pow_mod, count: int, modulus: int, threads: int = 1):
     the minimal shard results carries the smallest argmin: the result does
     not depend on the thread count.
     """
-    threads = min(threads, len(os.sched_getaffinity(0)))
+    if threads > 1:  # sched_getaffinity is missing on macOS and Windows
+        usable = getattr(os, "sched_getaffinity", None)
+        threads = min(threads, len(usable(0)) if usable else os.cpu_count() or 1)
     if threads <= 1 or count < (1 << 16):
         return digit_scan_min(pow_mod, count, modulus)
     bounds = [1 + (count * i) // threads for i in range(threads)] + [count + 1]
@@ -166,7 +168,9 @@ def cos_sin_sum(res: np.ndarray, modulus: int):
 
 
 # ---------------------------------------------------------------------------
-# discrepancy candidate scan
+# discrepancy candidate scan, O(m) in pure Python (the extreme discrepancy
+# is a max over i <= j of |right(j) - left(i)|; Kuipers & Niederreiter,
+# Uniform Distribution of Sequences, ch. 2 sec. 1)
 #
 # Endpoints w[0] < ... < w[m-1] (scaled by Q, w[m-1] == Q stands for 1).
 # lt[i]/eq[i] count sequence points strictly below / equal to w[i].
@@ -178,26 +182,31 @@ def cos_sin_sum(res: np.ndarray, modulus: int):
 def interval_deviation_max(w, lt, eq, total: int, scale: int):
     """Maximal |count - T*measure| over the endpoint candidate family.
 
-    Returns (deviation * scale, i, j, combo).  Runs in int64 while
-    total * scale < 2**62, on Python ints otherwise.
+    Returns (deviation * scale, i, j, combo): a backward pass finds the
+    first row i attaining the maximum, a pass over row i the first (j,
+    combo).  Requires len(w) >= 2.
     """
-    w, lt, eq = (_int_array(a, total * scale) for a in (w, lt, eq))
     # count * scale - total * width splits into a right-end term minus a
     # left-end term; each end counts the points up to w (closed right, open
     # left) or below w (open right, closed left)
-    upto = (lt + eq) * scale - total * w
-    below = lt * scale - total * w
-    best, bi, bj, bc = -1, 0, 0, 0
-    for i in range(len(w)):
-        devs = np.abs(np.stack([upto[i:] - below[i], below[i:] - below[i],
-                                upto[i:] - upto[i], below[i:] - upto[i]], axis=1))
-        devs[0, 1:] = -1  # a degenerate interval is closed at both ends
-        devs[-1, [0, 2]] = -1  # right endpoint 1 may not be included
-        flat = devs.ravel()  # j-major, combo-minor: matches the tie order
-        k = int(np.argmax(flat))
-        if flat[k] > best:
-            best, bi, bj, bc = int(flat[k]), i, i + k // 4, k % 4
-    return best, bi, bj, bc
+    below = [int(n) * scale - total * int(x) for n, x in zip(lt, w)]
+    upto = [b + int(e) * scale for b, e in zip(below, eq)]
+    # hi/lo bound the right ends row k allows, upto[k:m-1] and below[k+1:];
+    # as below[k] <= upto[k], the row maximum is max(hi - below[k], upto[k] - lo)
+    m, best, i = len(w), -1, 0
+    hi = lo = below[m - 1]
+    for k in range(m - 2, -1, -1):
+        hi, lo = max(hi, upto[k]), min(lo, upto[k])
+        dev = max(hi - below[k], upto[k] - lo)
+        if dev >= best:
+            best, i = dev, k
+        hi, lo = max(hi, below[k]), min(lo, below[k])
+    for j in range(i, m):
+        terms = (upto[j] - below[i], below[j] - below[i], upto[j] - upto[i], below[j] - upto[i])
+        for combo, dev in enumerate(terms):
+            # a degenerate interval is closed at both ends; 1 is never included
+            if abs(dev) == best and not (j == i and combo or j == m - 1 and combo in (0, 2)):
+                return best, i, j, combo
 
 
 # ---------------------------------------------------------------------------

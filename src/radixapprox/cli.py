@@ -12,7 +12,7 @@ comparison; usage problems exit non-zero with a diagnostic on stderr.
 
 The environment variable RADIX_APPROX_CONFIG may point to a key=value file
 mirroring the run configuration (precision_bits, enumeration_cap,
-node_budget, output_format, seed, tolerance, threads).
+node_budget, output_format, threads).
 """
 from __future__ import annotations
 
@@ -70,8 +70,6 @@ class RunConfig:
     enumeration_cap: int = ds.CAP_DEFAULT
     node_budget: int = 2_000_000
     output_format: str = "human"
-    seed: int = 0
-    tolerance: Fraction = Fraction(1, 10**9)
     threads: int = 1
 
     def __post_init__(self):
@@ -79,17 +77,6 @@ class RunConfig:
             raise DomainError("precision_bits must be >= 64")
         if self.enumeration_cap < 1 or self.node_budget < 1 or self.threads < 1:
             raise DomainError("caps, budgets and threads must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "precision_bits": self.precision_bits,
-            "enumeration_cap": self.enumeration_cap,
-            "node_budget": self.node_budget,
-            "output_format": self.output_format,
-            "seed": self.seed,
-            "tolerance": _ser(self.tolerance),
-            "threads": self.threads,
-        }
 
 
 def load_config_file(path: str) -> dict:
@@ -104,14 +91,9 @@ def load_config_file(path: str) -> dict:
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
             raw = raw.strip()
-            if key in ("precision_bits", "enumeration_cap", "node_budget", "seed", "threads"):
-                values[key] = int(raw)
-            elif key == "tolerance":
-                values[key] = Fraction(raw)
-            elif key == "output_format":
-                values[key] = raw
-            else:
+            if key not in {f.name for f in dataclasses.fields(RunConfig)}:
                 raise DomainError(f"unknown config key {key!r}")
+            values[key] = raw if key == "output_format" else int(raw)
     return values
 
 
@@ -279,7 +261,7 @@ def _cmd_discrepancy(args, cfg: RunConfig) -> dict:
     if T is None:
         raise DomainError("discrepancy needs --limit (the sequence length)")
     points = fractional_orbit(gamma, T)
-    rep = erdos_turan_check(points, args.G) if args.G else discrepancy_L(points)
+    rep = erdos_turan_check(points, args.G) if args.G is not None else discrepancy_L(points)
     return _ser(rep)
 
 
@@ -359,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE")
         p.add_argument("--threads", type=int)
         p.add_argument("--precision-bits", dest="precision_bits", type=int)
-        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("search", help="witness search: pigeonhole or exhaustive oracle")
     common(p, gamma=True)
@@ -393,7 +374,7 @@ def _config_from(args) -> RunConfig:
     path = os.environ.get(CONFIG_ENV)
     if path:
         values.update(load_config_file(path))
-    for key in ("precision_bits", "seed", "threads"):
+    for key in ("precision_bits", "threads"):
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
@@ -437,7 +418,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "tool": "radixapprox",
                 "version": __version__,
                 "subcommand": args.subcommand,
-                "config": cfg.to_dict(),
+                "config": dataclasses.asdict(cfg),
                 "wall_time_ms": round(wall_ms, 3),
             },
         }

@@ -5,8 +5,8 @@ The discrepancy of a finite sequence is the supremum over subintervals of
 point values and the measure is linear in the endpoints, so the supremum is
 attained on the finite family of intervals whose endpoints are point values
 (or 0, or approach 1), each endpoint open or closed, degenerate intervals
-included.  That family is scanned exhaustively over scaled integers, which
-makes the supremum an exact rational.
+included.  That family is scanned in one linear pass over scaled Python
+ints (``_kernels.interval_deviation_max``), so the supremum is exact.
 
 Approximate points are snapped to a dyadic grid and the discrepancy picks
 up the radius 2*T*eps, eps being the worst per-point uncertainty; the
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from ._kernels import cos_sin_sum, interval_deviation_max, scaled_residues
 from .errors import DomainError, InvariantViolation
 from .exact import Real, frac, frac_exact
-from .expsum import _sum_radius, pi_bounds
+from .expsum import _magnitude, _sum_radius, pi_bounds
 
 GRID_BITS = 50
 
@@ -46,6 +46,8 @@ def _scaled_points(points: Sequence[Real]):
     """Fractional parts as (numerator, Q) scaled integers plus the worst
     per-point uncertainty; exact inputs stay exact over the lcm denominator,
     enclosure inputs snap to the dyadic grid and carry the snap radius."""
+    if not points:
+        raise DomainError("need at least one point")
     fracs = [frac(p) for p in points]
     if all(f.is_exact for f in fracs):
         q = 1
@@ -108,10 +110,12 @@ def discrepancy_L(points: Sequence[Real]) -> DiscrepancyReport:
     a right endpoint of 1 stands for an interval reaching toward 1 but open
     there, as required by intervals inside [0, 1).
     """
-    T = len(points)
-    if T < 1:
-        raise DomainError("need at least one point")
-    nums, q, worst = _scaled_points(points)
+    return _discrepancy(*_scaled_points(points))
+
+
+def _discrepancy(nums: list[int], q: int, worst: Fraction) -> DiscrepancyReport:
+    """discrepancy_L of points already scaled by _scaled_points."""
+    T = len(nums)
     w, lt, eq = _candidate_tables(nums, q)
     dev, i, j, combo = interval_deviation_max(w, lt, eq, T, q)
     left, right = Fraction(w[i], q), Fraction(w[j], q)
@@ -127,12 +131,12 @@ def _exp_sum_magnitude(nums: list[int], q: int, g: int, pt_err: Fraction):
     """|sum of e(g * x_n)| as an enclosure, x_n given as scaled integers."""
     T = len(nums)
     c, s = cos_sin_sum(scaled_residues(nums, g, q), q)
-    mid = Fraction(math.hypot(c, s))
-    # each component is within _sum_radius(T); the point error moves every
-    # angle by at most 2 pi g pt_err
-    rad = 2 * _sum_radius(T) + 7 * g * T * pt_err + mid / (1 << 50)
-    lo = max(Fraction(0), mid - rad)
-    return Real.from_interval(lo, min(mid + rad, Fraction(T) + rad))
+    # _magnitude widens by the sum of the two radii: each float component is
+    # within _sum_radius(T), and the point error moves every angle by at
+    # most 2 pi g pt_err, so the sum by less than 7 g T pt_err in modulus
+    rad = _sum_radius(T) + Fraction(7, 2) * g * T * pt_err
+    mag = _magnitude(Real(Fraction(c), rad), Real(Fraction(s), rad))
+    return Real.from_interval(mag.lo, min(mag.hi, T + mag.rad))
 
 
 def erdos_turan_check(points: Sequence[Real], G: int) -> DiscrepancyReport:
@@ -144,8 +148,8 @@ def erdos_turan_check(points: Sequence[Real], G: int) -> DiscrepancyReport:
     """
     if G < 1:
         raise DomainError(f"need G >= 1, got {G}")
-    base = discrepancy_L(points)
     nums, q, worst = _scaled_points(points)
+    base = _discrepancy(nums, q, worst)
     T = base.T
     pi_lo, pi_hi = pi_bounds()
     c_lo, c_hi = 2 + 2 / pi_hi, 2 + 2 / pi_lo

@@ -26,7 +26,8 @@ class TestSearch:
         assert rep["guarantee"] == "1/13"
         assert rep["mode"] == "exact"
         assert "/" in rep["distance"]["exact"]
-        assert doc["meta"]["config"]["seed"] == 0
+        assert list(doc["meta"]["config"]) == [
+            "precision_bits", "enumeration_cap", "node_budget", "output_format", "threads"]
 
     def test_deterministic_report(self, capsys):
         args = ["search", "--base", "5", "--limit", "100000", "--gamma", "0.137",
@@ -106,6 +107,12 @@ class TestOtherSubcommands:
         rep = json.loads(out)["report"]
         assert rep["L_value"] == "1/1"
 
+    def test_discrepancy_rejects_G_zero(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["discrepancy", "--gamma", "1/7", "--limit", "7", "--G", "0"])
+        assert err.value.code != 0
+        assert "need G >= 1" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -124,19 +131,29 @@ class TestExitCodes:
 
     def test_resource_limit_via_config_env(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"
-        cfg.write_text("enumeration_cap=10\nseed=7\n")
+        cfg.write_text("enumeration_cap=10\n")
         monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
         code, _, err = run_cli(["adversary", "--base", "2", "--count", "1000"], capsys)
         assert code == 3 and "resource limit" in err
 
-    def test_config_seed_lands_in_meta(self, capsys, tmp_path, monkeypatch):
+    def test_config_file_lands_in_meta(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"
-        cfg.write_text("seed=99\nprecision_bits=96\n")
+        cfg.write_text("threads=2\nprecision_bits=96\n")
         monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
         _, out, _ = run_cli(["constants", "--base", "2", "--format", "json"], capsys)
         meta = json.loads(out)["meta"]
-        assert meta["config"]["seed"] == 99
+        assert meta["config"]["threads"] == 2
         assert meta["config"]["precision_bits"] == 96
+
+    @pytest.mark.parametrize("line", ["seed=99", "tolerance=1/1000"])
+    def test_removed_config_keys_are_rejected(self, capsys, tmp_path, monkeypatch, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
+        with pytest.raises(SystemExit) as err:
+            main(["constants", "--base", "2"])
+        assert err.value.code != 0
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

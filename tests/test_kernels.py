@@ -1,8 +1,11 @@
 """Kernel correctness against plain-python references: on numpy-typed and
 on object (Python-int) input arrays, and on both sides of every int64 bound,
 where the kernels switch between int64 and Python-int arithmetic."""
+import itertools
 import math
 import random
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -106,14 +109,23 @@ def test_cos_sin_sum(as_array):
 
 def test_interval_deviation_max(as_array):
     rng = random.Random(10)
+    cases = []
     for _ in range(40):
         total = rng.randint(1, 15)
         q = rng.choice([8, 17, 60])
-        nums = [rng.randrange(q) for _ in range(total)]
+        cases.append(([rng.randrange(q) for _ in range(total)], q))
+    # every multiset on a tiny grid: ties everywhere, all-equal points, points at 0
+    for q in (1, 2, 3, 4):
+        for total in range(1, 6):
+            cases += [(list(c), q) for c in itertools.combinations_with_replacement(range(q), total)]
+    for total in (rng.randint(100, 250) for _ in range(2)):
+        for q in (total, 10**6, (1 << 64) + 1):
+            cases.append(([rng.randrange(q) for _ in range(total)], q))
+    for nums, q in cases:
         w, lt, eq = _candidate_tables(nums, q)
-        got = K.interval_deviation_max(as_array(w), as_array(lt), as_array(eq), total, q)
+        got = K.interval_deviation_max(as_array(w), as_array(lt), as_array(eq), len(nums), q)
         dev, i, j, combo = got
-        assert (dev, w[i], w[j], combo) == deviation_max_py(nums, q, total)
+        assert (dev, w[i], w[j], combo) == deviation_max_py(nums, q, len(nums))
 
 
 def test_cos_margin_values(as_array):
@@ -195,6 +207,27 @@ def test_sharded_scan_caps_workers_at_usable_cores(monkeypatch):
     got = K.digit_scan_min_sharded(pow_mod, count, modulus, threads=100000)
     assert seen == {"max_workers": 3, "shards": 3}
     assert got == K.digit_scan_min(pow_mod, count, modulus)
+
+
+def test_sharded_scan_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: one thread never asks
+    # for the core count, more threads fall back to os.cpu_count()
+    monkeypatch.delattr(K.os, "sched_getaffinity")
+    monkeypatch.setattr(K.os, "cpu_count", lambda: 2)
+    rng = random.Random(12)
+    modulus, count = 1000003, 1 << 17
+    pow_mod = [rng.randrange(modulus) for _ in range(count.bit_length())]
+    expect = K.digit_scan_min(pow_mod, count, modulus)
+    assert K.digit_scan_min_sharded(pow_mod, count, modulus, threads=1) == expect
+    seen = []
+
+    def pool(max_workers):
+        seen.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(K, "ThreadPoolExecutor", pool)
+    assert K.digit_scan_min_sharded(pow_mod, count, modulus, threads=64) == expect
+    assert seen == [2]
 
 
 # (modulus, beta_den) with products 2^62 - 1, 2^62 and 2^62 + 1, plus a
