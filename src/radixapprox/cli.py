@@ -6,9 +6,14 @@ RFC-4180 CSV row; rationals serialize as "p/q" strings, so exact-mode
 output is byte-identical across runs for identical inputs and config
 (wall time and other run metadata live in a separate "meta" object).
 
-Exit codes: 0 success, 2 invariant violation (a verified inequality
+Each subcommand takes only the flags its handler reads, plus --format and
+--out; --count is another spelling of --limit.
+
+Exit codes: 0 success, 1 usage or domain error (a bad or unknown flag, a
+missing required flag, an unparsable value or a config file out of range;
+diagnostic on stderr), 2 invariant violation (a verified inequality
 failed; reported with its witness), 3 resource limit, 4 indeterminate
-comparison; usage problems exit non-zero with a diagnostic on stderr.
+comparison.
 
 The environment variable RADIX_APPROX_CONFIG may point to a key=value file
 mirroring the run configuration (precision_bits, enumeration_cap,
@@ -19,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -52,6 +58,8 @@ EXIT_VIOLATION = 2
 EXIT_RESOURCE = 3
 EXIT_INDETERMINATE = 4
 
+FORMATS = ("json", "csv", "human")
+
 CSV_COLUMNS = (
     "subcommand",
     "b",
@@ -77,6 +85,8 @@ class RunConfig:
             raise DomainError("precision_bits must be >= 64")
         if self.enumeration_cap < 1 or self.node_budget < 1 or self.threads < 1:
             raise DomainError("caps, budgets and threads must be positive")
+        if self.output_format not in FORMATS:
+            raise DomainError(f"output_format must be one of {', '.join(FORMATS)}")
 
 
 def load_config_file(path: str) -> dict:
@@ -182,7 +192,7 @@ def _csv_row(subcommand: str, args, report: dict) -> dict:
     return {
         "subcommand": subcommand,
         "b": getattr(args, "base", "") or report.get("b", ""),
-        "N": report.get("N", getattr(args, "limit", "") or getattr(args, "count", "") or ""),
+        "N": report.get("N", getattr(args, "limit", None) or ""),
         "witness": report.get("witness", report.get("min_witness_index", "")),
         "distance_num": dist.numerator if dist is not None else "",
         "distance_den": dist.denominator if dist is not None else "",
@@ -198,9 +208,7 @@ def _csv_row(subcommand: str, args, report: dict) -> dict:
 
 def _cmd_search(args, cfg: RunConfig) -> dict:
     gamma = Real.parse(args.gamma, cfg.precision_bits)
-    N = args.limit or args.count
-    if N is None:
-        raise DomainError("search needs --limit")
+    N = args.limit
     if args.method == "pigeonhole":
         res = pigeonhole_witness(gamma, args.base, N)
     elif args.method == "oracle":
@@ -215,9 +223,7 @@ def _cmd_search(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_diffset(args, cfg: RunConfig) -> dict:
-    N = args.limit or args.count
-    if N is None:
-        raise DomainError("diffset needs --limit")
+    N = args.limit
     S = list(ds.iter_spec_upto(ds.SetSpec.zero_one(args.base), N, cap=cfg.enumeration_cap))
     if args.method == "differences":
         return {"b": args.base, "N": N, "set_size": len(S),
@@ -233,19 +239,15 @@ def _cmd_expsum(args, cfg: RunConfig) -> dict:
     from .expsum import decay_bound_check, eval_expsum, separation_check, small_shift_count
 
     gamma = Real.parse(args.gamma, cfg.precision_bits)
-    if args.r is None:
-        raise DomainError("expsum needs --r")
     if args.method == "shifts":
-        if args.beta is None or args.k is None:
-            raise DomainError("the shifts method needs --beta and --k")
+        if args.beta is None:
+            raise DomainError("the shifts method needs --beta")
         beta = Fraction(args.beta)
         sep = separation_check(args.base, args.r, beta, gamma)
         shifts = small_shift_count(
             args.base, args.r, args.k, gamma, beta, separation_ok=sep.ok
         )
         return {"separation": _ser(sep), "shifts": _ser(shifts)}
-    if args.k is None:
-        raise DomainError("expsum needs --k")
     if args.method == "decay":
         if args.m is None:
             raise DomainError("the decay check needs --m")
@@ -257,10 +259,7 @@ def _cmd_expsum(args, cfg: RunConfig) -> dict:
 
 def _cmd_discrepancy(args, cfg: RunConfig) -> dict:
     gamma = Real.parse(args.gamma, cfg.precision_bits)
-    T = args.limit or args.count
-    if T is None:
-        raise DomainError("discrepancy needs --limit (the sequence length)")
-    points = fractional_orbit(gamma, T)
+    points = fractional_orbit(gamma, args.limit)
     rep = erdos_turan_check(points, args.G) if args.G is not None else discrepancy_L(points)
     return _ser(rep)
 
@@ -269,21 +268,19 @@ def _cmd_adversary(args, cfg: RunConfig) -> dict:
     if args.method == "no-multiples":
         if args.k is None or args.t is None:
             raise DomainError("the no-multiples check needs --k and --t")
-        rep = no_multiples_check(args.base, args.k, args.t, args.e_max)
+        rep = no_multiples_check(args.base, args.k, args.t, args.e_max, cap=cfg.enumeration_cap)
         return _ser(rep)
-    N = args.count or args.limit
-    if N is None:
+    if args.limit is None:
         raise DomainError("adversary needs --count")
-    cert = adversarial_gamma(args.base, N, cap=cfg.enumeration_cap, threads=cfg.threads)
+    cert = adversarial_gamma(args.base, args.limit, cap=cfg.enumeration_cap, threads=cfg.threads)
     return _ser(cert)
 
 
 def _cmd_constants(args, cfg: RunConfig) -> dict:
     cs = compute_constants(args.base, precision_bits=cfg.precision_bits)
     out = _ser(cs)
-    N = args.limit or args.count
-    if N is not None:
-        out["bound_at_N"] = _ser(approximation_bound(args.base, N, cs))
+    if args.limit is not None:
+        out["bound_at_N"] = _ser(approximation_bound(args.base, args.limit, cs))
     return out
 
 
@@ -315,58 +312,71 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1: exit 2 means an invariant failed.
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+_FLAGS = {
+    "--base": dict(type=int, default=2),
+    "--limit": dict(type=int),
+    "--gamma": dict(help="p/q, a decimal literal, or sqrt2|pi|e"),
+    "--r": dict(type=int),
+    "--k": dict(type=int),
+    "--m": dict(type=int),
+    "--beta": dict(),
+    "--t": dict(type=int),
+    "--e-max": dict(type=int, default=6),
+    "--G": dict(type=int),
+    "--threads": dict(type=int),
+    "--precision-bits": dict(type=int),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radix-approx",
         description="rational approximation with base-b denominators made of digits 0 and 1",
     )
     parser.add_argument("--version", action="version", version=f"radix-approx {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, gamma=False):
-        p.add_argument("--base", type=int, default=2)
-        p.add_argument("--limit", type=int)
-        p.add_argument("--count", type=int)
-        if gamma:
-            p.add_argument("--gamma", required=True,
-                           help="p/q, a decimal literal, or sqrt2|pi|e")
-        p.add_argument("--r", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--beta")
-        p.add_argument("--t", type=int)
-        p.add_argument("--e-max", dest="e_max", type=int, default=6)
-        p.add_argument("--G", dest="G", type=int)
-        p.add_argument("--format", choices=("json", "csv", "human"), default=None)
+    def add(name, summary, methods=(), flags=(), required=()):
+        """A subcommand taking --method (the first choice is the default),
+        the flags its handler reads, --format and --out."""
+        p = sub.add_parser(name, help=summary)
+        if methods:
+            p.add_argument("--method", choices=methods, default=methods[0])
+        for flag in flags:
+            spellings = (flag, "--count") if flag == "--limit" else (flag,)
+            p.add_argument(*spellings, required=flag in required, **_FLAGS[flag])
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--out", metavar="FILE")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--precision-bits", dest="precision_bits", type=int)
 
-    p = sub.add_parser("search", help="witness search: pigeonhole or exhaustive oracle")
-    common(p, gamma=True)
-    p.add_argument("--method", choices=("pigeonhole", "oracle"), default="pigeonhole")
-
-    p = sub.add_parser("diffset", help="difference-set maxima and positive differences")
-    common(p)
-    p.add_argument("--method", choices=("anchored", "within", "differences"), default="anchored")
-
-    p = sub.add_parser("expsum", help="digit-restricted exponential sums and bounds")
-    common(p, gamma=True)
-    p.add_argument("--method", choices=("sum", "decay", "shifts"), default="sum")
-
-    p = sub.add_parser("discrepancy", help="interval discrepancy of {n*gamma}")
-    common(p, gamma=True)
-
-    p = sub.add_parser("adversary", help="lower-bound certificate / no-multiples scan")
-    common(p)
-    p.add_argument("--method", choices=("certificate", "no-multiples"), default="certificate")
-
-    p = sub.add_parser("constants", help="the explicit constant chain")
-    common(p)
-
-    p = sub.add_parser("verify-all", help="run the acceptance suite")
-    common(p)
+    add("search", "witness search: pigeonhole or exhaustive oracle", ("pigeonhole", "oracle"),
+        ("--base", "--limit", "--gamma", "--threads", "--precision-bits"),
+        required=("--limit", "--gamma"))
+    add("diffset", "difference-set maxima and positive differences",
+        ("anchored", "within", "differences"), ("--base", "--limit"), required=("--limit",))
+    add("expsum", "digit-restricted exponential sums and bounds", ("sum", "decay", "shifts"),
+        ("--base", "--gamma", "--r", "--k", "--m", "--beta", "--precision-bits"),
+        required=("--gamma", "--r", "--k"))
+    add("discrepancy", "interval discrepancy of {n*gamma}",
+        flags=("--gamma", "--limit", "--G", "--precision-bits"), required=("--gamma", "--limit"))
+    add("adversary", "lower-bound certificate / no-multiples scan",
+        ("certificate", "no-multiples"), ("--base", "--limit", "--k", "--t", "--e-max", "--threads"))
+    add("constants", "the explicit constant chain", flags=("--base", "--limit", "--precision-bits"))
+    add("verify-all", "run the acceptance suite")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def _config_from(args) -> RunConfig:
@@ -378,7 +388,7 @@ def _config_from(args) -> RunConfig:
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
-    if getattr(args, "format", None):
+    if args.format:
         values["output_format"] = args.format
     return RunConfig(**values)
 
@@ -392,7 +402,7 @@ def _emit(text: str, out: Optional[str]):
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         cfg = _config_from(args)

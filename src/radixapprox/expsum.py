@@ -213,12 +213,7 @@ def small_shift_count(
     beta = Fraction(beta)
     positions = []
     for d in range(r + 1):
-        wd = dist_to_nearest_int(gamma * (k * b**d))
-        if wd.is_exact:
-            close = wd.mid <= beta
-        else:
-            close = wd <= Real(beta)
-        if close:
+        if dist_to_nearest_int(gamma * (k * b**d)) <= Real(beta):
             positions.append(d)
     g = len(positions)
     if separation_ok and g * g >= 9 * k:
@@ -312,16 +307,11 @@ def eval_expsum(
     if r > r_cap:
         raise ResourceLimit(f"r={r} exceeds the term cap r <= {r_cap}")
 
-    if gamma.is_exact:
-        gam_q = gamma.mid
-        extra_rad = Fraction(0)
-    else:
-        gam_q = gamma.mid
-        # every term e(k j gamma) moves by at most 2 pi |k| j rad
-        total_j = (1 << r) * (b ** (r + 1) - 1) // (b - 1)
-        extra_rad = Fraction(7) * abs(k) * total_j * gamma.rad
+    # every term e(k j gamma) moves by at most 2 pi |k| j rad
+    total_j = (1 << r) * (b ** (r + 1) - 1) // (b - 1)
+    extra_rad = Fraction(7) * abs(k) * total_j * gamma.rad
 
-    q, res_mods = _shift_residues(b, r, k, gam_q)
+    q, res_mods = _shift_residues(b, r, k, gamma.mid)
 
     pi_lo, pi_hi = pi_bounds()
     if gamma.is_exact:
@@ -356,7 +346,7 @@ def eval_expsum(
     b_hi = [1 - pi_lo * w * w for w in w_los]
     product_bound = _product_interval(b_lo, b_hi, scale)
 
-    re_full, im_full, n = _direct_sum_exact(b, r, k, gam_q)
+    re_full, im_full, n = _direct_sum_exact(b, r, k, gamma.mid)
     if extra_rad:
         re_full = Real(re_full.mid, re_full.rad + extra_rad)
         im_full = Real(im_full.mid, im_full.rad + extra_rad)
@@ -450,9 +440,7 @@ def decay_bound_check(b: int, r: int, k: int, m: int, gamma: Real) -> ExpSumRepo
 
     far = []
     for d in range(r + 1):
-        wd = dist_to_nearest_int(gamma * (k * b**d))
-        far_d = (wd.mid > beta) if wd.is_exact else (wd > Real(beta))
-        if far_d:
+        if dist_to_nearest_int(gamma * (k * b**d)) > Real(beta):
             far.append(d)
     deficit = (r + 1) - len(far)
     if deficit > 0 and deficit * deficit > 9 * k:

@@ -47,6 +47,27 @@ class TestSearch:
         assert cells[0] == "adversary" and cells[-1] == "True"
         assert int(cells[4]) >= 1 and int(cells[5]) > 1
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--base", "3", "--gamma", "355/113", "--method", "oracle"],
+        ["adversary", "--base", "3"],
+    ])
+    def test_count_spells_limit(self, capsys, argv):
+        reports = []
+        for flag in ("--limit", "--count"):
+            code, out, _ = run_cli(argv + [flag, "200", "--format", "json"], capsys)
+            assert code == 0
+            reports.append(json.loads(out)["report"])
+        assert reports[0] == reports[1]
+
+    def test_parser_reuse_leaks_no_state(self, capsys, monkeypatch):
+        monkeypatch.delenv("RADIX_APPROX_CONFIG", raising=False)
+        argv = ["search", "--base", "2", "--limit", "1000", "--gamma", "1/7",
+                "--method", "oracle", "--format", "json"]
+        _, out, _ = run_cli(argv + ["--threads", "2"], capsys)
+        assert json.loads(out)["meta"]["config"]["threads"] == 2
+        _, out, _ = run_cli(argv, capsys)
+        assert json.loads(out)["meta"]["config"]["threads"] == 1
+
     def test_human_default(self, capsys):
         code, out, _ = run_cli(
             ["search", "--base", "2", "--limit", "100", "--gamma", "1/5"], capsys
@@ -127,7 +148,35 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["search", "--base", "3", "--limit", "10", "--gamma", "no-number"])
-        assert err.value.code != 0
+        assert err.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--limit", "10", "--gamma", "1/3", "--method", "bogus"],
+        ["search", "--limit", "x", "--gamma", "1/3"],
+        ["search", "--limit", "10", "--gamma", "1/3", "--no-such-flag"],
+        ["expsum", "--gamma", "1/3", "--k", "1"],
+        ["discrepancy", "--gamma", "1/7"],
+    ])
+    def test_usage_errors_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy", "--gamma", "1/7", "--limit", "7", "--base", "3"],
+        ["expsum", "--gamma", "1/3", "--r", "1", "--k", "1", "--threads", "2"],
+        ["constants", "--gamma", "1/2"],
+        ["verify-all", "--precision-bits", "200"],
+        ["diffset", "--limit", "13", "--gamma", "1/3"],
+        ["adversary", "--count", "128", "--precision-bits", "200"],
+        ["search", "--limit", "10", "--gamma", "1/3", "--r", "3"],
+    ])
+    def test_flag_outside_subcommand_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_resource_limit_via_config_env(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"
@@ -135,6 +184,18 @@ class TestExitCodes:
         monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
         code, _, err = run_cli(["adversary", "--base", "2", "--count", "1000"], capsys)
         assert code == 3 and "resource limit" in err
+        code, _, err = run_cli(["adversary", "--method", "no-multiples", "--base", "2",
+                                "--k", "3", "--t", "3", "--e-max", "6"], capsys)
+        assert code == 3 and "resource limit" in err
+
+    def test_bad_output_format_in_config_is_rejected(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("output_format=xml\n")
+        monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
+        with pytest.raises(SystemExit) as err:
+            main(["constants", "--base", "2"])
+        assert err.value.code == 1
+        assert "output_format" in capsys.readouterr().err
 
     def test_config_file_lands_in_meta(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"
