@@ -44,67 +44,40 @@ def oracle_min(
     spec: ds.SetSpec,
     N: int,
     *,
-    by_index: bool = False,
     cap: int = ds.CAP_DEFAULT,
     threads: int = 1,
 ) -> ApproxResult:
-    """Exact minimizer of ||gamma * n|| over the set restricted to [1, N].
+    """Exact minimizer of ||gamma * n|| over the zero-one integers in [1, N].
 
-    ``by_index=True`` restricts to the first N elements of the set instead
-    of the elements <= N (only supported for the zero-one sets).  Ties go to
-    the smallest witness.  The optimized integer-kernel path and the generic
-    enumeration are interchangeable; the test suite pins them to identical
-    witnesses and distances.
+    The first n zero-one integers are exactly those <= ``ds.unrank(b, n)``,
+    so an index bound is passed as that limit.  Ties go to the smallest
+    witness.
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
+    if spec.kind != "zero_one":
+        raise DomainError("oracle search is defined for the zero-one set only")
     b = spec.base
-
-    if by_index and spec.kind != "zero_one":
-        raise DomainError("index-bounded search is defined for the zero-one set only")
 
     if gamma.is_exact:
         q = gamma.mid.denominator
         p = gamma.mid.numerator % q
-        if spec.kind == "zero_one":
-            count = N if by_index else ds.count_upto(b, N)
-            if count < 1:
-                raise DomainError("the set restricted to [1, N] is empty")
-            if count > cap:
-                raise ResourceLimit(
-                    f"enumeration of {count} elements exceeds the cap {cap}"
-                )
-            pow_mod = [(p * pow(b, d, q)) % q for d in range(count.bit_length())]
-            num, idx = digit_scan_min_sharded(pow_mod, count, q, threads)
-            witness = ds.unrank(b, idx)
-            return ApproxResult(
-                witness=witness,
-                distance=Real(Fraction(num, q)),
-                set_tag=spec,
-                guarantee=None,
-                mode="exact",
-            )
-        # generic exact enumeration
-        best_num, best_w = None, None
-        for s in ds.iter_spec_upto(spec, N, cap=cap):
-            num = (p * s) % q
-            num = min(num, q - num)
-            if best_num is None or num < best_num:
-                best_num, best_w = num, s
-                if num == 0:
-                    break
-        if best_w is None:
-            raise DomainError("the set restricted to [1, N] is empty")
-        return ApproxResult(best_w, Real(Fraction(best_num, q)), spec, None, "exact")
+        count = ds.count_upto(b, N)
+        if count > cap:
+            raise ResourceLimit(f"enumeration of {count} elements exceeds the cap {cap}")
+        pow_mod = [(p * pow(b, d, q)) % q for d in range(count.bit_length())]
+        num, idx = digit_scan_min_sharded(pow_mod, count, q, threads)
+        witness = ds.unrank(b, idx)
+        return ApproxResult(
+            witness=witness,
+            distance=Real(Fraction(num, q)),
+            set_tag=spec,
+            guarantee=None,
+            mode="exact",
+        )
 
     # enclosure-valued gamma: certify the argmin or refuse
-    elems = list(
-        ds.iter_spec_upto(spec, N, cap=cap)
-        if not by_index
-        else (ds.unrank(b, i) for i in range(1, N + 1))
-    )
-    if not elems:
-        raise DomainError("the set restricted to [1, N] is empty")
+    elems = list(ds.iter_spec_upto(spec, N, cap=cap))
     dists = [dist_to_nearest_int(gamma * s) for s in elems]
     w_i = min(range(len(elems)), key=lambda i: (dists[i].hi, elems[i]))
     for i, d in enumerate(dists):

@@ -19,8 +19,6 @@ NODE_BUDGET_DEFAULT = 2_000_000
 
 VARIANT_ANCHORED = "anchored"
 VARIANT_WITHIN = "within"
-_VARIANTS = {VARIANT_ANCHORED: VARIANT_ANCHORED, "M1": VARIANT_ANCHORED,
-             VARIANT_WITHIN: VARIANT_WITHIN, "M2": VARIANT_WITHIN}
 
 
 @dataclass(frozen=True)
@@ -114,41 +112,28 @@ def _search(cands: list[int], member: set[int], budget: int):
 def max_difference_set(
     S: Sequence[int],
     variant: str = VARIANT_ANCHORED,
-    window: Optional[tuple[int, int]] = None,
     node_budget: int = NODE_BUDGET_DEFAULT,
     bound: Optional[int] = None,
 ) -> DiffSetReport:
     """Largest J with all positive pairwise differences inside S.
 
-    variant "anchored" (alias "M1"): J ranges over integer sets; the search
-    is anchored at min(J) = 0 and confined to [0, max S] (or to the width of
-    the explicit window), exhaustive by branch and bound.  variant "within"
-    (alias "M2"): J must be a subset of S.  The witness is the
+    variant "anchored": J ranges over integer sets; the search is anchored
+    at min(J) = 0 and confined to [0, max S], exhaustive by branch and
+    bound.  variant "within": J must be a subset of S.  The witness is the
     lexicographically least optimum; ties in S never change the value.
     """
-    if variant not in _VARIANTS:
+    if variant not in (VARIANT_ANCHORED, VARIANT_WITHIN):
         raise DomainError(f"unknown variant {variant!r}")
-    variant = _VARIANTS[variant]
     member = set(S)
     if not member:
         raise DomainError("S must be nonempty")
     if min(member) < 1:
         raise DomainError("S must contain positive integers only")
 
+    # anchored: min(J) = 0, so the other members of J lie in S themselves
+    size, clique, nodes = _search(sorted(member), member, node_budget)
     if variant == VARIANT_ANCHORED:
-        diameter = max(member) if window is None else window[1] - window[0]
-        cands = sorted(v for v in member if v <= diameter)
-        size, clique, nodes = _search(cands, member, node_budget)
-        return DiffSetReport(
-            value=size + 1,
-            witness=(0,) + clique,
-            variant=variant,
-            bound=bound,
-            nodes=nodes,
-        )
-
-    cands = sorted(member)
-    size, clique, nodes = _search(cands, member, node_budget)
+        size, clique = size + 1, (0,) + clique
     return DiffSetReport(size, clique, variant, bound=bound, nodes=nodes)
 
 

@@ -1,26 +1,24 @@
 """Construction, membership, ranking and enumeration of the structured sets.
 
-The central object is the set of positive integers whose base-b digits are
-all 0 or 1 ("zero-one integers").  Writing the index i in binary and
+The central object is the set D_b of positive integers whose base-b digits
+are all 0 or 1 ("zero-one integers").  Writing the index i in binary and
 reinterpreting the bits as base-b digits is an order-preserving bijection
 from the positive integers onto that set, which gives O(log) rank/unrank
-with no searching.  The other sets handled here:
+with no searching.  The other sets defined here:
 
-* ``zero_one_trunc(r)``  - zero-one integers using digit positions 0..r,
-  together with 0 (2**(r+1) elements);
-* ``zero_one_ext``       - zero-one integers plus all differences of two
-  powers b**d - b**c, d > c >= 0 (and ``zero_one_ext_trunc(r)`` with both
-  exponents bounded by r);
-* ``repunits(N)``        - 1, 1+b, 1+b+b^2, ... while still <= N;
-* ``power_sums(t,e_max)``- sums of exactly t powers b**u with u <= e_max;
-* ``digit_sum_bounded(k,t)`` - k-digit base-b values with digit sum in (0, t].
+* ``repunits(b, N)``    - 1, 1+b, 1+b+b^2, ... while still <= N;
+* ``power_gaps(b, r)``  - the differences b**d - b**c with r >= d > c >= 0,
+  which extend the truncated zero-one set in the exponential-sum step;
+* ``digit_sum_bounded(b, k, t)`` - k-digit base-b values with digit sum
+  in (0, t], with their maximum.
 
-All enumerations are ascending, duplicate-free iterators guarded by a
-global cardinality cap (default 2**25).
+A ``SetSpec`` names one of the two sets that are enumerated as streams:
+``zero_one`` (D_b) and ``power_sums(t, e_max)``, the sums of exactly t
+powers b**u with u <= e_max.  Both streams are ascending and
+duplicate-free, guarded by a cardinality cap (default 2**25).
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -144,19 +142,21 @@ def repunits(b: int, N: int) -> list[int]:
     return out
 
 
+def power_gaps(b: int, r: int) -> list[int]:
+    """All b**d - b**c with r >= d > c >= 0, ascending.
+
+    Each value is b**c * (b**(d-c) - 1), whose b-adic valuation is c, so
+    the list has no duplicates.
+    """
+    check_base(b)
+    return sorted(b**d - b**c for d in range(1, r + 1) for c in range(d))
+
+
 # ---------------------------------------------------------------------------
 # set specifications
 # ---------------------------------------------------------------------------
 
-KINDS = (
-    "zero_one",
-    "zero_one_trunc",
-    "zero_one_ext",
-    "zero_one_ext_trunc",
-    "repunits",
-    "power_sums",
-    "digit_sum_bounded",
-)
+KINDS = ("zero_one", "power_sums")
 
 
 @dataclass(frozen=True)
@@ -165,21 +165,13 @@ class SetSpec:
 
     kind: str
     base: int
-    r: Optional[int] = None
-    n: Optional[int] = None
     t: Optional[int] = None
     e_max: Optional[int] = None
-    k: Optional[int] = None
 
     def __post_init__(self):
         check_base(self.base)
         if self.kind not in KINDS:
             raise DomainError(f"unknown set kind {self.kind!r}")
-        if self.kind in ("zero_one_trunc", "zero_one_ext_trunc"):
-            if self.r is None or self.r < 0:
-                raise DomainError("truncated sets need r >= 0")
-        if self.kind == "repunits" and (self.n is None or self.n < 1):
-            raise DomainError("repunit sets need N >= 1")
         if self.kind == "power_sums":
             if self.t is None or self.t < 1:
                 raise DomainError("power sums need t >= 1")
@@ -187,71 +179,22 @@ class SetSpec:
                 raise DomainError(
                     "power sums are infinite; an explicit exponent cap e_max >= 0 is required"
                 )
-        if self.kind == "digit_sum_bounded":
-            if self.k is None or self.k < 1 or self.t is None or self.t < 1:
-                raise DomainError("digit-sum-bounded sets need k >= 1 and t >= 1")
-
-    # convenience constructors ------------------------------------------------
 
     @classmethod
     def zero_one(cls, b: int) -> "SetSpec":
         return cls("zero_one", b)
 
     @classmethod
-    def zero_one_trunc(cls, b: int, r: int) -> "SetSpec":
-        return cls("zero_one_trunc", b, r=r)
-
-    @classmethod
-    def zero_one_ext(cls, b: int) -> "SetSpec":
-        return cls("zero_one_ext", b)
-
-    @classmethod
-    def zero_one_ext_trunc(cls, b: int, r: int) -> "SetSpec":
-        return cls("zero_one_ext_trunc", b, r=r)
-
-    @classmethod
-    def repunit_set(cls, b: int, N: int) -> "SetSpec":
-        return cls("repunits", b, n=N)
-
-    @classmethod
     def power_sums(cls, b: int, t: int, e_max: int) -> "SetSpec":
         return cls("power_sums", b, t=t, e_max=e_max)
 
-    @classmethod
-    def digit_sum_bounded_set(cls, b: int, k: int, t: int) -> "SetSpec":
-        return cls("digit_sum_bounded", b, k=k, t=t)
-
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "base": self.base}
-        for key in ("r", "n", "t", "e_max", "k"):
+        for key in ("t", "e_max"):
             v = getattr(self, key)
             if v is not None:
                 d[key] = v
         return d
-
-
-def _zero_one_stream(b: int) -> Iterator[int]:
-    return (unrank(b, i) for i in itertools.count(1))
-
-
-def _power_gap_stream(b: int) -> Iterator[int]:
-    # b**c * (b**e - 1) ascending; the b-adic valuation pins c, so the
-    # stream is duplicate-free by construction.
-    heap = [(b - 1, 0, 1)]
-    while True:
-        v, c, e = heapq.heappop(heap)
-        yield v
-        heapq.heappush(heap, (b**c * (b ** (e + 1) - 1), c, e + 1))
-        if e == 1:
-            heapq.heappush(heap, (b ** (c + 1) * (b - 1), c + 1, 1))
-
-
-def _dedup_ascending(it: Iterator[int]) -> Iterator[int]:
-    last = None
-    for v in it:
-        if v != last:
-            yield v
-        last = v
 
 
 def _capped(it: Iterator[int], cap: int, what: str) -> Iterator[int]:
@@ -261,50 +204,37 @@ def _capped(it: Iterator[int], cap: int, what: str) -> Iterator[int]:
         yield v
 
 
+def _stream(spec: SetSpec, cap: int) -> Iterator[int]:
+    b = spec.base
+    if spec.kind == "zero_one":
+        return (unrank(b, i) for i in itertools.count(1))
+    n_multisets = math.comb(spec.e_max + spec.t, spec.t)
+    if n_multisets > cap:
+        raise ResourceLimit(
+            f"power-sum enumeration would visit {n_multisets} multisets (cap {cap})"
+        )
+    powers = [b**u for u in range(spec.e_max + 1)]
+    sums = {
+        sum(combo)
+        for combo in itertools.combinations_with_replacement(powers, spec.t)
+    }
+    return iter(sorted(sums))
+
+
 def iter_spec(spec: SetSpec, cap: int = CAP_DEFAULT) -> Iterator[int]:
     """Ascending, duplicate-free stream of the elements of spec.
 
     Truncated power-sum enumerations include every sum of exactly t powers
-    b**u with 0 <= u <= e_max; zero_one_trunc includes 0 by definition.
+    b**u with 0 <= u <= e_max.
     """
-    b = spec.base
-    if spec.kind == "zero_one":
-        it = _zero_one_stream(b)
-    elif spec.kind == "zero_one_trunc":
-        it = (unrank(b, i) if i else 0 for i in range(1 << (spec.r + 1)))
-    elif spec.kind == "zero_one_ext":
-        it = _dedup_ascending(heapq.merge(_zero_one_stream(b), _power_gap_stream(b)))
-    elif spec.kind == "zero_one_ext_trunc":
-        r = spec.r
-        vals = {unrank(b, i) if i else 0 for i in range(1 << (r + 1))}
-        vals.update(b**d - b**c for d in range(1, r + 1) for c in range(d))
-        it = iter(sorted(vals))
-    elif spec.kind == "repunits":
-        it = iter(repunits(b, spec.n))
-    elif spec.kind == "power_sums":
-        n_multisets = math.comb(spec.e_max + spec.t, spec.t)
-        if n_multisets > cap:
-            raise ResourceLimit(
-                f"power-sum enumeration would visit {n_multisets} multisets (cap {cap})"
-            )
-        powers = [b**u for u in range(spec.e_max + 1)]
-        sums = {
-            sum(combo)
-            for combo in itertools.combinations_with_replacement(powers, spec.t)
-        }
-        it = iter(sorted(sums))
-    elif spec.kind == "digit_sum_bounded":
-        values, _ = digit_sum_bounded(b, spec.k, spec.t, cap=cap)
-        it = iter(sorted(values))
-    else:  # pragma: no cover - rejected in __post_init__
-        raise DomainError(f"unknown set kind {spec.kind!r}")
-    return _capped(it, cap, spec.kind)
+    return _capped(_stream(spec, cap), cap, spec.kind)
 
 
 def iter_spec_upto(spec: SetSpec, N: int, cap: int = CAP_DEFAULT) -> Iterator[int]:
-    """Elements of spec restricted to [1, N], ascending."""
-    return itertools.takewhile(
-        lambda v: v <= N, (v for v in iter_spec(spec, cap) if v >= 1)
+    """Elements of spec restricted to [1, N], ascending; the cap counts
+    the restricted elements only."""
+    return _capped(
+        itertools.takewhile(lambda v: v <= N, _stream(spec, cap)), cap, spec.kind
     )
 
 

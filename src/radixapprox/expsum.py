@@ -144,10 +144,6 @@ class SeparationReport:
     beta: Fraction
 
 
-def _gap_values(b: int, r: int) -> list[int]:
-    return sorted(b**d - b**c for d in range(1, r + 1) for c in range(d))
-
-
 def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationReport:
     """Check ||gamma * x|| > beta for every nonzero x in the extended
     truncated set; on failure report the least violating x."""
@@ -168,7 +164,7 @@ def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationR
             if hit >= 0:
                 worst = ds.unrank(b, first + hit)
                 break
-        for x in _gap_values(b, r):
+        for x in ds.power_gaps(b, r):
             if worst is not None and x >= worst:
                 break
             if dist_exact(gamma.mid * x) <= beta:
@@ -181,7 +177,7 @@ def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationR
     # enclosure gamma: ascending merge of both families, first failure wins
     beta_r = Real(beta)
     trunc = (ds.unrank(b, i) for i in range(1, 1 << (r + 1)))
-    for x in heapq.merge(trunc, iter(_gap_values(b, r))):
+    for x in heapq.merge(trunc, ds.power_gaps(b, r)):
         if not (dist_to_nearest_int(gamma * x) > beta_r):
             return SeparationReport(False, x, b, r, beta)
     return SeparationReport(True, None, b, r, beta)

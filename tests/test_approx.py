@@ -16,7 +16,7 @@ class TestOracleMin:
         assert (r.witness, r.distance.mid) == (1, 0)
 
     def test_first_seven_elements_base3(self):
-        r = oracle_min(Real.exact(Fraction(1, 26)), ds.SetSpec.zero_one(3), 7, by_index=True)
+        r = oracle_min(Real.exact(Fraction(1, 26)), ds.SetSpec.zero_one(3), ds.unrank(3, 7))
         assert (r.witness, r.distance.mid) == (1, Fraction(1, 26))
 
     def test_half_base2(self):
@@ -40,19 +40,26 @@ class TestOracleMin:
         for b in (2, 3, 10):
             gamma = Fraction(rng.randrange(1, q), q)
             N = rng.randint(1, 600)
-            r = oracle_min(Real.exact(gamma), ds.SetSpec.zero_one(b), N, by_index=True)
+            r = oracle_min(Real.exact(gamma), ds.SetSpec.zero_one(b), ds.unrank(b, N))
             best = min(range(1, N + 1), key=lambda i: (dist_exact(gamma * ds.unrank(b, i)), i))
             assert r.witness == ds.unrank(b, best)
             assert r.distance.mid == dist_exact(gamma * r.witness)
 
     def test_other_set_kinds(self):
-        r = oracle_min(Real.exact(Fraction(2, 7)), ds.SetSpec.repunit_set(3, 50), 50)
-        assert r.witness in (1, 4, 13, 40)
-        assert r.distance.mid == min(dist_exact(Fraction(2, 7) * u) for u in (1, 4, 13, 40))
+        # only D_b is searched: a power-sum set with elements in [1, N] is
+        # refused as well
+        spec = ds.SetSpec.power_sums(3, 1, 3)
+        assert list(ds.iter_spec_upto(spec, 50)) == [1, 3, 9, 27]
+        for gamma in (Real.exact(Fraction(2, 7)), Real.approx(Fraction(2, 7), Fraction(1, 10**20))):
+            with pytest.raises(DomainError, match="zero-one set only"):
+                oracle_min(gamma, spec, 50)
 
     def test_empty_restriction(self):
-        with pytest.raises(DomainError):
-            oracle_min(Real.exact(Fraction(1, 3)), ds.SetSpec.power_sums(3, 2, 4), 1)
+        # power_sums(3, 2, 4) has no element in [1, 1], but any set other
+        # than D_b is refused before that matters
+        for gamma in (Real.exact(Fraction(1, 3)), Real.approx(Fraction(1, 3), Fraction(1, 10**20))):
+            with pytest.raises(DomainError, match="zero-one set only"):
+                oracle_min(gamma, ds.SetSpec.power_sums(3, 2, 4), 1)
 
     def test_smallest_witness_tie_break(self):
         # gamma = 1/2 in base 4: zero-one elements 4 and 16 both land on 0

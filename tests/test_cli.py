@@ -110,6 +110,14 @@ class TestOtherSubcommands:
         assert rep["far_positions"] == [0, 1]
         assert rep["separation_beta"] == "1/8"
 
+    def test_readme_decay_example(self, capsys):
+        code, _, err = run_cli(
+            ["expsum", "--base", "5", "--r", "6", "--k", "3", "--m", "2",
+             "--gamma", "457/499", "--method", "decay"],
+            capsys,
+        )
+        assert code == 0, err
+
     def test_expsum_shifts(self, capsys):
         code, out, _ = run_cli(
             ["expsum", "--base", "3", "--r", "2", "--k", "1", "--beta", "1/10",
@@ -186,6 +194,36 @@ class TestExitCodes:
         assert code == 3 and "resource limit" in err
         code, _, err = run_cli(["adversary", "--method", "no-multiples", "--base", "2",
                                 "--k", "3", "--t", "3", "--e-max", "6"], capsys)
+        assert code == 3 and "resource limit" in err
+
+    # D_3 restricted to [1, 9] is {1, 3, 4, 9}: exactly 4 elements
+    ORACLE_99_70 = ["search", "--method", "oracle", "--base", "3", "--limit", "9",
+                    "--gamma", "99/70", "--format", "json"]
+    ORACLE_SQRT2 = ORACLE_99_70[:-3] + ["sqrt2", "--format", "json"]
+    DIFFSET_D3_9 = ["diffset", "--base", "3", "--limit", "9", "--method", "anchored"]
+
+    def test_enumeration_cap_equal_to_the_count_suffices(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("enumeration_cap=4\n")
+        monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
+        code, out, err = run_cli(self.ORACLE_99_70, capsys)
+        assert code == 0, err
+        rational = json.loads(out)["report"]["witness"]
+        code, out, err = run_cli(self.ORACLE_SQRT2, capsys)
+        assert code == 0, err
+        assert json.loads(out)["report"]["witness"] == rational == 3
+        code, _, err = run_cli(self.DIFFSET_D3_9, capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("argv", [ORACLE_99_70, ORACLE_SQRT2, DIFFSET_D3_9],
+                             ids=["oracle-rational", "oracle-enclosure", "diffset"])
+    def test_enumeration_cap_below_the_count_is_a_resource_limit(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("enumeration_cap=3\n")
+        monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
+        code, _, err = run_cli(argv, capsys)
         assert code == 3 and "resource limit" in err
 
     def test_bad_output_format_in_config_is_rejected(self, capsys, tmp_path, monkeypatch):

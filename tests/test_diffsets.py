@@ -53,19 +53,19 @@ def brute_value(S, variant):
 class TestMaxDifferenceSet:
     def test_digit_set_instance(self):
         S = list(ds.iter_spec_upto(ds.SetSpec.zero_one(3), 13))
-        rep = max_difference_set(S, "M1")
+        rep = max_difference_set(S, "anchored")
         assert rep.value == 4
         assert rep.witness == (0, 1, 4, 13)
         assert positive_differences(rep.witness) <= set(S)
         assert rep.value <= anchored_cap(3, 13) == 4
 
     def test_singleton(self):
-        rep = max_difference_set([1], "M1")
+        rep = max_difference_set([1], "anchored")
         assert rep.value == 2 and rep.witness == (0, 1)
 
     def test_within_variant(self):
         S = list(ds.iter_spec_upto(ds.SetSpec.zero_one(3), 13))
-        rep = max_difference_set(S, "M2")
+        rep = max_difference_set(S, "within")
         assert rep.value == 3
         assert set(rep.witness) <= set(S)
         assert positive_differences(rep.witness) <= set(S)
@@ -97,11 +97,13 @@ class TestMaxDifferenceSet:
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
-            max_difference_set([], "M1")
+            max_difference_set([], "anchored")
         with pytest.raises(DomainError):
-            max_difference_set([0, 3], "M1")
+            max_difference_set([0, 3], "anchored")
         with pytest.raises(DomainError):
             max_difference_set([1, 2], "M3")
+        with pytest.raises(DomainError):
+            max_difference_set([1, 2], "M1")
 
     def test_cap_excludes_base_two(self):
         with pytest.raises(DomainError):

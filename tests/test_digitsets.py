@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import pytest
@@ -80,31 +81,66 @@ class TestRepunits:
         assert reps == sorted(reps)
 
 
+def gap_by_digits(b, y):
+    """y's base-b digits are a run of b-1s above trailing zeros."""
+    while y % b == 0:
+        y //= b
+    while y % b == b - 1:
+        y //= b
+    return y == 0
+
+
 class TestEnumeration:
     def test_trunc_examples(self):
-        assert list(ds.iter_spec(ds.SetSpec.zero_one_trunc(2, 1))) == [0, 1, 2, 3]
-        assert list(ds.iter_spec(ds.SetSpec.zero_one_ext_trunc(3, 1))) == [0, 1, 2, 3, 4]
+        assert ds.power_gaps(3, 1) == [2]
+        assert ds.power_gaps(3, 2) == [2, 6, 8]
+        assert ds.power_gaps(3, 0) == []
         assert list(ds.iter_spec(ds.SetSpec.power_sums(3, 1, 2))) == [1, 3, 9]
+
+    @given(st.integers(2, 6), st.integers(0, 5))
+    def test_power_gaps_match_digit_description(self, b, r):
+        assert ds.power_gaps(b, r) == [y for y in range(1, b**r) if gap_by_digits(b, y)]
 
     @given(bases, st.integers(0, 10))
     def test_trunc_cardinality(self, b, r):
-        vals = list(ds.iter_spec(ds.SetSpec.zero_one_trunc(b, r)))
-        assert len(vals) == 2 ** (r + 1)
+        # the nonzero zero-one integers with at most r+1 digits: those up to
+        # the repunit (b**(r+1) - 1) / (b - 1)
+        top = (b ** (r + 1) - 1) // (b - 1)
+        vals = list(ds.iter_spec_upto(ds.SetSpec.zero_one(b), top))
+        assert len(vals) == 2 ** (r + 1) - 1 == ds.count_upto(b, top)
         assert vals == sorted(set(vals))
+
+    @given(bases, st.integers(0, 10))
+    def test_power_gaps_cardinality(self, b, r):
+        gaps = ds.power_gaps(b, r)
+        assert len(gaps) == r * (r + 1) // 2
+        assert gaps == sorted(set(gaps))
 
     @given(bases, st.integers(0, 9))
     def test_trunc_is_prefix_of_the_set(self, b, r):
-        vals = list(ds.iter_spec(ds.SetSpec.zero_one_trunc(b, r)))
-        prefix = [ds.unrank(b, i) for i in range(1, 2 ** (r + 1))]
-        assert vals[1:] == prefix and vals[0] == 0
+        # the first n elements are exactly those <= unrank(b, n)
+        n = 2 ** (r + 1) - 1
+        vals = list(ds.iter_spec_upto(ds.SetSpec.zero_one(b), ds.unrank(b, n)))
+        assert vals == [ds.unrank(b, i) for i in range(1, n + 1)]
 
     def test_ext_stream_matches_brute(self):
+        # the extended truncated set of the separation check, D_b and the
+        # power gaps merged, against a digit-by-digit scan up to 3^6
         b = 3
         upto = 3**6
-        gaps = {b**d - b**c for d in range(1, 8) for c in range(d)}
-        expect = sorted(set(brute_members(b, upto)) | {g for g in gaps if g <= upto})
-        got = list(itertools.takewhile(lambda v: v <= upto, ds.iter_spec(ds.SetSpec.zero_one_ext(b))))
+        expect = sorted(set(brute_members(b, upto)) | {y for y in range(1, upto + 1) if gap_by_digits(b, y)})
+        trunc = ds.iter_spec_upto(ds.SetSpec.zero_one(b), upto)
+        got = [v for v in heapq.merge(trunc, ds.power_gaps(b, 6)) if v <= upto]
         assert got == expect
+
+    def test_spec_kinds(self):
+        assert ds.KINDS == ("zero_one", "power_sums")
+        assert ds.SetSpec.zero_one(3).to_dict() == {"kind": "zero_one", "base": 3}
+        assert ds.SetSpec.power_sums(3, 2, 4).to_dict() == {
+            "kind": "power_sums", "base": 3, "t": 2, "e_max": 4}
+        for kind in ("zero_one_trunc", "zero_one_ext", "repunits", "digit_sum_bounded"):
+            with pytest.raises(DomainError):
+                ds.SetSpec(kind, 3)
 
     def test_power_sum_truncation(self):
         vals = list(ds.iter_spec(ds.SetSpec.power_sums(2, 3, 3)))
@@ -133,8 +169,21 @@ class TestEnumeration:
         with pytest.raises(ResourceLimit):
             list(ds.iter_spec(ds.SetSpec.power_sums(2, 8, 40), cap=10))
 
+    def test_iter_upto_examples(self):
+        assert list(ds.iter_spec_upto(ds.SetSpec.zero_one(2), 5)) == [1, 2, 3, 4, 5]
+        assert list(ds.iter_spec_upto(ds.SetSpec.zero_one(3), 9)) == [1, 3, 4, 9]
+
     def test_iter_upto_excludes_zero(self):
-        assert list(ds.iter_spec_upto(ds.SetSpec.zero_one_trunc(2, 3), 5)) == [1, 2, 3, 4, 5]
+        for spec in (ds.SetSpec.zero_one(2), ds.SetSpec.power_sums(2, 1, 3)):
+            assert list(ds.iter_spec_upto(spec, 0)) == []
+            assert min(ds.iter_spec_upto(spec, 5)) == 1
+
+    def test_upto_cap_counts_the_restricted_elements(self):
+        # D_3 restricted to [1, 9] has 4 elements; the 5th, 10, is past N
+        spec = ds.SetSpec.zero_one(3)
+        assert list(ds.iter_spec_upto(spec, 9, cap=4)) == [1, 3, 4, 9]
+        with pytest.raises(ResourceLimit):
+            list(ds.iter_spec_upto(spec, 9, cap=3))
 
 
 class TestDigitSumBounded:

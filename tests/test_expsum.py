@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from radixapprox._kernels import MOD_LIMIT
-from radixapprox.digitsets import unrank
+from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import DomainError, HypothesisViolation, IndeterminateComparison
 from radixapprox.exact import Real, dist_exact
 from radixapprox.expsum import (
@@ -58,6 +58,11 @@ class TestClassify:
             classify_G(2, Real.approx(Fraction(0), Fraction(1, 10**20)))
 
 
+def extended_trunc(b, r):
+    """Nonzero elements of the truncated zero-one set and the power gaps."""
+    return sorted({unrank(b, i) for i in range(1, 2 ** (r + 1))} | set(power_gaps(b, r)))
+
+
 class TestSeparation:
     def test_examples(self):
         rep = separation_check(2, 1, Fraction(1, 10), E(1, 3))
@@ -76,11 +81,9 @@ class TestSeparation:
             beta = Fraction(1, rng.randint(2, 40))
             rep = separation_check(b, r, beta, Real.exact(gamma))
             # brute force over the extended truncated set
-            from radixapprox.digitsets import SetSpec, iter_spec
-
             least = None
-            for x in iter_spec(SetSpec.zero_one_ext_trunc(b, r)):
-                if x and dist_exact(gamma * x) <= beta:
+            for x in extended_trunc(b, r):
+                if dist_exact(gamma * x) <= beta:
                     least = x
                     break
             assert rep.ok == (least is None)
@@ -108,13 +111,9 @@ class TestSeparation:
         ],
     )
     def test_counterexample_at_the_int64_limits(self, b, r, beta, gamma):
-        from radixapprox.digitsets import SetSpec, iter_spec
-
         rep = separation_check(b, r, beta, Real.exact(gamma))
         least = next(
-            (x for x in iter_spec(SetSpec.zero_one_ext_trunc(b, r))
-             if x and dist_exact(gamma * x) <= beta),
-            None,
+            (x for x in extended_trunc(b, r) if dist_exact(gamma * x) <= beta), None
         )
         assert (rep.ok, rep.counterexample) == (least is None, least)
 
