@@ -12,7 +12,6 @@ bounded set, and the closed form for that set's maximum.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,7 +19,7 @@ from typing import Optional, Sequence
 from . import digitsets as ds
 from ._kernels import digit_scan_min_sharded
 from .errors import DomainError, InvariantViolation, ResourceLimit
-from .exact import Real
+from .exact import BOUND_PRECISION, Real, iv_precision, iv_to_real
 
 
 @dataclass(frozen=True)
@@ -44,24 +43,16 @@ def _ceil_log2_succ(N: int) -> int:
 
 def _power_decay_bound(b: int, N: int) -> Real:
     """Outward enclosure of b**-4 * N**(-log2(b)/(b-1)) in exact rationals."""
-    if N == 1:
-        return Real(Fraction(1, b**4))
-    # N^(-log2 b/(b-1)) = 2^(-log2(N) * log2(b) / (b-1))
-    lg_n = math.log2(N)
-    lg_b = math.log2(b)
-    slop = 1e-12
-    e_hi = (lg_n * lg_b / (b - 1)) * (1 + slop)
-    e_lo = (lg_n * lg_b / (b - 1)) * (1 - slop)
-    lo = Fraction(math.pow(2.0, -e_hi)) * (1 - Fraction(1, 10**10))
-    hi = Fraction(math.pow(2.0, -e_lo)) * (1 + Fraction(1, 10**10))
-    return Real.from_interval(lo / b**4, hi / b**4)
+    with iv_precision(BOUND_PRECISION) as iv:
+        # N^(-log2 b/(b-1)) = exp(-ln N * ln b / (ln 2 * (b-1)))
+        decay = iv.exp(-iv.log(N) * iv.log(b) / (iv.ln2 * (b - 1)))
+        return iv_to_real(decay / b**4)
 
 
 def adversarial_gamma(
     b: int,
     N: int,
     cap: int = ds.CAP_DEFAULT,
-    threads: int = 1,
 ) -> AdversaryCertificate:
     """Construct the adversarial rational and certify its lower bound.
 
@@ -81,7 +72,7 @@ def adversarial_gamma(
     gamma = Fraction(1, modulus)
 
     pow_mod = [pow(b, d, modulus) for d in range(N.bit_length())]
-    num, idx = digit_scan_min_sharded(pow_mod, N, modulus, threads)
+    num, idx = digit_scan_min_sharded(pow_mod, N, modulus)
 
     if num < 1:
         raise InvariantViolation(

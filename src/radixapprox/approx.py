@@ -15,12 +15,7 @@ from typing import Optional
 
 from . import digitsets as ds
 from ._kernels import digit_scan_min_sharded
-from .errors import (
-    DomainError,
-    IndeterminateComparison,
-    InvariantViolation,
-    ResourceLimit,
-)
+from .errors import DomainError, IndeterminateComparison, InvariantViolation
 from .exact import Real, dist_exact, dist_to_nearest_int, frac
 
 
@@ -45,7 +40,6 @@ def oracle_min(
     N: int,
     *,
     cap: int = ds.CAP_DEFAULT,
-    threads: int = 1,
 ) -> ApproxResult:
     """Exact minimizer of ||gamma * n|| over the zero-one integers in [1, N].
 
@@ -62,11 +56,9 @@ def oracle_min(
     if gamma.is_exact:
         q = gamma.mid.denominator
         p = gamma.mid.numerator % q
-        count = ds.count_upto(b, N)
-        if count > cap:
-            raise ResourceLimit(f"enumeration of {count} elements exceeds the cap {cap}")
+        count = ds.capped_count(b, N, cap)
         pow_mod = [(p * pow(b, d, q)) % q for d in range(count.bit_length())]
-        num, idx = digit_scan_min_sharded(pow_mod, count, q, threads)
+        num, idx = digit_scan_min_sharded(pow_mod, count, q)
         witness = ds.unrank(b, idx)
         return ApproxResult(
             witness=witness,

@@ -78,7 +78,7 @@ class RunConfig:
     enumeration_cap: int = ds.CAP_DEFAULT
     node_budget: int = 2_000_000
     output_format: str = "human"
-    threads: int = 1
+    threads: int = 1  # recorded in meta.config only: every scan runs on one thread
 
     def __post_init__(self):
         if self.precision_bits < 64:
@@ -212,9 +212,7 @@ def _cmd_search(args, cfg: RunConfig) -> dict:
     if args.method == "pigeonhole":
         res = pigeonhole_witness(gamma, args.base, N)
     elif args.method == "oracle":
-        res = oracle_min(
-            gamma, ds.SetSpec.zero_one(args.base), N, cap=cfg.enumeration_cap, threads=cfg.threads
-        )
+        res = oracle_min(gamma, ds.SetSpec.zero_one(args.base), N, cap=cfg.enumeration_cap)
     else:
         raise DomainError(f"unknown search method {args.method!r}")
     out = _ser(res)
@@ -272,7 +270,7 @@ def _cmd_adversary(args, cfg: RunConfig) -> dict:
         return _ser(rep)
     if args.limit is None:
         raise DomainError("adversary needs --count")
-    cert = adversarial_gamma(args.base, args.limit, cap=cfg.enumeration_cap, threads=cfg.threads)
+    cert = adversarial_gamma(args.base, args.limit, cap=cfg.enumeration_cap)
     return _ser(cert)
 
 
@@ -332,7 +330,7 @@ _FLAGS = {
     "--t": dict(type=int),
     "--e-max": dict(type=int, default=6),
     "--G": dict(type=int),
-    "--threads": dict(type=int),
+    "--threads": dict(type=int, help="recorded in meta.config; every scan runs on one thread"),
     "--precision-bits": dict(type=int),
 }
 

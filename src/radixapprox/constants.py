@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .digitsets import check_base, repunit_cap
 from .errors import DomainError, IndeterminateComparison, InvariantViolation
-from .exact import Real, float_down, float_up, iv_to_real
+from .exact import Real, iv_from_fractions, iv_precision, iv_to_real
 
 DEFAULT_PRECISION = 96
 
@@ -71,10 +69,7 @@ def _decreasing_from(b: int) -> int:
 def compute_constants(b: int, precision_bits: int = DEFAULT_PRECISION) -> ConstantSet:
     """Certified enclosures for the full constant chain at base b."""
     check_base(b)
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = precision_bits
+    with iv_precision(precision_bits) as iv:
         four_b2 = iv.mpf(4 * b * b)
         U = four_b2 / (four_b2 - iv.pi)
         C = 2 + 2 / iv.pi
@@ -110,8 +105,6 @@ def compute_constants(b: int, precision_bits: int = DEFAULT_PRECISION) -> Consta
             window_coeff=best * 2,
             scan_depth=m,
         )
-    finally:
-        iv.prec = old
 
 
 def approximation_bound(
@@ -140,14 +133,9 @@ def approximation_bound(
     zero_one = ext * (b - 1)
 
     # target scale floor(2 log_b (t/J)), from a certified log enclosure
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = precision_bits
-        j_iv = iv.mpf([float_down(J.lo), float_up(J.hi)])
+    with iv_precision(precision_bits) as iv:
+        j_iv = iv_from_fractions(iv, J.lo, J.hi)
         x = iv_to_real(2 * iv.log(iv.mpf(t) / j_iv) / iv.log(iv.mpf(b)))
-    finally:
-        iv.prec = old
     if x.hi < 1:
         return ApproxBound(b, N, t, None, True, ext, zero_one)
     lo_floor = x.lo.numerator // x.lo.denominator

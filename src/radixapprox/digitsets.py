@@ -95,22 +95,28 @@ def rank(b: int, n: int) -> int:
 
 
 def count_upto(b: int, N: int) -> int:
-    """Number of zero-one integers in [1, N]."""
+    """Number of zero-one integers in [1, N]: the rank of the largest one
+    <= N, read off the base-b digits of N from the top (below the first
+    digit >= 2, every digit of that largest element is 1)."""
     check_base(b)
-    if N < 1:
-        return 0
-    if b == 2:
-        return N
-    lo, hi = 1, 1
-    while unrank(b, hi) <= N:
-        hi *= 2
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if unrank(b, mid) <= N:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    digits = []
+    while N > 0:
+        N, d = divmod(N, b)
+        digits.append(d)
+    i = 0
+    for pos in range(len(digits) - 1, -1, -1):
+        if digits[pos] > 1:
+            return ((i + 1) << (pos + 1)) - 1
+        i = i << 1 | digits[pos]
+    return i
+
+
+def capped_count(b: int, N: int, cap: int) -> int:
+    """count_upto(b, N), or ResourceLimit when it exceeds cap."""
+    count = count_upto(b, N)
+    if count > cap:
+        raise ResourceLimit(f"enumeration of {count} elements exceeds the cap {cap}")
+    return count
 
 
 def repunit_cap(b: int, N: int) -> int:
@@ -232,7 +238,11 @@ def iter_spec(spec: SetSpec, cap: int = CAP_DEFAULT) -> Iterator[int]:
 
 def iter_spec_upto(spec: SetSpec, N: int, cap: int = CAP_DEFAULT) -> Iterator[int]:
     """Elements of spec restricted to [1, N], ascending; the cap counts
-    the restricted elements only."""
+    the restricted elements only, and a zero-one restriction over the cap
+    is refused before any element is produced."""
+    if spec.kind == "zero_one":
+        count = capped_count(spec.base, N, cap)
+        return (unrank(spec.base, i) for i in range(1, count + 1))
     return _capped(
         itertools.takewhile(lambda v: v <= N, _stream(spec, cap)), cap, spec.kind
     )

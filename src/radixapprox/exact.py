@@ -18,7 +18,7 @@ Comparisons whose outcome is not decidable outside the radius raise
 """
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -33,6 +33,10 @@ Rational = Fraction
 #: transcendental evaluations.  Configurable per call.
 DEFAULT_PRECISION = 128
 
+#: Working precision (bits) of the bounds that are fixed functions of
+#: integer parameters (the adversary's power-decay bound, the decay bound).
+BOUND_PRECISION = 80
+
 _GUARD_BITS = 16
 
 Scalar = Union[int, Fraction]
@@ -40,32 +44,21 @@ Scalar = Union[int, Fraction]
 _NAMED_CONSTANTS = ("sqrt2", "pi", "e")
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Convert an mpmath float to the exact rational it represents."""
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+def _raw_to_fraction(raw) -> Fraction:
+    """Exact rational value of a libmp raw (sign, man, exp, bc) tuple."""
+    sign, man, exp, _ = raw
     if man == 0:
         if exp == 0:
             return Fraction(0)
         raise DomainError("cannot convert a non-finite value to a rational")
     # the mantissa may be a gmpy2 integer; keep Fractions on python ints
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
+    man, exp = -int(man) if sign else int(man), int(exp)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def float_down(x: Fraction) -> float:
-    """Largest double <= x."""
-    f = float(x)
-    while Fraction(f) > x:
-        f = math.nextafter(f, -math.inf)
-    return f
-
-
-def float_up(x: Fraction) -> float:
-    """Smallest double >= x."""
-    f = float(x)
-    while Fraction(f) < x:
-        f = math.nextafter(f, math.inf)
-    return f
+def mpf_to_fraction(x) -> Fraction:
+    """Convert an mpmath float to the exact rational it represents."""
+    return _raw_to_fraction(mpmath.mpf(x)._mpf_)
 
 
 def frac_exact(x: Fraction) -> Fraction:
@@ -284,11 +277,20 @@ def dist_to_nearest_int(x: Real) -> Real:
     return Real.from_interval(gmin, gmax)
 
 
-def _raw_to_fraction(t) -> Fraction:
-    """Exact rational value of a libmp raw (sign, man, exp, bc) tuple."""
-    sign, man, exp, _ = t
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
+@contextmanager
+def iv_precision(bits: int):
+    """mpmath's interval context with ``bits`` of working precision.
+
+    The only place that sets ``mpmath.iv.prec``; the previous precision is
+    restored on exit, also when the body raises.
+    """
+    iv = mpmath.iv
+    old = iv.prec
+    iv.prec = bits
+    try:
+        yield iv
+    finally:
+        iv.prec = old
 
 
 def iv_from_fractions(ctx, lo: Fraction, hi: Fraction):
@@ -299,7 +301,8 @@ def iv_from_fractions(ctx, lo: Fraction, hi: Fraction):
 
 
 def iv_to_real(value) -> Real:
-    """Exact Real enclosure of an mpmath interval (no further rounding)."""
+    """Exact Real enclosure of an mpmath interval (no further rounding);
+    an unbounded or NaN endpoint raises ``DomainError``."""
     a, b = value._mpi_
     return Real.from_interval(_raw_to_fraction(a), _raw_to_fraction(b))
 
@@ -311,10 +314,7 @@ def cos_bound_margin(x: Real, precision_bits: int = DEFAULT_PRECISION) -> Real:
     inequality asserts this is >= 0 for every real x.  Transcendental parts
     are evaluated with mpmath interval arithmetic at the requested precision.
     """
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = precision_bits + _GUARD_BITS
+    with iv_precision(precision_bits + _GUARD_BITS) as iv:
         w = dist_to_nearest_int(x)
         w_iv = iv_from_fractions(iv, w.lo, w.hi)
         # |cos(pi*t)| is 1-periodic and even, so reduce an exact argument to
@@ -327,5 +327,3 @@ def cos_bound_margin(x: Real, precision_bits: int = DEFAULT_PRECISION) -> Real:
         cos_abs = abs(iv.cos(iv.pi * arg))
         margin = (1 - iv.pi * w_iv**2) - cos_abs
         return iv_to_real(margin)
-    finally:
-        iv.prec = old

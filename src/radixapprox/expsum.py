@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from . import digitsets as ds
 from ._kernels import cos_sin_sum, first_close, residue_blocks
 from .errors import (
@@ -33,7 +31,14 @@ from .errors import (
     InvariantViolation,
     ResourceLimit,
 )
-from .exact import Real, dist_exact, dist_to_nearest_int, iv_to_real
+from .exact import (
+    BOUND_PRECISION,
+    Real,
+    dist_exact,
+    dist_to_nearest_int,
+    iv_precision,
+    iv_to_real,
+)
 
 #: Default cap on r: at most 2**(R_CAP_DEFAULT + 1) terms per direct sum.
 R_CAP_DEFAULT = 26
@@ -52,13 +57,8 @@ def pi_bounds() -> tuple[Fraction, Fraction]:
     """Certified rational bounds pi_lo < pi < pi_hi (120-bit tight)."""
     global _pi_cache
     if _pi_cache is None:
-        iv = mpmath.iv
-        old = iv.prec
-        try:
-            iv.prec = 120
+        with iv_precision(120) as iv:
             enc = iv_to_real(iv.pi)
-        finally:
-            iv.prec = old
         _pi_cache = (enc.lo, enc.hi)
     return _pi_cache
 
@@ -271,6 +271,18 @@ def _direct_sum_exact(b: int, r: int, k: int, gamma_q: Fraction):
 
 
 def _magnitude(re: Real, im: Real) -> Real:
+    """Enclosure of |z| for z in the box re x im, around a float hypot.
+
+    With u = 2**-53, x = re.mid and y = im.mid: float() rounds each to
+    nearest, within u relative (every mid here is a double, which converts
+    exactly, or a double minus 1, which is exact or at least 1/2 in
+    magnitude, so no subnormal arises), so the float pair has a norm within
+    u * |(x, y)| of |(x, y)|.  CPython >= 3.10 documents ``math.hypot`` within 1 ulp,
+    at most 2u relative to the result h.  Together |h - |(x, y)|| <=
+    2u h + u (1 + 2u) h / (1 - u) < 3.01 u h, inside the slack h * 2**-50
+    = 8u h.  Moving x and y by at most re.rad and im.rad moves |(x, y)| by
+    at most hypot(re.rad, im.rad) <= re.rad + im.rad.
+    """
     if re.is_exact and im.is_exact:
         if im.mid == 0:
             return Real(abs(re.mid))
@@ -383,32 +395,11 @@ def eval_expsum(
     )
 
 
-def _pow_bounds(base_lo: Fraction, base_hi: Fraction, e_lo: Fraction, e_hi: Fraction):
-    """Conservative float bounds for base**e over the given rectangle."""
-    corners = [
-        math.pow(float(bb), float(ee))
-        for bb in (base_lo, base_hi)
-        for ee in (e_lo, e_hi)
-    ]
-    lo = min(corners) * (1 - 1e-11)
-    hi = max(corners) * (1 + 1e-11) + 1e-300
-    return Fraction(max(lo, 0.0)), Fraction(hi)
-
-
-def _sqrt_bounds(k: int) -> tuple[Fraction, Fraction]:
-    s = math.isqrt(k)
-    if s * s == k:
-        return Fraction(s), Fraction(s)
-    f = math.sqrt(k)
-    lo, hi = Fraction(f), Fraction(f)
-    while lo * lo > k:
-        f = math.nextafter(f, 0.0)
-        lo = Fraction(f)
-    g = max(float(hi), f)
-    while hi * hi < k:
-        g = math.nextafter(g, math.inf)
-        hi = Fraction(g)
-    return lo, hi
+def _decay_bound(b: int, r: int, k: int, m: int) -> Real:
+    """Outward enclosure of 2^(r+3) * (1 - pi/(4 b^2))^((r+1 - 3 sqrt(k))/m)."""
+    with iv_precision(BOUND_PRECISION) as iv:
+        e = (r + 1 - 3 * iv.sqrt(k)) / m
+        return iv_to_real(2 ** (r + 3) * iv.exp(e * iv.log(1 - iv.pi / (4 * b * b))))
 
 
 def decay_bound_check(b: int, r: int, k: int, m: int, gamma: Real) -> ExpSumReport:
@@ -445,16 +436,7 @@ def decay_bound_check(b: int, r: int, k: int, m: int, gamma: Real) -> ExpSumRepo
             f"fewer than r - 3 sqrt(k) + 1"
         )
 
-    pi_lo, pi_hi = pi_bounds()
-    base_lo = 1 - pi_hi / (4 * b * b)
-    base_hi = 1 - pi_lo / (4 * b * b)
-    s_lo, s_hi = _sqrt_bounds(k)
-    e_lo = Fraction(r + 1 - 3 * s_hi, m)
-    e_hi = Fraction(r + 1 - 3 * s_lo, m)
-    p_lo, p_hi = _pow_bounds(base_lo, base_hi, e_lo, e_hi)
-    scale = 1 << (r + 3)
-    bound = Real.from_interval(p_lo * scale, p_hi * scale)
-
+    bound = _decay_bound(b, r, k, m)
     if report.magnitude.lo > bound.hi + Fraction(1, 10**9):
         raise InvariantViolation(
             f"decay bound violated at b={b}, r={r}, k={k}, m={m}: "

@@ -2,10 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import radixapprox.digitsets as ds
 from radixapprox.adversary import (
+    _power_decay_bound,
     adversarial_gamma,
     no_multiples_check,
     reduce_to_bounded,
@@ -13,7 +15,7 @@ from radixapprox.adversary import (
 )
 from radixapprox.approx import oracle_min
 from radixapprox.errors import DomainError, ResourceLimit
-from radixapprox.exact import Real, dist_exact
+from radixapprox.exact import Real, dist_exact, mpf_to_fraction
 
 
 class TestCertificate:
@@ -67,10 +69,15 @@ class TestCertificate:
         with pytest.raises(ResourceLimit):
             adversarial_gamma(2, 100, cap=50)
 
-    def test_threads_do_not_change_results(self):
-        a = adversarial_gamma(3, 1 << 17, threads=1)
-        b = adversarial_gamma(3, 1 << 17, threads=4)
-        assert (a.min_distance, a.min_witness_index) == (b.min_distance, b.min_witness_index)
+    @pytest.mark.parametrize("b", range(2, 11))
+    def test_power_decay_bound_contains_the_300_bit_value(self, b):
+        for N in (1, 2, 3, 7, 100, 2**10, 10**6, 2**24, 2**25):
+            with mpmath.workprec(300):
+                value = mpf_to_fraction(
+                    mpmath.mpf(b) ** -4 * mpmath.mpf(N) ** (-mpmath.log(b, 2) / (b - 1)))
+            bound = _power_decay_bound(b, N)
+            assert bound.lo <= value <= bound.hi
+            assert bound.rad <= value / 10**20
 
 
 class TestResidueReduce:

@@ -68,6 +68,20 @@ class TestSearch:
         _, out, _ = run_cli(argv, capsys)
         assert json.loads(out)["meta"]["config"]["threads"] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--method", "oracle", "--base", "2", "--limit", "300000", "--gamma", "355/113"],
+        ["adversary", "--base", "2", "--count", "200000"],
+    ], ids=["search", "adversary"])
+    def test_threads_do_not_change_the_report(self, capsys, argv):
+        reports = []
+        for threads in ("1", "2"):
+            code, out, _ = run_cli(argv + ["--threads", threads, "--format", "json"], capsys)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["meta"]["config"]["threads"] == int(threads)
+            reports.append(json.dumps(doc["report"]))
+        assert reports[0] == reports[1]
+
     def test_human_default(self, capsys):
         code, out, _ = run_cli(
             ["search", "--base", "2", "--limit", "100", "--gamma", "1/5"], capsys
@@ -225,6 +239,29 @@ class TestExitCodes:
         monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
         code, _, err = run_cli(argv, capsys)
         assert code == 3 and "resource limit" in err
+
+    BIG_N = ["--base", "3", "--limit", "1111111111111"]
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--method", "oracle", *BIG_N, "--gamma", "e", "--precision-bits", "64"],
+        ["diffset", *BIG_N],
+    ], ids=["oracle-enclosure", "diffset"])
+    def test_zero_one_cap_is_checked_before_enumerating(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        import radixapprox.digitsets as ds
+
+        cfg = tmp_path / "cfg"
+        cfg.write_text("enumeration_cap=200000\n")
+        monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
+        _, _, rational_err = run_cli(
+            ["search", "--method", "oracle", *self.BIG_N, "--gamma", "1/7"], capsys)
+        calls = []
+        unrank = ds.unrank
+        monkeypatch.setattr(ds, "unrank", lambda b, i: calls.append(i) or unrank(b, i))
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3 and calls == []
+        assert err == rational_err and "exceeds the cap 200000" in err
 
     def test_bad_output_format_in_config_is_rejected(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"

@@ -1,20 +1,23 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radixapprox import adversary, constants, expsum
 from radixapprox.errors import DomainError, IndeterminateComparison
 from radixapprox.exact import (
     Real,
     cos_bound_margin,
     dist_exact,
     dist_to_nearest_int,
-    float_down,
-    float_up,
     frac,
     frac_exact,
+    iv_precision,
+    iv_to_real,
+    mpf_to_fraction,
 )
 
 fractions = st.fractions(max_denominator=10**6)
@@ -132,10 +135,73 @@ class TestBallArithmetic:
             Real.parse("one third")
 
 
-class TestDirectedFloats:
-    @given(fractions)
-    def test_brackets(self, x):
-        assert Fraction(float_down(x)) <= x <= Fraction(float_up(x))
+class TestIntervals:
+    def test_iv_to_real_keeps_the_endpoints(self):
+        with iv_precision(80) as iv:
+            r = iv_to_real(iv.mpf(1) / 3)
+        assert r.lo < Fraction(1, 3) < r.hi and r.rad < Fraction(1, 2**79)
+        with mpmath.workprec(80):
+            assert mpf_to_fraction(mpmath.mpf(1) / 3) in (r.lo, r.hi)
+
+    @pytest.mark.parametrize("make", [
+        lambda iv: iv.mpf(["-inf", 1]),
+        lambda iv: iv.mpf([0, "inf"]),
+        lambda iv: iv.log(iv.mpf([0, 1])),
+    ], ids=["below", "above", "log-of-zero"])
+    def test_iv_to_real_refuses_unbounded_intervals(self, make):
+        with iv_precision(80) as iv:
+            value = make(iv)
+        with pytest.raises(DomainError):
+            iv_to_real(value)
+
+    def test_iv_precision_restores_on_exit_and_on_raise(self):
+        before = mpmath.iv.prec
+        with iv_precision(before + 77) as iv:
+            assert iv.prec == before + 77
+        assert mpmath.iv.prec == before
+        with pytest.raises(ZeroDivisionError):
+            with iv_precision(before + 5):
+                1 / 0
+        assert mpmath.iv.prec == before
+
+
+_CONSTS_3 = constants.compute_constants(3)
+
+# every public function that evaluates under iv_precision, with the module
+# whose iv_to_real a failing body goes through
+_IV_CALLERS = [
+    ("cos_margin", None, lambda: cos_bound_margin(Real.exact(Fraction(1, 3)))),
+    ("pi_bounds", expsum, lambda: expsum.pi_bounds()),
+    ("decay", expsum, lambda: expsum.decay_bound_check(2, 1, 1, 2, Real.exact(Fraction(2, 5)))),
+    ("adversary", adversary, lambda: adversary.adversarial_gamma(3, 100)),
+    ("constants", constants, lambda: constants.compute_constants(3)),
+    ("approx-bound", constants,
+     lambda: constants.approximation_bound(3, 10**6, _CONSTS_3)),
+]
+
+
+@pytest.mark.parametrize("call", [c[2] for c in _IV_CALLERS], ids=[c[0] for c in _IV_CALLERS])
+def test_public_functions_leave_iv_prec_unchanged(monkeypatch, call):
+    monkeypatch.setattr(mpmath.iv, "prec", 61)  # a value no caller uses
+    call()
+    assert mpmath.iv.prec == 61
+
+
+@pytest.mark.parametrize("name, module, call", _IV_CALLERS, ids=[c[0] for c in _IV_CALLERS])
+def test_iv_prec_is_restored_when_the_body_raises(monkeypatch, name, module, call):
+    import radixapprox.exact as exact
+
+    def boom(value):
+        raise RuntimeError("interval body failed")
+
+    expsum.pi_bounds()  # cached, so only the pi_bounds case evaluates pi under the patch
+    if name == "pi_bounds":
+        monkeypatch.setattr(expsum, "_pi_cache", None)
+    monkeypatch.setattr(module or exact, "iv_to_real", boom)
+    monkeypatch.setattr(mpmath.iv, "prec", 61)
+    with pytest.raises(RuntimeError):
+        call()
+    assert mpmath.iv.prec == 61
 
 
 class TestCosMargin:

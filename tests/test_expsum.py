@@ -8,9 +8,11 @@ import pytest
 from radixapprox._kernels import MOD_LIMIT
 from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import DomainError, HypothesisViolation, IndeterminateComparison
-from radixapprox.exact import Real, dist_exact
+from radixapprox.exact import Real, dist_exact, mpf_to_fraction
 from radixapprox.expsum import (
+    _decay_bound,
     _direct_sum_exact,
+    _magnitude,
     _sum_radius,
     classify_G,
     decay_bound_check,
@@ -23,6 +25,7 @@ E = lambda *a: Real.exact(Fraction(*a))
 
 
 def _mpf(f: Fraction):
+    """f at the working precision of the caller's mpmath context."""
     return mpmath.mpf(f.numerator) / f.denominator
 
 
@@ -223,6 +226,34 @@ class TestEvalExpsum:
         assert abs(_mpf(re.mid) - exact_re) <= _mpf(re.rad)
         assert abs(_mpf(im.mid) - exact_im) <= _mpf(im.rad)
 
+    def test_magnitude_slack_covers_200_bit_hypot(self):
+        rng = random.Random(31)
+        cases = []
+        for _ in range(400):
+            x = Fraction(rng.uniform(-2.0**27, 2.0**27))
+            y = Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+            cases.append((x, y))
+            # near-cancelling: a sum of doubles close to 1, minus the
+            # excluded zero term; and rationals that are not doubles
+            d = Fraction(1 + rng.uniform(-1, 1) * 2.0 ** -rng.randint(1, 52))
+            cases.append((d - 1, Fraction(rng.uniform(-1, 1)) / 2 ** rng.randint(0, 60)))
+            cases.append((Fraction(1, rng.randint(3, 10**9)), -Fraction(1, rng.randint(3, 10**9))))
+        def hypot200(x, y):
+            with mpmath.workprec(200):
+                return mpf_to_fraction(mpmath.hypot(_mpf(x), _mpf(y)))
+
+        for x, y in cases:
+            true = hypot200(x, y)
+            mag = _magnitude(Real(x), Real(y))
+            assert mag.lo <= true <= mag.hi
+            # the derivation in the docstring: within 3 * 2^-53 of the float
+            assert abs(true - mag.mid) <= 3 * mag.mid / 2**53
+            # component radii add to the slack
+            rx, ry = abs(x) / 7 + Fraction(1, 10**9), abs(y) / 5
+            wide = _magnitude(Real(x, rx), Real(y, ry))
+            for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                assert wide.lo <= hypot200(x + sx * rx, y + sy * ry) <= wide.hi
+
     def test_enclosure_gamma_widens_radius(self):
         gamma = Real.approx(Fraction(2, 7), Fraction(1, 10**25))
         rep = eval_expsum(3, 2, 1, gamma)
@@ -243,6 +274,18 @@ class TestDecayBound:
         rep = decay_bound_check(2, 0, 1, 1, E(1, 3))
         assert abs(float(rep.magnitude.mid) - 1.0) < 1e-9
         assert abs(float(rep.decay_bound.hi) - 8 * (1 - math.pi / 16) ** -2.0) < 1e-6
+
+    def test_bound_contains_the_300_bit_value_on_the_criterion_5_grid(self):
+        for b in (3, 4, 5, 7, 10):
+            for r in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20):
+                for m in (1, 2, 3):
+                    for k in (1, 2, 3, 5, 9, 16, 25, 36, 49, 64):
+                        with mpmath.workprec(300):
+                            value = mpf_to_fraction(mpmath.mpf(2) ** (r + 3) * (
+                                1 - mpmath.pi / (4 * b * b)) ** ((r + 1 - 3 * mpmath.sqrt(k)) / m))
+                        bound = _decay_bound(b, r, k, m)
+                        assert bound.lo <= value <= bound.hi
+                        assert bound.rad <= bound.mid / 10**20
 
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisViolation) as err:

@@ -5,8 +5,6 @@ import itertools
 import math
 import random
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -69,10 +67,7 @@ def test_digit_scan_min_range_and_shards(as_array):
     assert K.digit_scan_min(arr, count, modulus, start=1234) == ref_digit_scan(
         pow_mod, count, modulus, start=1234
     )
-    for threads in (1, 2, 5):
-        assert K.digit_scan_min_sharded(arr, count, modulus, threads) == ref_digit_scan(
-            pow_mod, count, modulus
-        )
+    assert K.digit_scan_min_sharded(arr, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
 
 
 def test_subset_residues(as_array):
@@ -179,55 +174,6 @@ def test_digit_scan_min_at_the_modulus_limit(modulus):
         assert K.digit_scan_min(pow_mod, 4000, modulus, start) == ref_digit_scan(
             pow_mod, 4000, modulus, start
         )
-
-
-def test_sharded_scan_caps_workers_at_usable_cores(monkeypatch):
-    seen = {}
-
-    class FakePool:
-        def __init__(self, max_workers):
-            seen["max_workers"] = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, spans):
-            spans = list(spans)
-            seen["shards"] = len(spans)
-            return map(fn, spans)
-
-    monkeypatch.setattr(K, "ThreadPoolExecutor", FakePool)
-    monkeypatch.setattr(K.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    rng = random.Random(11)
-    modulus, count = 1000003, 1 << 17
-    pow_mod = [rng.randrange(modulus) for _ in range(count.bit_length())]
-    got = K.digit_scan_min_sharded(pow_mod, count, modulus, threads=100000)
-    assert seen == {"max_workers": 3, "shards": 3}
-    assert got == K.digit_scan_min(pow_mod, count, modulus)
-
-
-def test_sharded_scan_without_sched_getaffinity(monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity: one thread never asks
-    # for the core count, more threads fall back to os.cpu_count()
-    monkeypatch.delattr(K.os, "sched_getaffinity")
-    monkeypatch.setattr(K.os, "cpu_count", lambda: 2)
-    rng = random.Random(12)
-    modulus, count = 1000003, 1 << 17
-    pow_mod = [rng.randrange(modulus) for _ in range(count.bit_length())]
-    expect = K.digit_scan_min(pow_mod, count, modulus)
-    assert K.digit_scan_min_sharded(pow_mod, count, modulus, threads=1) == expect
-    seen = []
-
-    def pool(max_workers):
-        seen.append(max_workers)
-        return ThreadPoolExecutor(max_workers)
-
-    monkeypatch.setattr(K, "ThreadPoolExecutor", pool)
-    assert K.digit_scan_min_sharded(pow_mod, count, modulus, threads=64) == expect
-    assert seen == [2]
 
 
 # (modulus, beta_den) with products 2^62 - 1, 2^62 and 2^62 + 1, plus a
