@@ -57,10 +57,8 @@ def subset_residues(add_mod, modulus: int) -> np.ndarray:
     Requires all 0 <= add_mod[d] < modulus.  The table is int64 when
     modulus < MOD_LIMIT and holds Python ints otherwise.
     """
-    table = np.zeros(1, dtype=np.int64 if modulus < MOD_LIMIT else object)
-    for a in add_mod:
-        table = np.concatenate([table, (table + int(a)) % modulus])
-    return table
+    blocks = residue_blocks(add_mod, modulus, 0, 1 << len(add_mod))
+    return np.concatenate([res for _, res in blocks])
 
 
 def residue_blocks(add_mod, modulus: int, start: int, stop: int):
@@ -77,16 +75,17 @@ def residue_blocks(add_mod, modulus: int, start: int, stop: int):
         return
     adds = [int(a) % modulus for a in add_mod]
     lo_bits = min((stop - 1).bit_length(), _BLOCK_BITS)
-    table = subset_residues(adds[: min(lo_bits, _FIRST_BITS)], modulus)
-    first, block = 0, table
-    while True:
-        s0, s1 = max(start - first, 0), min(stop - first, len(block))
-        if s0 < s1:
-            yield first + s0, block[s0:s1]
-        if len(table) == 1 << lo_bits:
-            break
-        first, block = len(table), (table + adds[len(table).bit_length() - 1]) % modulus
-        table = np.concatenate([table, block])
+    table = np.zeros(1, dtype=np.int64 if modulus < MOD_LIMIT else object)
+    first = 0  # the block being built is table[first:]
+    for d in range(lo_bits + 1):
+        # table holds the 2**d residues of the low d bits
+        if d >= min(lo_bits, _FIRST_BITS):
+            s0, s1 = max(start - first, 0), min(stop, len(table)) - first
+            if s0 < s1:
+                yield first + s0, table[first + s0 : first + s1]
+            first = len(table)
+        if d < lo_bits:
+            table = np.concatenate([table, (table + adds[d]) % modulus])
     width = len(table)
     for first in range(max(width, start - start % width), stop, width):
         base = sum(a for d, a in enumerate(adds) if first >> d & 1) % modulus

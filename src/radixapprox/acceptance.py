@@ -262,7 +262,7 @@ def criterion_10() -> str:
         gamma = Fraction(rng.randint(1, q - 1), q)
         for b in (2, 3, 4, 5):
             N = rng.randint(1, 10**4)
-            fast = oracle_min(Real.exact(gamma), ds.SetSpec.zero_one(b), N)
+            fast = oracle_min(Real.exact(gamma), b, N)
             best_d, best_w = None, None
             for s in ds.iter_spec_upto(ds.SetSpec.zero_one(b), N):
                 d = dist_exact(gamma * s)

@@ -34,24 +34,16 @@ class ApproxResult:
     mode: str  # "exact" | "approximate"
 
 
-def oracle_min(
-    gamma: Real,
-    spec: ds.SetSpec,
-    N: int,
-    *,
-    cap: int = ds.CAP_DEFAULT,
-) -> ApproxResult:
+def oracle_min(gamma: Real, b: int, N: int, *, cap: int = ds.CAP_DEFAULT) -> ApproxResult:
     """Exact minimizer of ||gamma * n|| over the zero-one integers in [1, N].
 
     The first n zero-one integers are exactly those <= ``ds.unrank(b, n)``,
     so an index bound is passed as that limit.  Ties go to the smallest
     witness.
     """
+    spec = ds.SetSpec.zero_one(b)
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    if spec.kind != "zero_one":
-        raise DomainError("oracle search is defined for the zero-one set only")
-    b = spec.base
 
     if gamma.is_exact:
         q = gamma.mid.denominator
@@ -86,6 +78,19 @@ def _bin_of_exact(f: Fraction, bins: int) -> int:
     return (f.numerator * bins) // f.denominator
 
 
+def _first_collision(reps: list[int], bins: list[int], b: int, N: int) -> int:
+    """reps[j] - reps[i] for the lexicographically first pair i < j sharing
+    a bin, checked to be a zero-one integer in [1, N]."""
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            if bins[i] == bins[j]:
+                w = reps[j] - reps[i]
+                if not (1 <= w <= N and ds.contains(b, w)):
+                    raise InvariantViolation(f"pigeonhole difference {w} left the zero-one set")
+                return w
+    raise InvariantViolation(f"no pigeonhole collision found at b={b}, N={N}")
+
+
 def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:
     """A witness w in the zero-one set with ||gamma*w|| <= 1/(cap+1), where
     cap is the largest repunit exponent fitting below N.
@@ -108,22 +113,13 @@ def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:
         for u, f in zip(reps, fracs):
             if min(f, 1 - f) <= guarantee:
                 return ApproxResult(u, Real(min(f, 1 - f)), tag, guarantee, "exact")
-        bins = [_bin_of_exact(f, t + 1) for f in fracs]
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if bins[i] == bins[j]:
-                    w = reps[j] - reps[i]
-                    if not (1 <= w <= N and ds.contains(b, w)):
-                        raise InvariantViolation(
-                            f"pigeonhole difference {w} left the zero-one set"
-                        )
-                    d = dist_exact(gamma.mid * w)
-                    if d > guarantee:
-                        raise InvariantViolation(
-                            f"pigeonhole witness {w} misses its guarantee at b={b}, N={N}"
-                        )
-                    return ApproxResult(w, Real(d), tag, guarantee, "exact")
-        raise InvariantViolation(f"no pigeonhole collision found at b={b}, N={N}")
+        w = _first_collision(reps, [_bin_of_exact(f, t + 1) for f in fracs], b, N)
+        d = dist_exact(gamma.mid * w)
+        if d > guarantee:
+            raise InvariantViolation(
+                f"pigeonhole witness {w} misses its guarantee at b={b}, N={N}"
+            )
+        return ApproxResult(w, Real(d), tag, guarantee, "exact")
 
     # enclosure gamma
     fres = [frac(gamma * u) for u in reps]
@@ -140,18 +136,8 @@ def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:
                 f"bin membership of {f!r} straddles a bin boundary"
             )
         bins.append(lo_bin)
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if bins[i] == bins[j]:
-                w = reps[j] - reps[i]
-                if not (1 <= w <= N and ds.contains(b, w)):
-                    raise InvariantViolation(
-                        f"pigeonhole difference {w} left the zero-one set"
-                    )
-                return ApproxResult(
-                    w, dist_to_nearest_int(gamma * w), tag, guarantee, "approximate"
-                )
-    raise InvariantViolation(f"no pigeonhole collision found at b={b}, N={N}")
+    w = _first_collision(reps, bins, b, N)
+    return ApproxResult(w, dist_to_nearest_int(gamma * w), tag, guarantee, "approximate")
 
 
 def transfer_witness(

@@ -60,6 +60,11 @@ EXIT_INDETERMINATE = 4
 
 FORMATS = ("json", "csv", "human")
 
+#: Largest accepted precision_bits: 16x the 256 bits the benchmark sends.
+#: A 4096-bit value prints in about 1,240 digits, under CPython's
+#: 4300-digit int-to-str limit.
+MAX_PRECISION_BITS = 4096
+
 CSV_COLUMNS = (
     "subcommand",
     "b",
@@ -81,8 +86,8 @@ class RunConfig:
     threads: int = 1  # recorded in meta.config only: every scan runs on one thread
 
     def __post_init__(self):
-        if self.precision_bits < 64:
-            raise DomainError("precision_bits must be >= 64")
+        if not 64 <= self.precision_bits <= MAX_PRECISION_BITS:
+            raise DomainError(f"precision_bits must be between 64 and {MAX_PRECISION_BITS}")
         if self.enumeration_cap < 1 or self.node_budget < 1 or self.threads < 1:
             raise DomainError("caps, budgets and threads must be positive")
         if self.output_format not in FORMATS:
@@ -212,7 +217,7 @@ def _cmd_search(args, cfg: RunConfig) -> dict:
     if args.method == "pigeonhole":
         res = pigeonhole_witness(gamma, args.base, N)
     elif args.method == "oracle":
-        res = oracle_min(gamma, ds.SetSpec.zero_one(args.base), N, cap=cfg.enumeration_cap)
+        res = oracle_min(gamma, args.base, N, cap=cfg.enumeration_cap)
     else:
         raise DomainError(f"unknown search method {args.method!r}")
     out = _ser(res)
@@ -278,7 +283,8 @@ def _cmd_constants(args, cfg: RunConfig) -> dict:
     cs = compute_constants(args.base, precision_bits=cfg.precision_bits)
     out = _ser(cs)
     if args.limit is not None:
-        out["bound_at_N"] = _ser(approximation_bound(args.base, args.limit, cs))
+        bound = approximation_bound(args.base, args.limit, cs, cfg.precision_bits)
+        out["bound_at_N"] = _ser(bound)
     return out
 
 

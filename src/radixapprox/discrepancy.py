@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._kernels import cos_sin_sum, interval_deviation_max, scaled_residues
+from ._kernels import interval_deviation_max, scaled_residues
 from .errors import DomainError, InvariantViolation
-from .exact import Real, frac, frac_exact
-from .expsum import _magnitude, _sum_radius, pi_bounds
+from .exact import Real, frac
+from .expsum import _magnitude, _trig_sum, pi_bounds
 
 GRID_BITS = 50
 
@@ -48,16 +48,13 @@ def _scaled_points(points: Sequence[Real]):
     enclosure inputs snap to the dyadic grid and carry the snap radius."""
     if not points:
         raise DomainError("need at least one point")
-    fracs = [frac(p) for p in points]
-    if all(f.is_exact for f in fracs):
-        q = 1
-        for f in fracs:
-            q = q * f.mid.denominator // math.gcd(q, f.mid.denominator)
-        nums = [f.mid.numerator * (q // f.mid.denominator) for f in fracs]
+    if all(p.is_exact for p in points):
+        q = math.lcm(*(p.mid.denominator for p in points))
+        nums = [p.mid.numerator % p.mid.denominator * (q // p.mid.denominator) for p in points]
         return nums, q, Fraction(0)
     Q = 1 << GRID_BITS
     nums, worst = [], Fraction(0)
-    for f in fracs:
+    for f in map(frac, points):
         n = (2 * f.mid.numerator * Q + f.mid.denominator) // (2 * f.mid.denominator)
         n = min(max(n, 0), Q - 1)
         worst = max(worst, f.rad + abs(f.mid - Fraction(n, Q)))
@@ -130,12 +127,11 @@ def _discrepancy(nums: list[int], q: int, worst: Fraction) -> DiscrepancyReport:
 def _exp_sum_magnitude(nums: list[int], q: int, g: int, pt_err: Fraction):
     """|sum of e(g * x_n)| as an enclosure, x_n given as scaled integers."""
     T = len(nums)
-    c, s = cos_sin_sum(scaled_residues(nums, g, q), q)
     # _magnitude widens by the sum of the two radii: each float component is
-    # within _sum_radius(T), and the point error moves every angle by at
-    # most 2 pi g pt_err, so the sum by less than 7 g T pt_err in modulus
-    rad = _sum_radius(T) + Fraction(7, 2) * g * T * pt_err
-    mag = _magnitude(Real(Fraction(c), rad), Real(Fraction(s), rad))
+    # within _sum_radius(T), and the point error moves every angle by at most
+    # 2 pi g pt_err, so the sum by less than 7 g T pt_err in modulus
+    re, im = _trig_sum([scaled_residues(nums, g, q)], q, T, Fraction(7, 2) * g * T * pt_err)
+    mag = _magnitude(re, im)
     return Real.from_interval(mag.lo, min(mag.hi, T + mag.rad))
 
 
@@ -169,9 +165,17 @@ def erdos_turan_check(points: Sequence[Real], G: int) -> DiscrepancyReport:
 
 
 def fractional_orbit(gamma: Real, T: int) -> list[Real]:
-    """The sequence {n * gamma} for n = 1..T."""
+    """The sequence {n * gamma} for n = 1..T: with gamma.mid = M/Q and
+    gamma.rad = R/D, point n is (n*M mod Q)/Q with radius n*R/D, and frac
+    raises for a point whose enclosure reaches an integer."""
     if T < 1:
         raise DomainError(f"need T >= 1, got {T}")
-    if gamma.is_exact:
-        return [Real(frac_exact(gamma.mid * n)) for n in range(1, T + 1)]
-    return [frac(gamma * n) for n in range(1, T + 1)]
+    (M, Q), (R, D) = gamma.mid.as_integer_ratio(), gamma.rad.as_integer_ratio()
+    points = []
+    for n in range(1, T + 1):
+        v = n * M % Q
+        if n * R * Q <= v * D < (D - n * R) * Q:  # n*R/D <= v/Q < 1 - n*R/D
+            points.append(Real(Fraction(v, Q), Fraction(n * R, D)))
+        else:
+            points.append(frac(gamma * n))
+    return points

@@ -6,7 +6,7 @@ equals 2**(r+1) * prod |cos(pi * k * b**d * gamma)|.  The direct sum is
 evaluated term by term (never through that factorization, which is what the
 reports are checking) with exact mod-1 reduction of every angle; the
 product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2) are
-computed as exact rational intervals around float factors.
+rational intervals, rounded outward to a dyadic grid (_product_interval).
 
 Error-radius policy: every float quantity carries a rigorously conservative
 radius (one-sided term evaluation error plus summation error), and every
@@ -49,6 +49,8 @@ _TERM_ERR = Fraction(4, 10**15)
 _EPS = Fraction(12, 10**17)
 # relative envelope for one float64 sin factor at an exactly reduced argument
 _FACTOR_ERR = Fraction(9, 2**51)
+# the product enclosures round every partial product outward to 2**-_PRODUCT_BITS
+_PRODUCT_BITS = 64
 
 _pi_cache: Optional[tuple[Fraction, Fraction]] = None
 
@@ -249,25 +251,31 @@ def _shift_residues(b: int, r: int, k: int, gamma_q: Fraction) -> tuple[int, lis
 
 
 def _product_interval(factors_lo: list[Fraction], factors_hi: list[Fraction], scale: int):
-    lo, hi = Fraction(1), Fraction(1)
+    """Enclosure of scale * prod [lo_d, hi_d] for factors with 0 <= lo_d.
+
+    Every partial product is rounded outward to the grid 2**-_PRODUCT_BITS,
+    so the digits stay bounded.  Each of the m roundings moves its end by
+    less than 2**-_PRODUCT_BITS and the later factors scale that by at most
+    F**(m-1), F = max(1, every hi_d): each end widens by at most
+    scale * m * F**(m-1) * 2**-_PRODUCT_BITS.
+    """
+    one = 1 << _PRODUCT_BITS
+    lo = hi = one
     for flo, fhi in zip(factors_lo, factors_hi):
-        lo *= flo
-        hi *= fhi
-    return Real.from_interval(max(Fraction(0), lo * scale), hi * scale)
+        lo = lo * flo.numerator // flo.denominator
+        hi = -(-hi * fhi.numerator // fhi.denominator)
+    return Real.from_interval(Fraction(max(0, lo) * scale, one), Fraction(hi * scale, one))
 
 
-def _direct_sum_exact(b: int, r: int, k: int, gamma_q: Fraction):
-    """Direct term-by-term sum over the truncated zero-one set, with exact
-    angle reduction; returns (re, im) as Real and the term count."""
-    n = 1 << (r + 1)
-    q, res_mods = _shift_residues(b, r, k, gamma_q)
-    if all(v == 0 for v in res_mods):
-        return Real(Fraction(n)), Real(Fraction(0)), n
-    parts = [cos_sin_sum(res, q) for _, res in residue_blocks(res_mods, q, 0, n)]
-    rad = _sum_radius(n)
-    re_mid = Fraction(math.fsum(c for c, _ in parts))
-    im_mid = Fraction(math.fsum(s for _, s in parts))
-    return Real(re_mid, rad), Real(im_mid, rad), n
+def _trig_sum(blocks, q: int, n: int, extra_rad: Fraction) -> tuple[Real, Real]:
+    """(re, im) enclosures of the n-term sum of e(v/q) over the residue
+    blocks: the float sums of ``cos_sin_sum`` per block, combined by
+    ``math.fsum``, within _sum_radius(n) plus the caller's extra_rad."""
+    parts = [cos_sin_sum(res, q) for res in blocks]
+    rad = _sum_radius(n) + extra_rad
+    re = Fraction(math.fsum(c for c, _ in parts))
+    im = Fraction(math.fsum(s for _, s in parts))
+    return Real(re, rad), Real(im, rad)
 
 
 def _magnitude(re: Real, im: Real) -> Real:
@@ -300,7 +308,6 @@ def eval_expsum(
     k: int,
     gamma: Real,
     exclude_zero: bool = False,
-    r_cap: int = R_CAP_DEFAULT,
 ) -> ExpSumReport:
     """Evaluate the digit-restricted exponential sum and its certified
     companions: the factored product magnitude and the product bound.
@@ -312,8 +319,8 @@ def eval_expsum(
     ds.check_base(b)
     if r < 0:
         raise DomainError(f"need r >= 0, got {r}")
-    if r > r_cap:
-        raise ResourceLimit(f"r={r} exceeds the term cap r <= {r_cap}")
+    if r > R_CAP_DEFAULT:
+        raise ResourceLimit(f"r={r} exceeds the term cap r <= {R_CAP_DEFAULT}")
 
     # every term e(k j gamma) moves by at most 2 pi |k| j rad
     total_j = (1 << r) * (b ** (r + 1) - 1) // (b - 1)
@@ -326,18 +333,15 @@ def eval_expsum(
         w_los = [Fraction(min(v, q - v), q) for v in res_mods]
         w_his = w_los
     else:
-        w_los, w_his = [], []
-        for d in range(r + 1):
-            wd = dist_to_nearest_int(gamma * (k * b**d))
-            w_los.append(max(Fraction(0), wd.lo))
-            w_his.append(min(Fraction(1, 2), wd.hi))
+        ws = [dist_to_nearest_int(gamma * (k * b**d)) for d in range(r + 1)]
+        w_los, w_his = [w.lo for w in ws], [w.hi for w in ws]
     # |cos(pi theta)| = sin(pi h) with h = 1/2 - ||theta||, an identity of
     # the tent map; so the h interval flips the w interval around 1/2
     h_los = [Fraction(1, 2) - w for w in w_his]
     h_his = [Fraction(1, 2) - w for w in w_los]
 
     # product magnitude 2^(r+1) prod sin(pi h_d), zero detected exactly
-    scale = 1 << (r + 1)
+    n = 1 << (r + 1)
     if any(h == 0 for h in h_his):
         product_magnitude = Real(Fraction(0))
     else:
@@ -347,17 +351,19 @@ def eval_expsum(
             s_hi = math.sin(math.pi * float(hhi))
             f_lo.append(max(Fraction(0), Fraction(s_lo) * (1 - _FACTOR_ERR)))
             f_hi.append(Fraction(s_hi) * (1 + _FACTOR_ERR))
-        product_magnitude = _product_interval(f_lo, f_hi, scale)
+        product_magnitude = _product_interval(f_lo, f_hi, n)
 
-    # product bound 2^(r+1) prod (1 - pi w_d^2), exact rational interval
+    # product bound 2^(r+1) prod (1 - pi w_d^2), from exact rational factors
     b_lo = [1 - pi_hi * w * w for w in w_his]
     b_hi = [1 - pi_lo * w * w for w in w_los]
-    product_bound = _product_interval(b_lo, b_hi, scale)
+    product_bound = _product_interval(b_lo, b_hi, n)
 
-    re_full, im_full, n = _direct_sum_exact(b, r, k, gamma.mid)
-    if extra_rad:
-        re_full = Real(re_full.mid, re_full.rad + extra_rad)
-        im_full = Real(im_full.mid, im_full.rad + extra_rad)
+    # the direct sum over the n terms, exact when every angle is 0
+    if all(v == 0 for v in res_mods):
+        re_full, im_full = Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
+    else:
+        blocks = (res for _, res in residue_blocks(res_mods, q, 0, n))
+        re_full, im_full = _trig_sum(blocks, q, n, extra_rad)
     mag_full = _magnitude(re_full, im_full)
 
     # both enclose the same number, so they must intersect
@@ -372,13 +378,8 @@ def eval_expsum(
             f"|sum|={float(mag_full.mid):.6g} > bound={float(product_bound.hi):.6g}"
         )
 
-    if exclude_zero:
-        re_val = re_full - 1
-        im_val = im_full
-        magnitude = _magnitude(re_val, im_val)
-        terms = n - 1
-    else:
-        re_val, im_val, magnitude, terms = re_full, im_full, mag_full, n
+    # the zero-excluded sum drops the term e(0) = 1
+    re_val, terms = (re_full - 1, n - 1) if exclude_zero else (re_full, n)
 
     return ExpSumReport(
         b=b,
@@ -386,8 +387,8 @@ def eval_expsum(
         k=k,
         gamma=gamma,
         value_re=re_val,
-        value_im=im_val,
-        magnitude=magnitude,
+        value_im=im_full,
+        magnitude=_magnitude(re_val, im_full),
         product_magnitude=product_magnitude,
         product_bound=product_bound,
         term_count=terms,

@@ -53,7 +53,7 @@ class TestCertificate:
                 (dist_exact(c.gamma_N * ds.unrank(b, i)), i) for i in range(1, N + 1)
             )
             assert (c.min_distance, c.min_witness_index) == brute
-            o = oracle_min(Real.exact(c.gamma_N), ds.SetSpec.zero_one(b), ds.unrank(b, N))
+            o = oracle_min(Real.exact(c.gamma_N), b, ds.unrank(b, N))
             assert o.distance.mid == c.min_distance
 
     def test_big_base_modulus(self):

@@ -5,22 +5,22 @@ import pytest
 
 import radixapprox.digitsets as ds
 from radixapprox._kernels import MOD_LIMIT
-from radixapprox.approx import oracle_min, pigeonhole_witness, transfer_witness
-from radixapprox.errors import DomainError, IndeterminateComparison
+from radixapprox.approx import _first_collision, oracle_min, pigeonhole_witness, transfer_witness
+from radixapprox.errors import DomainError, IndeterminateComparison, InvariantViolation
 from radixapprox.exact import Real, dist_exact
 
 
 class TestOracleMin:
     def test_gamma_zero(self):
-        r = oracle_min(Real.exact(0), ds.SetSpec.zero_one(3), 100)
+        r = oracle_min(Real.exact(0), 3, 100)
         assert (r.witness, r.distance.mid) == (1, 0)
 
     def test_first_seven_elements_base3(self):
-        r = oracle_min(Real.exact(Fraction(1, 26)), ds.SetSpec.zero_one(3), ds.unrank(3, 7))
+        r = oracle_min(Real.exact(Fraction(1, 26)), 3, ds.unrank(3, 7))
         assert (r.witness, r.distance.mid) == (1, Fraction(1, 26))
 
     def test_half_base2(self):
-        r = oracle_min(Real.exact(Fraction(1, 2)), ds.SetSpec.zero_one(2), 7)
+        r = oracle_min(Real.exact(Fraction(1, 2)), 2, 7)
         assert (r.witness, r.distance.mid) == (2, 0)
 
     def test_base2_equals_unrestricted_minimum(self):
@@ -29,7 +29,7 @@ class TestOracleMin:
             q = rng.randint(2, 5000)
             gamma = Fraction(rng.randint(1, q - 1), q)
             N = rng.randint(1, 400)
-            r = oracle_min(Real.exact(gamma), ds.SetSpec.zero_one(2), N)
+            r = oracle_min(Real.exact(gamma), 2, N)
             best = min(range(1, N + 1), key=lambda n: (dist_exact(gamma * n), n))
             assert r.witness == best
             assert r.distance.mid == dist_exact(gamma * best)
@@ -40,36 +40,20 @@ class TestOracleMin:
         for b in (2, 3, 10):
             gamma = Fraction(rng.randrange(1, q), q)
             N = rng.randint(1, 600)
-            r = oracle_min(Real.exact(gamma), ds.SetSpec.zero_one(b), ds.unrank(b, N))
+            r = oracle_min(Real.exact(gamma), b, ds.unrank(b, N))
             best = min(range(1, N + 1), key=lambda i: (dist_exact(gamma * ds.unrank(b, i)), i))
             assert r.witness == ds.unrank(b, best)
             assert r.distance.mid == dist_exact(gamma * r.witness)
 
-    def test_other_set_kinds(self):
-        # only D_b is searched: a power-sum set with elements in [1, N] is
-        # refused as well
-        spec = ds.SetSpec.power_sums(3, 1, 3)
-        assert list(ds.iter_spec_upto(spec, 50)) == [1, 3, 9, 27]
-        for gamma in (Real.exact(Fraction(2, 7)), Real.approx(Fraction(2, 7), Fraction(1, 10**20))):
-            with pytest.raises(DomainError, match="zero-one set only"):
-                oracle_min(gamma, spec, 50)
-
-    def test_empty_restriction(self):
-        # power_sums(3, 2, 4) has no element in [1, 1], but any set other
-        # than D_b is refused before that matters
-        for gamma in (Real.exact(Fraction(1, 3)), Real.approx(Fraction(1, 3), Fraction(1, 10**20))):
-            with pytest.raises(DomainError, match="zero-one set only"):
-                oracle_min(gamma, ds.SetSpec.power_sums(3, 2, 4), 1)
-
     def test_smallest_witness_tie_break(self):
         # gamma = 1/2 in base 4: zero-one elements 4 and 16 both land on 0
-        r = oracle_min(Real.exact(Fraction(1, 2)), ds.SetSpec.zero_one(4), 100)
+        r = oracle_min(Real.exact(Fraction(1, 2)), 4, 100)
         assert r.witness == 4 and r.distance.mid == 0
 
     def test_enclosure_gamma_certifiable(self):
         # distances over {1, 3, 4, 9} are 7/30, 9/30, 2/30, 3/30: well split
         gamma = Real.approx(Fraction(7, 30), Fraction(1, 10**30))
-        r = oracle_min(gamma, ds.SetSpec.zero_one(3), 9)
+        r = oracle_min(gamma, 3, 9)
         assert r.witness == 4 and r.mode == "approximate"
         assert abs(r.distance.mid - Fraction(2, 30)) < Fraction(1, 10**20)
 
@@ -77,7 +61,7 @@ class TestOracleMin:
         # distances at 1 and 3 tie exactly for gamma near 1/4 in base 2
         gamma = Real.approx(Fraction(1, 4), Fraction(1, 10**20))
         with pytest.raises(IndeterminateComparison):
-            oracle_min(gamma, ds.SetSpec.zero_one(2), 3)
+            oracle_min(gamma, 2, 3)
 
 
 class TestPigeonhole:
@@ -113,7 +97,7 @@ class TestPigeonhole:
             q = rng.randint(2, 10**4)
             gamma = Real.exact(Fraction(rng.randint(1, q - 1), q))
             assert (
-                oracle_min(gamma, ds.SetSpec.zero_one(b), N).distance.mid
+                oracle_min(gamma, b, N).distance.mid
                 <= pigeonhole_witness(gamma, b, N).distance.mid
             )
 
@@ -121,6 +105,32 @@ class TestPigeonhole:
         gamma = Real.approx(Fraction(1, 5), Fraction(1, 10**25))
         r = pigeonhole_witness(gamma, 2, 7)
         assert r.witness == 1 and r.mode == "approximate"
+
+
+    # (gamma, b, N, witness, distance): a repunit within the guarantee, and
+    # first collisions at the repunit pairs (1, 7) in base 2 and (4, 13) in base 3
+    @pytest.mark.parametrize("kind", ["exact", "enclosure"])
+    @pytest.mark.parametrize("gamma, b, N, witness, dist", [
+        (Fraction(3, 11), 2, 100, 7, Fraction(1, 11)),
+        (Fraction(2, 11), 2, 100, 6, Fraction(1, 11)),
+        (Fraction(4, 9), 3, 1000, 9, Fraction(0)),
+    ])
+    def test_both_kinds_share_the_pair_search(self, kind, gamma, b, N, witness, dist):
+        g = Real.exact(gamma) if kind == "exact" else Real.approx(gamma, Fraction(1, 10**30))
+        r = pigeonhole_witness(g, b, N)
+        assert r.witness == witness
+        assert r.distance.lo <= dist <= r.distance.hi
+        assert r.mode == ("exact" if kind == "exact" else "approximate")
+
+    def test_first_collision_takes_the_lexicographically_first_pair(self):
+        # bins 2, 0, 1, 0, 1: the pair (1, 3) comes before (2, 4)
+        assert _first_collision([1, 4, 13, 40, 121], [2, 0, 1, 0, 1], 3, 1000) == 36
+
+    def test_first_collision_refusals(self):
+        with pytest.raises(InvariantViolation, match="no pigeonhole collision found"):
+            _first_collision([1, 3, 7], [0, 1, 2], 2, 100)
+        with pytest.raises(InvariantViolation, match="left the zero-one set"):
+            _first_collision([1, 4, 13], [1, 0, 0], 3, 8)
 
 
 class TestTransfer:

@@ -1,10 +1,23 @@
+import inspect
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from radixapprox.cli import main
+import radixapprox.cli as cli
+from radixapprox.cli import MAX_PRECISION_BITS, main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands():
+    """The argv of every command in the code block under README's "## CLI"."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("radix-approx ")]
 
 
 def run_cli(args, capsys):
@@ -124,13 +137,38 @@ class TestOtherSubcommands:
         assert rep["far_positions"] == [0, 1]
         assert rep["separation_beta"] == "1/8"
 
-    def test_readme_decay_example(self, capsys):
-        code, _, err = run_cli(
-            ["expsum", "--base", "5", "--r", "6", "--k", "3", "--m", "2",
-             "--gamma", "457/499", "--method", "decay"],
-            capsys,
-        )
+    def test_readme_cli_block_runs(self, capsys):
+        commands = readme_cli_commands()
+        assert len(commands) == 9
+        for argv in commands:
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, (argv, err)
+
+    def test_constants_passes_the_precision_to_the_bound(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(approximation_bound).bind(*args, **kwargs)
+            seen.append(bound.arguments["precision_bits"])
+            return approximation_bound(*args, **kwargs)
+
+        approximation_bound = cli.approximation_bound
+        monkeypatch.setattr(cli, "approximation_bound", spy)
+        code, _, _ = run_cli(["constants", "--base", "3", "--limit", "1000",
+                              "--precision-bits", "200"], capsys)
+        assert code == 0 and seen == [200]
+
+    @pytest.mark.parametrize("argv", [
+        ["--base", "3", "--r", "12", "--k", "7", "--gamma", "e", "--precision-bits", "512"],
+        ["--base", "2", "--r", "20", "--k", "100", "--gamma", "pi", "--precision-bits", "288"],
+        ["--base", "3", "--r", "10", "--k", "1", "--gamma", f"1/{10**199 + 7}"],
+    ])
+    def test_expsum_products_print_for_long_gamma(self, capsys, argv):
+        code, out, err = run_cli(["expsum", "--method", "sum", *argv, "--format", "json"], capsys)
         assert code == 0, err
+        rep = json.loads(out)["report"]
+        assert all(len(v) < 50 for k in ("product_magnitude", "product_bound")
+                   for v in rep[k].values())
 
     def test_expsum_shifts(self, capsys):
         code, out, _ = run_cli(
@@ -290,6 +328,22 @@ class TestExitCodes:
             main(["constants", "--base", "2"])
         assert err.value.code != 0
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--method", "pigeonhole", "--base", "2", "--limit", "100", "--gamma", "pi"],
+        ["expsum", "--base", "2", "--r", "3", "--k", "1", "--gamma", "pi"],
+        ["discrepancy", "--gamma", "pi", "--limit", "20"],
+        ["constants", "--base", "3", "--limit", "1000"],
+    ], ids=lambda argv: argv[0])
+    def test_precision_bits_range(self, capsys, argv):
+        code, _, err = run_cli(argv + ["--precision-bits", str(MAX_PRECISION_BITS)], capsys)
+        assert code == 0, err
+        for bits in (63, MAX_PRECISION_BITS + 1):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--precision-bits", str(bits)])
+            assert exc.value.code == 1
+            assert f"precision_bits must be between 64 and {MAX_PRECISION_BITS}" in (
+                capsys.readouterr().err)
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

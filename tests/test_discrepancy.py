@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from radixapprox._kernels import cos_sin_sum, scaled_residues
 from radixapprox.discrepancy import (
     _exp_sum_magnitude,
     deviation_max_py,
@@ -11,10 +12,40 @@ from radixapprox.discrepancy import (
     erdos_turan_check,
     fractional_orbit,
 )
-from radixapprox.errors import DomainError
-from radixapprox.exact import Real
+from radixapprox.errors import DomainError, IndeterminateComparison
+from radixapprox.exact import Real, frac, frac_exact
+from radixapprox.expsum import _magnitude, _sum_radius
 
 E = lambda *a: Real.exact(Fraction(*a))
+
+# g * q = 2^62 - 1, 2^62, 2^62 + 1, and past 2^67
+PRODUCT_LIMIT_CASES = [(3, 1537228672809129301), (4, 1 << 60),
+                       (5, 922337203685477581), (50, (1 << 62) - 57)]
+
+
+def orbit_two_branch(gamma, T):
+    """The orbit as built before it was read off residues: an exact branch
+    on Fractions and an enclosure branch through frac."""
+    if gamma.is_exact:
+        return [Real(frac_exact(gamma.mid * n)) for n in range(1, T + 1)]
+    return [frac(gamma * n) for n in range(1, T + 1)]
+
+
+def exp_sum_magnitude_reference(nums, q, g, pt_err):
+    """The Erdos-Turan sum magnitude as computed before the trig-sum
+    enclosure was shared with expsum."""
+    T = len(nums)
+    c, s = cos_sin_sum(scaled_residues(nums, g, q), q)
+    rad = _sum_radius(T) + Fraction(7, 2) * g * T * pt_err
+    mag = _magnitude(Real(Fraction(c), rad), Real(Fraction(s), rad))
+    return Real.from_interval(mag.lo, min(mag.hi, T + mag.rad))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IndeterminateComparison as exc:
+        return (type(exc), str(exc))
 
 
 def brute_L(fracs):
@@ -164,9 +195,7 @@ class TestErdosTuran:
         # the golden-standard equidistributed sequence keeps L small
         assert rep.L_value < 20
 
-    # g * q = 2^62 - 1, 2^62, 2^62 + 1, and past 2^67
-    @pytest.mark.parametrize("g, q", [(3, 1537228672809129301), (4, 1 << 60),
-                                      (5, 922337203685477581), (50, (1 << 62) - 57)])
+    @pytest.mark.parametrize("g, q", PRODUCT_LIMIT_CASES)
     def test_exp_sum_magnitude_at_the_product_limit(self, g, q):
         rng = random.Random(g)
         nums = [rng.randrange(q) for _ in range(300)] + [0, q - 1]
@@ -176,6 +205,40 @@ class TestErdosTuran:
         assert mpmath.mpf(mag.lo.numerator) / mag.lo.denominator <= exact
         assert exact <= mpmath.mpf(mag.hi.numerator) / mag.hi.denominator
 
+    @pytest.mark.parametrize("g, q", PRODUCT_LIMIT_CASES)
+    def test_exp_sum_magnitude_equals_the_unshared_computation(self, g, q):
+        rng = random.Random(g)
+        nums = [rng.randrange(q) for _ in range(300)] + [0, q - 1]
+        for pt_err in (Fraction(0), Fraction(1, 2**60)):
+            got = _exp_sum_magnitude(nums, q, g, pt_err)
+            assert got == exp_sum_magnitude_reference(nums, q, g, pt_err)
+
     def test_bad_G(self):
         with pytest.raises(DomainError):
             erdos_turan_check([E(1, 2)], 0)
+
+
+class TestFractionalOrbit:
+    def test_matches_the_two_branch_orbit(self):
+        # same points, or the same exception at the same point
+        rng = random.Random(37)
+        raised = 0
+        for _ in range(3000):
+            Q = rng.choice([1, rng.randint(2, 50), rng.randint(2, 2**40), 2**rng.randint(1, 70)])
+            mid = Fraction(rng.randint(-3 * Q, 3 * Q), Q)
+            rad = rng.choice([Fraction(0), Fraction(1, 2**rng.randint(1, 80)),
+                              Fraction(rng.randint(1, 99), rng.randint(100, 10**6))])
+            gamma, T = Real(mid, rad), rng.randint(1, 20)
+            want = _outcome(orbit_two_branch, gamma, T)
+            assert _outcome(fractional_orbit, gamma, T) == want
+            raised += isinstance(want, tuple)
+        assert 300 < raised < 2700
+
+    def test_exact_points_are_residues(self):
+        pts = fractional_orbit(E(-5, 12), 13)
+        assert pts == [E(-5 * n % 12, 12) for n in range(1, 14)]
+        assert all(p.is_exact for p in pts)
+
+    def test_bad_T(self):
+        with pytest.raises(DomainError):
+            fractional_orbit(E(1, 3), 0)

@@ -5,15 +5,17 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from radixapprox._kernels import MOD_LIMIT
+from radixapprox._kernels import MOD_LIMIT, residue_blocks
 from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import DomainError, HypothesisViolation, IndeterminateComparison
 from radixapprox.exact import Real, dist_exact, mpf_to_fraction
 from radixapprox.expsum import (
     _decay_bound,
-    _direct_sum_exact,
     _magnitude,
+    _product_interval,
+    _shift_residues,
     _sum_radius,
+    _trig_sum,
     classify_G,
     decay_bound_check,
     eval_expsum,
@@ -27,6 +29,15 @@ E = lambda *a: Real.exact(Fraction(*a))
 def _mpf(f: Fraction):
     """f at the working precision of the caller's mpmath context."""
     return mpmath.mpf(f.numerator) / f.denominator
+
+
+def _direct_sum(b, r, k, gamma: Fraction):
+    """(re, im, n) of the direct sum over the 2^(r+1) truncated zero-one
+    terms, through the trig-sum enclosure eval_expsum uses."""
+    n = 1 << (r + 1)
+    q, mods = _shift_residues(b, r, k, gamma)
+    re, im = _trig_sum((res for _, res in residue_blocks(mods, q, 0, n)), q, n, Fraction(0))
+    return re, im, n
 
 
 class TestClassify:
@@ -149,6 +160,36 @@ class TestSmallShifts:
         assert verified > 20
 
 
+class TestProductInterval:
+    def test_contains_the_exact_product_within_the_stated_widening(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            m = rng.randint(0, 12)
+            lo = [Fraction(rng.randint(0, 10**6), rng.randint(10**6, 10**7)) for _ in range(m)]
+            hi = [f + Fraction(rng.randint(0, 10**4), rng.randint(10**6, 10**9)) for f in lo]
+            scale = 1 << rng.randint(1, 27)
+            enc = _product_interval(lo, hi, scale)
+            exact_lo, exact_hi = scale * math.prod(lo), scale * math.prod(hi)
+            assert enc.lo <= exact_lo and exact_hi <= enc.hi
+            F = max([1, *hi])
+            widening = scale * m * F ** max(m - 1, 0) / Fraction(2**64)
+            assert exact_lo - enc.lo <= widening and enc.hi - exact_hi <= widening
+
+    def test_digits_stay_bounded_at_r_26(self):
+        rng = random.Random(42)
+        factors = [Fraction(rng.randrange(10**599, 10**600), 10**600 + 7) for _ in range(27)]
+        enc = _product_interval(factors, factors, 1 << 27)
+        assert enc.lo <= (1 << 27) * math.prod(factors) <= enc.hi
+        assert max(enc.mid.denominator, enc.rad.denominator) <= 2**65
+
+    def test_report_fields_stay_short_for_long_inputs(self):
+        q = 10**199 + 7
+        for gamma, r in ((E(10**198, q), 10), (Real.parse("e", 512), 12)):
+            rep = eval_expsum(3, r, 7, gamma)
+            for enc in (rep.product_magnitude, rep.product_bound):
+                assert len(str(enc.mid.denominator)) < 40 and len(str(enc.rad.denominator)) < 40
+
+
 class TestEvalExpsum:
     def test_single_pair_cancels(self):
         rep = eval_expsum(2, 0, 1, E(1, 2))
@@ -206,7 +247,7 @@ class TestEvalExpsum:
     def test_sum_radius_covers_angles_near_zero(self, q):
         # gamma = 1/q puts every angle within 2^-40 of 0: all terms add up
         # with one sign, the worst case for the summation error
-        re, im, n = _direct_sum_exact(2, 11, 1, Fraction(1, q))
+        re, im, n = _direct_sum(2, 11, 1, Fraction(1, q))
         with mpmath.workprec(200):
             exact_re = mpmath.fsum(mpmath.cos(2 * mpmath.pi * v / q) for v in range(n))
             exact_im = mpmath.fsum(mpmath.sin(2 * mpmath.pi * v / q) for v in range(n))
@@ -217,7 +258,7 @@ class TestEvalExpsum:
     @pytest.mark.parametrize("q", [MOD_LIMIT - 1, MOD_LIMIT + 1])
     def test_sum_radius_covers_spread_angles(self, q):
         b, r, k, gamma = 3, 10, 7, Fraction(q // 3 + 1, q)
-        re, im, n = _direct_sum_exact(b, r, k, gamma)
+        re, im, n = _direct_sum(b, r, k, gamma)
         with mpmath.workprec(200):
             angles = [2 * mpmath.pi * ((k * gamma.numerator * x) % q) / q
                       for x in [0] + [unrank(b, i) for i in range(1, n)]]

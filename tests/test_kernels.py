@@ -162,6 +162,43 @@ def test_residue_blocks_start_with_small_blocks():
     assert blocks[-1] == (3 << 18, 1 << 18)
 
 
+def block_layout(start, stop):
+    """The (first, length) blocks residue_blocks promises: [0, 2^10), then
+    the doubling halves [2^d, 2^(d+1)) up to 2^18, then full 2^18 blocks,
+    each clipped to [start, stop)."""
+    lo_bits = min((stop - 1).bit_length(), 18)
+    edges = [0, 1 << min(lo_bits, 10)]
+    while edges[-1] < stop:
+        edges.append(edges[-1] * 2 if edges[-1] < 1 << lo_bits else edges[-1] + (1 << lo_bits))
+    clipped = [(max(a, start), min(b, stop)) for a, b in zip(edges, edges[1:])]
+    return [(a, b - a) for a, b in clipped if a < b]
+
+
+@pytest.mark.parametrize("modulus", [2, 1009, ML - 1, ML + 1])
+def test_subset_residues_and_blocks_match_brute_force_subset_sums(modulus):
+    rng = random.Random(modulus + 7)
+    for _ in range(12):
+        adds = [rng.randrange(modulus) for _ in range(rng.randint(0, 12))]
+        brute = [sum(c) % modulus for c in itertools.product(*[(0, a) for a in reversed(adds)])]
+        assert K.subset_residues(adds, modulus).tolist() == brute
+        stop = rng.randint(1, len(brute))
+        start = rng.randint(0, stop - 1)
+        blocks = list(K.residue_blocks(adds, modulus, start, stop))
+        assert [(first, len(res)) for first, res in blocks] == block_layout(start, stop)
+        assert [v for _, res in blocks for v in res.tolist()] == brute[start:stop]
+
+
+def test_residue_blocks_layout_past_the_low_table():
+    rng = random.Random(8)
+    adds = [rng.randrange(10**9) for _ in range(21)]
+    for start, stop in [(1, (1 << 20) + 5), ((1 << 18) - 3, 3 << 19), (5 << 18, (1 << 21) - 1)]:
+        blocks = list(K.residue_blocks(adds, 10**9, start, stop))
+        assert [(first, len(res)) for first, res in blocks] == block_layout(start, stop)
+        for first, res in blocks:
+            i = rng.randrange(len(res))
+            assert res[i] == ref_subset_residue(adds, first + i, 10**9)
+
+
 @pytest.mark.parametrize("modulus", [ML - 1, ML, ML + 1, (1 << 64) + 13])
 def test_digit_scan_min_at_the_modulus_limit(modulus):
     rng = random.Random(modulus)
