@@ -16,7 +16,7 @@ from typing import Optional
 from . import digitsets as ds
 from ._kernels import digit_scan_min_sharded
 from .errors import DomainError, IndeterminateComparison, InvariantViolation
-from .exact import Real, dist_exact, dist_to_nearest_int, frac
+from .exact import Real, dist_of_multiple, frac_of_multiple
 
 
 @dataclass(frozen=True)
@@ -45,24 +45,18 @@ def oracle_min(gamma: Real, b: int, N: int, *, cap: int = ds.CAP_DEFAULT) -> App
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
 
+    # an exact gamma narrows the candidates to the residue kernel's argmin;
+    # an enclosure keeps them all, and its argmin is certified or refused
     if gamma.is_exact:
         q = gamma.mid.denominator
         p = gamma.mid.numerator % q
         count = ds.capped_count(b, N, cap)
         pow_mod = [(p * pow(b, d, q)) % q for d in range(count.bit_length())]
-        num, idx = digit_scan_min_sharded(pow_mod, count, q)
-        witness = ds.unrank(b, idx)
-        return ApproxResult(
-            witness=witness,
-            distance=Real(Fraction(num, q)),
-            set_tag=spec,
-            guarantee=None,
-            mode="exact",
-        )
-
-    # enclosure-valued gamma: certify the argmin or refuse
-    elems = list(ds.iter_spec_upto(spec, N, cap=cap))
-    dists = [dist_to_nearest_int(gamma * s) for s in elems]
+        _, idx = digit_scan_min_sharded(pow_mod, count, q)
+        elems, mode = [ds.unrank(b, idx)], "exact"
+    else:
+        elems, mode = list(ds.iter_spec_upto(spec, N, cap=cap)), "approximate"
+    dists = [dist_of_multiple(gamma, s) for s in elems]
     w_i = min(range(len(elems)), key=lambda i: (dists[i].hi, elems[i]))
     for i, d in enumerate(dists):
         if i != w_i and d.lo < dists[w_i].hi:
@@ -70,12 +64,7 @@ def oracle_min(gamma: Real, b: int, N: int, *, cap: int = ds.CAP_DEFAULT) -> App
                 f"cannot certify the minimizer: candidates {elems[w_i]} and "
                 f"{elems[i]} have overlapping distance enclosures"
             )
-    return ApproxResult(elems[w_i], dists[w_i], spec, None, "approximate")
-
-
-def _bin_of_exact(f: Fraction, bins: int) -> int:
-    # half-open bins [h/bins, (h+1)/bins); f in [0,1) so h <= bins-1
-    return (f.numerator * bins) // f.denominator
+    return ApproxResult(elems[w_i], dists[w_i], spec, None, mode)
 
 
 def _first_collision(reps: list[int], bins: list[int], b: int, N: int) -> int:
@@ -105,30 +94,18 @@ def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:
     guarantee = Fraction(1, t + 1)
     reps = ds.repunits(b, N)
     tag = ds.SetSpec.zero_one(b)
+    mode = "exact" if gamma.is_exact else "approximate"
 
-    if gamma.is_exact:
-        q = gamma.mid.denominator
-        p = gamma.mid.numerator % q
-        fracs = [Fraction((p * u) % q, q) for u in reps]
-        for u, f in zip(reps, fracs):
-            if min(f, 1 - f) <= guarantee:
-                return ApproxResult(u, Real(min(f, 1 - f)), tag, guarantee, "exact")
-        w = _first_collision(reps, [_bin_of_exact(f, t + 1) for f in fracs], b, N)
-        d = dist_exact(gamma.mid * w)
-        if d > guarantee:
-            raise InvariantViolation(
-                f"pigeonhole witness {w} misses its guarantee at b={b}, N={N}"
-            )
-        return ApproxResult(w, Real(d), tag, guarantee, "exact")
-
-    # enclosure gamma
-    fres = [frac(gamma * u) for u in reps]
-    for u, f in zip(reps, fres):
-        d = dist_to_nearest_int(gamma * u)
-        if d <= Real(guarantee):
-            return ApproxResult(u, d, tag, guarantee, "approximate")
+    bound = Real(guarantee)
+    for u in reps:
+        d = dist_of_multiple(gamma, u)
+        if d <= bound:
+            return ApproxResult(u, d, tag, guarantee, mode)
+    # no repunit is within the guarantee, so no enclosure reaches an integer
+    # and frac_of_multiple cannot raise; bins are half-open [h/(t+1), (h+1)/(t+1))
     bins = []
-    for f in fres:
+    for u in reps:
+        f = frac_of_multiple(gamma, u)
         lo_bin = (f.lo.numerator * (t + 1)) // f.lo.denominator
         hi_bin = (f.hi.numerator * (t + 1)) // f.hi.denominator
         if lo_bin != hi_bin:
@@ -137,7 +114,12 @@ def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:
             )
         bins.append(lo_bin)
     w = _first_collision(reps, bins, b, N)
-    return ApproxResult(w, dist_to_nearest_int(gamma * w), tag, guarantee, "approximate")
+    d = dist_of_multiple(gamma, w)
+    if d.lo > guarantee:
+        raise InvariantViolation(
+            f"pigeonhole witness {w} misses its guarantee at b={b}, N={N}"
+        )
+    return ApproxResult(w, d, tag, guarantee, mode)
 
 
 def transfer_witness(

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from ._kernels import interval_deviation_max, scaled_residues
 from .errors import DomainError, InvariantViolation
-from .exact import Real, frac
+from .exact import Real, frac, frac_of_multiple
 from .expsum import _magnitude, _trig_sum, pi_bounds
 
 GRID_BITS = 50
@@ -165,17 +165,9 @@ def erdos_turan_check(points: Sequence[Real], G: int) -> DiscrepancyReport:
 
 
 def fractional_orbit(gamma: Real, T: int) -> list[Real]:
-    """The sequence {n * gamma} for n = 1..T: with gamma.mid = M/Q and
-    gamma.rad = R/D, point n is (n*M mod Q)/Q with radius n*R/D, and frac
-    raises for a point whose enclosure reaches an integer."""
+    """The sequence {n * gamma} for n = 1..T, each point read off its
+    residue by ``frac_of_multiple``, which raises for a point whose
+    enclosure reaches an integer."""
     if T < 1:
         raise DomainError(f"need T >= 1, got {T}")
-    (M, Q), (R, D) = gamma.mid.as_integer_ratio(), gamma.rad.as_integer_ratio()
-    points = []
-    for n in range(1, T + 1):
-        v = n * M % Q
-        if n * R * Q <= v * D < (D - n * R) * Q:  # n*R/D <= v/Q < 1 - n*R/D
-            points.append(Real(Fraction(v, Q), Fraction(n * R, D)))
-        else:
-            points.append(frac(gamma * n))
-    return points
+    return [frac_of_multiple(gamma, n) for n in range(1, T + 1)]

@@ -68,8 +68,8 @@ def frac_exact(x: Fraction) -> Fraction:
 
 def dist_exact(x: Fraction) -> Fraction:
     """Distance from x to the nearest integer, exactly."""
-    f = frac_exact(x)
-    return min(f, 1 - f)
+    v = x.numerator % x.denominator
+    return Fraction(min(v, x.denominator - v), x.denominator)
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,11 @@ class Real:
 
     @property
     def lo(self) -> Fraction:
-        return self.mid - self.rad
+        return self.mid - self.rad if self.rad else self.mid
 
     @property
     def hi(self) -> Fraction:
-        return self.mid + self.rad
+        return self.mid + self.rad if self.rad else self.mid
 
     def __float__(self) -> float:
         return float(self.mid)
@@ -237,10 +237,6 @@ def _floor_fraction(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def frac(x: Real) -> Real:
     """Fractional part {x} in [0, 1); x - {x} is an integer.
 
@@ -261,20 +257,41 @@ def dist_to_nearest_int(x: Real) -> Real:
     """Distance from x to the nearest integer, in [0, 1/2].
 
     Exact input gives an exact output.  Approximate input gives the exact
-    range of the (continuous) distance function over the enclosure; no
-    comparison is performed here, so no indeterminacy can arise.
+    range of the (continuous) distance function over the enclosure: with
+    w = ||mid|| and rho = rad it is [max(0, w - rho), min(1/2, w + rho)],
+    since the distance is 1-Lipschitz with its kinks at the integers and
+    half-integers.  No comparison is performed here, so no indeterminacy
+    can arise.
     """
-    if x.is_exact:
-        return Real(dist_exact(x.mid))
-    if x.rad >= Fraction(1, 2):
-        return Real.from_interval(Fraction(0), Fraction(1, 2))
-    lo, hi = x.lo, x.hi
-    vals = [dist_exact(lo), dist_exact(hi)]
-    gmin = Fraction(0) if _ceil_fraction(lo) <= _floor_fraction(hi) else min(vals)
-    half = Fraction(1, 2)
-    has_half = _ceil_fraction(lo - half) <= _floor_fraction(hi - half)
-    gmax = half if has_half else max(vals)
-    return Real.from_interval(gmin, gmax)
+    w = dist_exact(x.mid)
+    if not x.rad:
+        return Real(w)
+    return Real.from_interval(max(Fraction(0), w - x.rad), min(Fraction(1, 2), w + x.rad))
+
+
+def frac_of_multiple(gamma: Real, n: int) -> Real:
+    """``frac(gamma * n)``, read off the residue v = n*M mod Q of
+    gamma.mid = M/Q: the point is v/Q with radius |n| * gamma.rad when the
+    integer test below keeps that enclosure inside [0, 1); otherwise ``frac``
+    decides, and raises for an enclosure that reaches an integer."""
+    M, Q = gamma.mid.numerator, gamma.mid.denominator
+    v = n * M % Q
+    if not gamma.rad:
+        return Real(Fraction(v, Q))
+    R, D = gamma.rad.numerator, gamma.rad.denominator
+    nR = abs(n) * R
+    if nR * Q <= v * D < (D - nR) * Q:  # |n|R/D <= v/Q < 1 - |n|R/D
+        return Real(Fraction(v, Q), Fraction(nR, D))
+    return frac(gamma * n)
+
+
+def dist_of_multiple(gamma: Real, n: int) -> Real:
+    """``dist_to_nearest_int(gamma * n)``, read off the residue v = n*M mod Q
+    of gamma.mid = M/Q with radius |n| * gamma.rad; the distance has period
+    1, so reducing the midpoint first does not change it."""
+    M, Q = gamma.mid.numerator, gamma.mid.denominator
+    rho = abs(n) * gamma.rad if gamma.rad else gamma.rad
+    return dist_to_nearest_int(Real(Fraction(n * M % Q, Q), rho))
 
 
 @contextmanager

@@ -34,7 +34,7 @@ from .errors import (
 from .exact import (
     BOUND_PRECISION,
     Real,
-    dist_exact,
+    dist_of_multiple,
     dist_to_nearest_int,
     iv_precision,
     iv_to_real,
@@ -156,31 +156,24 @@ def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationR
     if beta <= 0:
         raise DomainError(f"need beta > 0, got {beta}")
 
+    # an exact gamma narrows the truncated set to its first close element,
+    # found by the residue kernel; an enclosure checks every element
     if gamma.is_exact:
         q = gamma.mid.denominator
         p = gamma.mid.numerator % q
         add_mod = [(p * pow(b, d, q)) % q for d in range(r + 1)]
-        worst: Optional[int] = None
+        trunc = []
         for first, res in residue_blocks(add_mod, q, 1, 1 << (r + 1)):
             hit = first_close(res, q, beta.numerator, beta.denominator)
             if hit >= 0:
-                worst = ds.unrank(b, first + hit)
+                trunc = [ds.unrank(b, first + hit)]
                 break
-        for x in ds.power_gaps(b, r):
-            if worst is not None and x >= worst:
-                break
-            if dist_exact(gamma.mid * x) <= beta:
-                worst = x
-                break
-        if worst is None:
-            return SeparationReport(True, None, b, r, beta)
-        return SeparationReport(False, worst, b, r, beta)
-
-    # enclosure gamma: ascending merge of both families, first failure wins
+    else:
+        trunc = (ds.unrank(b, i) for i in range(1, 1 << (r + 1)))
+    # ascending merge of both families, first failure wins
     beta_r = Real(beta)
-    trunc = (ds.unrank(b, i) for i in range(1, 1 << (r + 1)))
     for x in heapq.merge(trunc, ds.power_gaps(b, r)):
-        if not (dist_to_nearest_int(gamma * x) > beta_r):
+        if not (dist_of_multiple(gamma, x) > beta_r):
             return SeparationReport(False, x, b, r, beta)
     return SeparationReport(True, None, b, r, beta)
 
@@ -211,7 +204,7 @@ def small_shift_count(
     beta = Fraction(beta)
     positions = []
     for d in range(r + 1):
-        if dist_to_nearest_int(gamma * (k * b**d)) <= Real(beta):
+        if dist_of_multiple(gamma, k * b**d) <= Real(beta):
             positions.append(d)
     g = len(positions)
     if separation_ok and g * g >= 9 * k:
@@ -329,12 +322,8 @@ def eval_expsum(
     q, res_mods = _shift_residues(b, r, k, gamma.mid)
 
     pi_lo, pi_hi = pi_bounds()
-    if gamma.is_exact:
-        w_los = [Fraction(min(v, q - v), q) for v in res_mods]
-        w_his = w_los
-    else:
-        ws = [dist_to_nearest_int(gamma * (k * b**d)) for d in range(r + 1)]
-        w_los, w_his = [w.lo for w in ws], [w.hi for w in ws]
+    ws = [dist_of_multiple(gamma, k * b**d) for d in range(r + 1)]
+    w_los, w_his = [w.lo for w in ws], [w.hi for w in ws]
     # |cos(pi theta)| = sin(pi h) with h = 1/2 - ||theta||, an identity of
     # the tent map; so the h interval flips the w interval around 1/2
     h_los = [Fraction(1, 2) - w for w in w_his]
@@ -410,7 +399,8 @@ def decay_bound_check(b: int, r: int, k: int, m: int, gamma: Real) -> ExpSumRepo
     extended truncated set (checked; violations raise with the least
     counterexample).  Verifies, radius-aware, that the zero-excluded sum
     magnitude stays below 2^(r+3) * (1 - pi/(4 b^2))^((r - 3 sqrt(k) + 1)/m)
-    and that at least r - 3 sqrt(k) + 1 shift positions stay separated.
+    and that fewer than 3 sqrt(k) shift positions are close (g^2 < 9k, else
+    ``InvariantViolation``), so more than r + 1 - 3 sqrt(k) stay separated.
     """
     ds.check_base(b)
     if m < 1 or k < 1 or r < 0:
@@ -426,16 +416,9 @@ def decay_bound_check(b: int, r: int, k: int, m: int, gamma: Real) -> ExpSumRepo
 
     report = eval_expsum(b, r, k, gamma, exclude_zero=True)
 
-    far = []
-    for d in range(r + 1):
-        if dist_to_nearest_int(gamma * (k * b**d)) > Real(beta):
-            far.append(d)
-    deficit = (r + 1) - len(far)
-    if deficit > 0 and deficit * deficit > 9 * k:
-        raise InvariantViolation(
-            f"only {len(far)} of {r + 1} shifts stay separated; "
-            f"fewer than r - 3 sqrt(k) + 1"
-        )
+    # fewer than 3 sqrt(k) shifts are close, so more than r + 1 - 3 sqrt(k) stay far
+    close = small_shift_count(b, r, k, gamma, beta, separation_ok=True).positions
+    far = [d for d in range(r + 1) if d not in close]
 
     bound = _decay_bound(b, r, k, m)
     if report.magnitude.lo > bound.hi + Fraction(1, 10**9):

@@ -5,9 +5,92 @@ import pytest
 
 import radixapprox.digitsets as ds
 from radixapprox._kernels import MOD_LIMIT
-from radixapprox.approx import _first_collision, oracle_min, pigeonhole_witness, transfer_witness
+from radixapprox._kernels import digit_scan_min
+from radixapprox.approx import (
+    ApproxResult,
+    _first_collision,
+    oracle_min,
+    pigeonhole_witness,
+    transfer_witness,
+)
 from radixapprox.errors import DomainError, IndeterminateComparison, InvariantViolation
-from radixapprox.exact import Real, dist_exact
+from radixapprox.exact import Real, dist_exact, dist_to_nearest_int, frac
+
+
+def oracle_two_branch(gamma, b, N, cap=ds.CAP_DEFAULT):
+    """oracle_min as written before both kinds of gamma shared one certify
+    step: the kernel's minimum for an exact gamma, products of Reals for an
+    enclosure."""
+    spec = ds.SetSpec.zero_one(b)
+    if gamma.is_exact:
+        q = gamma.mid.denominator
+        p = gamma.mid.numerator % q
+        count = ds.capped_count(b, N, cap)
+        pow_mod = [(p * pow(b, d, q)) % q for d in range(count.bit_length())]
+        num, idx = digit_scan_min(pow_mod, count, q)
+        return ApproxResult(ds.unrank(b, idx), Real(Fraction(num, q)), spec, None, "exact")
+    elems = list(ds.iter_spec_upto(spec, N, cap=cap))
+    dists = [dist_to_nearest_int(gamma * s) for s in elems]
+    w_i = min(range(len(elems)), key=lambda i: (dists[i].hi, elems[i]))
+    for i, d in enumerate(dists):
+        if i != w_i and d.lo < dists[w_i].hi:
+            raise IndeterminateComparison(
+                f"cannot certify the minimizer: candidates {elems[w_i]} and "
+                f"{elems[i]} have overlapping distance enclosures"
+            )
+    return ApproxResult(elems[w_i], dists[w_i], spec, None, "approximate")
+
+
+def pigeonhole_two_branch(gamma, b, N):
+    """pigeonhole_witness as written before both kinds of gamma shared one
+    path: Fraction residues for an exact gamma; for an enclosure, frac of
+    every repunit product before the direct-witness scan."""
+    t = ds.repunit_cap(b, N)
+    guarantee = Fraction(1, t + 1)
+    reps = ds.repunits(b, N)
+    tag = ds.SetSpec.zero_one(b)
+    if gamma.is_exact:
+        q = gamma.mid.denominator
+        p = gamma.mid.numerator % q
+        fracs = [Fraction((p * u) % q, q) for u in reps]
+        for u, f in zip(reps, fracs):
+            if min(f, 1 - f) <= guarantee:
+                return ApproxResult(u, Real(min(f, 1 - f)), tag, guarantee, "exact")
+        bins = [(f.numerator * (t + 1)) // f.denominator for f in fracs]
+        w = _first_collision(reps, bins, b, N)
+        return ApproxResult(w, Real(dist_exact(gamma.mid * w)), tag, guarantee, "exact")
+    fres = [frac(gamma * u) for u in reps]
+    for u in reps:
+        d = dist_to_nearest_int(gamma * u)
+        if d <= Real(guarantee):
+            return ApproxResult(u, d, tag, guarantee, "approximate")
+    bins = []
+    for f in fres:
+        lo_bin = (f.lo.numerator * (t + 1)) // f.lo.denominator
+        hi_bin = (f.hi.numerator * (t + 1)) // f.hi.denominator
+        if lo_bin != hi_bin:
+            raise IndeterminateComparison(f"bin membership of {f!r} straddles a bin boundary")
+        bins.append(lo_bin)
+    w = _first_collision(reps, bins, b, N)
+    return ApproxResult(w, dist_to_nearest_int(gamma * w), tag, guarantee, "approximate")
+
+
+def _outcome(fn, *args):
+    """(witness, (mid, rad), guarantee, mode), or the type and message of
+    the raise."""
+    try:
+        r = fn(*args)
+    except (IndeterminateComparison, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    return r.witness, (r.distance.mid, r.distance.rad), r.guarantee, r.mode
+
+
+def _random_gamma(rng, kind):
+    q = rng.choice([rng.randint(2, 10**4), 1 << rng.randint(1, 64), rng.randint(2, 10**20)])
+    mid = Fraction(rng.randint(-3 * q, 3 * q), q)
+    if kind == "exact":
+        return Real(mid)
+    return Real(mid, Fraction(1, 1 << rng.randint(8, 100)))
 
 
 class TestOracleMin:
@@ -63,6 +146,25 @@ class TestOracleMin:
         with pytest.raises(IndeterminateComparison):
             oracle_min(gamma, 2, 3)
 
+    @pytest.mark.parametrize("kind", ["exact", "enclosure"])
+    def test_matches_the_two_branch_oracle(self, kind):
+        rng = random.Random(11)
+        raised = 0
+        for _ in range(200):
+            b = rng.choice([2, 3, 5, 10])
+            gamma = _random_gamma(rng, kind)
+            N = ds.unrank(b, rng.randint(1, 200))
+            want = _outcome(oracle_two_branch, gamma, b, N)
+            assert _outcome(oracle_min, gamma, b, N) == want
+            raised += isinstance(want[0], type)
+        assert raised == 0 if kind == "exact" else 10 < raised < 190
+
+    def test_matches_the_two_branch_oracle_on_a_tie(self):
+        gamma = Real.approx(Fraction(1, 4), Fraction(1, 10**20))
+        want = _outcome(oracle_two_branch, gamma, 2, 3)
+        assert want[0] is IndeterminateComparison
+        assert _outcome(oracle_min, gamma, 2, 3) == want
+
 
 class TestPigeonhole:
     def test_direct_witness(self):
@@ -106,6 +208,44 @@ class TestPigeonhole:
         r = pigeonhole_witness(gamma, 2, 7)
         assert r.witness == 1 and r.mode == "approximate"
 
+    def test_direct_witness_whose_enclosure_reaches_an_integer(self):
+        # 15 * 2/5 = 6: the enclosure of 15 gamma holds an integer, so its
+        # fractional part is undecidable, yet 15 is a direct witness
+        gamma = Real.approx(Fraction(2, 5), Fraction(1, 10**30))
+        r = pigeonhole_witness(gamma, 2, 100)
+        assert (r.witness, r.guarantee, r.mode) == (15, Fraction(1, 6), "approximate")
+        assert (r.distance.lo, r.distance.hi) == (0, Fraction(15, 10**30))
+        assert pigeonhole_witness(Real.exact(Fraction(2, 5)), 2, 100).witness == 15
+
+    @pytest.mark.parametrize("kind", ["exact", "enclosure"])
+    def test_matches_the_two_branch_pigeonhole(self, kind):
+        rng = random.Random(12)
+        raised = direct = undecided = 0
+        for _ in range(1500):
+            b = rng.choice([2, 3, 5, 10])
+            gamma = _random_gamma(rng, kind)
+            N = rng.choice([rng.randint(1, 10**6), rng.randint(1, 10**30)])
+            want = _outcome(pigeonhole_two_branch, gamma, b, N)
+            got = _outcome(pigeonhole_witness, gamma, b, N)
+            if want[0] is IndeterminateComparison and "integer boundary" in want[1]:
+                # frac of some repunit product raised before the direct scan;
+                # now the direct scan runs first, returns a repunit within the
+                # guarantee or cannot decide the comparison with it
+                guarantee = Fraction(1, ds.repunit_cap(b, N) + 1)
+                if got[0] is IndeterminateComparison:
+                    assert got[1].endswith(f"<= {Real(guarantee)!r} straddles the error radius")
+                    undecided += 1
+                else:
+                    witness, (mid, rad), _, _ = got
+                    assert witness in ds.repunits(b, N) and mid + rad <= guarantee
+                    direct += 1
+                continue
+            assert got == want
+            raised += isinstance(want[0], type)
+        if kind == "exact":
+            assert raised == direct == undecided == 0
+        else:
+            assert raised > 0 and direct > 100 and undecided > 100
 
     # (gamma, b, N, witness, distance): a repunit within the guarantee, and
     # first collisions at the repunit pairs (1, 7) in base 2 and (4, 13) in base 3

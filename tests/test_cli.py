@@ -95,6 +95,18 @@ class TestSearch:
             reports.append(json.dumps(doc["report"]))
         assert reports[0] == reports[1]
 
+    def test_pigeonhole_finds_a_direct_witness_whose_enclosure_reaches_an_integer(
+            self, capsys):
+        # e * (2^38 - 1) lies within 2^-64 * 4 * 2^38 of an integer, so its
+        # fractional part is undecidable at 64 bits, but it is a witness
+        code, out, err = run_cli(
+            ["search", "--method", "pigeonhole", "--base", "2", "--limit",
+             "950468721990482304", "--gamma", "e", "--precision-bits", "64",
+             "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        rep = json.loads(out)["report"]
+        assert rep["witness"] == 2**38 - 1 and rep["guarantee"] == "1/59"
+
     def test_human_default(self, capsys):
         code, out, _ = run_cli(
             ["search", "--base", "2", "--limit", "100", "--gamma", "1/5"], capsys

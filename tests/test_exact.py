@@ -1,4 +1,6 @@
 import math
+import pathlib
+import random
 from fractions import Fraction
 
 import mpmath
@@ -12,9 +14,11 @@ from radixapprox.exact import (
     Real,
     cos_bound_margin,
     dist_exact,
+    dist_of_multiple,
     dist_to_nearest_int,
     frac,
     frac_exact,
+    frac_of_multiple,
     iv_precision,
     iv_to_real,
     mpf_to_fraction,
@@ -231,3 +235,93 @@ class TestCosMargin:
         hi = cos_bound_margin(x, precision_bits=192)
         assert lo.lo <= hi.hi and hi.lo <= lo.hi
         assert hi.rad < lo.rad
+
+
+def _reading(fn, *args):
+    """(mid, rad) of a Real result, or the type and message of the raise."""
+    try:
+        x = fn(*args)
+    except IndeterminateComparison as exc:
+        return type(exc), str(exc)
+    return x.mid, x.rad
+
+
+def _multiple_cases(seed, count):
+    """(gamma, n) with mids of both signs over dyadic and non-dyadic
+    denominators, radii zero, tiny, moderate and >= 1/2, and n negative,
+    zero, small and up to 10^30."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        Q = rng.choice([rng.randint(1, 60), 1 << rng.randint(0, 80), rng.randint(2, 10**25)])
+        mid = Fraction(rng.randint(-4 * Q, 4 * Q), Q)
+        rad = rng.choice([
+            Fraction(0),
+            Fraction(rng.randint(1, 9), 10 ** rng.randint(25, 45)),
+            Fraction(1, 1 << rng.randint(40, 130)),
+            Fraction(rng.randint(1, 999), rng.randint(1000, 10**7)),
+            Fraction(rng.randint(1, 6), 2),
+        ])
+        n = rng.choice([
+            0,
+            rng.randint(-50, 50),
+            rng.randint(-10**6, 10**6),
+            rng.randint(-10**30, 10**30),
+            rng.randint(1, 10**30),
+        ])
+        yield Real(mid, rad), n
+
+
+def _dist_range_by_kinks(x):
+    """Range of ||t|| over the enclosure x from its ends and kinks: 0 when
+    an integer lies inside, 1/2 when a half-integer does, else the larger
+    or smaller end value (the reference the closed form replaced)."""
+    if x.rad >= Fraction(1, 2):
+        return Real.from_interval(Fraction(0), Fraction(1, 2))
+    lo, hi = x.lo, x.hi
+    ends = [dist_exact(lo), dist_exact(hi)]
+    has_int = math.ceil(lo) <= math.floor(hi)
+    has_half = math.ceil(lo - Fraction(1, 2)) <= math.floor(hi - Fraction(1, 2))
+    return Real.from_interval(
+        Fraction(0) if has_int else min(ends), Fraction(1, 2) if has_half else max(ends))
+
+
+class TestMultipleReadings:
+    def test_distance_closed_form_matches_the_kink_reference(self):
+        for gamma, n in _multiple_cases(9, 3000):
+            x = gamma * n
+            if x.is_exact:
+                continue
+            got, want = dist_to_nearest_int(x), _dist_range_by_kinks(x)
+            assert (got.mid, got.rad) == (want.mid, want.rad)
+
+    def test_match_frac_and_dist_of_the_product(self):
+        raised = exact_cases = 0
+        for gamma, n in _multiple_cases(8, 4000):
+            want = _reading(lambda: frac(gamma * n))
+            assert _reading(frac_of_multiple, gamma, n) == want
+            assert _reading(dist_of_multiple, gamma, n) == _reading(
+                lambda: dist_to_nearest_int(gamma * n))
+            raised += isinstance(want[0], type)
+            exact_cases += gamma.is_exact
+        assert 600 < raised < 3000 and exact_cases > 500
+
+    def test_exact_ends_are_the_midpoint(self):
+        x = Real.exact(Fraction(3, 7))
+        assert x.lo is x.mid and x.hi is x.mid
+        y = Real.approx(Fraction(3, 7), Fraction(1, 7))
+        assert (y.lo, y.hi) == (Fraction(2, 7), Fraction(4, 7))
+
+
+def test_only_exact_reads_a_multiple_of_gamma():
+    """Every {gamma n} and ||gamma n|| outside exact.py goes through
+    frac_of_multiple or dist_of_multiple."""
+    import radixapprox
+
+    forbidden = ("frac(gamma *", "dist_to_nearest_int(gamma *", "dist_exact(gamma.mid *")
+    package = pathlib.Path(radixapprox.__file__).parent
+    offenders = [
+        f"{path.name}: {pattern}"
+        for path in sorted(package.glob("*.py")) if path.name != "exact.py"
+        for pattern in forbidden if pattern in path.read_text()
+    ]
+    assert offenders == []

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -5,11 +6,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from radixapprox._kernels import MOD_LIMIT, residue_blocks
+from radixapprox._kernels import MOD_LIMIT, first_close, residue_blocks
 from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import DomainError, HypothesisViolation, IndeterminateComparison
-from radixapprox.exact import Real, dist_exact, mpf_to_fraction
+from radixapprox.exact import Real, dist_exact, dist_to_nearest_int, mpf_to_fraction
 from radixapprox.expsum import (
+    SeparationReport,
     _decay_bound,
     _magnitude,
     _product_interval,
@@ -77,6 +79,41 @@ def extended_trunc(b, r):
     return sorted({unrank(b, i) for i in range(1, 2 ** (r + 1))} | set(power_gaps(b, r)))
 
 
+def separation_two_branch(b, r, beta, gamma):
+    """separation_check as written before both kinds of gamma shared one
+    merge: the residue kernel plus Fraction distances for an exact gamma,
+    products of Reals for an enclosure."""
+    if gamma.is_exact:
+        q = gamma.mid.denominator
+        p = gamma.mid.numerator % q
+        add_mod = [(p * pow(b, d, q)) % q for d in range(r + 1)]
+        worst = None
+        for first, res in residue_blocks(add_mod, q, 1, 1 << (r + 1)):
+            hit = first_close(res, q, beta.numerator, beta.denominator)
+            if hit >= 0:
+                worst = unrank(b, first + hit)
+                break
+        for x in power_gaps(b, r):
+            if worst is not None and x >= worst:
+                break
+            if dist_exact(gamma.mid * x) <= beta:
+                worst = x
+                break
+        return SeparationReport(worst is None, worst, b, r, beta)
+    trunc = (unrank(b, i) for i in range(1, 1 << (r + 1)))
+    for x in heapq.merge(trunc, power_gaps(b, r)):
+        if not (dist_to_nearest_int(gamma * x) > Real(beta)):
+            return SeparationReport(False, x, b, r, beta)
+    return SeparationReport(True, None, b, r, beta)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IndeterminateComparison as exc:
+        return type(exc), str(exc)
+
+
 class TestSeparation:
     def test_examples(self):
         rep = separation_check(2, 1, Fraction(1, 10), E(1, 3))
@@ -106,6 +143,24 @@ class TestSeparation:
     def test_enclosure_gamma(self):
         gamma = Real.approx(Fraction(2, 5), Fraction(1, 10**25))
         assert separation_check(2, 1, Fraction(1, 8), gamma).ok
+
+    @pytest.mark.parametrize("kind", ["exact", "enclosure"])
+    def test_matches_the_two_branch_check(self, kind):
+        rng = random.Random(24)
+        outcomes = set()
+        for _ in range(400):
+            b = rng.choice([2, 3, 5, 10])
+            r = rng.randint(0, 7)
+            q = rng.choice([rng.randint(2, 10**4), b ** (r + 2) + rng.choice([-1, 1]),
+                            rng.randint(2, 10**20)])
+            mid = Fraction(rng.randint(-3 * q, 3 * q), q)
+            gamma = Real(mid, Fraction(1, 1 << rng.randint(10, 90)) if kind == "enclosure" else 0)
+            beta = Fraction(1, rng.randint(2, 2 * b**3))
+            want = _outcome(separation_two_branch, b, r, beta, gamma)
+            assert _outcome(separation_check, b, r, beta, gamma) == want
+            outcomes.add(want[0] if isinstance(want, tuple) else want.ok)
+        assert outcomes == ({True, False, IndeterminateComparison} if kind == "enclosure"
+                            else {True, False})
 
     @pytest.mark.parametrize(
         "b, r, beta, gamma",
@@ -327,6 +382,27 @@ class TestDecayBound:
                         bound = _decay_bound(b, r, k, m)
                         assert bound.lo <= value <= bound.hi
                         assert bound.rad <= bound.mid / 10**20
+
+    def test_far_positions_complement_the_close_shifts_on_the_criterion_5_grid(self):
+        rng = random.Random(105)
+        verified = 0
+        for b in (3, 4, 5, 7, 10):
+            for r in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20):
+                for m in (1, 2, 3):
+                    for _ in range(6):
+                        D = b ** (r + 2) + rng.choice([-1, 1])
+                        gamma = Fraction(rng.randint(1, D - 1), D)
+                        beta = Fraction(1, 2 * b**m)
+                        if not separation_check(b, r, beta, Real(gamma)).ok:
+                            continue
+                        k = rng.choice([1, 2, 3, 5, 9, 16, 25, 36, 49, 64])
+                        rep = decay_bound_check(b, r, k, m, Real(gamma))
+                        close = small_shift_count(b, r, k, Real(gamma), beta).positions
+                        assert sorted(rep.far_positions + close) == list(range(r + 1))
+                        assert rep.far_positions == tuple(
+                            d for d in range(r + 1) if dist_exact(gamma * k * b**d) > beta)
+                        verified += 1
+        assert verified >= 100
 
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisViolation) as err:
