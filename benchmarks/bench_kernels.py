@@ -3,16 +3,19 @@
 
 Run:  python benchmarks/bench_kernels.py [--repeat 5]
 
-The last case uses a modulus above MOD_LIMIT, so it times the Python-int
-(object array) path of the residue scan.  The discrepancy scan runs on
+The digit_scan_min case at q=2^61-1 and the first digit_scan_close case use
+moduli above MOD_LIMIT, so they time the Python-int (object array) path of
+the residue scans.  The discrepancy scan runs on
 Python ints at every size; its second case has T*q far above 2^62.
 """
 import argparse
 import time
+from fractions import Fraction
 
 import numpy as np
 
 import radixapprox._kernels as K
+from radixapprox.exact import Real
 from radixapprox.discrepancy import _candidate_tables
 
 
@@ -54,6 +57,23 @@ def cases():
     big = (1 << 61) - 1
     pow_mod = [(12345 * pow(3, d, big)) % big for d in range(17)]
     yield "digit_scan_min (N=2^16, q=2^61-1)", K.digit_scan_min, (pow_mod, 1 << 16, big)
+
+    # the enclosure oracle's window scan: sqrt2 at 128 bits, Q ~ 2^144
+    gamma = Real.parse("sqrt2", 128)
+    M, Q = gamma.mid.numerator, gamma.mid.denominator
+    count = (1 << 14) - 1
+    pow_mod = [(M * pow(2, d, Q)) % Q for d in range(14)]
+    best, _ = K.digit_scan_min(pow_mod, count, Q)
+    window = Fraction(best, Q) + 2 * count * gamma.rad
+    yield "digit_scan_close (N=2^14, q~2^144, window)", lambda *a: list(K.digit_scan_close(*a)), (
+        pow_mod, count, Q, window.numerator, window.denominator)
+
+    # a first-hit pull on int64 residues, as in an exact separation check;
+    # the first n within 2^-20 of an integer is n = 1,067,019
+    q = (1 << 40) - 87
+    pow_mod = [(314159265358 * pow(3, d, q)) % q for d in range(25)]
+    yield "digit_scan_close (N=2^24, q=2^40-87, first hit)", lambda *a: next(K.digit_scan_close(*a)), (
+        pow_mod, 1 << 24, q, 1, 1 << 20)
 
 
 def main():

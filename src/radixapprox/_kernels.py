@@ -20,6 +20,7 @@ __all__ = [
     "subset_residues",
     "scaled_residues",
     "cos_sin_sum",
+    "digit_scan_close",
     "first_close",
     "interval_deviation_max",
     "cos_margin_values",
@@ -119,14 +120,25 @@ def digit_scan_min_sharded(pow_mod, count: int, modulus: int):
     return digit_scan_min(pow_mod, count, modulus)
 
 
+def close_indices(res: np.ndarray, modulus: int, num: int, den: int) -> np.ndarray:
+    """Every index i, ascending, with min(res[i], M - res[i]) / M <= num / den;
+    in int64 while modulus * max(num, den) < 2**62, on Python ints otherwise."""
+    dist = _int_array(np.minimum(res, modulus - res), modulus * max(num, den))
+    return np.flatnonzero(dist * den <= num * modulus)
+
+
+def digit_scan_close(pow_mod, count: int, modulus: int, num: int, den: int):
+    """Yield, ascending, every n in [1, count] with min(res_n, M - res_n) / M
+    <= num / den (res_n as in digit_scan_min), building the residue blocks
+    only as far as the caller pulls."""
+    for first, res in residue_blocks(pow_mod, modulus, 1, count + 1):
+        for i in close_indices(res, modulus, num, den):
+            yield first + int(i)
+
+
 def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> int:
-    """First index i with min(res[i], M - res[i]) / M <= beta_num / beta_den,
-    or -1.  The comparison runs in int64 while
-    modulus * max(beta_num, beta_den) < 2**62, on Python ints otherwise.
-    """
-    dist = _int_array(np.minimum(res, modulus - res), modulus * max(beta_num, beta_den))
-    hits = np.flatnonzero(dist * beta_den <= beta_num * modulus)
-    return int(hits[0]) if hits.size else -1
+    """The first of close_indices(res, modulus, beta_num, beta_den), or -1."""
+    return int(next(iter(close_indices(res, modulus, beta_num, beta_den)), -1))
 
 
 def scaled_residues(values, factor: int, modulus: int) -> np.ndarray:

@@ -36,11 +36,6 @@ class AdversaryCertificate:
     passed: bool
 
 
-def _ceil_log2_succ(N: int) -> int:
-    # ceil(log2(N + 1)) for N >= 1 equals the bit length of N
-    return N.bit_length()
-
-
 def _power_decay_bound(b: int, N: int) -> Real:
     """Outward enclosure of b**-4 * N**(-log2(b)/(b-1)) in exact rationals."""
     with iv_precision(BOUND_PRECISION) as iv:
@@ -66,7 +61,8 @@ def adversarial_gamma(
         raise DomainError(f"need N >= 1, got {N}")
     if N > cap:
         raise ResourceLimit(f"N={N} exceeds the enumeration cap {cap}")
-    T = _ceil_log2_succ(N)
+    # ceil(log2(N + 1)) for N >= 1 equals the bit length of N
+    T = N.bit_length()
     k = -(-T // (b - 1)) + 1
     modulus = b**k - 1
     gamma = Fraction(1, modulus)

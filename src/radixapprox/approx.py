@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digitsets as ds
-from ._kernels import digit_scan_min_sharded
+from ._kernels import digit_scan_close, digit_scan_min_sharded
 from .errors import DomainError, IndeterminateComparison, InvariantViolation
 from .exact import Real, dist_of_multiple, frac_of_multiple
 
@@ -45,17 +45,18 @@ def oracle_min(gamma: Real, b: int, N: int, *, cap: int = ds.CAP_DEFAULT) -> App
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
 
-    # an exact gamma narrows the candidates to the residue kernel's argmin;
-    # an enclosure keeps them all, and its argmin is certified or refused
-    if gamma.is_exact:
-        q = gamma.mid.denominator
-        p = gamma.mid.numerator % q
-        count = ds.capped_count(b, N, cap)
-        pow_mod = [(p * pow(b, d, q)) % q for d in range(count.bit_length())]
-        _, idx = digit_scan_min_sharded(pow_mod, count, q)
-        elems, mode = [ds.unrank(b, idx)], "exact"
-    else:
-        elems, mode = list(ds.iter_spec_upto(spec, N, cap=cap)), "approximate"
+    # scan the residues of gamma.mid = M/Q; ||gamma n|| lies within n rad <=
+    # V rad of its reading ||n M/Q||, V = unrank(b, count), so an element read
+    # above best/Q + 2 V rad can neither win nor overlap the winner.  With
+    # rad = 0 equal distances never overlap and the first argmin is smallest
+    count = ds.capped_count(b, N, cap)
+    Q = gamma.mid.denominator
+    pow_mod = [(gamma.mid.numerator * pow(b, d, Q)) % Q for d in range(count.bit_length())]
+    best, idx = digit_scan_min_sharded(pow_mod, count, Q)
+    window = Fraction(best, Q) + 2 * ds.unrank(b, count) * gamma.rad
+    close = digit_scan_close(pow_mod, count, Q, window.numerator, window.denominator)
+    elems = [ds.unrank(b, i) for i in (close if gamma.rad else [idx])]
+    mode = "exact" if gamma.is_exact else "approximate"
     dists = [dist_of_multiple(gamma, s) for s in elems]
     w_i = min(range(len(elems)), key=lambda i: (dists[i].hi, elems[i]))
     for i, d in enumerate(dists):

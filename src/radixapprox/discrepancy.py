@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._kernels import interval_deviation_max, scaled_residues
-from .errors import DomainError, InvariantViolation
+from .digitsets import CAP_DEFAULT
+from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real, frac, frac_of_multiple
 from .expsum import _magnitude, _trig_sum, pi_bounds
 
@@ -164,10 +165,12 @@ def erdos_turan_check(points: Sequence[Real], G: int) -> DiscrepancyReport:
     return replace(base, G=G, et_rhs=rhs, slack=slack)
 
 
-def fractional_orbit(gamma: Real, T: int) -> list[Real]:
-    """The sequence {n * gamma} for n = 1..T, each point read off its
-    residue by ``frac_of_multiple``, which raises for a point whose
-    enclosure reaches an integer."""
+def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> list[Real]:
+    """The sequence {n * gamma} for n = 1..T, refused over cap before any
+    point is built; each point is read off its residue by
+    ``frac_of_multiple``, which raises when its enclosure reaches an integer."""
     if T < 1:
         raise DomainError(f"need T >= 1, got {T}")
+    if T > cap:
+        raise ResourceLimit(f"orbit of {T} points exceeds the cap {cap}")
     return [frac_of_multiple(gamma, n) for n in range(1, T + 1)]

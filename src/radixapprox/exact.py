@@ -334,13 +334,9 @@ def cos_bound_margin(x: Real, precision_bits: int = DEFAULT_PRECISION) -> Real:
     with iv_precision(precision_bits + _GUARD_BITS) as iv:
         w = dist_to_nearest_int(x)
         w_iv = iv_from_fractions(iv, w.lo, w.hi)
-        # |cos(pi*t)| is 1-periodic and even, so reduce an exact argument to
-        # its fractional part; a genuine interval goes in as-is.
-        if x.is_exact:
-            f = frac_exact(x.mid)
-            arg = iv_from_fractions(iv, f, f)
-        else:
-            arg = iv_from_fractions(iv, x.lo, x.hi)
+        # |cos(pi*t)| is 1-periodic, so shift the argument by floor(mid)
+        k = _floor_fraction(x.mid)
+        arg = iv_from_fractions(iv, x.lo - k, x.hi - k)
         cos_abs = abs(iv.cos(iv.pi * arg))
         margin = (1 - iv.pi * w_iv**2) - cos_abs
         return iv_to_real(margin)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digitsets as ds
-from ._kernels import cos_sin_sum, first_close, residue_blocks
+from ._kernels import cos_sin_sum, digit_scan_close, residue_blocks
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -156,20 +156,14 @@ def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationR
     if beta <= 0:
         raise DomainError(f"need beta > 0, got {beta}")
 
-    # an exact gamma narrows the truncated set to its first close element,
-    # found by the residue kernel; an enclosure checks every element
-    if gamma.is_exact:
-        q = gamma.mid.denominator
-        p = gamma.mid.numerator % q
-        add_mod = [(p * pow(b, d, q)) % q for d in range(r + 1)]
-        trunc = []
-        for first, res in residue_blocks(add_mod, q, 1, 1 << (r + 1)):
-            hit = first_close(res, q, beta.numerator, beta.denominator)
-            if hit >= 0:
-                trunc = [ds.unrank(b, first + hit)]
-                break
-    else:
-        trunc = (ds.unrank(b, i) for i in range(1, 1 << (r + 1)))
+    # a truncated element x <= V = unrank(b, count) has ||gamma x|| within
+    # x rad of its reading ||x M/Q|| (gamma.mid = M/Q), so one read above
+    # beta + V rad certainly passes; for an exact gamma the first read fails
+    count = (1 << (r + 1)) - 1
+    Q, add_mod = _shift_residues(b, r, 1, gamma.mid)
+    window = beta + ds.unrank(b, count) * gamma.rad
+    hits = digit_scan_close(add_mod, count, Q, window.numerator, window.denominator)
+    trunc = (ds.unrank(b, i) for i in hits)
     # ascending merge of both families, first failure wins
     beta_r = Real(beta)
     for x in heapq.merge(trunc, ds.power_gaps(b, r)):
@@ -329,18 +323,15 @@ def eval_expsum(
     h_los = [Fraction(1, 2) - w for w in w_his]
     h_his = [Fraction(1, 2) - w for w in w_los]
 
-    # product magnitude 2^(r+1) prod sin(pi h_d), zero detected exactly
+    # product magnitude 2^(r+1) prod sin(pi h_d); a factor at h = 0 is 0.0, kept exactly
     n = 1 << (r + 1)
-    if any(h == 0 for h in h_his):
-        product_magnitude = Real(Fraction(0))
-    else:
-        f_lo, f_hi = [], []
-        for hlo, hhi in zip(h_los, h_his):
-            s_lo = math.sin(math.pi * float(hlo))
-            s_hi = math.sin(math.pi * float(hhi))
-            f_lo.append(max(Fraction(0), Fraction(s_lo) * (1 - _FACTOR_ERR)))
-            f_hi.append(Fraction(s_hi) * (1 + _FACTOR_ERR))
-        product_magnitude = _product_interval(f_lo, f_hi, n)
+    f_lo, f_hi = [], []
+    for hlo, hhi in zip(h_los, h_his):
+        s_lo = math.sin(math.pi * float(hlo))
+        s_hi = math.sin(math.pi * float(hhi))
+        f_lo.append(max(Fraction(0), Fraction(s_lo) * (1 - _FACTOR_ERR)))
+        f_hi.append(Fraction(s_hi) * (1 + _FACTOR_ERR))
+    product_magnitude = _product_interval(f_lo, f_hi, n)
 
     # product bound 2^(r+1) prod (1 - pi w_d^2), from exact rational factors
     b_lo = [1 - pi_hi * w * w for w in w_his]

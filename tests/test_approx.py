@@ -165,6 +165,15 @@ class TestOracleMin:
         assert want[0] is IndeterminateComparison
         assert _outcome(oracle_min, gamma, 2, 3) == want
 
+    def test_enclosure_certifies_only_its_window(self, monkeypatch):
+        import radixapprox.approx as approx
+
+        calls = []
+        read = approx.dist_of_multiple
+        monkeypatch.setattr(approx, "dist_of_multiple", lambda g, n: calls.append(n) or read(g, n))
+        r = oracle_min(Real.parse("sqrt2", 128), 2, 2**14 - 1)
+        assert (r.witness, r.mode, calls) == (13860, "approximate", [13860])
+
 
 class TestPigeonhole:
     def test_direct_witness(self):

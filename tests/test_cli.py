@@ -260,6 +260,15 @@ class TestExitCodes:
                                 "--k", "3", "--t", "3", "--e-max", "6"], capsys)
         assert code == 3 and "resource limit" in err
 
+    def test_discrepancy_orbit_is_capped_via_config_env(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("enumeration_cap=10\n")
+        monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
+        code, _, err = run_cli(["discrepancy", "--gamma", "1/7", "--limit", "11"], capsys)
+        assert code == 3 and "exceeds the cap 10" in err
+        code, _, err = run_cli(["discrepancy", "--gamma", "1/7", "--limit", "10"], capsys)
+        assert code == 0, err
+
     # D_3 restricted to [1, 9] is {1, 3, 4, 9}: exactly 4 elements
     ORACLE_99_70 = ["search", "--method", "oracle", "--base", "3", "--limit", "9",
                     "--gamma", "99/70", "--format", "json"]

@@ -236,6 +236,16 @@ class TestCosMargin:
         assert lo.lo <= hi.hi and hi.lo <= lo.hi
         assert hi.rad < lo.rad
 
+    def test_integer_shifts_of_an_enclosure_give_the_same_margin(self):
+        rng = random.Random(9)
+        cases = [(Real(Fraction(1, 3), Fraction(1, 10**20)), 7)]
+        for _ in range(30):
+            q = rng.randint(2, 10**6)
+            x = Real(Fraction(rng.randint(-3 * q, 3 * q), q), Fraction(1, 1 << rng.randint(10, 120)))
+            cases.append((x, rng.randint(-10**6, 10**6)))
+        for x, m in cases:
+            assert cos_bound_margin(x + m) == cos_bound_margin(x)
+
 
 def _reading(fn, *args):
     """(mid, rad) of a Real result, or the type and message of the raise."""

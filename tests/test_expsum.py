@@ -186,6 +186,37 @@ class TestSeparation:
         )
         assert (rep.ok, rep.counterexample) == (least is None, least)
 
+    def test_matches_the_two_branch_check_past_a_passing_window_element(self):
+        # rad close to beta / V, so the first element read within the window
+        # beta + V rad certifies as passing and a later element decides
+        rng = random.Random(25)
+        outcomes = []
+        for _ in range(800):
+            b, r = rng.choice([2, 3, 5, 10]), rng.randint(1, 7)
+            V = unrank(b, (1 << (r + 1)) - 1)
+            beta = Fraction(1, rng.randint(4, 4 * b**3))
+            q = rng.randint(2, 10**6)
+            mid = Fraction(rng.randint(0, q), q) + Fraction(rng.randint(0, 10**9), 10**9 * q)
+            gamma = Real(mid, beta / V * Fraction(rng.randint(1, 1000), 1000))
+            window = beta + V * gamma.rad
+            trunc = (unrank(b, i) for i in range(1, 1 << (r + 1)))
+            first = next((x for x in trunc if dist_exact(mid * x) <= window), None)
+            if first is None or not dist_to_nearest_int(gamma * first).lo > beta:
+                continue
+            want = _outcome(separation_two_branch, b, r, beta, gamma)
+            assert _outcome(separation_check, b, r, beta, gamma) == want
+            outcomes.append(want[0] if isinstance(want, tuple) else want.ok)
+        counts = [outcomes.count(k) for k in (True, False, IndeterminateComparison)]
+        assert min(counts) >= 5, counts
+
+    def test_window_reaches_the_largest_truncated_element(self):
+        # ||7 gamma|| reads 107/1000 = beta + 7 rad, so its enclosure touches beta;
+        # the elements 1..6 and the power gaps certainly pass
+        gamma = Real(Fraction(3107, 7000), Fraction(1, 1000))
+        want = _outcome(separation_two_branch, 2, 2, Fraction(1, 10), gamma)
+        assert want[0] is IndeterminateComparison
+        assert _outcome(separation_check, 2, 2, Fraction(1, 10), gamma) == want
+
 
 class TestSmallShifts:
     def test_examples(self):
@@ -250,6 +281,14 @@ class TestEvalExpsum:
         rep = eval_expsum(2, 0, 1, E(1, 2))
         assert rep.magnitude.hi < Fraction(1, 10**12)
         assert rep.product_magnitude.mid == 0
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_vanishing_factor_gives_an_exact_zero_product(self, b):
+        from radixapprox.cli import _ser
+
+        rep = eval_expsum(b, 3, 1, E(1, 2))
+        assert rep.product_magnitude.rad == 0
+        assert _ser(rep.product_magnitude) == {"exact": "0/1"}
 
     def test_gamma_zero_counts_terms(self):
         rep = eval_expsum(5, 3, 7, Real.exact(0))

@@ -238,6 +238,72 @@ def test_first_close_at_the_product_limit(modulus, den):
             assert got == ref_first_close(res, modulus, num, den)
 
 
+
+def ref_residues(pow_mod, count, modulus):
+    """res[n] for n in [0, count], each from n with its lowest bit cleared."""
+    res = [0] * (count + 1)
+    for n in range(1, count + 1):
+        low = n & -n
+        res[n] = (res[n ^ low] + pow_mod[low.bit_length() - 1]) % modulus
+    return res
+
+
+def ref_scan_close(res, count, modulus, num, den):
+    return [n for n in range(1, count + 1)
+            if min(res[n], modulus - res[n]) * den <= num * modulus]
+
+
+# moduli on both sides of MOD_LIMIT (int64 and object residues), and
+# modulus * den on both sides of 2^62 (int64 and object comparisons)
+_SCAN_CLOSE_CASES = [(ML - 1, 1 << 4), (ML, 3), (ML + 1, 1000), ((1 << 64) + 13, 7),
+                     *_FIRST_CLOSE_CASES]
+
+
+@pytest.mark.parametrize("modulus, den", _SCAN_CLOSE_CASES)
+def test_digit_scan_close_matches_brute_force(modulus, den, as_array):
+    rng = random.Random(modulus ^ den)
+    pow_mod = [rng.randrange(modulus) for _ in range(12)]
+    res = ref_residues(pow_mod, 3000, modulus)
+    # sparse hits, dense hits, and beta >= 1/2, where every n is close
+    for num, d in ((max(1, den // 1000), den), (den // 3 or 1, den), (den, den), (1, 2)):
+        for count in (1, 2, 1023, 1024, 1025, 3000):
+            got = list(K.digit_scan_close(as_array(pow_mod), count, modulus, num, d))
+            assert got == ref_scan_close(res, count, modulus, num, d)
+    assert list(K.digit_scan_close(pow_mod, 3000, modulus, 1, 2)) == list(range(1, 3001))
+
+
+@pytest.mark.parametrize("modulus", [ML - 1, ML + 1])
+def test_digit_scan_close_across_the_low_table_edge(modulus):
+    rng = random.Random(modulus)
+    pow_mod = [rng.randrange(modulus) for _ in range(19)]
+    top = (1 << 18) + 3
+    res = ref_residues(pow_mod, top, modulus)
+    for count in ((1 << 18) - 1, 1 << 18, top):
+        got = list(K.digit_scan_close(pow_mod, count, modulus, 1, 1000))
+        assert got == ref_scan_close(res, count, modulus, 1, 1000) and got
+
+
+def test_digit_scan_close_builds_only_the_leading_blocks(monkeypatch):
+    blocks, built = K.residue_blocks, []
+
+    def recording_blocks(*args):
+        for first, res in blocks(*args):
+            built.append(len(res))
+            yield first, res
+
+    monkeypatch.setattr(K, "residue_blocks", recording_blocks)
+    rng = random.Random(24)
+    modulus = (1 << 61) - 1
+    pow_mod = [rng.randrange(modulus) for _ in range(25)]
+    assert next(K.digit_scan_close(pow_mod, 1 << 24, modulus, 1, 2)) == 1
+    assert built == [1023]
+    # the first n read within 2^-13 of an integer lies past the first block;
+    # the blocks double, so at most twice the inspected prefix is built
+    built.clear()
+    hit = next(K.digit_scan_close(pow_mod, 1 << 24, modulus, 1, 1 << 13))
+    assert hit == ref_scan_close(ref_residues(pow_mod, hit, modulus), hit, modulus, 1, 1 << 13)[0]
+    assert 1023 < hit < sum(built) + 1 <= 2 * hit
+
 # (T, q) with T * q = 2^62 - 1, 2^62, 2^62 + 1, and T * q near 2^70
 _DEVIATION_CASES = [(3, 1537228672809129301), (64, 1 << 56), (5, 922337203685477581),
                     (40, (1 << 65) + 7)]
