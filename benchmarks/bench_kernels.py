@@ -6,7 +6,9 @@ Run:  python benchmarks/bench_kernels.py [--repeat 5]
 The digit_scan_min case at q=2^61-1 and the first digit_scan_close case use
 moduli above MOD_LIMIT, so they time the Python-int (object array) path of
 the residue scans.  The discrepancy scan runs on
-Python ints at every size; its second case has T*q far above 2^62.
+Python ints at every size; its second case has T*q far above 2^62.  The
+fractional_orbit cases read the discrepancy orbit as residues on one grid,
+for an exact gamma and for an enclosure.
 """
 import argparse
 import time
@@ -16,7 +18,7 @@ import numpy as np
 
 import radixapprox._kernels as K
 from radixapprox.exact import Real
-from radixapprox.discrepancy import _candidate_tables
+from radixapprox.discrepancy import _candidate_tables, fractional_orbit
 
 
 def bench(fn, *args, warmup=1, repeat=5):
@@ -50,6 +52,10 @@ def cases():
         w, lt, eq = _candidate_tables(nums, q)
         yield f"interval_deviation_max (T=4000, q={label})", K.interval_deviation_max, (
             w, lt, eq, 4000, q)
+
+    for text in ("5/313", "pi"):
+        yield f"fractional_orbit (T=4000, gamma={text})", fractional_orbit, (
+            Real.parse(text, 128), 4000)
 
     xs = np.linspace(-2.0, 2.0, 400_000)
     yield "cos_margin_values (4e5 points)", K.cos_margin_values, (xs,)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import digitsets as ds
-from ._kernels import digit_scan_min_sharded
+from .approx import oracle_min
 from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import BOUND_PRECISION, Real, iv_precision, iv_to_real
 
@@ -67,15 +67,13 @@ def adversarial_gamma(
     modulus = b**k - 1
     gamma = Fraction(1, modulus)
 
-    pow_mod = [pow(b, d, modulus) for d in range(N.bit_length())]
-    num, idx = digit_scan_min_sharded(pow_mod, N, modulus)
-
-    if num < 1:
+    res = oracle_min(Real(gamma), b, ds.unrank(b, N), cap=cap)
+    min_distance = res.distance.mid
+    if min_distance == 0:
         raise InvariantViolation(
-            f"zero-one element {ds.unrank(b, idx)} is a multiple of {modulus}; "
+            f"zero-one element {res.witness} is a multiple of {modulus}; "
             f"the no-multiples construction failed at b={b}, N={N}"
         )
-    min_distance = Fraction(num, modulus)
     bound = _power_decay_bound(b, N)
     passed = min_distance >= bound.hi
     return AdversaryCertificate(
@@ -85,7 +83,7 @@ def adversarial_gamma(
         k=k,
         gamma_N=gamma,
         min_distance=min_distance,
-        min_witness_index=idx,
+        min_witness_index=ds.rank(b, res.witness),
         guaranteed_bound=Fraction(1, modulus),
         power_decay_bound=bound,
         passed=passed,

@@ -16,16 +16,15 @@ IndeterminateComparison instead).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 from ._kernels import interval_deviation_max, scaled_residues
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
-from .exact import Real, frac, frac_of_multiple
-from .expsum import _magnitude, _trig_sum, pi_bounds
+from .exact import Real, residue_of_multiple
+from .expsum import _PRODUCT_BITS, _magnitude, _trig_sum, pi_bounds
 
 GRID_BITS = 50
 
@@ -43,24 +42,12 @@ class DiscrepancyReport:
     slack: Optional[Real] = None
 
 
-def _scaled_points(points: Sequence[Real]):
-    """Fractional parts as (numerator, Q) scaled integers plus the worst
-    per-point uncertainty; exact inputs stay exact over the lcm denominator,
-    enclosure inputs snap to the dyadic grid and carry the snap radius."""
-    if not points:
-        raise DomainError("need at least one point")
-    if all(p.is_exact for p in points):
-        q = math.lcm(*(p.mid.denominator for p in points))
-        nums = [p.mid.numerator % p.mid.denominator * (q // p.mid.denominator) for p in points]
-        return nums, q, Fraction(0)
-    Q = 1 << GRID_BITS
-    nums, worst = [], Fraction(0)
-    for f in map(frac, points):
-        n = (2 * f.mid.numerator * Q + f.mid.denominator) // (2 * f.mid.denominator)
-        n = min(max(n, 0), Q - 1)
-        worst = max(worst, f.rad + abs(f.mid - Fraction(n, Q)))
-        nums.append(n)
-    return nums, Q, worst
+class ScaledPoints(NamedTuple):
+    """Points nums[i] / q in [0, 1), each within worst of the point it stands for."""
+
+    nums: list[int]
+    q: int
+    worst: Fraction
 
 
 def _candidate_tables(nums: list[int], q: int):
@@ -101,18 +88,16 @@ def deviation_max_py(nums: list[int], q: int, total: int):
     return dev, w[i], w[j], combo
 
 
-def discrepancy_L(points: Sequence[Real]) -> DiscrepancyReport:
+def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
     """Exact supremum of |count - T*measure| over subintervals of [0, 1).
 
     Returns the attaining interval (left, right, left_closed, right_closed);
     a right endpoint of 1 stands for an interval reaching toward 1 but open
     there, as required by intervals inside [0, 1).
     """
-    return _discrepancy(*_scaled_points(points))
-
-
-def _discrepancy(nums: list[int], q: int, worst: Fraction) -> DiscrepancyReport:
-    """discrepancy_L of points already scaled by _scaled_points."""
+    nums, q, worst = points
+    if not nums:
+        raise DomainError("need at least one point")
     T = len(nums)
     w, lt, eq = _candidate_tables(nums, q)
     dev, i, j, combo = interval_deviation_max(w, lt, eq, T, q)
@@ -136,41 +121,55 @@ def _exp_sum_magnitude(nums: list[int], q: int, g: int, pt_err: Fraction):
     return Real.from_interval(mag.lo, min(mag.hi, T + mag.rad))
 
 
-def erdos_turan_check(points: Sequence[Real], G: int) -> DiscrepancyReport:
+def erdos_turan_check(points: ScaledPoints, G: int) -> DiscrepancyReport:
     """Verify L <= T/(G+1) + (2 + 2/pi) * sum_{g<=G} |sum e(g x_n)|/g.
 
-    The right side is accumulated as an exact rational interval (upward
-    rounded where it matters); the check is radius-aware and raises on a
-    genuine violation.
+    Each term of the sum is rounded outward to the grid 2**-_PRODUCT_BITS,
+    so the digits stay bounded and each end of the right side widens by
+    less than G * 2**-_PRODUCT_BITS; the check is radius-aware and raises
+    on a genuine violation.
     """
     if G < 1:
         raise DomainError(f"need G >= 1, got {G}")
-    nums, q, worst = _scaled_points(points)
-    base = _discrepancy(nums, q, worst)
+    base = discrepancy_L(points)
     T = base.T
     pi_lo, pi_hi = pi_bounds()
     c_lo, c_hi = 2 + 2 / pi_hi, 2 + 2 / pi_lo
-    rhs_lo = rhs_hi = Fraction(T, G + 1)
+    one = 1 << _PRODUCT_BITS
+    sum_lo = sum_hi = 0
     for g in range(1, G + 1):
-        mag = _exp_sum_magnitude(nums, q, g, worst)
-        rhs_lo += c_lo * mag.lo / g
-        rhs_hi += c_hi * mag.hi / g
-    if base.L_value - base.L_radius > rhs_hi:
+        mag = _exp_sum_magnitude(points.nums, points.q, g, points.worst)
+        sum_lo += c_lo * mag.lo * one // g
+        sum_hi += -(-c_hi * mag.hi * one // g)
+    fixed = Fraction(T, G + 1)
+    rhs = Real.from_interval(fixed + Fraction(sum_lo, one), fixed + Fraction(sum_hi, one))
+    if base.L_value - base.L_radius > rhs.hi:
         raise InvariantViolation(
             f"Erdos-Turan inequality violated: L={float(base.L_value):.6g} "
-            f"> rhs={float(rhs_hi):.6g} at T={T}, G={G}"
+            f"> rhs={float(rhs.hi):.6g} at T={T}, G={G}"
         )
-    rhs = Real.from_interval(rhs_lo, rhs_hi)
     slack = rhs - Real(base.L_value, base.L_radius)
     return replace(base, G=G, et_rhs=rhs, slack=slack)
 
 
-def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> list[Real]:
+def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> ScaledPoints:
     """The sequence {n * gamma} for n = 1..T, refused over cap before any
-    point is built; each point is read off its residue by
-    ``frac_of_multiple``, which raises when its enclosure reaches an integer."""
+    point is read.  Point n is the residue v of ``residue_of_multiple``
+    (which raises when its enclosure reaches an integer) rounded to the
+    nearest s/grid below 1: grid = Q for an exact gamma = M/Q, so s = v and
+    worst = 0, and 2**GRID_BITS for an enclosure."""
     if T < 1:
         raise DomainError(f"need T >= 1, got {T}")
     if T > cap:
         raise ResourceLimit(f"orbit of {T} points exceeds the cap {cap}")
-    return [frac_of_multiple(gamma, n) for n in range(1, T + 1)]
+    Q = gamma.mid.denominator
+    R, D = gamma.rad.numerator, gamma.rad.denominator
+    grid = 1 << GRID_BITS if R else Q
+    nums, worst = [], 0
+    for n in range(1, T + 1):
+        v = residue_of_multiple(gamma, n)
+        s = min((2 * v * grid + Q) // (2 * Q), grid - 1)
+        # the point's error n R/D + |v/Q - s/grid|, times D Q grid
+        worst = max(worst, n * R * Q * grid + abs(v * grid - s * Q) * D)
+        nums.append(s)
+    return ScaledPoints(nums, grid, Fraction(worst, D * Q * grid))

@@ -269,20 +269,22 @@ def dist_to_nearest_int(x: Real) -> Real:
     return Real.from_interval(max(Fraction(0), w - x.rad), min(Fraction(1, 2), w + x.rad))
 
 
-def frac_of_multiple(gamma: Real, n: int) -> Real:
-    """``frac(gamma * n)``, read off the residue v = n*M mod Q of
-    gamma.mid = M/Q: the point is v/Q with radius |n| * gamma.rad when the
-    integer test below keeps that enclosure inside [0, 1); otherwise ``frac``
-    decides, and raises for an enclosure that reaches an integer."""
+def residue_of_multiple(gamma: Real, n: int) -> int:
+    """v = n*M mod Q for gamma.mid = M/Q: {gamma n} is v/Q with radius
+    |n| * gamma.rad, or ``frac(gamma * n)`` raises when that leaves [0, 1)."""
     M, Q = gamma.mid.numerator, gamma.mid.denominator
-    v = n * M % Q
-    if not gamma.rad:
-        return Real(Fraction(v, Q))
     R, D = gamma.rad.numerator, gamma.rad.denominator
+    v = n * M % Q
     nR = abs(n) * R
-    if nR * Q <= v * D < (D - nR) * Q:  # |n|R/D <= v/Q < 1 - |n|R/D
-        return Real(Fraction(v, Q), Fraction(nR, D))
-    return frac(gamma * n)
+    if not nR * Q <= v * D < (D - nR) * Q:  # |n|R/D <= v/Q < 1 - |n|R/D
+        frac(gamma * n)  # always raises: the enclosure reaches an integer
+    return v
+
+
+def frac_of_multiple(gamma: Real, n: int) -> Real:
+    """``frac(gamma * n)``, read off ``residue_of_multiple``."""
+    v = residue_of_multiple(gamma, n)
+    return Real(Fraction(v, gamma.mid.denominator), abs(n) * gamma.rad)
 
 
 def dist_of_multiple(gamma: Real, n: int) -> Real:
@@ -290,8 +292,7 @@ def dist_of_multiple(gamma: Real, n: int) -> Real:
     of gamma.mid = M/Q with radius |n| * gamma.rad; the distance has period
     1, so reducing the midpoint first does not change it."""
     M, Q = gamma.mid.numerator, gamma.mid.denominator
-    rho = abs(n) * gamma.rad if gamma.rad else gamma.rad
-    return dist_to_nearest_int(Real(Fraction(n * M % Q, Q), rho))
+    return dist_to_nearest_int(Real(Fraction(n * M % Q, Q), abs(n) * gamma.rad))
 
 
 @contextmanager

@@ -200,6 +200,17 @@ class TestOtherSubcommands:
         rep = json.loads(out)["report"]
         assert rep["L_value"] == "1/1"
 
+    def test_discrepancy_prints_a_long_erdos_turan_sum(self, capsys):
+        # the right side of G = 10^4 terms is rounded to 2^-64, so it prints
+        # below CPython's 4300-digit int-to-str limit
+        code, out, err = run_cli(
+            ["discrepancy", "--gamma", "1/3", "--limit", "50", "--G", "10000",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(out)["report"]["G"] == 10000
+
     def test_discrepancy_rejects_G_zero(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["discrepancy", "--gamma", "1/7", "--limit", "7", "--G", "0"])

@@ -1,11 +1,16 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from radixapprox import exact
 from radixapprox._kernels import cos_sin_sum, scaled_residues
 from radixapprox.discrepancy import (
+    GRID_BITS,
+    ScaledPoints,
     _exp_sum_magnitude,
     deviation_max_py,
     discrepancy_L,
@@ -14,7 +19,7 @@ from radixapprox.discrepancy import (
 )
 from radixapprox.errors import DomainError, IndeterminateComparison
 from radixapprox.exact import Real, frac, frac_exact
-from radixapprox.expsum import _magnitude, _sum_radius
+from radixapprox.expsum import _magnitude, _sum_radius, pi_bounds
 
 E = lambda *a: Real.exact(Fraction(*a))
 
@@ -29,6 +34,28 @@ def orbit_two_branch(gamma, T):
     if gamma.is_exact:
         return [Real(frac_exact(gamma.mid * n)) for n in range(1, T + 1)]
     return [frac(gamma * n) for n in range(1, T + 1)]
+
+
+def scaled(points):
+    """Fractional parts as (numerator, Q) scaled integers plus the worst
+    per-point uncertainty, from a list of Real points: the scaler the orbit
+    went through before it was read as residues.  Exact inputs stay exact
+    over the lcm denominator, enclosure inputs snap to the dyadic grid and
+    carry the snap radius."""
+    if not points:
+        raise DomainError("need at least one point")
+    if all(p.is_exact for p in points):
+        q = math.lcm(*(p.mid.denominator for p in points))
+        nums = [p.mid.numerator % p.mid.denominator * (q // p.mid.denominator) for p in points]
+        return ScaledPoints(nums, q, Fraction(0))
+    Q = 1 << GRID_BITS
+    nums, worst = [], Fraction(0)
+    for f in map(frac, points):
+        n = (2 * f.mid.numerator * Q + f.mid.denominator) // (2 * f.mid.denominator)
+        n = min(max(n, 0), Q - 1)
+        worst = max(worst, f.rad + abs(f.mid - Fraction(n, Q)))
+        nums.append(n)
+    return ScaledPoints(nums, Q, worst)
 
 
 def exp_sum_magnitude_reference(nums, q, g, pt_err):
@@ -46,6 +73,10 @@ def _outcome(fn, *args):
         return fn(*args)
     except IndeterminateComparison as exc:
         return (type(exc), str(exc))
+
+
+def scaled_two_branch(gamma, T):
+    return scaled(orbit_two_branch(gamma, T))
 
 
 def brute_L(fracs):
@@ -76,16 +107,16 @@ def brute_L(fracs):
 
 class TestDiscrepancy:
     def test_single_point(self):
-        rep = discrepancy_L([E(1, 2)])
+        rep = discrepancy_L(scaled([E(1, 2)]))
         assert rep.L_value == 1 and rep.L_radius == 0
         assert rep.witness == (Fraction(1, 2), Fraction(1, 2), True, True)
 
     def test_uniform_grid(self):
-        rep = discrepancy_L([E(0), E(1, 4), E(1, 2), E(3, 4)])
+        rep = discrepancy_L(scaled([E(0), E(1, 4), E(1, 2), E(3, 4)]))
         assert rep.L_value == 1
 
     def test_two_points(self):
-        rep = discrepancy_L([E(0), E(1, 2)])
+        rep = discrepancy_L(scaled([E(0), E(1, 2)]))
         assert rep.L_value == 1
 
     def test_witness_attains_value(self):
@@ -93,7 +124,7 @@ class TestDiscrepancy:
         for _ in range(60):
             T = rng.randint(1, 12)
             fracs = [Fraction(rng.randint(0, 29), 30) for _ in range(T)]
-            rep = discrepancy_L([Real.exact(f) for f in fracs])
+            rep = discrepancy_L(scaled([Real.exact(f) for f in fracs]))
             left, right, lc, rc = rep.witness
             cnt = sum(
                 1
@@ -107,7 +138,7 @@ class TestDiscrepancy:
         for _ in range(40):
             T = rng.randint(1, 9)
             fracs = [Fraction(rng.randint(0, 17), 18) for _ in range(T)]
-            rep = discrepancy_L([Real.exact(f) for f in fracs])
+            rep = discrepancy_L(scaled([Real.exact(f) for f in fracs]))
             assert rep.L_value == brute_L(fracs)
 
     def test_refining_candidates_never_increases(self):
@@ -126,10 +157,10 @@ class TestDiscrepancy:
     def test_permutation_and_shift_invariance(self):
         rng = random.Random(34)
         fracs = [Fraction(rng.randint(0, 100), 101) for _ in range(8)]
-        rep = discrepancy_L([Real.exact(f) for f in fracs])
+        rep = discrepancy_L(scaled([Real.exact(f) for f in fracs]))
         shuffled = list(fracs)
         rng.shuffle(shuffled)
-        rep2 = discrepancy_L([Real.exact(f + rng.randint(-3, 3)) for f in shuffled])
+        rep2 = discrepancy_L(scaled([Real.exact(f + rng.randint(-3, 3)) for f in shuffled]))
         assert rep.L_value == rep2.L_value
 
     def test_bounds(self):
@@ -137,30 +168,30 @@ class TestDiscrepancy:
         for _ in range(30):
             T = rng.randint(1, 20)
             pts = [E(rng.randint(0, 50), 51) for _ in range(T)]
-            rep = discrepancy_L(pts)
+            rep = discrepancy_L(scaled(pts))
             assert 1 <= rep.L_value <= T
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            discrepancy_L([])
+            discrepancy_L(ScaledPoints([], 1, Fraction(0)))
 
     def test_heterogeneous_denominators_stay_exact(self):
         pts = [E(1, 10**6 + 3), E(1, 7), E(3, 13), E(1, 2)]
-        rep = discrepancy_L(pts)
+        rep = discrepancy_L(scaled(pts))
         assert rep.L_radius == 0
         assert rep.L_value == brute_L([p.mid for p in pts])
 
     def test_approximate_points_carry_radius(self):
         pts = [Real.approx(Fraction(i, 7) % 1, Fraction(1, 10**20)) for i in range(1, 6)]
-        rep = discrepancy_L(pts)
+        rep = discrepancy_L(scaled(pts))
         assert rep.L_radius > 0
-        exact = discrepancy_L([E(i % 7, 7) for i in range(1, 6)])
+        exact = discrepancy_L(scaled([E(i % 7, 7) for i in range(1, 6)]))
         assert abs(rep.L_value - exact.L_value) <= rep.L_radius + exact.L_radius
 
 
 class TestErdosTuran:
     def test_single_point(self):
-        rep = erdos_turan_check([E(1, 2)], 1)
+        rep = erdos_turan_check(scaled([E(1, 2)]), 1)
         assert rep.L_value == 1
         assert rep.et_rhs.lo > 3 and rep.et_rhs.hi < Fraction(32, 10)
         assert rep.slack.lo > 2
@@ -172,7 +203,7 @@ class TestErdosTuran:
         assert abs(float(rep.et_rhs.mid) - 1.0) < 1e-9
 
     def test_degenerate_sequence(self):
-        rep = erdos_turan_check([Real.exact(0)] * 10, 3)
+        rep = erdos_turan_check(scaled([Real.exact(0)] * 10), 3)
         assert rep.L_value == 10
         assert rep.et_rhs.lo > 50 and rep.et_rhs.hi < 51
 
@@ -213,9 +244,24 @@ class TestErdosTuran:
             got = _exp_sum_magnitude(nums, q, g, pt_err)
             assert got == exp_sum_magnitude_reference(nums, q, g, pt_err)
 
+    @pytest.mark.parametrize("gamma, T, G", [(E(1, 7), 7, 6), (E(5, 313), 300, 40),
+                                              (Real.parse("pi"), 200, 25)])
+    def test_rounded_rhs_encloses_the_exact_sum(self, gamma, T, G):
+        pts = fractional_orbit(gamma, T)
+        pi_lo, pi_hi = pi_bounds()
+        lo = hi = Fraction(T, G + 1)
+        for g in range(1, G + 1):
+            mag = _exp_sum_magnitude(pts.nums, pts.q, g, pts.worst)
+            lo += (2 + 2 / pi_hi) * mag.lo / g
+            hi += (2 + 2 / pi_lo) * mag.hi / g
+        rhs = erdos_turan_check(pts, G).et_rhs
+        assert rhs.lo <= lo and hi <= rhs.hi
+        assert lo - rhs.lo < Fraction(G, 2**64) and rhs.hi - hi < Fraction(G, 2**64)
+        assert rhs.lo.denominator <= (G + 1) * 2**64 and rhs.hi.denominator <= (G + 1) * 2**64
+
     def test_bad_G(self):
         with pytest.raises(DomainError):
-            erdos_turan_check([E(1, 2)], 0)
+            erdos_turan_check(scaled([E(1, 2)]), 0)
 
 
 class TestFractionalOrbit:
@@ -229,15 +275,57 @@ class TestFractionalOrbit:
             rad = rng.choice([Fraction(0), Fraction(1, 2**rng.randint(1, 80)),
                               Fraction(rng.randint(1, 99), rng.randint(100, 10**6))])
             gamma, T = Real(mid, rad), rng.randint(1, 20)
-            want = _outcome(orbit_two_branch, gamma, T)
+            want = _outcome(scaled_two_branch, gamma, T)
             assert _outcome(fractional_orbit, gamma, T) == want
-            raised += isinstance(want, tuple)
+            raised += not isinstance(want, ScaledPoints)
         assert 300 < raised < 2700
 
+    @pytest.mark.parametrize("name", ["sqrt2", "pi", "e"])
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_matches_the_two_branch_orbit_on_scaled_constants(self, name, bits):
+        # the orbits of acceptance criterion 6: a named constant times a/c
+        rng = random.Random(f"{name}{bits}")
+        for T in (100, 2000):
+            for _ in range(2):
+                gamma = Real.parse(name, bits) * Fraction(rng.randint(1, 30), rng.randint(1, 30))
+                want = _outcome(scaled_two_branch, gamma, T)
+                assert _outcome(fractional_orbit, gamma, T) == want
+
+    def test_enclosure_touching_zero_passes(self, monkeypatch):
+        gamma = Real(Fraction(1, 3), Fraction(1, 3))  # point 1 is [0, 2/3]
+        want = scaled_two_branch(gamma, 1)
+        # the integer test alone passes it; frac is only the raising fallback
+        monkeypatch.setattr(exact, "frac", None)
+        got = fractional_orbit(gamma, 1)
+        assert got == want
+        assert got.q == 2**GRID_BITS and got.nums == [round(Fraction(2**GRID_BITS, 3))]
+
+    def test_enclosure_reaching_one_raises(self):
+        gamma = Real(Fraction(2, 3), Fraction(1, 3))  # point 1 is [1/3, 1]
+        want = _outcome(scaled_two_branch, gamma, 1)
+        assert want[0] is IndeterminateComparison
+        assert _outcome(fractional_orbit, gamma, 1) == want
+
+    def test_snap_clamps_below_one(self):
+        mid, rad = 1 - Fraction(1, 2**52), Fraction(1, 2**60)
+        got = fractional_orbit(Real(mid, rad), 1)
+        assert got == scaled_two_branch(Real(mid, rad), 1)
+        assert got.nums == [2**GRID_BITS - 1]
+        assert got.worst == rad + mid - Fraction(2**GRID_BITS - 1, 2**GRID_BITS)
+
     def test_exact_points_are_residues(self):
-        pts = fractional_orbit(E(-5, 12), 13)
-        assert pts == [E(-5 * n % 12, 12) for n in range(1, 14)]
-        assert all(p.is_exact for p in pts)
+        assert fractional_orbit(E(-5, 12), 13) == ScaledPoints(
+            [-5 * n % 12 for n in range(1, 14)], 12, Fraction(0))
+
+    def test_enclosure_orbit_keeps_no_real_per_point(self):
+        gamma, T = Real.parse("pi", 128), 10**5
+        tracemalloc.start()
+        try:
+            pts = fractional_orbit(gamma, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts.nums) == T and peak <= 64 * T
 
     def test_bad_T(self):
         with pytest.raises(DomainError):
