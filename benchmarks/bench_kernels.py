@@ -8,7 +8,9 @@ moduli above MOD_LIMIT, so they time the Python-int (object array) path of
 the residue scans.  The discrepancy scan runs on
 Python ints at every size; its second case has T*q far above 2^62.  The
 fractional_orbit cases read the discrepancy orbit as residues on one grid,
-for an exact gamma and for an enclosure.
+for an exact gamma and for an enclosure.  The erdos_turan_check cases time
+the check on a prebuilt orbit: the O(T) discrepancy scan plus the closed-form
+right side, two distance reads and two sine enclosures per g.
 """
 import argparse
 import time
@@ -18,7 +20,7 @@ import numpy as np
 
 import radixapprox._kernels as K
 from radixapprox.exact import Real
-from radixapprox.discrepancy import _candidate_tables, fractional_orbit
+from radixapprox.discrepancy import _candidate_tables, erdos_turan_check, fractional_orbit
 
 
 def bench(fn, *args, warmup=1, repeat=5):
@@ -57,6 +59,11 @@ def cases():
         yield f"fractional_orbit (T=4000, gamma={text})", fractional_orbit, (
             Real.parse(text, 128), 4000)
 
+    for text, T, G in (("355/113", 10**5, 50), ("1/3", 50, 10**4), ("pi", 4000, 50)):
+        gamma = Real.parse(text, 128)
+        yield f"erdos_turan_check (gamma={text}, T={T}, G={G})", erdos_turan_check, (
+            gamma, fractional_orbit(gamma, T), G)
+
     xs = np.linspace(-2.0, 2.0, 400_000)
     yield "cos_margin_values (4e5 points)", K.cos_margin_values, (xs,)
 
@@ -87,9 +94,9 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    print(f"{'kernel':46s} {'best':>10s}")
+    print(f"{'kernel':52s} {'best':>10s}")
     for name, fn, fargs in cases():
-        print(f"{name:46s} {bench(fn, *fargs, repeat=args.repeat) * 1e3:8.2f}ms")
+        print(f"{name:52s} {bench(fn, *fargs, repeat=args.repeat) * 1e3:8.2f}ms")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ __all__ = [
     "digit_scan_min",
     "digit_scan_min_sharded",
     "subset_residues",
-    "scaled_residues",
     "cos_sin_sum",
     "digit_scan_close",
     "first_close",
@@ -139,12 +138,6 @@ def digit_scan_close(pow_mod, count: int, modulus: int, num: int, den: int):
 def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> int:
     """The first of close_indices(res, modulus, beta_num, beta_den), or -1."""
     return int(next(iter(close_indices(res, modulus, beta_num, beta_den)), -1))
-
-
-def scaled_residues(values, factor: int, modulus: int) -> np.ndarray:
-    """(factor * v) mod modulus for each v in [0, modulus): int64 while
-    factor * modulus < 2**62, Python ints otherwise."""
-    return (_int_array(values, factor * modulus) * factor) % modulus
 
 
 def cos_sin_sum(res: np.ndarray, modulus: int):

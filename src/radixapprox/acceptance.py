@@ -176,7 +176,7 @@ def criterion_6() -> str:
         T = 2000 if i % 10 == 0 else rng.randint(50, 2000)
         points = fractional_orbit(gamma, T)
         for G in (1, 5, 50):
-            rep = erdos_turan_check(points, G)
+            rep = erdos_turan_check(gamma, points, G)
             if rep.L_value - rep.L_radius > rep.et_rhs.hi:
                 _fail(f"inequality broken at sequence #{i}, G={G}")
             checked += 1

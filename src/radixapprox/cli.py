@@ -263,7 +263,7 @@ def _cmd_expsum(args, cfg: RunConfig) -> dict:
 def _cmd_discrepancy(args, cfg: RunConfig) -> dict:
     gamma = Real.parse(args.gamma, cfg.precision_bits)
     points = fractional_orbit(gamma, args.limit, cap=cfg.enumeration_cap)
-    rep = erdos_turan_check(points, args.G) if args.G is not None else discrepancy_L(points)
+    rep = discrepancy_L(points) if args.G is None else erdos_turan_check(gamma, points, args.G)
     return _ser(rep)
 
 

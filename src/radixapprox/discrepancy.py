@@ -13,6 +13,9 @@ up the radius 2*T*eps, eps being the worst per-point uncertainty; the
 interval-count functional is 2T-Lipschitz in a sup-norm perturbation of
 the points as long as no point wraps past an integer (wrapping raises
 IndeterminateComparison instead).
+
+The Erdos-Turan right side is read off gamma in closed form, O(G) on top
+of the O(T) scan: the orbit {n gamma} is an arithmetic progression mod 1.
 """
 from __future__ import annotations
 
@@ -20,11 +23,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from ._kernels import interval_deviation_max, scaled_residues
+from ._kernels import interval_deviation_max
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
-from .exact import Real, residue_of_multiple
-from .expsum import _PRODUCT_BITS, _magnitude, _trig_sum, pi_bounds
+from .exact import Real, dist_of_multiple, residue_of_multiple
+from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_interval
 
 GRID_BITS = 50
 
@@ -64,30 +67,6 @@ def _candidate_tables(nums: list[int], q: int):
     return w, lt, eq
 
 
-def deviation_max_py(nums: list[int], q: int, total: int):
-    """Reference scan of the candidate family in pure python; mirrors the
-    kernel's candidate order and tie-breaking exactly."""
-    w, lt, eq = _candidate_tables(nums, q)
-    m = len(w)
-    best = (-1, 0, 0, 0)
-    for i in range(m):
-        for j in range(i, m):
-            width = total * (w[j] - w[i])
-            for combo in range(4):
-                if j == i and combo != 0:
-                    continue
-                if j == m - 1 and combo in (0, 2):
-                    continue
-                lc, rc = _COMBO_FLAGS[combo]
-                low = lt[i] if lc else lt[i] + eq[i]
-                high = lt[j] + eq[j] if rc else lt[j]
-                dev = abs((high - low) * q - width)
-                if dev > best[0]:
-                    best = (dev, i, j, combo)
-    dev, i, j, combo = best
-    return dev, w[i], w[j], combo
-
-
 def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
     """Exact supremum of |count - T*measure| over subintervals of [0, 1).
 
@@ -110,19 +89,15 @@ def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
     return DiscrepancyReport(T, L, radius, (left, right, lc, rc))
 
 
-def _exp_sum_magnitude(nums: list[int], q: int, g: int, pt_err: Fraction):
-    """|sum of e(g * x_n)| as an enclosure, x_n given as scaled integers."""
-    T = len(nums)
-    # _magnitude widens by the sum of the two radii: each float component is
-    # within _sum_radius(T), and the point error moves every angle by at most
-    # 2 pi g pt_err, so the sum by less than 7 g T pt_err in modulus
-    re, im = _trig_sum([scaled_residues(nums, g, q)], q, T, Fraction(7, 2) * g * T * pt_err)
-    mag = _magnitude(re, im)
-    return Real.from_interval(mag.lo, min(mag.hi, T + mag.rad))
+def erdos_turan_check(gamma: Real, points: ScaledPoints, G: int) -> DiscrepancyReport:
+    """Verify L <= T/(G+1) + (2 + 2/pi) * sum_{g<=G} |sum_{n<=T} e(g n gamma)|/g
+    on points = ``fractional_orbit(gamma, T)``.
 
-
-def erdos_turan_check(points: ScaledPoints, G: int) -> DiscrepancyReport:
-    """Verify L <= T/(G+1) + (2 + 2/pi) * sum_{g<=G} |sum e(g x_n)|/g.
+    Each Weyl sum is a geometric series (Kuipers & Niederreiter, *Uniform
+    Distribution of Sequences*, ch. 2): sin(pi ||T g gamma||) / sin(pi
+    ||g gamma||) in modulus, T where ||g gamma|| = 0, and clamped to [0, T]
+    where its enclosure reaches 0.  So the right side encloses that of every
+    gamma in the enclosure, whose L lies within L_radius of the reported L.
 
     Each term of the sum is rounded outward to the grid 2**-_PRODUCT_BITS,
     so the digits stay bounded and each end of the right side widens by
@@ -138,9 +113,18 @@ def erdos_turan_check(points: ScaledPoints, G: int) -> DiscrepancyReport:
     one = 1 << _PRODUCT_BITS
     sum_lo = sum_hi = 0
     for g in range(1, G + 1):
-        mag = _exp_sum_magnitude(points.nums, points.q, g, points.worst)
-        sum_lo += c_lo * mag.lo * one // g
-        sum_hi += -(-c_hi * mag.hi * one // g)
+        w = dist_of_multiple(gamma, g)
+        if w.hi == 0:
+            mag_lo = mag_hi = T
+        elif w.lo == 0:
+            mag_lo, mag_hi = 0, T
+        else:
+            a = dist_of_multiple(gamma, T * g)
+            a_lo, a_hi = sin_pi_interval(a.lo, a.hi)
+            w_lo, w_hi = sin_pi_interval(w.lo, w.hi)
+            mag_lo, mag_hi = a_lo / w_hi, min(a_hi / w_lo, T)
+        sum_lo += c_lo * mag_lo * one // g
+        sum_hi += -(-c_hi * mag_hi * one // g)
     fixed = Fraction(T, G + 1)
     rhs = Real.from_interval(fixed + Fraction(sum_lo, one), fixed + Fraction(sum_hi, one))
     if base.L_value - base.L_radius > rhs.hi:

@@ -284,7 +284,7 @@ def residue_of_multiple(gamma: Real, n: int) -> int:
 def frac_of_multiple(gamma: Real, n: int) -> Real:
     """``frac(gamma * n)``, read off ``residue_of_multiple``."""
     v = residue_of_multiple(gamma, n)
-    return Real(Fraction(v, gamma.mid.denominator), abs(n) * gamma.rad)
+    return Real(Fraction(v, gamma.mid.denominator), gamma.rad and abs(n) * gamma.rad)
 
 
 def dist_of_multiple(gamma: Real, n: int) -> Real:
@@ -292,7 +292,7 @@ def dist_of_multiple(gamma: Real, n: int) -> Real:
     of gamma.mid = M/Q with radius |n| * gamma.rad; the distance has period
     1, so reducing the midpoint first does not change it."""
     M, Q = gamma.mid.numerator, gamma.mid.denominator
-    return dist_to_nearest_int(Real(Fraction(n * M % Q, Q), abs(n) * gamma.rad))
+    return dist_to_nearest_int(Real(Fraction(n * M % Q, Q), gamma.rad and abs(n) * gamma.rad))
 
 
 @contextmanager

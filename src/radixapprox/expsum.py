@@ -47,8 +47,10 @@ R_CAP_DEFAULT = 26
 # roundoff 2**-53 with room for the factor 1/(1 - h u); see _sum_radius
 _TERM_ERR = Fraction(4, 10**15)
 _EPS = Fraction(12, 10**17)
-# relative envelope for one float64 sin factor at an exactly reduced argument
+# relative envelope for one float64 sin at an exact argument; see sin_pi_interval
 _FACTOR_ERR = Fraction(9, 2**51)
+_FACTOR_LO, _FACTOR_HI = 1 - _FACTOR_ERR, 1 + _FACTOR_ERR
+_NORMAL_MIN = 2.0**-1021
 # the product enclosures round every partial product outward to 2**-_PRODUCT_BITS
 _PRODUCT_BITS = 64
 
@@ -63,6 +65,31 @@ def pi_bounds() -> tuple[Fraction, Fraction]:
             enc = iv_to_real(iv.pi)
         _pi_cache = (enc.lo, enc.hi)
     return _pi_cache
+
+
+def sin_pi_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational s_lo <= sin(pi lo) and sin(pi hi) <= s_hi, 0 <= lo <= hi <= 1/2.
+
+    Each end h is fl(sin(fl(pi) fl(h))) widened by _FACTOR_ERR.  With
+    u = 2**-53, the three roundings of the argument keep it within 3.01u of
+    x = pi h, which moves sin x by at most 3.01u * pi/2 < 4.73u relative, as
+    x / sin x <= pi/2 on (0, pi/2].  A platform ``sin`` within 4 ulp (8u,
+    the assumption of ``_sum_radius``) makes the total under 13u, inside
+    _FACTOR_ERR = 9 * 2**-51 = 36u.  A nonzero h that float() reads below
+    _NORMAL_MIN may have left the normal range (10**-400 reads as 0), so it
+    gets the exact pi_lo h (1 - (pi_hi h)**2 / 6) <= sin(pi h) <= pi_hi h
+    from ``pi_bounds``; a read at or above it puts h above 2**-1022.
+    """
+    return _sin_pi_bound(lo, _FACTOR_LO), _sin_pi_bound(hi, _FACTOR_HI)
+
+
+def _sin_pi_bound(h: Fraction, widen: Fraction) -> Fraction:
+    # below sin(pi h) for widen = _FACTOR_LO, above it for _FACTOR_HI; 0 at h = 0
+    x = float(h)
+    if x < _NORMAL_MIN and h:
+        pi_lo, pi_hi = pi_bounds()
+        return pi_hi * h if widen > 1 else pi_lo * h * (1 - (pi_hi * h) ** 2 / 6)
+    return Fraction(math.sin(math.pi * x)) * widen
 
 
 def _sum_radius(n: int) -> Fraction:
@@ -323,14 +350,9 @@ def eval_expsum(
     h_los = [Fraction(1, 2) - w for w in w_his]
     h_his = [Fraction(1, 2) - w for w in w_los]
 
-    # product magnitude 2^(r+1) prod sin(pi h_d); a factor at h = 0 is 0.0, kept exactly
+    # product magnitude 2^(r+1) prod sin(pi h_d); a factor at h = 0 is exactly 0
     n = 1 << (r + 1)
-    f_lo, f_hi = [], []
-    for hlo, hhi in zip(h_los, h_his):
-        s_lo = math.sin(math.pi * float(hlo))
-        s_hi = math.sin(math.pi * float(hhi))
-        f_lo.append(max(Fraction(0), Fraction(s_lo) * (1 - _FACTOR_ERR)))
-        f_hi.append(Fraction(s_hi) * (1 + _FACTOR_ERR))
+    f_lo, f_hi = zip(*map(sin_pi_interval, h_los, h_his))
     product_magnitude = _product_interval(f_lo, f_hi, n)
 
     # product bound 2^(r+1) prod (1 - pi w_d^2), from exact rational factors

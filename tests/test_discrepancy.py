@@ -6,24 +6,20 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from radixapprox import exact
-from radixapprox._kernels import cos_sin_sum, scaled_residues
+from radixapprox import _kernels, discrepancy, exact, expsum
 from radixapprox.discrepancy import (
     GRID_BITS,
     ScaledPoints,
-    _exp_sum_magnitude,
-    deviation_max_py,
     discrepancy_L,
     erdos_turan_check,
     fractional_orbit,
 )
 from radixapprox.errors import DomainError, IndeterminateComparison
 from radixapprox.exact import Real, frac, frac_exact
-from radixapprox.expsum import _magnitude, _sum_radius, pi_bounds
 
 E = lambda *a: Real.exact(Fraction(*a))
 
-# g * q = 2^62 - 1, 2^62, 2^62 + 1, and past 2^67
+# (G, Q) with G * Q = 2^62 - 1, 2^62, 2^62 + 1, and past 2^67
 PRODUCT_LIMIT_CASES = [(3, 1537228672809129301), (4, 1 << 60),
                        (5, 922337203685477581), (50, (1 << 62) - 57)]
 
@@ -58,14 +54,30 @@ def scaled(points):
     return ScaledPoints(nums, Q, worst)
 
 
-def exp_sum_magnitude_reference(nums, q, g, pt_err):
-    """The Erdos-Turan sum magnitude as computed before the trig-sum
-    enclosure was shared with expsum."""
-    T = len(nums)
-    c, s = cos_sin_sum(scaled_residues(nums, g, q), q)
-    rad = _sum_radius(T) + Fraction(7, 2) * g * T * pt_err
-    mag = _magnitude(Real(Fraction(c), rad), Real(Fraction(s), rad))
-    return Real.from_interval(mag.lo, min(mag.hi, T + mag.rad))
+def et_rhs_reference(fracs, G):
+    """T/(G+1) + (2 + 2/pi) * sum_{g<=G} |sum_n e(g x_n)|/g by direct
+    summation at 200 bits over the points x_n = {n gamma} of the true orbit,
+    given as mpf."""
+    T = len(fracs)
+    with mpmath.workprec(200):
+        total = mpmath.fsum(
+            abs(mpmath.fsum(mpmath.expjpi(2 * g * x) for x in fracs)) / g for g in range(1, G + 1))
+        return T / mpmath.mpf(G + 1) + (2 + 2 / mpmath.pi) * total
+
+
+def true_orbit(value, T):
+    """{n gamma} for n = 1..T at 300 bits; value is a Fraction or returns an mpf."""
+    with mpmath.workprec(300):
+        t = value() if callable(value) else mpmath.mpf(value.numerator) / value.denominator
+        return [mpmath.frac(n * t) for n in range(1, T + 1)]
+
+
+def encloses(rhs, ref):
+    """rhs contains ref up to the reference's own rounding, 2^-150."""
+    with mpmath.workprec(200):
+        lo = mpmath.mpf(rhs.lo.numerator) / rhs.lo.denominator
+        hi = mpmath.mpf(rhs.hi.numerator) / rhs.hi.denominator
+        return lo - mpmath.ldexp(1, -150) <= ref <= hi + mpmath.ldexp(1, -150)
 
 
 def _outcome(fn, *args):
@@ -147,12 +159,12 @@ class TestDiscrepancy:
             T = rng.randint(2, 10)
             q = 120
             nums = [rng.randint(0, q - 1) for _ in range(T)]
-            base = deviation_max_py(nums, q, T)[0]
+            base = discrepancy_L(ScaledPoints(nums, q, Fraction(0))).L_value
             # refine by scaling the grid 16x and adding random extra endpoints:
             # counts at non-data endpoints cannot beat data endpoints
             scaled = [n * 16 for n in nums]
-            refined = deviation_max_py(scaled, q * 16, T)[0]
-            assert Fraction(refined, q * 16) == Fraction(base, q)
+            refined = discrepancy_L(ScaledPoints(scaled, q * 16, Fraction(0))).L_value
+            assert refined == base
 
     def test_permutation_and_shift_invariance(self):
         rng = random.Random(34)
@@ -189,21 +201,52 @@ class TestDiscrepancy:
         assert abs(rep.L_value - exact.L_value) <= rep.L_radius + exact.L_radius
 
 
+def _rhs_cases():
+    """(gamma, values of the true gamma inside it, T, G)."""
+    rng = random.Random(38)
+    for g, q in PRODUCT_LIMIT_CASES:
+        M = rng.randrange(1, q)
+        yield pytest.param(E(M, q), [Fraction(M, q)], 300, g, id=f"limit-{g}")
+    q = (1 << 64) + 13
+    M = rng.randrange(1, q)
+    yield pytest.param(E(M, q), [Fraction(M, q)], 300, 10, id="Q>=2^64")
+    # 4 gamma and 8 gamma are integers: those sums are T
+    yield pytest.param(E(3, 4), [Fraction(3, 4)], 10, 8, id="integer")
+    # T c = 0 mod Q for every c: every sum vanishes
+    yield pytest.param(E(1, 7), [Fraction(1, 7)], 7, 6, id="vanishing")
+    # the orbits of acceptance criterion 6: a named constant times a/c
+    for name, const in (("sqrt2", lambda: mpmath.sqrt(2)), ("pi", lambda: +mpmath.pi),
+                        ("e", lambda: +mpmath.e)):
+        for bits in (64, 128, 256):
+            a, c = rng.randint(1, 30), rng.randint(1, 30)
+            yield pytest.param(Real.parse(name, bits) * Fraction(a, c),
+                               [lambda const=const, a=a, c=c: const() * a / c], 200, 20,
+                               id=f"{name}-{bits}")
+    # 3 gamma straddles 1, so the g = 3 term is clamped to [0, T]; at the
+    # ends of gamma that term is 2 cos(0.03 pi), well below T = 2
+    rad = Fraction(1, 100)
+    yield pytest.param(Real(Fraction(1, 3), rad),
+                       [Fraction(1, 3) + d for d in (-rad, rad / 2, 0, rad)], 2, 3, id="straddle")
+    # ||g gamma|| is tiny but not 0: the quotient's upper end exceeds T
+    gamma = Real(Fraction(1, 2**20), Fraction(1, 2**21))
+    yield pytest.param(gamma, [gamma.lo, gamma.mid, gamma.hi], 1000, 5, id="near-0")
+
+
 class TestErdosTuran:
     def test_single_point(self):
-        rep = erdos_turan_check(scaled([E(1, 2)]), 1)
+        rep = erdos_turan_check(E(1, 2), fractional_orbit(E(1, 2), 1), 1)
         assert rep.L_value == 1
         assert rep.et_rhs.lo > 3 and rep.et_rhs.hi < Fraction(32, 10)
         assert rep.slack.lo > 2
 
     def test_full_period_orbit(self):
-        rep = erdos_turan_check(fractional_orbit(E(1, 7), 7), 6)
+        rep = erdos_turan_check(E(1, 7), fractional_orbit(E(1, 7), 7), 6)
         assert rep.L_value == 1
         # all inner sums vanish, so the rhs collapses to T/(G+1) = 1
         assert abs(float(rep.et_rhs.mid) - 1.0) < 1e-9
 
     def test_degenerate_sequence(self):
-        rep = erdos_turan_check(scaled([Real.exact(0)] * 10), 3)
+        rep = erdos_turan_check(E(0), fractional_orbit(E(0), 10), 3)
         assert rep.L_value == 10
         assert rep.et_rhs.lo > 50 and rep.et_rhs.hi < 51
 
@@ -215,53 +258,65 @@ class TestErdosTuran:
             T = rng.randint(1, 300)
             pts = fractional_orbit(gamma, T)
             for G in (1, 7):
-                rep = erdos_turan_check(pts, G)
+                rep = erdos_turan_check(gamma, pts, G)
                 assert rep.L_value - rep.L_radius <= rep.et_rhs.hi
 
     def test_irrational_orbit(self):
         gamma = Real.parse("sqrt2")
-        rep = erdos_turan_check(fractional_orbit(gamma, 200), 5)
+        rep = erdos_turan_check(gamma, fractional_orbit(gamma, 200), 5)
         assert rep.L_radius > 0
         assert rep.L_value - rep.L_radius <= rep.et_rhs.hi
         # the golden-standard equidistributed sequence keeps L small
         assert rep.L_value < 20
 
-    @pytest.mark.parametrize("g, q", PRODUCT_LIMIT_CASES)
-    def test_exp_sum_magnitude_at_the_product_limit(self, g, q):
-        rng = random.Random(g)
-        nums = [rng.randrange(q) for _ in range(300)] + [0, q - 1]
-        mag = _exp_sum_magnitude(nums, q, g, Fraction(0))
-        with mpmath.workprec(200):
-            exact = abs(mpmath.fsum(mpmath.expjpi(2 * mpmath.mpf(g * n % q) / q) for n in nums))
-        assert mpmath.mpf(mag.lo.numerator) / mag.lo.denominator <= exact
-        assert exact <= mpmath.mpf(mag.hi.numerator) / mag.hi.denominator
+    @pytest.mark.parametrize("gamma, trues, T, G", _rhs_cases())
+    def test_rhs_encloses_the_direct_sum_over_the_true_orbit(self, gamma, trues, T, G):
+        rhs = erdos_turan_check(gamma, fractional_orbit(gamma, T), G).et_rhs
+        for value in trues:
+            assert encloses(rhs, et_rhs_reference(true_orbit(value, T), G))
+        # no term exceeds the trivial bound |sum| <= T
+        pi_lo, _ = expsum.pi_bounds()
+        trivial = Fraction(T, G + 1) + (2 + 2 / pi_lo) * T * sum(Fraction(1, g) for g in range(1, G + 1))
+        assert rhs.hi <= trivial + Fraction(G, 2**64)
 
-    @pytest.mark.parametrize("g, q", PRODUCT_LIMIT_CASES)
-    def test_exp_sum_magnitude_equals_the_unshared_computation(self, g, q):
-        rng = random.Random(g)
-        nums = [rng.randrange(q) for _ in range(300)] + [0, q - 1]
-        for pt_err in (Fraction(0), Fraction(1, 2**60)):
-            got = _exp_sum_magnitude(nums, q, g, pt_err)
-            assert got == exp_sum_magnitude_reference(nums, q, g, pt_err)
+    def test_tiny_gamma_has_no_zero_sine(self):
+        # float(10^-400) is 0: the closed form must not divide by it
+        gamma = E(1, 10**400)
+        rhs = erdos_turan_check(gamma, fractional_orbit(gamma, 5), 1).et_rhs
+        assert encloses(rhs, et_rhs_reference(true_orbit(gamma.mid, 5), 1))
+        assert rhs.rad < Fraction(1, 2**40)
 
     @pytest.mark.parametrize("gamma, T, G", [(E(1, 7), 7, 6), (E(5, 313), 300, 40),
                                               (Real.parse("pi"), 200, 25)])
     def test_rounded_rhs_encloses_the_exact_sum(self, gamma, T, G):
-        pts = fractional_orbit(gamma, T)
-        pi_lo, pi_hi = pi_bounds()
-        lo = hi = Fraction(T, G + 1)
-        for g in range(1, G + 1):
-            mag = _exp_sum_magnitude(pts.nums, pts.q, g, pts.worst)
-            lo += (2 + 2 / pi_hi) * mag.lo / g
-            hi += (2 + 2 / pi_lo) * mag.hi / g
-        rhs = erdos_turan_check(pts, G).et_rhs
-        assert rhs.lo <= lo and hi <= rhs.hi
-        assert lo - rhs.lo < Fraction(G, 2**64) and rhs.hi - hi < Fraction(G, 2**64)
+        rhs = erdos_turan_check(gamma, fractional_orbit(gamma, T), G).et_rhs
+        true = (lambda: +mpmath.pi) if gamma.rad else gamma.mid
+        assert encloses(rhs, et_rhs_reference(true_orbit(true, T), G))
+        assert rhs.rad < Fraction(1, 2**30)
         assert rhs.lo.denominator <= (G + 1) * 2**64 and rhs.hi.denominator <= (G + 1) * 2**64
+
+    @pytest.mark.parametrize("gamma", [E(355, 113), Real.parse("pi")])
+    def test_two_distance_reads_per_term_and_no_trig_sum(self, gamma, monkeypatch):
+        assert not {"_trig_sum", "_magnitude", "cos_sin_sum"} & vars(discrepancy).keys()
+
+        def no_trig_sum(*args):
+            raise AssertionError("cos_sin_sum called")
+
+        monkeypatch.setattr(_kernels, "cos_sin_sum", no_trig_sum)
+        monkeypatch.setattr(expsum, "cos_sin_sum", no_trig_sum)
+        reads = []
+        read = discrepancy.dist_of_multiple
+        monkeypatch.setattr(discrepancy, "dist_of_multiple",
+                            lambda g, n: reads.append(n) or read(g, n))
+        for T in (7, 2000):
+            points = fractional_orbit(gamma, T)
+            reads.clear()
+            erdos_turan_check(gamma, points, 50)
+            assert 50 <= len(reads) <= 100
 
     def test_bad_G(self):
         with pytest.raises(DomainError):
-            erdos_turan_check(scaled([E(1, 2)]), 0)
+            erdos_turan_check(E(1, 2), fractional_orbit(E(1, 2), 1), 0)
 
 
 class TestFractionalOrbit:

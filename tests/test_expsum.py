@@ -11,6 +11,8 @@ from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import DomainError, HypothesisViolation, IndeterminateComparison
 from radixapprox.exact import Real, dist_exact, dist_to_nearest_int, mpf_to_fraction
 from radixapprox.expsum import (
+    _FACTOR_HI,
+    _NORMAL_MIN,
     SeparationReport,
     _decay_bound,
     _magnitude,
@@ -22,6 +24,7 @@ from radixapprox.expsum import (
     decay_bound_check,
     eval_expsum,
     separation_check,
+    sin_pi_interval,
     small_shift_count,
 )
 
@@ -290,6 +293,16 @@ class TestEvalExpsum:
         assert rep.product_magnitude.rad == 0
         assert _ser(rep.product_magnitude) == {"exact": "0/1"}
 
+    def test_tiny_factor_is_no_exact_zero(self):
+        # h = 10^-400 reads as the float 0; the factor 2 sin(pi h) is not 0
+        from radixapprox.cli import _ser
+
+        rep = eval_expsum(2, 0, 1, E(1, 2) + Fraction(1, 10**400))
+        with mpmath.workprec(200):
+            true = 2 * mpmath.sin(mpmath.pi / mpmath.mpf(10) ** 400)
+            assert _mpf(rep.product_magnitude.lo) <= true <= _mpf(rep.product_magnitude.hi)
+        assert _ser(rep.product_magnitude) != {"exact": "0/1"}
+
     def test_gamma_zero_counts_terms(self):
         rep = eval_expsum(5, 3, 7, Real.exact(0))
         assert rep.value_re.mid == 16 and rep.value_im.mid == 0
@@ -388,6 +401,28 @@ class TestEvalExpsum:
             wide = _magnitude(Real(x, rx), Real(y, ry))
             for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 assert wide.lo <= hypot200(x + sx * rx, y + sy * ry) <= wide.hi
+
+    def test_sin_pi_interval_against_200_bits(self):
+        # the docstring's analysis: the float sine is within 13u of sin(pi h),
+        # inside the _FACTOR_ERR widening; tiny h get exact bounds
+        rng = random.Random(39)
+        hs = [Fraction(rng.randint(1, 2**60), 2**61) for _ in range(2000)]
+        hs += [Fraction(1, 2) - Fraction(rng.randint(1, 2**20), 2**rng.randint(21, 80))
+               for _ in range(300)]
+        hs += [Fraction(rng.randint(1, 2**20), 2**rng.randint(21, 1040)) for _ in range(300)]
+        hs += [Fraction(1, 2), Fraction(1, 2**1021), Fraction(1, 2**1022), Fraction(1, 10**400),
+               Fraction(1, 2**1021) - Fraction(1, 2**1080), Fraction(1, 3 * 10**307)]
+        worst = 0
+        for h in hs:
+            lo, hi = sin_pi_interval(h, h)
+            with mpmath.workprec(200):
+                true = mpmath.sin(mpmath.pi * _mpf(h))
+                assert 0 < _mpf(lo) <= true <= _mpf(hi)
+                if float(h) >= _NORMAL_MIN:
+                    err = abs(_mpf(hi / _FACTOR_HI) - true) / true * 2**53
+                    worst = max(worst, err)
+        assert worst < 13
+        assert sin_pi_interval(Fraction(0), Fraction(0)) == (0, 0)
 
     def test_enclosure_gamma_widens_radius(self):
         gamma = Real.approx(Fraction(2, 7), Fraction(1, 10**25))
