@@ -7,8 +7,10 @@ The digit_scan_min case at q=2^61-1 and the first digit_scan_close case use
 moduli above MOD_LIMIT, so they time the Python-int (object array) path of
 the residue scans.  The discrepancy scan runs on
 Python ints at every size; its second case has T*q far above 2^62.  The
-fractional_orbit cases read the discrepancy orbit as residues on one grid,
-for an exact gamma and for an enclosure.  The erdos_turan_check cases time
+fractional_orbit cases read the discrepancy orbit as the residues
+n M mod Q of gamma.mid = M/Q, on the grid Q for an exact gamma and for an
+enclosure alike; e at 256 and 1024 bits, with discrepancy_L on the same
+orbits, time how the scan slows as Q grows.  The erdos_turan_check cases time
 the check on a prebuilt orbit: the O(T) discrepancy scan plus the closed-form
 right side, two distance reads and two sine enclosures per g.
 """
@@ -20,7 +22,12 @@ import numpy as np
 
 import radixapprox._kernels as K
 from radixapprox.exact import Real
-from radixapprox.discrepancy import _candidate_tables, erdos_turan_check, fractional_orbit
+from radixapprox.discrepancy import (
+    _candidate_tables,
+    discrepancy_L,
+    erdos_turan_check,
+    fractional_orbit,
+)
 
 
 def bench(fn, *args, warmup=1, repeat=5):
@@ -55,9 +62,12 @@ def cases():
         yield f"interval_deviation_max (T=4000, q={label})", K.interval_deviation_max, (
             w, lt, eq, 4000, q)
 
-    for text in ("5/313", "pi"):
-        yield f"fractional_orbit (T=4000, gamma={text})", fractional_orbit, (
-            Real.parse(text, 128), 4000)
+    for text, bits in (("5/313", 128), ("pi", 128), ("e", 256), ("e", 1024)):
+        gamma = Real.parse(text, bits)
+        yield f"fractional_orbit (T=4000, gamma={text}@{bits})", fractional_orbit, (gamma, 4000)
+        if text == "e":
+            yield f"discrepancy_L (T=4000, gamma={text}@{bits})", discrepancy_L, (
+                fractional_orbit(gamma, 4000),)
 
     for text, T, G in (("355/113", 10**5, 50), ("1/3", 50, 10**4), ("pi", 4000, 50)):
         gamma = Real.parse(text, 128)

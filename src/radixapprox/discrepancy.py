@@ -8,11 +8,12 @@ attained on the finite family of intervals whose endpoints are point values
 included.  That family is scanned in one linear pass over scaled Python
 ints (``_kernels.interval_deviation_max``), so the supremum is exact.
 
-Approximate points are snapped to a dyadic grid and the discrepancy picks
-up the radius 2*T*eps, eps being the worst per-point uncertainty; the
-interval-count functional is 2T-Lipschitz in a sup-norm perturbation of
-the points as long as no point wraps past an integer (wrapping raises
-IndeterminateComparison instead).
+Point n of the orbit {n gamma} is the exact residue v/Q of n M/Q on the
+grid Q of gamma.mid = M/Q, for exact and enclosure gamma alike, within
+n * gamma.rad of the true point; so the discrepancy picks up the radius
+2*T*T*gamma.rad: the interval-count functional is 2T-Lipschitz in a
+sup-norm perturbation of the points as long as no point wraps past an
+integer (wrapping raises IndeterminateComparison instead).
 
 The Erdos-Turan right side is read off gamma in closed form, O(G) on top
 of the O(T) scan: the orbit {n gamma} is an arithmetic progression mod 1.
@@ -28,8 +29,6 @@ from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real, dist_of_multiple, residue_of_multiple
 from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_interval
-
-GRID_BITS = 50
 
 _COMBO_FLAGS = {0: (True, True), 1: (True, False), 2: (False, True), 3: (False, False)}
 
@@ -113,16 +112,7 @@ def erdos_turan_check(gamma: Real, points: ScaledPoints, G: int) -> DiscrepancyR
     one = 1 << _PRODUCT_BITS
     sum_lo = sum_hi = 0
     for g in range(1, G + 1):
-        w = dist_of_multiple(gamma, g)
-        if w.hi == 0:
-            mag_lo = mag_hi = T
-        elif w.lo == 0:
-            mag_lo, mag_hi = 0, T
-        else:
-            a = dist_of_multiple(gamma, T * g)
-            a_lo, a_hi = sin_pi_interval(a.lo, a.hi)
-            w_lo, w_hi = sin_pi_interval(w.lo, w.hi)
-            mag_lo, mag_hi = a_lo / w_hi, min(a_hi / w_lo, T)
+        mag_lo, mag_hi = _weyl_sum_bounds(gamma, T, g)
         sum_lo += c_lo * mag_lo * one // g
         sum_hi += -(-c_hi * mag_hi * one // g)
     fixed = Fraction(T, G + 1)
@@ -136,24 +126,28 @@ def erdos_turan_check(gamma: Real, points: ScaledPoints, G: int) -> DiscrepancyR
     return replace(base, G=G, et_rhs=rhs, slack=slack)
 
 
+def _weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
+    """(lo, hi) around |sum_{n<=T} e(n g gamma')| for every gamma' in gamma."""
+    w = dist_of_multiple(gamma, g)
+    if w.hi == 0:
+        return T, T
+    if w.lo == 0:
+        return 0, T
+    a = dist_of_multiple(gamma, T * g)
+    a_lo, a_hi = sin_pi_interval(a.lo, a.hi)
+    w_lo, w_hi = sin_pi_interval(w.lo, w.hi)
+    return a_lo / w_hi, min(a_hi / w_lo, T)
+
+
 def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> ScaledPoints:
     """The sequence {n * gamma} for n = 1..T, refused over cap before any
-    point is read.  Point n is the residue v of ``residue_of_multiple``
-    (which raises when its enclosure reaches an integer) rounded to the
-    nearest s/grid below 1: grid = Q for an exact gamma = M/Q, so s = v and
-    worst = 0, and 2**GRID_BITS for an enclosure."""
+    point is read.  Point n is the residue v = n M mod Q of gamma.mid = M/Q
+    from ``residue_of_multiple``, which raises when the enclosure of the
+    point reaches an integer; v/Q is within n * gamma.rad of {n gamma}, so
+    worst = T * gamma.rad, 0 for an exact gamma."""
     if T < 1:
         raise DomainError(f"need T >= 1, got {T}")
     if T > cap:
         raise ResourceLimit(f"orbit of {T} points exceeds the cap {cap}")
-    Q = gamma.mid.denominator
-    R, D = gamma.rad.numerator, gamma.rad.denominator
-    grid = 1 << GRID_BITS if R else Q
-    nums, worst = [], 0
-    for n in range(1, T + 1):
-        v = residue_of_multiple(gamma, n)
-        s = min((2 * v * grid + Q) // (2 * Q), grid - 1)
-        # the point's error n R/D + |v/Q - s/grid|, times D Q grid
-        worst = max(worst, n * R * Q * grid + abs(v * grid - s * Q) * D)
-        nums.append(s)
-    return ScaledPoints(nums, grid, Fraction(worst, D * Q * grid))
+    nums = [residue_of_multiple(gamma, n) for n in range(1, T + 1)]
+    return ScaledPoints(nums, gamma.mid.denominator, T * gamma.rad)

@@ -70,7 +70,7 @@ def pi_bounds() -> tuple[Fraction, Fraction]:
 def sin_pi_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Rational s_lo <= sin(pi lo) and sin(pi hi) <= s_hi, 0 <= lo <= hi <= 1/2.
 
-    Each end h is fl(sin(fl(pi) fl(h))) widened by _FACTOR_ERR.  With
+    Each distinct end h is fl(sin(fl(pi) fl(h))) widened by _FACTOR_ERR.  With
     u = 2**-53, the three roundings of the argument keep it within 3.01u of
     x = pi h, which moves sin x by at most 3.01u * pi/2 < 4.73u relative, as
     x / sin x <= pi/2 on (0, pi/2].  A platform ``sin`` within 4 ulp (8u,
@@ -80,16 +80,19 @@ def sin_pi_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     gets the exact pi_lo h (1 - (pi_hi h)**2 / 6) <= sin(pi h) <= pi_hi h
     from ``pi_bounds``; a read at or above it puts h above 2**-1022.
     """
-    return _sin_pi_bound(lo, _FACTOR_LO), _sin_pi_bound(hi, _FACTOR_HI)
+    if lo == hi:
+        return _sin_pi_bounds(lo, _FACTOR_LO, _FACTOR_HI)
+    return _sin_pi_bounds(lo, _FACTOR_LO) + _sin_pi_bounds(hi, _FACTOR_HI)
 
 
-def _sin_pi_bound(h: Fraction, widen: Fraction) -> Fraction:
-    # below sin(pi h) for widen = _FACTOR_LO, above it for _FACTOR_HI; 0 at h = 0
+def _sin_pi_bounds(h: Fraction, *widens: Fraction) -> tuple[Fraction, ...]:
+    # one float sine; per widen a bound below (_FACTOR_LO) or above sin(pi h)
     x = float(h)
     if x < _NORMAL_MIN and h:
         pi_lo, pi_hi = pi_bounds()
-        return pi_hi * h if widen > 1 else pi_lo * h * (1 - (pi_hi * h) ** 2 / 6)
-    return Fraction(math.sin(math.pi * x)) * widen
+        return tuple(pi_hi * h if w > 1 else pi_lo * h * (1 - (pi_hi * h) ** 2 / 6) for w in widens)
+    s = Fraction(math.sin(math.pi * x))
+    return tuple(s * w for w in widens)
 
 
 def _sum_radius(n: int) -> Fraction:

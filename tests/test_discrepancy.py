@@ -8,7 +8,6 @@ import pytest
 
 from radixapprox import _kernels, discrepancy, exact, expsum
 from radixapprox.discrepancy import (
-    GRID_BITS,
     ScaledPoints,
     discrepancy_L,
     erdos_turan_check,
@@ -23,6 +22,9 @@ E = lambda *a: Real.exact(Fraction(*a))
 PRODUCT_LIMIT_CASES = [(3, 1537228672809129301), (4, 1 << 60),
                        (5, 922337203685477581), (50, (1 << 62) - 57)]
 
+# the named constants of acceptance criterion 6, at the working precision
+CONSTANTS = {"sqrt2": lambda: mpmath.sqrt(2), "pi": lambda: +mpmath.pi, "e": lambda: +mpmath.e}
+
 
 def orbit_two_branch(gamma, T):
     """The orbit as built before it was read off residues: an exact branch
@@ -33,25 +35,16 @@ def orbit_two_branch(gamma, T):
 
 
 def scaled(points):
-    """Fractional parts as (numerator, Q) scaled integers plus the worst
-    per-point uncertainty, from a list of Real points: the scaler the orbit
-    went through before it was read as residues.  Exact inputs stay exact
-    over the lcm denominator, enclosure inputs snap to the dyadic grid and
-    carry the snap radius."""
+    """Fractional parts as (numerator, q) scaled integers over the lcm
+    denominator of their midpoints, plus the largest radius, from a list of
+    Real points: the scaler the orbit went through before it was read as
+    residues."""
     if not points:
         raise DomainError("need at least one point")
-    if all(p.is_exact for p in points):
-        q = math.lcm(*(p.mid.denominator for p in points))
-        nums = [p.mid.numerator % p.mid.denominator * (q // p.mid.denominator) for p in points]
-        return ScaledPoints(nums, q, Fraction(0))
-    Q = 1 << GRID_BITS
-    nums, worst = [], Fraction(0)
-    for f in map(frac, points):
-        n = (2 * f.mid.numerator * Q + f.mid.denominator) // (2 * f.mid.denominator)
-        n = min(max(n, 0), Q - 1)
-        worst = max(worst, f.rad + abs(f.mid - Fraction(n, Q)))
-        nums.append(n)
-    return ScaledPoints(nums, Q, worst)
+    fracs = [frac(p) for p in points]
+    q = math.lcm(*(f.mid.denominator for f in fracs))
+    nums = [f.mid.numerator * (q // f.mid.denominator) for f in fracs]
+    return ScaledPoints(nums, q, max(f.rad for f in fracs))
 
 
 def et_rhs_reference(fracs, G):
@@ -70,6 +63,18 @@ def true_orbit(value, T):
     with mpmath.workprec(300):
         t = value() if callable(value) else mpmath.mpf(value.numerator) / value.denominator
         return [mpmath.frac(n * t) for n in range(1, T + 1)]
+
+
+def weyl_sum_200(value, T, g):
+    """|sum_{n<=T} e(n g value)| at 200 bits for a Fraction value."""
+    with mpmath.workprec(200):
+        x = mpmath.mpf(value.numerator) / value.denominator
+        return abs(mpmath.fsum(mpmath.expjpi(2 * n * g * x) for n in range(1, T + 1)))
+
+
+def exact_mpf(x):
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 def encloses(rhs, ref):
@@ -215,8 +220,7 @@ def _rhs_cases():
     # T c = 0 mod Q for every c: every sum vanishes
     yield pytest.param(E(1, 7), [Fraction(1, 7)], 7, 6, id="vanishing")
     # the orbits of acceptance criterion 6: a named constant times a/c
-    for name, const in (("sqrt2", lambda: mpmath.sqrt(2)), ("pi", lambda: +mpmath.pi),
-                        ("e", lambda: +mpmath.e)):
+    for name, const in CONSTANTS.items():
         for bits in (64, 128, 256):
             a, c = rng.randint(1, 30), rng.randint(1, 30)
             yield pytest.param(Real.parse(name, bits) * Fraction(a, c),
@@ -314,6 +318,23 @@ class TestErdosTuran:
             erdos_turan_check(gamma, points, 50)
             assert 50 <= len(reads) <= 100
 
+    @pytest.mark.parametrize("gamma, T, g, want", [
+        # ||7 gamma|| reaches 0 inside the enclosure: the term is clamped to
+        # [0, T], and at mid +- rad the sum is about 5.983, below T = 6
+        (Real(Fraction(1, 7), Fraction(1, 1000)), 6, 7, (0, 6)),
+        (E(3, 4), 10, 4, (10, 10)),  # 4 gamma is an integer
+        (Real(Fraction(1, 7), Fraction(1, 1000)), 6, 2, None),  # unclamped
+    ])
+    def test_weyl_sum_bounds_contain_the_200_bit_sum(self, gamma, T, g, want):
+        fractional_orbit(gamma, T)  # the orbit builds
+        lo, hi = discrepancy._weyl_sum_bounds(gamma, T, g)
+        if want:
+            assert (lo, hi) == want
+        else:
+            assert 0 < lo <= hi < T
+        for value in (gamma.lo, gamma.mid, gamma.hi):
+            assert encloses(Real.from_interval(Fraction(lo), Fraction(hi)), weyl_sum_200(value, T, g))
+
     def test_bad_G(self):
         with pytest.raises(DomainError):
             erdos_turan_check(E(1, 2), fractional_orbit(E(1, 2), 1), 0)
@@ -346,14 +367,29 @@ class TestFractionalOrbit:
                 want = _outcome(scaled_two_branch, gamma, T)
                 assert _outcome(fractional_orbit, gamma, T) == want
 
+    @pytest.mark.parametrize("name", ["sqrt2", "pi", "e"])
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize("T", [100, 2000])
+    def test_radius_follows_the_precision(self, name, bits, T):
+        # every point is within n rad, so the discrepancy is within 2 T^2 rad
+        rng = random.Random(f"{name}{bits}{T}")
+        a, c = rng.randint(1, 30), rng.randint(1, 30)
+        gamma = Real.parse(name, bits) * Fraction(a, c)
+        rep = discrepancy_L(fractional_orbit(gamma, T))
+        assert rep.L_radius == 2 * T * T * gamma.rad
+        ref = true_orbit(lambda: CONSTANTS[name]() * a / c, T)
+        L_ref = discrepancy_L(scaled([Real.exact(exact_mpf(x)) for x in ref])).L_value
+        # four roundings at 300 bits put each reference point within T |gamma| 2^-298
+        ref_err = Fraction(T * (math.floor(gamma.hi) + 1), 2**298)
+        assert abs(L_ref - rep.L_value) <= rep.L_radius + 2 * T * ref_err
+
     def test_enclosure_touching_zero_passes(self, monkeypatch):
         gamma = Real(Fraction(1, 3), Fraction(1, 3))  # point 1 is [0, 2/3]
         want = scaled_two_branch(gamma, 1)
         # the integer test alone passes it; frac is only the raising fallback
         monkeypatch.setattr(exact, "frac", None)
         got = fractional_orbit(gamma, 1)
-        assert got == want
-        assert got.q == 2**GRID_BITS and got.nums == [round(Fraction(2**GRID_BITS, 3))]
+        assert got == want == ScaledPoints([1], 3, Fraction(1, 3))
 
     def test_enclosure_reaching_one_raises(self):
         gamma = Real(Fraction(2, 3), Fraction(1, 3))  # point 1 is [1/3, 1]
@@ -365,8 +401,8 @@ class TestFractionalOrbit:
         mid, rad = 1 - Fraction(1, 2**52), Fraction(1, 2**60)
         got = fractional_orbit(Real(mid, rad), 1)
         assert got == scaled_two_branch(Real(mid, rad), 1)
-        assert got.nums == [2**GRID_BITS - 1]
-        assert got.worst == rad + mid - Fraction(2**GRID_BITS - 1, 2**GRID_BITS)
+        # no rounding: the point keeps its residue Q - 1 on Q = 2^52
+        assert got == ScaledPoints([2**52 - 1], 2**52, rad)
 
     def test_exact_points_are_residues(self):
         assert fractional_orbit(E(-5, 12), 13) == ScaledPoints(

@@ -415,6 +415,8 @@ class TestEvalExpsum:
         worst = 0
         for h in hs:
             lo, hi = sin_pi_interval(h, h)
+            # one float sine per distinct end: the same bounds as two reads
+            assert (lo, hi) == (sin_pi_interval(h, Fraction(1, 2))[0], sin_pi_interval(Fraction(0), h)[1])
             with mpmath.workprec(200):
                 true = mpmath.sin(mpmath.pi * _mpf(h))
                 assert 0 < _mpf(lo) <= true <= _mpf(hi)
