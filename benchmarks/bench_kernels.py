@@ -3,7 +3,10 @@
 
 Run:  python benchmarks/bench_kernels.py [--repeat 5]
 
-The digit_scan_min case at q=2^61-1 and the first digit_scan_close case use
+The residue scans meet in the middle: digit_scan_min and digit_scan_close
+build two subset-residue tables of about 2^(k/2) entries for k-bit counts,
+so the 2^24 and 2^25 cases cost little more than the 2^20 one.  The
+digit_scan_min cases at q=2^61-1 and the first digit_scan_close case use
 moduli above MOD_LIMIT, so they time the Python-int (object array) path of
 the residue scans.  The discrepancy scan runs on
 Python ints at every size; its second case has T*q far above 2^62.  The
@@ -48,6 +51,13 @@ def cases():
     pow_mod = [pow(2, d, modulus) for d in range(21)]
     yield "digit_scan_min (N=2^20, b=2)", K.digit_scan_min, (pow_mod, 1 << 20, modulus)
 
+    # the exact-scan sizes: the meet-in-the-middle scan reads two half
+    # tables of 2^12 and 2^13 entries where a linear scan reads 2^25
+    q = (1 << 40) - 87
+    pow_mod = [(314159265358 * pow(2, d, q)) % q for d in range(26)]
+    for e in (24, 25):
+        yield f"digit_scan_min (N=2^{e}, b=2, q=2^40-87)", K.digit_scan_min, (pow_mod, 1 << e, q)
+
     q = 999983
     adds = [(37 * pow(3, d, q)) % q for d in range(21)]
     yield "subset_residues (2^21 entries)", K.subset_residues, (adds, q)
@@ -80,6 +90,8 @@ def cases():
     big = (1 << 61) - 1
     pow_mod = [(12345 * pow(3, d, big)) % big for d in range(17)]
     yield "digit_scan_min (N=2^16, q=2^61-1)", K.digit_scan_min, (pow_mod, 1 << 16, big)
+    pow_mod = [(12345 * pow(3, d, big)) % big for d in range(21)]
+    yield "digit_scan_min (N=2^20, q=2^61-1)", K.digit_scan_min, (pow_mod, 1 << 20, big)
 
     # the enclosure oracle's window scan: sqrt2 at 128 bits, Q ~ 2^144
     gamma = Real.parse("sqrt2", 128)
@@ -97,6 +109,9 @@ def cases():
     pow_mod = [(314159265358 * pow(3, d, q)) % q for d in range(25)]
     yield "digit_scan_close (N=2^24, q=2^40-87, first hit)", lambda *a: next(K.digit_scan_close(*a)), (
         pow_mod, 1 << 24, q, 1, 1 << 20)
+    # every hit of a separation check at r = 24: the n < 2^25 within 2^-20
+    yield "digit_scan_close (r=24, q=2^40-87, all hits)", lambda *a: list(K.digit_scan_close(*a)), (
+        pow_mod, (1 << 25) - 1, q, 1, 1 << 20)
 
 
 def main():

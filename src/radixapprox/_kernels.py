@@ -6,6 +6,15 @@ arrays of Python ints otherwise, so callers never branch on the size of
 their integers.  Integer results are exact on both kinds of array; float
 sums differ only by rounding that ``expsum._sum_radius`` accounts for.
 The discrepancy scan is pure Python over unbounded ints: no int64 bound.
+
+The zero-one scans meet in the middle (Horowitz & Sahni, "Computing
+partitions with applications to the knapsack problem", JACM 21, 1974): for
+n <= count, k = bit_length(count) and s = k // 2, element n = h 2**s + l has
+the residue H[h] + L[l] mod M, L and H the ``subset_residues`` tables of the
+low s and the high k - s digits.  A scan sorts L and looks up every row h
+at once with ``np.searchsorted``, then reads only the rows it reports:
+O(2**(k/2) k) work in place of O(2**k).  Rows ascend and so does l within a
+row, so the first hit is the smallest n.
 """
 from __future__ import annotations
 
@@ -94,23 +103,49 @@ def residue_blocks(add_mod, modulus: int, start: int, stop: int):
 
 
 # ---------------------------------------------------------------------------
-# reducers over the residue blocks and over caller-built residue arrays
+# the zero-one scans over the two half tables, and the reducers over
+# caller-built residue arrays
 # ---------------------------------------------------------------------------
 
 
-def digit_scan_min(pow_mod, count: int, modulus: int, start: int = 1):
-    """(min over n in [start, count] of min(res_n, M - res_n), first argmin n).
+def _half_tables(pow_mod, count: int, modulus: int):
+    """(s, L, H) of the split in the module docstring."""
+    k = count.bit_length()
+    s = k // 2
+    return s, subset_residues(pow_mod[:s], modulus), subset_residues(pow_mod[s:k], modulus)
 
-    res_n is the mod-M sum of pow_mod over the set bits of n.  Requires
-    len(pow_mod) >= bit_length(count); any modulus works.
+
+def _row(h: int, count: int, s: int):
+    """The l range [lo, hi) of row h: row 0 skips n = 0 and the top row
+    stops at n = count."""
+    return int(h == 0), (count & ((1 << s) - 1)) + 1 if h == count >> s else 1 << s
+
+
+def _dist(res: np.ndarray, modulus: int) -> np.ndarray:
+    return np.minimum(res, modulus - res)
+
+
+def digit_scan_min(pow_mod, count: int, modulus: int):
+    """(min over n in [1, count] of min(res_n, M - res_n), first argmin n).
+
+    res_n is the mod-M sum of pow_mod over the set bits of n.  The minimum
+    of a full row h lies at one of the two circular neighbours of -H[h] mod
+    M in the sorted L, so all full rows are read at once; row 0 and the top
+    row are read directly.  The first row reaching the global minimum wins,
+    then the first l in it: ties go to the smallest n.  Requires count >= 1
+    and len(pow_mod) >= bit_length(count); any modulus works.
     """
-    best, best_idx = modulus, 0
-    for first, res in residue_blocks(pow_mod, modulus, start, count + 1):
-        dist = np.minimum(res, modulus - res)
-        k = int(np.argmin(dist))
-        if dist[k] < best:
-            best, best_idx = int(dist[k]), first + k
-    return best, best_idx
+    s, L, H = _half_tables(pow_mod, count, modulus)
+    low, high = np.sort(L), H[: (count >> s) + 1]
+    i = np.searchsorted(low, (modulus - high) % modulus)
+    row_min = np.minimum(_dist((high + low[i % len(low)]) % modulus, modulus),
+                         _dist((high + low[i - 1]) % modulus, modulus))
+    for h in {0, count >> s}:
+        lo, hi = _row(h, count, s)
+        row_min[h] = _dist((L[lo:hi] + H[h]) % modulus, modulus).min(initial=modulus)
+    h = int(np.argmin(row_min))
+    lo, hi = _row(h, count, s)
+    return int(row_min[h]), (h << s) + lo + int(np.argmin(_dist((L[lo:hi] + H[h]) % modulus, modulus)))
 
 
 def digit_scan_min_sharded(pow_mod, count: int, modulus: int):
@@ -122,17 +157,32 @@ def digit_scan_min_sharded(pow_mod, count: int, modulus: int):
 def close_indices(res: np.ndarray, modulus: int, num: int, den: int) -> np.ndarray:
     """Every index i, ascending, with min(res[i], M - res[i]) / M <= num / den;
     in int64 while modulus * max(num, den) < 2**62, on Python ints otherwise."""
-    dist = _int_array(np.minimum(res, modulus - res), modulus * max(num, den))
+    dist = _int_array(_dist(res, modulus), modulus * max(num, den))
     return np.flatnonzero(dist * den <= num * modulus)
 
 
 def digit_scan_close(pow_mod, count: int, modulus: int, num: int, den: int):
     """Yield, ascending, every n in [1, count] with min(res_n, M - res_n) / M
-    <= num / den (res_n as in digit_scan_min), building the residue blocks
-    only as far as the caller pulls."""
-    for first, res in residue_blocks(pow_mod, modulus, 1, count + 1):
-        for i in close_indices(res, modulus, num, den):
-            yield first + int(i)
+    <= num / den (res_n as in digit_scan_min).
+
+    Row h holds a close n exactly where L[l] lies in the circular window
+    [t - w, t + w], t = -H[h] mod M and w = num M // den.  Each row looks
+    its window up in the sorted L (every row holds one when 2w + 1 >= M),
+    and close_indices scans only the rows that hold one, ascending, as the
+    caller pulls; each costs 2**s on top of the tables.
+    """
+    s, L, H = _half_tables(pow_mod, count, modulus)
+    rows = np.arange((count >> s) + 1)
+    w = num * modulus // den
+    if 2 * w + 1 < modulus:
+        # the window [lo, lo + 2w] of row h holds an L exactly when the first
+        # L at or circularly after lo does
+        low, lo = np.sort(L), (-w - H[rows]) % modulus
+        rows = rows[(low[np.searchsorted(low, lo) % len(low)] - lo) % modulus <= 2 * w]
+    for h in rows.tolist():
+        lo, hi = _row(h, count, s)
+        for i in close_indices((L[lo:hi] + H[h]) % modulus, modulus, num, den):
+            yield (h << s) + lo + int(i)
 
 
 def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> int:

@@ -101,7 +101,9 @@ def erdos_turan_check(gamma: Real, points: ScaledPoints, G: int) -> DiscrepancyR
     Each term of the sum is rounded outward to the grid 2**-_PRODUCT_BITS,
     so the digits stay bounded and each end of the right side widens by
     less than G * 2**-_PRODUCT_BITS; the check is radius-aware and raises
-    on a genuine violation.
+    on a genuine violation.  A term is one integer floor (or ceiling)
+    division of the products of the numerators and the denominators, with
+    no Fraction reduced along the way.
     """
     if G < 1:
         raise DomainError(f"need G >= 1, got {G}")
@@ -112,9 +114,9 @@ def erdos_turan_check(gamma: Real, points: ScaledPoints, G: int) -> DiscrepancyR
     one = 1 << _PRODUCT_BITS
     sum_lo = sum_hi = 0
     for g in range(1, G + 1):
-        mag_lo, mag_hi = _weyl_sum_bounds(gamma, T, g)
-        sum_lo += c_lo * mag_lo * one // g
-        sum_hi += -(-c_hi * mag_hi * one // g)
+        (lo, lo_den), (hi, hi_den) = _weyl_sum_bounds(gamma, T, g)
+        sum_lo += c_lo.numerator * lo * one // (c_lo.denominator * lo_den * g)
+        sum_hi -= c_hi.numerator * hi * one // -(c_hi.denominator * hi_den * g)
     fixed = Fraction(T, G + 1)
     rhs = Real.from_interval(fixed + Fraction(sum_lo, one), fixed + Fraction(sum_hi, one))
     if base.L_value - base.L_radius > rhs.hi:
@@ -127,16 +129,20 @@ def erdos_turan_check(gamma: Real, points: ScaledPoints, G: int) -> DiscrepancyR
 
 
 def _weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
-    """(lo, hi) around |sum_{n<=T} e(n g gamma')| for every gamma' in gamma."""
+    """((p, q), (r, s)) with p/q <= |sum_{n<=T} e(n g gamma')| <= r/s for
+    every gamma' in gamma: quotients of sine bounds, left unreduced."""
     w = dist_of_multiple(gamma, g)
     if w.hi == 0:
-        return T, T
+        return (T, 1), (T, 1)
     if w.lo == 0:
-        return 0, T
+        return (0, 1), (T, 1)
     a = dist_of_multiple(gamma, T * g)
     a_lo, a_hi = sin_pi_interval(a.lo, a.hi)
     w_lo, w_hi = sin_pi_interval(w.lo, w.hi)
-    return a_lo / w_hi, min(a_hi / w_lo, T)
+    hi = (a_hi.numerator * w_lo.denominator, a_hi.denominator * w_lo.numerator)
+    if hi[0] > T * hi[1]:
+        hi = (T, 1)
+    return (a_lo.numerator * w_hi.denominator, a_lo.denominator * w_hi.numerator), hi
 
 
 def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> ScaledPoints:

@@ -327,7 +327,7 @@ class TestErdosTuran:
     ])
     def test_weyl_sum_bounds_contain_the_200_bit_sum(self, gamma, T, g, want):
         fractional_orbit(gamma, T)  # the orbit builds
-        lo, hi = discrepancy._weyl_sum_bounds(gamma, T, g)
+        lo, hi = (Fraction(*q) for q in discrepancy._weyl_sum_bounds(gamma, T, g))
         if want:
             assert (lo, hi) == want
         else:

@@ -46,9 +46,9 @@ def deviation_max_py(nums: list[int], q: int, total: int):
     return dev, w[i], w[j], combo
 
 
-def ref_digit_scan(pow_mod, count, modulus, start=1):
+def ref_digit_scan(pow_mod, count, modulus):
     best, idx = modulus, 0
-    for n in range(start, count + 1):
+    for n in range(1, count + 1):
         s, m, d = 0, n, 0
         while m:
             if m & 1:
@@ -88,9 +88,10 @@ def test_digit_scan_min_range_and_shards(as_array):
     count = 5000
     pow_mod = [rng.randrange(modulus) for _ in range(count.bit_length())]
     arr = as_array(pow_mod)
-    assert K.digit_scan_min(arr, count, modulus, start=1234) == ref_digit_scan(
-        pow_mod, count, modulus, start=1234
-    )
+    # the first argmin, n = 228, lies in the full row 3 of rows 0..78 at
+    # count 5000 and in the partial top row 14 (l <= 6) at count 230
+    for top in (count, 230):
+        assert K.digit_scan_min(arr, top, modulus) == ref_digit_scan(pow_mod, top, modulus) == (0, 228)
     assert K.digit_scan_min_sharded(arr, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
 
 
@@ -229,12 +230,20 @@ def test_digit_scan_min_at_the_modulus_limit(modulus):
     for count in (1, 1023, 1024, 3000):
         pow_mod = [rng.randrange(modulus) for _ in range(count.bit_length())]
         assert K.digit_scan_min(pow_mod, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
-    # every n with the same popcount ties; the smallest index must win
+    # every n with the same popcount ties; the smallest index must win.  The
+    # first tie, n = 7, lies in row 0 at count 4000 and in the full row 1 of
+    # rows 0..2 at count 8
     pow_mod = [modulus // 3] * 12
-    for start in (1, 5, 1500):
-        assert K.digit_scan_min(pow_mod, 4000, modulus, start) == ref_digit_scan(
-            pow_mod, 4000, modulus, start
-        )
+    for count in (4000, 8):
+        assert K.digit_scan_min(pow_mod, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
+    # six low digits of modulus // 7 keep every n with a low bit set at least
+    # modulus / 22 away, so the ties are the n = 2^6 m with popcount(m) = 3:
+    # the first, 448, lies in the full row 7 of rows 0..62 at count 4000 and
+    # in the partial top row 28 (l <= 5) at count 453
+    pow_mod = [modulus // 7] * 6 + [modulus // 3] * 6
+    for count in (4000, 453):
+        assert K.digit_scan_min(pow_mod, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
+        assert K.digit_scan_min(pow_mod, count, modulus)[1] == 448
 
 
 # (modulus, beta_den) with products 2^62 - 1, 2^62 and 2^62 + 1, plus a
@@ -308,25 +317,133 @@ def test_digit_scan_close_across_the_low_table_edge(modulus):
 
 
 def test_digit_scan_close_builds_only_the_leading_blocks(monkeypatch):
-    blocks, built = K.residue_blocks, []
+    # the first pull builds the two half tables, 2^12 + 2^13 entries at
+    # count 2^24, and no residue past them
+    tables, built = K.subset_residues, []
 
-    def recording_blocks(*args):
-        for first, res in blocks(*args):
-            built.append(len(res))
-            yield first, res
+    def recording_tables(*args):
+        table = tables(*args)
+        built.append(len(table))
+        return table
 
-    monkeypatch.setattr(K, "residue_blocks", recording_blocks)
+    monkeypatch.setattr(K, "subset_residues", recording_tables)
     rng = random.Random(24)
     modulus = (1 << 61) - 1
     pow_mod = [rng.randrange(modulus) for _ in range(25)]
     assert next(K.digit_scan_close(pow_mod, 1 << 24, modulus, 1, 2)) == 1
-    assert built == [1023]
-    # the first n read within 2^-13 of an integer lies past the first block;
-    # the blocks double, so at most twice the inspected prefix is built
+    assert sum(built) <= (1 << 12) + (1 << 13)
+    # the first n read within 2^-13 of an integer
     built.clear()
     hit = next(K.digit_scan_close(pow_mod, 1 << 24, modulus, 1, 1 << 13))
     assert hit == ref_scan_close(ref_residues(pow_mod, hit, modulus), hit, modulus, 1, 1 << 13)[0]
-    assert 1023 < hit < sum(built) + 1 <= 2 * hit
+    assert sum(built) <= (1 << 12) + (1 << 13)
+
+
+# ---------------------------------------------------------------------------
+# the meet-in-the-middle scans against the references: n = h 2^s + l with
+# s = bit_length(count) // 2 (row h, column l)
+# ---------------------------------------------------------------------------
+
+
+def linear_scan_min(pow_mod, count, modulus):
+    """The block-by-block scan digit_scan_min replaced: O(count)."""
+    best, best_idx = modulus, 0
+    for first, res in K.residue_blocks(pow_mod, modulus, 1, count + 1):
+        dist = np.minimum(res, modulus - res)
+        k = int(np.argmin(dist))
+        if dist[k] < best:
+            best, best_idx = int(dist[k]), first + k
+    return best, best_idx
+
+
+def linear_scan_close(pow_mod, count, modulus, num, den):
+    """The block-by-block scan digit_scan_close replaced: O(count)."""
+    for first, res in K.residue_blocks(pow_mod, modulus, 1, count + 1):
+        for i in K.close_indices(res, modulus, num, den):
+            yield first + int(i)
+
+
+def _plus_minus_row(rng, q, flip):
+    """(pow_mod, count, n): row 1 reaches its minimum x at l1 and at
+    l2 = l1 + 2^j, reading +x at l1 and -x at l2 (swapped when flip); the
+    other residues are random on a large q, so the smaller n = 2^s + l1 wins."""
+    s = rng.randint(2, 6)
+    j = rng.randrange(s)
+    x = rng.randint(1, 50)
+    pow_mod = [rng.randrange(q) for _ in range(2 * s + rng.randint(0, 1))]
+    pow_mod[j] = (2 * x if flip else -2 * x) % q
+    l1 = rng.randrange(1 << s) & ~(1 << j)
+    low = sum(a for d, a in enumerate(pow_mod[:s]) if l1 >> d & 1)
+    pow_mod[s] = ((-x if flip else x) - low) % q
+    return pow_mod, (1 << len(pow_mod)) - 1, (1 << s) + l1
+
+
+def _row_zero_tie(rng, q):
+    """(pow_mod, count, n): n = 3 in row 0 and n = 2^j in a later row both
+    read x, and nothing else comes that close on a large q."""
+    k = rng.randint(4, 12)
+    x = rng.randint(1, 50)
+    pow_mod = [rng.randrange(q) for _ in range(k)]
+    pow_mod[1] = (x - pow_mod[0]) % q
+    pow_mod[rng.randrange(k // 2, k)] = x
+    return pow_mod, rng.randint(1 << (k - 1), (1 << k) - 1), 3
+
+
+def _scan_cases():
+    """2,400 (pow_mod, count, modulus) cases, with the n that must win where
+    the case is built around a tie."""
+    rng = random.Random(13)
+    big = [ML - 1, ML, ML + 1, (1 << 64) + 13]
+    for i in range(2400):
+        q = rng.choice(big + [2, 3, 4, 7, 60, rng.randint(2, 10**6)])
+        if i % 12 < 2 and q in big:
+            pow_mod, count, n = _plus_minus_row(rng, q, i % 24 == 0) if i % 12 else _row_zero_tie(rng, q)
+            yield pow_mod, count, q, n
+            continue
+        j = rng.randint(1, 11)
+        count = rng.choice([1, 2, 3, (1 << j) - 1, 1 << j, (1 << j) + 1])
+        pow_mod = [rng.randrange(q) for _ in range(count.bit_length())]
+        yield pow_mod, count, q, None
+
+
+def test_digit_scan_min_matches_the_reference():
+    kinds = set()
+    for pow_mod, count, q, n in _scan_cases():
+        got = K.digit_scan_min(np.asarray(pow_mod, dtype=object), count, q)
+        assert got == ref_digit_scan(pow_mod, count, q)
+        assert n is None or got[1] == n
+        kinds.add((count.bit_length() % 2, q >= ML, n))
+    assert {(0, True), (1, True), (0, False), (1, False)} <= {kind[:2] for kind in kinds}
+    assert {3} <= {kind[2] for kind in kinds} and len({kind[2] for kind in kinds}) > 10
+
+
+def test_digit_scan_close_matches_the_reference():
+    rng = random.Random(14)
+    windows = wrapped = 0
+    for pow_mod, count, q, _ in _scan_cases():
+        res = ref_residues(pow_mod, count, q)
+        # a random window, one just short of all of [0, q), and all of it
+        den = rng.randint(1, 60)
+        for num, d in ((rng.randint(0, den), den), (q // 2 - 1, q), (q - 1, 2 * q)):
+            got = list(K.digit_scan_close(pow_mod, count, q, num, d))
+            assert got == ref_scan_close(res, count, q, num, d)
+            w = num * q // d
+            if 2 * w + 1 >= q:
+                assert got == list(range(1, count + 1))
+            windows += 1
+            wrapped += 0 < w and 2 * w + 1 < q
+    assert windows == 7200 and wrapped > 2000
+
+
+@pytest.mark.parametrize("q", [(1 << 40) - 87, (1 << 61) - 1])
+def test_the_scans_match_the_linear_scans_at_2_22(q):
+    rng = random.Random(q)
+    pow_mod = [rng.randrange(q) for _ in range(23)]
+    count = 1 << 22
+    assert K.digit_scan_min(pow_mod, count, q) == linear_scan_min(pow_mod, count, q)
+    got = list(K.digit_scan_close(pow_mod, count, q, 1, 1 << 18))
+    assert got == list(linear_scan_close(pow_mod, count, q, 1, 1 << 18)) and len(got) > 10
+
 
 # (T, q) with T * q = 2^62 - 1, 2^62, 2^62 + 1, and T * q near 2^70
 _DEVIATION_CASES = [(3, 1537228672809129301), (64, 1 << 56), (5, 922337203685477581),
