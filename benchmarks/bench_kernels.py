@@ -8,7 +8,12 @@ build two subset-residue tables of about 2^(k/2) entries for k-bit counts,
 so the 2^24 and 2^25 cases cost little more than the 2^20 one.  The
 digit_scan_min cases at q=2^61-1 and the first digit_scan_close case use
 moduli above MOD_LIMIT, so they time the Python-int (object array) path of
-the residue scans.  The discrepancy scan runs on
+the residue scans.  The eval_expsum cases time the direct sum, which reads
+the residues of its 2^(r+1) terms off the same two half tables in runs of
+whole rows.  The dense first hit is the first pull of a separation check
+as the decay queries send it (beta = 1/(4 b^2)), which looks the rows up
+in chunks of 1, 1, 2, 4, ... and stops at the first that holds a hit.
+The discrepancy scan runs on
 Python ints at every size; its second case has T*q far above 2^62.  The
 fractional_orbit cases read the discrepancy orbit as the residues
 n M mod Q of gamma.mid = M/Q, on the grid Q for an exact gamma and for an
@@ -31,6 +36,7 @@ from radixapprox.discrepancy import (
     erdos_turan_check,
     fractional_orbit,
 )
+from radixapprox.expsum import eval_expsum
 
 
 def bench(fn, *args, warmup=1, repeat=5):
@@ -61,9 +67,15 @@ def cases():
     q = 999983
     adds = [(37 * pow(3, d, q)) % q for d in range(21)]
     yield "subset_residues (2^21 entries)", K.subset_residues, (adds, q)
+    # a half table of criterion 10's oracle scans (N <= 10^4)
+    yield "subset_residues (2^6 entries)", K.subset_residues, (adds[:6], q)
 
     res = rng.integers(0, q, size=1 << 21).astype(np.int64)
     yield "cos_sin_sum (2^21 terms)", K.cos_sin_sum, (res, q)
+
+    # int64 residues at r = 22, Python ints for sqrt2 at 128 bits
+    yield "eval_expsum (r=22, q=2^40-87)", eval_expsum, (2, 22, 3, Real.parse("314159265358/1099511627689"))
+    yield "eval_expsum (r=14, gamma=sqrt2@128)", eval_expsum, (3, 14, 1, Real.parse("sqrt2", 128))
 
     # T=4000 is the longest orbit the spectral benchmark workload sends
     for label, q in (("2^40", 1 << 40), ("2^64+13", (1 << 64) + 13)):
@@ -109,6 +121,9 @@ def cases():
     pow_mod = [(314159265358 * pow(3, d, q)) % q for d in range(25)]
     yield "digit_scan_close (N=2^24, q=2^40-87, first hit)", lambda *a: next(K.digit_scan_close(*a)), (
         pow_mod, 1 << 24, q, 1, 1 << 20)
+    # beta = 1/(4 b^2) at b = 3, r = 20
+    yield "digit_scan_close (r=20, q=2^40-87, dense first hit)", lambda *a: next(K.digit_scan_close(*a)), (
+        pow_mod[:21], (1 << 21) - 1, q, 1, 36)
     # every hit of a separation check at r = 24: the n < 2^25 within 2^-20
     yield "digit_scan_close (r=24, q=2^40-87, all hits)", lambda *a: list(K.digit_scan_close(*a)), (
         pow_mod, (1 << 25) - 1, q, 1, 1 << 20)
@@ -119,9 +134,9 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    print(f"{'kernel':52s} {'best':>10s}")
+    print(f"{'kernel':52s} {'best':>11s}")
     for name, fn, fargs in cases():
-        print(f"{name:52s} {bench(fn, *fargs, repeat=args.repeat) * 1e3:8.2f}ms")
+        print(f"{name:52s} {bench(fn, *fargs, repeat=args.repeat) * 1e3:9.3f}ms")
 
 
 if __name__ == "__main__":

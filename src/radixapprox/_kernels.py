@@ -7,14 +7,16 @@ their integers.  Integer results are exact on both kinds of array; float
 sums differ only by rounding that ``expsum._sum_radius`` accounts for.
 The discrepancy scan is pure Python over unbounded ints: no int64 bound.
 
-The zero-one scans meet in the middle (Horowitz & Sahni, "Computing
-partitions with applications to the knapsack problem", JACM 21, 1974): for
-n <= count, k = bit_length(count) and s = k // 2, element n = h 2**s + l has
-the residue H[h] + L[l] mod M, L and H the ``subset_residues`` tables of the
-low s and the high k - s digits.  A scan sorts L and looks up every row h
-at once with ``np.searchsorted``, then reads only the rows it reports:
-O(2**(k/2) k) work in place of O(2**k).  Rows ascend and so does l within a
-row, so the first hit is the smallest n.
+The zero-one residues have one layout, the meet-in-the-middle split
+(Horowitz & Sahni, "Computing partitions with applications to the knapsack
+problem", JACM 21, 1974): for n <= count, k = bit_length(count) and
+s = k // 2, element n = h 2**s + l has the residue H[h] + L[l] mod M, L and
+H the ``subset_residues`` tables of the low s and the high k - s digits
+(``_half_tables``).  The scans sort L, look rows h up in it with
+``np.searchsorted`` and read only the rows it reports: O(2**(k/2) k) work
+in place of O(2**k).  Rows ascend and so does l within a row, so the first
+hit is the smallest n.  The trigonometric sums read the same tables, whole
+rows at a time (``residue_rows``).
 """
 from __future__ import annotations
 
@@ -23,10 +25,10 @@ import numpy as np
 __all__ = [
     "USE_NUMBA",
     "MOD_LIMIT",
-    "residue_blocks",
     "digit_scan_min",
     "digit_scan_min_sharded",
     "subset_residues",
+    "residue_rows",
     "cos_sin_sum",
     "digit_scan_close",
     "first_close",
@@ -43,8 +45,7 @@ USE_NUMBA = False
 MOD_LIMIT = 1 << 57
 
 _PRODUCT_LIMIT = 1 << 62  # int64 products and sums must stay below this
-_FIRST_BITS = 10  # the first block covers indices [0, 2**10)
-_BLOCK_BITS = 18  # the low table stops doubling at 2**18 residues
+_ROW_RUN = 1 << 18  # residue_rows yields runs of whole rows of about this many entries
 
 
 def _int_array(values, bound: int) -> np.ndarray:
@@ -66,40 +67,13 @@ def subset_residues(add_mod, modulus: int) -> np.ndarray:
     Requires all 0 <= add_mod[d] < modulus.  The table is int64 when
     modulus < MOD_LIMIT and holds Python ints otherwise.
     """
-    blocks = residue_blocks(add_mod, modulus, 0, 1 << len(add_mod))
-    return np.concatenate([res for _, res in blocks])
-
-
-def residue_blocks(add_mod, modulus: int, start: int, stop: int):
-    """Yield (first, res) blocks covering the indices n in [start, stop) in
-    ascending order, where res[i] is the subset residue of n = first + i.
-
-    The first block is [0, 2**10); the low table then doubles, each new half
-    being the next block, so a reducer that stops at its first hit builds at
-    most twice the prefix it inspected.  Past 2**18 every block is the low
-    table shifted by the residue of its high bits.  Requires
-    len(add_mod) >= bit_length(stop - 1).
-    """
-    if start >= stop:
-        return
-    adds = [int(a) % modulus for a in add_mod]
-    lo_bits = min((stop - 1).bit_length(), _BLOCK_BITS)
-    table = np.zeros(1, dtype=np.int64 if modulus < MOD_LIMIT else object)
-    first = 0  # the block being built is table[first:]
-    for d in range(lo_bits + 1):
-        # table holds the 2**d residues of the low d bits
-        if d >= min(lo_bits, _FIRST_BITS):
-            s0, s1 = max(start - first, 0), min(stop, len(table)) - first
-            if s0 < s1:
-                yield first + s0, table[first + s0 : first + s1]
-            first = len(table)
-        if d < lo_bits:
-            table = np.concatenate([table, (table + adds[d]) % modulus])
-    width = len(table)
-    for first in range(max(width, start - start % width), stop, width):
-        base = sum(a for d, a in enumerate(adds) if first >> d & 1) % modulus
-        s0, s1 = max(start - first, 0), min(stop - first, width)
-        yield first + s0, (table[s0:s1] + base) % modulus
+    table = np.zeros(1 << len(add_mod), dtype=np.int64 if modulus < MOD_LIMIT else object)
+    for d, a in enumerate(add_mod):
+        # the masks with top bit d are those below 2**d plus add_mod[d]
+        half = table[1 << d : 2 << d]
+        np.add(table[: 1 << d], int(a) % modulus, out=half)
+        np.remainder(half, modulus, out=half)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +87,16 @@ def _half_tables(pow_mod, count: int, modulus: int):
     k = count.bit_length()
     s = k // 2
     return s, subset_residues(pow_mod[:s], modulus), subset_residues(pow_mod[s:k], modulus)
+
+
+def residue_rows(pow_mod, modulus: int):
+    """Yield the residues of every n in [0, 2**len(pow_mod)), ascending, as
+    runs of whole rows ((H[h] + L) mod M, flattened) of at most
+    max(2**18, 2**s) entries: the residues of a direct exponential sum."""
+    s, L, H = _half_tables(pow_mod, (1 << len(pow_mod)) - 1, modulus)
+    step = max(_ROW_RUN >> s, 1)
+    for h in range(0, len(H), step):
+        yield ((H[h : h + step, None] + L) % modulus).ravel()
 
 
 def _row(h: int, count: int, s: int):
@@ -166,23 +150,28 @@ def digit_scan_close(pow_mod, count: int, modulus: int, num: int, den: int):
     <= num / den (res_n as in digit_scan_min).
 
     Row h holds a close n exactly where L[l] lies in the circular window
-    [t - w, t + w], t = -H[h] mod M and w = num M // den.  Each row looks
-    its window up in the sorted L (every row holds one when 2w + 1 >= M),
-    and close_indices scans only the rows that hold one, ascending, as the
-    caller pulls; each costs 2**s on top of the tables.
+    [t - w, t + w], t = -H[h] mod M and w = num M // den.  The rows look
+    their windows up in the sorted L in chunks of 1, 1, 2, 4, ... rows
+    (every row holds one when 2w + 1 >= M), so a dense window stops at its
+    first hit, and close_indices scans only the rows that hold one,
+    ascending, as the caller pulls; each costs 2**s on top of the tables.
     """
     s, L, H = _half_tables(pow_mod, count, modulus)
-    rows = np.arange((count >> s) + 1)
-    w = num * modulus // den
-    if 2 * w + 1 < modulus:
-        # the window [lo, lo + 2w] of row h holds an L exactly when the first
-        # L at or circularly after lo does
-        low, lo = np.sort(L), (-w - H[rows]) % modulus
-        rows = rows[(low[np.searchsorted(low, lo) % len(low)] - lo) % modulus <= 2 * w]
-    for h in rows.tolist():
-        lo, hi = _row(h, count, s)
-        for i in close_indices((L[lo:hi] + H[h]) % modulus, modulus, num, den):
-            yield (h << s) + lo + int(i)
+    w, top = num * modulus // den, count >> s
+    low = np.sort(L) if 2 * w + 1 < modulus else None
+    start, stop = 0, 1
+    while start <= top:
+        rows = np.arange(start, min(stop, top + 1))
+        if low is not None:
+            # the window [lo, lo + 2w] of row h holds an L exactly when the
+            # first L at or circularly after lo does
+            lo = (-w - H[rows]) % modulus
+            rows = rows[(low[np.searchsorted(low, lo) % len(low)] - lo) % modulus <= 2 * w]
+        for h in rows.tolist():
+            lo, hi = _row(h, count, s)
+            for i in close_indices((L[lo:hi] + H[h]) % modulus, modulus, num, den):
+                yield (h << s) + lo + int(i)
+        start, stop = stop, 2 * stop
 
 
 def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> int:

@@ -16,7 +16,7 @@ from typing import Optional
 from . import digitsets as ds
 from ._kernels import digit_scan_close, digit_scan_min_sharded
 from .errors import DomainError, IndeterminateComparison, InvariantViolation
-from .exact import Real, dist_of_multiple, frac_of_multiple
+from .exact import Real, dist_of_multiple, frac_of_multiple, power_residues
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ def oracle_min(gamma: Real, b: int, N: int, *, cap: int = ds.CAP_DEFAULT) -> App
     # above best/Q + 2 V rad can neither win nor overlap the winner.  With
     # rad = 0 equal distances never overlap and the first argmin is smallest
     count = ds.capped_count(b, N, cap)
-    Q = gamma.mid.denominator
-    pow_mod = [(gamma.mid.numerator * pow(b, d, Q)) % Q for d in range(count.bit_length())]
+    Q, pow_mod = power_residues(gamma, 1, b, count.bit_length())
     best, idx = digit_scan_min_sharded(pow_mod, count, Q)
     window = Fraction(best, Q) + 2 * ds.unrank(b, count) * gamma.rad
     close = digit_scan_close(pow_mod, count, Q, window.numerator, window.denominator)

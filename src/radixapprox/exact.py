@@ -295,6 +295,15 @@ def dist_of_multiple(gamma: Real, n: int) -> Real:
     return dist_to_nearest_int(Real(Fraction(n * M % Q, Q), gamma.rad and abs(n) * gamma.rad))
 
 
+def power_residues(gamma: Real, k: int, b: int, digits: int) -> tuple[int, list[int]]:
+    """(Q, [k b**d M mod Q for d < digits]) for gamma.mid = M/Q: the
+    residues of the digit weights k b**d, from which the zero-one scans and
+    sums build the residue of k gamma n for every n with those digits."""
+    M, Q = gamma.mid.numerator, gamma.mid.denominator
+    a = k * M % Q
+    return Q, [a * pow(b, d, Q) % Q for d in range(digits)]
+
+
 @contextmanager
 def iv_precision(bits: int):
     """mpmath's interval context with ``bits`` of working precision.

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digitsets as ds
-from ._kernels import cos_sin_sum, digit_scan_close, residue_blocks
+from ._kernels import cos_sin_sum, digit_scan_close, residue_rows
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -38,6 +38,7 @@ from .exact import (
     dist_to_nearest_int,
     iv_precision,
     iv_to_real,
+    power_residues,
 )
 
 #: Default cap on r: at most 2**(R_CAP_DEFAULT + 1) terms per direct sum.
@@ -98,7 +99,9 @@ def _sin_pi_bounds(h: Fraction, *widens: Fraction) -> tuple[Fraction, ...]:
 def _sum_radius(n: int) -> Fraction:
     """Worst-case float64 radius for one component of an n-term sum of
     cos(2 pi v/q) or sin(2 pi v/q), summed by ``cos_sin_sum`` block by block
-    and, over several blocks, by ``math.fsum``.  With u = 2**-53:
+    and, over several blocks, by ``math.fsum``; a block is a run of whole
+    rows of the half tables (``residue_rows``), at most max(2**18, 2**s)
+    entries and at most n.  With u = 2**-53:
 
     Each term is within _TERM_ERR = 4e-15.  int64 residues form the angle
     as v * fl(2 pi / q): five roundings (pi, q, the quotient, v, the
@@ -107,13 +110,13 @@ def _sum_radius(n: int) -> Fraction:
     sin are 1-Lipschitz, and numpy evaluates them within 4 ulp, 4.5e-16.
 
     Summation (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 4): numpy's ``sum`` halves a block until it is at most 128 long, in
-    at most bits(n) - 6 levels.  A leaf of 128 holds 8 interleaved
-    accumulators of at most 16 terms (15 additions), combines them in 3
-    more, then adds at most 7 leftover terms one by one.  So a term passes
-    at most h = bits(n) + 19 additions, and ``fsum`` rounds once more.  The
-    error is at most gamma_(h+1) * sum |x_i| <= (bits(n) + 20) * 1.01 u * n,
-    and _EPS = 1.2e-16 exceeds 1.01 u.
+    ch. 4): numpy's ``sum`` halves a block of m <= n terms until it is at
+    most 128 long, in at most bits(m) - 6 <= bits(n) - 6 levels.  A leaf of
+    128 holds 8 interleaved accumulators of at most 16 terms (15
+    additions), combines them in 3 more, then adds at most 7 leftover terms
+    one by one.  So a term passes at most h = bits(n) + 19 additions, and
+    ``fsum`` rounds once more.  The error is at most gamma_(h+1) * sum |x_i|
+    <= (bits(n) + 20) * 1.01 u * n, and _EPS = 1.2e-16 exceeds 1.01 u.
     """
     bits = max(n.bit_length(), 1)
     return n * (_TERM_ERR + (bits + 20) * _EPS)
@@ -190,7 +193,7 @@ def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationR
     # x rad of its reading ||x M/Q|| (gamma.mid = M/Q), so one read above
     # beta + V rad certainly passes; for an exact gamma the first read fails
     count = (1 << (r + 1)) - 1
-    Q, add_mod = _shift_residues(b, r, 1, gamma.mid)
+    Q, add_mod = power_residues(gamma, 1, b, r + 1)
     window = beta + ds.unrank(b, count) * gamma.rad
     hits = digit_scan_close(add_mod, count, Q, window.numerator, window.denominator)
     trunc = (ds.unrank(b, i) for i in hits)
@@ -259,12 +262,6 @@ class ExpSumReport:
     decay_bound: Optional[Real] = None
     separation_beta: Optional[Fraction] = None
     far_positions: Optional[tuple[int, ...]] = None
-
-
-def _shift_residues(b: int, r: int, k: int, gamma_q: Fraction) -> tuple[int, list[int]]:
-    q = gamma_q.denominator
-    a = (k * gamma_q.numerator) % q
-    return q, [(a * pow(b, d, q)) % q for d in range(r + 1)]
 
 
 def _product_interval(factors_lo: list[Fraction], factors_hi: list[Fraction], scale: int):
@@ -343,7 +340,7 @@ def eval_expsum(
     total_j = (1 << r) * (b ** (r + 1) - 1) // (b - 1)
     extra_rad = Fraction(7) * abs(k) * total_j * gamma.rad
 
-    q, res_mods = _shift_residues(b, r, k, gamma.mid)
+    q, res_mods = power_residues(gamma, k, b, r + 1)
 
     pi_lo, pi_hi = pi_bounds()
     ws = [dist_of_multiple(gamma, k * b**d) for d in range(r + 1)]
@@ -367,8 +364,7 @@ def eval_expsum(
     if all(v == 0 for v in res_mods):
         re_full, im_full = Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
     else:
-        blocks = (res for _, res in residue_blocks(res_mods, q, 0, n))
-        re_full, im_full = _trig_sum(blocks, q, n, extra_rad)
+        re_full, im_full = _trig_sum(residue_rows(res_mods, q), q, n, extra_rad)
     mag_full = _magnitude(re_full, im_full)
 
     # both enclose the same number, so they must intersect

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from radixapprox._kernels import MOD_LIMIT, first_close, residue_blocks
+from radixapprox._kernels import MOD_LIMIT, cos_sin_sum, first_close, subset_residues
 from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import DomainError, HypothesisViolation, IndeterminateComparison
 from radixapprox.exact import Real, dist_exact, dist_to_nearest_int, mpf_to_fraction
@@ -17,7 +17,6 @@ from radixapprox.expsum import (
     _decay_bound,
     _magnitude,
     _product_interval,
-    _shift_residues,
     _sum_radius,
     _trig_sum,
     classify_G,
@@ -36,13 +35,19 @@ def _mpf(f: Fraction):
     return mpmath.mpf(f.numerator) / f.denominator
 
 
+def all_residues(b, r, k, gamma: Fraction):
+    """(q, res): res[n] = k gamma unrank(b, n) mod 1 on the grid q, for
+    every n < 2^(r+1), as one subset_residues table of all r + 1 digits."""
+    q = gamma.denominator
+    return q, subset_residues([k * gamma.numerator * b**d % q for d in range(r + 1)], q)
+
+
 def _direct_sum(b, r, k, gamma: Fraction):
     """(re, im, n) of the direct sum over the 2^(r+1) truncated zero-one
     terms, through the trig-sum enclosure eval_expsum uses."""
-    n = 1 << (r + 1)
-    q, mods = _shift_residues(b, r, k, gamma)
-    re, im = _trig_sum((res for _, res in residue_blocks(mods, q, 0, n)), q, n, Fraction(0))
-    return re, im, n
+    q, res = all_residues(b, r, k, gamma)
+    re, im = _trig_sum([res], q, len(res), Fraction(0))
+    return re, im, len(res)
 
 
 class TestClassify:
@@ -87,15 +92,9 @@ def separation_two_branch(b, r, beta, gamma):
     merge: the residue kernel plus Fraction distances for an exact gamma,
     products of Reals for an enclosure."""
     if gamma.is_exact:
-        q = gamma.mid.denominator
-        p = gamma.mid.numerator % q
-        add_mod = [(p * pow(b, d, q)) % q for d in range(r + 1)]
-        worst = None
-        for first, res in residue_blocks(add_mod, q, 1, 1 << (r + 1)):
-            hit = first_close(res, q, beta.numerator, beta.denominator)
-            if hit >= 0:
-                worst = unrank(b, first + hit)
-                break
+        q, res = all_residues(b, r, 1, gamma.mid)
+        hit = first_close(res[1:], q, beta.numerator, beta.denominator)
+        worst = unrank(b, hit + 1) if hit >= 0 else None
         for x in power_gaps(b, r):
             if worst is not None and x >= worst:
                 break
@@ -373,6 +372,32 @@ class TestEvalExpsum:
             exact_im = mpmath.fsum(mpmath.sin(t) for t in angles)
         assert abs(_mpf(re.mid) - exact_re) <= _mpf(re.rad)
         assert abs(_mpf(im.mid) - exact_im) <= _mpf(im.rad)
+
+    @pytest.mark.parametrize("q", [(1 << 40) - 87, MOD_LIMIT - 1, MOD_LIMIT + 1, (1 << 64) + 13, None],
+                             ids=["2^40-87", "ML-1", "ML+1", "2^64+13", "sqrt2@128"])
+    def test_direct_sum_matches_a_plain_sum_over_every_residue(self, q):
+        # r across the 2^18-entry runs of whole rows and odd and even digit
+        # counts; the reference sums one table of all 2^(r+1) residues, so the
+        # two float sums differ by at most _sum_radius(n) each
+        rng = random.Random(q)
+        for r in (0, 1, 9, 10, 11, 17, 18, 19):
+            b, k = rng.choice([2, 3, 10]), rng.choice([-7, 1, 3, 10])
+            if q is None:
+                gamma = Real.parse("sqrt2", 128)
+            else:
+                a = rng.randrange(1, q)
+                while math.gcd(a, q) != 1:
+                    a = rng.randrange(1, q)
+                gamma = E(a, q)
+            rep = eval_expsum(b, r, k, gamma)
+            n = 1 << (r + 1)
+            extra = 7 * abs(k) * (1 << r) * (b ** (r + 1) - 1) // (b - 1) * gamma.rad
+            grid, res = all_residues(b, r, k, gamma.mid)
+            ref = cos_sin_sum(res, grid)
+            assert rep.term_count == len(res) == n
+            for part, want in zip((rep.value_re, rep.value_im), ref):
+                assert part.rad == _sum_radius(n) + extra
+                assert abs(part.mid - Fraction(want)) <= part.rad + _sum_radius(n)
 
     def test_magnitude_slack_covers_200_bit_hypot(self):
         rng = random.Random(31)

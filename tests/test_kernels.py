@@ -160,68 +160,36 @@ def test_cos_margin_values(as_array):
 
 
 # ---------------------------------------------------------------------------
-# the residue-block iterator and the int64 boundaries
+# the subset residues and the int64 boundaries
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("modulus", [ML - 1, ML, ML + 1, 97])
-def test_residue_blocks_cover_the_range_in_order(modulus):
-    rng = random.Random(modulus)
-    adds = [rng.randrange(modulus) for _ in range(20)]
-    for start, stop in [(0, 1), (1, 2), (0, 1024), (1000, 1030), (1, 5000), (3000, 4097),
-                        ((1 << 18) - 5, (1 << 18) + 7), (1, (1 << 19) + 3)]:
-        expect_next = start
-        for first, res in K.residue_blocks(adds, modulus, start, stop):
-            assert first == expect_next and len(res) > 0
-            assert res.dtype == (np.int64 if modulus < ML else object)
-            for i in {0, len(res) // 2, len(res) - 1, rng.randrange(len(res))}:
-                assert res[i] == ref_subset_residue(adds, first + i, modulus)
-            expect_next = first + len(res)
-        assert expect_next == stop
-    assert list(K.residue_blocks(adds, modulus, 7, 7)) == []
-
-
-def test_residue_blocks_start_with_small_blocks():
-    blocks = [(first, len(res)) for first, res in K.residue_blocks(list(range(1, 21)), 10**9, 1, 1 << 20)]
-    assert blocks[:4] == [(1, 1023), (1024, 1024), (2048, 2048), (4096, 4096)]
-    assert blocks[-1] == (3 << 18, 1 << 18)
-
-
-def block_layout(start, stop):
-    """The (first, length) blocks residue_blocks promises: [0, 2^10), then
-    the doubling halves [2^d, 2^(d+1)) up to 2^18, then full 2^18 blocks,
-    each clipped to [start, stop)."""
-    lo_bits = min((stop - 1).bit_length(), 18)
-    edges = [0, 1 << min(lo_bits, 10)]
-    while edges[-1] < stop:
-        edges.append(edges[-1] * 2 if edges[-1] < 1 << lo_bits else edges[-1] + (1 << lo_bits))
-    clipped = [(max(a, start), min(b, stop)) for a, b in zip(edges, edges[1:])]
-    return [(a, b - a) for a, b in clipped if a < b]
 
 
 @pytest.mark.parametrize("modulus", [2, 1009, ML - 1, ML + 1])
 def test_subset_residues_and_blocks_match_brute_force_subset_sums(modulus):
     rng = random.Random(modulus + 7)
-    for _ in range(12):
-        adds = [rng.randrange(modulus) for _ in range(rng.randint(0, 12))]
+    for size in [0, 1, 12] + [rng.randint(0, 12) for _ in range(9)]:
+        adds = [rng.randrange(modulus) for _ in range(size)]
         brute = [sum(c) % modulus for c in itertools.product(*[(0, a) for a in reversed(adds)])]
-        assert K.subset_residues(adds, modulus).tolist() == brute
-        stop = rng.randint(1, len(brute))
-        start = rng.randint(0, stop - 1)
-        blocks = list(K.residue_blocks(adds, modulus, start, stop))
-        assert [(first, len(res)) for first, res in blocks] == block_layout(start, stop)
-        assert [v for _, res in blocks for v in res.tolist()] == brute[start:stop]
+        table = K.subset_residues(adds, modulus)
+        assert table.dtype == (np.int64 if modulus < ML else object)
+        assert table.tolist() == brute
 
 
-def test_residue_blocks_layout_past_the_low_table():
-    rng = random.Random(8)
-    adds = [rng.randrange(10**9) for _ in range(21)]
-    for start, stop in [(1, (1 << 20) + 5), ((1 << 18) - 3, 3 << 19), (5 << 18, (1 << 21) - 1)]:
-        blocks = list(K.residue_blocks(adds, 10**9, start, stop))
-        assert [(first, len(res)) for first, res in blocks] == block_layout(start, stop)
-        for first, res in blocks:
-            i = rng.randrange(len(res))
-            assert res[i] == ref_subset_residue(adds, first + i, 10**9)
+@pytest.mark.parametrize("modulus", [ML - 1, ML + 1])
+def test_residue_rows_are_whole_rows_of_every_residue_in_order(modulus):
+    rng = random.Random(modulus)
+    for bits in (0, 1, 2, 7, 19, 20):
+        pow_mod = [rng.randrange(modulus) for _ in range(bits)]
+        runs = list(K.residue_rows(pow_mod, modulus))
+        # runs of whole rows of 2^s entries, s = bits // 2, at most 2^18 long
+        assert all(len(res) % (1 << bits // 2) == 0 and len(res) <= 1 << 18 for res in runs)
+        got = np.concatenate(runs)
+        assert len(got) == 1 << bits and got.dtype == (np.int64 if modulus < ML else object)
+        if bits <= 7:
+            assert got.tolist() == ref_residues(pow_mod, (1 << bits) - 1, modulus)
+        else:
+            for n in [0, 1, (1 << bits) - 1] + [rng.randrange(1 << bits) for _ in range(200)]:
+                assert got[n] == ref_subset_residue(pow_mod, n, modulus)
 
 
 @pytest.mark.parametrize("modulus", [ML - 1, ML, ML + 1, (1 << 64) + 13])
@@ -345,10 +313,20 @@ def test_digit_scan_close_builds_only_the_leading_blocks(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def linear_residues(pow_mod, count, modulus):
+    """(first, res) runs covering n in [1, count], ascending: the subset
+    residues of the low 18 digits, each 2^18-run shifted by the residue of
+    its high digits.  O(count), and built without the half tables."""
+    low = K.subset_residues(pow_mod[:18], modulus)
+    for first in range(0, count + 1, len(low)):
+        lo, base = int(first == 0), ref_subset_residue(pow_mod, first, modulus)
+        yield first + lo, (low[lo : count + 1 - first] + base) % modulus
+
+
 def linear_scan_min(pow_mod, count, modulus):
-    """The block-by-block scan digit_scan_min replaced: O(count)."""
+    """The O(count) scan digit_scan_min replaced."""
     best, best_idx = modulus, 0
-    for first, res in K.residue_blocks(pow_mod, modulus, 1, count + 1):
+    for first, res in linear_residues(pow_mod, count, modulus):
         dist = np.minimum(res, modulus - res)
         k = int(np.argmin(dist))
         if dist[k] < best:
@@ -357,8 +335,8 @@ def linear_scan_min(pow_mod, count, modulus):
 
 
 def linear_scan_close(pow_mod, count, modulus, num, den):
-    """The block-by-block scan digit_scan_close replaced: O(count)."""
-    for first, res in K.residue_blocks(pow_mod, modulus, 1, count + 1):
+    """The O(count) scan digit_scan_close replaced."""
+    for first, res in linear_residues(pow_mod, count, modulus):
         for i in K.close_indices(res, modulus, num, den):
             yield first + int(i)
 
