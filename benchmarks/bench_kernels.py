@@ -8,11 +8,12 @@ build two subset-residue tables of about 2^(k/2) entries for k-bit counts,
 so the 2^24 and 2^25 cases cost little more than the 2^20 one.  The
 digit_scan_min cases at q=2^61-1 and the first digit_scan_close case use
 moduli above MOD_LIMIT, so they time the Python-int (object array) path of
-the residue scans.  The eval_expsum cases time the direct sum, which reads
-the residues of its 2^(r+1) terms off the same two half tables in runs of
-whole rows.  The dense first hit is the first pull of a separation check
-as the decay queries send it (beta = 1/(4 b^2)), which looks the rows up
-in chunks of 1, 1, 2, 4, ... and stops at the first that holds a hit.
+the residue scans; the direct sum has no Python-int path.  The eval_expsum
+cases time it: it turns the same two half tables into float angles once,
+for every modulus, and adds them into the angles of its 2^(r+1) terms in
+runs of whole rows.  The dense first hit is the first pull of a separation
+check as the decay queries send it (beta = 1/(4 b^2)), which looks the rows
+up in chunks of 1, 1, 2, 4, ... and stops at the first that holds a hit.
 The discrepancy scan runs on
 Python ints at every size; its second case has T*q far above 2^62.  The
 fractional_orbit cases read the discrepancy orbit as the residues
@@ -70,12 +71,15 @@ def cases():
     # a half table of criterion 10's oracle scans (N <= 10^4)
     yield "subset_residues (2^6 entries)", K.subset_residues, (adds[:6], q)
 
-    res = rng.integers(0, q, size=1 << 21).astype(np.int64)
-    yield "cos_sin_sum (2^21 terms)", K.cos_sin_sum, (res, q)
+    theta = rng.uniform(-2 * np.pi, 2 * np.pi, size=1 << 21)
+    yield "cos_sin_sum (2^21 terms)", K.cos_sin_sum, (theta,)
 
-    # int64 residues at r = 22, Python ints for sqrt2 at 128 bits
+    # int64 half tables at r = 22, Python-int ones at q = 2^64+13 and for
+    # sqrt2 and pi at 128 and 256 bits
     yield "eval_expsum (r=22, q=2^40-87)", eval_expsum, (2, 22, 3, Real.parse("314159265358/1099511627689"))
+    yield "eval_expsum (r=18, q=2^64+13)", eval_expsum, (2, 18, 3, Real.parse(f"314159265358/{(1 << 64) + 13}"))
     yield "eval_expsum (r=14, gamma=sqrt2@128)", eval_expsum, (3, 14, 1, Real.parse("sqrt2", 128))
+    yield "eval_expsum (r=14, gamma=pi@256)", eval_expsum, (3, 14, 1, Real.parse("pi", 256))
 
     # T=4000 is the longest orbit the spectral benchmark workload sends
     for label, q in (("2^40", 1 << 40), ("2^64+13", (1 << 64) + 13)):

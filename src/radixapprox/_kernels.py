@@ -15,8 +15,8 @@ H the ``subset_residues`` tables of the low s and the high k - s digits
 (``_half_tables``).  The scans sort L, look rows h up in it with
 ``np.searchsorted`` and read only the rows it reports: O(2**(k/2) k) work
 in place of O(2**k).  Rows ascend and so does l within a row, so the first
-hit is the smallest n.  The trigonometric sums read the same tables, whole
-rows at a time (``residue_rows``).
+hit is the smallest n.  The trigonometric sums read the same tables as
+float angles, whole rows at a time (``angle_rows``), for every modulus.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ __all__ = [
     "digit_scan_min",
     "digit_scan_min_sharded",
     "subset_residues",
-    "residue_rows",
+    "angle_rows",
     "cos_sin_sum",
     "digit_scan_close",
     "first_close",
@@ -45,7 +45,7 @@ USE_NUMBA = False
 MOD_LIMIT = 1 << 57
 
 _PRODUCT_LIMIT = 1 << 62  # int64 products and sums must stay below this
-_ROW_RUN = 1 << 18  # residue_rows yields runs of whole rows of about this many entries
+_ROW_RUN = 1 << 18  # angle_rows yields runs of whole rows of about this many entries
 
 
 def _int_array(values, bound: int) -> np.ndarray:
@@ -89,14 +89,22 @@ def _half_tables(pow_mod, count: int, modulus: int):
     return s, subset_residues(pow_mod[:s], modulus), subset_residues(pow_mod[s:k], modulus)
 
 
-def residue_rows(pow_mod, modulus: int):
-    """Yield the residues of every n in [0, 2**len(pow_mod)), ascending, as
-    runs of whole rows ((H[h] + L) mod M, flattened) of at most
-    max(2**18, 2**s) entries: the residues of a direct exponential sum."""
+def _angles(table: np.ndarray, modulus: int) -> np.ndarray:
+    """2 pi t/M moved into [-pi, pi) for every residue t: t/M rounds once for
+    every modulus, and x - (x >= 1/2) is exact (``expsum._sum_radius``)."""
+    x = (table.astype(object) / modulus).astype(np.float64)
+    return (x - (x >= 0.5)) * (2.0 * np.pi)
+
+
+def angle_rows(pow_mod, modulus: int):
+    """Yield the angles 2 pi res_n/M, in [-2 pi, 2 pi), of every n in
+    [0, 2**len(pow_mod)), ascending, as runs of whole rows (theta_H[h] +
+    theta_L, flattened) of at most max(2**18, 2**s) entries."""
     s, L, H = _half_tables(pow_mod, (1 << len(pow_mod)) - 1, modulus)
+    low, high = _angles(L, modulus), _angles(H, modulus)
     step = max(_ROW_RUN >> s, 1)
-    for h in range(0, len(H), step):
-        yield ((H[h : h + step, None] + L) % modulus).ravel()
+    for h in range(0, len(high), step):
+        yield (high[h : h + step, None] + low).ravel()
 
 
 def _row(h: int, count: int, s: int):
@@ -157,16 +165,16 @@ def digit_scan_close(pow_mod, count: int, modulus: int, num: int, den: int):
     ascending, as the caller pulls; each costs 2**s on top of the tables.
     """
     s, L, H = _half_tables(pow_mod, count, modulus)
-    w, top = num * modulus // den, count >> s
-    low = np.sort(L) if 2 * w + 1 < modulus else None
+    # w <= M keeps -w - H within int64; any w >= M / 2 keeps every row
+    w, top = min(num * modulus // den, modulus), count >> s
+    low = np.sort(L)
     start, stop = 0, 1
     while start <= top:
         rows = np.arange(start, min(stop, top + 1))
-        if low is not None:
-            # the window [lo, lo + 2w] of row h holds an L exactly when the
-            # first L at or circularly after lo does
-            lo = (-w - H[rows]) % modulus
-            rows = rows[(low[np.searchsorted(low, lo) % len(low)] - lo) % modulus <= 2 * w]
+        # the window [lo, lo + 2w] of row h holds an L exactly when the
+        # first L at or circularly after lo does
+        lo = (-w - H[rows]) % modulus
+        rows = rows[(low[np.searchsorted(low, lo) % len(low)] - lo) % modulus <= 2 * w]
         for h in rows.tolist():
             lo, hi = _row(h, count, s)
             for i in close_indices((L[lo:hi] + H[h]) % modulus, modulus, num, den):
@@ -179,16 +187,8 @@ def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> 
     return int(next(iter(close_indices(res, modulus, beta_num, beta_den)), -1))
 
 
-def cos_sin_sum(res: np.ndarray, modulus: int):
-    """(sum of cos(2 pi r/M), sum of sin(2 pi r/M)) over the residue array.
-
-    int64 residues are scaled by the float 2 pi / M; Python-int residues are
-    divided by M with one rounding, then scaled by 2 pi.
-    """
-    if res.dtype == object:
-        theta = (res / modulus).astype(np.float64) * (2.0 * np.pi)
-    else:
-        theta = res * (2.0 * np.pi / modulus)
+def cos_sin_sum(theta: np.ndarray):
+    """(sum of cos(theta), sum of sin(theta)) over the float64 angles."""
     return float(np.cos(theta).sum()), float(np.sin(theta).sum())
 
 

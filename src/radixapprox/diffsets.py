@@ -62,21 +62,25 @@ class _CliqueSearch:
         """Exact size of the biggest clique in mask if that is >= at_least;
         any smaller return value only certifies no clique of size at_least."""
         self.best = at_least - 1
-        self._expand(0, mask)
+        # the open nodes, (clique size, candidates left); a clique may hold
+        # every candidate, so the search keeps its own stack, not Python's
+        stack = [(0, mask)]
+        self._visit(0)
+        while stack:
+            size, cand = stack.pop()
+            if cand and size + cand.bit_count() > self.best:
+                v = (cand & -cand).bit_length() - 1
+                cand &= cand - 1
+                stack += (size, cand), (size + 1, cand & self.adj[v])
+                self._visit(size + 1)
         return self.best
 
-    def _expand(self, size: int, cand: int):
+    def _visit(self, size: int):
         self.nodes += 1
         if self.nodes > self.budget:
             raise ResourceLimit(f"difference-set search exceeded {self.budget} nodes")
         if size > self.best:
             self.best = size
-        while cand:
-            if size + cand.bit_count() <= self.best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            self._expand(size + 1, cand & self.adj[v])
 
 
 def _search(cands: list[int], member: set[int], budget: int):

@@ -4,8 +4,8 @@ The central identity: the sum of e(k*j*gamma) over j ranging across the
 truncated zero-one set factors as a product of cosines, so its magnitude
 equals 2**(r+1) * prod |cos(pi * k * b**d * gamma)|.  The direct sum is
 evaluated term by term (never through that factorization, which is what the
-reports are checking) with exact mod-1 reduction of every angle; the
-product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2) are
+reports are checking) over exact residues, each half-table angle rounded once;
+the product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2) are
 rational intervals, rounded outward to a dyadic grid (_product_interval).
 
 Error-radius policy: every float quantity carries a rigorously conservative
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digitsets as ds
-from ._kernels import cos_sin_sum, digit_scan_close, residue_rows
+from ._kernels import angle_rows, cos_sin_sum, digit_scan_close
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -100,14 +100,15 @@ def _sum_radius(n: int) -> Fraction:
     """Worst-case float64 radius for one component of an n-term sum of
     cos(2 pi v/q) or sin(2 pi v/q), summed by ``cos_sin_sum`` block by block
     and, over several blocks, by ``math.fsum``; a block is a run of whole
-    rows of the half tables (``residue_rows``), at most max(2**18, 2**s)
+    rows of the half tables (``angle_rows``), at most max(2**18, 2**s)
     entries and at most n.  With u = 2**-53:
 
-    Each term is within _TERM_ERR = 4e-15.  int64 residues form the angle
-    as v * fl(2 pi / q): five roundings (pi, q, the quotient, v, the
-    product) put it within 2 pi * 5.01 u < 3.5e-15.  Python-int residues
-    round v / q, 2 pi and the product: three roundings, < 2.1e-15.  cos and
-    sin are 1-Lipschitz, and numpy evaluates them within 4 ulp, 4.5e-16.
+    Each term is within _TERM_ERR = 4e-15.  Its angle theta_H + theta_L adds
+    two half angles fl(fl(2 pi) (x - (x >= 1/2))), x = fl(t/q) for an exact
+    residue t (Sterbenz makes the shift exact), each within 2 pi * 2u of
+    2 pi t/q mod 2 pi; the addition rounds by 2 pi * 1.01 u, so the angle is
+    within 2 pi * 5.01 u < 3.5e-15 of 2 pi v/q mod 2 pi.  cos and sin are
+    1-Lipschitz; numpy evaluates them on [-2 pi, 2 pi] within 4 ulp, 4.5e-16.
 
     Summation (Higham, *Accuracy and Stability of Numerical Algorithms*,
     ch. 4): numpy's ``sum`` halves a block of m <= n terms until it is at
@@ -281,15 +282,13 @@ def _product_interval(factors_lo: list[Fraction], factors_hi: list[Fraction], sc
     return Real.from_interval(Fraction(max(0, lo) * scale, one), Fraction(hi * scale, one))
 
 
-def _trig_sum(blocks, q: int, n: int, extra_rad: Fraction) -> tuple[Real, Real]:
-    """(re, im) enclosures of the n-term sum of e(v/q) over the residue
-    blocks: the float sums of ``cos_sin_sum`` per block, combined by
+def _trig_sum(blocks, n: int, extra_rad: Fraction) -> tuple[Real, Real]:
+    """(re, im) enclosures of the n-term sum of exp(i theta) over the
+    angle blocks: the float sums of ``cos_sin_sum`` per block, combined by
     ``math.fsum``, within _sum_radius(n) plus the caller's extra_rad."""
-    parts = [cos_sin_sum(res, q) for res in blocks]
+    cos_parts, sin_parts = zip(*map(cos_sin_sum, blocks))
     rad = _sum_radius(n) + extra_rad
-    re = Fraction(math.fsum(c for c, _ in parts))
-    im = Fraction(math.fsum(s for _, s in parts))
-    return Real(re, rad), Real(im, rad)
+    return Real(Fraction(math.fsum(cos_parts)), rad), Real(Fraction(math.fsum(sin_parts)), rad)
 
 
 def _magnitude(re: Real, im: Real) -> Real:
@@ -364,7 +363,7 @@ def eval_expsum(
     if all(v == 0 for v in res_mods):
         re_full, im_full = Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
     else:
-        re_full, im_full = _trig_sum(residue_rows(res_mods, q), q, n, extra_rad)
+        re_full, im_full = _trig_sum(angle_rows(res_mods, q), n, extra_rad)
     mag_full = _magnitude(re_full, im_full)
 
     # both enclose the same number, so they must intersect

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,14 @@ class TestMaxDifferenceSet:
             max_difference_set(S, "within").value
             <= max_difference_set(S, "anchored").value
         )
+
+    def test_base_two_clique_deeper_than_the_recursion_limit(self):
+        # every positive integer has zero-one digits in base 2, so the whole
+        # of [0, N] is the clique and the search goes N levels deep
+        N = sys.getrecursionlimit() + 200
+        S = list(ds.iter_spec_upto(ds.SetSpec.zero_one(2), N))
+        rep = max_difference_set(S, "anchored")
+        assert rep.value == N + 1 and rep.witness == tuple(range(N + 1))
 
     def test_node_budget(self):
         S = list(range(1, 60))

@@ -1,12 +1,14 @@
 import heapq
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from radixapprox._kernels import MOD_LIMIT, cos_sin_sum, first_close, subset_residues
+from radixapprox._kernels import MOD_LIMIT, angle_rows, cos_sin_sum, first_close, subset_residues
 from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import DomainError, HypothesisViolation, IndeterminateComparison
 from radixapprox.exact import Real, dist_exact, dist_to_nearest_int, mpf_to_fraction
@@ -35,19 +37,26 @@ def _mpf(f: Fraction):
     return mpmath.mpf(f.numerator) / f.denominator
 
 
+def digit_weights(b, r, k, gamma: Fraction):
+    """(q, w): w[d] = k gamma b^d mod 1 on the grid q, for d <= r."""
+    q = gamma.denominator
+    return q, [k * gamma.numerator * b**d % q for d in range(r + 1)]
+
+
 def all_residues(b, r, k, gamma: Fraction):
     """(q, res): res[n] = k gamma unrank(b, n) mod 1 on the grid q, for
     every n < 2^(r+1), as one subset_residues table of all r + 1 digits."""
-    q = gamma.denominator
-    return q, subset_residues([k * gamma.numerator * b**d % q for d in range(r + 1)], q)
+    q, weights = digit_weights(b, r, k, gamma)
+    return q, subset_residues(weights, q)
 
 
 def _direct_sum(b, r, k, gamma: Fraction):
     """(re, im, n) of the direct sum over the 2^(r+1) truncated zero-one
-    terms, through the trig-sum enclosure eval_expsum uses."""
-    q, res = all_residues(b, r, k, gamma)
-    re, im = _trig_sum([res], q, len(res), Fraction(0))
-    return re, im, len(res)
+    terms, through the angle rows and trig-sum enclosure eval_expsum uses."""
+    q, weights = digit_weights(b, r, k, gamma)
+    n = 1 << (r + 1)
+    re, im = _trig_sum(angle_rows(weights, q), n, Fraction(0))
+    return re, im, n
 
 
 class TestClassify:
@@ -393,11 +402,24 @@ class TestEvalExpsum:
             n = 1 << (r + 1)
             extra = 7 * abs(k) * (1 << r) * (b ** (r + 1) - 1) // (b - 1) * gamma.rad
             grid, res = all_residues(b, r, k, gamma.mid)
-            ref = cos_sin_sum(res, grid)
+            # one Python-int division per term, not the half-table angles
+            ref = cos_sin_sum(np.array([v / grid for v in res.tolist()]) * (2 * np.pi))
             assert rep.term_count == len(res) == n
             for part, want in zip((rep.value_re, rep.value_im), ref):
                 assert part.rad == _sum_radius(n) + extra
                 assert abs(part.mid - Fraction(want)) <= part.rad + _sum_radius(n)
+
+    def test_enclosure_sum_holds_no_python_int_per_term(self):
+        # r = 14 has 2^15 terms; the two half tables of Python ints hold
+        # 2^7 + 2^8 entries, and each run of angles is floats
+        gamma = Real.parse("pi", 256)
+        tracemalloc.start()
+        try:
+            eval_expsum(3, 14, 1, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_magnitude_slack_covers_200_bit_hypot(self):
         rng = random.Random(31)

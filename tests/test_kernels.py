@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,14 +117,16 @@ def test_first_close(as_array):
         assert got == ref_first_close(res, modulus, num, den)
 
 
+# the angles are float64 for every modulus: no object-array case
+@pytest.mark.parametrize("as_array", [np.asarray], ids=["numpy"])
 def test_cos_sin_sum(as_array):
     rng = random.Random(9)
     for _ in range(10):
         modulus = rng.randint(2, 10**5)
-        res = [rng.randrange(modulus) for _ in range(500)]
-        c, s = K.cos_sin_sum(as_array(res), modulus)
-        cc = math.fsum(math.cos(2 * math.pi * v / modulus) for v in res)
-        ss = math.fsum(math.sin(2 * math.pi * v / modulus) for v in res)
+        theta = [2 * math.pi * rng.randrange(modulus) / modulus for _ in range(500)]
+        c, s = K.cos_sin_sum(as_array(theta))
+        cc = math.fsum(math.cos(t) for t in theta)
+        ss = math.fsum(math.sin(t) for t in theta)
         assert abs(c - cc) < 1e-9 and abs(s - ss) < 1e-9
 
 
@@ -175,21 +178,52 @@ def test_subset_residues_and_blocks_match_brute_force_subset_sums(modulus):
         assert table.tolist() == brute
 
 
+def turn_error(theta, res, modulus: int) -> float:
+    """max over the entries of ||theta / 2 pi - res / M|| (mod 1), in floats:
+    the check itself rounds by at most 4u."""
+    d = np.asarray(theta) / (2 * np.pi) - np.array([v / modulus for v in res])
+    return float(np.abs(d - np.rint(d)).max())
+
+
 @pytest.mark.parametrize("modulus", [ML - 1, ML + 1])
 def test_residue_rows_are_whole_rows_of_every_residue_in_order(modulus):
+    # angle_rows: the angle of every residue, in runs of whole rows
     rng = random.Random(modulus)
     for bits in (0, 1, 2, 7, 19, 20):
         pow_mod = [rng.randrange(modulus) for _ in range(bits)]
-        runs = list(K.residue_rows(pow_mod, modulus))
+        runs = list(K.angle_rows(pow_mod, modulus))
         # runs of whole rows of 2^s entries, s = bits // 2, at most 2^18 long
-        assert all(len(res) % (1 << bits // 2) == 0 and len(res) <= 1 << 18 for res in runs)
+        assert all(len(theta) % (1 << bits // 2) == 0 and len(theta) <= 1 << 18 for theta in runs)
         got = np.concatenate(runs)
-        assert len(got) == 1 << bits and got.dtype == (np.int64 if modulus < ML else object)
+        assert len(got) == 1 << bits and got.dtype == np.float64
         if bits <= 7:
-            assert got.tolist() == ref_residues(pow_mod, (1 << bits) - 1, modulus)
+            assert turn_error(got, ref_residues(pow_mod, (1 << bits) - 1, modulus), modulus) < 10 * 2.0**-53
         else:
-            for n in [0, 1, (1 << bits) - 1] + [rng.randrange(1 << bits) for _ in range(200)]:
-                assert got[n] == ref_subset_residue(pow_mod, n, modulus)
+            ns = [0, 1, (1 << bits) - 1] + [rng.randrange(1 << bits) for _ in range(200)]
+            want = [ref_subset_residue(pow_mod, n, modulus) for n in ns]
+            assert turn_error(got[ns], want, modulus) < 10 * 2.0**-53
+
+
+@pytest.mark.parametrize("modulus", [2, 1009, (1 << 40) - 87, ML - 1, ML, ML + 1, (1 << 64) + 13,
+                                     (1 << 144) - 83],
+                         ids=["2", "1009", "2^40-87", "ML-1", "ML", "ML+1", "2^64+13", "2^144-83"])
+def test_angle_rows_stay_within_the_angle_error_budget(modulus):
+    # expsum._sum_radius: every angle is within 2 pi * 5.01u of 2 pi res / M
+    # mod 2 pi; the weights M // 2, M // 2 + 1 and M - 1 put half angles at
+    # and next to the shift into [-1/2, 1/2) and next to a full turn
+    rng = random.Random(modulus)
+    weights = [modulus // 2, modulus // 2 + 1, modulus - 1] + [rng.randrange(modulus) for _ in range(9)]
+    pow_mod = [w % modulus for w in weights]
+    runs = list(K.angle_rows(pow_mod, modulus))
+    assert len(runs) == 1 and len(runs[0]) == 1 << 12 and runs[0].dtype == np.float64
+    theta = runs[0]
+    assert float(np.abs(theta).max()) <= 2 * np.pi
+    res = ref_residues(pow_mod, (1 << 12) - 1, modulus)
+    with mpmath.workprec(200):
+        worst = max(abs(d - mpmath.nint(d)) for d in
+                    (mpmath.mpf(float(t)) / (2 * mpmath.pi) - mpmath.mpf(v) / modulus
+                     for t, v in zip(theta, res)))
+        assert worst <= mpmath.mpf(5.01) * mpmath.mpf(2) ** -53
 
 
 @pytest.mark.parametrize("modulus", [ML - 1, ML, ML + 1, (1 << 64) + 13])
@@ -271,6 +305,14 @@ def test_digit_scan_close_matches_brute_force(modulus, den, as_array):
             got = list(K.digit_scan_close(as_array(pow_mod), count, modulus, num, d))
             assert got == ref_scan_close(res, count, modulus, num, d)
     assert list(K.digit_scan_close(pow_mod, 3000, modulus, 1, 2)) == list(range(1, 3001))
+
+
+def test_digit_scan_close_with_a_window_past_the_modulus_yields_every_n():
+    # beta = 1000: w = 1000 M would leave int64 in the row lookup
+    modulus = (1 << 56) + 3
+    rng = random.Random(modulus)
+    pow_mod = [rng.randrange(modulus) for _ in range(11)]
+    assert list(K.digit_scan_close(pow_mod, 2047, modulus, 1000, 1)) == list(range(1, 2048))
 
 
 @pytest.mark.parametrize("modulus", [ML - 1, ML + 1])
