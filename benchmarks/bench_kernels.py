@@ -15,7 +15,8 @@ runs of whole rows.  The dense first hit is the first pull of a separation
 check as the decay queries send it (beta = 1/(4 b^2)), which looks the rows
 up in chunks of 1, 1, 2, 4, ... and stops at the first that holds a hit.
 The discrepancy scan runs on
-Python ints at every size; its second case has T*q far above 2^62.  The
+int64 arrays while T*q < 2^62; its second case has T*q far above 2^62 and
+runs on Python-int arrays.  The
 fractional_orbit cases read the discrepancy orbit as the residues
 n M mod Q of gamma.mid = M/Q, on the grid Q for an exact gamma and for an
 enclosure alike; e at 256 and 1024 bits, with discrepancy_L on the same
@@ -84,7 +85,7 @@ def cases():
     # T=4000 is the longest orbit the spectral benchmark workload sends
     for label, q in (("2^40", 1 << 40), ("2^64+13", (1 << 64) + 13)):
         nums = [int(v) * q >> 40 for v in rng.integers(0, 1 << 40, size=4000)]
-        w, lt, eq = _candidate_tables(nums, q)
+        w, lt, eq = _candidate_tables(K._int_array(nums, 4000 * q), q)
         yield f"interval_deviation_max (T=4000, q={label})", K.interval_deviation_max, (
             w, lt, eq, 4000, q)
 

@@ -5,7 +5,6 @@ each kernel keeps every intermediate below 2**62, and numpy ``object``
 arrays of Python ints otherwise, so callers never branch on the size of
 their integers.  Integer results are exact on both kinds of array; float
 sums differ only by rounding that ``expsum._sum_radius`` accounts for.
-The discrepancy scan is pure Python over unbounded ints: no int64 bound.
 
 The zero-one residues have one layout, the meet-in-the-middle split
 (Horowitz & Sahni, "Computing partitions with applications to the knapsack
@@ -193,9 +192,9 @@ def cos_sin_sum(theta: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# discrepancy candidate scan, O(m) in pure Python (the extreme discrepancy
-# is a max over i <= j of |right(j) - left(i)|; Kuipers & Niederreiter,
-# Uniform Distribution of Sequences, ch. 2 sec. 1)
+# discrepancy candidate scan, O(m) array passes: the extreme discrepancy is
+# the max minus the min of the count function (Niederreiter, Random Number
+# Generation and Quasi-Monte Carlo Methods, 1992, Thm 2.6)
 #
 # Endpoints w[0] < ... < w[m-1] (scaled by Q, w[m-1] == Q stands for 1).
 # lt[i]/eq[i] count sequence points strictly below / equal to w[i].
@@ -207,31 +206,29 @@ def cos_sin_sum(theta: np.ndarray):
 def interval_deviation_max(w, lt, eq, total: int, scale: int):
     """Maximal |count - T*measure| over the endpoint candidate family.
 
-    Returns (deviation * scale, i, j, combo): a backward pass finds the
-    first row i attaining the maximum, a pass over row i the first (j,
-    combo).  Requires len(w) >= 2.
+    Returns (deviation * scale, i, j, combo); int64 while total * scale <
+    2**62, every term being below twice that.  Needs len(w) >= 2, total >= 1.
     """
+    bound = total * scale
     # count * scale - total * width splits into a right-end term minus a
     # left-end term; each end counts the points up to w (closed right, open
     # left) or below w (open right, closed left)
-    below = [int(n) * scale - total * int(x) for n, x in zip(lt, w)]
-    upto = [b + int(e) * scale for b, e in zip(below, eq)]
-    # hi/lo bound the right ends row k allows, upto[k:m-1] and below[k+1:];
-    # as below[k] <= upto[k], the row maximum is max(hi - below[k], upto[k] - lo)
-    m, best, i = len(w), -1, 0
-    hi = lo = below[m - 1]
-    for k in range(m - 2, -1, -1):
-        hi, lo = max(hi, upto[k]), min(lo, upto[k])
-        dev = max(hi - below[k], upto[k] - lo)
-        if dev >= best:
-            best, i = dev, k
-        hi, lo = max(hi, below[k]), min(lo, below[k])
-    for j in range(i, m):
-        terms = (upto[j] - below[i], below[j] - below[i], upto[j] - upto[i], below[j] - upto[i])
-        for combo, dev in enumerate(terms):
-            # a degenerate interval is closed at both ends; 1 is never included
-            if abs(dev) == best and not (j == i and combo or j == m - 1 and combo in (0, 2)):
-                return best, i, j, combo
+    below = _int_array(lt, bound) * scale
+    below -= _int_array(w, bound) * total
+    upto = _int_array(eq, bound) * scale
+    upto += below
+    # any two of the ends below[0], upto[0], below[1], ..., below[m-1], the
+    # earlier as the left end, bound an interval of the family and every
+    # interval is such a pair, so the maximum is max - min; the first witness
+    # pairs the first end x at either extreme with the first end y after x at
+    # the other, or with upto of y's row if that holds the other too
+    ends = np.stack((below, upto), axis=1).ravel()[:-1]
+    top, bottom = ends.max(), ends.min()
+    x = int(np.argmax((ends == top) | (ends == bottom)))
+    other = bottom if ends[x] == top else top
+    y = x + 1 + int(np.argmax(ends[x + 1 :] == other))
+    y += bool(y % 2 == 0 and y + 1 < len(ends) and ends[y + 1] == other)
+    return int(top - bottom), x // 2, y // 2, 2 * (x % 2) + 1 - y % 2
 
 
 # ---------------------------------------------------------------------------

@@ -45,45 +45,16 @@ def anchored_cap(b: int, N: int) -> int:
     return ilog(b, N) + 2
 
 
-class _CliqueSearch:
-    """Max clique over candidate indices 0..n-1 with bitmask adjacency.
-
-    Branch and bound, candidates expanded smallest-first, pruned by the
-    remaining-candidate count, under a shared node budget.
-    """
-
-    def __init__(self, adj: list[int], budget: int):
-        self.adj = adj
-        self.budget = budget
-        self.nodes = 0
-        self.best = 0
-
-    def largest(self, mask: int, at_least: int = 1) -> int:
-        """Exact size of the biggest clique in mask if that is >= at_least;
-        any smaller return value only certifies no clique of size at_least."""
-        self.best = at_least - 1
-        # the open nodes, (clique size, candidates left); a clique may hold
-        # every candidate, so the search keeps its own stack, not Python's
-        stack = [(0, mask)]
-        self._visit(0)
-        while stack:
-            size, cand = stack.pop()
-            if cand and size + cand.bit_count() > self.best:
-                v = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                stack += (size, cand), (size + 1, cand & self.adj[v])
-                self._visit(size + 1)
-        return self.best
-
-    def _visit(self, size: int):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise ResourceLimit(f"difference-set search exceeded {self.budget} nodes")
-        if size > self.best:
-            self.best = size
-
-
 def _search(cands: list[int], member: set[int], budget: int):
+    """(size, clique, nodes) of a maximum clique of the candidates, edges
+    joining pairs with difference in member, under a node budget.
+
+    Branch and bound, pruned by the remaining-candidate count.  It is a
+    depth-first search that includes each candidate before it excludes it,
+    over ascending candidates, so it meets the cliques in lexicographic
+    order: the first clique of the final size, recorded where the best size
+    rises, is the lexicographically least maximum clique.
+    """
     n = len(cands)
     adj = [0] * n
     for i in range(n):
@@ -91,26 +62,27 @@ def _search(cands: list[int], member: set[int], budget: int):
             if cands[j] - cands[i] in member:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    searcher = _CliqueSearch(adj, budget)
-    full = (1 << n) - 1
-    size = searcher.largest(full)
-    # Lexicographically least witness of maximal size, rebuilt greedily:
-    # accept a candidate iff some completion to full size still exists among
-    # the later compatible candidates.
-    chosen: list[int] = []
-    mask = full
-    need = size
-    while need:
-        if not mask:
-            raise InvariantViolation("difference-set witness reconstruction failed")
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        rest = mask & adj[v]
-        if need == 1 or searcher.largest(rest, at_least=need - 1) >= need - 1:
-            chosen.append(cands[v])
-            mask = rest
-            need -= 1
-    return size, tuple(chosen), searcher.nodes
+    # the open nodes, (clique size, candidates left, clique as a (last,
+    # rest) chain); a clique may hold every candidate, so the search keeps
+    # its own stack, not Python's
+    stack = [(0, (1 << n) - 1, None)]
+    best, witness, nodes = 0, None, 1
+    while stack:
+        size, cand, chain = stack.pop()
+        if cand and size + cand.bit_count() > best:
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimit(f"difference-set search exceeded {budget} nodes")
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            stack += (size, cand, chain), (size + 1, cand & adj[v], (v, chain))
+            if size + 1 > best:
+                best, witness = size + 1, (v, chain)
+    clique = []
+    while witness:
+        v, witness = witness
+        clique.append(cands[v])
+    return best, tuple(reversed(clique)), nodes
 
 
 def max_difference_set(

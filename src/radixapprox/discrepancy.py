@@ -5,8 +5,8 @@ The discrepancy of a finite sequence is the supremum over subintervals of
 point values and the measure is linear in the endpoints, so the supremum is
 attained on the finite family of intervals whose endpoints are point values
 (or 0, or approach 1), each endpoint open or closed, degenerate intervals
-included.  That family is scanned in one linear pass over scaled Python
-ints (``_kernels.interval_deviation_max``), so the supremum is exact.
+included.  That family is scanned in linear passes over one typed array of
+residues (``_kernels.interval_deviation_max``), so the supremum is exact.
 
 Point n of the orbit {n gamma} is the exact residue v/Q of n M/Q on the
 grid Q of gamma.mid = M/Q, for exact and enclosure gamma alike, within
@@ -24,7 +24,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from ._kernels import interval_deviation_max
+import numpy as np
+
+from ._kernels import _int_array, interval_deviation_max
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real, dist_of_multiple, residue_of_multiple
@@ -47,23 +49,18 @@ class DiscrepancyReport:
 class ScaledPoints(NamedTuple):
     """Points nums[i] / q in [0, 1), each within worst of the point it stands for."""
 
-    nums: list[int]
+    nums: np.ndarray
     q: int
     worst: Fraction
 
 
-def _candidate_tables(nums: list[int], q: int):
+def _candidate_tables(nums: np.ndarray, q: int):
     """Sorted endpoint values (0 and 1 included) with below/equal counts."""
-    counts: dict[int, int] = {}
-    for n in nums:
-        counts[n] = counts.get(n, 0) + 1
-    w = sorted(set(counts) | {0, q})
-    lt, eq, running = [], [], 0
-    for v in w:
-        lt.append(running)
-        eq.append(counts.get(v, 0))
-        running += counts.get(v, 0)
-    return w, lt, eq
+    w, eq = np.unique(nums, return_counts=True)
+    if w[0]:  # 0 is an endpoint also with no point on it
+        w, eq = np.insert(w, 0, 0), np.insert(eq, 0, 0)
+    w, eq = np.append(w, _int_array([q], len(nums) * q)), np.append(eq, 0)
+    return w, np.cumsum(eq) - eq, eq
 
 
 def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
@@ -74,12 +71,12 @@ def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
     there, as required by intervals inside [0, 1).
     """
     nums, q, worst = points
-    if not nums:
-        raise DomainError("need at least one point")
     T = len(nums)
-    w, lt, eq = _candidate_tables(nums, q)
+    if not T:
+        raise DomainError("need at least one point")
+    w, lt, eq = _candidate_tables(_int_array(nums, T * q), q)
     dev, i, j, combo = interval_deviation_max(w, lt, eq, T, q)
-    left, right = Fraction(w[i], q), Fraction(w[j], q)
+    left, right = Fraction(int(w[i]), q), Fraction(int(w[j]), q)
     L = Fraction(dev, q)
     radius = 2 * T * worst
     if not (1 - radius <= L <= T + radius):
@@ -147,13 +144,19 @@ def _weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
 
 def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> ScaledPoints:
     """The sequence {n * gamma} for n = 1..T, refused over cap before any
-    point is read.  Point n is the residue v = n M mod Q of gamma.mid = M/Q
-    from ``residue_of_multiple``, which raises when the enclosure of the
-    point reaches an integer; v/Q is within n * gamma.rad of {n gamma}, so
-    worst = T * gamma.rad, 0 for an exact gamma."""
+    point is read: the residues v = n M mod Q of gamma.mid = M/Q as one
+    array.  v/Q is within n * gamma.rad of {n gamma}, so worst = T *
+    gamma.rad, 0 for an exact gamma."""
     if T < 1:
         raise DomainError(f"need T >= 1, got {T}")
     if T > cap:
         raise ResourceLimit(f"orbit of {T} points exceeds the cap {cap}")
-    nums = [residue_of_multiple(gamma, n) for n in range(1, T + 1)]
-    return ScaledPoints(nums, gamma.mid.denominator, T * gamma.rad)
+    M, Q = gamma.mid.numerator, gamma.mid.denominator
+    nums = _int_array(np.arange(1, T + 1), T * Q)
+    nums *= M % Q
+    nums %= Q
+    # only a point within t = ceil(T rad Q) of 0 or Q can straddle an integer
+    t = -(-T * gamma.rad.numerator * Q // gamma.rad.denominator)
+    for n in np.flatnonzero((nums < t) | (nums >= Q - t)).tolist():
+        residue_of_multiple(gamma, n + 1)
+    return ScaledPoints(nums, Q, T * gamma.rad)

@@ -372,7 +372,7 @@ def eval_expsum(
             f"product identity failed at b={b}, r={r}, k={k}, gamma={gamma!r}: "
             f"|sum|={float(mag_full.mid):.6g} vs product={float(product_magnitude.mid):.6g}"
         )
-    if mag_full.lo > product_bound.hi + Fraction(1, 10**9):
+    if mag_full.lo > product_bound.hi:
         raise InvariantViolation(
             f"product bound violated at b={b}, r={r}, k={k}: "
             f"|sum|={float(mag_full.mid):.6g} > bound={float(product_bound.hi):.6g}"
@@ -432,7 +432,7 @@ def decay_bound_check(b: int, r: int, k: int, m: int, gamma: Real) -> ExpSumRepo
     far = [d for d in range(r + 1) if d not in close]
 
     bound = _decay_bound(b, r, k, m)
-    if report.magnitude.lo > bound.hi + Fraction(1, 10**9):
+    if report.magnitude.lo > bound.hi:
         raise InvariantViolation(
             f"decay bound violated at b={b}, r={r}, k={k}, m={m}: "
             f"|sum|={float(report.magnitude.mid):.6g} > {float(bound.hi):.6g}"

@@ -99,6 +99,14 @@ class TestMaxDifferenceSet:
         rep = max_difference_set(S, "anchored")
         assert rep.value == N + 1 and rep.witness == tuple(range(N + 1))
 
+    def test_base_two_clique_of_2100_is_found_in_a_node_per_element(self):
+        # the first clique the search meets is the witness: no rebuild, so
+        # the search stays far inside the default node budget
+        S = list(ds.iter_spec_upto(ds.SetSpec.zero_one(2), 2100))
+        rep = max_difference_set(S, "anchored")
+        assert rep.value == 2101 and rep.witness == tuple(range(2101))
+        assert rep.nodes == 2101
+
     def test_node_budget(self):
         S = list(range(1, 60))
         with pytest.raises(ResourceLimit):

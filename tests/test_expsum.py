@@ -8,9 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from radixapprox import expsum
 from radixapprox._kernels import MOD_LIMIT, angle_rows, cos_sin_sum, first_close, subset_residues
 from radixapprox.digitsets import power_gaps, unrank
-from radixapprox.errors import DomainError, HypothesisViolation, IndeterminateComparison
+from radixapprox.errors import (DomainError, HypothesisViolation, IndeterminateComparison,
+                               InvariantViolation)
 from radixapprox.exact import Real, dist_exact, dist_to_nearest_int, mpf_to_fraction
 from radixapprox.expsum import (
     _FACTOR_HI,
@@ -526,6 +528,16 @@ class TestDecayBound:
                             d for d in range(r + 1) if dist_exact(gamma * k * b**d) > beta)
                         verified += 1
         assert verified >= 100
+
+    def test_a_violation_below_1e_9_raises(self, monkeypatch):
+        # both sides are certified enclosures, so a bound 1e-10 below the
+        # sum's lower end is a violation however small
+        gamma = E(2, 5)
+        lo = eval_expsum(2, 1, 1, gamma, exclude_zero=True).magnitude.lo
+        tight = Real.from_interval(lo - Fraction(2, 10**10), lo - Fraction(1, 10**10))
+        monkeypatch.setattr(expsum, "_decay_bound", lambda *args: tight)
+        with pytest.raises(InvariantViolation):
+            decay_bound_check(2, 1, 1, 2, gamma)
 
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisViolation) as err:

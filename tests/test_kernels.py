@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import radixapprox._kernels as K
-from radixapprox.discrepancy import _COMBO_FLAGS, _candidate_tables
+from radixapprox.discrepancy import _COMBO_FLAGS
 
 ML = K.MOD_LIMIT
 TWO62 = 1 << 62
@@ -23,10 +23,25 @@ def as_array(request):
     return lambda values: np.asarray(values, dtype=request.param)
 
 
+def candidate_tables_py(nums: list[int], q: int):
+    """Sorted endpoint values (0 and q included) with below/equal counts,
+    counted in a dict: the reference's own tables."""
+    counts: dict[int, int] = {}
+    for n in nums:
+        counts[n] = counts.get(n, 0) + 1
+    w = sorted(set(counts) | {0, q})
+    lt, eq, running = [], [], 0
+    for v in w:
+        lt.append(running)
+        eq.append(counts.get(v, 0))
+        running += counts.get(v, 0)
+    return w, lt, eq
+
+
 def deviation_max_py(nums: list[int], q: int, total: int):
     """Reference scan of the candidate family in pure python; mirrors the
     kernel's candidate order and tie-breaking exactly."""
-    w, lt, eq = _candidate_tables(nums, q)
+    w, lt, eq = candidate_tables_py(nums, q)
     m = len(w)
     best = (-1, 0, 0, 0)
     for i in range(m):
@@ -145,7 +160,7 @@ def test_interval_deviation_max(as_array):
         for q in (total, 10**6, (1 << 64) + 1):
             cases.append(([rng.randrange(q) for _ in range(total)], q))
     for nums, q in cases:
-        w, lt, eq = _candidate_tables(nums, q)
+        w, lt, eq = candidate_tables_py(nums, q)
         got = K.interval_deviation_max(as_array(w), as_array(lt), as_array(eq), len(nums), q)
         dev, i, j, combo = got
         assert (dev, w[i], w[j], combo) == deviation_max_py(nums, q, len(nums))
@@ -465,9 +480,10 @@ def test_the_scans_match_the_linear_scans_at_2_22(q):
     assert got == list(linear_scan_close(pow_mod, count, q, 1, 1 << 18)) and len(got) > 10
 
 
-# (T, q) with T * q = 2^62 - 1, 2^62, 2^62 + 1, and T * q near 2^70
+# (T, q) with T * q = 2^62 - 1, 2^62, 2^62 + 1, and T * q near 2^70; and q
+# in (2^63, 2^64), whose residues numpy's inference would turn into float64
 _DEVIATION_CASES = [(3, 1537228672809129301), (64, 1 << 56), (5, 922337203685477581),
-                    (40, (1 << 65) + 7)]
+                    (40, (1 << 65) + 7), (3, (1 << 64) - 59)]
 
 
 @pytest.mark.parametrize("total, q", _DEVIATION_CASES)
@@ -475,6 +491,6 @@ def test_interval_deviation_max_at_the_product_limit(total, q):
     rng = random.Random(q)
     for _ in range(5):
         nums = [rng.choice([0, q - 1, rng.randrange(q)]) for _ in range(total)]
-        w, lt, eq = _candidate_tables(nums, q)
+        w, lt, eq = candidate_tables_py(nums, q)
         dev, i, j, combo = K.interval_deviation_max(w, lt, eq, total, q)
         assert (dev, w[i], w[j], combo) == deviation_max_py(nums, q, total)
