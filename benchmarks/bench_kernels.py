@@ -11,9 +11,13 @@ moduli above MOD_LIMIT, so they time the Python-int (object array) path of
 the residue scans; the direct sum has no Python-int path.  The eval_expsum
 cases time it: it turns the same two half tables into float angles once,
 for every modulus, and adds them into the angles of its 2^(r+1) terms in
-runs of whole rows.  The dense first hit is the first pull of a separation
-check as the decay queries send it (beta = 1/(4 b^2)), which looks the rows
-up in chunks of 1, 1, 2, 4, ... and stops at the first that holds a hit.
+runs of whole rows.  The sum picks the cheaper of two paths by the cost
+model min(2^(r+1), (r+1) q): the cases at 5/313 and 457/499 have (r+1) q
+below 2^(r+1), so they build the q exact residue counts by r+1
+roll-and-adds and sum q weighted angles instead of 2^(r+1).  The dense
+first hit is the first pull of a separation check as the decay queries
+send it (beta = 1/(4 b^2)), which looks the rows up in chunks of 1, 1, 2,
+4, ... and stops at the first that holds a hit.
 The discrepancy scan runs on
 int64 arrays while T*q < 2^62; its second case has T*q far above 2^62 and
 runs on Python-int arrays.  The
@@ -81,6 +85,9 @@ def cases():
     yield "eval_expsum (r=18, q=2^64+13)", eval_expsum, (2, 18, 3, Real.parse(f"314159265358/{(1 << 64) + 13}"))
     yield "eval_expsum (r=14, gamma=sqrt2@128)", eval_expsum, (3, 14, 1, Real.parse("sqrt2", 128))
     yield "eval_expsum (r=14, gamma=pi@256)", eval_expsum, (3, 14, 1, Real.parse("pi", 256))
+    # the count path: q exact residue counts in place of 2^(r+1) angles
+    yield "eval_expsum (r=24, q=313, counts)", eval_expsum, (2, 24, 1, Real.parse("5/313"))
+    yield "eval_expsum (b=3, r=18, q=499, counts)", eval_expsum, (3, 18, 1, Real.parse("457/499"))
 
     # T=4000 is the longest orbit the spectral benchmark workload sends
     for label, q in (("2^40", 1 << 40), ("2^64+13", (1 << 64) + 13)):
@@ -110,14 +117,15 @@ def cases():
     pow_mod = [(12345 * pow(3, d, big)) % big for d in range(21)]
     yield "digit_scan_min (N=2^20, q=2^61-1)", K.digit_scan_min, (pow_mod, 1 << 20, big)
 
-    # the enclosure oracle's window scan: sqrt2 at 128 bits, Q ~ 2^144
+    # the every-hit caller, the enclosure oracle's window scan: sqrt2 at 128
+    # bits, Q ~ 2^144
     gamma = Real.parse("sqrt2", 128)
     M, Q = gamma.mid.numerator, gamma.mid.denominator
     count = (1 << 14) - 1
     pow_mod = [(M * pow(2, d, Q)) % Q for d in range(14)]
     best, _ = K.digit_scan_min(pow_mod, count, Q)
     window = Fraction(best, Q) + 2 * count * gamma.rad
-    yield "digit_scan_close (N=2^14, q~2^144, window)", lambda *a: list(K.digit_scan_close(*a)), (
+    yield "digit_scan_close (N=2^14, q~2^144, oracle window)", lambda *a: list(K.digit_scan_close(*a)), (
         pow_mod, count, Q, window.numerator, window.denominator)
 
     # a first-hit pull on int64 residues, as in an exact separation check;
@@ -126,7 +134,7 @@ def cases():
     pow_mod = [(314159265358 * pow(3, d, q)) % q for d in range(25)]
     yield "digit_scan_close (N=2^24, q=2^40-87, first hit)", lambda *a: next(K.digit_scan_close(*a)), (
         pow_mod, 1 << 24, q, 1, 1 << 20)
-    # beta = 1/(4 b^2) at b = 3, r = 20
+    # the first-hit caller, a separation check at beta = 1/(4 b^2), b = 3, r = 20
     yield "digit_scan_close (r=20, q=2^40-87, dense first hit)", lambda *a: next(K.digit_scan_close(*a)), (
         pow_mod[:21], (1 << 21) - 1, q, 1, 36)
     # every hit of a separation check at r = 24: the n < 2^25 within 2^-20

@@ -14,8 +14,11 @@ H the ``subset_residues`` tables of the low s and the high k - s digits
 (``_half_tables``).  The scans sort L, look rows h up in it with
 ``np.searchsorted`` and read only the rows it reports: O(2**(k/2) k) work
 in place of O(2**k).  Rows ascend and so does l within a row, so the first
-hit is the smallest n.  The trigonometric sums read the same tables as
-float angles, whole rows at a time (``angle_rows``), for every modulus.
+hit is the smallest n.  The direct trigonometric sums read the same tables
+as float angles, whole rows at a time (``angle_rows``), for every modulus;
+for a small modulus the sums read counts instead: how many n have each
+residue (``residue_counts``), one weighted angle per residue
+(``angle_counts``).
 """
 from __future__ import annotations
 
@@ -27,7 +30,9 @@ __all__ = [
     "digit_scan_min",
     "digit_scan_min_sharded",
     "subset_residues",
+    "residue_counts",
     "angle_rows",
+    "angle_counts",
     "cos_sin_sum",
     "digit_scan_close",
     "first_close",
@@ -75,6 +80,22 @@ def subset_residues(add_mod, modulus: int) -> np.ndarray:
     return table
 
 
+def residue_counts(add_mod, modulus: int) -> np.ndarray:
+    """c[v] = the number of masks m with subset residue v (as in
+    subset_residues), for v in [0, modulus): the coefficients of
+    prod_d (1 + x**add_mod[d]) in Z[x]/(x**modulus - 1).
+
+    The same doubling over the digit weights, kept as counts: digit d adds
+    add_mod[d] to every residue so far, one roll-and-add.  O(len * modulus);
+    exact in int64 while 2**len(add_mod) < 2**63.
+    """
+    counts = np.zeros(modulus, dtype=np.int64)
+    counts[0] = 1
+    for a in add_mod:
+        counts += np.roll(counts, int(a) % modulus)
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # the zero-one scans over the two half tables, and the reducers over
 # caller-built residue arrays
@@ -104,6 +125,12 @@ def angle_rows(pow_mod, modulus: int):
     step = max(_ROW_RUN >> s, 1)
     for h in range(0, len(high), step):
         yield (high[h : h + step, None] + low).ravel()
+
+
+def angle_counts(pow_mod, modulus: int):
+    """(theta, c): the angles 2 pi v/M, in [-pi, pi), of every residue v in
+    [0, M), and the number c[v] of n in [0, 2**len(pow_mod)) with res_n = v."""
+    return _angles(np.arange(modulus), modulus), residue_counts(pow_mod, modulus)
 
 
 def _row(h: int, count: int, s: int):
@@ -186,9 +213,15 @@ def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> 
     return int(next(iter(close_indices(res, modulus, beta_num, beta_den)), -1))
 
 
-def cos_sin_sum(theta: np.ndarray):
-    """(sum of cos(theta), sum of sin(theta)) over the float64 angles."""
-    return float(np.cos(theta).sum()), float(np.sin(theta).sum())
+def cos_sin_sum(theta: np.ndarray, weights=None):
+    """(sum of w cos(theta), sum of w sin(theta)) over the float64 angles,
+    w the weights (each rounded product counted in ``expsum._sum_radius``)
+    or 1 without them."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    if weights is not None:
+        cos *= weights
+        sin *= weights
+    return float(cos.sum()), float(sin.sum())
 
 
 # ---------------------------------------------------------------------------

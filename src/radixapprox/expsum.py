@@ -4,9 +4,11 @@ The central identity: the sum of e(k*j*gamma) over j ranging across the
 truncated zero-one set factors as a product of cosines, so its magnitude
 equals 2**(r+1) * prod |cos(pi * k * b**d * gamma)|.  The direct sum is
 evaluated term by term (never through that factorization, which is what the
-reports are checking) over exact residues, each half-table angle rounded once;
-the product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2) are
-rational intervals, rounded outward to a dyadic grid (_product_interval).
+reports are checking) over exact residues, each half-table angle rounded once,
+or, when the grid q of the residues has (r+1) q < 2**(r+1), as the sum of
+c_v e(v/q) over the q residues v with the exact count c_v of terms at each;
+the product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2)
+are rational intervals, rounded outward to a dyadic grid (_product_interval).
 
 Error-radius policy: every float quantity carries a rigorously conservative
 radius (one-sided term evaluation error plus summation error), and every
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digitsets as ds
-from ._kernels import angle_rows, cos_sin_sum, digit_scan_close
+from ._kernels import angle_counts, angle_rows, cos_sin_sum, digit_scan_close
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -99,9 +101,9 @@ def _sin_pi_bounds(h: Fraction, *widens: Fraction) -> tuple[Fraction, ...]:
 def _sum_radius(n: int) -> Fraction:
     """Worst-case float64 radius for one component of an n-term sum of
     cos(2 pi v/q) or sin(2 pi v/q), summed by ``cos_sin_sum`` block by block
-    and, over several blocks, by ``math.fsum``; a block is a run of whole
-    rows of the half tables (``angle_rows``), at most max(2**18, 2**s)
-    entries and at most n.  With u = 2**-53:
+    and, over several blocks, by ``math.fsum``; on the direct path a block
+    is a run of whole rows of the half tables (``angle_rows``), at most
+    max(2**18, 2**s) entries and at most n.  With u = 2**-53:
 
     Each term is within _TERM_ERR = 4e-15.  Its angle theta_H + theta_L adds
     two half angles fl(fl(2 pi) (x - (x >= 1/2))), x = fl(t/q) for an exact
@@ -118,6 +120,21 @@ def _sum_radius(n: int) -> Fraction:
     one by one.  So a term passes at most h = bits(n) + 19 additions, and
     ``fsum`` rounds once more.  The error is at most gamma_(h+1) * sum |x_i|
     <= (bits(n) + 20) * 1.01 u * n, and _EPS = 1.2e-16 exceeds 1.01 u.
+
+    The count path (``angle_counts``, taken when (r+1) q < n) sums q
+    weighted terms c_v cos(theta_v) in one block instead, c_v the exact
+    number of the n terms with residue v: at most n <= 2**27, so exact in
+    int64 and float64, and sum c_v = n.  Each angle theta_v is one half
+    angle above, rounded once, within 2 pi * 2u of 2 pi v/q mod 2 pi, so
+    each term is within _TERM_ERR again and the weighted terms within
+    n * _TERM_ERR.  Each product c_v * fl(cos theta_v) adds one rounding,
+    relative u.  The q products are summed as a block of q terms, so each
+    passes at most bits(q) + 19 additions, and ``fsum`` of the one part is
+    exact: h = bits(q) + 20 roundings in all, error at most gamma_h * n.  On
+    this path r >= 1, so q < n / 2 and bits(q) < bits(n): h is lower than
+    the direct path's bits(n) + 20, and _sum_radius(n) covers both.  At
+    r = 0 the path needs q < 2, where every residue is 0 and the sum takes
+    the exact shortcut of ``eval_expsum``.
     """
     bits = max(n.bit_length(), 1)
     return n * (_TERM_ERR + (bits + 20) * _EPS)
@@ -282,11 +299,11 @@ def _product_interval(factors_lo: list[Fraction], factors_hi: list[Fraction], sc
     return Real.from_interval(Fraction(max(0, lo) * scale, one), Fraction(hi * scale, one))
 
 
-def _trig_sum(blocks, n: int, extra_rad: Fraction) -> tuple[Real, Real]:
-    """(re, im) enclosures of the n-term sum of exp(i theta) over the
-    angle blocks: the float sums of ``cos_sin_sum`` per block, combined by
-    ``math.fsum``, within _sum_radius(n) plus the caller's extra_rad."""
-    cos_parts, sin_parts = zip(*map(cos_sin_sum, blocks))
+def _trig_sum(parts, n: int, extra_rad: Fraction) -> tuple[Real, Real]:
+    """(re, im) enclosures of the n-term sum of exp(i theta) from its
+    ``cos_sin_sum`` parts, one per block, combined by ``math.fsum``, within
+    _sum_radius(n) plus the caller's extra_rad."""
+    cos_parts, sin_parts = zip(*parts)
     rad = _sum_radius(n) + extra_rad
     return Real(Fraction(math.fsum(cos_parts)), rad), Real(Fraction(math.fsum(sin_parts)), rad)
 
@@ -359,11 +376,15 @@ def eval_expsum(
     b_hi = [1 - pi_lo * w * w for w in w_los]
     product_bound = _product_interval(b_lo, b_hi, n)
 
-    # the direct sum over the n terms, exact when every angle is 0
+    # the direct sum over the n terms, exact when every angle is 0; by the
+    # cost model min(n, (r+1) q), sum q angles weighted by the count of terms
+    # at each residue when that is cheaper, the n angles otherwise
     if all(v == 0 for v in res_mods):
         re_full, im_full = Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
+    elif (r + 1) * q < n:
+        re_full, im_full = _trig_sum([cos_sin_sum(*angle_counts(res_mods, q))], n, extra_rad)
     else:
-        re_full, im_full = _trig_sum(angle_rows(res_mods, q), n, extra_rad)
+        re_full, im_full = _trig_sum(map(cos_sin_sum, angle_rows(res_mods, q)), n, extra_rad)
     mag_full = _magnitude(re_full, im_full)
 
     # both enclose the same number, so they must intersect

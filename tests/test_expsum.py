@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import random
 import tracemalloc
@@ -54,11 +55,52 @@ def all_residues(b, r, k, gamma: Fraction):
 
 def _direct_sum(b, r, k, gamma: Fraction):
     """(re, im, n) of the direct sum over the 2^(r+1) truncated zero-one
-    terms, through the angle rows and trig-sum enclosure eval_expsum uses."""
+    terms, through the angle rows and trig-sum enclosure eval_expsum uses;
+    n counts the angles the rows hold."""
     q, weights = digit_weights(b, r, k, gamma)
-    n = 1 << (r + 1)
-    re, im = _trig_sum(angle_rows(weights, q), n, Fraction(0))
+    n, parts = 0, []
+    for run in angle_rows(weights, q):
+        n += len(run)
+        parts.append(cos_sin_sum(run))
+    re, im = _trig_sum(parts, n, Fraction(0))
     return re, im, n
+
+
+def _product_value(b, r, k, gamma: Fraction, exclude_zero: bool):
+    """(re, im) of prod_d (1 + e(k b^d gamma)) at 200 bits, less the zero
+    term e(0) = 1 when it is excluded, as exact fractions."""
+    q, weights = digit_weights(b, r, k, gamma)
+    with mpmath.workprec(200):
+        s = mpmath.mpc(1)
+        for w in weights:
+            s *= 1 + mpmath.expjpi(2 * mpmath.mpf(w) / q)
+        s -= exclude_zero
+        return mpf_to_fraction(s.real), mpf_to_fraction(s.imag)
+
+
+def _pinned_expsum(monkeypatch, b, r, k, gamma: Fraction, exclude_zero: bool = False):
+    """(count path, report) of eval_expsum on the path the cost model
+    (r+1) q < 2^(r+1) picks, with the other path's kernel made to raise; the
+    report must contain the 200-bit value of the sum."""
+    count_path = (r + 1) * gamma.denominator < 1 << (r + 1)
+
+    def other_path(*args):
+        raise AssertionError(f"the cost model left the {'count' if count_path else 'row-run'} path")
+
+    with monkeypatch.context() as m:
+        m.setattr(expsum, "angle_rows" if count_path else "angle_counts", other_path)
+        rep = eval_expsum(b, r, k, E(gamma), exclude_zero)
+    assert rep.term_count == (1 << (r + 1)) - exclude_zero
+    for part, want in zip((rep.value_re, rep.value_im), _product_value(b, r, k, gamma, exclude_zero)):
+        assert part.lo <= want <= part.hi
+    return count_path, rep
+
+
+def _coprime_gamma(rng, q: int) -> Fraction:
+    a = rng.randrange(1, q)
+    while math.gcd(a, q) != 1:
+        a = rng.randrange(1, q)
+    return Fraction(a, q)
 
 
 class TestClassify:
@@ -422,6 +464,48 @@ class TestEvalExpsum:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+    @pytest.mark.parametrize("q", [2, 3, 313, 4093])
+    def test_count_path_agrees_with_the_row_runs(self, q, monkeypatch):
+        # both sides of the cost model: at r = 1 every q and at r = 5 the
+        # larger two stay on the row runs, the rest count residues; each
+        # report contains the 200-bit product (in _pinned_expsum), and a
+        # count-path report meets the row-run enclosure of the same sum.
+        # The row runs cost 2^25 terms at r = 24, so only 5/313 sums them
+        rng = random.Random(q)
+        for i, (r, b) in enumerate(itertools.product((1, 5, 18, 24), (2, 3, 10))):
+            k, exclude = (1, -7, 3, -1, 100)[i % 5], i % 2 == 1
+            gamma = Fraction(5, 313) if (q, r, b) == (313, 24, 2) else _coprime_gamma(rng, q)
+            count_path, rep = _pinned_expsum(monkeypatch, b, r, k, gamma, exclude)
+            assert count_path == (r >= 18 or (r == 5 and q < 10))
+            if count_path and (r <= 18 or gamma == Fraction(5, 313)):
+                re, im, n = _direct_sum(b, r, k, gamma)
+                assert n - exclude == rep.term_count
+                for part, ref in zip((rep.value_re, rep.value_im), (re - exclude, im)):
+                    assert abs(part.mid - ref.mid) <= part.rad + ref.rad
+
+    @pytest.mark.parametrize("r, q", [(1, 2), (3, 4), (7, 32), (15, 4096)])
+    def test_the_cost_model_boundary_sums_the_row_runs(self, r, q, monkeypatch):
+        # (r+1) q == 2^(r+1) costs the same both ways and stays on the row
+        # runs; one residue fewer counts (q = 1 takes the exact shortcut)
+        rng = random.Random(r)
+        assert (r + 1) * q == 1 << (r + 1)
+        assert _pinned_expsum(monkeypatch, 3, r, -5, _coprime_gamma(rng, q))[0] is False
+        if q > 2:
+            assert _pinned_expsum(monkeypatch, 3, r, -5, _coprime_gamma(rng, q - 1), True)[0] is True
+
+    def test_count_path_builds_no_angle_run(self):
+        # r = 24 has 2^25 terms; the count path holds the 313 counts and
+        # angles, where the row runs peaked at about 4.4 MB under
+        # tracemalloc; bound the peak by an eighth of one 2^18-entry run
+        gamma = E(5, 313)
+        tracemalloc.start()
+        try:
+            eval_expsum(2, 24, 1, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
 
     def test_magnitude_slack_covers_200_bit_hypot(self):
         rng = random.Random(31)

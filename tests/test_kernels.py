@@ -145,6 +145,39 @@ def test_cos_sin_sum(as_array):
         assert abs(c - cc) < 1e-9 and abs(s - ss) < 1e-9
 
 
+def test_cos_sin_sum_with_weights_repeats_each_angle():
+    # integer weights: the weighted sum is the plain sum with angle i
+    # repeated weights[i] times
+    rng = random.Random(19)
+    theta = np.array([rng.uniform(-math.pi, math.pi) for _ in range(300)])
+    weights = np.array([rng.randrange(40) for _ in range(300)], dtype=np.int64)
+    c, s = K.cos_sin_sum(theta, weights)
+    cc, ss = K.cos_sin_sum(np.repeat(theta, weights))
+    assert abs(c - cc) < 1e-9 and abs(s - ss) < 1e-9
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 3, 313, 4093])
+def test_residue_counts_tally_the_subset_residues(modulus):
+    # the counts are the histogram of the subset_residues table, and the
+    # angles of angle_counts are those of the residues 0 .. M-1
+    rng = random.Random(modulus)
+    for bits in (0, 1, 5, 12):
+        adds = [rng.randrange(modulus) for _ in range(bits)]
+        counts = K.residue_counts(adds, modulus)
+        assert counts.dtype == np.int64 and len(counts) == modulus
+        want = np.bincount(K.subset_residues(adds, modulus), minlength=modulus)
+        assert counts.tolist() == want.tolist()
+        theta, same = K.angle_counts(adds, modulus)
+        assert same.tolist() == want.tolist()
+        assert turn_error(theta, range(modulus), modulus) < 4 * 2.0**-53
+
+
+def test_residue_counts_stay_exact_at_the_term_cap():
+    # 27 zero weights put all 2^27 subsets on residue 0
+    counts = K.residue_counts([0] * 27, 5)
+    assert counts.tolist() == [1 << 27, 0, 0, 0, 0]
+
+
 def test_interval_deviation_max(as_array):
     rng = random.Random(10)
     cases = []
