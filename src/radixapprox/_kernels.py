@@ -50,6 +50,7 @@ MOD_LIMIT = 1 << 57
 
 _PRODUCT_LIMIT = 1 << 62  # int64 products and sums must stay below this
 _ROW_RUN = 1 << 18  # angle_rows yields runs of whole rows of about this many entries
+_FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 
 
 def _int_array(values, bound: int) -> np.ndarray:
@@ -111,8 +112,13 @@ def _half_tables(pow_mod, count: int, modulus: int):
 
 def _angles(table: np.ndarray, modulus: int) -> np.ndarray:
     """2 pi t/M moved into [-pi, pi) for every residue t: t/M rounds once for
-    every modulus, and x - (x >= 1/2) is exact (``expsum._sum_radius``)."""
-    x = (table.astype(object) / modulus).astype(np.float64)
+    every modulus, and x - (x >= 1/2) is exact (``expsum._sum_radius``).
+    Below 2**53 the residues and M are exact float64, so the float division
+    gives the same correctly rounded t/M as Python's int division."""
+    if modulus < _FLOAT_EXACT:
+        x = table / float(modulus)
+    else:
+        x = (table.astype(object) / modulus).astype(np.float64)
     return (x - (x >= 0.5)) * (2.0 * np.pi)
 
 
@@ -128,9 +134,13 @@ def angle_rows(pow_mod, modulus: int):
 
 
 def angle_counts(pow_mod, modulus: int):
-    """(theta, c): the angles 2 pi v/M, in [-pi, pi), of every residue v in
-    [0, M), and the number c[v] of n in [0, 2**len(pow_mod)) with res_n = v."""
-    return _angles(np.arange(modulus), modulus), residue_counts(pow_mod, modulus)
+    """Yield (theta, c) for the residues v in [0, M), ascending, in runs of
+    at most 2**18: the angles 2 pi v/M, in [-pi, pi), and the number c[v] of
+    n in [0, 2**len(pow_mod)) with res_n = v."""
+    counts = residue_counts(pow_mod, modulus)
+    for v in range(0, modulus, _ROW_RUN):
+        c = counts[v : v + _ROW_RUN]
+        yield _angles(np.arange(v, v + len(c)), modulus), c
 
 
 def _row(h: int, count: int, s: int):

@@ -22,6 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import starmap
 from typing import Optional
 
 from . import digitsets as ds
@@ -122,19 +123,19 @@ def _sum_radius(n: int) -> Fraction:
     <= (bits(n) + 20) * 1.01 u * n, and _EPS = 1.2e-16 exceeds 1.01 u.
 
     The count path (``angle_counts``, taken when (r+1) q < n) sums q
-    weighted terms c_v cos(theta_v) in one block instead, c_v the exact
-    number of the n terms with residue v: at most n <= 2**27, so exact in
-    int64 and float64, and sum c_v = n.  Each angle theta_v is one half
-    angle above, rounded once, within 2 pi * 2u of 2 pi v/q mod 2 pi, so
-    each term is within _TERM_ERR again and the weighted terms within
-    n * _TERM_ERR.  Each product c_v * fl(cos theta_v) adds one rounding,
-    relative u.  The q products are summed as a block of q terms, so each
-    passes at most bits(q) + 19 additions, and ``fsum`` of the one part is
-    exact: h = bits(q) + 20 roundings in all, error at most gamma_h * n.  On
-    this path r >= 1, so q < n / 2 and bits(q) < bits(n): h is lower than
-    the direct path's bits(n) + 20, and _sum_radius(n) covers both.  At
-    r = 0 the path needs q < 2, where every residue is 0 and the sum takes
-    the exact shortcut of ``eval_expsum``.
+    weighted terms c_v cos(theta_v) instead, c_v the exact number of the n
+    terms with residue v: at most n <= 2**27, so exact in int64 and
+    float64, and sum c_v = n.  Each angle theta_v is one half angle above,
+    rounded once, within 2 pi * 2u of 2 pi v/q mod 2 pi, so each term is
+    within _TERM_ERR again and the weighted terms within n * _TERM_ERR.
+    Each product c_v * fl(cos theta_v) adds one rounding, relative u.  The
+    q products are summed in blocks of at most min(q, 2**18) residues, so
+    each passes at most bits(q) + 19 additions, and ``fsum`` rounds once
+    more: h = bits(q) + 21 roundings in all, error at most gamma_h * n.  On
+    this path r >= 1, so q < n / 2 and bits(q) < bits(n): h is at most the
+    direct path's bits(n) + 20, and _sum_radius(n) covers both.  At r = 0
+    the path needs q < 2, where every residue is 0 and the sum takes the
+    exact shortcut of ``eval_expsum``.
     """
     bits = max(n.bit_length(), 1)
     return n * (_TERM_ERR + (bits + 20) * _EPS)
@@ -382,7 +383,7 @@ def eval_expsum(
     if all(v == 0 for v in res_mods):
         re_full, im_full = Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
     elif (r + 1) * q < n:
-        re_full, im_full = _trig_sum([cos_sin_sum(*angle_counts(res_mods, q))], n, extra_rad)
+        re_full, im_full = _trig_sum(starmap(cos_sin_sum, angle_counts(res_mods, q)), n, extra_rad)
     else:
         re_full, im_full = _trig_sum(map(cos_sin_sum, angle_rows(res_mods, q)), n, extra_rad)
     mag_full = _magnitude(re_full, im_full)

@@ -167,9 +167,32 @@ def test_residue_counts_tally_the_subset_residues(modulus):
         assert counts.dtype == np.int64 and len(counts) == modulus
         want = np.bincount(K.subset_residues(adds, modulus), minlength=modulus)
         assert counts.tolist() == want.tolist()
-        theta, same = K.angle_counts(adds, modulus)
+        theta, same = map(np.concatenate, zip(*K.angle_counts(adds, modulus)))
         assert same.tolist() == want.tolist()
         assert turn_error(theta, range(modulus), modulus) < 4 * 2.0**-53
+
+
+def test_angle_counts_yield_runs_of_at_most_2_18_residues():
+    modulus = (1 << 19) + 21
+    runs = list(K.angle_counts([1, 7, 100], modulus))
+    assert [len(theta) for theta, _ in runs] == [1 << 18, 1 << 18, 21]
+    assert all(len(theta) == len(c) for theta, c in runs)
+    theta, counts = map(np.concatenate, zip(*runs))
+    assert np.flatnonzero(counts).tolist() == [0, 1, 7, 8, 100, 101, 107, 108] and counts.max() == 1
+    ends = [0, 1 << 18, modulus - 1]
+    assert turn_error(theta[ends], ends, modulus) < 4 * 2.0**-53
+
+
+@pytest.mark.parametrize("modulus", [3, 4093, (1 << 40) - 87, (1 << 53) - 111, (1 << 53) + 5],
+                         ids=["3", "4093", "2^40-87", "2^53-111", "2^53+5"])
+def test_angles_divide_once_on_either_side_of_2_53(modulus):
+    # below 2^53 the float64 division rounds t/M once, as Python's int
+    # division does above it: the angles match the Python-int quotient bit
+    # for bit
+    rng = random.Random(modulus)
+    res = [0, 1, modulus // 2, modulus // 2 + 1, modulus - 1] + [rng.randrange(modulus) for _ in range(500)]
+    x = np.array([t / modulus for t in res])
+    assert np.array_equal(K._angles(np.array(res, dtype=np.int64), modulus), (x - (x >= 0.5)) * (2.0 * np.pi))
 
 
 def test_residue_counts_stay_exact_at_the_term_cap():
