@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import digitsets as ds
 from .approx import oracle_min
-from .errors import DomainError, InvariantViolation, ResourceLimit
+from .errors import DomainError, InvariantViolation
 from .exact import BOUND_PRECISION, Real, iv_precision, iv_to_real
 
 
@@ -59,8 +59,6 @@ def adversarial_gamma(
     ds.check_base(b)
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    if N > cap:
-        raise ResourceLimit(f"N={N} exceeds the enumeration cap {cap}")
     # ceil(log2(N + 1)) for N >= 1 equals the bit length of N
     T = N.bit_length()
     k = -(-T // (b - 1)) + 1

@@ -69,15 +69,17 @@ def oracle_min(gamma: Real, b: int, N: int, *, cap: int = ds.CAP_DEFAULT) -> App
 
 def _first_collision(reps: list[int], bins: list[int], b: int, N: int) -> int:
     """reps[j] - reps[i] for the lexicographically first pair i < j sharing
-    a bin, checked to be a zero-one integer in [1, N]."""
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if bins[i] == bins[j]:
-                w = reps[j] - reps[i]
-                if not (1 <= w <= N and ds.contains(b, w)):
-                    raise InvariantViolation(f"pigeonhole difference {w} left the zero-one set")
-                return w
-    raise InvariantViolation(f"no pigeonhole collision found at b={b}, N={N}")
+    a bin, checked to be a zero-one integer in [1, N]: the least pair
+    (first occurrence, later occurrence) over the bins, found in one pass."""
+    first: dict[int, int] = {}
+    pairs = [(i, j) for j, h in enumerate(bins) if (i := first.setdefault(h, j)) != j]
+    if not pairs:
+        raise InvariantViolation(f"no pigeonhole collision found at b={b}, N={N}")
+    i, j = min(pairs)
+    w = reps[j] - reps[i]
+    if not (1 <= w <= N and ds.contains(b, w)):
+        raise InvariantViolation(f"pigeonhole difference {w} left the zero-one set")
+    return w
 
 
 def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:

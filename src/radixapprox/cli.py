@@ -40,7 +40,7 @@ from .adversary import adversarial_gamma, no_multiples_check
 from .approx import oracle_min, pigeonhole_witness
 from .acceptance import run_all
 from .constants import approximation_bound, compute_constants
-from .diffsets import anchored_cap, max_difference_set, positive_differences
+from .diffsets import NODE_BUDGET_DEFAULT, anchored_cap, max_difference_set, positive_differences
 from .discrepancy import discrepancy_L, erdos_turan_check, fractional_orbit
 from .errors import (
     DomainError,
@@ -49,7 +49,7 @@ from .errors import (
     RadixApproxError,
     ResourceLimit,
 )
-from .exact import Real
+from .exact import DEFAULT_PRECISION, Real
 
 CONFIG_ENV = "RADIX_APPROX_CONFIG"
 
@@ -79,9 +79,9 @@ CSV_COLUMNS = (
 
 @dataclass
 class RunConfig:
-    precision_bits: int = 128
+    precision_bits: int = DEFAULT_PRECISION
     enumeration_cap: int = ds.CAP_DEFAULT
-    node_budget: int = 2_000_000
+    node_budget: int = NODE_BUDGET_DEFAULT
     output_format: str = "human"
     threads: int = 1  # recorded in meta.config only: every scan runs on one thread
 
@@ -168,12 +168,8 @@ def _human_scalar(v: Any) -> str:
     return str(v)
 
 
-def _frac_of(report: dict, *keys) -> Optional[Fraction]:
-    cur: Any = report
-    for k in keys:
-        if not isinstance(cur, dict) or k not in cur:
-            return None
-        cur = cur[k]
+def _frac_of(report: dict, key: str) -> Optional[Fraction]:
+    cur = report.get(key)
     if isinstance(cur, dict):
         cur = cur.get("exact") or cur.get("mid")
     if isinstance(cur, str) and "/" in cur:
@@ -216,10 +212,8 @@ def _cmd_search(args, cfg: RunConfig) -> dict:
     N = args.limit
     if args.method == "pigeonhole":
         res = pigeonhole_witness(gamma, args.base, N)
-    elif args.method == "oracle":
-        res = oracle_min(gamma, args.base, N, cap=cfg.enumeration_cap)
     else:
-        raise DomainError(f"unknown search method {args.method!r}")
+        res = oracle_min(gamma, args.base, N, cap=cfg.enumeration_cap)
     out = _ser(res)
     out["N"] = N
     return out
@@ -289,10 +283,7 @@ def _cmd_constants(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_verify_all(args, cfg: RunConfig) -> dict:
-    lines: list[str] = []
-    results = run_all(echo=lines.append)
-    for line in lines:
-        print(line, file=sys.stderr)
+    results = run_all(echo=lambda line: print(line, file=sys.stderr))
     report = {
         "criteria": [
             {"id": r.cid, "name": r.name, "passed": r.passed, "detail": r.detail}
@@ -303,17 +294,6 @@ def _cmd_verify_all(args, cfg: RunConfig) -> dict:
     if not report["passed"]:
         raise InvariantViolation("acceptance criteria failed: " + json.dumps(report))
     return report
-
-
-_HANDLERS = {
-    "search": _cmd_search,
-    "diffset": _cmd_diffset,
-    "expsum": _cmd_expsum,
-    "discrepancy": _cmd_discrepancy,
-    "adversary": _cmd_adversary,
-    "constants": _cmd_constants,
-    "verify-all": _cmd_verify_all,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -349,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"radix-approx {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, summary, methods=(), flags=(), required=()):
+    def add(name, handler, summary, methods=(), flags=(), required=()):
         """A subcommand taking --method (the first choice is the default),
         the flags its handler reads, --format and --out."""
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if methods:
             p.add_argument("--method", choices=methods, default=methods[0])
         for flag in flags:
@@ -361,20 +342,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--out", metavar="FILE")
 
-    add("search", "witness search: pigeonhole or exhaustive oracle", ("pigeonhole", "oracle"),
-        ("--base", "--limit", "--gamma", "--threads", "--precision-bits"),
+    add("search", _cmd_search, "witness search: pigeonhole or exhaustive oracle",
+        ("pigeonhole", "oracle"), ("--base", "--limit", "--gamma", "--threads", "--precision-bits"),
         required=("--limit", "--gamma"))
-    add("diffset", "difference-set maxima and positive differences",
+    add("diffset", _cmd_diffset, "difference-set maxima and positive differences",
         ("anchored", "within", "differences"), ("--base", "--limit"), required=("--limit",))
-    add("expsum", "digit-restricted exponential sums and bounds", ("sum", "decay", "shifts"),
+    add("expsum", _cmd_expsum, "digit-restricted exponential sums and bounds",
+        ("sum", "decay", "shifts"),
         ("--base", "--gamma", "--r", "--k", "--m", "--beta", "--precision-bits"),
         required=("--gamma", "--r", "--k"))
-    add("discrepancy", "interval discrepancy of {n*gamma}",
+    add("discrepancy", _cmd_discrepancy, "interval discrepancy of {n*gamma}",
         flags=("--gamma", "--limit", "--G", "--precision-bits"), required=("--gamma", "--limit"))
-    add("adversary", "lower-bound certificate / no-multiples scan",
+    add("adversary", _cmd_adversary, "lower-bound certificate / no-multiples scan",
         ("certificate", "no-multiples"), ("--base", "--limit", "--k", "--t", "--e-max", "--threads"))
-    add("constants", "the explicit constant chain", flags=("--base", "--limit", "--precision-bits"))
-    add("verify-all", "run the acceptance suite")
+    add("constants", _cmd_constants, "the explicit constant chain",
+        flags=("--base", "--limit", "--precision-bits"))
+    add("verify-all", _cmd_verify_all, "run the acceptance suite")
     return parser
 
 
@@ -411,7 +394,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config_from(args)
         started = time.perf_counter()
-        report = _HANDLERS[args.subcommand](args, cfg)
+        report = args.handler(args, cfg)
         wall_ms = (time.perf_counter() - started) * 1000.0
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
@@ -422,7 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except IndeterminateComparison as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except (DomainError, RadixApproxError, ValueError) as exc:
+    except (RadixApproxError, ValueError) as exc:
         parser.exit(1, f"error: {exc}\n")
 
     if cfg.output_format == "json":

@@ -61,11 +61,6 @@ def mpf_to_fraction(x) -> Fraction:
     return _raw_to_fraction(mpmath.mpf(x)._mpf_)
 
 
-def frac_exact(x: Fraction) -> Fraction:
-    """Fractional part {x} in [0, 1), floor convention."""
-    return x - (x.numerator // x.denominator)
-
-
 def dist_exact(x: Fraction) -> Fraction:
     """Distance from x to the nearest integer, exactly."""
     v = x.numerator % x.denominator
@@ -179,11 +174,6 @@ class Real:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if o.is_exact:
-            c = o.mid
-            return Real(self.mid * c, self.rad * abs(c))
-        if self.is_exact:
-            return o.__mul__(self)
         corners = [a * b for a in (self.lo, self.hi) for b in (o.lo, o.hi)]
         return Real.from_interval(min(corners), max(corners))
 
@@ -243,8 +233,6 @@ def frac(x: Real) -> Real:
     In approximate mode the enclosure must stay inside one unit interval,
     since the map jumps at integers; otherwise the result is indeterminate.
     """
-    if x.is_exact:
-        return Real(frac_exact(x.mid))
     k_lo = _floor_fraction(x.lo)
     if x.hi - k_lo >= 1:
         raise IndeterminateComparison(

@@ -18,6 +18,7 @@ pi; the identity is verified numerically in the test suite.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -44,7 +45,8 @@ from .exact import (
     power_residues,
 )
 
-#: Default cap on r: at most 2**(R_CAP_DEFAULT + 1) terms per direct sum.
+#: Cap on r for every method: a direct sum has at most 2**(R_CAP_DEFAULT + 1)
+#: terms, and the separation scan's half tables at most 2**14 entries each.
 R_CAP_DEFAULT = 26
 
 # float64 budgets: |e(theta) evaluated - true| per component, and the unit
@@ -58,17 +60,13 @@ _NORMAL_MIN = 2.0**-1021
 # the product enclosures round every partial product outward to 2**-_PRODUCT_BITS
 _PRODUCT_BITS = 64
 
-_pi_cache: Optional[tuple[Fraction, Fraction]] = None
 
-
+@functools.cache
 def pi_bounds() -> tuple[Fraction, Fraction]:
     """Certified rational bounds pi_lo < pi < pi_hi (120-bit tight)."""
-    global _pi_cache
-    if _pi_cache is None:
-        with iv_precision(120) as iv:
-            enc = iv_to_real(iv.pi)
-        _pi_cache = (enc.lo, enc.hi)
-    return _pi_cache
+    with iv_precision(120) as iv:
+        enc = iv_to_real(iv.pi)
+    return enc.lo, enc.hi
 
 
 def sin_pi_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -207,6 +205,8 @@ def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationR
     beta = Fraction(beta)
     if beta <= 0:
         raise DomainError(f"need beta > 0, got {beta}")
+    if r > R_CAP_DEFAULT:
+        raise ResourceLimit(f"r={r} exceeds the term cap r <= {R_CAP_DEFAULT}")
 
     # a truncated element x <= V = unrank(b, count) has ||gamma x|| within
     # x rad of its reading ||x M/Q|| (gamma.mid = M/Q), so one read above

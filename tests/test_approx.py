@@ -41,6 +41,18 @@ def oracle_two_branch(gamma, b, N, cap=ds.CAP_DEFAULT):
     return ApproxResult(elems[w_i], dists[w_i], spec, None, "approximate")
 
 
+def first_collision_pairwise(reps, bins, b, N):
+    """The pair search as an O(t^2) scan of every pair i < j in order."""
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            if bins[i] == bins[j]:
+                w = reps[j] - reps[i]
+                if not (1 <= w <= N and ds.contains(b, w)):
+                    raise InvariantViolation(f"pigeonhole difference {w} left the zero-one set")
+                return w
+    raise InvariantViolation(f"no pigeonhole collision found at b={b}, N={N}")
+
+
 def pigeonhole_two_branch(gamma, b, N):
     """pigeonhole_witness as written before both kinds of gamma shared one
     path: Fraction residues for an exact gamma; for an enclosure, frac of
@@ -57,7 +69,7 @@ def pigeonhole_two_branch(gamma, b, N):
             if min(f, 1 - f) <= guarantee:
                 return ApproxResult(u, Real(min(f, 1 - f)), tag, guarantee, "exact")
         bins = [(f.numerator * (t + 1)) // f.denominator for f in fracs]
-        w = _first_collision(reps, bins, b, N)
+        w = first_collision_pairwise(reps, bins, b, N)
         return ApproxResult(w, Real(dist_exact(gamma.mid * w)), tag, guarantee, "exact")
     fres = [frac(gamma * u) for u in reps]
     for u in reps:
@@ -71,7 +83,7 @@ def pigeonhole_two_branch(gamma, b, N):
         if lo_bin != hi_bin:
             raise IndeterminateComparison(f"bin membership of {f!r} straddles a bin boundary")
         bins.append(lo_bin)
-    w = _first_collision(reps, bins, b, N)
+    w = first_collision_pairwise(reps, bins, b, N)
     return ApproxResult(w, dist_to_nearest_int(gamma * w), tag, guarantee, "approximate")
 
 
@@ -274,6 +286,8 @@ class TestPigeonhole:
     def test_first_collision_takes_the_lexicographically_first_pair(self):
         # bins 2, 0, 1, 0, 1: the pair (1, 3) comes before (2, 4)
         assert _first_collision([1, 4, 13, 40, 121], [2, 0, 1, 0, 1], 3, 1000) == 36
+        # bins 0, 1, 1, 0: the pair (0, 3) comes before (1, 2), though (1, 2) closes first
+        assert _first_collision([1, 4, 13, 40], [0, 1, 1, 0], 3, 1000) == 39
 
     def test_first_collision_refusals(self):
         with pytest.raises(InvariantViolation, match="no pigeonhole collision found"):

@@ -271,6 +271,16 @@ class TestExitCodes:
                                 "--k", "3", "--t", "3", "--e-max", "6"], capsys)
         assert code == 3 and "resource limit" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["expsum", "--method", "shifts", "--base", "2", "--r", "60", "--k", "1",
+         "--beta", "1/8", "--gamma", "5/313"],
+        ["expsum", "--method", "decay", "--base", "3", "--r", "60", "--k", "1", "--m", "1",
+         "--gamma", "5/313"],
+    ], ids=["shifts", "decay"])
+    def test_r_above_the_cap_is_a_resource_limit(self, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3 and "exceeds the term cap r <= 26" in err
+
     def test_discrepancy_orbit_is_capped_via_config_env(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"
         cfg.write_text("enumeration_cap=10\n")

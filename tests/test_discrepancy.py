@@ -14,7 +14,7 @@ from radixapprox.discrepancy import (
     fractional_orbit,
 )
 from radixapprox.errors import DomainError, IndeterminateComparison
-from radixapprox.exact import Real, frac, frac_exact
+from radixapprox.exact import Real, frac
 
 E = lambda *a: Real.exact(Fraction(*a))
 
@@ -24,6 +24,11 @@ PRODUCT_LIMIT_CASES = [(3, 1537228672809129301), (4, 1 << 60),
 
 # the named constants of acceptance criterion 6, at the working precision
 CONSTANTS = {"sqrt2": lambda: mpmath.sqrt(2), "pi": lambda: +mpmath.pi, "e": lambda: +mpmath.e}
+
+
+def frac_exact(x):
+    """{x} in [0, 1) of a Fraction, floor convention."""
+    return x - (x.numerator // x.denominator)
 
 
 def orbit_two_branch(gamma, T):

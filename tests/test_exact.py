@@ -17,7 +17,6 @@ from radixapprox.exact import (
     dist_of_multiple,
     dist_to_nearest_int,
     frac,
-    frac_exact,
     frac_of_multiple,
     iv_precision,
     iv_to_real,
@@ -73,16 +72,18 @@ class TestFrac:
             (Fraction(7, 5), Fraction(2, 5)),
             (Fraction(-1, 4), Fraction(3, 4)),
             (Fraction(3), Fraction(0)),
+            (Fraction(-7, 5), Fraction(3, 5)),
+            (Fraction(-3), Fraction(0)),
         ],
     )
     def test_examples(self, x, expected):
-        assert frac(Real.exact(x)).mid == expected
+        assert frac(Real.exact(x)) == Real(expected)
 
     @given(fractions)
     def test_difference_is_integer(self, x):
-        f = frac_exact(x)
-        assert 0 <= f < 1
-        assert (x - f).denominator == 1
+        f = frac(Real.exact(x))
+        assert f.is_exact and 0 <= f.mid < 1
+        assert (x - f.mid).denominator == 1
 
     def test_ball_straddling_integer_raises(self):
         with pytest.raises(IndeterminateComparison):
@@ -120,6 +121,15 @@ class TestBallArithmetic:
     def test_mul_scalar(self, x, c):
         v = Real.approx(x, Fraction(1, 7)) * c
         assert v.mid == x * c and v.rad == Fraction(1, 7) * abs(c)
+
+    @pytest.mark.parametrize("c", [Fraction(3, 2), Fraction(-5, 3), Fraction(0)])
+    def test_exact_factor_gives_the_corner_product(self, c):
+        e = Real.approx(Fraction(7, 11), Fraction(1, 9))
+        corners = [a * c for a in (e.mid - e.rad, e.mid + e.rad)]
+        expected = Real.from_interval(min(corners), max(corners))
+        assert expected == Real(e.mid * c, abs(c) * e.rad)
+        assert Real.exact(c) * e == expected
+        assert e * Real.exact(c) == expected
 
     def test_interval_product_contains_truth(self):
         a = Real.from_interval(Fraction(-1), Fraction(2))
@@ -200,7 +210,7 @@ def test_iv_prec_is_restored_when_the_body_raises(monkeypatch, name, module, cal
 
     expsum.pi_bounds()  # cached, so only the pi_bounds case evaluates pi under the patch
     if name == "pi_bounds":
-        monkeypatch.setattr(expsum, "_pi_cache", None)
+        expsum.pi_bounds.cache_clear()
     monkeypatch.setattr(module or exact, "iv_to_real", boom)
     monkeypatch.setattr(mpmath.iv, "prec", 61)
     with pytest.raises(RuntimeError):

@@ -195,6 +195,21 @@ class TestSeparation:
         gamma = Real.approx(Fraction(2, 5), Fraction(1, 10**25))
         assert separation_check(2, 1, Fraction(1, 8), gamma).ok
 
+    def test_r_cap_is_checked_before_any_table(self, monkeypatch):
+        from radixapprox import _kernels
+        from radixapprox.errors import ResourceLimit
+
+        def no_tables(*args):
+            raise AssertionError("half tables built above the r cap")
+
+        monkeypatch.setattr(_kernels, "_half_tables", no_tables)
+        with pytest.raises(ResourceLimit, match="exceeds the term cap"):
+            separation_check(2, expsum.R_CAP_DEFAULT + 1, Fraction(1, 4096), E(5, 313))
+
+    def test_r_at_the_cap_answers(self):
+        rep = separation_check(2, expsum.R_CAP_DEFAULT, Fraction(1, 4096), E(5, 313))
+        assert (rep.ok, rep.counterexample) == (False, 313)
+
     @pytest.mark.parametrize("kind", ["exact", "enclosure"])
     def test_matches_the_two_branch_check(self, kind):
         rng = random.Random(24)
