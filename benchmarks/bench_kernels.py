@@ -9,9 +9,9 @@ so the 2^24 and 2^25 cases cost little more than the 2^20 one.  The
 digit_scan_min cases at q=2^61-1 and the first digit_scan_close case use
 moduli above MOD_LIMIT, so they time the Python-int (object array) path of
 the residue scans; the direct sum has no Python-int path.  The eval_expsum
-cases time it: it turns the same two half tables into float angles once,
-for every modulus, and adds them into the angles of its 2^(r+1) terms in
-runs of whole rows.  The sum picks the cheaper of two paths by the cost
+cases time it: it turns the same two half tables into unit vectors once
+(one cos and one sin per table entry), for every modulus, and forms its
+2^(r+1) terms as one complex product each, in runs of whole rows.  The sum picks the cheaper of two paths by the cost
 model min(2^(r+1), (r+1) q): the cases at 5/313 and 457/499 have (r+1) q
 below 2^(r+1), so they build the q exact residue counts by r+1
 roll-and-adds and sum q weighted angles instead of 2^(r+1).  The dense
@@ -79,8 +79,9 @@ def cases():
     theta = rng.uniform(-2 * np.pi, 2 * np.pi, size=1 << 21)
     yield "cos_sin_sum (2^21 terms)", K.cos_sin_sum, (theta,)
 
-    # int64 half tables at r = 22, Python-int ones at q = 2^64+13 and for
-    # sqrt2 and pi at 128 and 256 bits
+    # int64 half tables at r = 21 and 22, Python-int ones at q = 2^64+13 and
+    # for sqrt2 and pi at 128 and 256 bits
+    yield "eval_expsum (r=21, q=2^30+3)", eval_expsum, (2, 21, 3, Real.parse("314159265/1073741827"))
     yield "eval_expsum (r=22, q=2^40-87)", eval_expsum, (2, 22, 3, Real.parse("314159265358/1099511627689"))
     yield "eval_expsum (r=18, q=2^64+13)", eval_expsum, (2, 18, 3, Real.parse(f"314159265358/{(1 << 64) + 13}"))
     yield "eval_expsum (r=14, gamma=sqrt2@128)", eval_expsum, (3, 14, 1, Real.parse("sqrt2", 128))

@@ -15,10 +15,11 @@ H the ``subset_residues`` tables of the low s and the high k - s digits
 ``np.searchsorted`` and read only the rows it reports: O(2**(k/2) k) work
 in place of O(2**k).  Rows ascend and so does l within a row, so the first
 hit is the smallest n.  The direct trigonometric sums read the same tables
-as float angles, whole rows at a time (``angle_rows``), for every modulus;
-for a small modulus the sums read counts instead: how many n have each
-residue (``residue_counts``), one weighted angle per residue
-(``angle_counts``).
+as unit vectors e(t/M), one cos and one sin per table entry, and form the
+term e(res_n/M) of every n as one complex product E_H[h] E_L[l], whole rows
+at a time (``term_rows``), for every modulus; for a small modulus the sums
+read counts instead: how many n have each residue (``residue_counts``), one
+weighted angle per residue (``angle_counts``).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ __all__ = [
     "digit_scan_min_sharded",
     "subset_residues",
     "residue_counts",
-    "angle_rows",
+    "term_rows",
     "angle_counts",
     "cos_sin_sum",
     "digit_scan_close",
@@ -49,7 +50,7 @@ USE_NUMBA = False
 MOD_LIMIT = 1 << 57
 
 _PRODUCT_LIMIT = 1 << 62  # int64 products and sums must stay below this
-_ROW_RUN = 1 << 18  # angle_rows yields runs of whole rows of about this many entries
+_ROW_RUN = 1 << 16  # term_rows and angle_counts yield runs of about this many entries
 _FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 
 
@@ -122,20 +123,28 @@ def _angles(table: np.ndarray, modulus: int) -> np.ndarray:
     return (x - (x >= 0.5)) * (2.0 * np.pi)
 
 
-def angle_rows(pow_mod, modulus: int):
-    """Yield the angles 2 pi res_n/M, in [-2 pi, 2 pi), of every n in
-    [0, 2**len(pow_mod)), ascending, as runs of whole rows (theta_H[h] +
-    theta_L, flattened) of at most max(2**18, 2**s) entries."""
+def _unit_vectors(table: np.ndarray, modulus: int) -> np.ndarray:
+    """cos(theta) + i sin(theta) for the angles theta of ``_angles``: one cos
+    and one sin per table entry, both in [-pi, pi)."""
+    theta = _angles(table, modulus)
+    return np.cos(theta) + 1j * np.sin(theta)
+
+
+def term_rows(pow_mod, modulus: int):
+    """Yield the terms e(res_n/M) of every n in [0, 2**len(pow_mod)),
+    ascending, as complex128 runs of whole rows (E_H[h] E_L, flattened) of at
+    most max(2**16, 2**s) entries: each term is one rounded complex product
+    of two half-table unit vectors (``expsum._sum_radius``)."""
     s, L, H = _half_tables(pow_mod, (1 << len(pow_mod)) - 1, modulus)
-    low, high = _angles(L, modulus), _angles(H, modulus)
+    low, high = _unit_vectors(L, modulus), _unit_vectors(H, modulus)
     step = max(_ROW_RUN >> s, 1)
     for h in range(0, len(high), step):
-        yield (high[h : h + step, None] + low).ravel()
+        yield (high[h : h + step, None] * low).ravel()
 
 
 def angle_counts(pow_mod, modulus: int):
     """Yield (theta, c) for the residues v in [0, M), ascending, in runs of
-    at most 2**18: the angles 2 pi v/M, in [-pi, pi), and the number c[v] of
+    at most 2**16: the angles 2 pi v/M, in [-pi, pi), and the number c[v] of
     n in [0, 2**len(pow_mod)) with res_n = v."""
     counts = residue_counts(pow_mod, modulus)
     for v in range(0, modulus, _ROW_RUN):

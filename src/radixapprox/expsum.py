@@ -4,8 +4,9 @@ The central identity: the sum of e(k*j*gamma) over j ranging across the
 truncated zero-one set factors as a product of cosines, so its magnitude
 equals 2**(r+1) * prod |cos(pi * k * b**d * gamma)|.  The direct sum is
 evaluated term by term (never through that factorization, which is what the
-reports are checking) over exact residues, each half-table angle rounded once,
-or, when the grid q of the residues has (r+1) q < 2**(r+1), as the sum of
+reports are checking) over exact residues, each term one rounded complex
+product of two half-table unit vectors, each of those from an angle rounded
+once, or, when the grid q of the residues has (r+1) q < 2**(r+1), as the sum of
 c_v e(v/q) over the q residues v with the exact count c_v of terms at each;
 the product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2)
 are rational intervals, rounded outward to a dyadic grid (_product_interval).
@@ -27,7 +28,7 @@ from itertools import starmap
 from typing import Optional
 
 from . import digitsets as ds
-from ._kernels import angle_counts, angle_rows, cos_sin_sum, digit_scan_close
+from ._kernels import angle_counts, cos_sin_sum, digit_scan_close, term_rows
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -49,9 +50,9 @@ from .exact import (
 #: terms, and the separation scan's half tables at most 2**14 entries each.
 R_CAP_DEFAULT = 26
 
-# float64 budgets: |e(theta) evaluated - true| per component, and the unit
+# float64 budgets: |term evaluated - e(v/q)| per component, and the unit
 # roundoff 2**-53 with room for the factor 1/(1 - h u); see _sum_radius
-_TERM_ERR = Fraction(4, 10**15)
+_TERM_ERR = Fraction(43, 10**16)
 _EPS = Fraction(12, 10**17)
 # relative envelope for one float64 sin at an exact argument; see sin_pi_interval
 _FACTOR_ERR = Fraction(9, 2**51)
@@ -99,41 +100,51 @@ def _sin_pi_bounds(h: Fraction, *widens: Fraction) -> tuple[Fraction, ...]:
 
 def _sum_radius(n: int) -> Fraction:
     """Worst-case float64 radius for one component of an n-term sum of
-    cos(2 pi v/q) or sin(2 pi v/q), summed by ``cos_sin_sum`` block by block
-    and, over several blocks, by ``math.fsum``; on the direct path a block
-    is a run of whole rows of the half tables (``angle_rows``), at most
-    max(2**18, 2**s) entries and at most n.  With u = 2**-53:
+    cos(2 pi v/q) or sin(2 pi v/q), summed block by block (``_re_im_sum``
+    on the direct path, ``cos_sin_sum`` on the count path) and, over several
+    blocks, by ``math.fsum``; on the direct path a block is a run of whole
+    rows of the half tables (``term_rows``), at most max(2**16, 2**s)
+    entries and at most n.  With u = 2**-53:
 
-    Each term is within _TERM_ERR = 4e-15.  Its angle theta_H + theta_L adds
-    two half angles fl(fl(2 pi) (x - (x >= 1/2))), x = fl(t/q) for an exact
-    residue t (Sterbenz makes the shift exact), each within 2 pi * 2u of
-    2 pi t/q mod 2 pi; the addition rounds by 2 pi * 1.01 u, so the angle is
-    within 2 pi * 5.01 u < 3.5e-15 of 2 pi v/q mod 2 pi.  cos and sin are
-    1-Lipschitz; numpy evaluates them on [-2 pi, 2 pi] within 4 ulp, 4.5e-16.
+    Each term is within _TERM_ERR = 4.3e-15 per component.  A half-table
+    angle fl(fl(2 pi) (x - (x >= 1/2))), x = fl(t/q) for an exact residue t
+    (Sterbenz makes the shift exact), lies in [-pi, pi) and within
+    2 pi * 2u of 2 pi t/q mod 2 pi.  cos and sin are 1-Lipschitz and numpy
+    evaluates them on [-pi, pi] within 4 ulp, 4u, so the unit vector E =
+    fl(cos) + i fl(sin) is within eta = 4 pi u + sqrt(2) 4u < 2.03e-15 of
+    e(t/q), and |E| <= 1 + eta.  The exact product E_H E_L is then within
+    eta (1 + eta) + eta = 2 eta + eta**2 < 4.05e-15 of e(v/q).  numpy rounds
+    each component of the complex product a c - b d (or a d + b c): without
+    FMA it rounds both products and the difference, with FMA one product
+    and the fused result, and either way the error is at most
+    (2u + u**2)(|a c| + |b d|) <= (2u + u**2)(1 + eta)**2 < 2.3e-16, as
+    |a c| + |b d| <= |E_H| |E_L| (Cauchy-Schwarz).  In all, under 4.28e-15.
 
     Summation (Higham, *Accuracy and Stability of Numerical Algorithms*,
     ch. 4): numpy's ``sum`` halves a block of m <= n terms until it is at
-    most 128 long, in at most bits(m) - 6 <= bits(n) - 6 levels.  A leaf of
-    128 holds 8 interleaved accumulators of at most 16 terms (15
-    additions), combines them in 3 more, then adds at most 7 leftover terms
-    one by one.  So a term passes at most h = bits(n) + 19 additions, and
-    ``fsum`` rounds once more.  The error is at most gamma_(h+1) * sum |x_i|
-    <= (bits(n) + 20) * 1.01 u * n, and _EPS = 1.2e-16 exceeds 1.01 u.
+    most 128 long, in at most bits(m) - 6 <= bits(n) - 6 levels, on a
+    strided view (the real or imaginary part of a complex run) as on a
+    contiguous array.  A leaf of 128 holds 8 interleaved accumulators of at
+    most 16 terms (15 additions), combines them in 3 more, then adds at most
+    7 leftover terms one by one.  So a term passes at most h = bits(n) + 19
+    additions, and ``fsum`` rounds once more.  The error is at most
+    gamma_(h+1) * sum |x_i| <= (bits(n) + 20) * 1.01 u * n (1 + _TERM_ERR),
+    and _EPS = 1.2e-16 exceeds 1.01 u (1 + _TERM_ERR).
 
     The count path (``angle_counts``, taken when (r+1) q < n) sums q
     weighted terms c_v cos(theta_v) instead, c_v the exact number of the n
     terms with residue v: at most n <= 2**27, so exact in int64 and
     float64, and sum c_v = n.  Each angle theta_v is one half angle above,
-    rounded once, within 2 pi * 2u of 2 pi v/q mod 2 pi, so each term is
-    within _TERM_ERR again and the weighted terms within n * _TERM_ERR.
-    Each product c_v * fl(cos theta_v) adds one rounding, relative u.  The
-    q products are summed in blocks of at most min(q, 2**18) residues, so
-    each passes at most bits(q) + 19 additions, and ``fsum`` rounds once
-    more: h = bits(q) + 21 roundings in all, error at most gamma_h * n.  On
-    this path r >= 1, so q < n / 2 and bits(q) < bits(n): h is at most the
-    direct path's bits(n) + 20, and _sum_radius(n) covers both.  At r = 0
-    the path needs q < 2, where every residue is 0 and the sum takes the
-    exact shortcut of ``eval_expsum``.
+    rounded once, within 2 pi * 2u of 2 pi v/q mod 2 pi, and its cos and sin
+    within 4 pi u + 4u < 1.9e-15, inside _TERM_ERR, so the weighted terms
+    are within n * _TERM_ERR.  Each product c_v * fl(cos theta_v) adds one
+    rounding, relative u.  The q products are summed in blocks of at most
+    min(q, 2**16) residues, so each passes at most bits(q) + 19 additions,
+    and ``fsum`` rounds once more: h = bits(q) + 21 roundings in all, error
+    at most gamma_h * n.  On this path r >= 1, so q < n / 2 and bits(q) <
+    bits(n): h is at most the direct path's bits(n) + 20, and _sum_radius(n)
+    covers both.  At r = 0 the path needs q < 2, where every residue is 0
+    and the sum takes the exact shortcut of ``eval_expsum``.
     """
     bits = max(n.bit_length(), 1)
     return n * (_TERM_ERR + (bits + 20) * _EPS)
@@ -300,10 +311,18 @@ def _product_interval(factors_lo: list[Fraction], factors_hi: list[Fraction], sc
     return Real.from_interval(Fraction(max(0, lo) * scale, one), Fraction(hi * scale, one))
 
 
+def _re_im_sum(z) -> tuple[float, float]:
+    """(sum of z.real, sum of z.imag) over one run of complex terms, each
+    part numpy's pairwise sum of a strided view; ``z.sum()`` blocks the
+    complex sum differently, outside ``_sum_radius``."""
+    return float(z.real.sum()), float(z.imag.sum())
+
+
 def _trig_sum(parts, n: int, extra_rad: Fraction) -> tuple[Real, Real]:
     """(re, im) enclosures of the n-term sum of exp(i theta) from its
-    ``cos_sin_sum`` parts, one per block, combined by ``math.fsum``, within
-    _sum_radius(n) plus the caller's extra_rad."""
+    (re, im) parts, one per block (``_re_im_sum`` or ``cos_sin_sum``),
+    combined by ``math.fsum``, within _sum_radius(n) plus the caller's
+    extra_rad."""
     cos_parts, sin_parts = zip(*parts)
     rad = _sum_radius(n) + extra_rad
     return Real(Fraction(math.fsum(cos_parts)), rad), Real(Fraction(math.fsum(sin_parts)), rad)
@@ -379,13 +398,13 @@ def eval_expsum(
 
     # the direct sum over the n terms, exact when every angle is 0; by the
     # cost model min(n, (r+1) q), sum q angles weighted by the count of terms
-    # at each residue when that is cheaper, the n angles otherwise
+    # at each residue when that is cheaper, the n terms otherwise
     if all(v == 0 for v in res_mods):
         re_full, im_full = Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
     elif (r + 1) * q < n:
         re_full, im_full = _trig_sum(starmap(cos_sin_sum, angle_counts(res_mods, q)), n, extra_rad)
     else:
-        re_full, im_full = _trig_sum(map(cos_sin_sum, angle_rows(res_mods, q)), n, extra_rad)
+        re_full, im_full = _trig_sum(map(_re_im_sum, term_rows(res_mods, q)), n, extra_rad)
     mag_full = _magnitude(re_full, im_full)
 
     # both enclose the same number, so they must intersect

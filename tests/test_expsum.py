@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from radixapprox import expsum
-from radixapprox._kernels import MOD_LIMIT, angle_rows, cos_sin_sum, first_close, subset_residues
+from radixapprox._kernels import MOD_LIMIT, cos_sin_sum, first_close, subset_residues, term_rows
 from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import (DomainError, HypothesisViolation, IndeterminateComparison,
                                InvariantViolation)
@@ -22,6 +22,7 @@ from radixapprox.expsum import (
     _decay_bound,
     _magnitude,
     _product_interval,
+    _re_im_sum,
     _sum_radius,
     _trig_sum,
     classify_G,
@@ -55,10 +56,10 @@ def all_residues(b, r, k, gamma: Fraction):
 
 def _direct_sum(b, r, k, gamma: Fraction):
     """(re, im, n) of the direct sum over the 2^(r+1) truncated zero-one
-    terms, through the angle rows and trig-sum enclosure eval_expsum uses."""
+    terms, through the term rows and trig-sum enclosure eval_expsum uses."""
     q, weights = digit_weights(b, r, k, gamma)
     n = 1 << (r + 1)
-    re, im = _trig_sum(map(cos_sin_sum, angle_rows(weights, q)), n, Fraction(0))
+    re, im = _trig_sum(map(_re_im_sum, term_rows(weights, q)), n, Fraction(0))
     return re, im, n
 
 
@@ -84,7 +85,7 @@ def _pinned_expsum(monkeypatch, b, r, k, gamma: Fraction, exclude_zero: bool = F
         raise AssertionError(f"the cost model left the {'count' if count_path else 'row-run'} path")
 
     with monkeypatch.context() as m:
-        m.setattr(expsum, "angle_rows" if count_path else "angle_counts", other_path)
+        m.setattr(expsum, "term_rows" if count_path else "angle_counts", other_path)
         rep = eval_expsum(b, r, k, E(gamma), exclude_zero)
     assert rep.term_count == (1 << (r + 1)) - exclude_zero
     for part, want in zip((rep.value_re, rep.value_im), _product_value(b, r, k, gamma, exclude_zero)):
@@ -440,7 +441,7 @@ class TestEvalExpsum:
     @pytest.mark.parametrize("q", [(1 << 40) - 87, MOD_LIMIT - 1, MOD_LIMIT + 1, (1 << 64) + 13, None],
                              ids=["2^40-87", "ML-1", "ML+1", "2^64+13", "sqrt2@128"])
     def test_direct_sum_matches_a_plain_sum_over_every_residue(self, q):
-        # r across the 2^18-entry runs of whole rows and odd and even digit
+        # r across the 2^16-entry runs of whole rows and odd and even digit
         # counts; the reference sums one table of all 2^(r+1) residues, so the
         # two float sums differ by at most _sum_radius(n) each
         rng = random.Random(q)
@@ -491,7 +492,7 @@ class TestEvalExpsum:
             assert count_path == (r >= 18 or (r == 5 and q < 10))
             if count_path and (r <= 18 or gamma == Fraction(5, 313)):
                 modulus, weights = digit_weights(b, r, k, gamma)
-                assert sum(map(len, angle_rows(weights, modulus))) == 1 << (r + 1)
+                assert sum(map(len, term_rows(weights, modulus))) == 1 << (r + 1)
                 re, im, _ = _direct_sum(b, r, k, gamma)
                 for part, ref in zip((rep.value_re, rep.value_im), (re - exclude, im)):
                     assert abs(part.mid - ref.mid) <= part.rad + ref.rad
@@ -508,8 +509,8 @@ class TestEvalExpsum:
 
     def test_count_path_builds_no_angle_run(self):
         # r = 24 has 2^25 terms; the count path holds the 313 counts and
-        # angles, where the row runs peaked at about 4.4 MB under
-        # tracemalloc; bound the peak by an eighth of one 2^18-entry run
+        # angles, where the row runs peak at about 1.4 MB under tracemalloc;
+        # bound the peak by a quarter of one 2^16-entry run of complex terms
         gamma = E(5, 313)
         tracemalloc.start()
         try:
@@ -520,10 +521,10 @@ class TestEvalExpsum:
         assert peak < 2**18
 
     def test_count_path_holds_float_runs_at_a_large_modulus(self):
-        # r = 22, q = 262147 > 2^18 (23 q < 2^23): the q int64 counts and
-        # float64 angles in runs of at most 2^18 residues peak at about
-        # 8.7 MB under tracemalloc; angles divided through Python ints
-        # peaked at 21 MB, and the row runs of 2^23 angles at 6.4 MB
+        # r = 22, q = 262147 > 2^16 (23 q < 2^23): the q int64 counts and
+        # float64 angles in runs of at most 2^16 residues peak at about
+        # 4.2 MB under tracemalloc; angles divided through Python ints
+        # peaked at 21 MB, and the row runs of 2^23 terms peak at 1.5 MB
         gamma = E(5, 262147)
         tracemalloc.start()
         try:
@@ -532,6 +533,32 @@ class TestEvalExpsum:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+    def test_direct_sum_holds_one_run_of_terms(self):
+        # r = 22 has 2^23 terms, formed and summed in runs of 2^16 complex
+        # terms (1 MiB each): the call peaks at about 1.5 MB under
+        # tracemalloc, where runs of 2^18 terms peaked at 4.6 MB and the
+        # float angle runs of 2^18 at 6.4 MB
+        gamma = E(314159265358, 1099511627689)
+        tracemalloc.start()
+        try:
+            eval_expsum(2, 22, 3, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("size", [1000, 8193, 1 << 18])
+    def test_strided_parts_sum_as_contiguous_arrays(self, size):
+        # _sum_radius bounds numpy's pairwise sum of a contiguous array; the
+        # real and imaginary parts of a complex run are strided views, and
+        # _re_im_sum must add them along the same tree, bit for bit
+        rng = np.random.default_rng(size)
+        for _ in range(10):
+            z = np.exp(1j * rng.uniform(-np.pi, np.pi, size)) * rng.uniform(0.5, 1.5, size)
+            assert not z.real.flags.c_contiguous
+            want = (np.ascontiguousarray(z.real).sum(), np.ascontiguousarray(z.imag).sum())
+            assert _re_im_sum(z) == want
 
     def test_magnitude_slack_covers_200_bit_hypot(self):
         rng = random.Random(31)

@@ -11,6 +11,7 @@ import pytest
 
 import radixapprox._kernels as K
 from radixapprox.discrepancy import _COMBO_FLAGS
+from radixapprox.expsum import _TERM_ERR
 
 ML = K.MOD_LIMIT
 TWO62 = 1 << 62
@@ -172,14 +173,14 @@ def test_residue_counts_tally_the_subset_residues(modulus):
         assert turn_error(theta, range(modulus), modulus) < 4 * 2.0**-53
 
 
-def test_angle_counts_yield_runs_of_at_most_2_18_residues():
-    modulus = (1 << 19) + 21
+def test_angle_counts_yield_runs_of_at_most_2_16_residues():
+    modulus = (1 << 17) + 21
     runs = list(K.angle_counts([1, 7, 100], modulus))
-    assert [len(theta) for theta, _ in runs] == [1 << 18, 1 << 18, 21]
+    assert [len(theta) for theta, _ in runs] == [1 << 16, 1 << 16, 21]
     assert all(len(theta) == len(c) for theta, c in runs)
     theta, counts = map(np.concatenate, zip(*runs))
     assert np.flatnonzero(counts).tolist() == [0, 1, 7, 8, 100, 101, 107, 108] and counts.max() == 1
-    ends = [0, 1 << 18, modulus - 1]
+    ends = [0, 1 << 16, modulus - 1]
     assert turn_error(theta[ends], ends, modulus) < 4 * 2.0**-53
 
 
@@ -256,45 +257,67 @@ def turn_error(theta, res, modulus: int) -> float:
     return float(np.abs(d - np.rint(d)).max())
 
 
-@pytest.mark.parametrize("modulus", [ML - 1, ML + 1])
+ROW_MODULI = [2, 1009, (1 << 40) - 87, ML - 1, ML, ML + 1, (1 << 64) + 13, (1 << 144) - 83]
+ROW_IDS = ["2", "1009", "2^40-87", "ML-1", "ML", "ML+1", "2^64+13", "2^144-83"]
+
+
+@pytest.mark.parametrize("modulus", ROW_MODULI)
 def test_residue_rows_are_whole_rows_of_every_residue_in_order(modulus):
-    # angle_rows: the angle of every residue, in runs of whole rows
+    # term_rows: the term of every residue, in runs of whole rows
     rng = random.Random(modulus)
     for bits in (0, 1, 2, 7, 19, 20):
         pow_mod = [rng.randrange(modulus) for _ in range(bits)]
-        runs = list(K.angle_rows(pow_mod, modulus))
-        # runs of whole rows of 2^s entries, s = bits // 2, at most 2^18 long
-        assert all(len(theta) % (1 << bits // 2) == 0 and len(theta) <= 1 << 18 for theta in runs)
+        runs = list(K.term_rows(pow_mod, modulus))
+        # runs of whole rows of 2^s entries, s = bits // 2, at most 2^16 long
+        assert all(len(z) % (1 << bits // 2) == 0 and len(z) <= 1 << 16 for z in runs)
         got = np.concatenate(runs)
-        assert len(got) == 1 << bits and got.dtype == np.float64
+        assert len(got) == 1 << bits and got.dtype == np.complex128
         if bits <= 7:
-            assert turn_error(got, ref_residues(pow_mod, (1 << bits) - 1, modulus), modulus) < 10 * 2.0**-53
+            ns, want = list(range(1 << bits)), ref_residues(pow_mod, (1 << bits) - 1, modulus)
         else:
             ns = [0, 1, (1 << bits) - 1] + [rng.randrange(1 << bits) for _ in range(200)]
             want = [ref_subset_residue(pow_mod, n, modulus) for n in ns]
-            assert turn_error(got[ns], want, modulus) < 10 * 2.0**-53
+        # the phase of term n names its residue; the budget test below
+        # bounds the terms themselves
+        assert turn_error(np.angle(got[ns]), want, modulus) < 2.0**-45
 
 
-@pytest.mark.parametrize("modulus", [2, 1009, (1 << 40) - 87, ML - 1, ML, ML + 1, (1 << 64) + 13,
-                                     (1 << 144) - 83],
-                         ids=["2", "1009", "2^40-87", "ML-1", "ML", "ML+1", "2^64+13", "2^144-83"])
-def test_angle_rows_stay_within_the_angle_error_budget(modulus):
-    # expsum._sum_radius: every angle is within 2 pi * 5.01u of 2 pi res / M
-    # mod 2 pi; the weights M // 2, M // 2 + 1 and M - 1 put half angles at
-    # and next to the shift into [-1/2, 1/2) and next to a full turn
+def budget_weights(modulus: int) -> list[int]:
+    """Twelve digit weights: M // 2, M // 2 + 1 and M - 1 put half angles at
+    and next to the shift into [-1/2, 1/2) and next to a full turn."""
     rng = random.Random(modulus)
     weights = [modulus // 2, modulus // 2 + 1, modulus - 1] + [rng.randrange(modulus) for _ in range(9)]
-    pow_mod = [w % modulus for w in weights]
-    runs = list(K.angle_rows(pow_mod, modulus))
-    assert len(runs) == 1 and len(runs[0]) == 1 << 12 and runs[0].dtype == np.float64
-    theta = runs[0]
-    assert float(np.abs(theta).max()) <= 2 * np.pi
+    return [w % modulus for w in weights]
+
+
+@pytest.mark.parametrize("modulus", ROW_MODULI, ids=ROW_IDS)
+def test_angle_rows_stay_within_the_angle_error_budget(modulus):
+    # expsum._sum_radius: the angle rows of the two half tables, which
+    # term_rows turns into unit vectors, lie in [-pi, pi) and within
+    # 2 pi * 2u of 2 pi t / M mod 2 pi
+    _, L, H = K._half_tables(budget_weights(modulus), (1 << 12) - 1, modulus)
+    for table in (L, H):
+        theta = K._angles(table, modulus)
+        assert theta.dtype == np.float64 and -np.pi <= theta.min() and theta.max() < np.pi
+        with mpmath.workprec(200):
+            worst = max(abs(d - mpmath.nint(d)) for d in
+                        (mpmath.mpf(float(t)) / (2 * mpmath.pi) - mpmath.mpf(int(v)) / modulus
+                         for t, v in zip(theta, table)))
+            assert worst <= 2 * mpmath.mpf(2) ** -53
+
+
+@pytest.mark.parametrize("modulus", ROW_MODULI, ids=ROW_IDS)
+def test_term_rows_stay_within_the_term_error_budget(modulus):
+    # expsum._sum_radius: every term is within _TERM_ERR of e(res / M) per
+    # component
+    pow_mod = budget_weights(modulus)
+    runs = list(K.term_rows(pow_mod, modulus))
+    assert len(runs) == 1 and len(runs[0]) == 1 << 12 and runs[0].dtype == np.complex128
     res = ref_residues(pow_mod, (1 << 12) - 1, modulus)
     with mpmath.workprec(200):
-        worst = max(abs(d - mpmath.nint(d)) for d in
-                    (mpmath.mpf(float(t)) / (2 * mpmath.pi) - mpmath.mpf(v) / modulus
-                     for t, v in zip(theta, res)))
-        assert worst <= mpmath.mpf(5.01) * mpmath.mpf(2) ** -53
+        worst = max(max(abs(mpmath.mpf(float(z.real)) - e.real), abs(mpmath.mpf(float(z.imag)) - e.imag))
+                    for z, e in zip(runs[0], (mpmath.expjpi(2 * mpmath.mpf(v) / modulus) for v in res)))
+        assert worst <= mpmath.mpf(_TERM_ERR.numerator) / _TERM_ERR.denominator
 
 
 @pytest.mark.parametrize("modulus", [ML - 1, ML, ML + 1, (1 << 64) + 13])
