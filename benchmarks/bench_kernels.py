@@ -26,7 +26,10 @@ n M mod Q of gamma.mid = M/Q, on the grid Q for an exact gamma and for an
 enclosure alike; e at 256 and 1024 bits, with discrepancy_L on the same
 orbits, time how the scan slows as Q grows.  The erdos_turan_check cases time
 the check on a prebuilt orbit: the O(T) discrepancy scan plus the closed-form
-right side, two distance reads and two sine enclosures per g.
+right side, two distance reads and two sine bounds per g, all on integer
+pairs.  The Weyl-bound cases time that right side alone, and the
+eval_expsum case at b=5, r=14 is dominated by its cosine-product side
+(r+1 distance reads, sine bounds and product factors on integer pairs).
 """
 import argparse
 import time
@@ -38,6 +41,7 @@ import radixapprox._kernels as K
 from radixapprox.exact import Real
 from radixapprox.discrepancy import (
     _candidate_tables,
+    _weyl_sum_bounds,
     discrepancy_L,
     erdos_turan_check,
     fractional_orbit,
@@ -104,10 +108,16 @@ def cases():
             yield f"discrepancy_L (T=4000, gamma={text}@{bits})", discrepancy_L, (
                 fractional_orbit(gamma, 4000),)
 
-    for text, T, G in (("355/113", 10**5, 50), ("1/3", 50, 10**4), ("pi", 4000, 50)):
+    for text, T, G in (("355/113", 10**5, 50), ("1/3", 50, 10**4), ("pi", 4000, 50),
+                       ("pi", 2000, 50)):
         gamma = Real.parse(text, 128)
         yield f"erdos_turan_check (gamma={text}, T={T}, G={G})", erdos_turan_check, (
             gamma, fractional_orbit(gamma, T), G)
+    # the Erdos-Turan right side without the scan: G Weyl-sum bounds
+    for text, bits, T, G in (("1/3", 128, 50, 10**4), ("pi", 128, 2000, 50), ("e", 256, 2000, 50)):
+        yield f"Weyl sum bounds (gamma={text}@{bits}, T={T}, G={G})", lambda g, t, n: [
+            _weyl_sum_bounds(g, t, i) for i in range(1, n + 1)], (Real.parse(text, bits), T, G)
+    yield "eval_expsum (b=5, r=14, gamma=pi@256)", eval_expsum, (5, 14, 1, Real.parse("pi", 256))
 
     xs = np.linspace(-2.0, 2.0, 400_000)
     yield "cos_margin_values (4e5 points)", K.cos_margin_values, (xs,)

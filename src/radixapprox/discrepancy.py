@@ -29,8 +29,8 @@ import numpy as np
 from ._kernels import _int_array, interval_deviation_max
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
-from .exact import Real, dist_of_multiple, residue_of_multiple
-from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_interval
+from .exact import Real, dist_ends_of_multiple, residue_of_multiple
+from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_bounds
 
 _COMBO_FLAGS = {0: (True, True), 1: (True, False), 2: (False, True), 3: (False, False)}
 
@@ -127,19 +127,20 @@ def erdos_turan_check(gamma: Real, points: ScaledPoints, G: int) -> DiscrepancyR
 
 def _weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
     """((p, q), (r, s)) with p/q <= |sum_{n<=T} e(n g gamma')| <= r/s for
-    every gamma' in gamma: quotients of sine bounds, left unreduced."""
-    w = dist_of_multiple(gamma, g)
-    if w.hi == 0:
+    every gamma' in gamma: quotients of the integer sine bounds of the
+    integer distance ends, left unreduced."""
+    w_lo, w_hi = dist_ends_of_multiple(gamma, g)
+    if w_hi[0] == 0:
         return (T, 1), (T, 1)
-    if w.lo == 0:
+    if w_lo[0] == 0:
         return (0, 1), (T, 1)
-    a = dist_of_multiple(gamma, T * g)
-    a_lo, a_hi = sin_pi_interval(a.lo, a.hi)
-    w_lo, w_hi = sin_pi_interval(w.lo, w.hi)
-    hi = (a_hi.numerator * w_lo.denominator, a_hi.denominator * w_lo.numerator)
+    # sin(pi ||T g gamma||) in [s/s_den, t/t_den], sin(pi ||g gamma||) in [u/u_den, v/v_den]
+    (s, s_den), (t, t_den) = sin_pi_bounds(*dist_ends_of_multiple(gamma, T * g))
+    (u, u_den), (v, v_den) = sin_pi_bounds(w_lo, w_hi)
+    hi = (t * u_den, t_den * u)
     if hi[0] > T * hi[1]:
         hi = (T, 1)
-    return (a_lo.numerator * w_hi.denominator, a_lo.denominator * w_hi.numerator), hi
+    return (s * v_den, s_den * v), hi
 
 
 def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> ScaledPoints:

@@ -275,12 +275,35 @@ def frac_of_multiple(gamma: Real, n: int) -> Real:
     return Real(Fraction(v, gamma.mid.denominator), gamma.rad and abs(n) * gamma.rad)
 
 
-def dist_of_multiple(gamma: Real, n: int) -> Real:
-    """``dist_to_nearest_int(gamma * n)``, read off the residue v = n*M mod Q
-    of gamma.mid = M/Q with radius |n| * gamma.rad; the distance has period
-    1, so reducing the midpoint first does not change it."""
+def dist_ends_of_multiple(gamma: Real, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((lo, den), (hi, den')), unreduced integer pairs: lo/den and hi/den'
+    are the ends of ``dist_to_nearest_int(gamma * n)``.
+
+    Read off the residue v = n*M mod Q of gamma.mid = M/Q (the distance has
+    period 1, so reducing the midpoint first does not change it): the
+    midpoint's distance is min(v, Q - v)/Q, and the radius |n| R/D of
+    gamma.rad = R/D moves the ends over den = Q D, clamped at 0 and at 1/2,
+    which reads (1, 2).  An exact reading has both ends (min(v, Q - v), Q).
+    """
     M, Q = gamma.mid.numerator, gamma.mid.denominator
-    return dist_to_nearest_int(Real(Fraction(n * M % Q, Q), gamma.rad and abs(n) * gamma.rad))
+    v = n * M % Q
+    w = min(v, Q - v)
+    R = gamma.rad.numerator
+    if not (R and n):
+        return (w, Q), (w, Q)
+    D = gamma.rad.denominator
+    wD, nRQ, den = w * D, abs(n) * R * Q, Q * D
+    hi = (1, 2) if 2 * (wD + nRQ) >= den else (wD + nRQ, den)
+    return (max(0, wD - nRQ), den), hi
+
+
+def dist_of_multiple(gamma: Real, n: int) -> Real:
+    """``dist_to_nearest_int(gamma * n)`` as a Real, from
+    ``dist_ends_of_multiple``."""
+    lo, hi = dist_ends_of_multiple(gamma, n)
+    if lo == hi:
+        return Real(Fraction(*lo))
+    return Real.from_interval(Fraction(*lo), Fraction(*hi))
 
 
 def power_residues(gamma: Real, k: int, b: int, digits: int) -> tuple[int, list[int]]:

@@ -39,6 +39,7 @@ from .errors import (
 from .exact import (
     BOUND_PRECISION,
     Real,
+    dist_ends_of_multiple,
     dist_of_multiple,
     dist_to_nearest_int,
     iv_precision,
@@ -54,9 +55,10 @@ R_CAP_DEFAULT = 26
 # roundoff 2**-53 with room for the factor 1/(1 - h u); see _sum_radius
 _TERM_ERR = Fraction(43, 10**16)
 _EPS = Fraction(12, 10**17)
-# relative envelope for one float64 sin at an exact argument; see sin_pi_interval
-_FACTOR_ERR = Fraction(9, 2**51)
-_FACTOR_LO, _FACTOR_HI = 1 - _FACTOR_ERR, 1 + _FACTOR_ERR
+# relative envelope _FACTOR_ERR * 2**-51 for one float64 sin at an exact
+# argument: its bounds are (2**51 -+ _FACTOR_ERR) / 2**51 times it; see sin_pi_bounds
+_FACTOR_ERR = 9
+_FACTOR_LO, _FACTOR_HI = (1 << 51) - _FACTOR_ERR, (1 << 51) + _FACTOR_ERR
 _NORMAL_MIN = 2.0**-1021
 # the product enclosures round every partial product outward to 2**-_PRODUCT_BITS
 _PRODUCT_BITS = 64
@@ -70,32 +72,46 @@ def pi_bounds() -> tuple[Fraction, Fraction]:
     return enc.lo, enc.hi
 
 
-def sin_pi_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational s_lo <= sin(pi lo) and sin(pi hi) <= s_hi, 0 <= lo <= hi <= 1/2.
+def sin_pi_bounds(
+    lo: tuple[int, int], hi: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Unreduced integer pairs (s, t), (u, v) with s/t <= sin(pi lo) and
+    sin(pi hi) <= u/v, for ends given as pairs (num, den) with 0 <= lo <=
+    hi <= 1/2.
 
-    Each distinct end h is fl(sin(fl(pi) fl(h))) widened by _FACTOR_ERR.  With
-    u = 2**-53, the three roundings of the argument keep it within 3.01u of
-    x = pi h, which moves sin x by at most 3.01u * pi/2 < 4.73u relative, as
-    x / sin x <= pi/2 on (0, pi/2].  A platform ``sin`` within 4 ulp (8u,
-    the assumption of ``_sum_radius``) makes the total under 13u, inside
-    _FACTOR_ERR = 9 * 2**-51 = 36u.  A nonzero h that float() reads below
-    _NORMAL_MIN may have left the normal range (10**-400 reads as 0), so it
-    gets the exact pi_lo h (1 - (pi_hi h)**2 / 6) <= sin(pi h) <= pi_hi h
-    from ``pi_bounds``; a read at or above it puts h above 2**-1022.
+    Each distinct end h = num/den is fl(sin(fl(pi) fl(h))) widened by
+    _FACTOR_ERR * 2**-51 = 36u: its integer ratio times (2**51 -+
+    _FACTOR_ERR) over 2**51.  With u = 2**-53, the three roundings of the
+    argument (num/den is one correctly rounded division, reduced or not) keep
+    it within 3.01u of x = pi h, which moves sin x by at most 3.01u * pi/2 <
+    4.73u relative, as x / sin x <= pi/2 on (0, pi/2].  A platform ``sin``
+    within 4 ulp (8u, the assumption of ``_sum_radius``) makes the total
+    under 13u, inside the 36u.  A nonzero h that reads below _NORMAL_MIN may
+    have left the normal range (10**-400 reads as 0), so it gets the exact
+    pi_lo h (1 - (pi_hi h)**2 / 6) <= sin(pi h) <= pi_hi h from
+    ``pi_bounds``; a read at or above it puts h above 2**-1022.
     """
-    if lo == hi:
-        return _sin_pi_bounds(lo, _FACTOR_LO, _FACTOR_HI)
-    return _sin_pi_bounds(lo, _FACTOR_LO) + _sin_pi_bounds(hi, _FACTOR_HI)
+    s_lo = _sin_pi(*lo)
+    s_hi = s_lo if hi == lo else _sin_pi(*hi)
+    if s_lo is None:
+        (a, c), ((p, q), (P, Q)) = lo, map(Fraction.as_integer_ratio, pi_bounds())
+        below = (p * a * (6 * Q * Q * c * c - P * P * a * a), 6 * q * Q * Q * c * c * c)
+    else:
+        below = (s_lo[0] * _FACTOR_LO, s_lo[1] << 51)
+    if s_hi is None:
+        (a, c), (P, Q) = hi, pi_bounds()[1].as_integer_ratio()
+        above = (P * a, Q * c)
+    else:
+        above = (s_hi[0] * _FACTOR_HI, s_hi[1] << 51)
+    return below, above
 
 
-def _sin_pi_bounds(h: Fraction, *widens: Fraction) -> tuple[Fraction, ...]:
-    # one float sine; per widen a bound below (_FACTOR_LO) or above sin(pi h)
-    x = float(h)
-    if x < _NORMAL_MIN and h:
-        pi_lo, pi_hi = pi_bounds()
-        return tuple(pi_hi * h if w > 1 else pi_lo * h * (1 - (pi_hi * h) ** 2 / 6) for w in widens)
-    s = Fraction(math.sin(math.pi * x))
-    return tuple(s * w for w in widens)
+def _sin_pi(num: int, den: int) -> Optional[tuple[int, int]]:
+    # fl(sin(fl(pi) fl(num/den))) as an integer ratio, or None below _NORMAL_MIN
+    x = num / den
+    if x < _NORMAL_MIN and num:
+        return None
+    return math.sin(math.pi * x).as_integer_ratio()
 
 
 def _sum_radius(n: int) -> Fraction:
@@ -259,9 +275,10 @@ def small_shift_count(
     if r < 0 or k < 1:
         raise DomainError("need r >= 0 and k >= 1")
     beta = Fraction(beta)
+    beta_r = Real(beta)
     positions = []
     for d in range(r + 1):
-        if dist_of_multiple(gamma, k * b**d) <= Real(beta):
+        if dist_of_multiple(gamma, k * b**d) <= beta_r:
             positions.append(d)
     g = len(positions)
     if separation_ok and g * g >= 9 * k:
@@ -294,8 +311,9 @@ class ExpSumReport:
     far_positions: Optional[tuple[int, ...]] = None
 
 
-def _product_interval(factors_lo: list[Fraction], factors_hi: list[Fraction], scale: int):
-    """Enclosure of scale * prod [lo_d, hi_d] for factors with 0 <= lo_d.
+def _product_interval(factors_lo, factors_hi, scale: int) -> Real:
+    """Enclosure of scale * prod [lo_d, hi_d] for factors with 0 <= lo_d,
+    each given as an integer pair (num, den) with den > 0, reduced or not.
 
     Every partial product is rounded outward to the grid 2**-_PRODUCT_BITS,
     so the digits stay bounded.  Each of the m roundings moves its end by
@@ -305,9 +323,9 @@ def _product_interval(factors_lo: list[Fraction], factors_hi: list[Fraction], sc
     """
     one = 1 << _PRODUCT_BITS
     lo = hi = one
-    for flo, fhi in zip(factors_lo, factors_hi):
-        lo = lo * flo.numerator // flo.denominator
-        hi = -(-hi * fhi.numerator // fhi.denominator)
+    for (a, c), (e, f) in zip(factors_lo, factors_hi):
+        lo = lo * a // c
+        hi = -(-hi * e // f)
     return Real.from_interval(Fraction(max(0, lo) * scale, one), Fraction(hi * scale, one))
 
 
@@ -378,22 +396,22 @@ def eval_expsum(
 
     q, res_mods = power_residues(gamma, k, b, r + 1)
 
-    pi_lo, pi_hi = pi_bounds()
-    ws = [dist_of_multiple(gamma, k * b**d) for d in range(r + 1)]
-    w_los, w_his = [w.lo for w in ws], [w.hi for w in ws]
+    # the ends of w_d = ||k b^d gamma|| as integer pairs (num, den)
+    w_los, w_his = zip(*(dist_ends_of_multiple(gamma, k * b**d) for d in range(r + 1)))
     # |cos(pi theta)| = sin(pi h) with h = 1/2 - ||theta||, an identity of
     # the tent map; so the h interval flips the w interval around 1/2
-    h_los = [Fraction(1, 2) - w for w in w_his]
-    h_his = [Fraction(1, 2) - w for w in w_los]
+    h_los = [(c - 2 * a, 2 * c) for a, c in w_his]
+    h_his = [(c - 2 * a, 2 * c) for a, c in w_los]
 
     # product magnitude 2^(r+1) prod sin(pi h_d); a factor at h = 0 is exactly 0
     n = 1 << (r + 1)
-    f_lo, f_hi = zip(*map(sin_pi_interval, h_los, h_his))
+    f_lo, f_hi = zip(*map(sin_pi_bounds, h_los, h_his))
     product_magnitude = _product_interval(f_lo, f_hi, n)
 
     # product bound 2^(r+1) prod (1 - pi w_d^2), from exact rational factors
-    b_lo = [1 - pi_hi * w * w for w in w_his]
-    b_hi = [1 - pi_lo * w * w for w in w_los]
+    (lo_p, lo_q), (hi_p, hi_q) = map(Fraction.as_integer_ratio, pi_bounds())
+    b_lo = [(hi_q * c * c - hi_p * a * a, hi_q * c * c) for a, c in w_his]
+    b_hi = [(lo_q * c * c - lo_p * a * a, lo_q * c * c) for a, c in w_los]
     product_bound = _product_interval(b_lo, b_hi, n)
 
     # the direct sum over the n terms, exact when every angle is 0; by the

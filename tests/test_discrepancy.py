@@ -15,6 +15,7 @@ from radixapprox.discrepancy import (
 )
 from radixapprox.errors import DomainError, IndeterminateComparison
 from radixapprox.exact import Real, frac
+from test_expsum import count_builds, parent_dist_of_multiple, parent_sin_pi_interval
 
 E = lambda *a: Real.exact(Fraction(*a))
 
@@ -247,7 +248,62 @@ def _rhs_cases():
     yield pytest.param(gamma, [gamma.lo, gamma.mid, gamma.hi], 1000, 5, id="near-0")
 
 
+def parent_weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
+    """``_weyl_sum_bounds`` as the Fraction code computed it."""
+    w = parent_dist_of_multiple(gamma, g)
+    if w.hi == 0:
+        return (T, 1), (T, 1)
+    if w.lo == 0:
+        return (0, 1), (T, 1)
+    a = parent_dist_of_multiple(gamma, T * g)
+    a_lo, a_hi = parent_sin_pi_interval(a.lo, a.hi)
+    w_lo, w_hi = parent_sin_pi_interval(w.lo, w.hi)
+    hi = (a_hi.numerator * w_lo.denominator, a_hi.denominator * w_lo.numerator)
+    if hi[0] > T * hi[1]:
+        hi = (T, 1)
+    return (a_lo.numerator * w_hi.denominator, a_lo.denominator * w_hi.numerator), hi
+
+
+def parent_et_rhs(gamma: Real, T: int, G: int) -> Real:
+    """The Erdos-Turan right side as the Fraction code computed it."""
+    pi_lo, pi_hi = expsum.pi_bounds()
+    c_lo, c_hi = 2 + 2 / pi_hi, 2 + 2 / pi_lo
+    one = 1 << 64
+    sum_lo = sum_hi = 0
+    for g in range(1, G + 1):
+        (lo, lo_den), (hi, hi_den) = parent_weyl_sum_bounds(gamma, T, g)
+        sum_lo += c_lo.numerator * lo * one // (c_lo.denominator * lo_den * g)
+        sum_hi -= c_hi.numerator * hi * one // -(c_hi.denominator * hi_den * g)
+    fixed = Fraction(T, G + 1)
+    return Real.from_interval(fixed + Fraction(sum_lo, one), fixed + Fraction(sum_hi, one))
+
+
 class TestErdosTuran:
+    @pytest.mark.parametrize("gamma", [E(5, 313), Real.parse("pi", 128)])
+    def test_builds_no_fraction_or_real_per_term(self, gamma, monkeypatch):
+        points = fractional_orbit(gamma, 200)
+        few, many = (count_builds(monkeypatch, erdos_turan_check, gamma, points, G) for G in (5, 500))
+        assert few == many
+
+    def test_matches_the_fraction_code(self):
+        rng = random.Random(44)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                q = rng.choice([rng.randint(1, 50), rng.randint(2, 10**6), rng.randint(2, 2**70)])
+                gamma = E(rng.randrange(q), q)
+            else:
+                gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.choice([64, 128, 256]))
+                gamma = gamma * Fraction(rng.randint(1, 30), rng.randint(1, 30))
+            T, G = rng.randint(1, 400), rng.randint(1, 40)
+            rep = erdos_turan_check(gamma, fractional_orbit(gamma, T), G)
+            rhs = parent_et_rhs(gamma, T, G)
+            assert rep.et_rhs == rhs
+            assert rep.slack == rhs - Real(rep.L_value, rep.L_radius)
+            for g in (1, G):
+                got = discrepancy._weyl_sum_bounds(gamma, T, g)
+                want = parent_weyl_sum_bounds(gamma, T, g)
+                assert [Fraction(*e) for e in got] == [Fraction(*e) for e in want]
+
     def test_single_point(self):
         rep = erdos_turan_check(E(1, 2), fractional_orbit(E(1, 2), 1), 1)
         assert rep.L_value == 1
@@ -320,8 +376,8 @@ class TestErdosTuran:
         monkeypatch.setattr(_kernels, "cos_sin_sum", no_trig_sum)
         monkeypatch.setattr(expsum, "cos_sin_sum", no_trig_sum)
         reads = []
-        read = discrepancy.dist_of_multiple
-        monkeypatch.setattr(discrepancy, "dist_of_multiple",
+        read = discrepancy.dist_ends_of_multiple
+        monkeypatch.setattr(discrepancy, "dist_ends_of_multiple",
                             lambda g, n: reads.append(n) or read(g, n))
         for T in (7, 2000):
             points = fractional_orbit(gamma, T)

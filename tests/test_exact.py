@@ -14,6 +14,7 @@ from radixapprox.exact import (
     Real,
     cos_bound_margin,
     dist_exact,
+    dist_ends_of_multiple,
     dist_of_multiple,
     dist_to_nearest_int,
     frac,
@@ -324,6 +325,21 @@ class TestMultipleReadings:
             raised += isinstance(want[0], type)
             exact_cases += gamma.is_exact
         assert 600 < raised < 3000 and exact_cases > 500
+
+    def test_integer_distance_ends_match_dist_of_the_product(self):
+        # Q = 1, a negative mid and n, radii that clamp at 1/2, |n| = 2^70
+        cases = [(Real(Fraction(0)), 5), (Real(Fraction(3), Fraction(1, 7)), -2),
+                 (Real(Fraction(-5, 3), Fraction(1, 2)), 1), (Real(Fraction(1, 3), Fraction(1, 6)), 1),
+                 (Real(Fraction(-7, 9), Fraction(1, 2**90)), -2**70), *_multiple_cases(10, 3000)]
+        clamped = exact_cases = 0
+        for gamma, n in cases:
+            lo, hi = dist_ends_of_multiple(gamma, n)
+            assert lo[1] > 0 and hi[1] > 0
+            want = dist_to_nearest_int(gamma * n)
+            assert (Fraction(*lo), Fraction(*hi)) == (want.lo, want.hi)
+            clamped += hi == (1, 2)
+            exact_cases += want.is_exact
+        assert clamped > 300 and exact_cases > 500
 
     def test_exact_ends_are_the_midpoint(self):
         x = Real.exact(Fraction(3, 7))

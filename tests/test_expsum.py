@@ -17,6 +17,7 @@ from radixapprox.errors import (DomainError, HypothesisViolation, IndeterminateC
 from radixapprox.exact import Real, dist_exact, dist_to_nearest_int, mpf_to_fraction
 from radixapprox.expsum import (
     _FACTOR_HI,
+    _FACTOR_LO,
     _NORMAL_MIN,
     SeparationReport,
     _decay_bound,
@@ -28,8 +29,9 @@ from radixapprox.expsum import (
     classify_G,
     decay_bound_check,
     eval_expsum,
+    pi_bounds,
     separation_check,
-    sin_pi_interval,
+    sin_pi_bounds,
     small_shift_count,
 )
 
@@ -91,6 +93,84 @@ def _pinned_expsum(monkeypatch, b, r, k, gamma: Fraction, exclude_zero: bool = F
     for part, want in zip((rep.value_re, rep.value_im), _product_value(b, r, k, gamma, exclude_zero)):
         assert part.lo <= want <= part.hi
     return count_path, rep
+
+
+# The Fraction factor side that the integer pairs replaced, kept as the
+# reference they must match bit for bit.
+def parent_sin_pi_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational s_lo <= sin(pi lo) and sin(pi hi) <= s_hi, 0 <= lo <= hi <= 1/2."""
+    widen_lo, widen_hi = 1 - Fraction(9, 2**51), 1 + Fraction(9, 2**51)
+
+    def bounds(h, *widens):
+        x = float(h)
+        if x < _NORMAL_MIN and h:
+            pi_lo, pi_hi = pi_bounds()
+            return tuple(pi_hi * h if w > 1 else pi_lo * h * (1 - (pi_hi * h) ** 2 / 6) for w in widens)
+        s = Fraction(math.sin(math.pi * x))
+        return tuple(s * w for w in widens)
+
+    if lo == hi:
+        return bounds(lo, widen_lo, widen_hi)
+    return bounds(lo, widen_lo) + bounds(hi, widen_hi)
+
+
+def parent_dist_of_multiple(gamma: Real, n: int) -> Real:
+    M, Q = gamma.mid.numerator, gamma.mid.denominator
+    return dist_to_nearest_int(Real(Fraction(n * M % Q, Q), gamma.rad and abs(n) * gamma.rad))
+
+
+def parent_product_interval(factors_lo, factors_hi, scale: int) -> Real:
+    one = 1 << 64
+    lo = hi = one
+    for flo, fhi in zip(factors_lo, factors_hi):
+        lo = lo * flo.numerator // flo.denominator
+        hi = -(-hi * fhi.numerator // fhi.denominator)
+    return Real.from_interval(Fraction(max(0, lo) * scale, one), Fraction(hi * scale, one))
+
+
+def parent_product_side(b, r, k, gamma: Real) -> tuple[Real, Real]:
+    """(product_magnitude, product_bound) of eval_expsum, as the Fraction code computed them."""
+    pi_lo, pi_hi = pi_bounds()
+    ws = [parent_dist_of_multiple(gamma, k * b**d) for d in range(r + 1)]
+    w_los, w_his = [w.lo for w in ws], [w.hi for w in ws]
+    h_los = [Fraction(1, 2) - w for w in w_his]
+    h_his = [Fraction(1, 2) - w for w in w_los]
+    n = 1 << (r + 1)
+    f_lo, f_hi = zip(*map(parent_sin_pi_interval, h_los, h_his))
+    b_lo = [1 - pi_hi * w * w for w in w_his]
+    b_hi = [1 - pi_lo * w * w for w in w_los]
+    return parent_product_interval(f_lo, f_hi, n), parent_product_interval(b_lo, b_hi, n)
+
+
+def count_builds(monkeypatch, fn, *args) -> tuple[int, int]:
+    """(Fractions, Reals) constructed by one call of fn(*args), after one
+    uncounted call has filled the caches (``pi_bounds``)."""
+    fn(*args)
+    counts = [0, 0]
+    new, post_init = Fraction.__new__, Real.__post_init__
+
+    def counting_new(cls, *a, **kw):
+        counts[0] += 1
+        return new(cls, *a, **kw)
+
+    def counting_post_init(self):
+        counts[1] += 1
+        post_init(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", counting_new)
+        m.setattr(Real, "__post_init__", counting_post_init)
+        fn(*args)
+    return counts[0], counts[1]
+
+
+def _pairs(fractions, rng):
+    """Each fraction as an integer pair, unreduced by a random factor."""
+    out = []
+    for f in fractions:
+        m = rng.randint(1, 10**6)
+        out.append((f.numerator * m, f.denominator * m))
+    return out
 
 
 def _coprime_gamma(rng, q: int) -> Fraction:
@@ -321,7 +401,8 @@ class TestProductInterval:
             lo = [Fraction(rng.randint(0, 10**6), rng.randint(10**6, 10**7)) for _ in range(m)]
             hi = [f + Fraction(rng.randint(0, 10**4), rng.randint(10**6, 10**9)) for f in lo]
             scale = 1 << rng.randint(1, 27)
-            enc = _product_interval(lo, hi, scale)
+            enc = _product_interval(_pairs(lo, rng), _pairs(hi, rng), scale)
+            assert enc == parent_product_interval(lo, hi, scale)
             exact_lo, exact_hi = scale * math.prod(lo), scale * math.prod(hi)
             assert enc.lo <= exact_lo and exact_hi <= enc.hi
             F = max([1, *hi])
@@ -331,7 +412,7 @@ class TestProductInterval:
     def test_digits_stay_bounded_at_r_26(self):
         rng = random.Random(42)
         factors = [Fraction(rng.randrange(10**599, 10**600), 10**600 + 7) for _ in range(27)]
-        enc = _product_interval(factors, factors, 1 << 27)
+        enc = _product_interval(_pairs(factors, rng), _pairs(factors, rng), 1 << 27)
         assert enc.lo <= (1 << 27) * math.prod(factors) <= enc.hi
         assert max(enc.mid.denominator, enc.rad.denominator) <= 2**65
 
@@ -588,7 +669,7 @@ class TestEvalExpsum:
             for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 assert wide.lo <= hypot200(x + sx * rx, y + sy * ry) <= wide.hi
 
-    def test_sin_pi_interval_against_200_bits(self):
+    def test_sin_pi_bounds_against_200_bits(self):
         # the docstring's analysis: the float sine is within 13u of sin(pi h),
         # inside the _FACTOR_ERR widening; tiny h get exact bounds
         rng = random.Random(39)
@@ -598,19 +679,57 @@ class TestEvalExpsum:
         hs += [Fraction(rng.randint(1, 2**20), 2**rng.randint(21, 1040)) for _ in range(300)]
         hs += [Fraction(1, 2), Fraction(1, 2**1021), Fraction(1, 2**1022), Fraction(1, 10**400),
                Fraction(1, 2**1021) - Fraction(1, 2**1080), Fraction(1, 3 * 10**307)]
+        half, zero = (1, 2), (0, 1)
         worst = 0
         for h in hs:
-            lo, hi = sin_pi_interval(h, h)
+            # an unreduced pair reads the same float, so gives the same bounds
+            m = rng.choice([1, 3, rng.randint(2, 10**40)])
+            pair = (h.numerator * m, h.denominator * m)
+            lo, hi = sin_pi_bounds(pair, pair)
+            assert min(lo[1], hi[1]) > 0
+            lo, hi = Fraction(*lo), Fraction(*hi)
+            # the values of the Fraction code it replaced
+            assert (lo, hi) == parent_sin_pi_interval(h, h)
             # one float sine per distinct end: the same bounds as two reads
-            assert (lo, hi) == (sin_pi_interval(h, Fraction(1, 2))[0], sin_pi_interval(Fraction(0), h)[1])
+            assert (lo, hi) == (Fraction(*sin_pi_bounds(pair, half)[0]),
+                                Fraction(*sin_pi_bounds(zero, pair)[1]))
             with mpmath.workprec(200):
                 true = mpmath.sin(mpmath.pi * _mpf(h))
                 assert 0 < _mpf(lo) <= true <= _mpf(hi)
                 if float(h) >= _NORMAL_MIN:
-                    err = abs(_mpf(hi / _FACTOR_HI) - true) / true * 2**53
+                    err = abs(_mpf(hi * 2**51 / _FACTOR_HI) - true) / true * 2**53
                     worst = max(worst, err)
         assert worst < 13
-        assert sin_pi_interval(Fraction(0), Fraction(0)) == (0, 0)
+        assert Fraction(*sin_pi_bounds(half, half)[0]) == Fraction(_FACTOR_LO, 2**51)
+        assert [Fraction(*s) for s in sin_pi_bounds(zero, zero)] == [0, 0]
+        # 10^-400 reads as 0.0: the exact branch, not a zero sine
+        tiny = (1, 10**400)
+        lo, hi = sin_pi_bounds(tiny, tiny)
+        pi_lo, pi_hi = pi_bounds()
+        assert Fraction(*hi) == pi_hi / 10**400 and 0 < Fraction(*lo) < pi_lo / 10**400
+
+    @pytest.mark.parametrize("gamma", [E(314159265358, 1099511627689), Real.parse("pi", 128)])
+    def test_product_side_builds_no_fraction_or_real_per_digit(self, gamma, monkeypatch):
+        # both r take the direct path in one run of terms, so only the
+        # product side could grow with the digits
+        few, many = (count_builds(monkeypatch, eval_expsum, 3, r, 1, gamma) for r in (2, 12))
+        assert few == many
+
+    def test_product_side_matches_the_fraction_code(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(300):
+            if rng.random() < 0.5:
+                q = rng.choice([rng.randint(2, 50), rng.randint(2, 10**6), rng.randint(2, 2**70)])
+                gamma = E(rng.randint(1, q - 1), q)
+            else:
+                gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.choice([64, 128, 256]))
+            b, r, k = rng.randint(2, 7), rng.randint(0, 10), rng.randint(1, 10**rng.randint(1, 6))
+            rep = eval_expsum(b, r, k, gamma)
+            want = parent_product_side(b, r, k, gamma)
+            assert (rep.product_magnitude, rep.product_bound) == want
+            seen.add((gamma.is_exact, rep.product_magnitude.is_exact))
+        assert seen >= {(True, False), (False, False)}
 
     def test_enclosure_gamma_widens_radius(self):
         gamma = Real.approx(Fraction(2, 7), Fraction(1, 10**25))
