@@ -100,7 +100,7 @@ def criterion_3() -> str:
                 f"identity off at #{i} (b={b}, r={r}, k={k}, gamma={gamma}): "
                 f"|sum|={float(m.mid)} product={float(p.mid)}"
             )
-        if m.lo > rep.product_bound.hi + TOL:
+        if m.lo > rep.product_bound.hi:
             _fail(f"product bound broken at #{i} (b={b}, r={r}, k={k}, gamma={gamma})")
     return "1000 sums match the cosine product and respect the bound"
 
@@ -148,7 +148,7 @@ def criterion_5() -> str:
                     if shifts.g**2 >= 9 * k:
                         _fail(f"close-shift bound broken at b={b}, r={r}, k={k}")
                     rep = decay_bound_check(b, r, k, m, gamma)
-                    if rep.magnitude.lo > rep.decay_bound.hi + TOL:
+                    if rep.magnitude.lo > rep.decay_bound.hi:
                         _fail(f"decay bound broken at b={b}, r={r}, k={k}, m={m}")
                     deficit = (r + 1) - len(rep.far_positions)
                     if deficit > 0 and deficit**2 > 9 * k:

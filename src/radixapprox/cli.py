@@ -50,6 +50,7 @@ from .errors import (
     ResourceLimit,
 )
 from .exact import DEFAULT_PRECISION, Real
+from .expsum import decay_bound_check, eval_expsum, separation_check, small_shift_count
 
 CONFIG_ENV = "RADIX_APPROX_CONFIG"
 
@@ -130,8 +131,6 @@ def _ser(value: Any) -> Any:
         return [_ser(v) for v in value]
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -233,8 +232,6 @@ def _cmd_diffset(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_expsum(args, cfg: RunConfig) -> dict:
-    from .expsum import decay_bound_check, eval_expsum, separation_check, small_shift_count
-
     gamma = Real.parse(args.gamma, cfg.precision_bits)
     if args.method == "shifts":
         if args.beta is None:

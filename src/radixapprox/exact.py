@@ -15,6 +15,12 @@ through transcendental evaluations, which are performed with mpmath's
 interval context and therefore carry certified outward-rounded endpoints.
 Comparisons whose outcome is not decidable outside the radius raise
 :class:`~radixapprox.errors.IndeterminateComparison` instead of guessing.
+
+{gamma n} and ||gamma n|| have one reading each, off the residue
+v = n*M mod Q of gamma.mid = M/Q (``frac_of_multiple``,
+``dist_ends_of_multiple`` and its ``Real`` form ``dist_of_multiple``);
+``frac`` and ``dist_to_nearest_int`` are their n = 1 case.  ``dist_exact``
+stays only as the acceptance suite's independent reference.
 """
 from __future__ import annotations
 
@@ -223,22 +229,14 @@ class Real:
         return self._cmp(other, lambda a, b: a.lo >= b.hi, lambda a, b: a.hi < b.lo, ">=")
 
 
-def _floor_fraction(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def frac(x: Real) -> Real:
     """Fractional part {x} in [0, 1); x - {x} is an integer.
 
     In approximate mode the enclosure must stay inside one unit interval,
     since the map jumps at integers; otherwise the result is indeterminate.
+    The n = 1 case of ``frac_of_multiple``.
     """
-    k_lo = _floor_fraction(x.lo)
-    if x.hi - k_lo >= 1:
-        raise IndeterminateComparison(
-            f"fractional part of {x!r} straddles an integer boundary"
-        )
-    return Real(x.mid - k_lo, x.rad)
+    return frac_of_multiple(x, 1)
 
 
 def dist_to_nearest_int(x: Real) -> Real:
@@ -249,23 +247,22 @@ def dist_to_nearest_int(x: Real) -> Real:
     w = ||mid|| and rho = rad it is [max(0, w - rho), min(1/2, w + rho)],
     since the distance is 1-Lipschitz with its kinks at the integers and
     half-integers.  No comparison is performed here, so no indeterminacy
-    can arise.
+    can arise.  The n = 1 case of ``dist_of_multiple``.
     """
-    w = dist_exact(x.mid)
-    if not x.rad:
-        return Real(w)
-    return Real.from_interval(max(Fraction(0), w - x.rad), min(Fraction(1, 2), w + x.rad))
+    return dist_of_multiple(x, 1)
 
 
 def residue_of_multiple(gamma: Real, n: int) -> int:
     """v = n*M mod Q for gamma.mid = M/Q: {gamma n} is v/Q with radius
-    |n| * gamma.rad, or ``frac(gamma * n)`` raises when that leaves [0, 1)."""
+    |n| * gamma.rad; raises when that enclosure leaves [0, 1)."""
     M, Q = gamma.mid.numerator, gamma.mid.denominator
     R, D = gamma.rad.numerator, gamma.rad.denominator
     v = n * M % Q
     nR = abs(n) * R
     if not nR * Q <= v * D < (D - nR) * Q:  # |n|R/D <= v/Q < 1 - |n|R/D
-        frac(gamma * n)  # always raises: the enclosure reaches an integer
+        raise IndeterminateComparison(
+            f"fractional part of {gamma * n!r} straddles an integer boundary"
+        )
     return v
 
 
@@ -356,7 +353,7 @@ def cos_bound_margin(x: Real, precision_bits: int = DEFAULT_PRECISION) -> Real:
         w = dist_to_nearest_int(x)
         w_iv = iv_from_fractions(iv, w.lo, w.hi)
         # |cos(pi*t)| is 1-periodic, so shift the argument by floor(mid)
-        k = _floor_fraction(x.mid)
+        k = x.mid.numerator // x.mid.denominator
         arg = iv_from_fractions(iv, x.lo - k, x.hi - k)
         cos_abs = abs(iv.cos(iv.pi * arg))
         margin = (1 - iv.pi * w_iv**2) - cos_abs

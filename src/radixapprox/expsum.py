@@ -192,21 +192,17 @@ def classify_G(b: int, y: Real) -> GClass:
     """Locate ||y|| on the geometric scale of half-powers of b."""
     ds.check_base(b)
     w = dist_to_nearest_int(y)
-    if w.is_exact:
-        if w.mid == 0:
+    lo, hi = w.lo, w.hi
+    if lo.numerator <= 0:
+        if not hi:
             return GClass(None)
-        return GClass(_class_of(b, w.mid))
-    if w.hi == 0:
-        return GClass(None)
-    if w.lo <= 0:
         raise IndeterminateComparison(
             f"||y|| enclosure {w!r} cannot separate zero from a finite class"
         )
-    t_from_hi = _class_of(b, w.hi)
-    t_from_lo = _class_of(b, w.lo)
-    if t_from_hi != t_from_lo:
+    t = _class_of(b, hi)
+    if lo.numerator * 2 * b**t <= lo.denominator:  # lo lies in a later class
         raise IndeterminateComparison(f"||y|| enclosure {w!r} straddles a class boundary")
-    return GClass(t_from_hi)
+    return GClass(t)
 
 
 # ---------------------------------------------------------------------------

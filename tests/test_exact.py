@@ -22,6 +22,7 @@ from radixapprox.exact import (
     iv_precision,
     iv_to_real,
     mpf_to_fraction,
+    residue_of_multiple,
 )
 
 fractions = st.fractions(max_denominator=10**6)
@@ -346,6 +347,76 @@ class TestMultipleReadings:
         assert x.lo is x.mid and x.hi is x.mid
         y = Real.approx(Fraction(3, 7), Fraction(1, 7))
         assert (y.lo, y.hi) == (Fraction(2, 7), Fraction(4, 7))
+
+
+# The scalar bodies that the n = 1 residue readings replaced, kept as the
+# reference they must match.
+def parent_frac(x: Real) -> Real:
+    k_lo = x.lo.numerator // x.lo.denominator
+    if x.hi - k_lo >= 1:
+        raise IndeterminateComparison(
+            f"fractional part of {x!r} straddles an integer boundary"
+        )
+    return Real(x.mid - k_lo, x.rad)
+
+
+def parent_dist_to_nearest_int(x: Real) -> Real:
+    w = dist_exact(x.mid)
+    if not x.rad:
+        return Real(w)
+    return Real.from_interval(max(Fraction(0), w - x.rad), min(Fraction(1, 2), w + x.rad))
+
+
+def _scalar_cases(seed, count):
+    """Exact and enclosure x with integer and non-integer mids of both
+    signs, radii zero, tiny, moderate and >= 1/2, and a quarter built to
+    reach an integer: mid = m + u with |u| <= rad, ends touching included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        Q = rng.choice([1, rng.randint(2, 60), 1 << rng.randint(1, 80), rng.randint(2, 10**25)])
+        rad = rng.choice([
+            Fraction(0),
+            Fraction(rng.randint(1, 9), 10 ** rng.randint(25, 45)),
+            Fraction(rng.randint(1, 999), rng.randint(1000, 10**7)),
+            Fraction(rng.randint(1, 6), 2),
+        ])
+        if rad and rng.random() < 0.25:
+            mid = rng.randint(-9, 9) + rad * Fraction(rng.randint(-4, 4), 4)
+        else:
+            mid = Fraction(rng.randint(-4 * Q, 4 * Q), Q)
+        yield Real(mid, rad)
+
+
+class TestScalarFormsMatchTheParent:
+    def test_frac_and_dist(self):
+        raised = exact_cases = integer_mids = wide = 0
+        for x in _scalar_cases(12, 4000):
+            want = _reading(parent_frac, x)
+            assert _reading(frac, x) == want
+            assert _reading(dist_to_nearest_int, x) == _reading(parent_dist_to_nearest_int, x)
+            raised += isinstance(want[0], type)
+            exact_cases += x.is_exact
+            integer_mids += x.mid.denominator == 1
+            wide += x.rad >= Fraction(1, 2)
+        assert 800 < raised < 3000 and exact_cases > 500
+        assert integer_mids > 800 and wide > 500
+
+    def test_residue_raises_the_parent_message(self):
+        raised = negative = 0
+        for gamma, n in _multiple_cases(11, 4000):
+            if n == 1:
+                continue
+            want = _reading(parent_frac, gamma * n)
+            try:
+                v = residue_of_multiple(gamma, n)
+            except IndeterminateComparison as exc:
+                got = type(exc), str(exc)
+            else:
+                got = Fraction(v, gamma.mid.denominator), abs(n) * gamma.rad
+            assert got == want
+            raised += isinstance(want[0], type)
+            negative += n < 0 and isinstance(want[0], type)
+        assert raised > 600 and negative > 200
 
 
 def test_only_exact_reads_a_multiple_of_gamma():

@@ -3,12 +3,14 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from radixapprox import digitsets as ds
 from radixapprox import expsum
 from radixapprox._kernels import MOD_LIMIT, cos_sin_sum, first_close, subset_residues, term_rows
 from radixapprox.digitsets import power_gaps, unrank
@@ -19,7 +21,9 @@ from radixapprox.expsum import (
     _FACTOR_HI,
     _FACTOR_LO,
     _NORMAL_MIN,
+    GClass,
     SeparationReport,
+    _class_of,
     _decay_bound,
     _magnitude,
     _product_interval,
@@ -34,6 +38,7 @@ from radixapprox.expsum import (
     sin_pi_bounds,
     small_shift_count,
 )
+from test_exact import parent_dist_to_nearest_int
 
 E = lambda *a: Real.exact(Fraction(*a))
 
@@ -116,7 +121,28 @@ def parent_sin_pi_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fracti
 
 def parent_dist_of_multiple(gamma: Real, n: int) -> Real:
     M, Q = gamma.mid.numerator, gamma.mid.denominator
-    return dist_to_nearest_int(Real(Fraction(n * M % Q, Q), gamma.rad and abs(n) * gamma.rad))
+    return parent_dist_to_nearest_int(Real(Fraction(n * M % Q, Q), gamma.rad and abs(n) * gamma.rad))
+
+
+def parent_classify_G(b: int, y: Real) -> GClass:
+    """classify_G with its exact-input branch, as the parent had it."""
+    ds.check_base(b)
+    w = parent_dist_to_nearest_int(y)
+    if w.is_exact:
+        if w.mid == 0:
+            return GClass(None)
+        return GClass(_class_of(b, w.mid))
+    if w.hi == 0:
+        return GClass(None)
+    if w.lo <= 0:
+        raise IndeterminateComparison(
+            f"||y|| enclosure {w!r} cannot separate zero from a finite class"
+        )
+    t_from_hi = _class_of(b, w.hi)
+    t_from_lo = _class_of(b, w.lo)
+    if t_from_hi != t_from_lo:
+        raise IndeterminateComparison(f"||y|| enclosure {w!r} straddles a class boundary")
+    return GClass(t_from_hi)
 
 
 def parent_product_interval(factors_lo, factors_hi, scale: int) -> Real:
@@ -191,6 +217,37 @@ class TestClassify:
         assert classify_G(3, E(1, 2)).t == 1
         assert classify_G(3, E(1, 6)).t == 2
         assert classify_G(3, E(1, 18)).t == 3
+
+    def test_matches_the_parent_on_exact_and_enclosure_inputs(self):
+        # integer and non-integer y of both signs, radii zero to >= 1/2, and
+        # balls around the class boundaries m +- 1/(2 b^t) and around integers
+        def reading(fn, b, y):
+            try:
+                return fn(b, y)
+            except IndeterminateComparison as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(22)
+        outcomes = Counter()
+        for _ in range(3000):
+            b = rng.choice([2, 3, 5, 10])
+            rad = rng.choice([Fraction(0), Fraction(1, 10**rng.randint(3, 30)),
+                              Fraction(1, rng.randint(2 * b, 10**4)), Fraction(rng.randint(1, 4), 2)])
+            m = rng.randint(-5, 5)
+            shape = rng.randrange(3)
+            if shape == 0:
+                q = rng.choice([1, rng.randint(2, 10**6)])
+                mid = Fraction(rng.randint(-5 * q, 5 * q), q)
+            else:
+                edge = Fraction(0) if shape == 1 else Fraction(rng.choice([-1, 1]), 2 * b ** rng.randint(0, 6))
+                mid = m + edge + rad * Fraction(rng.randint(-4, 4), 4)
+            y = Real(mid, rad)
+            want = reading(parent_classify_G, b, y)
+            assert reading(classify_G, b, y) == want
+            outcomes[(y.is_exact, isinstance(want, tuple) and want[1].split()[-2])] += 1
+        # exact, decided enclosure, zero-or-class and class-boundary raises all occur
+        assert outcomes[(True, False)] > 500 and outcomes[(False, False)] > 300
+        assert outcomes[(False, "finite")] > 100 and outcomes[(False, "class")] > 100
 
     def test_step_down_property(self):
         rng = random.Random(21)
