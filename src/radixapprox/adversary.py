@@ -199,8 +199,7 @@ def no_multiples_check(
         raise DomainError("need k >= 1 and t >= 1")
     modulus = b**k - 1
     applicable = k * (b - 1) > t
-    spec = ds.SetSpec.power_sums(b, t, e_max)
-    for w in ds.iter_spec(spec, cap=cap):
+    for w in ds.power_sums(b, t, e_max, cap=cap):
         if w % modulus == 0:
             if applicable:
                 raise InvariantViolation(

@@ -41,7 +41,7 @@ def oracle_min(gamma: Real, b: int, N: int, *, cap: int = ds.CAP_DEFAULT) -> App
     so an index bound is passed as that limit.  Ties go to the smallest
     witness.
     """
-    spec = ds.SetSpec.zero_one(b)
+    spec = ds.SetSpec(b)
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
 
@@ -95,7 +95,7 @@ def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:
     t = ds.repunit_cap(b, N)
     guarantee = Fraction(1, t + 1)
     reps = ds.repunits(b, N)
-    tag = ds.SetSpec.zero_one(b)
+    tag = ds.SetSpec(b)
     mode = "exact" if gamma.is_exact else "approximate"
 
     bound = Real(guarantee)

@@ -10,8 +10,9 @@ Each subcommand takes only the flags its handler reads, plus --format and
 --out; --count is another spelling of --limit.
 
 Exit codes: 0 success, 1 usage or domain error (a bad or unknown flag, a
-missing required flag, an unparsable value or a config file out of range;
-diagnostic on stderr), 2 invariant violation (a verified inequality
+missing required flag, an unparsable value, a config file that is missing
+or out of range, or an --out path that cannot be written; diagnostic on
+stderr), 2 invariant violation (a verified inequality
 failed; reported with its witness), 3 resource limit, 4 indeterminate
 comparison.
 
@@ -220,7 +221,7 @@ def _cmd_search(args, cfg: RunConfig) -> dict:
 
 def _cmd_diffset(args, cfg: RunConfig) -> dict:
     N = args.limit
-    S = list(ds.iter_spec_upto(ds.SetSpec.zero_one(args.base), N, cap=cfg.enumeration_cap))
+    S = list(ds.iter_spec_upto(ds.SetSpec(args.base), N, cap=cfg.enumeration_cap))
     if args.method == "differences":
         return {"b": args.base, "N": N, "set_size": len(S),
                 "differences": sorted(positive_differences(S))}
@@ -377,14 +378,6 @@ def _config_from(args) -> RunConfig:
     return RunConfig(**values)
 
 
-def _emit(text: str, out: Optional[str]):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
@@ -402,7 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except IndeterminateComparison as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except (RadixApproxError, ValueError) as exc:
+    except (RadixApproxError, ValueError, OSError) as exc:
         parser.exit(1, f"error: {exc}\n")
 
     if cfg.output_format == "json":
@@ -412,19 +405,27 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "tool": "radixapprox",
                 "version": __version__,
                 "subcommand": args.subcommand,
-                "config": dataclasses.asdict(cfg),
+                "config": _ser(cfg),
                 "wall_time_ms": round(wall_ms, 3),
             },
         }
-        _emit(json.dumps(envelope, indent=2) + "\n", args.out)
+        text = json.dumps(envelope, indent=2) + "\n"
     elif cfg.output_format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerow(_csv_row(args.subcommand, args, report))
-        _emit(buf.getvalue(), args.out)
+        text = buf.getvalue()
     else:
-        _emit(_human(report) + "\n", args.out)
+        text = _human(report) + "\n"
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        parser.exit(1, f"error: {exc}\n")
     return EXIT_OK
 
 

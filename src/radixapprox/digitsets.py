@@ -9,20 +9,22 @@ with no searching.  The other sets defined here:
 * ``repunits(b, N)``    - 1, 1+b, 1+b+b^2, ... while still <= N;
 * ``power_gaps(b, r)``  - the differences b**d - b**c with r >= d > c >= 0,
   which extend the truncated zero-one set in the exponential-sum step;
+* ``power_sums(b, t, e_max)`` - the sums of exactly t powers b**u with
+  u <= e_max, none of which is a multiple of b**k - 1 once k > t/(b-1);
 * ``digit_sum_bounded(b, k, t)`` - k-digit base-b values with digit sum
   in (0, t], with their maximum.
 
-A ``SetSpec`` names one of the two sets that are enumerated as streams:
-``zero_one`` (D_b) and ``power_sums(t, e_max)``, the sums of exactly t
-powers b**u with u <= e_max.  Both streams are ascending and
-duplicate-free, guarded by a cardinality cap (default 2**25).
+``iter_spec_upto(SetSpec(b), N)`` enumerates D_b up to N, and ``SetSpec``
+tags reports with the set they scanned.  Every enumeration is ascending,
+duplicate-free and refused up front when it would exceed a cardinality
+cap (default 2**25).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, ResourceLimit
 
@@ -159,93 +161,48 @@ def power_gaps(b: int, r: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# set specifications
+# the enumerated sets
 # ---------------------------------------------------------------------------
-
-KINDS = ("zero_one", "power_sums")
 
 
 @dataclass(frozen=True)
 class SetSpec:
-    """A structured integer set, identified by kind, base and parameters."""
+    """The zero-one set D_b, as named in reports."""
 
-    kind: str
     base: int
-    t: Optional[int] = None
-    e_max: Optional[int] = None
 
     def __post_init__(self):
         check_base(self.base)
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown set kind {self.kind!r}")
-        if self.kind == "power_sums":
-            if self.t is None or self.t < 1:
-                raise DomainError("power sums need t >= 1")
-            if self.e_max is None or self.e_max < 0:
-                raise DomainError(
-                    "power sums are infinite; an explicit exponent cap e_max >= 0 is required"
-                )
-
-    @classmethod
-    def zero_one(cls, b: int) -> "SetSpec":
-        return cls("zero_one", b)
-
-    @classmethod
-    def power_sums(cls, b: int, t: int, e_max: int) -> "SetSpec":
-        return cls("power_sums", b, t=t, e_max=e_max)
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "base": self.base}
-        for key in ("t", "e_max"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
-        return d
+        return {"kind": "zero_one", "base": self.base}
 
 
-def _capped(it: Iterator[int], cap: int, what: str) -> Iterator[int]:
-    for produced, v in enumerate(it):
-        if produced >= cap:
-            raise ResourceLimit(f"enumeration of {what} exceeded the cap of {cap} elements")
-        yield v
+def iter_spec_upto(spec: SetSpec, N: int, cap: int = CAP_DEFAULT) -> Iterator[int]:
+    """The zero-one integers in [1, N], ascending; a count over the cap is
+    refused before any element is produced."""
+    count = capped_count(spec.base, N, cap)
+    return (unrank(spec.base, i) for i in range(1, count + 1))
 
 
-def _stream(spec: SetSpec, cap: int) -> Iterator[int]:
-    b = spec.base
-    if spec.kind == "zero_one":
-        return (unrank(b, i) for i in itertools.count(1))
-    n_multisets = math.comb(spec.e_max + spec.t, spec.t)
+def power_sums(b: int, t: int, e_max: int, cap: int = CAP_DEFAULT) -> list[int]:
+    """The sums of exactly t powers b**u with 0 <= u <= e_max, ascending and
+    duplicate-free; refused before enumerating when the multisets of t
+    exponents outnumber cap."""
+    check_base(b)
+    if t < 1:
+        raise DomainError("power sums need t >= 1")
+    if e_max < 0:
+        raise DomainError(
+            "power sums are infinite; an explicit exponent cap e_max >= 0 is required"
+        )
+    n_multisets = math.comb(e_max + t, t)
     if n_multisets > cap:
         raise ResourceLimit(
             f"power-sum enumeration would visit {n_multisets} multisets (cap {cap})"
         )
-    powers = [b**u for u in range(spec.e_max + 1)]
-    sums = {
-        sum(combo)
-        for combo in itertools.combinations_with_replacement(powers, spec.t)
-    }
-    return iter(sorted(sums))
-
-
-def iter_spec(spec: SetSpec, cap: int = CAP_DEFAULT) -> Iterator[int]:
-    """Ascending, duplicate-free stream of the elements of spec.
-
-    Truncated power-sum enumerations include every sum of exactly t powers
-    b**u with 0 <= u <= e_max.
-    """
-    return _capped(_stream(spec, cap), cap, spec.kind)
-
-
-def iter_spec_upto(spec: SetSpec, N: int, cap: int = CAP_DEFAULT) -> Iterator[int]:
-    """Elements of spec restricted to [1, N], ascending; the cap counts
-    the restricted elements only, and a zero-one restriction over the cap
-    is refused before any element is produced."""
-    if spec.kind == "zero_one":
-        count = capped_count(spec.base, N, cap)
-        return (unrank(spec.base, i) for i in range(1, count + 1))
-    return _capped(
-        itertools.takewhile(lambda v: v <= N, _stream(spec, cap)), cap, spec.kind
-    )
+    powers = [b**u for u in range(e_max + 1)]
+    return sorted({sum(c) for c in itertools.combinations_with_replacement(powers, t)})
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Each criterion prints one pass/fail line; the same functions back the CLI
 ``verify-all`` subcommand.  Tolerances are pinned inside
 ``radixapprox.acceptance``: exact arithmetic where promised (criteria 1, 2,
-4, 7, 8, 10), 1e-9 additive slack on radius-aware float comparisons
-(criteria 3, 5, 6), and -1e-12 on the cosine margin (criterion 9).
+4, 7, 8, 10), a 1e-9 relative tolerance on criterion 3's product identity
+only (its bound check and criteria 5 and 6 compare radius-aware
+enclosures with no slack), and -1e-12 on the cosine margin (criterion 9).
 """
 import pytest
 

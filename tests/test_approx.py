@@ -21,7 +21,7 @@ def oracle_two_branch(gamma, b, N, cap=ds.CAP_DEFAULT):
     """oracle_min as written before both kinds of gamma shared one certify
     step: the kernel's minimum for an exact gamma, products of Reals for an
     enclosure."""
-    spec = ds.SetSpec.zero_one(b)
+    spec = ds.SetSpec(b)
     if gamma.is_exact:
         q = gamma.mid.denominator
         p = gamma.mid.numerator % q
@@ -60,7 +60,7 @@ def pigeonhole_two_branch(gamma, b, N):
     t = ds.repunit_cap(b, N)
     guarantee = Fraction(1, t + 1)
     reps = ds.repunits(b, N)
-    tag = ds.SetSpec.zero_one(b)
+    tag = ds.SetSpec(b)
     if gamma.is_exact:
         q = gamma.mid.denominator
         p = gamma.mid.numerator % q

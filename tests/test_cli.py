@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import pathlib
 import shlex
 import subprocess
@@ -387,10 +388,28 @@ class TestExitCodes:
             assert f"precision_bits must be between 64 and {MAX_PRECISION_BITS}" in (
                 capsys.readouterr().err)
 
-    def test_entry_point_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "radixapprox.cli", "--version"],
+    @staticmethod
+    def run_entry_point(argv, **env):
+        return subprocess.run(
+            [sys.executable, "-m", "radixapprox.cli", *argv],
             capture_output=True,
             text=True,
+            env={**os.environ, **env},
         )
+
+    @pytest.mark.parametrize("where", ["missing-dir/report.json", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_out_exits_1(self, tmp_path, where):
+        proc = self.run_entry_point(["constants", "--base", "2", "--out", str(tmp_path / where)])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_missing_config_file_exits_1(self, tmp_path):
+        missing = str(tmp_path / "no-such.cfg")
+        proc = self.run_entry_point(["constants", "--base", "2"], RADIX_APPROX_CONFIG=missing)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert missing in proc.stderr
+
+    def test_entry_point_runs(self):
+        proc = self.run_entry_point(["--version"])
         assert proc.returncode == 0 and "radix-approx" in proc.stdout

@@ -95,7 +95,7 @@ class TestEnumeration:
         assert ds.power_gaps(3, 1) == [2]
         assert ds.power_gaps(3, 2) == [2, 6, 8]
         assert ds.power_gaps(3, 0) == []
-        assert list(ds.iter_spec(ds.SetSpec.power_sums(3, 1, 2))) == [1, 3, 9]
+        assert ds.power_sums(3, 1, 2) == [1, 3, 9]
 
     @given(st.integers(2, 6), st.integers(0, 5))
     def test_power_gaps_match_digit_description(self, b, r):
@@ -106,7 +106,7 @@ class TestEnumeration:
         # the nonzero zero-one integers with at most r+1 digits: those up to
         # the repunit (b**(r+1) - 1) / (b - 1)
         top = (b ** (r + 1) - 1) // (b - 1)
-        vals = list(ds.iter_spec_upto(ds.SetSpec.zero_one(b), top))
+        vals = list(ds.iter_spec_upto(ds.SetSpec(b), top))
         assert len(vals) == 2 ** (r + 1) - 1 == ds.count_upto(b, top)
         assert vals == sorted(set(vals))
 
@@ -120,7 +120,7 @@ class TestEnumeration:
     def test_trunc_is_prefix_of_the_set(self, b, r):
         # the first n elements are exactly those <= unrank(b, n)
         n = 2 ** (r + 1) - 1
-        vals = list(ds.iter_spec_upto(ds.SetSpec.zero_one(b), ds.unrank(b, n)))
+        vals = list(ds.iter_spec_upto(ds.SetSpec(b), ds.unrank(b, n)))
         assert vals == [ds.unrank(b, i) for i in range(1, n + 1)]
 
     def test_ext_stream_matches_brute(self):
@@ -129,21 +129,17 @@ class TestEnumeration:
         b = 3
         upto = 3**6
         expect = sorted(set(brute_members(b, upto)) | {y for y in range(1, upto + 1) if gap_by_digits(b, y)})
-        trunc = ds.iter_spec_upto(ds.SetSpec.zero_one(b), upto)
+        trunc = ds.iter_spec_upto(ds.SetSpec(b), upto)
         got = [v for v in heapq.merge(trunc, ds.power_gaps(b, 6)) if v <= upto]
         assert got == expect
 
-    def test_spec_kinds(self):
-        assert ds.KINDS == ("zero_one", "power_sums")
-        assert ds.SetSpec.zero_one(3).to_dict() == {"kind": "zero_one", "base": 3}
-        assert ds.SetSpec.power_sums(3, 2, 4).to_dict() == {
-            "kind": "power_sums", "base": 3, "t": 2, "e_max": 4}
-        for kind in ("zero_one_trunc", "zero_one_ext", "repunits", "digit_sum_bounded"):
-            with pytest.raises(DomainError):
-                ds.SetSpec(kind, 3)
+    def test_zero_one_tag(self):
+        assert ds.SetSpec(3).to_dict() == {"kind": "zero_one", "base": 3}
+        with pytest.raises(DomainError):
+            ds.SetSpec(1)
 
     def test_power_sum_truncation(self):
-        vals = list(ds.iter_spec(ds.SetSpec.power_sums(2, 3, 3)))
+        vals = ds.power_sums(2, 3, 3)
         brute = sorted(
             {
                 sum(c)
@@ -159,28 +155,35 @@ class TestEnumeration:
             e_max = T * (ds.ilog(b, top) + (0 if b ** ds.ilog(b, top) == top else 1))
             union = set()
             for t in range(1, T + 1):
-                union.update(ds.iter_spec(ds.SetSpec.power_sums(b, t, e_max)))
+                union.update(ds.power_sums(b, t, e_max))
             for i in range(1, 2**T):
                 assert ds.unrank(b, i) in union
 
     def test_cap_enforced(self):
-        with pytest.raises(ResourceLimit):
-            list(ds.iter_spec(ds.SetSpec.zero_one(2), cap=100))
-        with pytest.raises(ResourceLimit):
-            list(ds.iter_spec(ds.SetSpec.power_sums(2, 8, 40), cap=10))
+        # 377,348,994 multisets: refused before any of them is visited
+        with pytest.raises(ResourceLimit, match="would visit 377348994 multisets"):
+            ds.power_sums(2, 8, 40, cap=10)
+
+    def test_power_sums_domain(self):
+        with pytest.raises(DomainError, match="t >= 1"):
+            ds.power_sums(2, 0, 3)
+        with pytest.raises(DomainError, match="e_max >= 0"):
+            ds.power_sums(2, 1, -1)
+        with pytest.raises(DomainError, match="base"):
+            ds.power_sums(1, 1, 3)
 
     def test_iter_upto_examples(self):
-        assert list(ds.iter_spec_upto(ds.SetSpec.zero_one(2), 5)) == [1, 2, 3, 4, 5]
-        assert list(ds.iter_spec_upto(ds.SetSpec.zero_one(3), 9)) == [1, 3, 4, 9]
+        assert list(ds.iter_spec_upto(ds.SetSpec(2), 5)) == [1, 2, 3, 4, 5]
+        assert list(ds.iter_spec_upto(ds.SetSpec(3), 9)) == [1, 3, 4, 9]
 
     def test_iter_upto_excludes_zero(self):
-        for spec in (ds.SetSpec.zero_one(2), ds.SetSpec.power_sums(2, 1, 3)):
-            assert list(ds.iter_spec_upto(spec, 0)) == []
-            assert min(ds.iter_spec_upto(spec, 5)) == 1
+        spec = ds.SetSpec(2)
+        assert list(ds.iter_spec_upto(spec, 0)) == []
+        assert min(ds.iter_spec_upto(spec, 5)) == 1
 
     def test_upto_cap_counts_the_restricted_elements(self):
         # D_3 restricted to [1, 9] has 4 elements; the 5th, 10, is past N
-        spec = ds.SetSpec.zero_one(3)
+        spec = ds.SetSpec(3)
         assert list(ds.iter_spec_upto(spec, 9, cap=4)) == [1, 3, 4, 9]
         with pytest.raises(ResourceLimit):
             list(ds.iter_spec_upto(spec, 9, cap=3))

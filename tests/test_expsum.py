@@ -422,6 +422,22 @@ class TestSeparation:
         assert _outcome(separation_check, 2, 2, Fraction(1, 10), gamma) == want
 
 
+def shifts_per_position(b, r, k, gamma, beta, outcomes):
+    """(g, positions) of small_shift_count, one scalar distance per position;
+    tallies each position's outcome."""
+    positions = []
+    for d in range(r + 1):
+        try:
+            close = dist_to_nearest_int(gamma * (k * b**d)) <= Real(beta)
+        except IndeterminateComparison:
+            outcomes["indeterminate"] += 1
+            raise
+        outcomes["close" if close else "far"] += 1
+        if close:
+            positions.append(d)
+    return len(positions), tuple(positions)
+
+
 class TestSmallShifts:
     def test_examples(self):
         assert small_shift_count(2, 1, 1, E(1, 5), Fraction(1, 10)).g == 0
@@ -430,6 +446,29 @@ class TestSmallShifts:
         # distances 1/27, 1/9, 1/3: only the first is <= 1/10
         rep = small_shift_count(3, 2, 1, E(1, 27), Fraction(1, 10))
         assert rep.g == 1 and rep.positions == (0,)
+
+    def test_matches_the_per_position_reading(self):
+        # exact gamma of both signs, the named constants at 64-256 bits, and
+        # random midpoints with radii from 1/10 down to 1e-12
+        rng = random.Random(25)
+        outcomes = Counter()
+        for i in range(1500):
+            b = rng.choice([2, 3, 5, 10])
+            r = rng.randint(0, 8)
+            k = rng.randint(1, 50)
+            beta = Fraction(1, rng.randint(2, 40))
+            q = rng.randint(2, 10**6)
+            mid = Fraction(rng.randint(-5 * q, 5 * q), q)
+            if i % 3 == 0:
+                gamma = Real(mid)
+            elif i % 3 == 1:
+                gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.choice([64, 128, 256]))
+            else:
+                gamma = Real(mid, Fraction(1, rng.randint(10, 10 ** rng.randint(2, 12))))
+            want = _outcome(shifts_per_position, b, r, k, gamma, beta, outcomes)
+            rep = _outcome(small_shift_count, b, r, k, gamma, beta)
+            assert (rep if isinstance(rep, tuple) else (rep.g, rep.positions)) == want
+        assert min(outcomes["close"], outcomes["far"], outcomes["indeterminate"]) > 100, outcomes
 
     def test_bound_under_separation(self):
         rng = random.Random(23)
