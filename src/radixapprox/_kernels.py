@@ -250,16 +250,17 @@ def cos_sin_sum(theta: np.ndarray, weights=None):
 #
 # Endpoints w[0] < ... < w[m-1] (scaled by Q, w[m-1] == Q stands for 1).
 # lt[i]/eq[i] count sequence points strictly below / equal to w[i].
-# Openness combos are ordered cc=0, co=1, oc=2, oo=3; the maximum is
-# reported with the lexicographically first (i, j, combo) witness.
+# The maximum is reported with the first witness in the order (i, j, then
+# left closed before open, then right closed before open).
 # ---------------------------------------------------------------------------
 
 
 def interval_deviation_max(w, lt, eq, total: int, scale: int):
     """Maximal |count - T*measure| over the endpoint candidate family.
 
-    Returns (deviation * scale, i, j, combo); int64 while total * scale <
-    2**62, every term being below twice that.  Needs len(w) >= 2, total >= 1.
+    Returns (deviation * scale, i, j, left_closed, right_closed); int64 while
+    total * scale < 2**62, every term being below twice that.  Needs
+    len(w) >= 2, total >= 1.
     """
     bound = total * scale
     # count * scale - total * width splits into a right-end term minus a
@@ -280,7 +281,7 @@ def interval_deviation_max(w, lt, eq, total: int, scale: int):
     other = bottom if ends[x] == top else top
     y = x + 1 + int(np.argmax(ends[x + 1 :] == other))
     y += bool(y % 2 == 0 and y + 1 < len(ends) and ends[y + 1] == other)
-    return int(top - bottom), x // 2, y // 2, 2 * (x % 2) + 1 - y % 2
+    return int(top - bottom), x // 2, y // 2, x % 2 == 0, y % 2 == 1
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,10 @@ def criterion_4() -> str:
         a = rng.randint(1, q // (2 * b))
         n = rng.randint(0, 10)
         y = Fraction(a, q) + n if rng.random() < 0.5 else n - Fraction(a, q)
-        t = classify_G(b, Real.exact(y)).t
+        t = classify_G(b, Real.exact(y))
         if t is None or t < 2:
             continue
-        t_next = classify_G(b, Real.exact(b * y)).t
+        t_next = classify_G(b, Real.exact(b * y))
         if t_next != t - 1:
             _fail(f"class step failed: b={b}, y={y}, t={t} -> {t_next}")
         checked += 1
@@ -188,7 +188,7 @@ def criterion_7() -> str:
     instance pinned exactly."""
     for b in (3, 4, 5):
         for N in range(1, 151):
-            S = list(ds.iter_spec_upto(ds.SetSpec(b), N))
+            S = list(ds.iter_spec_upto(b, N))
             anchored = max_difference_set(S, "anchored")
             within = max_difference_set(S, "within")
             if anchored.value > anchored_cap(b, N):
@@ -199,7 +199,7 @@ def criterion_7() -> str:
             sset = set(S)
             if any(y - x not in sset for i, x in enumerate(wit) for y in wit[i + 1 :]):
                 _fail(f"invalid witness at b={b}, N={N}: {wit}")
-    pinned = max_difference_set(list(ds.iter_spec_upto(ds.SetSpec(3), 13)), "anchored")
+    pinned = max_difference_set(list(ds.iter_spec_upto(3, 13)), "anchored")
     if pinned.value != 4:
         _fail(f"pinned instance value {pinned.value} != 4")
     return f"all caps hold; (b=3, N=13) gives 4 via witness {pinned.witness}"
@@ -264,7 +264,7 @@ def criterion_10() -> str:
             N = rng.randint(1, 10**4)
             fast = oracle_min(Real.exact(gamma), b, N)
             best_d, best_w = None, None
-            for s in ds.iter_spec_upto(ds.SetSpec(b), N):
+            for s in ds.iter_spec_upto(b, N):
                 d = dist_exact(gamma * s)
                 if best_d is None or d < best_d:
                     best_d, best_w = d, s

@@ -50,7 +50,7 @@ from .errors import (
     RadixApproxError,
     ResourceLimit,
 )
-from .exact import DEFAULT_PRECISION, Real
+from .exact import DEFAULT_PRECISION, Real, parse_rational
 from .expsum import decay_bound_check, eval_expsum, separation_check, small_shift_count
 
 CONFIG_ENV = "RADIX_APPROX_CONFIG"
@@ -66,17 +66,6 @@ FORMATS = ("json", "csv", "human")
 #: A 4096-bit value prints in about 1,240 digits, under CPython's
 #: 4300-digit int-to-str limit.
 MAX_PRECISION_BITS = 4096
-
-CSV_COLUMNS = (
-    "subcommand",
-    "b",
-    "N",
-    "witness",
-    "distance_num",
-    "distance_den",
-    "bound",
-    "passed",
-)
 
 
 @dataclass
@@ -157,8 +146,7 @@ def _approx(frac_str: str) -> str:
 
 def _human_scalar(v: Any) -> str:
     if isinstance(v, dict) and set(v) == {"exact"}:
-        s = v["exact"]
-        return s if len(s) <= 32 else f"{s[:18]}... (~{_approx(s)})"
+        return _human_scalar(v["exact"])
     if isinstance(v, dict) and set(v) == {"mid", "rad"}:
         return f"~{_approx(v['mid'])} (+/- {_approx(v['rad'])})"
     if isinstance(v, str) and "/" in v and len(v) > 32:
@@ -168,119 +156,103 @@ def _human_scalar(v: Any) -> str:
     return str(v)
 
 
-def _frac_of(report: dict, key: str) -> Optional[Fraction]:
-    cur = report.get(key)
-    if isinstance(cur, dict):
-        cur = cur.get("exact") or cur.get("mid")
-    if isinstance(cur, str) and "/" in cur:
-        return Fraction(cur)
+def _rational(report: dict, *keys: str) -> Optional[Fraction]:
+    """The first of keys set in a serialized report, as a Fraction (the
+    value of an exact Real, the mid of an enclosure), or None."""
+    for key in keys:
+        value = report.get(key)
+        if isinstance(value, dict):
+            value = value.get("exact", value.get("mid"))
+        if value is not None:
+            return Fraction(value)
     return None
 
 
-def _csv_row(subcommand: str, args, report: dict) -> dict:
-    dist = _frac_of(report, "distance") or _frac_of(report, "min_distance")
-    bound = (
-        report.get("guarantee")
-        or report.get("power_decay_bound")
-        or report.get("decay_bound")
-        or report.get("product_bound")
-        or report.get("et_rhs")
-    )
-    if isinstance(bound, dict):
-        bound = bound.get("exact") or bound.get("mid")
-    if isinstance(bound, str) and "/" in bound:
-        bound = repr(float(Fraction(bound)))
+def _csv_row(args, report: dict) -> dict:
+    """The CSV row of a serialized report; its keys are the header."""
+    dist = _rational(report, "distance", "min_distance")
+    bound = _rational(report, "guarantee", "power_decay_bound", "decay_bound", "product_bound",
+                      "et_rhs")
     return {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "b": getattr(args, "base", "") or report.get("b", ""),
         "N": report.get("N", getattr(args, "limit", None) or ""),
         "witness": report.get("witness", report.get("min_witness_index", "")),
         "distance_num": dist.numerator if dist is not None else "",
         "distance_den": dist.denominator if dist is not None else "",
-        "bound": bound if bound is not None else "",
+        "bound": repr(float(bound)) if bound is not None else "",
         "passed": report.get("passed", ""),
     }
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns a plain report dict (already serialized)
+# subcommand handlers: each returns the library's report, serialized in main
 # ---------------------------------------------------------------------------
 
 
-def _cmd_search(args, cfg: RunConfig) -> dict:
+def _cmd_search(args, cfg: RunConfig):
     gamma = Real.parse(args.gamma, cfg.precision_bits)
-    N = args.limit
     if args.method == "pigeonhole":
-        res = pigeonhole_witness(gamma, args.base, N)
+        res = pigeonhole_witness(gamma, args.base, args.limit)
     else:
-        res = oracle_min(gamma, args.base, N, cap=cfg.enumeration_cap)
-    out = _ser(res)
-    out["N"] = N
-    return out
+        res = oracle_min(gamma, args.base, args.limit, cap=cfg.enumeration_cap)
+    return {**vars(res), "N": args.limit}
 
 
-def _cmd_diffset(args, cfg: RunConfig) -> dict:
+def _cmd_diffset(args, cfg: RunConfig):
     N = args.limit
-    S = list(ds.iter_spec_upto(ds.SetSpec(args.base), N, cap=cfg.enumeration_cap))
+    S = list(ds.iter_spec_upto(args.base, N, cap=cfg.enumeration_cap))
     if args.method == "differences":
         return {"b": args.base, "N": N, "set_size": len(S),
                 "differences": sorted(positive_differences(S))}
     cap = anchored_cap(args.base, N) if args.base >= 3 else None
     rep = max_difference_set(S, args.method, node_budget=cfg.node_budget, bound=cap)
-    out = _ser(rep)
-    out.update({"b": args.base, "N": N})
-    return out
+    return {**vars(rep), "b": args.base, "N": N}
 
 
-def _cmd_expsum(args, cfg: RunConfig) -> dict:
+def _cmd_expsum(args, cfg: RunConfig):
     gamma = Real.parse(args.gamma, cfg.precision_bits)
     if args.method == "shifts":
         if args.beta is None:
             raise DomainError("the shifts method needs --beta")
-        beta = Fraction(args.beta)
+        beta = parse_rational(args.beta)
         sep = separation_check(args.base, args.r, beta, gamma)
         shifts = small_shift_count(
             args.base, args.r, args.k, gamma, beta, separation_ok=sep.ok
         )
-        return {"separation": _ser(sep), "shifts": _ser(shifts)}
+        return {"separation": sep, "shifts": shifts}
     if args.method == "decay":
         if args.m is None:
             raise DomainError("the decay check needs --m")
-        rep = decay_bound_check(args.base, args.r, args.k, args.m, gamma)
-    else:
-        rep = eval_expsum(args.base, args.r, args.k, gamma)
-    return _ser(rep)
+        return decay_bound_check(args.base, args.r, args.k, args.m, gamma)
+    return eval_expsum(args.base, args.r, args.k, gamma)
 
 
-def _cmd_discrepancy(args, cfg: RunConfig) -> dict:
+def _cmd_discrepancy(args, cfg: RunConfig):
     gamma = Real.parse(args.gamma, cfg.precision_bits)
     points = fractional_orbit(gamma, args.limit, cap=cfg.enumeration_cap)
-    rep = discrepancy_L(points) if args.G is None else erdos_turan_check(gamma, points, args.G)
-    return _ser(rep)
+    return discrepancy_L(points) if args.G is None else erdos_turan_check(gamma, points, args.G)
 
 
-def _cmd_adversary(args, cfg: RunConfig) -> dict:
+def _cmd_adversary(args, cfg: RunConfig):
     if args.method == "no-multiples":
         if args.k is None or args.t is None:
             raise DomainError("the no-multiples check needs --k and --t")
-        rep = no_multiples_check(args.base, args.k, args.t, args.e_max, cap=cfg.enumeration_cap)
-        return _ser(rep)
+        return no_multiples_check(args.base, args.k, args.t, args.e_max, cap=cfg.enumeration_cap)
     if args.limit is None:
         raise DomainError("adversary needs --count")
-    cert = adversarial_gamma(args.base, args.limit, cap=cfg.enumeration_cap)
-    return _ser(cert)
+    return adversarial_gamma(args.base, args.limit, cap=cfg.enumeration_cap)
 
 
-def _cmd_constants(args, cfg: RunConfig) -> dict:
+def _cmd_constants(args, cfg: RunConfig):
     cs = compute_constants(args.base, precision_bits=cfg.precision_bits)
-    out = _ser(cs)
-    if args.limit is not None:
-        bound = approximation_bound(args.base, args.limit, cs, cfg.precision_bits)
-        out["bound_at_N"] = _ser(bound)
-    return out
+    if args.limit is None:
+        return cs
+    bound = approximation_bound(args.base, args.limit, cs, cfg.precision_bits)
+    return {**vars(cs), "bound_at_N": bound}
 
 
-def _cmd_verify_all(args, cfg: RunConfig) -> dict:
+def _cmd_verify_all(args, cfg: RunConfig):
     results = run_all(echo=lambda line: print(line, file=sys.stderr))
     report = {
         "criteria": [
@@ -384,7 +356,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config_from(args)
         started = time.perf_counter()
-        report = args.handler(args, cfg)
+        report = _ser(args.handler(args, cfg))
         wall_ms = (time.perf_counter() - started) * 1000.0
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
@@ -411,10 +383,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         }
         text = json.dumps(envelope, indent=2) + "\n"
     elif cfg.output_format == "csv":
+        row = _csv_row(args, report)
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(buf, fieldnames=list(row))
         writer.writeheader()
-        writer.writerow(_csv_row(args.subcommand, args, report))
+        writer.writerow(row)
         text = buf.getvalue()
     else:
         text = _human(report) + "\n"

@@ -14,8 +14,8 @@ with no searching.  The other sets defined here:
 * ``digit_sum_bounded(b, k, t)`` - k-digit base-b values with digit sum
   in (0, t], with their maximum.
 
-``iter_spec_upto(SetSpec(b), N)`` enumerates D_b up to N, and ``SetSpec``
-tags reports with the set they scanned.  Every enumeration is ascending,
+``iter_spec_upto(b, N)`` enumerates D_b up to N, and ``SetSpec(b)`` tags
+reports with the set they scanned.  Every enumeration is ascending,
 duplicate-free and refused up front when it would exceed a cardinality
 cap (default 2**25).
 """
@@ -178,11 +178,11 @@ class SetSpec:
         return {"kind": "zero_one", "base": self.base}
 
 
-def iter_spec_upto(spec: SetSpec, N: int, cap: int = CAP_DEFAULT) -> Iterator[int]:
+def iter_spec_upto(b: int, N: int, cap: int = CAP_DEFAULT) -> Iterator[int]:
     """The zero-one integers in [1, N], ascending; a count over the cap is
     refused before any element is produced."""
-    count = capped_count(spec.base, N, cap)
-    return (unrank(spec.base, i) for i in range(1, count + 1))
+    count = capped_count(b, N, cap)
+    return (unrank(b, i) for i in range(1, count + 1))
 
 
 def power_sums(b: int, t: int, e_max: int, cap: int = CAP_DEFAULT) -> list[int]:

@@ -32,8 +32,6 @@ from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real, dist_ends_of_multiple, residue_of_multiple
 from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_bounds
 
-_COMBO_FLAGS = {0: (True, True), 1: (True, False), 2: (False, True), 3: (False, False)}
-
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
@@ -75,13 +73,12 @@ def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
     if not T:
         raise DomainError("need at least one point")
     w, lt, eq = _candidate_tables(_int_array(nums, T * q), q)
-    dev, i, j, combo = interval_deviation_max(w, lt, eq, T, q)
+    dev, i, j, lc, rc = interval_deviation_max(w, lt, eq, T, q)
     left, right = Fraction(int(w[i]), q), Fraction(int(w[j]), q)
     L = Fraction(dev, q)
     radius = 2 * T * worst
     if not (1 - radius <= L <= T + radius):
         raise InvariantViolation(f"discrepancy {L} outside [1, T={T}]")
-    lc, rc = _COMBO_FLAGS[combo]
     return DiscrepancyReport(T, L, radius, (left, right, lc, rc))
 
 

@@ -24,6 +24,7 @@ stays only as the acceptance suite's independent reference.
 """
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,6 +50,12 @@ Scalar = Union[int, Fraction]
 
 _NAMED_CONSTANTS = ("sqrt2", "pi", "e")
 
+#: Largest decimal exponent, in magnitude, that a literal may carry: the
+#: 4300 digits of CPython's int-string limit, which already refuses a longer
+#: p/q.  Fraction would build 10**exponent for any larger one.
+_EXPONENT_LIMIT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 
 def _raw_to_fraction(raw) -> Fraction:
     """Exact rational value of a libmp raw (sign, man, exp, bc) tuple."""
@@ -65,6 +72,19 @@ def _raw_to_fraction(raw) -> Fraction:
 def mpf_to_fraction(x) -> Fraction:
     """Convert an mpmath float to the exact rational it represents."""
     return _raw_to_fraction(mpmath.mpf(x)._mpf_)
+
+
+def parse_rational(text: str) -> Fraction:
+    """The exact rational of a ``p/q`` or decimal literal, or DomainError;
+    an exponent beyond _EXPONENT_LIMIT is refused before any Fraction is
+    built."""
+    try:
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > _EXPONENT_LIMIT:
+            raise ValueError(exponent[1])
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot parse {text!r} as a number") from exc
 
 
 def dist_exact(x: Fraction) -> Fraction:
@@ -106,9 +126,10 @@ class Real:
         """Parse a number from CLI-style input.
 
         ``p/q`` and decimal literals become the exact rational of the
-        literal.  The named constants ``sqrt2``, ``pi`` and ``e`` expand to
-        an enclosure with ``precision_bits`` significant bits; the artifact
-        never claims more about such an input than this interval.
+        literal (``parse_rational``).  The named constants ``sqrt2``, ``pi``
+        and ``e`` expand to an enclosure with ``precision_bits`` significant
+        bits; the artifact never claims more about such an input than this
+        interval.
         """
         text = text.strip()
         if text in _NAMED_CONSTANTS:
@@ -120,10 +141,7 @@ class Real:
                 else:
                     mid = mpf_to_fraction(+mpmath.e)
             return cls(mid, Fraction(4, 2**precision_bits))
-        try:
-            return cls(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot parse {text!r} as a number") from exc
+        return cls(parse_rational(text))
 
     # -- basic queries ------------------------------------------------
 

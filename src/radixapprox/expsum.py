@@ -171,14 +171,6 @@ def _sum_radius(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GClass:
-    """Scale class t >= 1 meaning 1/(2b^t) < ||y|| <= 1/(2b^(t-1)); t is
-    None exactly when ||y|| = 0."""
-
-    t: Optional[int]
-
-
 def _class_of(b: int, w: Fraction) -> int:
     # smallest t >= 1 with w > 1/(2 b^t), for w in (0, 1/2]
     t, scale = 1, 2 * b
@@ -188,21 +180,22 @@ def _class_of(b: int, w: Fraction) -> int:
     return t
 
 
-def classify_G(b: int, y: Real) -> GClass:
-    """Locate ||y|| on the geometric scale of half-powers of b."""
+def classify_G(b: int, y: Real) -> Optional[int]:
+    """Locate ||y|| on the geometric scale of half-powers of b: the class
+    t >= 1 with 1/(2b^t) < ||y|| <= 1/(2b^(t-1)), or None when ||y|| = 0."""
     ds.check_base(b)
     w = dist_to_nearest_int(y)
     lo, hi = w.lo, w.hi
     if lo.numerator <= 0:
         if not hi:
-            return GClass(None)
+            return None
         raise IndeterminateComparison(
             f"||y|| enclosure {w!r} cannot separate zero from a finite class"
         )
     t = _class_of(b, hi)
     if lo.numerator * 2 * b**t <= lo.denominator:  # lo lies in a later class
         raise IndeterminateComparison(f"||y|| enclosure {w!r} straddles a class boundary")
-    return GClass(t)
+    return t
 
 
 # ---------------------------------------------------------------------------

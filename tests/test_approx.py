@@ -29,7 +29,7 @@ def oracle_two_branch(gamma, b, N, cap=ds.CAP_DEFAULT):
         pow_mod = [(p * pow(b, d, q)) % q for d in range(count.bit_length())]
         num, idx = digit_scan_min(pow_mod, count, q)
         return ApproxResult(ds.unrank(b, idx), Real(Fraction(num, q)), spec, None, "exact")
-    elems = list(ds.iter_spec_upto(spec, N, cap=cap))
+    elems = list(ds.iter_spec_upto(b, N, cap=cap))
     dists = [dist_to_nearest_int(gamma * s) for s in elems]
     w_i = min(range(len(elems)), key=lambda i: (dists[i].hi, elems[i]))
     for i, d in enumerate(dists):

@@ -1,10 +1,14 @@
+import contextlib
 import inspect
+import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,6 +16,10 @@ import radixapprox.cli as cli
 from radixapprox.cli import MAX_PRECISION_BITS, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+#: stdout of every README command in each output format, wall time masked.
+#: Rewrite it with ``PYTHONPATH=src python tests/test_cli.py`` only when
+#: the output is meant to change.
+TRANSCRIPT = pathlib.Path(__file__).with_name("readme_cli_transcript.txt")
 
 
 def readme_cli_commands():
@@ -19,6 +27,24 @@ def readme_cli_commands():
     section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
     block = section.split("```\n", 2)[1]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("radix-approx ")]
+
+
+def readme_cli_transcript() -> str:
+    """Each README command in json, csv and human form: its command line and
+    exit code, then its stdout with the run's wall time masked."""
+    parts = []
+    for argv in readme_cli_commands():
+        if "--format" in argv:
+            at = argv.index("--format")
+            argv = argv[:at] + argv[at + 2:]
+        for fmt in cli.FORMATS:
+            full = [*argv, "--format", fmt]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(full)
+            text = re.sub(r'"wall_time_ms": [^\n]*', '"wall_time_ms": "masked"', out.getvalue())
+            parts.append(f"$ radix-approx {shlex.join(full)}  # exit {code}\n{text}")
+    return "".join(parts)
 
 
 def run_cli(args, capsys):
@@ -60,6 +86,16 @@ class TestSearch:
         cells = row.split(",")
         assert cells[0] == "adversary" and cells[-1] == "True"
         assert int(cells[4]) >= 1 and int(cells[5]) > 1
+
+    @pytest.mark.parametrize("gamma, cells", [("1/3", "3,0,1"), ("2/7", "3,1,7")],
+                             ids=["zero", "nonzero"])
+    def test_csv_distance_cells(self, capsys, gamma, cells):
+        # D_3 below 10 is {1, 3, 4, 9}: 3 * gamma is 1 or 6/7, so the minimum
+        # distance is 0 or 1/7, at witness 3
+        code, out, _ = run_cli(["search", "--method", "oracle", "--base", "3", "--limit", "10",
+                                "--gamma", gamma, "--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == f"search,3,10,{cells},,"
 
     @pytest.mark.parametrize("argv", [
         ["search", "--base", "3", "--gamma", "355/113", "--method", "oracle"],
@@ -156,6 +192,10 @@ class TestOtherSubcommands:
         for argv in commands:
             code, _, err = run_cli(argv, capsys)
             assert code == 0, (argv, err)
+
+    def test_readme_cli_output_is_pinned(self, monkeypatch):
+        monkeypatch.delenv("RADIX_APPROX_CONFIG", raising=False)
+        assert readme_cli_transcript() == TRANSCRIPT.read_bytes().decode("utf-8")
 
     def test_constants_passes_the_precision_to_the_bound(self, capsys, monkeypatch):
         seen = []
@@ -410,6 +450,30 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert missing in proc.stderr
 
+    def test_malformed_beta_exits_1(self):
+        proc = self.run_entry_point(["expsum", "--method", "shifts", "--base", "3", "--r", "2",
+                                     "--k", "1", "--beta", "1/0", "--gamma", "1/27"])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: cannot parse '1/0' as a number\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--method", "oracle", "--base", "3", "--limit", "10",
+         "--gamma", "1e-9999999999999"],
+        ["expsum", "--method", "shifts", "--base", "3", "--r", "2", "--k", "1",
+         "--beta", "1e99999", "--gamma", "1/27"],
+    ], ids=["gamma", "beta"])
+    def test_oversized_exponent_is_refused_at_once(self, capsys, argv):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - started < 1
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("error: cannot parse '1e")
+
     def test_entry_point_runs(self):
         proc = self.run_entry_point(["--version"])
         assert proc.returncode == 0 and "radix-approx" in proc.stdout
+
+
+if __name__ == "__main__":
+    TRANSCRIPT.write_bytes(readme_cli_transcript().encode("utf-8"))

@@ -53,7 +53,7 @@ def brute_value(S, variant):
 
 class TestMaxDifferenceSet:
     def test_digit_set_instance(self):
-        S = list(ds.iter_spec_upto(ds.SetSpec(3), 13))
+        S = list(ds.iter_spec_upto(3, 13))
         rep = max_difference_set(S, "anchored")
         assert rep.value == 4
         assert rep.witness == (0, 1, 4, 13)
@@ -65,7 +65,7 @@ class TestMaxDifferenceSet:
         assert rep.value == 2 and rep.witness == (0, 1)
 
     def test_within_variant(self):
-        S = list(ds.iter_spec_upto(ds.SetSpec(3), 13))
+        S = list(ds.iter_spec_upto(3, 13))
         rep = max_difference_set(S, "within")
         assert rep.value == 3
         assert set(rep.witness) <= set(S)
@@ -95,14 +95,14 @@ class TestMaxDifferenceSet:
         # every positive integer has zero-one digits in base 2, so the whole
         # of [0, N] is the clique and the search goes N levels deep
         N = sys.getrecursionlimit() + 200
-        S = list(ds.iter_spec_upto(ds.SetSpec(2), N))
+        S = list(ds.iter_spec_upto(2, N))
         rep = max_difference_set(S, "anchored")
         assert rep.value == N + 1 and rep.witness == tuple(range(N + 1))
 
     def test_base_two_clique_of_2100_is_found_in_a_node_per_element(self):
         # the first clique the search meets is the witness: no rebuild, so
         # the search stays far inside the default node budget
-        S = list(ds.iter_spec_upto(ds.SetSpec(2), 2100))
+        S = list(ds.iter_spec_upto(2, 2100))
         rep = max_difference_set(S, "anchored")
         assert rep.value == 2101 and rep.witness == tuple(range(2101))
         assert rep.nodes == 2101

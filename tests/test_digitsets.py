@@ -106,7 +106,7 @@ class TestEnumeration:
         # the nonzero zero-one integers with at most r+1 digits: those up to
         # the repunit (b**(r+1) - 1) / (b - 1)
         top = (b ** (r + 1) - 1) // (b - 1)
-        vals = list(ds.iter_spec_upto(ds.SetSpec(b), top))
+        vals = list(ds.iter_spec_upto(b, top))
         assert len(vals) == 2 ** (r + 1) - 1 == ds.count_upto(b, top)
         assert vals == sorted(set(vals))
 
@@ -120,7 +120,7 @@ class TestEnumeration:
     def test_trunc_is_prefix_of_the_set(self, b, r):
         # the first n elements are exactly those <= unrank(b, n)
         n = 2 ** (r + 1) - 1
-        vals = list(ds.iter_spec_upto(ds.SetSpec(b), ds.unrank(b, n)))
+        vals = list(ds.iter_spec_upto(b, ds.unrank(b, n)))
         assert vals == [ds.unrank(b, i) for i in range(1, n + 1)]
 
     def test_ext_stream_matches_brute(self):
@@ -129,7 +129,7 @@ class TestEnumeration:
         b = 3
         upto = 3**6
         expect = sorted(set(brute_members(b, upto)) | {y for y in range(1, upto + 1) if gap_by_digits(b, y)})
-        trunc = ds.iter_spec_upto(ds.SetSpec(b), upto)
+        trunc = ds.iter_spec_upto(b, upto)
         got = [v for v in heapq.merge(trunc, ds.power_gaps(b, 6)) if v <= upto]
         assert got == expect
 
@@ -173,20 +173,23 @@ class TestEnumeration:
             ds.power_sums(1, 1, 3)
 
     def test_iter_upto_examples(self):
-        assert list(ds.iter_spec_upto(ds.SetSpec(2), 5)) == [1, 2, 3, 4, 5]
-        assert list(ds.iter_spec_upto(ds.SetSpec(3), 9)) == [1, 3, 4, 9]
+        assert list(ds.iter_spec_upto(2, 5)) == [1, 2, 3, 4, 5]
+        assert list(ds.iter_spec_upto(3, 9)) == [1, 3, 4, 9]
 
     def test_iter_upto_excludes_zero(self):
-        spec = ds.SetSpec(2)
-        assert list(ds.iter_spec_upto(spec, 0)) == []
-        assert min(ds.iter_spec_upto(spec, 5)) == 1
+        assert list(ds.iter_spec_upto(2, 0)) == []
+        assert min(ds.iter_spec_upto(2, 5)) == 1
+
+    def test_iter_upto_checks_the_base_before_enumerating(self):
+        for b in (1, 0, 2.0):
+            with pytest.raises(DomainError, match="base must be an integer >= 2"):
+                ds.iter_spec_upto(b, 9)
 
     def test_upto_cap_counts_the_restricted_elements(self):
         # D_3 restricted to [1, 9] has 4 elements; the 5th, 10, is past N
-        spec = ds.SetSpec(3)
-        assert list(ds.iter_spec_upto(spec, 9, cap=4)) == [1, 3, 4, 9]
+        assert list(ds.iter_spec_upto(3, 9, cap=4)) == [1, 3, 4, 9]
         with pytest.raises(ResourceLimit):
-            list(ds.iter_spec_upto(spec, 9, cap=3))
+            list(ds.iter_spec_upto(3, 9, cap=3))
 
 
 class TestDigitSumBounded:

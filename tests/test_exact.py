@@ -22,6 +22,7 @@ from radixapprox.exact import (
     iv_precision,
     iv_to_real,
     mpf_to_fraction,
+    parse_rational,
     residue_of_multiple,
 )
 
@@ -149,6 +150,18 @@ class TestBallArithmetic:
         assert s.lo**2 < 2 < s.hi**2
         with pytest.raises(DomainError):
             Real.parse("one third")
+
+    def test_parse_keeps_exponents_within_the_int_string_limit(self):
+        assert Real.parse("1.5e-4000") == Real(Fraction(3, 2 * 10**4000))
+        assert parse_rational(" -2E+4_300 ") == -2 * 10**4300
+        assert parse_rational("1_0e-0_2") == Fraction(1, 10)
+        # 10**exponent is never built: each refusal is immediate
+        for text in ("1e-9999999999999", "1e4301", "-1.5E-4301", "1e+99999", "7e" + "9" * 5000):
+            with pytest.raises(DomainError, match="cannot parse"):
+                parse_rational(text)
+        for text in ("1/0", "sqrt2", "1/3e5", ""):
+            with pytest.raises(DomainError, match=f"cannot parse {text!r} as a number"):
+                parse_rational(text)
 
 
 class TestIntervals:

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -21,7 +22,6 @@ from radixapprox.expsum import (
     _FACTOR_HI,
     _FACTOR_LO,
     _NORMAL_MIN,
-    GClass,
     SeparationReport,
     _class_of,
     _decay_bound,
@@ -124,16 +124,16 @@ def parent_dist_of_multiple(gamma: Real, n: int) -> Real:
     return parent_dist_to_nearest_int(Real(Fraction(n * M % Q, Q), gamma.rad and abs(n) * gamma.rad))
 
 
-def parent_classify_G(b: int, y: Real) -> GClass:
+def parent_classify_G(b: int, y: Real) -> Optional[int]:
     """classify_G with its exact-input branch, as the parent had it."""
     ds.check_base(b)
     w = parent_dist_to_nearest_int(y)
     if w.is_exact:
         if w.mid == 0:
-            return GClass(None)
-        return GClass(_class_of(b, w.mid))
+            return None
+        return _class_of(b, w.mid)
     if w.hi == 0:
-        return GClass(None)
+        return None
     if w.lo <= 0:
         raise IndeterminateComparison(
             f"||y|| enclosure {w!r} cannot separate zero from a finite class"
@@ -142,7 +142,7 @@ def parent_classify_G(b: int, y: Real) -> GClass:
     t_from_lo = _class_of(b, w.lo)
     if t_from_hi != t_from_lo:
         raise IndeterminateComparison(f"||y|| enclosure {w!r} straddles a class boundary")
-    return GClass(t_from_hi)
+    return t_from_hi
 
 
 def parent_product_interval(factors_lo, factors_hi, scale: int) -> Real:
@@ -208,15 +208,15 @@ def _coprime_gamma(rng, q: int) -> Fraction:
 
 class TestClassify:
     def test_examples(self):
-        assert classify_G(2, E(1, 2)).t == 1
-        assert classify_G(2, E(1, 5)).t == 2
-        assert classify_G(3, E(3)).t is None
+        assert classify_G(2, E(1, 2)) == 1
+        assert classify_G(2, E(1, 5)) == 2
+        assert classify_G(3, E(3)) is None
 
     def test_class_boundaries_inclusive_above(self):
         # the top endpoint 1/(2 b^(t-1)) belongs to class t
-        assert classify_G(3, E(1, 2)).t == 1
-        assert classify_G(3, E(1, 6)).t == 2
-        assert classify_G(3, E(1, 18)).t == 3
+        assert classify_G(3, E(1, 2)) == 1
+        assert classify_G(3, E(1, 6)) == 2
+        assert classify_G(3, E(1, 18)) == 3
 
     def test_matches_the_parent_on_exact_and_enclosure_inputs(self):
         # integer and non-integer y of both signs, radii zero to >= 1/2, and
@@ -256,13 +256,13 @@ class TestClassify:
             q = rng.randint(4 * b, 10**6)
             a = rng.randint(1, q // (2 * b))
             y = Fraction(a, q) + rng.randint(0, 5)
-            t = classify_G(b, Real.exact(y)).t
+            t = classify_G(b, Real.exact(y))
             if t is None or t < 2:
                 continue
-            assert classify_G(b, Real.exact(b * y)).t == t - 1
+            assert classify_G(b, Real.exact(b * y)) == t - 1
 
     def test_enclosure_modes(self):
-        assert classify_G(2, Real.approx(Fraction(1, 5), Fraction(1, 10**20))).t == 2
+        assert classify_G(2, Real.approx(Fraction(1, 5), Fraction(1, 10**20))) == 2
         with pytest.raises(IndeterminateComparison):
             classify_G(2, Real.approx(Fraction(1, 4), Fraction(1, 10**20)))
         with pytest.raises(IndeterminateComparison):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import radixapprox._kernels as K
-from radixapprox.discrepancy import _COMBO_FLAGS
 from radixapprox.expsum import _TERM_ERR
 
 ML = K.MOD_LIMIT
@@ -44,23 +43,22 @@ def deviation_max_py(nums: list[int], q: int, total: int):
     kernel's candidate order and tie-breaking exactly."""
     w, lt, eq = candidate_tables_py(nums, q)
     m = len(w)
-    best = (-1, 0, 0, 0)
+    best = (-1, 0, 0, True, True)
     for i in range(m):
         for j in range(i, m):
             width = total * (w[j] - w[i])
-            for combo in range(4):
-                if j == i and combo != 0:
+            for lc, rc in ((True, True), (True, False), (False, True), (False, False)):
+                if j == i and not (lc and rc):
                     continue
-                if j == m - 1 and combo in (0, 2):
+                if j == m - 1 and rc:
                     continue
-                lc, rc = _COMBO_FLAGS[combo]
                 low = lt[i] if lc else lt[i] + eq[i]
                 high = lt[j] + eq[j] if rc else lt[j]
                 dev = abs((high - low) * q - width)
                 if dev > best[0]:
-                    best = (dev, i, j, combo)
-    dev, i, j, combo = best
-    return dev, w[i], w[j], combo
+                    best = (dev, i, j, lc, rc)
+    dev, i, j, lc, rc = best
+    return dev, w[i], w[j], lc, rc
 
 
 def ref_digit_scan(pow_mod, count, modulus):
@@ -219,8 +217,8 @@ def test_interval_deviation_max(as_array):
     for nums, q in cases:
         w, lt, eq = candidate_tables_py(nums, q)
         got = K.interval_deviation_max(as_array(w), as_array(lt), as_array(eq), len(nums), q)
-        dev, i, j, combo = got
-        assert (dev, w[i], w[j], combo) == deviation_max_py(nums, q, len(nums))
+        dev, i, j, lc, rc = got
+        assert (dev, w[i], w[j], lc, rc) == deviation_max_py(nums, q, len(nums))
 
 
 def test_cos_margin_values(as_array):
@@ -571,5 +569,5 @@ def test_interval_deviation_max_at_the_product_limit(total, q):
     for _ in range(5):
         nums = [rng.choice([0, q - 1, rng.randrange(q)]) for _ in range(total)]
         w, lt, eq = candidate_tables_py(nums, q)
-        dev, i, j, combo = K.interval_deviation_max(w, lt, eq, total, q)
-        assert (dev, w[i], w[j], combo) == deviation_max_py(nums, q, total)
+        dev, i, j, lc, rc = K.interval_deviation_max(w, lt, eq, total, q)
+        assert (dev, w[i], w[j], lc, rc) == deviation_max_py(nums, q, total)
