@@ -25,10 +25,10 @@ fractional_orbit cases read the discrepancy orbit as the residues
 n M mod Q of gamma.mid = M/Q, on the grid Q for an exact gamma and for an
 enclosure alike; e at 256 and 1024 bits, with discrepancy_L on the same
 orbits, time how the scan slows as Q grows.  The erdos_turan_check cases time
-the check on a prebuilt orbit: the O(T) discrepancy scan plus the closed-form
-right side, two distance reads and two sine bounds per g, all on integer
-pairs.  The Weyl-bound cases time that right side alone, and the
-eval_expsum case at b=5, r=14 is dominated by its cosine-product side
+the whole check, which builds its own orbit: fractional_orbit, the O(T)
+discrepancy scan and the closed-form right side, two distance reads and two
+sine bounds per g, all on integer pairs.  The Weyl-bound cases time that
+right side alone, and the eval_expsum case at b=5, r=14 is dominated by its cosine-product side
 (r+1 distance reads, sine bounds and product factors on integer pairs).
 """
 import argparse
@@ -111,8 +111,8 @@ def cases():
     for text, T, G in (("355/113", 10**5, 50), ("1/3", 50, 10**4), ("pi", 4000, 50),
                        ("pi", 2000, 50)):
         gamma = Real.parse(text, 128)
-        yield f"erdos_turan_check (gamma={text}, T={T}, G={G})", erdos_turan_check, (
-            gamma, fractional_orbit(gamma, T), G)
+        yield f"erdos_turan_check with orbit (gamma={text}, T={T}, G={G})", erdos_turan_check, (
+            gamma, T, G)
     # the Erdos-Turan right side without the scan: G Weyl-sum bounds
     for text, bits, T, G in (("1/3", 128, 50, 10**4), ("pi", 128, 2000, 50), ("e", 256, 2000, 50)):
         yield f"Weyl sum bounds (gamma={text}@{bits}, T={T}, G={G})", lambda g, t, n: [
@@ -158,9 +158,9 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    print(f"{'kernel':52s} {'best':>11s}")
+    print(f"{'kernel':60s} {'best':>11s}")
     for name, fn, fargs in cases():
-        print(f"{name:52s} {bench(fn, *fargs, repeat=args.repeat) * 1e3:9.3f}ms")
+        print(f"{name:60s} {bench(fn, *fargs, repeat=args.repeat) * 1e3:9.3f}ms")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from .adversary import adversarial_gamma, no_multiples_check, reduce_to_bounded,
 from .approx import oracle_min, pigeonhole_witness
 from .constants import compute_constants, approximation_bound
 from .diffsets import anchored_cap, max_difference_set
-from .discrepancy import erdos_turan_check, fractional_orbit
+from .discrepancy import erdos_turan_check
 from .errors import InvariantViolation
 from .exact import Real, cos_bound_margin, dist_exact
 from .expsum import decay_bound_check, eval_expsum, separation_check, small_shift_count, classify_G
@@ -144,7 +144,7 @@ def criterion_5() -> str:
                     if not sep.ok:
                         continue
                     k = rng.choice([1, 2, 3, 5, 9, 16, 25, 36, 49, 64])
-                    shifts = small_shift_count(b, r, k, gamma, beta, separation_ok=True)
+                    shifts = small_shift_count(b, r, k, gamma, beta)
                     if shifts.g**2 >= 9 * k:
                         _fail(f"close-shift bound broken at b={b}, r={r}, k={k}")
                     rep = decay_bound_check(b, r, k, m, gamma)
@@ -174,9 +174,8 @@ def criterion_6() -> str:
             q = rng.randint(2, 10**6)
             gamma = Real.exact(Fraction(rng.randint(1, 5 * q), q))
         T = 2000 if i % 10 == 0 else rng.randint(50, 2000)
-        points = fractional_orbit(gamma, T)
         for G in (1, 5, 50):
-            rep = erdos_turan_check(gamma, points, G)
+            rep = erdos_turan_check(gamma, T, G)
             if rep.L_value - rep.L_radius > rep.et_rhs.hi:
                 _fail(f"inequality broken at sequence #{i}, G={G}")
             checked += 1
@@ -285,12 +284,12 @@ def criterion_11() -> str:
         if not cs.window_coeff.lo > 100:
             _fail(f"window coefficient unexpectedly small at b={b}: {cs.window_coeff}")
         for N in (1, 10**3, 10**6, 2**25, 2**60, 2**200):
-            ab = approximation_bound(b, N, cs)
+            ab = approximation_bound(cs, N)
             if not ab.vacuous:
                 _fail(f"bound unexpectedly informative at b={b}, N=2^{N.bit_length() - 1}")
     # the first informative point sits far beyond any enumerable N
     cs2 = compute_constants(2)
-    ab = approximation_bound(2, 2**870, cs2)
+    ab = approximation_bound(cs2, 2**870)
     if ab.vacuous:
         _fail("bound still vacuous at N=2^870; constant chain drifted")
     return "vacuous for every enumerable N (first informative N near 2^870 at b=2)"

@@ -106,7 +106,11 @@ def load_config_file(path: str) -> dict:
 def _ser(value: Any) -> Any:
     """JSON-ready form: Fractions as p/q strings, Reals as mid/rad pairs."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        except ValueError:  # CPython's int-to-text digit limit
+            raise ResourceLimit(f"a report value exceeds the {sys.get_int_max_str_digits()}"
+                                "-digit limit for printing an int") from None
     if isinstance(value, Real):
         if value.is_exact:
             return {"exact": _ser(value.mid)}
@@ -173,11 +177,12 @@ def _csv_row(args, report: dict) -> dict:
     dist = _rational(report, "distance", "min_distance")
     bound = _rational(report, "guarantee", "power_decay_bound", "decay_bound", "product_bound",
                       "et_rhs")
+    witness = report.get("witness", report.get("min_witness_index", ""))
     return {
         "subcommand": args.subcommand,
         "b": getattr(args, "base", "") or report.get("b", ""),
         "N": report.get("N", getattr(args, "limit", None) or ""),
-        "witness": report.get("witness", report.get("min_witness_index", "")),
+        "witness": json.dumps(witness) if isinstance(witness, list) else witness,
         "distance_num": dist.numerator if dist is not None else "",
         "distance_den": dist.denominator if dist is not None else "",
         "bound": repr(float(bound)) if bound is not None else "",
@@ -217,9 +222,7 @@ def _cmd_expsum(args, cfg: RunConfig):
             raise DomainError("the shifts method needs --beta")
         beta = parse_rational(args.beta)
         sep = separation_check(args.base, args.r, beta, gamma)
-        shifts = small_shift_count(
-            args.base, args.r, args.k, gamma, beta, separation_ok=sep.ok
-        )
+        shifts = small_shift_count(args.base, args.r, args.k, gamma, beta)
         return {"separation": sep, "shifts": shifts}
     if args.method == "decay":
         if args.m is None:
@@ -230,8 +233,9 @@ def _cmd_expsum(args, cfg: RunConfig):
 
 def _cmd_discrepancy(args, cfg: RunConfig):
     gamma = Real.parse(args.gamma, cfg.precision_bits)
-    points = fractional_orbit(gamma, args.limit, cap=cfg.enumeration_cap)
-    return discrepancy_L(points) if args.G is None else erdos_turan_check(gamma, points, args.G)
+    if args.G is not None:
+        return erdos_turan_check(gamma, args.limit, args.G, cap=cfg.enumeration_cap)
+    return discrepancy_L(fractional_orbit(gamma, args.limit, cap=cfg.enumeration_cap))
 
 
 def _cmd_adversary(args, cfg: RunConfig):
@@ -248,7 +252,7 @@ def _cmd_constants(args, cfg: RunConfig):
     cs = compute_constants(args.base, precision_bits=cfg.precision_bits)
     if args.limit is None:
         return cs
-    bound = approximation_bound(args.base, args.limit, cs, cfg.precision_bits)
+    bound = approximation_bound(cs, args.limit, cfg.precision_bits)
     return {**vars(cs), "bound_at_N": bound}
 
 

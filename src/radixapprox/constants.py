@@ -108,22 +108,19 @@ def compute_constants(b: int, precision_bits: int = DEFAULT_PRECISION) -> Consta
 
 
 def approximation_bound(
-    b: int,
-    N: int,
-    consts: Optional[ConstantSet] = None,
-    precision_bits: int = DEFAULT_PRECISION,
+    consts: ConstantSet, N: int, precision_bits: int = DEFAULT_PRECISION
 ) -> ApproxBound:
-    """The explicit decay bound b*J^2/(2 t^2) at (b, N), or "vacuous".
+    """The explicit decay bound b*J^2/(2 t^2) at (b, N), or "vacuous", with
+    b and J read off consts (``compute_constants(b)``).
 
     t is the largest repunit exponent with repunit <= N.  The bound is
     vacuous when the target scale floor(2*log_b(t/J)) is below 1 or when
     the bound itself reaches 1/2; the extended-set bound and its (b-1)-fold
     transfer to the zero-one set are reported otherwise.
     """
+    b = consts.b
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    if consts is None:
-        consts = compute_constants(b, precision_bits)
     t = repunit_cap(b, N)
     if t < 1:
         return ApproxBound(b, N, t, None, True, None, None)

@@ -26,11 +26,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import _int_array, interval_deviation_max
+from ._kernels import _PRODUCT_LIMIT, _int_array, interval_deviation_max
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real, dist_ends_of_multiple, residue_of_multiple
 from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_bounds
+
+#: An orbit whose residues outgrow int64 (T Q >= 2^62) holds Python ints:
+#: about 200 B a point for pi at 128 bits and 1.8 KB at 4096 bits, against
+#: 18 B for int64 residues.  Such an orbit takes at most this share of the cap.
+BIG_ORBIT_SHARE = 256
 
 
 @dataclass(frozen=True)
@@ -82,9 +87,11 @@ def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
     return DiscrepancyReport(T, L, radius, (left, right, lc, rc))
 
 
-def erdos_turan_check(gamma: Real, points: ScaledPoints, G: int) -> DiscrepancyReport:
+def erdos_turan_check(gamma: Real, T: int, G: int, *, cap: int = CAP_DEFAULT) -> DiscrepancyReport:
     """Verify L <= T/(G+1) + (2 + 2/pi) * sum_{g<=G} |sum_{n<=T} e(g n gamma)|/g
-    on points = ``fractional_orbit(gamma, T)``.
+    on the orbit ``fractional_orbit(gamma, T, cap=cap)``, built here, so the
+    points and the right side read the same gamma.  The orbit's errors (T,
+    cap) come before the check of G.
 
     Each Weyl sum is a geometric series (Kuipers & Niederreiter, *Uniform
     Distribution of Sequences*, ch. 2): sin(pi ||T g gamma||) / sin(pi
@@ -99,10 +106,10 @@ def erdos_turan_check(gamma: Real, points: ScaledPoints, G: int) -> DiscrepancyR
     division of the products of the numerators and the denominators, with
     no Fraction reduced along the way.
     """
+    points = fractional_orbit(gamma, T, cap=cap)
     if G < 1:
         raise DomainError(f"need G >= 1, got {G}")
     base = discrepancy_L(points)
-    T = base.T
     pi_lo, pi_hi = pi_bounds()
     c_lo, c_hi = 2 + 2 / pi_hi, 2 + 2 / pi_lo
     one = 1 << _PRODUCT_BITS
@@ -141,15 +148,18 @@ def _weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
 
 
 def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> ScaledPoints:
-    """The sequence {n * gamma} for n = 1..T, refused over cap before any
-    point is read: the residues v = n M mod Q of gamma.mid = M/Q as one
-    array.  v/Q is within n * gamma.rad of {n gamma}, so worst = T *
-    gamma.rad, 0 for an exact gamma."""
+    """The sequence {n * gamma} for n = 1..T, refused over cap (over cap //
+    BIG_ORBIT_SHARE when T Q >= 2^62) before any point is read: the
+    residues v = n M mod Q of gamma.mid = M/Q as one array.  v/Q is within
+    n * gamma.rad of {n gamma}, so worst = T * gamma.rad, 0 for an exact
+    gamma."""
+    M, Q = gamma.mid.numerator, gamma.mid.denominator
     if T < 1:
         raise DomainError(f"need T >= 1, got {T}")
+    if T * Q >= _PRODUCT_LIMIT:
+        cap //= BIG_ORBIT_SHARE
     if T > cap:
         raise ResourceLimit(f"orbit of {T} points exceeds the cap {cap}")
-    M, Q = gamma.mid.numerator, gamma.mid.denominator
     nums = _int_array(np.arange(1, T + 1), T * Q)
     nums *= M % Q
     nums %= Q

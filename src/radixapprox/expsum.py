@@ -246,19 +246,12 @@ class ShiftReport:
     positions: tuple[int, ...]
 
 
-def small_shift_count(
-    b: int,
-    r: int,
-    k: int,
-    gamma: Real,
-    beta: Fraction,
-    separation_ok: Optional[bool] = None,
-) -> ShiftReport:
+def small_shift_count(b: int, r: int, k: int, gamma: Real, beta: Fraction) -> ShiftReport:
     """Positions d in 0..r with ||k * b**d * gamma|| <= beta.
 
-    When the caller has verified the separation hypothesis (pass
-    separation_ok=True), the count is asserted to stay below 3*sqrt(k),
-    and a violation raises.
+    Fewer than 3*sqrt(k) positions are close under the separation
+    hypothesis; a count g with g^2 >= 9k raises unless separation_check
+    fails (its scan runs only then).
     """
     ds.check_base(b)
     if r < 0 or k < 1:
@@ -270,7 +263,7 @@ def small_shift_count(
         if dist_of_multiple(gamma, k * b**d) <= beta_r:
             positions.append(d)
     g = len(positions)
-    if separation_ok and g * g >= 9 * k:
+    if g * g >= 9 * k and separation_check(b, r, beta, gamma).ok:
         raise InvariantViolation(
             f"close-shift count g={g} reached 3*sqrt({k}) despite the separation hypothesis"
         )
@@ -476,7 +469,7 @@ def decay_bound_check(b: int, r: int, k: int, m: int, gamma: Real) -> ExpSumRepo
     report = eval_expsum(b, r, k, gamma, exclude_zero=True)
 
     # fewer than 3 sqrt(k) shifts are close, so more than r + 1 - 3 sqrt(k) stay far
-    close = small_shift_count(b, r, k, gamma, beta, separation_ok=True).positions
+    close = small_shift_count(b, r, k, gamma, beta).positions
     far = [d for d in range(r + 1) if d not in close]
 
     bound = _decay_bound(b, r, k, m)

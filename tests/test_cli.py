@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import inspect
 import io
 import json
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -96,6 +98,16 @@ class TestSearch:
                                 "--gamma", gamma, "--format", "csv"], capsys)
         assert code == 0
         assert out.splitlines()[1] == f"search,3,10,{cells},,"
+
+    @pytest.mark.parametrize("argv, witness", [
+        (["discrepancy", "--gamma", "1/7", "--limit", "7"], ["0/1", "0/1", True, True]),
+        (["diffset", "--base", "3", "--limit", "13"], [0, 1, 4, 13]),
+    ], ids=["discrepancy", "diffset"])
+    def test_csv_list_cells_are_json(self, capsys, argv, witness):
+        code, out, err = run_cli([*argv, "--format", "csv"], capsys)
+        assert code == 0, err
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert json.loads(row["witness"]) == witness
 
     @pytest.mark.parametrize("argv", [
         ["search", "--base", "3", "--gamma", "355/113", "--method", "oracle"],
@@ -469,6 +481,41 @@ class TestExitCodes:
         assert time.perf_counter() - started < 1
         assert exc.value.code == 1
         assert capsys.readouterr().err.startswith("error: cannot parse '1e")
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--method", "oracle", "--base", "3", "--limit", "10"],
+        ["search", "--method", "pigeonhole", "--base", "3", "--limit", "10"],
+        ["expsum", "--base", "2", "--r", "3", "--k", "1"],
+    ], ids=["oracle", "pigeonhole", "expsum"])
+    def test_a_report_over_the_digit_limit_is_a_resource_limit(self, capsys, argv):
+        # 1e-4300 prints with a 4301-digit denominator, 1.5e-4000 with 4001 digits
+        code, _, err = run_cli([*argv, "--gamma", "1e-4300"], capsys)
+        assert code == 3
+        assert err == "resource limit: a report value exceeds the 4300-digit limit for printing an int\n"
+        code, out, err = run_cli([*argv, "--gamma", "1.5e-4000", "--format", "json"], capsys)
+        assert code == 0 and json.loads(out), err
+
+    def test_an_orbit_on_python_ints_is_refused_at_once(self, capsys, tmp_path, monkeypatch):
+        # cap 2^20: orbits on Python ints (T Q >= 2^62) stop at 2^20 / 256 = 4096 points
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"enumeration_cap={1 << 20}\n")
+        monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
+        argv = ["discrepancy", "--gamma", "pi", "--limit", "4097", "--G", "5"]
+        main(argv[:2] + ["1/7", "--limit", "1"])  # warm the parser and the imports
+        capsys.readouterr()
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 1 and peak < 1 << 20
+        assert code == 3 and err == "resource limit: orbit of 4097 points exceeds the cap 4096\n"
+        code, _, err = run_cli(argv[:4] + ["4096"], capsys)
+        assert code == 0, err
+        code, _, err = run_cli(["discrepancy", "--gamma", "1/7", "--limit", "4097"], capsys)
+        assert code == 0, err
 
     def test_entry_point_runs(self):
         proc = self.run_entry_point(["--version"])

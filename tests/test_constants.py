@@ -46,16 +46,16 @@ class TestApproximationBound:
     def test_vacuous_at_desk_scale(self):
         cs = compute_constants(2)
         for N in (1, 10, 10**6, 2**30):
-            ab = approximation_bound(2, N, cs)
+            ab = approximation_bound(cs, N)
             assert ab.vacuous
 
     def test_tiny_N(self):
-        ab = approximation_bound(3, 1)
+        ab = approximation_bound(compute_constants(3), 1)
         assert ab.vacuous and ab.repunit_exp == 0
 
     def test_informative_past_the_threshold(self):
         cs = compute_constants(2)
-        ab = approximation_bound(2, 2**900, cs)
+        ab = approximation_bound(cs, 2**900)
         assert not ab.vacuous
         assert ab.target_scale >= 1
         assert ab.ext_bound.hi < Fraction(1, 2)
@@ -65,17 +65,22 @@ class TestApproximationBound:
         cs = compute_constants(2)
         values = []
         for e in (880, 1000, 1500, 4000):
-            ab = approximation_bound(2, 2**e, cs)
+            ab = approximation_bound(cs, 2**e)
             assert not ab.vacuous
             values.append(ab.ext_bound.hi)
         assert values == sorted(values, reverse=True)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            approximation_bound(2, 0)
+            approximation_bound(compute_constants(2), 0)
+
+    def test_reads_its_base_off_the_constants(self):
+        # base 2's J would make this bound informative (about 0.207)
+        ab = approximation_bound(compute_constants(10), 10**3000)
+        assert ab.b == 10 and ab.vacuous and ab.ext_bound.lo > 1
 
     def test_report_shape(self):
-        ab = approximation_bound(4, 1000, compute_constants(4))
+        ab = approximation_bound(compute_constants(4), 1000)
         assert isinstance(ab, ApproxBound)
         assert ab.repunit_exp >= 1
         assert ab.ext_bound is not None  # computed even when vacuous

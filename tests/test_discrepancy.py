@@ -13,7 +13,7 @@ from radixapprox.discrepancy import (
     erdos_turan_check,
     fractional_orbit,
 )
-from radixapprox.errors import DomainError, IndeterminateComparison
+from radixapprox.errors import DomainError, IndeterminateComparison, ResourceLimit
 from radixapprox.exact import Real, frac
 from test_expsum import count_builds, parent_dist_of_multiple, parent_sin_pi_interval
 
@@ -281,8 +281,7 @@ def parent_et_rhs(gamma: Real, T: int, G: int) -> Real:
 class TestErdosTuran:
     @pytest.mark.parametrize("gamma", [E(5, 313), Real.parse("pi", 128)])
     def test_builds_no_fraction_or_real_per_term(self, gamma, monkeypatch):
-        points = fractional_orbit(gamma, 200)
-        few, many = (count_builds(monkeypatch, erdos_turan_check, gamma, points, G) for G in (5, 500))
+        few, many = (count_builds(monkeypatch, erdos_turan_check, gamma, 200, G) for G in (5, 500))
         assert few == many
 
     def test_matches_the_fraction_code(self):
@@ -295,7 +294,7 @@ class TestErdosTuran:
                 gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.choice([64, 128, 256]))
                 gamma = gamma * Fraction(rng.randint(1, 30), rng.randint(1, 30))
             T, G = rng.randint(1, 400), rng.randint(1, 40)
-            rep = erdos_turan_check(gamma, fractional_orbit(gamma, T), G)
+            rep = erdos_turan_check(gamma, T, G)
             rhs = parent_et_rhs(gamma, T, G)
             assert rep.et_rhs == rhs
             assert rep.slack == rhs - Real(rep.L_value, rep.L_radius)
@@ -305,19 +304,19 @@ class TestErdosTuran:
                 assert [Fraction(*e) for e in got] == [Fraction(*e) for e in want]
 
     def test_single_point(self):
-        rep = erdos_turan_check(E(1, 2), fractional_orbit(E(1, 2), 1), 1)
+        rep = erdos_turan_check(E(1, 2), 1, 1)
         assert rep.L_value == 1
         assert rep.et_rhs.lo > 3 and rep.et_rhs.hi < Fraction(32, 10)
         assert rep.slack.lo > 2
 
     def test_full_period_orbit(self):
-        rep = erdos_turan_check(E(1, 7), fractional_orbit(E(1, 7), 7), 6)
+        rep = erdos_turan_check(E(1, 7), 7, 6)
         assert rep.L_value == 1
         # all inner sums vanish, so the rhs collapses to T/(G+1) = 1
         assert abs(float(rep.et_rhs.mid) - 1.0) < 1e-9
 
     def test_degenerate_sequence(self):
-        rep = erdos_turan_check(E(0), fractional_orbit(E(0), 10), 3)
+        rep = erdos_turan_check(E(0), 10, 3)
         assert rep.L_value == 10
         assert rep.et_rhs.lo > 50 and rep.et_rhs.hi < 51
 
@@ -327,14 +326,13 @@ class TestErdosTuran:
             q = rng.randint(2, 10**5)
             gamma = E(rng.randint(1, q - 1), q)
             T = rng.randint(1, 300)
-            pts = fractional_orbit(gamma, T)
             for G in (1, 7):
-                rep = erdos_turan_check(gamma, pts, G)
+                rep = erdos_turan_check(gamma, T, G)
                 assert rep.L_value - rep.L_radius <= rep.et_rhs.hi
 
     def test_irrational_orbit(self):
         gamma = Real.parse("sqrt2")
-        rep = erdos_turan_check(gamma, fractional_orbit(gamma, 200), 5)
+        rep = erdos_turan_check(gamma, 200, 5)
         assert rep.L_radius > 0
         assert rep.L_value - rep.L_radius <= rep.et_rhs.hi
         # the golden-standard equidistributed sequence keeps L small
@@ -342,7 +340,7 @@ class TestErdosTuran:
 
     @pytest.mark.parametrize("gamma, trues, T, G", _rhs_cases())
     def test_rhs_encloses_the_direct_sum_over_the_true_orbit(self, gamma, trues, T, G):
-        rhs = erdos_turan_check(gamma, fractional_orbit(gamma, T), G).et_rhs
+        rhs = erdos_turan_check(gamma, T, G).et_rhs
         for value in trues:
             assert encloses(rhs, et_rhs_reference(true_orbit(value, T), G))
         # no term exceeds the trivial bound |sum| <= T
@@ -353,14 +351,14 @@ class TestErdosTuran:
     def test_tiny_gamma_has_no_zero_sine(self):
         # float(10^-400) is 0: the closed form must not divide by it
         gamma = E(1, 10**400)
-        rhs = erdos_turan_check(gamma, fractional_orbit(gamma, 5), 1).et_rhs
+        rhs = erdos_turan_check(gamma, 5, 1).et_rhs
         assert encloses(rhs, et_rhs_reference(true_orbit(gamma.mid, 5), 1))
         assert rhs.rad < Fraction(1, 2**40)
 
     @pytest.mark.parametrize("gamma, T, G", [(E(1, 7), 7, 6), (E(5, 313), 300, 40),
                                               (Real.parse("pi"), 200, 25)])
     def test_rounded_rhs_encloses_the_exact_sum(self, gamma, T, G):
-        rhs = erdos_turan_check(gamma, fractional_orbit(gamma, T), G).et_rhs
+        rhs = erdos_turan_check(gamma, T, G).et_rhs
         true = (lambda: +mpmath.pi) if gamma.rad else gamma.mid
         assert encloses(rhs, et_rhs_reference(true_orbit(true, T), G))
         assert rhs.rad < Fraction(1, 2**30)
@@ -380,9 +378,8 @@ class TestErdosTuran:
         monkeypatch.setattr(discrepancy, "dist_ends_of_multiple",
                             lambda g, n: reads.append(n) or read(g, n))
         for T in (7, 2000):
-            points = fractional_orbit(gamma, T)
             reads.clear()
-            erdos_turan_check(gamma, points, 50)
+            erdos_turan_check(gamma, T, 50)
             assert 50 <= len(reads) <= 100
 
     @pytest.mark.parametrize("gamma, T, g, want", [
@@ -404,7 +401,14 @@ class TestErdosTuran:
 
     def test_bad_G(self):
         with pytest.raises(DomainError):
-            erdos_turan_check(E(1, 2), fractional_orbit(E(1, 2), 1), 0)
+            erdos_turan_check(E(1, 2), 1, 0)
+
+    def test_builds_its_orbit_before_reading_G(self):
+        with pytest.raises(DomainError, match="need T >= 1"):
+            erdos_turan_check(E(1, 2), 0, 0)
+        with pytest.raises(ResourceLimit, match="exceeds the cap 10"):
+            erdos_turan_check(E(1, 7), 11, 0, cap=10)
+        assert erdos_turan_check(E(1, 7), 10, 1, cap=10).T == 10
 
 
 class TestFractionalOrbit:

@@ -205,7 +205,7 @@ _IV_CALLERS = [
     ("adversary", adversary, lambda: adversary.adversarial_gamma(3, 100)),
     ("constants", constants, lambda: constants.compute_constants(3)),
     ("approx-bound", constants,
-     lambda: constants.approximation_bound(3, 10**6, _CONSTS_3)),
+     lambda: constants.approximation_bound(_CONSTS_3, 10**6)),
 ]
 
 

@@ -483,10 +483,36 @@ class TestSmallShifts:
             if not separation_check(b, r, beta, gamma).ok:
                 continue
             k = rng.randint(1, 64)
-            rep = small_shift_count(b, r, k, gamma, beta, separation_ok=True)
+            rep = small_shift_count(b, r, k, gamma, beta)
             assert rep.g**2 < 9 * k
             verified += 1
         assert verified > 20
+
+    # gamma = 0: all six positions are close, g = 6 >= 3 sqrt(1), and the
+    # separation hypothesis fails at x = 1
+    SIX_CLOSE = (2, 5, 1, E(0), Fraction(1, 8))
+
+    def test_a_large_count_without_separation_is_no_violation(self):
+        assert not separation_check(2, 5, Fraction(1, 8), E(0)).ok
+        rep = small_shift_count(*self.SIX_CLOSE)
+        assert rep.g == 6 and rep.positions == tuple(range(6))
+
+    def test_a_large_count_under_separation_raises(self, monkeypatch):
+        monkeypatch.setattr(expsum, "separation_check",
+                            lambda b, r, beta, gamma: SeparationReport(True, None, b, r, beta))
+        with pytest.raises(InvariantViolation, match=r"^close-shift count g=6 reached "
+                           r"3\*sqrt\(1\) despite the separation hypothesis$"):
+            small_shift_count(*self.SIX_CLOSE)
+
+    def test_separation_is_scanned_only_for_a_large_count(self, monkeypatch):
+        calls = []
+        check = expsum.separation_check
+        monkeypatch.setattr(expsum, "separation_check", lambda *a: calls.append(a) or check(*a))
+        assert small_shift_count(3, 2, 9, E(0), Fraction(1, 10)).g == 3  # 3^2 < 9 * 9
+        assert small_shift_count(3, 2, 1, E(1, 27), Fraction(1, 10)).g == 1
+        assert calls == []
+        small_shift_count(*self.SIX_CLOSE)
+        assert calls == [(2, 5, Fraction(1, 8), E(0))]
 
 
 class TestProductInterval:
