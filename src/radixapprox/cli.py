@@ -7,7 +7,13 @@ output is byte-identical across runs for identical inputs and config
 (wall time and other run metadata live in a separate "meta" object).
 
 Each subcommand takes only the flags its handler reads, plus --format and
---out; --count is another spelling of --limit.
+--out; --count is another spelling of --limit.  argparse is the one
+grammar: main reads the usual argv, a subcommand followed by distinct
+"--flag value" pairs, off a table taken once from the parser's own actions
+(flag -> action, the defaults, the required flags), and hands any other
+argv to parse_args, so every usage message is argparse's.  The JSON
+envelope is written in one pass over _ser's output, byte for byte what
+json.dumps(envelope, indent=2) writes.
 
 Exit codes: 0 success, 1 usage or domain error (a bad or unknown flag, a
 missing required flag, an unparsable value, a config file that is missing
@@ -28,6 +34,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -128,6 +135,53 @@ def _ser(value: Any) -> Any:
     return str(value)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value: Any) -> str:
+    """json.dumps(value, indent=2) of a value made of what _ser returns
+    (dicts with str keys, lists, str, int, bool, None) and finite floats."""
+    parts: list[str] = []
+    _write_json(value, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(value: Any, pad: str, parts: list[str]) -> None:
+    """Append value's text to parts; pad is the newline and indent of its line."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner, sep = pad + "  ", "{"
+        for key, item in value.items():
+            parts.append(f"{sep}{inner}{_quote(key)}: ")
+            _write_json(item, inner, parts)
+            sep = ","
+        parts.append(pad + "}")
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        inner, sep = pad + "  ", "["
+        for item in value:
+            parts.append(sep + inner)
+            _write_json(item, inner, parts)
+            sep = ","
+        parts.append(pad + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        parts.append(float.__repr__(value))
+
+
 def _human(value: Any, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
@@ -145,7 +199,31 @@ def _human(value: Any, indent: int = 0) -> str:
 
 
 def _approx(frac_str: str) -> str:
-    return f"{float(Fraction(frac_str)):.12g}"
+    """The rational frac_str to 12 significant digits, as "%.12g" writes
+    it: through a float where the value is 0 or a normal double, by exact
+    decimal rounding (half to even) where a float would overflow, underflow
+    or keep fewer than 53 bits; there the exponent form is the one "%.12g"
+    uses."""
+    x = Fraction(frac_str)
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not x or sys.float_info.min <= abs(f) < math.inf:
+        return f"{f:.12g}"
+    sign, x = "-" if x < 0 else "", abs(x)
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    while True:  # e = floor(log10(x)) after rounding to 12 digits
+        m = round(x * Fraction(10) ** (11 - e))
+        if m >= 10**12:
+            e += 1
+        elif m < 10**11:
+            e -= 1
+        else:
+            break
+    digits = str(m).rstrip("0")
+    point = "." + digits[1:] if digits[1:] else ""
+    return f"{sign}{digits[0]}{point}e{e:+03d}"
 
 
 def _human_scalar(v: Any) -> str:
@@ -340,6 +418,51 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _argv_table() -> dict:
+    """Per subcommand of _parser(): its flags (each spelling -> the argparse
+    action that stores its one value), its defaults (the handler and the
+    subcommand's name included) and its required dests."""
+    parser = _parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, p in sub.choices.items():
+        flags = {flag: a for a in p._actions if type(a) is argparse._StoreAction
+                 for flag in a.option_strings}
+        defaults = {**p._defaults, sub.dest: name}
+        defaults.update((a.dest, a.default) for a in p._actions
+                        if a.dest != argparse.SUPPRESS and a.default is not argparse.SUPPRESS)
+        required = {a.dest for a in flags.values() if a.required}
+        table[name] = (flags, defaults, required)
+    return table
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace parse_args gives a well-formed argv: a subcommand, then
+    "--flag value" pairs, each flag spelled in full and naming its dest
+    once, each value not starting with "-" and passing the flag's type and
+    choices, every required flag given.  None for any other argv."""
+    entry = _argv_table().get(argv[0]) if len(argv) % 2 else None
+    if entry is None:
+        return None
+    flags, defaults, required = entry
+    values = {}
+    for flag, raw in zip(argv[1::2], argv[2::2]):
+        action = flags.get(flag)
+        if action is None or action.dest in values or raw.startswith("-"):
+            return None
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 def _config_from(args) -> RunConfig:
     values: dict[str, Any] = {}
     path = os.environ.get(CONFIG_ENV)
@@ -356,7 +479,11 @@ def _config_from(args) -> RunConfig:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = parser.parse_args(argv)
     try:
         cfg = _config_from(args)
         started = time.perf_counter()
@@ -385,7 +512,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "wall_time_ms": round(wall_ms, 3),
             },
         }
-        text = json.dumps(envelope, indent=2) + "\n"
+        text = _json_text(envelope) + "\n"
     elif cfg.output_format == "csv":
         row = _csv_row(args, report)
         buf = io.StringIO()

@@ -20,6 +20,7 @@ of the O(T) scan: the orbit {n gamma} is an arithmetic progression mod 1.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -34,8 +35,12 @@ from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_bounds
 
 #: An orbit whose residues outgrow int64 (T Q >= 2^62) holds Python ints:
 #: about 200 B a point for pi at 128 bits and 1.8 KB at 4096 bits, against
-#: 18 B for int64 residues.  Such an orbit takes at most this share of the cap.
+#: 18 B for int64 residues.  Such an orbit takes at most this share of the
+#: cap, scaled down by the bytes of Q past those of a 150-bit int (pi at the
+#: default 128 bits has a 142-bit Q), so its peak stays near 26 MB at every
+#: precision under the default cap.
 BIG_ORBIT_SHARE = 256
+_BIG_ORBIT_Q_BYTES = sys.getsizeof(1 << 149)
 
 
 @dataclass(frozen=True)
@@ -149,15 +154,15 @@ def _weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
 
 def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> ScaledPoints:
     """The sequence {n * gamma} for n = 1..T, refused over cap (over cap //
-    BIG_ORBIT_SHARE when T Q >= 2^62) before any point is read: the
-    residues v = n M mod Q of gamma.mid = M/Q as one array.  v/Q is within
-    n * gamma.rad of {n gamma}, so worst = T * gamma.rad, 0 for an exact
-    gamma."""
+    BIG_ORBIT_SHARE, scaled by the size of Q, when T Q >= 2^62) before any
+    point is read: the residues v = n M mod Q of gamma.mid = M/Q as one
+    array.  v/Q is within n * gamma.rad of {n gamma}, so worst = T *
+    gamma.rad, 0 for an exact gamma."""
     M, Q = gamma.mid.numerator, gamma.mid.denominator
     if T < 1:
         raise DomainError(f"need T >= 1, got {T}")
     if T * Q >= _PRODUCT_LIMIT:
-        cap //= BIG_ORBIT_SHARE
+        cap = cap // BIG_ORBIT_SHARE * _BIG_ORBIT_Q_BYTES // max(_BIG_ORBIT_Q_BYTES, sys.getsizeof(Q))
     if T > cap:
         raise ResourceLimit(f"orbit of {T} points exceeds the cap {cap}")
     nums = _int_array(np.arange(1, T + 1), T * Q)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import inspect
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -11,8 +12,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radixapprox.cli as cli
 from radixapprox.cli import MAX_PRECISION_BITS, main
@@ -270,6 +275,29 @@ class TestOtherSubcommands:
         assert err.value.code != 0
         assert "need G >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma, shown", [(["--gamma", "1e400"], "(~1e+400)"),
+                                              (["--gamma=-1e400"], "(~-1e+400)")],
+                             ids=["1e400", "-1e400"])
+    def test_human_output_beyond_the_float_range(self, capsys, gamma, shown):
+        code, out, err = run_cli(["expsum", "--base", "2", "--r", "3", "--k", "1", *gamma,
+                                  "--format", "human"], capsys)
+        assert (code, err) == (0, "") and shown in out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**25), st.integers(309, 1200) | st.integers(-1200, -334),
+           st.sampled_from([1, -1]))
+    def test_approx_outside_the_float_range_is_decimal_rounding(self, m, e, sign):
+        # x = sign * m * 10^e lies outside the normal doubles; Decimal holds it
+        # exactly and rounds it half to even, as "%.12g" rounds a float
+        x = sign * m * Fraction(10) ** e
+        want = re.sub(r"\.?0+e", "e", format(Decimal(sign * m).scaleb(e), ".11e"))
+        assert cli._approx(f"{x.numerator}/{x.denominator}") == want
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(-1, 3), Fraction(2**1023),
+                                   Fraction(1, 2**1022), Fraction(10**308 * 17, 10)])
+    def test_approx_inside_the_float_range_is_the_floats(self, x):
+        assert cli._approx(f"{x.numerator}/{x.denominator}") == f"{float(x):.12g}"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -286,20 +314,14 @@ class TestExitCodes:
             main(["search", "--base", "3", "--limit", "10", "--gamma", "no-number"])
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("argv", [
+    USAGE_ERRORS = [
         ["search", "--limit", "10", "--gamma", "1/3", "--method", "bogus"],
         ["search", "--limit", "x", "--gamma", "1/3"],
         ["search", "--limit", "10", "--gamma", "1/3", "--no-such-flag"],
         ["expsum", "--gamma", "1/3", "--k", "1"],
         ["discrepancy", "--gamma", "1/7"],
-    ])
-    def test_usage_errors_exit_1(self, capsys, argv):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 1
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
+    ]
+    FLAGS_OUTSIDE_SUBCOMMAND = [
         ["discrepancy", "--gamma", "1/7", "--limit", "7", "--base", "3"],
         ["expsum", "--gamma", "1/3", "--r", "1", "--k", "1", "--threads", "2"],
         ["constants", "--gamma", "1/2"],
@@ -307,7 +329,16 @@ class TestExitCodes:
         ["diffset", "--limit", "13", "--gamma", "1/3"],
         ["adversary", "--count", "128", "--precision-bits", "200"],
         ["search", "--limit", "10", "--gamma", "1/3", "--r", "3"],
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
+    def test_usage_errors_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", FLAGS_OUTSIDE_SUBCOMMAND)
     def test_flag_outside_subcommand_is_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -520,6 +551,190 @@ class TestExitCodes:
     def test_entry_point_runs(self):
         proc = self.run_entry_point(["--version"])
         assert proc.returncode == 0 and "radix-approx" in proc.stdout
+
+    def test_a_4096_bit_orbit_past_its_limit_is_refused_at_once(self, capsys):
+        # the default cap's 2^17 Python-int points, scaled by 44/576, the
+        # bytes of a 142-bit Q (pi at 128 bits) over those of pi's Q at 4096 bits
+        argv = ["discrepancy", "--gamma", "pi", "--precision-bits", "4096", "--limit", "10013"]
+        main(argv[:5] + ["--limit", "1"])  # warm the parser and the 4096-bit pi
+        capsys.readouterr()
+        started = time.perf_counter()
+        code, _, err = run_cli(argv, capsys)
+        assert time.perf_counter() - started < 1
+        assert code == 3 and err == "resource limit: orbit of 10013 points exceeds the cap 10012\n"
+        code, _, err = run_cli(argv[:-1] + ["10012"], capsys)
+        assert code == 0, err
+
+
+def parse_or_exit(parser, argv):
+    """vars(parser.parse_args(argv)), or None where it exits; its output is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+TABLE = cli._argv_table()
+INT_TEXT = st.integers(0, 10**30).map(str) | st.sampled_from(["+7", "007", "1_000", " 12 "])
+VALUE_TEXT = st.text(max_size=8).filter(lambda v: not v.startswith("-"))
+
+
+def value_of(action):
+    """Text the action's type and choices accept."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    return INT_TEXT if action.type is int else VALUE_TEXT
+
+
+@st.composite
+def well_formed_argv(draw):
+    """A subcommand, then one "--flag value" pair per drawn dest (every
+    required one), in any order, with either spelling of a shared dest."""
+    name = draw(st.sampled_from(sorted(TABLE)))
+    flags, _, required = TABLE[name]
+    spellings = {}
+    for flag, action in flags.items():
+        spellings.setdefault(action, []).append(flag)
+    pairs = [[draw(st.sampled_from(names)), draw(value_of(action))]
+             for action, names in spellings.items()
+             if action.dest in required or draw(st.booleans())]
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(pairs)))]
+
+
+@st.composite
+def malformed_argv(draw):
+    """A well-formed argv with one change the table read does not accept
+    (left well-formed where the drawn change needs a pair it lacks)."""
+    argv = draw(well_formed_argv())
+    flags, _, required = TABLE[argv[0]]
+    at = draw(st.integers(0, len(argv)))
+    pair = draw(st.integers(0, max(0, (len(argv) - 1) // 2 - 1))) * 2 + 1  # a flag's index
+    has_pair = len(argv) > 1
+    kind = draw(st.sampled_from([
+        "repeat", "unknown", "abbreviate", "equals", "dash", "bad value", "drop required",
+        "help", "no value", "subcommand"]))
+    if kind == "repeat" and has_pair:
+        flag = argv[pair]
+        other = [f for f, a in flags.items() if a is flags[flag]]
+        argv += [draw(st.sampled_from(other)), argv[pair + 1]]
+    elif kind == "unknown":
+        unknown = draw(st.sampled_from(["--no-such-flag", "--threads", "--G", "--beta", "-x"]))
+        argv[at:at] = [unknown, "1"]
+    elif kind == "abbreviate" and has_pair:
+        argv[pair] = argv[pair][:draw(st.integers(2, len(argv[pair])))]
+    elif kind == "equals" and has_pair:
+        argv[pair:pair + 2] = [f"{argv[pair]}={argv[pair + 1]}"]
+    elif kind == "dash" and has_pair:
+        argv[pair + 1] = draw(st.sampled_from(["-1", "-5.5", "-1/3", "-x", "-", "--", "-1e3"]))
+    elif kind == "bad value" and has_pair:
+        argv[pair + 1] = draw(st.sampled_from(["x", "1.5", "", "0x10", "bogus"]))
+    elif kind == "drop required" and has_pair and flags[argv[pair]].dest in required:
+        del argv[pair:pair + 2]
+    elif kind == "help":
+        argv[at:at] = [draw(st.sampled_from(["--help", "-h", "--version"]))]
+    elif kind == "no value" and has_pair:
+        del argv[-1]
+    elif kind == "subcommand":
+        argv[0] = draw(st.sampled_from(["", "serch", "--format", "-h", "--version"]))
+    return argv
+
+
+class TestArgvTable:
+    PARSER = cli.build_parser()
+
+    def check(self, argv):
+        """The table read gives parse_args' namespace, or defers to it."""
+        read, parsed = cli._read_argv(argv), parse_or_exit(self.PARSER, argv)
+        if read is not None:
+            assert vars(read) == parsed
+        if parsed is None:
+            assert read is None
+        return read
+
+    @settings(max_examples=300, deadline=None)
+    @given(well_formed_argv())
+    def test_well_formed_argv_is_read_as_parse_args_reads_it(self, argv):
+        assert self.check(argv) is not None
+
+    @settings(max_examples=500, deadline=None)
+    @given(malformed_argv())
+    def test_other_argv_is_left_to_parse_args(self, argv):
+        self.check(argv)
+
+    def test_every_namespace_is_fresh(self):
+        argv = ["search", "--limit", "10", "--gamma", "1/3"]
+        first = cli._read_argv(argv)
+        first.base = 99
+        assert cli._read_argv(argv).base == 2
+
+    @pytest.mark.parametrize("argv", [
+        *TestExitCodes.USAGE_ERRORS,
+        *TestExitCodes.FLAGS_OUTSIDE_SUBCOMMAND,
+        ["expsum", "--gamma", "-1/3", "--r", "1", "--k", "1"],
+    ])
+    def test_usage_error_bytes_are_argparses(self, capsys, argv):
+        with pytest.raises(SystemExit) as expected:
+            cli.build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert expected.value.code == 1
+        assert (got.value.code, capsys.readouterr()) == (1, want)
+
+    def test_domain_error_bytes(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--base", "3", "--limit", "10", "--gamma", "no-number"])
+        assert err.value.code == 1
+        assert capsys.readouterr() == ("", "error: cannot parse 'no-number' as a number\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--limit=10", "--gamma", "1/3"],
+        ["search", "--lim", "10", "--gamma", "1/3"],
+        ["search", "--base", "3", "--limit", "10", "--base", "2", "--gamma", "1/3"],
+    ], ids=["equals", "abbreviation", "repeated"])
+    def test_spellings_left_to_argparse_run_as_before(self, capsys, argv):
+        assert cli._read_argv(argv) is None
+        canonical = ["search", "--limit", "10", "--gamma", "1/3"]
+        assert vars(self.PARSER.parse_args(argv)) == vars(cli._read_argv(canonical))
+        assert run_cli(argv, capsys) == run_cli(canonical, capsys)
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["radix-approx", "constants", "--base", "3",
+                                          "--format", "csv"])
+        code, out, _ = run_cli(None, capsys)
+        assert code == 0 and out.splitlines()[1].startswith("constants,3,")
+
+
+JSON_TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ∑ 😀", "\u2028"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.integers(max_value=-2**64) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES, st.floats(allow_nan=False, allow_infinity=False))
+    def test_writer_is_json_dumps(self, report, wall):
+        envelope = {"report": report, "meta": {"tool": "radixapprox", "wall_time_ms": wall}}
+        assert cli._json_text(envelope) == json.dumps(envelope, indent=2)
+
+    def test_writer_is_json_dumps_on_readme_envelopes(self, capsys, monkeypatch):
+        written = []
+
+        def spy(value):
+            written.append((json_text(value), json.dumps(value, indent=2)))
+            return written[-1][0]
+
+        json_text = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", spy)
+        for argv in readme_cli_commands():
+            code, _, err = run_cli([*argv, "--format", "json"], capsys)
+            assert code == 0, err
+        assert len(written) == 9
+        assert all(ours == theirs for ours, theirs in written)
 
 
 if __name__ == "__main__":

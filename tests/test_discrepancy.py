@@ -489,6 +489,22 @@ class TestFractionalOrbit:
             tracemalloc.stop()
         assert len(pts.nums) == T and peak <= 64 * T
 
+    @pytest.mark.parametrize("bits, limit", [(128, 2**17), (4096, 10012)])
+    def test_python_int_orbit_limit_counts_bytes(self, bits, limit):
+        # 2^17 points of a 142-bit Q peak at 26 MB; a 4111-bit Q (576 B a
+        # residue against 44) takes 2^17 * 44 // 576 points
+        gamma = Real.parse("pi", bits)
+        with pytest.raises(ResourceLimit, match=f"orbit of {limit + 1} points exceeds the cap {limit}$"):
+            fractional_orbit(gamma, limit + 1)
+        if bits == 4096:
+            tracemalloc.start()
+            try:
+                discrepancy_L(fractional_orbit(gamma, limit))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 << 20
+
     def test_bad_T(self):
         with pytest.raises(DomainError):
             fractional_orbit(E(1, 3), 0)
