@@ -30,6 +30,12 @@ discrepancy scan and the closed-form right side, two distance reads and two
 sine bounds per g, all on integer pairs.  The Weyl-bound cases time that
 right side alone, and the eval_expsum case at b=5, r=14 is dominated by its cosine-product side
 (r+1 distance reads, sine bounds and product factors on integer pairs).
+The pigeonhole_witness and separation_check cases time the scans that
+compare ||gamma n|| with a bound on integer ends: the pigeonhole reads all
+25 repunits of base 3 twice (direct scan, then bins) and collides, and the
+separation check passes, so its merge reads every window hit and all 105
+power gaps at r=14; each at sqrt2@128 and at the exact
+1254027132096/886731088897, within 10^-24 of sqrt2.
 """
 import argparse
 import time
@@ -46,7 +52,8 @@ from radixapprox.discrepancy import (
     erdos_turan_check,
     fractional_orbit,
 )
-from radixapprox.expsum import eval_expsum
+from radixapprox.approx import pigeonhole_witness
+from radixapprox.expsum import eval_expsum, separation_check
 
 
 def bench(fn, *args, warmup=1, repeat=5):
@@ -118,6 +125,16 @@ def cases():
         yield f"Weyl sum bounds (gamma={text}@{bits}, T={T}, G={G})", lambda g, t, n: [
             _weyl_sum_bounds(g, t, i) for i in range(1, n + 1)], (Real.parse(text, bits), T, G)
     yield "eval_expsum (b=5, r=14, gamma=pi@256)", eval_expsum, (5, 14, 1, Real.parse("pi", 256))
+
+    # 1254027132096/886731088897 lies within 10^-24 of sqrt2 and collides at
+    # the same repunit pair
+    for text in ("sqrt2", "1254027132096/886731088897"):
+        gamma = Real.parse(text, 128)
+        label = "sqrt2@128" if text == "sqrt2" else "exact"
+        yield f"pigeonhole_witness (b=3, N=(3^25-1)/2, gamma={label})", pigeonhole_witness, (
+            gamma, 3, (3**25 - 1) // 2)
+        yield f"separation_check (b=2, r=14, beta=1e-6, gamma={label})", separation_check, (
+            2, 14, Fraction(1, 10**6), gamma)
 
     xs = np.linspace(-2.0, 2.0, 400_000)
     yield "cos_margin_values (4e5 points)", K.cos_margin_values, (xs,)

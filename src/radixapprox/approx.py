@@ -16,7 +16,15 @@ from typing import Optional
 from . import digitsets as ds
 from ._kernels import digit_scan_close, digit_scan_min_sharded
 from .errors import DomainError, IndeterminateComparison, InvariantViolation
-from .exact import Real, dist_of_multiple, frac_of_multiple, power_residues
+from .exact import (
+    Real,
+    dist_ends_of_multiple,
+    dist_le_of_multiple,
+    dist_of_multiple,
+    frac_ends_of_multiple,
+    frac_of_multiple,
+    power_residues,
+)
 
 
 @dataclass(frozen=True)
@@ -56,15 +64,18 @@ def oracle_min(gamma: Real, b: int, N: int, *, cap: int = ds.CAP_DEFAULT) -> App
     close = digit_scan_close(pow_mod, count, Q, window.numerator, window.denominator)
     elems = [ds.unrank(b, i) for i in (close if gamma.rad else [idx])]
     mode = "exact" if gamma.is_exact else "approximate"
-    dists = [dist_of_multiple(gamma, s) for s in elems]
-    w_i = min(range(len(elems)), key=lambda i: (dists[i].hi, elems[i]))
-    for i, d in enumerate(dists):
-        if i != w_i and d.lo < dists[w_i].hi:
+    # every end over the common denominator 2 Q D, gamma.rad = R/D
+    common = 2 * Q * gamma.rad.denominator
+    ends = [[num * (common // den) for num, den in dist_ends_of_multiple(gamma, s)]
+            for s in elems]
+    w_i = min(range(len(elems)), key=lambda i: (ends[i][1], elems[i]))
+    for i, (lo, _) in enumerate(ends):
+        if i != w_i and lo < ends[w_i][1]:
             raise IndeterminateComparison(
                 f"cannot certify the minimizer: candidates {elems[w_i]} and "
                 f"{elems[i]} have overlapping distance enclosures"
             )
-    return ApproxResult(elems[w_i], dists[w_i], spec, None, mode)
+    return ApproxResult(elems[w_i], dist_of_multiple(gamma, elems[w_i]), spec, None, mode)
 
 
 def _first_collision(reps: list[int], bins: list[int], b: int, N: int) -> int:
@@ -98,21 +109,21 @@ def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:
     tag = ds.SetSpec(b)
     mode = "exact" if gamma.is_exact else "approximate"
 
-    bound = Real(guarantee)
     for u in reps:
-        d = dist_of_multiple(gamma, u)
-        if d <= bound:
-            return ApproxResult(u, d, tag, guarantee, mode)
+        close = dist_le_of_multiple(gamma, u, guarantee)
+        if close is None:  # the ends straddle: the Real comparison raises
+            close = dist_of_multiple(gamma, u) <= Real(guarantee)
+        if close:
+            return ApproxResult(u, dist_of_multiple(gamma, u), tag, guarantee, mode)
     # no repunit is within the guarantee, so no enclosure reaches an integer
-    # and frac_of_multiple cannot raise; bins are half-open [h/(t+1), (h+1)/(t+1))
+    # and frac_ends_of_multiple cannot raise; bins are half-open [h/(t+1), (h+1)/(t+1))
     bins = []
     for u in reps:
-        f = frac_of_multiple(gamma, u)
-        lo_bin = (f.lo.numerator * (t + 1)) // f.lo.denominator
-        hi_bin = (f.hi.numerator * (t + 1)) // f.hi.denominator
-        if lo_bin != hi_bin:
+        (lo, den), (hi, _) = frac_ends_of_multiple(gamma, u)
+        lo_bin = lo * (t + 1) // den
+        if lo_bin != hi * (t + 1) // den:
             raise IndeterminateComparison(
-                f"bin membership of {f!r} straddles a bin boundary"
+                f"bin membership of {frac_of_multiple(gamma, u)!r} straddles a bin boundary"
             )
         bins.append(lo_bin)
     w = _first_collision(reps, bins, b, N)

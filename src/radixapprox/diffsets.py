@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .digitsets import check_base, ilog
-from .errors import DomainError, InvariantViolation, ResourceLimit
+from .errors import DomainError, ResourceLimit
 
 NODE_BUDGET_DEFAULT = 2_000_000
 
@@ -150,18 +150,3 @@ def zero_sum_subset(k: int, residues: Sequence[int]) -> Optional[tuple[int, ...]
         return None
     return best[0][1]
 
-
-def assert_zero_sum_guarantee(k: int, residues: Sequence[int]) -> tuple[int, ...]:
-    """zero_sum_subset, hard-failing when the guarantee threshold is met.
-
-    With at least 3*sqrt(k) pairwise-distinct residues a zero-sum subset
-    always exists; its absence past that threshold is an invariant failure,
-    not a negative answer.
-    """
-    out = zero_sum_subset(k, residues)
-    if out is None and len(residues) ** 2 >= 9 * k:
-        raise InvariantViolation(
-            f"no zero-sum subset among {len(residues)} residues mod {k} "
-            "despite the guarantee threshold"
-        )
-    return out

@@ -17,10 +17,13 @@ Comparisons whose outcome is not decidable outside the radius raise
 :class:`~radixapprox.errors.IndeterminateComparison` instead of guessing.
 
 {gamma n} and ||gamma n|| have one reading each, off the residue
-v = n*M mod Q of gamma.mid = M/Q (``frac_of_multiple``,
-``dist_ends_of_multiple`` and its ``Real`` form ``dist_of_multiple``);
-``frac`` and ``dist_to_nearest_int`` are their n = 1 case.  ``dist_exact``
-stays only as the acceptance suite's independent reference.
+v = n*M mod Q of gamma.mid = M/Q, as integer ends (``frac_ends_of_multiple``,
+``dist_ends_of_multiple``) with a ``Real`` form each (``frac_of_multiple``,
+``dist_of_multiple``); ``frac`` and ``dist_to_nearest_int`` are their n = 1
+case.  Comparisons run on the integer ends (``dist_le_of_multiple`` tests
+||gamma n|| against a rational), so the scans build a ``Real`` only for a
+distance they report or for the message of an indeterminate comparison.
+``dist_exact`` stays only as the acceptance suite's independent reference.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import mpmath
 
@@ -284,10 +287,20 @@ def residue_of_multiple(gamma: Real, n: int) -> int:
     return v
 
 
-def frac_of_multiple(gamma: Real, n: int) -> Real:
-    """``frac(gamma * n)``, read off ``residue_of_multiple``."""
+def frac_ends_of_multiple(gamma: Real, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((lo, den), (hi, den)), unreduced integer pairs over den = Q D: the
+    ends of ``frac(gamma * n)``, (v D -+ |n| R Q) / (Q D) for the residue v of
+    ``residue_of_multiple`` (which raises when they leave [0, 1)) and
+    gamma.rad = R/D."""
     v = residue_of_multiple(gamma, n)
-    return Real(Fraction(v, gamma.mid.denominator), gamma.rad and abs(n) * gamma.rad)
+    Q, R, D = gamma.mid.denominator, gamma.rad.numerator, gamma.rad.denominator
+    vD, nRQ, den = v * D, abs(n) * R * Q, Q * D
+    return (vD - nRQ, den), (vD + nRQ, den)
+
+
+def frac_of_multiple(gamma: Real, n: int) -> Real:
+    """``frac(gamma * n)`` as a Real, from ``frac_ends_of_multiple``."""
+    return _real_of_ends(*frac_ends_of_multiple(gamma, n))
 
 
 def dist_ends_of_multiple(gamma: Real, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -312,10 +325,28 @@ def dist_ends_of_multiple(gamma: Real, n: int) -> tuple[tuple[int, int], tuple[i
     return (max(0, wD - nRQ), den), hi
 
 
+def dist_le_of_multiple(gamma: Real, n: int, bound: Fraction) -> Optional[bool]:
+    """Whether ||gamma n|| <= bound, by cross-multiplying the integer ends
+    of ``dist_ends_of_multiple``: True when the upper end is <= bound, False
+    when the lower end is > bound, None when the ends straddle it (the
+    ``Real`` comparison is then indeterminate)."""
+    (a, c), (e, f) = dist_ends_of_multiple(gamma, n)
+    p, q = bound.numerator, bound.denominator
+    if e * q <= p * f:
+        return True
+    if a * q > p * c:
+        return False
+    return None
+
+
 def dist_of_multiple(gamma: Real, n: int) -> Real:
     """``dist_to_nearest_int(gamma * n)`` as a Real, from
     ``dist_ends_of_multiple``."""
-    lo, hi = dist_ends_of_multiple(gamma, n)
+    return _real_of_ends(*dist_ends_of_multiple(gamma, n))
+
+
+def _real_of_ends(lo: tuple[int, int], hi: tuple[int, int]) -> Real:
+    # the Real [lo, hi] of two integer pairs, exact when they are equal
     if lo == hi:
         return Real(Fraction(*lo))
     return Real.from_interval(Fraction(*lo), Fraction(*hi))

@@ -40,6 +40,7 @@ from .exact import (
     BOUND_PRECISION,
     Real,
     dist_ends_of_multiple,
+    dist_le_of_multiple,
     dist_of_multiple,
     dist_to_nearest_int,
     iv_precision,
@@ -233,9 +234,11 @@ def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationR
     hits = digit_scan_close(add_mod, count, Q, window.numerator, window.denominator)
     trunc = (ds.unrank(b, i) for i in hits)
     # ascending merge of both families, first failure wins
-    beta_r = Real(beta)
     for x in heapq.merge(trunc, ds.power_gaps(b, r)):
-        if not (dist_of_multiple(gamma, x) > beta_r):
+        close = dist_le_of_multiple(gamma, x, beta)
+        if close is None:  # the ends straddle: the Real comparison raises
+            close = not dist_of_multiple(gamma, x) > Real(beta)
+        if close:
             return SeparationReport(False, x, b, r, beta)
     return SeparationReport(True, None, b, r, beta)
 
@@ -257,10 +260,12 @@ def small_shift_count(b: int, r: int, k: int, gamma: Real, beta: Fraction) -> Sh
     if r < 0 or k < 1:
         raise DomainError("need r >= 0 and k >= 1")
     beta = Fraction(beta)
-    beta_r = Real(beta)
     positions = []
     for d in range(r + 1):
-        if dist_of_multiple(gamma, k * b**d) <= beta_r:
+        close = dist_le_of_multiple(gamma, k * b**d, beta)
+        if close is None:  # the ends straddle: the Real comparison raises
+            close = dist_of_multiple(gamma, k * b**d) <= Real(beta)
+        if close:
             positions.append(d)
     g = len(positions)
     if g * g >= 9 * k and separation_check(b, r, beta, gamma).ok:

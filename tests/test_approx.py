@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from radixapprox.approx import (
 )
 from radixapprox.errors import DomainError, IndeterminateComparison, InvariantViolation
 from radixapprox.exact import Real, dist_exact, dist_to_nearest_int, frac
+from test_exact import gamma_near
+from test_expsum import count_builds
 
 
 def oracle_two_branch(gamma, b, N, cap=ds.CAP_DEFAULT):
@@ -97,6 +100,26 @@ def _outcome(fn, *args):
     return r.witness, (r.distance.mid, r.distance.rad), r.guarantee, r.mode
 
 
+def _pigeonhole_against_two_branch(gamma, b, N) -> tuple[str, tuple]:
+    """Check pigeonhole_witness against pigeonhole_two_branch; return its
+    outcome and the name of the case: "same", "raised" (the same raise), or,
+    where the reference's frac of some repunit product raised before its
+    direct scan, "direct" (a repunit within the guarantee) or "undecided"
+    (the direct scan cannot decide the comparison with the guarantee)."""
+    want = _outcome(pigeonhole_two_branch, gamma, b, N)
+    got = _outcome(pigeonhole_witness, gamma, b, N)
+    if want[0] is IndeterminateComparison and "integer boundary" in want[1]:
+        guarantee = Fraction(1, ds.repunit_cap(b, N) + 1)
+        if got[0] is IndeterminateComparison:
+            assert got[1].endswith(f"<= {Real(guarantee)!r} straddles the error radius")
+            return "undecided", got
+        witness, (mid, rad), _, _ = got
+        assert witness in ds.repunits(b, N) and mid + rad <= guarantee
+        return "direct", got
+    assert got == want
+    return "raised" if isinstance(want[0], type) else "same", got
+
+
 def _random_gamma(rng, kind):
     q = rng.choice([rng.randint(2, 10**4), 1 << rng.randint(1, 64), rng.randint(2, 10**20)])
     mid = Fraction(rng.randint(-3 * q, 3 * q), q)
@@ -177,14 +200,47 @@ class TestOracleMin:
         assert want[0] is IndeterminateComparison
         assert _outcome(oracle_min, gamma, 2, 3) == want
 
+    @pytest.mark.parametrize("kind", ["exact", "enclosure"])
+    def test_matches_the_two_branch_oracle_on_ties_and_the_clamp(self, kind):
+        # ||gamma s|| = ||gamma s'|| for gamma = j/(s + s'), and ||gamma s|| at 1/2
+        rng = random.Random(13)
+        outcomes = Counter()
+        for _ in range(300):
+            b = rng.choice([2, 3, 5, 10])
+            count = rng.randint(2, 200)
+            s, s2 = sorted(ds.unrank(b, i) for i in rng.sample(range(1, count + 1), 2))
+            n, target = rng.choice([(s + s2, Fraction(0)), (s, Fraction(1, 2))])
+            gamma = gamma_near(rng, n, target, kind)
+            want = _outcome(oracle_two_branch, gamma, b, ds.unrank(b, count))
+            assert _outcome(oracle_min, gamma, b, ds.unrank(b, count)) == want
+            outcomes["raised" if isinstance(want[0], type) else "answered"] += 1
+        assert outcomes["answered"] > 50, outcomes
+        assert (outcomes["raised"] > 50) == (kind == "enclosure"), outcomes
+
     def test_enclosure_certifies_only_its_window(self, monkeypatch):
         import radixapprox.approx as approx
 
         calls = []
-        read = approx.dist_of_multiple
-        monkeypatch.setattr(approx, "dist_of_multiple", lambda g, n: calls.append(n) or read(g, n))
+        read = approx.dist_ends_of_multiple
+        monkeypatch.setattr(approx, "dist_ends_of_multiple", lambda g, n: calls.append(n) or read(g, n))
         r = oracle_min(Real.parse("sqrt2", 128), 2, 2**14 - 1)
         assert (r.witness, r.mode, calls) == (13860, "approximate", [13860])
+
+    def test_certify_builds_one_real_for_any_number_of_candidates(self, monkeypatch):
+        import radixapprox.approx as approx
+
+        # sqrt2@64 over D_10: 1 candidate up to 10^12, 23 up to 10^15, one winner
+        gamma = Real.parse("sqrt2", 64)
+        calls = []
+        read = approx.dist_ends_of_multiple
+        monkeypatch.setattr(approx, "dist_ends_of_multiple", lambda g, n: calls.append(n) or read(g, n))
+        reads, builds = [], []
+        for N in (10**12, 10**15):
+            calls.clear()
+            assert oracle_min(gamma, 10, N).witness == 111100011000
+            reads.append(len(calls))
+            builds.append(count_builds(monkeypatch, oracle_min, gamma, 10, N))
+        assert reads == [1, 23] and builds[0] == builds[1] and builds[0][1] == 1
 
 
 class TestPigeonhole:
@@ -241,32 +297,52 @@ class TestPigeonhole:
     @pytest.mark.parametrize("kind", ["exact", "enclosure"])
     def test_matches_the_two_branch_pigeonhole(self, kind):
         rng = random.Random(12)
-        raised = direct = undecided = 0
+        cases = Counter()
         for _ in range(1500):
             b = rng.choice([2, 3, 5, 10])
             gamma = _random_gamma(rng, kind)
             N = rng.choice([rng.randint(1, 10**6), rng.randint(1, 10**30)])
-            want = _outcome(pigeonhole_two_branch, gamma, b, N)
-            got = _outcome(pigeonhole_witness, gamma, b, N)
-            if want[0] is IndeterminateComparison and "integer boundary" in want[1]:
-                # frac of some repunit product raised before the direct scan;
-                # now the direct scan runs first, returns a repunit within the
-                # guarantee or cannot decide the comparison with it
-                guarantee = Fraction(1, ds.repunit_cap(b, N) + 1)
-                if got[0] is IndeterminateComparison:
-                    assert got[1].endswith(f"<= {Real(guarantee)!r} straddles the error radius")
-                    undecided += 1
-                else:
-                    witness, (mid, rad), _, _ = got
-                    assert witness in ds.repunits(b, N) and mid + rad <= guarantee
-                    direct += 1
-                continue
-            assert got == want
-            raised += isinstance(want[0], type)
+            cases[_pigeonhole_against_two_branch(gamma, b, N)[0]] += 1
         if kind == "exact":
-            assert raised == direct == undecided == 0
+            assert set(cases) == {"same"}
         else:
-            assert raised > 0 and direct > 100 and undecided > 100
+            assert cases["raised"] > 0 and cases["direct"] > 100 and cases["undecided"] > 100
+
+    @pytest.mark.parametrize("kind", ["exact", "enclosure"])
+    def test_matches_the_two_branch_pigeonhole_at_the_bounds(self, kind):
+        # {gamma u} for a repunit u at the guarantee 1/(t+1), at a bin
+        # boundary h/(t+1) or at 1/2
+        rng = random.Random(14)
+        cases, messages = Counter(), Counter()
+        for _ in range(1500):
+            b = rng.choice([2, 3, 5, 10])
+            N = rng.choice([rng.randint(1, 10**6), rng.randint(1, 10**30)])
+            t = ds.repunit_cap(b, N)
+            target = rng.choice([Fraction(1, t + 1), Fraction(rng.randint(1, t), t + 1), Fraction(1, 2)])
+            gamma = gamma_near(rng, rng.choice(ds.repunits(b, N)), target, kind)
+            case, got = _pigeonhole_against_two_branch(gamma, b, N)
+            cases[case] += 1
+            if got[0] is IndeterminateComparison:
+                messages["bin" if got[1].startswith("bin membership") else "guarantee"] += 1
+        assert cases["same"] > 500, cases
+        if kind == "exact":
+            assert set(cases) == {"same"}
+        else:
+            assert min(messages["bin"], messages["guarantee"]) > 20, messages
+
+    # sqrt2@128 collides after reading all 3 and all 25 repunits in base 3,
+    # and meets the guarantee at the 6th and the 20th repunit in base 2
+    @pytest.mark.parametrize("b, Ns, reads", [(3, (13, (3**25 - 1) // 2), (3, 25)),
+                                              (2, (2**10, 2**40), (6, 20))])
+    def test_builds_one_real_for_any_number_of_repunits(self, b, Ns, reads, monkeypatch):
+        gamma = Real.parse("sqrt2", 128)
+        builds = []
+        for N, read in zip(Ns, reads):
+            reps = ds.repunits(b, N)
+            w = pigeonhole_witness(gamma, b, N).witness
+            assert (len(reps) if w not in reps else reps.index(w) + 1) == read
+            builds.append(count_builds(monkeypatch, pigeonhole_witness, gamma, b, N))
+        assert builds[0] == builds[1] and builds[0][1] == 1
 
     # (gamma, b, N, witness, distance): a repunit within the guarantee, and
     # first collisions at the repunit pairs (1, 7) in base 2 and (4, 13) in base 3

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import radixapprox.digitsets as ds
 from radixapprox.diffsets import (
     anchored_cap,
-    assert_zero_sum_guarantee,
     max_difference_set,
     positive_differences,
     zero_sum_subset,
@@ -170,5 +169,5 @@ class TestZeroSum:
             if need > k:
                 continue
             residues = rng.sample(range(k), need)
-            out = assert_zero_sum_guarantee(k, residues)
+            out = zero_sum_subset(k, residues)
             assert out is not None and sum(out) % k == 0

@@ -15,9 +15,11 @@ from radixapprox.exact import (
     cos_bound_margin,
     dist_exact,
     dist_ends_of_multiple,
+    dist_le_of_multiple,
     dist_of_multiple,
     dist_to_nearest_int,
     frac,
+    frac_ends_of_multiple,
     frac_of_multiple,
     iv_precision,
     iv_to_real,
@@ -355,6 +357,40 @@ class TestMultipleReadings:
             exact_cases += want.is_exact
         assert clamped > 300 and exact_cases > 500
 
+    def test_integer_frac_ends_match_frac_of_the_product(self):
+        raised = exact_cases = 0
+        for gamma, n in _multiple_cases(13, 3000):
+            want = _reading(lambda: frac(gamma * n))
+            try:
+                lo, hi = frac_ends_of_multiple(gamma, n)
+            except IndeterminateComparison as exc:
+                assert (type(exc), str(exc)) == want
+                raised += 1
+                continue
+            assert lo[1] == hi[1] == gamma.mid.denominator * gamma.rad.denominator
+            f = frac(gamma * n)
+            assert (Fraction(*lo), Fraction(*hi)) == (f.lo, f.hi)
+            exact_cases += f.is_exact
+        assert 400 < raised < 2500 and exact_cases > 400
+
+    def test_distance_against_a_bound_is_the_real_comparison(self):
+        # bounds at random, at either end of the reading (touching) and
+        # between them (straddling), 1/2 and 0
+        rng = random.Random(14)
+        tally = {True: 0, False: 0, None: 0}
+        for gamma, n in _multiple_cases(15, 3000):
+            d = dist_to_nearest_int(gamma * n)
+            for bound in (Fraction(rng.randint(0, 10**6), 10**6), d.lo, d.hi, d.mid,
+                          Fraction(1, 2), Fraction(0)):
+                got = dist_le_of_multiple(gamma, n, bound)
+                try:
+                    want = d <= Real(bound)
+                except IndeterminateComparison:
+                    want = None
+                assert got is want
+                tally[got] += 1
+        assert min(tally.values()) > 1000, tally
+
     def test_exact_ends_are_the_midpoint(self):
         x = Real.exact(Fraction(3, 7))
         assert x.lo is x.mid and x.hi is x.mid
@@ -378,6 +414,22 @@ def parent_dist_to_nearest_int(x: Real) -> Real:
     if not x.rad:
         return Real(w)
     return Real.from_interval(max(Fraction(0), w - x.rad), min(Fraction(1, 2), w + x.rad))
+
+
+def gamma_near(rng, n: int, target: Fraction, kind: str) -> Real:
+    """gamma with ||gamma n|| at target.  An "exact" gamma reads target
+    exactly.  An "enclosure" is a named constant at 64 to 256 bits a fifth
+    of the time; otherwise it has radius 2^-64 to 2^-256 and a midpoint that
+    reads within n * rad of target, so the ends of ||gamma n|| straddle it
+    or, a third of the time, touch it (and clamp at 1/2 for target 1/2)."""
+    mid = Fraction(rng.randint(-3 * n, 3 * n) + rng.choice([1, -1]) * target, n)
+    if kind == "exact":
+        return Real(mid)
+    if rng.random() < 0.2:
+        return Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.randint(64, 256))
+    rad = Fraction(1, 1 << rng.randint(64, 256))
+    shift = rng.choice([Fraction(rng.randint(-999, 999), 1000), Fraction(rng.choice([1, -1]))])
+    return Real(mid + rad * shift, rad)
 
 
 def _scalar_cases(seed, count):

@@ -13,11 +13,13 @@ import pytest
 
 from radixapprox import digitsets as ds
 from radixapprox import expsum
-from radixapprox._kernels import MOD_LIMIT, cos_sin_sum, first_close, subset_residues, term_rows
+from radixapprox._kernels import (MOD_LIMIT, cos_sin_sum, digit_scan_close, first_close, subset_residues,
+                                  term_rows)
 from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import (DomainError, HypothesisViolation, IndeterminateComparison,
                                InvariantViolation)
-from radixapprox.exact import Real, dist_exact, dist_to_nearest_int, mpf_to_fraction
+from radixapprox.exact import (Real, dist_exact, dist_of_multiple, dist_to_nearest_int, mpf_to_fraction,
+                               power_residues)
 from radixapprox.expsum import (
     _FACTOR_HI,
     _FACTOR_LO,
@@ -38,7 +40,7 @@ from radixapprox.expsum import (
     sin_pi_bounds,
     small_shift_count,
 )
-from test_exact import parent_dist_to_nearest_int
+from test_exact import gamma_near, parent_dist_to_nearest_int
 
 E = lambda *a: Real.exact(Fraction(*a))
 
@@ -296,6 +298,20 @@ def separation_two_branch(b, r, beta, gamma):
     return SeparationReport(True, None, b, r, beta)
 
 
+def separation_merge_parent(b, r, beta, gamma):
+    """separation_check as its merge loop was written before it compared
+    integer ends: one Real distance and one Real comparison per element."""
+    count = (1 << (r + 1)) - 1
+    Q, add_mod = power_residues(gamma, 1, b, r + 1)
+    window = beta + unrank(b, count) * gamma.rad
+    hits = digit_scan_close(add_mod, count, Q, window.numerator, window.denominator)
+    beta_r = Real(beta)
+    for x in heapq.merge((unrank(b, i) for i in hits), power_gaps(b, r)):
+        if not (dist_of_multiple(gamma, x) > beta_r):
+            return SeparationReport(False, x, b, r, beta)
+    return SeparationReport(True, None, b, r, beta)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -413,6 +429,30 @@ class TestSeparation:
         counts = [outcomes.count(k) for k in (True, False, IndeterminateComparison)]
         assert min(counts) >= 5, counts
 
+    @pytest.mark.parametrize("kind", ["exact", "enclosure"])
+    def test_matches_the_parent_merge_loop_at_beta_and_the_clamp(self, kind):
+        # ||gamma x|| at beta or at 1/2 for an element x of the extended set
+        rng = random.Random(26)
+        outcomes = Counter()
+        for _ in range(600):
+            b, r = rng.choice([2, 3, 5, 10]), rng.randint(0, 7)
+            beta = Fraction(1, rng.randint(2, 2 * b**3))
+            x = rng.choice(extended_trunc(b, r)[:6])
+            gamma = gamma_near(rng, x, rng.choice([beta, Fraction(1, 2)]), kind)
+            want = _outcome(separation_merge_parent, b, r, beta, gamma)
+            assert _outcome(separation_check, b, r, beta, gamma) == want
+            outcomes[want[0] if isinstance(want, tuple) else want.ok] += 1
+        assert min(outcomes[k] for k in (True, False)) > 30, outcomes
+        assert (outcomes[IndeterminateComparison] > 50) == (kind == "enclosure"), outcomes
+
+    @pytest.mark.parametrize("gamma", [E(314159265358, 1099511627689), Real.parse("sqrt2", 128)])
+    def test_builds_no_real_per_scanned_element(self, gamma, monkeypatch):
+        # a passing check reads every power gap: 3 at r = 2, 105 at r = 14
+        beta = Fraction(1, 10**6)
+        assert all(separation_check(2, r, beta, gamma).ok for r in (2, 14))
+        few, many = (count_builds(monkeypatch, separation_check, 2, r, beta, gamma) for r in (2, 14))
+        assert few == many and few[1] == 0
+
     def test_window_reaches_the_largest_truncated_element(self):
         # ||7 gamma|| reads 107/1000 = beta + 7 rad, so its enclosure touches beta;
         # the elements 1..6 and the power gaps certainly pass
@@ -459,16 +499,25 @@ class TestSmallShifts:
             beta = Fraction(1, rng.randint(2, 40))
             q = rng.randint(2, 10**6)
             mid = Fraction(rng.randint(-5 * q, 5 * q), q)
-            if i % 3 == 0:
+            if i % 4 == 0:
                 gamma = Real(mid)
-            elif i % 3 == 1:
+            elif i % 4 == 1:
                 gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.choice([64, 128, 256]))
-            else:
+            elif i % 4 == 2:
                 gamma = Real(mid, Fraction(1, rng.randint(10, 10 ** rng.randint(2, 12))))
+            else:  # ||k b^d gamma|| at beta or at 1/2 for one position d
+                n, target = k * b ** rng.randint(0, r), rng.choice([beta, Fraction(1, 2)])
+                gamma = gamma_near(rng, n, target, rng.choice(["exact", "enclosure"]))
             want = _outcome(shifts_per_position, b, r, k, gamma, beta, outcomes)
             rep = _outcome(small_shift_count, b, r, k, gamma, beta)
             assert (rep if isinstance(rep, tuple) else (rep.g, rep.positions)) == want
         assert min(outcomes["close"], outcomes["far"], outcomes["indeterminate"]) > 100, outcomes
+
+    def test_builds_no_real_per_position(self, monkeypatch):
+        gamma = Real.parse("sqrt2", 128)
+        few, many = (count_builds(monkeypatch, small_shift_count, 2, r, 3, gamma, Fraction(1, 10))
+                     for r in (2, 14))
+        assert few == many and few[1] == 0
 
     def test_bound_under_separation(self):
         rng = random.Random(23)
