@@ -36,6 +36,9 @@ compare ||gamma n|| with a bound on integer ends: the pigeonhole reads all
 separation check passes, so its merge reads every window hit and all 105
 power gaps at r=14; each at sqrt2@128 and at the exact
 1254027132096/886731088897, within 10^-24 of sqrt2.
+The compute_constants cases time the certified scan of the depth
+coefficient H in mpmath intervals at the CLI's default 128 bits: b=2 stops
+at scale 6, b=3 at 4 and b=10 at 2.
 """
 import argparse
 import time
@@ -53,6 +56,7 @@ from radixapprox.discrepancy import (
     fractional_orbit,
 )
 from radixapprox.approx import pigeonhole_witness
+from radixapprox.constants import compute_constants
 from radixapprox.expsum import eval_expsum, separation_check
 
 
@@ -135,6 +139,9 @@ def cases():
             gamma, 3, (3**25 - 1) // 2)
         yield f"separation_check (b=2, r=14, beta=1e-6, gamma={label})", separation_check, (
             2, 14, Fraction(1, 10**6), gamma)
+
+    for b in (2, 3, 10):
+        yield f"compute_constants (b={b}, 128 bits)", compute_constants, (b, 128)
 
     xs = np.linspace(-2.0, 2.0, 400_000)
     yield "cos_margin_values (4e5 points)", K.cos_margin_values, (xs,)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import decimal
 import functools
 import io
 import json
@@ -211,19 +212,8 @@ def _approx(frac_str: str) -> str:
         f = math.inf
     if not x or sys.float_info.min <= abs(f) < math.inf:
         return f"{f:.12g}"
-    sign, x = "-" if x < 0 else "", abs(x)
-    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
-    while True:  # e = floor(log10(x)) after rounding to 12 digits
-        m = round(x * Fraction(10) ** (11 - e))
-        if m >= 10**12:
-            e += 1
-        elif m < 10**11:
-            e -= 1
-        else:
-            break
-    digits = str(m).rstrip("0")
-    point = "." + digits[1:] if digits[1:] else ""
-    return f"{sign}{digits[0]}{point}e{e:+03d}"
+    with decimal.localcontext(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN):
+        return f"{(decimal.Decimal(x.numerator) / x.denominator).normalize():g}"
 
 
 def _human_scalar(v: Any) -> str:

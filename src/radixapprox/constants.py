@@ -10,13 +10,19 @@ The chain, all per base b:
   deep a truncation can stay fully separated at scale m;
 * window coefficient J = 2*H.
 
-All are certified enclosures (mpmath interval arithmetic); the scan for H
-stops with a proof that the tail is below the running maximum, and the
-stopping scale is recorded.  The resulting bound for the minimum of
-||gamma n|| over the zero-one integers is b*J^2/(2*t^2) * (b-1) with t the
-largest repunit exponent under N; J is so large that the bound only says
-something for astronomically large N, and the report says "vacuous"
-whenever it carries no information.
+All are certified enclosures (mpmath interval arithmetic).  The scan for H
+writes the m-th term as 3*sqrt(8) + (2*m^2*L - 1)/sqrt(b^m), L = log_U(256*C*b),
+evaluates 3*sqrt(8) and each sqrt(b^m) once, and keeps the running maximum
+an interval.  Once m^2/b^(m/2) decreases, it stops when the tail bound
+3*sqrt(8) + 2*L*(m+1)^2/sqrt(b^(m+1)) is below that maximum, records the
+stopping scale, and only then makes the maximum a Real.  A base whose U is
+not certified above 1 at the working precision (about 2*log2(b) + 3 bits)
+is indeterminate.
+
+The resulting bound for the minimum of ||gamma n|| over the zero-one
+integers is b*J^2/(2*t^2) * (b-1) with t the largest repunit exponent under
+N; J is so large that the bound only says something for astronomically
+large N, and the report says "vacuous" whenever it carries no information.
 """
 from __future__ import annotations
 
@@ -26,9 +32,7 @@ from typing import Optional
 
 from .digitsets import check_base, repunit_cap
 from .errors import DomainError, IndeterminateComparison, InvariantViolation
-from .exact import Real, iv_from_fractions, iv_precision, iv_to_real
-
-DEFAULT_PRECISION = 96
+from .exact import DEFAULT_PRECISION, Real, iv_from_fractions, iv_precision, iv_to_real
 
 _SCAN_HARD_CAP = 500
 
@@ -54,10 +58,6 @@ class ApproxBound:
     zero_one_bound: Optional[Real]  # (b-1) times that, via the transfer step
 
 
-def _interval_max(a: Real, b_: Real) -> Real:
-    return Real.from_interval(max(a.lo, b_.lo), max(a.hi, b_.hi))
-
-
 def _decreasing_from(b: int) -> int:
     # smallest m with (m+1)^4 < b * m^4; beyond it m^2 / b^(m/2) decreases
     m = 1
@@ -72,37 +72,37 @@ def compute_constants(b: int, precision_bits: int = DEFAULT_PRECISION) -> Consta
     with iv_precision(precision_bits) as iv:
         four_b2 = iv.mpf(4 * b * b)
         U = four_b2 / (four_b2 - iv.pi)
+        if not U.a > 1:
+            # 2*bit_length(b) + 3 bits keep the rounding of U below pi/(4b^2)
+            raise IndeterminateComparison(
+                f"contraction base 4b^2/(4b^2 - pi) at b={b} is not certified above 1 at "
+                f"{precision_bits} bits; {2 * b.bit_length() + 3} bits decide it"
+            )
         C = 2 + 2 / iv.pi
         log_term = iv.log(256 * C * b) / iv.log(U)
+        three_root8 = 3 * iv.sqrt(8)
 
-        best: Optional[Real] = None
         m_dec = _decreasing_from(b)
         m = 1
+        best = three_root8 + (2 * log_term - 1) / iv.sqrt(iv.mpf(b))
         while True:
-            root = iv.sqrt(iv.mpf(b**m))
-            term = iv_to_real((3 * iv.sqrt(iv.mpf(8 * b**m)) + 2 * m * m * log_term - 1) / root)
-            best = term if best is None else _interval_max(best, term)
-            if m >= m_dec:
-                g = iv_to_real(
-                    (2 * log_term * (m + 1) ** 2 + 3 * iv.sqrt(iv.mpf(8)) * iv.sqrt(iv.mpf(b ** (m + 1))))
-                    / iv.sqrt(iv.mpf(b ** (m + 1)))
-                )
-                if g.hi < best.lo:
-                    break
+            root = iv.sqrt(iv.mpf(b ** (m + 1)))  # the tail's and the next term's
+            if m >= m_dec and (three_root8 + 2 * log_term * (m + 1) ** 2 / root).b < best.a:
+                break
             m += 1
             if m > _SCAN_HARD_CAP:
                 raise InvariantViolation(
                     f"depth-coefficient scan failed to certify a maximum by m={m}"
                 )
-        u_enc = iv_to_real(U)
-        if not u_enc.lo > 1:
-            raise InvariantViolation(f"contraction base enclosure {u_enc!r} not above 1")
+            term = three_root8 + (2 * m * m * log_term - 1) / root
+            best = iv.mpf([max(best.a, term.a), max(best.b, term.b)])
+        depth = iv_to_real(best)
         return ConstantSet(
             b=b,
-            contraction_base=u_enc,
+            contraction_base=iv_to_real(U),
             et_constant=iv_to_real(C),
-            depth_coeff=best,
-            window_coeff=best * 2,
+            depth_coeff=depth,
+            window_coeff=depth * 2,
             scan_depth=m,
         )
 

@@ -16,7 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radixapprox.cli as cli
@@ -286,6 +286,10 @@ class TestOtherSubcommands:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10**25), st.integers(309, 1200) | st.integers(-1200, -334),
            st.sampled_from([1, -1]))
+    @example(1, 727, 1)  # an un-normalized quotient prints 1.00000000000e+727
+    @example(1000000000005, 400, 1)  # a half-way tie, to even: 1e+412
+    @example(1000000000015, 400, -1)  # a half-way tie, to even: -1.00000000002e+412
+    @example(9999999999994, -473, 1)  # just below a power of ten: 9.99999999999e-461
     def test_approx_outside_the_float_range_is_decimal_rounding(self, m, e, sign):
         # x = sign * m * 10^e lies outside the normal doubles; Decimal holds it
         # exactly and rounds it half to even, as "%.12g" rounds a float
@@ -344,6 +348,25 @@ class TestExitCodes:
             main(argv)
         assert err.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, needed", [
+        (["--base", "100000000000", "--precision-bits", "64"], 77),
+        (["--base", "10000000000000000000000"], 151),
+    ], ids=["10^11@64", "10^22@128"])
+    def test_a_base_beyond_the_precision_is_indeterminate(self, capsys, argv, needed):
+        started = time.perf_counter()
+        code, out, err = run_cli(["constants", *argv], capsys)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (4, "")
+        assert err.startswith("indeterminate: contraction base") and f"{needed} bits decide it" in err
+        code, _, err = run_cli(["constants", "--base", argv[1], "--precision-bits", str(needed)],
+                               capsys)
+        assert (code, err) == (0, "")
+
+    def test_a_large_base_within_the_precision_answers(self, capsys):
+        code, _, err = run_cli(["constants", "--base", "1000000000", "--precision-bits", "64"],
+                               capsys)
+        assert (code, err) == (0, "")
 
     def test_resource_limit_via_config_env(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"

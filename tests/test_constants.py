@@ -1,10 +1,55 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from radixapprox import constants
 from radixapprox.constants import ApproxBound, approximation_bound, compute_constants
-from radixapprox.errors import DomainError
+from radixapprox.errors import DomainError, IndeterminateComparison, InvariantViolation
+from radixapprox.exact import Real, iv_precision, iv_to_real, mpf_to_fraction
+
+
+def _reference_constants(b, precision_bits):
+    """The scan before 3*sqrt(8) was folded out of each term: one Real per
+    term and per tail bound, and a Real running maximum; returns
+    (U, C, H, scan_depth)."""
+    with iv_precision(precision_bits) as iv:
+        four_b2 = iv.mpf(4 * b * b)
+        U = four_b2 / (four_b2 - iv.pi)
+        C = 2 + 2 / iv.pi
+        log_term = iv.log(256 * C * b) / iv.log(U)
+
+        best = None
+        m_dec = constants._decreasing_from(b)
+        m = 1
+        while True:
+            root = iv.sqrt(iv.mpf(b**m))
+            term = iv_to_real((3 * iv.sqrt(iv.mpf(8 * b**m)) + 2 * m * m * log_term - 1) / root)
+            best = term if best is None else Real.from_interval(
+                max(best.lo, term.lo), max(best.hi, term.hi))
+            if m >= m_dec:
+                g = iv_to_real(
+                    (2 * log_term * (m + 1) ** 2 + 3 * iv.sqrt(iv.mpf(8)) * iv.sqrt(iv.mpf(b ** (m + 1))))
+                    / iv.sqrt(iv.mpf(b ** (m + 1)))
+                )
+                if g.hi < best.lo:
+                    break
+            m += 1
+            if m > constants._SCAN_HARD_CAP:
+                raise InvariantViolation(f"reference scan failed to certify a maximum by m={m}")
+        return iv_to_real(U), iv_to_real(C), best, m
+
+
+def _depth_max(b, m_end, bits):
+    """max of H's terms over 1 <= m < m_end in plain mpmath, as the
+    benchmark's validator recomputes it (at 200 bits, for 128-bit reports)."""
+    with mpmath.workprec(bits):
+        pi = +mpmath.pi
+        log_term = mpmath.log(256 * (2 + 2 / pi) * b) / mpmath.log(4 * b * b / (4 * b * b - pi))
+        H = max((3 * mpmath.sqrt(8 * mpmath.mpf(b) ** m) + 2 * m * m * log_term - 1)
+                / mpmath.sqrt(mpmath.mpf(b) ** m) for m in range(1, m_end))
+        return mpf_to_fraction(H)
 
 
 class TestConstantSet:
@@ -21,7 +66,7 @@ class TestConstantSet:
 
     def test_depth_coefficient_base_two(self):
         cs = compute_constants(2)
-        # frozen from the certified scan; the enclosure is ~1e-26 wide
+        # frozen from the certified scan; at 128 bits the enclosure is ~1e-35 wide
         assert abs(float(cs.depth_coeff.mid) - 305.12658711709327) < 1e-9
         assert cs.depth_coeff.lo > 3 * math.sqrt(8)
         assert cs.window_coeff.mid == 2 * cs.depth_coeff.mid
@@ -40,6 +85,51 @@ class TestConstantSet:
         assert fine.depth_coeff.rad < rough.depth_coeff.rad
         assert rough.depth_coeff.lo <= fine.depth_coeff.hi
         assert fine.depth_coeff.lo <= rough.depth_coeff.hi
+
+    @pytest.mark.parametrize("bits", [64, 96, 128, 256, 1024, 4096])
+    def test_matches_the_reference_scan(self, bits):
+        for b in range(2, 41):
+            cs = compute_constants(b, bits)
+            U, C, H, depth = _reference_constants(b, bits)
+            assert cs.scan_depth == depth, b
+            assert (cs.contraction_base, cs.et_constant) == (U, C), b
+            assert cs.depth_coeff.lo <= H.hi and H.lo <= cs.depth_coeff.hi, b
+            # a point value is only inside if it is finer than the enclosure
+            h_max = _depth_max(b, 3 * depth + 20, max(200, bits + 64))
+            assert cs.depth_coeff.lo <= h_max <= cs.depth_coeff.hi, b
+            assert (cs.window_coeff.lo, cs.window_coeff.hi) == (
+                2 * cs.depth_coeff.lo, 2 * cs.depth_coeff.hi)
+
+    def test_builds_its_reals_once_whatever_the_scan_depth(self, monkeypatch):
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return iv_to_real(value)
+
+        monkeypatch.setattr(constants, "iv_to_real", spy)
+        counts = []
+        for b, depth in ((2, 6), (1000003, 1)):
+            calls.clear()
+            assert compute_constants(b).scan_depth == depth
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_a_scan_past_the_peak_keeps_the_peak(self, monkeypatch):
+        # the tail tests start where m^2/b^(m/2) decreases, at H's peak, and
+        # pass at once; starting them later (still sound) lets smaller terms in
+        monkeypatch.setattr(constants, "_decreasing_from", lambda b: 9)
+        cs = compute_constants(2)
+        assert cs.scan_depth == 9
+        assert cs.depth_coeff.lo <= _depth_max(2, 20, 200) <= cs.depth_coeff.hi
+
+    def test_the_named_precision_decides(self):
+        for k in range(8, 81):
+            for b in (2**k + 1, 2 ** (k + 1) - 1):
+                with pytest.raises(IndeterminateComparison) as err:
+                    compute_constants(b, 2 * k)
+                needed = int(str(err.value).split("; ")[1].split()[0])
+                assert compute_constants(b, needed).contraction_base.lo > 1, b
 
 
 class TestApproximationBound:
