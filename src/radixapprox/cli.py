@@ -212,8 +212,8 @@ def _approx(frac_str: str) -> str:
         f = math.inf
     if not x or sys.float_info.min <= abs(f) < math.inf:
         return f"{f:.12g}"
-    with decimal.localcontext(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN):
-        return f"{(decimal.Decimal(x.numerator) / x.denominator).normalize():g}"
+    ctx = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return f"{ctx.divide(x.numerator, x.denominator).normalize(ctx):g}"
 
 
 def _human_scalar(v: Any) -> str:

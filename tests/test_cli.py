@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import inspect
 import io
 import itertools
@@ -296,6 +297,12 @@ class TestOtherSubcommands:
         x = sign * m * Fraction(10) ** e
         want = re.sub(r"\.?0+e", "e", format(Decimal(sign * m).scaleb(e), ".11e"))
         assert cli._approx(f"{x.numerator}/{x.denominator}") == want
+
+    def test_approx_ignores_the_callers_decimal_context(self):
+        x = 1000000000005 * Fraction(10) ** 400  # a half-way tie
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding = 3, decimal.ROUND_UP
+            assert cli._approx(f"{x.numerator}/{x.denominator}") == "1e+412"
 
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(-1, 3), Fraction(2**1023),
                                    Fraction(1, 2**1022), Fraction(10**308 * 17, 10)])

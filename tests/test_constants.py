@@ -123,6 +123,18 @@ class TestConstantSet:
         assert cs.scan_depth == 9
         assert cs.depth_coeff.lo <= _depth_max(2, 20, 200) <= cs.depth_coeff.hi
 
+    def test_a_straddling_tail_bound_does_not_stop_the_scan(self):
+        # at the lowest precision that certifies U > 1, log_U(256*C*b) is
+        # wide and the first tail bounds straddle the running maximum's lower
+        # end; only a tail bound wholly below it may stop the scan
+        for b, bits in ((9, 9), (17, 11), (33, 13)):
+            with pytest.raises(IndeterminateComparison):
+                compute_constants(b, bits - 1)
+            cs = compute_constants(b, bits)
+            assert cs.scan_depth == _reference_constants(b, bits)[3] > 1, b
+            h_max = _depth_max(b, 3 * cs.scan_depth + 20, 200)
+            assert cs.depth_coeff.lo <= h_max <= cs.depth_coeff.hi, b
+
     def test_the_named_precision_decides(self):
         for k in range(8, 81):
             for b in (2**k + 1, 2 ** (k + 1) - 1):
