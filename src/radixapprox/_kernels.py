@@ -12,9 +12,13 @@ problem", JACM 21, 1974): for n <= count, k = bit_length(count) and
 s = k // 2, element n = h 2**s + l has the residue H[h] + L[l] mod M, L and
 H the ``subset_residues`` tables of the low s and the high k - s digits
 (``_half_tables``).  The scans sort L, look rows h up in it with
-``np.searchsorted`` and read only the rows it reports: O(2**(k/2) k) work
-in place of O(2**k).  Rows ascend and so does l within a row, so the first
-hit is the smallest n.  The direct trigonometric sums read the same tables
+``np.searchsorted`` and read only the rows it reports, through one row
+reader on an integer threshold (``_hits``): O(2**(k/2) k) work in place of
+O(2**k).  ``digit_scan_min`` looks up every row's minimum at once, and its
+hits read the rows within a slack of the least (the oracle's certify
+window); ``digit_scan_close`` looks rows up in doubling chunks, so a first
+hit stops early.  Rows ascend and so does l within a row, so the first hit
+is the smallest n.  The direct trigonometric sums read the same tables
 as unit vectors e(t/M), one cos and one sin per table entry, and form the
 term e(res_n/M) of every n as one complex product E_H[h] E_L[l], whole rows
 at a time (``term_rows``), for every modulus; for a small modulus the sums
@@ -162,15 +166,28 @@ def _dist(res: np.ndarray, modulus: int) -> np.ndarray:
     return np.minimum(res, modulus - res)
 
 
-def digit_scan_min(pow_mod, count: int, modulus: int):
-    """(min over n in [1, count] of min(res_n, M - res_n), first argmin n).
+def _hits(rows, tables, count: int, modulus: int, w: int):
+    """Yield, ascending, every n in the ascending rows h with
+    min(res_n, M - res_n) <= w, reading each row as it is pulled."""
+    s, L, H = tables
+    for h in rows:
+        lo, hi = _row(h, count, s)
+        for i in np.flatnonzero(_dist((L[lo:hi] + H[h]) % modulus, modulus) <= w):
+            yield (h << s) + lo + int(i)
+
+
+def digit_scan_min(pow_mod, count: int, modulus: int, *, num: int = 0, den: int = 1):
+    """(m, hits): m the minimum over n in [1, count] of min(res_n, M - res_n),
+    and hits a lazy ascending reader of every n in [1, count] within
+    w = m + num M // den of an integer multiple of M.
 
     res_n is the mod-M sum of pow_mod over the set bits of n.  The minimum
     of a full row h lies at one of the two circular neighbours of -H[h] mod
     M in the sorted L, so all full rows are read at once; row 0 and the top
-    row are read directly.  The first row reaching the global minimum wins,
-    then the first l in it: ties go to the smallest n.  Requires count >= 1
-    and len(pow_mod) >= bit_length(count); any modulus works.
+    row are read directly.  hits reads only the rows whose minimum is at
+    most w, each as it is pulled, so with num = 0 its first element is the
+    first argmin: ties go to the smallest n.  Requires count >= 1 and
+    len(pow_mod) >= bit_length(count); any modulus works.
     """
     s, L, H = _half_tables(pow_mod, count, modulus)
     low, high = np.sort(L), H[: (count >> s) + 1]
@@ -180,22 +197,16 @@ def digit_scan_min(pow_mod, count: int, modulus: int):
     for h in {0, count >> s}:
         lo, hi = _row(h, count, s)
         row_min[h] = _dist((L[lo:hi] + H[h]) % modulus, modulus).min(initial=modulus)
-    h = int(np.argmin(row_min))
-    lo, hi = _row(h, count, s)
-    return int(row_min[h]), (h << s) + lo + int(np.argmin(_dist((L[lo:hi] + H[h]) % modulus, modulus)))
+    m = int(row_min.min())
+    # any w >= M / 2 reads every n, and w <= M keeps the rows in int64
+    w = min(m + num * modulus // den, modulus)
+    return m, _hits(np.flatnonzero(row_min <= w).tolist(), (s, L, H), count, modulus, w)
 
 
-def digit_scan_min_sharded(pow_mod, count: int, modulus: int):
+def digit_scan_min_sharded(pow_mod, count: int, modulus: int, *, num: int = 0, den: int = 1):
     """digit_scan_min over [1, count] on one thread: the scan both searches
     call, a name of its own so that a trace tells it from digit_scan_min."""
-    return digit_scan_min(pow_mod, count, modulus)
-
-
-def close_indices(res: np.ndarray, modulus: int, num: int, den: int) -> np.ndarray:
-    """Every index i, ascending, with min(res[i], M - res[i]) / M <= num / den;
-    in int64 while modulus * max(num, den) < 2**62, on Python ints otherwise."""
-    dist = _int_array(_dist(res, modulus), modulus * max(num, den))
-    return np.flatnonzero(dist * den <= num * modulus)
+    return digit_scan_min(pow_mod, count, modulus, num=num, den=den)
 
 
 def digit_scan_close(pow_mod, count: int, modulus: int, num: int, den: int):
@@ -206,10 +217,10 @@ def digit_scan_close(pow_mod, count: int, modulus: int, num: int, den: int):
     [t - w, t + w], t = -H[h] mod M and w = num M // den.  The rows look
     their windows up in the sorted L in chunks of 1, 1, 2, 4, ... rows
     (every row holds one when 2w + 1 >= M), so a dense window stops at its
-    first hit, and close_indices scans only the rows that hold one,
-    ascending, as the caller pulls; each costs 2**s on top of the tables.
+    first hit, and only the rows that hold one are read, ascending, as the
+    caller pulls; each costs 2**s on top of the tables.
     """
-    s, L, H = _half_tables(pow_mod, count, modulus)
+    tables = s, L, H = _half_tables(pow_mod, count, modulus)
     # w <= M keeps -w - H within int64; any w >= M / 2 keeps every row
     w, top = min(num * modulus // den, modulus), count >> s
     low = np.sort(L)
@@ -220,16 +231,16 @@ def digit_scan_close(pow_mod, count: int, modulus: int, num: int, den: int):
         # first L at or circularly after lo does
         lo = (-w - H[rows]) % modulus
         rows = rows[(low[np.searchsorted(low, lo) % len(low)] - lo) % modulus <= 2 * w]
-        for h in rows.tolist():
-            lo, hi = _row(h, count, s)
-            for i in close_indices((L[lo:hi] + H[h]) % modulus, modulus, num, den):
-                yield (h << s) + lo + int(i)
+        yield from _hits(rows.tolist(), tables, count, modulus, w)
         start, stop = stop, 2 * stop
 
 
 def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> int:
-    """The first of close_indices(res, modulus, beta_num, beta_den), or -1."""
-    return int(next(iter(close_indices(res, modulus, beta_num, beta_den)), -1))
+    """The first index i with min(res[i], M - res[i]) / M <= beta_num /
+    beta_den, or -1; in int64 while modulus * max(beta_num, beta_den) <
+    2**62, on Python ints otherwise."""
+    dist = _int_array(_dist(res, modulus), modulus * max(beta_num, beta_den))
+    return int(next(iter(np.flatnonzero(dist * beta_den <= beta_num * modulus)), -1))
 
 
 def cos_sin_sum(theta: np.ndarray, weights=None):

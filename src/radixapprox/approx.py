@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digitsets as ds
-from ._kernels import digit_scan_close, digit_scan_min_sharded
+from ._kernels import digit_scan_min_sharded
 from .errors import DomainError, IndeterminateComparison, InvariantViolation
 from .exact import (
     Real,
@@ -55,14 +55,13 @@ def oracle_min(gamma: Real, b: int, N: int, *, cap: int = ds.CAP_DEFAULT) -> App
 
     # scan the residues of gamma.mid = M/Q; ||gamma n|| lies within n rad <=
     # V rad of its reading ||n M/Q||, V = unrank(b, count), so an element read
-    # above best/Q + 2 V rad can neither win nor overlap the winner.  With
-    # rad = 0 equal distances never overlap and the first argmin is smallest
+    # above the minimum plus 2 V rad can neither win nor overlap the winner.
+    # With rad = 0 equal distances never overlap and the first argmin is smallest
     count = ds.capped_count(b, N, cap)
     Q, pow_mod = power_residues(gamma, 1, b, count.bit_length())
-    best, idx = digit_scan_min_sharded(pow_mod, count, Q)
-    window = Fraction(best, Q) + 2 * ds.unrank(b, count) * gamma.rad
-    close = digit_scan_close(pow_mod, count, Q, window.numerator, window.denominator)
-    elems = [ds.unrank(b, i) for i in (close if gamma.rad else [idx])]
+    slack = 2 * ds.unrank(b, count) * gamma.rad
+    _, hits = digit_scan_min_sharded(pow_mod, count, Q, num=slack.numerator, den=slack.denominator)
+    elems = [ds.unrank(b, i) for i in (hits if gamma.rad else [next(hits)])]
     mode = "exact" if gamma.is_exact else "approximate"
     # every end over the common denominator 2 Q D, gamma.rad = R/D
     common = 2 * Q * gamma.rad.denominator

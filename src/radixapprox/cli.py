@@ -278,6 +278,8 @@ def _cmd_diffset(args, cfg: RunConfig):
     if args.method == "differences":
         return {"b": args.base, "N": N, "set_size": len(S),
                 "differences": sorted(positive_differences(S))}
+    if N < 1:
+        raise DomainError(f"need N >= 1, got {N}")
     cap = anchored_cap(args.base, N) if args.base >= 3 else None
     rep = max_difference_set(S, args.method, node_budget=cfg.node_budget, bound=cap)
     return {**vars(rep), "b": args.base, "N": N}

@@ -213,9 +213,13 @@ class SeparationReport:
     beta: Fraction
 
 
+@functools.lru_cache(maxsize=1)
 def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationReport:
     """Check ||gamma * x|| > beta for every nonzero x in the extended
-    truncated set; on failure report the least violating x."""
+    truncated set; on failure report the least violating x.
+
+    The last verdict is kept: small_shift_count checks again the
+    (b, r, beta, gamma) its caller has usually just checked, and scans once."""
     ds.check_base(b)
     if r < 0:
         raise DomainError(f"need r >= 0, got {r}")

@@ -30,7 +30,8 @@ def oracle_two_branch(gamma, b, N, cap=ds.CAP_DEFAULT):
         p = gamma.mid.numerator % q
         count = ds.capped_count(b, N, cap)
         pow_mod = [(p * pow(b, d, q)) % q for d in range(count.bit_length())]
-        num, idx = digit_scan_min(pow_mod, count, q)
+        num, hits = digit_scan_min(pow_mod, count, q)
+        idx = next(hits)
         return ApproxResult(ds.unrank(b, idx), Real(Fraction(num, q)), spec, None, "exact")
     elems = list(ds.iter_spec_upto(b, N, cap=cap))
     dists = [dist_to_nearest_int(gamma * s) for s in elems]
@@ -225,6 +226,26 @@ class TestOracleMin:
         monkeypatch.setattr(approx, "dist_ends_of_multiple", lambda g, n: calls.append(n) or read(g, n))
         r = oracle_min(Real.parse("sqrt2", 128), 2, 2**14 - 1)
         assert (r.witness, r.mode, calls) == (13860, "approximate", [13860])
+
+    @pytest.mark.parametrize("gamma", [Real(Fraction(355, 113)), Real.parse("sqrt2", 128)],
+                             ids=["exact", "sqrt2@128"])
+    def test_one_table_build_per_query(self, gamma, monkeypatch):
+        from radixapprox import _kernels
+
+        built, tables = [], _kernels._half_tables
+        monkeypatch.setattr(_kernels, "_half_tables", lambda *a: built.append(a) or tables(*a))
+        oracle_min(gamma, 2, 2**14 - 1)
+        assert len(built) == 1
+
+    def test_window_edge_keeps_an_overlapping_candidate(self):
+        # Q = 666 and 2 V rad Q = 2 * 10 * 97/1000 = 1.94: the window reads one
+        # residue past the minimum, where 10 overlaps the winner 3; a window
+        # one residue narrower would certify 3 alone
+        gamma = Real(Fraction(461, 666), Fraction(97, 666000))
+        with pytest.raises(IndeterminateComparison, match="^cannot certify the minimizer: "
+                           "candidates 3 and 10 have overlapping distance enclosures$"):
+            oracle_min(gamma, 2, 10)
+        assert _outcome(oracle_two_branch, gamma, 2, 10)[0] is IndeterminateComparison
 
     def test_certify_builds_one_real_for_any_number_of_candidates(self, monkeypatch):
         import radixapprox.approx as approx

@@ -241,6 +241,22 @@ class TestOtherSubcommands:
         assert all(len(v) < 50 for k in ("product_magnitude", "product_bound")
                    for v in rep[k].values())
 
+    def test_expsum_shifts_scans_the_separation_once(self, capsys, monkeypatch):
+        # gamma = 0: all six positions are close, g = 6 >= 3 sqrt(1), so
+        # small_shift_count checks the separation its caller just checked
+        from radixapprox import _kernels, expsum
+
+        built, tables = [], _kernels._half_tables
+        monkeypatch.setattr(_kernels, "_half_tables", lambda *a: built.append(a) or tables(*a))
+        expsum.separation_check.cache_clear()
+        code, out, err = run_cli(["expsum", "--method", "shifts", "--base", "2", "--r", "5",
+                                  "--k", "1", "--beta", "1/8", "--gamma", "0", "--format", "json"],
+                                 capsys)
+        assert code == 0, err
+        rep = json.loads(out)["report"]
+        assert rep["separation"]["counterexample"] == 1 and rep["shifts"]["g"] == 6
+        assert len(built) == 1
+
     def test_expsum_shifts(self, capsys):
         code, out, _ = run_cli(
             ["expsum", "--base", "3", "--r", "2", "--k", "1", "--beta", "1/10",
@@ -394,6 +410,17 @@ class TestExitCodes:
     def test_r_above_the_cap_is_a_resource_limit(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
         assert code == 3 and "exceeds the term cap r <= 26" in err
+
+    @pytest.mark.parametrize("base", ["2", "3"])
+    def test_diffset_names_a_limit_below_one(self, capsys, base):
+        for method in ("anchored", "within"):
+            with pytest.raises(SystemExit) as exc:
+                main(["diffset", "--base", base, "--limit", "0", "--method", method])
+            assert exc.value.code == 1
+            assert capsys.readouterr().err == "error: need N >= 1, got 0\n"
+        code, out, _ = run_cli(["diffset", "--base", base, "--limit", "0", "--method", "differences",
+                                "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["report"]["differences"] == []
 
     def test_discrepancy_orbit_is_capped_via_config_env(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"

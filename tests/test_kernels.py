@@ -4,6 +4,8 @@ where the kernels switch between int64 and Python-int arithmetic."""
 import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -87,13 +89,19 @@ def ref_first_close(res, modulus, num, den):
     return -1
 
 
+def scan_min(pow_mod, count, modulus):
+    """digit_scan_min's minimum and its first hit, the first argmin."""
+    m, hits = K.digit_scan_min(pow_mod, count, modulus)
+    return m, next(hits)
+
+
 def test_digit_scan_min(as_array):
     rng = random.Random(5)
     for _ in range(25):
         modulus = rng.randint(2, 10**6)
         count = rng.randint(1, 3000)
         pow_mod = [rng.randrange(modulus) for _ in range(count.bit_length())]
-        got = K.digit_scan_min(as_array(pow_mod), count, modulus)
+        got = scan_min(as_array(pow_mod), count, modulus)
         assert got == ref_digit_scan(pow_mod, count, modulus)
 
 
@@ -106,8 +114,9 @@ def test_digit_scan_min_range_and_shards(as_array):
     # the first argmin, n = 228, lies in the full row 3 of rows 0..78 at
     # count 5000 and in the partial top row 14 (l <= 6) at count 230
     for top in (count, 230):
-        assert K.digit_scan_min(arr, top, modulus) == ref_digit_scan(pow_mod, top, modulus) == (0, 228)
-    assert K.digit_scan_min_sharded(arr, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
+        assert scan_min(arr, top, modulus) == ref_digit_scan(pow_mod, top, modulus) == (0, 228)
+    m, hits = K.digit_scan_min_sharded(arr, count, modulus)
+    assert (m, next(hits)) == ref_digit_scan(pow_mod, count, modulus)
 
 
 def test_subset_residues(as_array):
@@ -323,21 +332,21 @@ def test_digit_scan_min_at_the_modulus_limit(modulus):
     rng = random.Random(modulus)
     for count in (1, 1023, 1024, 3000):
         pow_mod = [rng.randrange(modulus) for _ in range(count.bit_length())]
-        assert K.digit_scan_min(pow_mod, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
+        assert scan_min(pow_mod, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
     # every n with the same popcount ties; the smallest index must win.  The
     # first tie, n = 7, lies in row 0 at count 4000 and in the full row 1 of
     # rows 0..2 at count 8
     pow_mod = [modulus // 3] * 12
     for count in (4000, 8):
-        assert K.digit_scan_min(pow_mod, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
+        assert scan_min(pow_mod, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
     # six low digits of modulus // 7 keep every n with a low bit set at least
     # modulus / 22 away, so the ties are the n = 2^6 m with popcount(m) = 3:
     # the first, 448, lies in the full row 7 of rows 0..62 at count 4000 and
     # in the partial top row 28 (l <= 5) at count 453
     pow_mod = [modulus // 7] * 6 + [modulus // 3] * 6
     for count in (4000, 453):
-        assert K.digit_scan_min(pow_mod, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
-        assert K.digit_scan_min(pow_mod, count, modulus)[1] == 448
+        assert scan_min(pow_mod, count, modulus) == ref_digit_scan(pow_mod, count, modulus)
+        assert scan_min(pow_mod, count, modulus)[1] == 448
 
 
 # (modulus, beta_den) with products 2^62 - 1, 2^62 and 2^62 + 1, plus a
@@ -471,7 +480,7 @@ def linear_scan_min(pow_mod, count, modulus):
 def linear_scan_close(pow_mod, count, modulus, num, den):
     """The O(count) scan digit_scan_close replaced."""
     for first, res in linear_residues(pow_mod, count, modulus):
-        for i in K.close_indices(res, modulus, num, den):
+        for i in np.flatnonzero(np.minimum(res, modulus - res) <= num * modulus // den):
             yield first + int(i)
 
 
@@ -521,7 +530,7 @@ def _scan_cases():
 def test_digit_scan_min_matches_the_reference():
     kinds = set()
     for pow_mod, count, q, n in _scan_cases():
-        got = K.digit_scan_min(np.asarray(pow_mod, dtype=object), count, q)
+        got = scan_min(np.asarray(pow_mod, dtype=object), count, q)
         assert got == ref_digit_scan(pow_mod, count, q)
         assert n is None or got[1] == n
         kinds.add((count.bit_length() % 2, q >= ML, n))
@@ -547,12 +556,39 @@ def test_digit_scan_close_matches_the_reference():
     assert windows == 7200 and wrapped > 2000
 
 
+def test_digit_scan_min_hits_are_digit_scan_close_past_the_minimum():
+    # hits at slack num/den reads what digit_scan_close reads at m/M + num/den,
+    # on int64 residues (q < MOD_LIMIT) and on Python-int ones
+    rng = random.Random(15)
+    wide = Counter()
+    for pow_mod, count, q, _ in _scan_cases():
+        den = rng.randint(1, 60)
+        for num, d in ((0, 1), (rng.randint(0, den), den * q), (rng.randint(0, den), den), (q, 2)):
+            m, hits = K.digit_scan_min(pow_mod, count, q, num=num, den=d)
+            window = Fraction(m, q) + Fraction(num, d)
+            got = list(hits)
+            assert got == list(K.digit_scan_close(pow_mod, count, q, window.numerator,
+                                                  window.denominator))
+            wide[q >= ML] += len(got) > 1 and 0 < m + num * q // d < q // 2
+    assert min(wide[False], wide[True]) > 300, wide
+
+
+def test_digit_scan_min_reads_its_hit_rows_only_as_pulled(monkeypatch):
+    # gamma = 0: every n ties, so every row of 2^12 holds a hit; the first
+    # two pulls read row 0 alone
+    rows, row = [], K._row
+    monkeypatch.setattr(K, "_row", lambda h, *a: rows.append(h) or row(h, *a))
+    m, hits = K.digit_scan_min([0] * 25, 1 << 24, 7)
+    rows.clear()
+    assert (m, next(hits), next(hits)) == (0, 1, 2) and rows == [0]
+
+
 @pytest.mark.parametrize("q", [(1 << 40) - 87, (1 << 61) - 1])
 def test_the_scans_match_the_linear_scans_at_2_22(q):
     rng = random.Random(q)
     pow_mod = [rng.randrange(q) for _ in range(23)]
     count = 1 << 22
-    assert K.digit_scan_min(pow_mod, count, q) == linear_scan_min(pow_mod, count, q)
+    assert scan_min(pow_mod, count, q) == linear_scan_min(pow_mod, count, q)
     got = list(K.digit_scan_close(pow_mod, count, q, 1, 1 << 18))
     assert got == list(linear_scan_close(pow_mod, count, q, 1, 1 << 18)) and len(got) > 10
 
