@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels: best wall time of each over a few repeats.
+"""Benchmark the hot kernels: best, median and max wall time of each case.
 
 Run:  python benchmarks/bench_kernels.py [--repeat 5]
+
+After one warmup call each, the cases run round-robin for --repeat rounds
+(every case once per round), so a drift in machine speed reaches all cases
+alike, and the median and max beside the best show a run's own spread.
 
 The residue scans meet in the middle: digit_scan_min and digit_scan_close
 build two subset-residue tables of about 2^(k/2) entries for k-bit counts,
@@ -42,6 +46,7 @@ coefficient H in mpmath intervals at the CLI's default 128 bits: b=2 stops
 at scale 6, b=3 at 4 and b=10 at 2.
 """
 import argparse
+import statistics
 import time
 from fractions import Fraction
 
@@ -59,17 +64,6 @@ from radixapprox.discrepancy import (
 from radixapprox.approx import pigeonhole_witness
 from radixapprox.constants import compute_constants
 from radixapprox.expsum import eval_expsum, separation_check
-
-
-def bench(fn, *args, warmup=1, repeat=5):
-    for _ in range(warmup):
-        fn(*args)
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def cases():
@@ -183,10 +177,23 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
-    print(f"{'kernel':60s} {'best':>11s}")
-    for name, fn, fargs in cases():
-        print(f"{name:60s} {bench(fn, *fargs, repeat=args.repeat) * 1e3:9.3f}ms")
+    table = list(cases())
+    for _, fn, fargs in table:
+        fn(*fargs)
+    runs = [[] for _ in table]
+    for _ in range(args.repeat):
+        for (_, fn, fargs), times in zip(table, runs):
+            t0 = time.perf_counter()
+            fn(*fargs)
+            times.append(time.perf_counter() - t0)
+
+    print(f"{'kernel':60s} {'best':>11s} {'median':>11s} {'max':>11s}")
+    for (name, _, _), times in zip(table, runs):
+        cols = " ".join(f"{t * 1e3:9.3f}ms" for t in (min(times), statistics.median(times), max(times)))
+        print(f"{name:60s} {cols}")
 
 
 if __name__ == "__main__":

@@ -109,10 +109,7 @@ def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:
     mode = "exact" if gamma.is_exact else "approximate"
 
     for u in reps:
-        close = dist_le_of_multiple(gamma, u, guarantee)
-        if close is None:  # the ends straddle: the Real comparison raises
-            close = dist_of_multiple(gamma, u) <= Real(guarantee)
-        if close:
+        if dist_le_of_multiple(gamma, u, guarantee):
             return ApproxResult(u, dist_of_multiple(gamma, u), tag, guarantee, mode)
     # no repunit is within the guarantee, so no enclosure reaches an integer
     # and frac_ends_of_multiple cannot raise; bins are half-open [h/(t+1), (h+1)/(t+1))

@@ -20,9 +20,10 @@ Comparisons whose outcome is not decidable outside the radius raise
 v = n*M mod Q of gamma.mid = M/Q, as integer ends (``frac_ends_of_multiple``,
 ``dist_ends_of_multiple``) with a ``Real`` form each (``frac_of_multiple``,
 ``dist_of_multiple``); ``frac`` and ``dist_to_nearest_int`` are their n = 1
-case.  Comparisons run on the integer ends (``dist_le_of_multiple`` tests
-||gamma n|| against a rational), so the scans build a ``Real`` only for a
-distance they report or for the message of an indeterminate comparison.
+case.  Comparisons run on the integer ends: ``dist_le_of_multiple`` decides
+||gamma n|| <= a rational or raises where the ends straddle it, so the scans
+build a ``Real`` only for a distance they report or for the message of an
+indeterminate comparison.
 ``dist_exact`` stays only as the acceptance suite's independent reference.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import mpmath
 
@@ -325,18 +326,21 @@ def dist_ends_of_multiple(gamma: Real, n: int) -> tuple[tuple[int, int], tuple[i
     return (max(0, wD - nRQ), den), hi
 
 
-def dist_le_of_multiple(gamma: Real, n: int, bound: Fraction) -> Optional[bool]:
+def dist_le_of_multiple(gamma: Real, n: int, bound: Fraction) -> bool:
     """Whether ||gamma n|| <= bound, by cross-multiplying the integer ends
     of ``dist_ends_of_multiple``: True when the upper end is <= bound, False
-    when the lower end is > bound, None when the ends straddle it (the
-    ``Real`` comparison is then indeterminate)."""
+    when the lower end is > bound.  When the ends straddle it, raises the
+    ``Real`` comparison's IndeterminateComparison (the only case that builds
+    a ``Real``)."""
     (a, c), (e, f) = dist_ends_of_multiple(gamma, n)
     p, q = bound.numerator, bound.denominator
     if e * q <= p * f:
         return True
     if a * q > p * c:
         return False
-    return None
+    raise IndeterminateComparison(
+        f"{dist_of_multiple(gamma, n)!r} <= {Real(bound)!r} straddles the error radius"
+    )
 
 
 def dist_of_multiple(gamma: Real, n: int) -> Real:

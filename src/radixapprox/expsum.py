@@ -41,7 +41,6 @@ from .exact import (
     Real,
     dist_ends_of_multiple,
     dist_le_of_multiple,
-    dist_of_multiple,
     dist_to_nearest_int,
     iv_precision,
     iv_to_real,
@@ -239,10 +238,7 @@ def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationR
     trunc = (ds.unrank(b, i) for i in hits)
     # ascending merge of both families, first failure wins
     for x in heapq.merge(trunc, ds.power_gaps(b, r)):
-        close = dist_le_of_multiple(gamma, x, beta)
-        if close is None:  # the ends straddle: the Real comparison raises
-            close = not dist_of_multiple(gamma, x) > Real(beta)
-        if close:
+        if dist_le_of_multiple(gamma, x, beta):
             return SeparationReport(False, x, b, r, beta)
     return SeparationReport(True, None, b, r, beta)
 
@@ -254,7 +250,7 @@ class ShiftReport:
 
 
 def small_shift_count(b: int, r: int, k: int, gamma: Real, beta: Fraction) -> ShiftReport:
-    """Positions d in 0..r with ||k * b**d * gamma|| <= beta.
+    """Positions d in 0..r with ||k * b**d * gamma|| <= beta, for beta > 0.
 
     Fewer than 3*sqrt(k) positions are close under the separation
     hypothesis; a count g with g^2 >= 9k raises unless separation_check
@@ -264,19 +260,15 @@ def small_shift_count(b: int, r: int, k: int, gamma: Real, beta: Fraction) -> Sh
     if r < 0 or k < 1:
         raise DomainError("need r >= 0 and k >= 1")
     beta = Fraction(beta)
-    positions = []
-    for d in range(r + 1):
-        close = dist_le_of_multiple(gamma, k * b**d, beta)
-        if close is None:  # the ends straddle: the Real comparison raises
-            close = dist_of_multiple(gamma, k * b**d) <= Real(beta)
-        if close:
-            positions.append(d)
+    if beta <= 0:
+        raise DomainError(f"need beta > 0, got {beta}")
+    positions = tuple(d for d in range(r + 1) if dist_le_of_multiple(gamma, k * b**d, beta))
     g = len(positions)
     if g * g >= 9 * k and separation_check(b, r, beta, gamma).ok:
         raise InvariantViolation(
             f"close-shift count g={g} reached 3*sqrt({k}) despite the separation hypothesis"
         )
-    return ShiftReport(g, tuple(positions))
+    return ShiftReport(g, positions)
 
 
 # ---------------------------------------------------------------------------

@@ -375,20 +375,23 @@ class TestMultipleReadings:
 
     def test_distance_against_a_bound_is_the_real_comparison(self):
         # bounds at random, at either end of the reading (touching) and
-        # between them (straddling), 1/2 and 0
+        # between them (straddling), 1/2 and 0; a straddle raises with the
+        # Real comparison's message
+        def outcome(compare, *args):
+            try:
+                return compare(*args)
+            except IndeterminateComparison as exc:
+                return type(exc), str(exc)
+
         rng = random.Random(14)
-        tally = {True: 0, False: 0, None: 0}
+        tally = {True: 0, False: 0, IndeterminateComparison: 0}
         for gamma, n in _multiple_cases(15, 3000):
             d = dist_to_nearest_int(gamma * n)
             for bound in (Fraction(rng.randint(0, 10**6), 10**6), d.lo, d.hi, d.mid,
                           Fraction(1, 2), Fraction(0)):
-                got = dist_le_of_multiple(gamma, n, bound)
-                try:
-                    want = d <= Real(bound)
-                except IndeterminateComparison:
-                    want = None
-                assert got is want
-                tally[got] += 1
+                got = outcome(dist_le_of_multiple, gamma, n, bound)
+                assert got == outcome(lambda: d <= Real(bound))
+                tally[got if isinstance(got, bool) else got[0]] += 1
         assert min(tally.values()) > 1000, tally
 
     def test_exact_ends_are_the_midpoint(self):

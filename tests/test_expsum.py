@@ -293,7 +293,7 @@ def separation_two_branch(b, r, beta, gamma):
         return SeparationReport(worst is None, worst, b, r, beta)
     trunc = (unrank(b, i) for i in range(1, 1 << (r + 1)))
     for x in heapq.merge(trunc, power_gaps(b, r)):
-        if not (dist_to_nearest_int(gamma * x) > Real(beta)):
+        if dist_to_nearest_int(gamma * x) <= Real(beta):
             return SeparationReport(False, x, b, r, beta)
     return SeparationReport(True, None, b, r, beta)
 
@@ -307,7 +307,7 @@ def separation_merge_parent(b, r, beta, gamma):
     hits = digit_scan_close(add_mod, count, Q, window.numerator, window.denominator)
     beta_r = Real(beta)
     for x in heapq.merge((unrank(b, i) for i in hits), power_gaps(b, r)):
-        if not (dist_of_multiple(gamma, x) > beta_r):
+        if dist_of_multiple(gamma, x) <= beta_r:
             return SeparationReport(False, x, b, r, beta)
     return SeparationReport(True, None, b, r, beta)
 
@@ -460,7 +460,8 @@ class TestSeparation:
         # the elements 1..6 and the power gaps certainly pass
         gamma = Real(Fraction(3107, 7000), Fraction(1, 1000))
         want = _outcome(separation_two_branch, 2, 2, Fraction(1, 10), gamma)
-        assert want[0] is IndeterminateComparison
+        assert want == (IndeterminateComparison,
+                        "Real(107/1000 +/- 7/1000) <= Real(1/10) straddles the error radius")
         assert _outcome(separation_check, 2, 2, Fraction(1, 10), gamma) == want
 
 
@@ -554,6 +555,15 @@ class TestSmallShifts:
         with pytest.raises(InvariantViolation, match=r"^close-shift count g=6 reached "
                            r"3\*sqrt\(1\) despite the separation hypothesis$"):
             small_shift_count(*self.SIX_CLOSE)
+
+    @pytest.mark.parametrize("beta", [Fraction(0), Fraction(-1, 2)])
+    def test_a_non_positive_beta_is_refused_before_any_position(self, beta, monkeypatch):
+        def no_reads(*args):
+            raise AssertionError("a position was read")
+
+        monkeypatch.setattr(expsum, "dist_le_of_multiple", no_reads)
+        with pytest.raises(DomainError, match=rf"^need beta > 0, got {beta}$"):
+            small_shift_count(2, 5, 1, Real(Fraction(1, 3)), beta)
 
     def test_separation_is_scanned_only_for_a_large_count(self, monkeypatch):
         calls = []

@@ -21,8 +21,15 @@ TWO62 = 1 << 62
 @pytest.fixture(params=[None, object], ids=["numpy", "object"])
 def as_array(request):
     """Kernels take numpy-typed arrays and object arrays of Python numbers
-    (what the big-modulus paths carry); each test runs on both."""
-    return lambda values: np.asarray(values, dtype=request.param)
+    (what the big-modulus paths carry); each test runs on both.  Where numpy
+    would infer a float dtype for ints (some below 2^63, some at or above),
+    the numpy case builds an object array, as `_kernels._int_array` does."""
+    def build(values):
+        arr = np.asarray(values, dtype=request.param)
+        if arr.dtype.kind == "f" and all(isinstance(v, (int, np.integer)) for v in values):
+            return np.asarray(values, dtype=object)
+        return arr
+    return build
 
 
 def candidate_tables_py(nums: list[int], q: int):
@@ -103,6 +110,17 @@ def test_digit_scan_min(as_array):
         pow_mod = [rng.randrange(modulus) for _ in range(count.bit_length())]
         got = scan_min(as_array(pow_mod), count, modulus)
         assert got == ref_digit_scan(pow_mod, count, modulus)
+
+
+def test_digit_scan_min_on_weights_straddling_2_63(as_array):
+    # numpy infers float64 for these ints; rounded weights read a minimum of
+    # 2091469946233722893
+    q = (1 << 64) + 13
+    pow_mod = [4672777213868972441, 10647506995755277419, 16355274127475829285,
+               6759623342541015890]
+    assert np.asarray(pow_mod).dtype.kind == "f"
+    got = scan_min(as_array(pow_mod), 8, q)
+    assert got == ref_digit_scan(pow_mod, 8, q) and got[0] == 2091469946233722344
 
 
 def test_digit_scan_min_range_and_shards(as_array):
