@@ -24,20 +24,25 @@ first hit is the first pull of a separation check as the decay queries
 send it (beta = 1/(4 b^2)), which looks the rows up in chunks of 1, 1, 2,
 4, ... and stops at the first that holds a hit.
 The discrepancy scan runs on
-int64 arrays while T*q < 2^62; its second case has T*q far above 2^62 and
-runs on Python-int arrays.  The
+int64 arrays for every T and q: its second case has T*q far above 2^62, and
+reads each endpoint through the int64 key w >> s, s = bit_length(T q) - 62,
+evaluating in Python ints only the few ends within 2T of an extreme.  The
 fractional_orbit cases read the discrepancy orbit as the residues
 n M mod Q of gamma.mid = M/Q, on the grid Q for an exact gamma and for an
-enclosure alike; e at 256 and 1024 bits, with discrepancy_L on the same
-orbits, time how the scan slows as Q grows.  The erdos_turan_check cases time
-the whole check, which builds its own orbit: fractional_orbit, the O(T)
-discrepancy scan and the closed-form right side, two distance reads and two
-sine bounds per g, all on integer pairs.  The Weyl-bound cases time that
+enclosure alike; pi at 128 bits (the enclosure workload's orbit) and e at
+256 and 1024 bits, with discrepancy_L on the same orbits, time how the scan
+slows as Q grows.  The near-rational enclosure within 2^-200 of 3/7 puts
+its points in 7 runs of equal keys, each ordered exactly in Python ints.
+The erdos_turan_check cases time the whole check, which builds its own
+orbit: fractional_orbit, the O(T) discrepancy scan and the closed-form
+right side, two distance reads and two sine bounds per g, all on integer
+pairs.  The Weyl-bound cases time that
 right side alone, and the eval_expsum case at b=5, r=14 is dominated by its cosine-product side
 (r+1 distance reads, sine bounds and product factors on integer pairs).
 The pigeonhole_witness and separation_check cases time the scans that
-compare ||gamma n|| with a bound on integer ends: the pigeonhole reads all
-25 repunits of base 3 twice (direct scan, then bins) and collides, and the
+compare ||gamma n|| with a bound on integer ends: the pigeonhole visits all
+25 repunits of base 3 twice (direct scan, then bins, on one residue read
+each) and collides, and the
 separation check passes, so its merge reads every window hit and all 105
 power gaps at r=14; each at sqrt2@128 and at the exact
 1254027132096/886731088897, within 10^-24 of sqrt2.
@@ -110,9 +115,12 @@ def cases():
     for text, bits in (("5/313", 128), ("pi", 128), ("e", 256), ("e", 1024)):
         gamma = Real.parse(text, bits)
         yield f"fractional_orbit (T=4000, gamma={text}@{bits})", fractional_orbit, (gamma, 4000)
-        if text == "e":
+        if text != "5/313":
             yield f"discrepancy_L (T=4000, gamma={text}@{bits})", discrepancy_L, (
                 fractional_orbit(gamma, 4000),)
+    gamma = Real(Fraction(3 * 2**200 + 1, 7 * 2**200), Fraction(1, 2**400))
+    yield "discrepancy_L (T=4000, gamma=3/7+2^-200/7, key ties)", discrepancy_L, (
+        fractional_orbit(gamma, 4000),)
 
     for text, T, G in (("355/113", 10**5, 50), ("1/3", 50, 10**4), ("pi", 4000, 50),
                        ("pi", 2000, 50)):

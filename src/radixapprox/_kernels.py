@@ -5,6 +5,13 @@ each kernel keeps every intermediate below 2**62, and numpy ``object``
 arrays of Python ints otherwise, so callers never branch on the size of
 their integers.  Integer results are exact on both kinds of array; float
 sums differ only by rounding that ``expsum._sum_radius`` accounts for.
+The discrepancy scan (``interval_deviation_max``) is int64 at every size:
+it reads each end e = c Q - w T (c <= T a count) through the keys w >> s
+and Q >> s, s = key_shift(T Q), as E = c (Q >> s) - (w >> s) T, below
+2**62.  Both remainders are below 2**s, so |e / 2**s - E| < T, and an end
+equal to the largest or least e has E within 2T of the largest or least
+E: only those ends are evaluated exactly, in Python ints (none while
+T Q < 2**62, where s = 0 and E = e).
 
 The zero-one residues have one layout, the meet-in-the-middle split
 (Horowitz & Sahni, "Computing partitions with applications to the knapsack
@@ -42,6 +49,8 @@ __all__ = [
     "digit_scan_close",
     "first_close",
     "interval_deviation_max",
+    "KeyedInts",
+    "key_shift",
     "cos_margin_values",
 ]
 
@@ -255,7 +264,7 @@ def cos_sin_sum(theta: np.ndarray, weights=None):
 
 
 # ---------------------------------------------------------------------------
-# discrepancy candidate scan, O(m) array passes: the extreme discrepancy is
+# discrepancy candidate scan, O(m) int64 passes: the extreme discrepancy is
 # the max minus the min of the count function (Niederreiter, Random Number
 # Generation and Quasi-Monte Carlo Methods, 1992, Thm 2.6)
 #
@@ -266,20 +275,68 @@ def cos_sin_sum(theta: np.ndarray, weights=None):
 # ---------------------------------------------------------------------------
 
 
+def key_shift(bound: int) -> int:
+    """The least s >= 0 with bound < 2**(62 + s): for bound = T Q, the keys
+    v >> s of values v <= Q times any count up to T stay below 2**62."""
+    return max(0, bound.bit_length() - 62)
+
+
+def _keys(values, shift: int) -> np.ndarray:
+    """A new int64 array of the keys v >> shift of non-negative ints v that
+    fit: one buffered ufunc pass over an int64 or object array, with no
+    full-length object array; any other sequence is read one int at a time."""
+    if isinstance(values, np.ndarray):
+        return np.right_shift(values, shift, out=np.empty(len(values), np.int64), casting="unsafe")
+    return np.fromiter((int(v) >> shift for v in values), np.int64, len(values))
+
+
+class KeyedInts:
+    """Exact ints w[0..m) read through int64 keys: keys[i] = w[i] >> shift,
+    and value(i) the exact w[i], read only where the keys cannot decide."""
+
+    __slots__ = ("keys", "shift", "value")
+
+    def __init__(self, keys: np.ndarray, shift: int, value):
+        self.keys, self.shift, self.value = keys, shift, value
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+def _extreme_ends(ends: np.ndarray, w: KeyedInts, lt, eq, total: int, scale: int):
+    """(top, bottom, at_top, at_bottom): the exact largest and least end
+    and the masks of the ends equal to each, from the key-level ends."""
+    top, bottom = ends.max(), ends.min()
+    if not w.shift:
+        return int(top), int(bottom), ends == top, ends == bottom
+    near = np.flatnonzero((ends > top - 2 * total) | (ends < bottom + 2 * total))
+    exact = [(int(lt[c >> 1]) + (c & 1) * int(eq[c >> 1])) * scale - w.value(c >> 1) * total
+             for c in near.tolist()]
+    top, bottom = max(exact), min(exact)
+    masks = np.zeros((2, len(ends)), dtype=bool)
+    masks[:, near] = [[e == top for e in exact], [e == bottom for e in exact]]
+    return top, bottom, masks[0], masks[1]
+
+
 def interval_deviation_max(w, lt, eq, total: int, scale: int):
     """Maximal |count - T*measure| over the endpoint candidate family.
 
-    Returns (deviation * scale, i, j, left_closed, right_closed); int64 while
-    total * scale < 2**62, every term being below twice that.  Needs
-    len(w) >= 2, total >= 1.
+    Returns (deviation * scale, i, j, left_closed, right_closed).  w holds
+    the exact endpoints: a list, an int64 or object array, or KeyedInts
+    keyed at key_shift(total * scale) (or more); every int64 term stays
+    below 2**62.  Needs len(w) >= 2, total >= 1.
     """
-    bound = total * scale
+    if not isinstance(w, KeyedInts):
+        shift = key_shift(total * scale)
+        w = KeyedInts(_keys(w, shift), shift, lambda i, values=w: int(values[i]))
+    lt, eq = np.asarray(lt, dtype=np.int64), np.asarray(eq, dtype=np.int64)
     # count * scale - total * width splits into a right-end term minus a
     # left-end term; each end counts the points up to w (closed right, open
     # left) or below w (open right, closed left)
-    below = _int_array(lt, bound) * scale
-    below -= _int_array(w, bound) * total
-    upto = _int_array(eq, bound) * scale
+    unit = scale >> w.shift
+    below = lt * unit
+    below -= w.keys * total
+    upto = eq * unit
     upto += below
     # any two of the ends below[0], upto[0], below[1], ..., below[m-1], the
     # earlier as the left end, bound an interval of the family and every
@@ -287,12 +344,12 @@ def interval_deviation_max(w, lt, eq, total: int, scale: int):
     # pairs the first end x at either extreme with the first end y after x at
     # the other, or with upto of y's row if that holds the other too
     ends = np.stack((below, upto), axis=1).ravel()[:-1]
-    top, bottom = ends.max(), ends.min()
-    x = int(np.argmax((ends == top) | (ends == bottom)))
-    other = bottom if ends[x] == top else top
-    y = x + 1 + int(np.argmax(ends[x + 1 :] == other))
-    y += bool(y % 2 == 0 and y + 1 < len(ends) and ends[y + 1] == other)
-    return int(top - bottom), x // 2, y // 2, x % 2 == 0, y % 2 == 1
+    top, bottom, at_top, at_bottom = _extreme_ends(ends, w, lt, eq, total, scale)
+    x = int(np.argmax(at_top | at_bottom))
+    other = at_bottom if at_top[x] else at_top
+    y = x + 1 + int(np.argmax(other[x + 1 :]))
+    y += bool(y % 2 == 0 and y + 1 < len(ends) and other[y + 1])
+    return top - bottom, x // 2, y // 2, x % 2 == 0, y % 2 == 1
 
 
 # ---------------------------------------------------------------------------

@@ -108,14 +108,19 @@ def pigeonhole_witness(gamma: Real, b: int, N: int) -> ApproxResult:
     tag = ds.SetSpec(b)
     mode = "exact" if gamma.is_exact else "approximate"
 
+    # each repunit's residue u M mod Q of gamma.mid = M/Q is read once
+    M, Q = gamma.mid.numerator, gamma.mid.denominator
+    residues = []
     for u in reps:
-        if dist_le_of_multiple(gamma, u, guarantee):
+        v = u * M % Q
+        if dist_le_of_multiple(gamma, u, guarantee, v):
             return ApproxResult(u, dist_of_multiple(gamma, u), tag, guarantee, mode)
+        residues.append(v)
     # no repunit is within the guarantee, so no enclosure reaches an integer
     # and frac_ends_of_multiple cannot raise; bins are half-open [h/(t+1), (h+1)/(t+1))
     bins = []
-    for u in reps:
-        (lo, den), (hi, _) = frac_ends_of_multiple(gamma, u)
+    for u, v in zip(reps, residues):
+        (lo, den), (hi, _) = frac_ends_of_multiple(gamma, u, v)
         lo_bin = lo * (t + 1) // den
         if lo_bin != hi * (t + 1) // den:
             raise IndeterminateComparison(

@@ -5,8 +5,18 @@ The discrepancy of a finite sequence is the supremum over subintervals of
 point values and the measure is linear in the endpoints, so the supremum is
 attained on the finite family of intervals whose endpoints are point values
 (or 0, or approach 1), each endpoint open or closed, degenerate intervals
-included.  That family is scanned in linear passes over one typed array of
-residues (``_kernels.interval_deviation_max``), so the supremum is exact.
+included.  That family is scanned in linear int64 passes
+(``_kernels.interval_deviation_max``), so the supremum is exact.
+
+The scan reads each residue v through its key k = v >> s, s = max(0,
+bit_length(T Q) - 62), so every table and every end fits int64; s = 0, and
+the keys are the residues, while T Q < 2**62.  The points sort on their
+keys, and only a run of equal keys (points within 2**s / Q of each other)
+is ordered and split exactly in Python ints.  An end e = c Q - w T, c <= T
+a count, reads as E = c (Q >> s) - k T with |e / 2**s - E| < T, both
+remainders being below 2**s; so every end equal to the largest or least e
+lies within 2T of the largest or least E, and only those ends, and the two
+witness endpoints, are read as Python ints.
 
 Point n of the orbit {n gamma} is the exact residue v/Q of n M/Q on the
 grid Q of gamma.mid = M/Q, for exact and enclosure gamma alike, within
@@ -27,18 +37,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import _PRODUCT_LIMIT, _int_array, interval_deviation_max
+from ._kernels import _PRODUCT_LIMIT, KeyedInts, _int_array, _keys, interval_deviation_max, key_shift
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real, dist_ends_of_multiple, residue_of_multiple
 from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_bounds
 
 #: An orbit whose residues outgrow int64 (T Q >= 2^62) holds Python ints:
-#: about 200 B a point for pi at 128 bits and 1.8 KB at 4096 bits, against
-#: 18 B for int64 residues.  Such an orbit takes at most this share of the
-#: cap, scaled down by the bytes of Q past those of a 150-bit int (pi at the
-#: default 128 bits has a 142-bit Q), so its peak stays near 26 MB at every
-#: precision under the default cap.
+#: discrepancy_L over it peaks at about 120 B a point for pi at 128 bits and
+#: 650 B at 4096 bits, against 17 B for int64 residues.  Such an orbit takes
+#: at most this share of the cap, scaled down by the bytes of Q past those of
+#: a 150-bit int (pi at the default 128 bits has a 142-bit Q), so its peak
+#: stays at or below 16 MB at every precision under the default cap.
 BIG_ORBIT_SHARE = 256
 _BIG_ORBIT_Q_BYTES = sys.getsizeof(1 << 149)
 
@@ -62,13 +72,50 @@ class ScaledPoints(NamedTuple):
     worst: Fraction
 
 
-def _candidate_tables(nums: np.ndarray, q: int):
-    """Sorted endpoint values (0 and 1 included) with below/equal counts."""
-    w, eq = np.unique(nums, return_counts=True)
-    if w[0]:  # 0 is an endpoint also with no point on it
-        w, eq = np.insert(w, 0, 0), np.insert(eq, 0, 0)
-    w, eq = np.append(w, _int_array([q], len(nums) * q)), np.append(eq, 0)
-    return w, np.cumsum(eq) - eq, eq
+def _split_ties(nums, order: np.ndarray, starts: np.ndarray) -> None:
+    """Order each run of equal keys in ``order`` by the exact values, in
+    place, and mark in ``starts`` where those values change."""
+    first = np.flatnonzero(starts)
+    size = np.diff(first, append=len(starts))
+    for a, n in zip(first[size > 1].tolist(), size[size > 1].tolist()):
+        run = sorted(order[a : a + n].tolist(), key=nums.__getitem__)
+        order[a : a + n] = run
+        starts[a + 1 : a + n] = [nums[u] != nums[v] for u, v in zip(run, run[1:])]
+
+
+def _candidate_tables(nums, q: int):
+    """Sorted endpoint values w (0 and q included) as KeyedInts, with
+    below/equal counts.  The points sort on their keys; only a run of equal
+    keys (points within 2**shift / q of each other) is ordered exactly."""
+    T = len(nums)
+    shift = key_shift(T * q)
+    keys = _keys(nums, shift)
+    if shift:  # the exact values behind the keys are read through the sort order
+        order = np.argsort(keys)
+        keys = keys[order]
+    else:  # the keys are the values
+        keys.sort()
+    starts = np.empty(T, dtype=bool)  # where the sorted points start a new value
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    if shift:
+        _split_ties(nums, order, starts)
+    first = np.flatnonzero(starts)
+    # 0 is an endpoint also with no point on it
+    head = np.zeros(int((nums[order[0]] if shift else keys[0]) != 0), dtype=np.int64)
+    w = np.concatenate((head, keys[first], [q >> shift]))
+    eq = np.concatenate((head, np.diff(first, append=T), [0]))
+    if shift:
+        rep = order[first]
+
+        def value(i: int) -> int:
+            i -= len(head)
+            return q if i == len(rep) else int(nums[rep[i]]) if i >= 0 else 0
+    else:
+        def value(i: int) -> int:
+            return int(w[i])
+
+    return KeyedInts(w, shift, value), np.cumsum(eq) - eq, eq
 
 
 def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
@@ -82,9 +129,9 @@ def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
     T = len(nums)
     if not T:
         raise DomainError("need at least one point")
-    w, lt, eq = _candidate_tables(_int_array(nums, T * q), q)
+    w, lt, eq = _candidate_tables(nums, q)
     dev, i, j, lc, rc = interval_deviation_max(w, lt, eq, T, q)
-    left, right = Fraction(int(w[i]), q), Fraction(int(w[j]), q)
+    left, right = Fraction(w.value(i), q), Fraction(w.value(j), q)
     L = Fraction(dev, q)
     radius = 2 * T * worst
     if not (1 - radius <= L <= T + radius):

@@ -32,7 +32,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import mpmath
 
@@ -274,12 +274,13 @@ def dist_to_nearest_int(x: Real) -> Real:
     return dist_of_multiple(x, 1)
 
 
-def residue_of_multiple(gamma: Real, n: int) -> int:
-    """v = n*M mod Q for gamma.mid = M/Q: {gamma n} is v/Q with radius
-    |n| * gamma.rad; raises when that enclosure leaves [0, 1)."""
+def residue_of_multiple(gamma: Real, n: int, v: Optional[int] = None) -> int:
+    """v = n*M mod Q for gamma.mid = M/Q (read here unless the caller has
+    read it): {gamma n} is v/Q with radius |n| * gamma.rad; raises when that
+    enclosure leaves [0, 1)."""
     M, Q = gamma.mid.numerator, gamma.mid.denominator
     R, D = gamma.rad.numerator, gamma.rad.denominator
-    v = n * M % Q
+    v = n * M % Q if v is None else v
     nR = abs(n) * R
     if not nR * Q <= v * D < (D - nR) * Q:  # |n|R/D <= v/Q < 1 - |n|R/D
         raise IndeterminateComparison(
@@ -288,12 +289,14 @@ def residue_of_multiple(gamma: Real, n: int) -> int:
     return v
 
 
-def frac_ends_of_multiple(gamma: Real, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def frac_ends_of_multiple(
+    gamma: Real, n: int, v: Optional[int] = None
+) -> tuple[tuple[int, int], tuple[int, int]]:
     """((lo, den), (hi, den)), unreduced integer pairs over den = Q D: the
     ends of ``frac(gamma * n)``, (v D -+ |n| R Q) / (Q D) for the residue v of
     ``residue_of_multiple`` (which raises when they leave [0, 1)) and
     gamma.rad = R/D."""
-    v = residue_of_multiple(gamma, n)
+    v = residue_of_multiple(gamma, n, v)
     Q, R, D = gamma.mid.denominator, gamma.rad.numerator, gamma.rad.denominator
     vD, nRQ, den = v * D, abs(n) * R * Q, Q * D
     return (vD - nRQ, den), (vD + nRQ, den)
@@ -304,7 +307,9 @@ def frac_of_multiple(gamma: Real, n: int) -> Real:
     return _real_of_ends(*frac_ends_of_multiple(gamma, n))
 
 
-def dist_ends_of_multiple(gamma: Real, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def dist_ends_of_multiple(
+    gamma: Real, n: int, v: Optional[int] = None
+) -> tuple[tuple[int, int], tuple[int, int]]:
     """((lo, den), (hi, den')), unreduced integer pairs: lo/den and hi/den'
     are the ends of ``dist_to_nearest_int(gamma * n)``.
 
@@ -313,9 +318,10 @@ def dist_ends_of_multiple(gamma: Real, n: int) -> tuple[tuple[int, int], tuple[i
     midpoint's distance is min(v, Q - v)/Q, and the radius |n| R/D of
     gamma.rad = R/D moves the ends over den = Q D, clamped at 0 and at 1/2,
     which reads (1, 2).  An exact reading has both ends (min(v, Q - v), Q).
+    A caller that has read v passes it.
     """
     M, Q = gamma.mid.numerator, gamma.mid.denominator
-    v = n * M % Q
+    v = n * M % Q if v is None else v
     w = min(v, Q - v)
     R = gamma.rad.numerator
     if not (R and n):
@@ -326,13 +332,13 @@ def dist_ends_of_multiple(gamma: Real, n: int) -> tuple[tuple[int, int], tuple[i
     return (max(0, wD - nRQ), den), hi
 
 
-def dist_le_of_multiple(gamma: Real, n: int, bound: Fraction) -> bool:
+def dist_le_of_multiple(gamma: Real, n: int, bound: Fraction, v: Optional[int] = None) -> bool:
     """Whether ||gamma n|| <= bound, by cross-multiplying the integer ends
-    of ``dist_ends_of_multiple``: True when the upper end is <= bound, False
-    when the lower end is > bound.  When the ends straddle it, raises the
-    ``Real`` comparison's IndeterminateComparison (the only case that builds
-    a ``Real``)."""
-    (a, c), (e, f) = dist_ends_of_multiple(gamma, n)
+    of ``dist_ends_of_multiple`` (of the residue v, if the caller has read
+    it): True when the upper end is <= bound, False when the lower end is >
+    bound.  When the ends straddle it, raises the ``Real`` comparison's
+    IndeterminateComparison (the only case that builds a ``Real``)."""
+    (a, c), (e, f) = dist_ends_of_multiple(gamma, n, v)
     p, q = bound.numerator, bound.denominator
     if e * q <= p * f:
         return True

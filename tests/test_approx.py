@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import radixapprox.digitsets as ds
+from radixapprox import exact
 from radixapprox._kernels import MOD_LIMIT
 from radixapprox._kernels import digit_scan_min
 from radixapprox.approx import (
@@ -364,6 +365,22 @@ class TestPigeonhole:
             assert (len(reps) if w not in reps else reps.index(w) + 1) == read
             builds.append(count_builds(monkeypatch, pigeonhole_witness, gamma, b, N))
         assert builds[0] == builds[1] and builds[0][1] == 1
+
+    def test_reads_each_repunit_residue_once(self, monkeypatch):
+        # sqrt2@128 collides after all 25 repunits of base 3: the distance
+        # test and the bin of a repunit read one residue, passed to both
+        gamma, b, N = Real.parse("sqrt2", 128), 3, (3**25 - 1) // 2
+        reads = []
+        for name in ("dist_ends_of_multiple", "residue_of_multiple"):
+            read = getattr(exact, name)
+            monkeypatch.setattr(exact, name, lambda g, n, v=None, read=read:
+                                reads.append((n, v)) or read(g, n, v))
+        w = pigeonhole_witness(gamma, b, N).witness
+        M, Q = gamma.mid.numerator, gamma.mid.denominator
+        reps = ds.repunits(b, N)
+        assert [n for n, v in reads if v is None] == [w] and w not in reps
+        assert sorted((n, v) for n, v in reads if v is not None) == sorted(
+            (u, u * M % Q) for u in reps for _ in range(2))
 
     # (gamma, b, N, witness, distance): a repunit within the guarantee, and
     # first collisions at the repunit pairs (1, 7) in base 2 and (4, 13) in base 3

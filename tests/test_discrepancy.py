@@ -1,19 +1,22 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from radixapprox import _kernels, discrepancy, exact, expsum
 from radixapprox.discrepancy import (
+    DiscrepancyReport,
     ScaledPoints,
     discrepancy_L,
     erdos_turan_check,
     fractional_orbit,
 )
-from radixapprox.errors import DomainError, IndeterminateComparison, ResourceLimit
+from radixapprox.errors import DomainError, IndeterminateComparison, InvariantViolation, ResourceLimit
 from radixapprox.exact import Real, frac
 from test_expsum import count_builds, parent_dist_of_multiple, parent_sin_pi_interval
 
@@ -134,7 +137,114 @@ def brute_L(fracs):
     return best
 
 
+def _parent_array(values, bound):
+    return np.asarray(values, dtype=np.int64 if bound < 1 << 62 else object)
+
+
+def discrepancy_object_parent(points):
+    """discrepancy_L as the scan was written before it read int64 keys:
+    np.unique over one array of the residues, int64 while T q < 2^62 and
+    Python ints otherwise, and the deviation scan over every end on an
+    array of that kind."""
+    nums, q, worst = points
+    T = len(nums)
+    if not T:
+        raise DomainError("need at least one point")
+    bound = T * q
+    w, eq = np.unique(_parent_array(nums, bound), return_counts=True)
+    if w[0]:
+        w, eq = np.insert(w, 0, 0), np.insert(eq, 0, 0)
+    w, eq = np.append(w, _parent_array([q], bound)), np.append(eq, 0)
+    lt = np.cumsum(eq) - eq
+    below = _parent_array(lt, bound) * q
+    below -= _parent_array(w, bound) * T
+    upto = _parent_array(eq, bound) * q
+    upto += below
+    ends = np.stack((below, upto), axis=1).ravel()[:-1]
+    top, bottom = ends.max(), ends.min()
+    x = int(np.argmax((ends == top) | (ends == bottom)))
+    other = bottom if ends[x] == top else top
+    y = x + 1 + int(np.argmax(ends[x + 1 :] == other))
+    y += bool(y % 2 == 0 and y + 1 < len(ends) and ends[y + 1] == other)
+    i, j, lc, rc = x // 2, y // 2, x % 2 == 0, y % 2 == 1
+    L = Fraction(int(top - bottom), q)
+    radius = 2 * T * worst
+    if not (1 - radius <= L <= T + radius):
+        raise InvariantViolation(f"discrepancy {L} outside [1, T={T}]")
+    return DiscrepancyReport(T, L, radius, (Fraction(int(w[i]), q), Fraction(int(w[j]), q), lc, rc))
+
+
+def _near_rational(rng, k):
+    """gamma within 2^-k of p/r on the grid r 2^k: the points n gamma with
+    equal n p mod r lie within T 2^-k of each other, so at T Q >= 2^62 they
+    share a key; half of them carry a radius."""
+    r = rng.randint(2, 12)
+    p = rng.randrange(1, r)
+    mid = Fraction(p * 2**k + rng.choice([-1, 1]) * rng.randint(1, 3), r * 2**k)
+    return Real(mid, rng.choice([Fraction(0), Fraction(1, 2 ** (2 * k))]))
+
+
+def _differential_orbits(rng):
+    """(label, points): the orbits and point sets the scan is checked on."""
+    for name in CONSTANTS:
+        for bits in (64, 128, 256, 1024, 4096):
+            for T in (rng.randint(1, 300), rng.randint(300, 4000)):
+                gamma = Real.parse(name, bits) * Fraction(rng.randint(1, 30), rng.randint(1, 30))
+                yield f"{name}@{bits}", gamma, T
+    for t in range(0, 14, 2):
+        T = 1 << t
+        for Q in ((1 << 62 - t) - 1, 1 << 62 - t, (1 << 62 - t) + 1):  # T Q below, at, above 2^62
+            yield "2^62", Real(Fraction(rng.randrange(1, 5 * Q), Q)), T
+    for _ in range(20):
+        Q = rng.choice([rng.randint(2, 10**6), rng.randint(1 << 60, 1 << 70),
+                        rng.randint(1 << 1024, 1 << 1100)])
+        yield "rational", Real(Fraction(rng.randrange(1, 5 * Q), Q)), rng.randint(1, 4000)
+    for _ in range(20):  # T past the period: every point repeats
+        Q = rng.randint(1, 60)
+        yield "repeated", Real(Fraction(rng.randrange(0, 5 * Q), Q)), rng.randint(Q, 2000)
+    for _ in range(30):
+        yield "near-rational", _near_rational(rng, rng.choice([70, 200, 1100])), rng.randint(2, 2000)
+
+
+def _differential_points(rng):
+    for label, gamma, T in _differential_orbits(rng):
+        try:
+            yield label, fractional_orbit(gamma, T)
+        except IndeterminateComparison:
+            pass
+    for _ in range(40):  # few distinct values, 0 and q - 1 among them, on a large grid
+        q = rng.choice([rng.randint(2, 100), rng.randint(1 << 62, 1 << 64),
+                        rng.randint(1 << 1024, 1 << 1030)])
+        pool = [0, q - 1] + [rng.randrange(q) for _ in range(rng.randint(0, 5))]
+        pool += [min(v + d, q - 1) for v in pool for d in (1, 2)]  # neighbours share keys
+        nums = [rng.choice(pool) for _ in range(rng.randint(1, 300))]
+        yield "pool", ScaledPoints(nums, q, Fraction(0))
+    yield "empty", ScaledPoints([], 7, Fraction(0))
+
+
+def _report_or_raise(fn, points):
+    try:
+        return fn(points)
+    except (DomainError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
 class TestDiscrepancy:
+    def test_matches_the_object_scan(self):
+        # the same report, or the same exception, as the scan over every end
+        rng = random.Random(39)
+        kinds, tied = Counter(), 0
+        for label, points in _differential_points(rng):
+            nums, q, _ = points
+            before = [int(v) for v in nums]
+            got = _report_or_raise(discrepancy_L, points)
+            assert [int(v) for v in nums] == before, label  # the points stay as given
+            assert got == _report_or_raise(discrepancy_object_parent, points), label
+            kinds[label] += 1
+            s = _kernels.key_shift(len(nums) * q)
+            tied += s > 0 and len({int(v) >> s for v in nums}) < len({int(v) for v in nums})
+        assert len(kinds) == 3 * 5 + 6 and tied > 30, (kinds, tied)
+
     def test_single_point(self):
         rep = discrepancy_L(scaled([E(1, 2)]))
         assert rep.L_value == 1 and rep.L_radius == 0

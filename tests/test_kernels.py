@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import radixapprox._kernels as K
+from radixapprox import discrepancy
+from radixapprox.exact import Real
 from radixapprox.expsum import _TERM_ERR
+from test_discrepancy import discrepancy_object_parent
 
 ML = K.MOD_LIMIT
 TWO62 = 1 << 62
@@ -625,3 +628,45 @@ def test_interval_deviation_max_at_the_product_limit(total, q):
         w, lt, eq = candidate_tables_py(nums, q)
         dev, i, j, lc, rc = K.interval_deviation_max(w, lt, eq, total, q)
         assert (dev, w[i], w[j], lc, rc) == deviation_max_py(nums, q, total)
+
+
+@pytest.mark.parametrize("q", [(1 << 64) + 13, (1 << 200) + 235])
+def test_interval_deviation_max_certifies_the_ends_near_an_extreme(q):
+    # point k within 2^s of k q / T, s = key_shift(T q): every end c q - w T
+    # lies within T 2^s of 0 or of q, so many read within 2T of an extreme
+    # through their keys, and the first key-level argmax is often not the
+    # first exact one
+    rng = random.Random(q)
+    misread = 0
+    for _ in range(100):
+        total = rng.randint(2, 12)
+        s = K.key_shift(total * q)
+        nums = [min(max(k * q // total + rng.randint(-(1 << s), 1 << s), 0), q - 1)
+                for k in range(total)]
+        w, lt, eq = candidate_tables_py(nums, q)
+        dev, i, j, lc, rc = K.interval_deviation_max(w, lt, eq, total, q)
+        assert (dev, w[i], w[j], lc, rc) == deviation_max_py(nums, q, total)
+        ends = [(c * q - v * total, c * (q >> s) - (v >> s) * total)
+                for v, a, b in zip(w, lt, eq) for c in (a, a + b)][:-1]
+        exact, key = zip(*ends)
+        misread += exact.index(max(exact)) != key.index(max(key))
+    assert misread > 10
+
+
+def test_discrepancy_reads_only_the_ends_near_an_extreme(monkeypatch):
+    # pi@128 at T = 4000 has T Q ~ 2^154: the scan reads every end through
+    # its key and evaluates only the few near an extreme, and the two
+    # witness endpoints, in Python ints
+    reads = []
+    tables = discrepancy._candidate_tables
+
+    def spy(nums, q):
+        w, lt, eq = tables(nums, q)
+        value = w.value
+        w.value = lambda i: reads.append(i) or value(i)
+        return w, lt, eq
+
+    monkeypatch.setattr(discrepancy, "_candidate_tables", spy)
+    points = discrepancy.fractional_orbit(Real.parse("pi", 128), 4000)
+    assert discrepancy.discrepancy_L(points) == discrepancy_object_parent(points)
+    assert 2 < len(reads) < 16
