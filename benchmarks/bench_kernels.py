@@ -25,14 +25,17 @@ send it (beta = 1/(4 b^2)), which looks the rows up in chunks of 1, 1, 2,
 4, ... and stops at the first that holds a hit.
 The discrepancy scan runs on
 int64 arrays for every T and q: its second case has T*q far above 2^62, and
-reads each endpoint through the int64 key w >> s, s = bit_length(T q) - 62,
-evaluating in Python ints only the few ends within 2T of an extreme.  The
-fractional_orbit cases read the discrepancy orbit as the residues
-n M mod Q of gamma.mid = M/Q, on the grid Q for an exact gamma and for an
-enclosure alike; pi at 128 bits (the enclosure workload's orbit) and e at
-256 and 1024 bits, with discrepancy_L on the same orbits, time how the scan
-slows as Q grows.  The near-rational enclosure within 2^-200 of 3/7 puts
-its points in 7 runs of equal keys, each ordered exactly in Python ints.
+reads each endpoint through the int64 key floor(w 2^K / q), K = 62 -
+bit_length(T), evaluating in Python ints only the few ends within 2T of an
+extreme.  The fractional_orbit cases read the discrepancy orbit as the
+residues n M mod Q of gamma.mid = M/Q while T Q < 2^62 (5/313), and beyond
+as 62-bit fixed-point keys built from int64 limbs, with no Python int per
+point; pi at 128 bits (the enclosure workload's orbit), e at 256 and 1024
+bits and pi at 4096 bits with 10^6 points, with discrepancy_L on the same
+orbits, time how the orbit and the scan grow with Q and T.  The
+near-rational enclosure within 2^-200 of 3/7 puts its points in 7 runs of
+keys within one unit of each other, whose points are read exactly and
+ordered by one sort of their residues.
 The erdos_turan_check cases time the whole check, which builds its own
 orbit: fractional_orbit, the O(T) discrepancy scan and the closed-form
 right side, two distance reads and two sine bounds per g, all on integer
@@ -108,16 +111,17 @@ def cases():
     # T=4000 is the longest orbit the spectral benchmark workload sends
     for label, q in (("2^40", 1 << 40), ("2^64+13", (1 << 64) + 13)):
         nums = [int(v) * q >> 40 for v in rng.integers(0, 1 << 40, size=4000)]
-        w, lt, eq = _candidate_tables(K._int_array(nums, 4000 * q), q)
+        w, lt, eq = _candidate_tables(nums, q)
         yield f"interval_deviation_max (T=4000, q={label})", K.interval_deviation_max, (
             w, lt, eq, 4000, q)
 
-    for text, bits in (("5/313", 128), ("pi", 128), ("e", 256), ("e", 1024)):
+    for text, bits, T in (("5/313", 128, 4000), ("pi", 128, 4000), ("e", 256, 4000),
+                          ("e", 1024, 4000), ("pi", 4096, 10**6)):
         gamma = Real.parse(text, bits)
-        yield f"fractional_orbit (T=4000, gamma={text}@{bits})", fractional_orbit, (gamma, 4000)
+        yield f"fractional_orbit (T={T}, gamma={text}@{bits})", fractional_orbit, (gamma, T)
         if text != "5/313":
-            yield f"discrepancy_L (T=4000, gamma={text}@{bits})", discrepancy_L, (
-                fractional_orbit(gamma, 4000),)
+            yield f"discrepancy_L (T={T}, gamma={text}@{bits})", discrepancy_L, (
+                fractional_orbit(gamma, T),)
     gamma = Real(Fraction(3 * 2**200 + 1, 7 * 2**200), Fraction(1, 2**400))
     yield "discrepancy_L (T=4000, gamma=3/7+2^-200/7, key ties)", discrepancy_L, (
         fractional_orbit(gamma, 4000),)

@@ -5,7 +5,7 @@ Library layout:
 * :mod:`radixapprox.exact`        exact rationals, enclosures, dist/frac
 * :mod:`radixapprox.digitsets`    the structured integer sets and rankings
 * :mod:`radixapprox.approx`       witness-producing approximation searches
-* :mod:`radixapprox.diffsets`     difference-set combinatorics, zero-sum finder
+* :mod:`radixapprox.diffsets`     difference-set combinatorics
 * :mod:`radixapprox.expsum`       digit-restricted exponential sums and bounds
 * :mod:`radixapprox.discrepancy`  exact interval discrepancy, Erdos-Turan check
 * :mod:`radixapprox.constants`    the explicit constant chain and decay bound

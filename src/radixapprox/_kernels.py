@@ -6,12 +6,14 @@ arrays of Python ints otherwise, so callers never branch on the size of
 their integers.  Integer results are exact on both kinds of array; float
 sums differ only by rounding that ``expsum._sum_radius`` accounts for.
 The discrepancy scan (``interval_deviation_max``) is int64 at every size:
-it reads each end e = c Q - w T (c <= T a count) through the keys w >> s
-and Q >> s, s = key_shift(T Q), as E = c (Q >> s) - (w >> s) T, below
-2**62.  Both remainders are below 2**s, so |e / 2**s - E| < T, and an end
-equal to the largest or least e has E within 2T of the largest or least
-E: only those ends are evaluated exactly, in Python ints (none while
-T Q < 2**62, where s = 0 and E = e).
+while T Q < 2**62 it reads the exact ends e = c Q - w T (c <= T a count);
+beyond, it reads each endpoint w through a key k on the grid 2**K, K =
+62 - bit_length(T), with k <= w 2**K / Q < k + 2, as E = c 2**K - k T,
+below 2**62.  Then e 2**K / Q lies in (E - 2T, E], so an end equal to the
+largest or least e has E within 2T of the largest or least E: only those
+ends are evaluated exactly, in Python ints.  The keys of the discrepancy
+orbit {n r / q} come from n F mod 2**B, F = floor(r 2**B / q), on int64
+limbs (``fixed_point_orbit``), so no orbit holds a Python int per point.
 
 The zero-one residues have one layout, the meet-in-the-middle split
 (Horowitz & Sahni, "Computing partitions with applications to the knapsack
@@ -50,7 +52,9 @@ __all__ = [
     "first_close",
     "interval_deviation_max",
     "KeyedInts",
-    "key_shift",
+    "POINT_UNIT",
+    "fixed_point_keys",
+    "fixed_point_orbit",
     "cos_margin_values",
 ]
 
@@ -275,39 +279,82 @@ def cos_sin_sum(theta: np.ndarray, weights=None):
 # ---------------------------------------------------------------------------
 
 
-def key_shift(bound: int) -> int:
-    """The least s >= 0 with bound < 2**(62 + s): for bound = T Q, the keys
-    v >> s of values v <= Q times any count up to T stay below 2**62."""
-    return max(0, bound.bit_length() - 62)
+#: The grid of the points' fixed-point keys, floor(v POINT_UNIT / q) for a
+#: point v/q in [0, 1).  The scan keys its endpoints on the grid POINT_UNIT
+#: >> bit_length(T): T times a key, and a count up to T times that grid,
+#: stay below 2**62.
+POINT_UNIT = 1 << 62
 
 
-def _keys(values, shift: int) -> np.ndarray:
-    """A new int64 array of the keys v >> shift of non-negative ints v that
-    fit: one buffered ufunc pass over an int64 or object array, with no
-    full-length object array; any other sequence is read one int at a time."""
-    if isinstance(values, np.ndarray):
-        return np.right_shift(values, shift, out=np.empty(len(values), np.int64), casting="unsafe")
-    return np.fromiter((int(v) >> shift for v in values), np.int64, len(values))
+def fixed_point_keys(values, q: int, unit: int) -> np.ndarray:
+    """floor(v unit / q) of each int v in [0, q] (q reads unit) as a new
+    int64 array, one Python division per value: the keys of explicit values
+    on the grid unit."""
+    return np.fromiter((int(v) * unit // q for v in values), np.int64, len(values))
+
+
+def fixed_point_orbit(r: int, q: int, count: int) -> np.ndarray:
+    """The keys floor(y_n 2**62), on the grid POINT_UNIT, of y_n = {n F /
+    2**B}, n = 1..count, for F = floor(r 2**B / q) and 0 <= r < q: the
+    fixed-point reading of the orbit {n r / q} (Knuth, TAOCP vol. 2,
+    4.3.1), with no Python int per point.
+
+    F is read as J limbs of W = 62 - bit_length(count) bits, so each
+    product n f_j < 2**62, and n F mod 2**B is J int64 products with the
+    carries propagated, exact; B = J W >= 62 + bit_length(count).  {n r / q}
+    lies in [y_n, y_n + n 2**-B) modulo 1, and n 2**-B < 2**-62, so each key
+    is floor({n r / q} 2**62) or one less, except where y_n + n 2**-B passes
+    1: that point wrapped past 1 and is keyed 2**62 - 1.
+    """
+    W = 62 - count.bit_length()
+    J = -(-(62 + count.bit_length()) // W)
+    F, mask = (r << J * W) // q, (1 << W) - 1
+    n = np.arange(1, count + 1, dtype=np.int64)
+    digits, carry = [], 0
+    for j in range(J):  # the lowest limb first; the top limb's carry is the integer part
+        d = n * ((F >> j * W) & mask)
+        d += carry
+        if j < J - 1:
+            carry = d >> W
+        d &= mask
+        digits.append(d)
+    del n, carry
+    keys, have = digits.pop(), W  # the top 62 bits, highest limb first
+    keys <<= 62 - W
+    while have < 62:
+        take = min(W, 62 - have)
+        have += take
+        keys |= (digits.pop() >> (W - take)) << (62 - have)
+    return keys
 
 
 class KeyedInts:
-    """Exact ints w[0..m) read through int64 keys: keys[i] = w[i] >> shift,
-    and value(i) the exact w[i], read only where the keys cannot decide."""
+    """Exact ints w[0..m) on the grid scale, read through int64 keys on the
+    grid unit: keys[i] = w[i] where unit is the scale, and otherwise
+    keys[i] <= w[i] unit / scale < keys[i] + 2.  value(i) (also w[i]) is the
+    exact w[i], read only where the keys cannot decide; the value of a set
+    of points also reads an int64 array of indices at once, as an object
+    array."""
 
-    __slots__ = ("keys", "shift", "value")
+    __slots__ = ("keys", "unit", "value")
 
-    def __init__(self, keys: np.ndarray, shift: int, value):
-        self.keys, self.shift, self.value = keys, shift, value
+    def __init__(self, keys: np.ndarray, unit: int, value):
+        self.keys, self.unit, self.value = keys, unit, value
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < len(self.keys):
+            raise IndexError(i)
+        return self.value(i)
 
 
 def _extreme_ends(ends: np.ndarray, w: KeyedInts, lt, eq, total: int, scale: int):
     """(top, bottom, at_top, at_bottom): the exact largest and least end
     and the masks of the ends equal to each, from the key-level ends."""
     top, bottom = ends.max(), ends.min()
-    if not w.shift:
+    if w.unit == scale:
         return int(top), int(bottom), ends == top, ends == bottom
     near = np.flatnonzero((ends > top - 2 * total) | (ends < bottom + 2 * total))
     exact = [(int(lt[c >> 1]) + (c & 1) * int(eq[c >> 1])) * scale - w.value(c >> 1) * total
@@ -322,21 +369,25 @@ def interval_deviation_max(w, lt, eq, total: int, scale: int):
     """Maximal |count - T*measure| over the endpoint candidate family.
 
     Returns (deviation * scale, i, j, left_closed, right_closed).  w holds
-    the exact endpoints: a list, an int64 or object array, or KeyedInts
-    keyed at key_shift(total * scale) (or more); every int64 term stays
-    below 2**62.  Needs len(w) >= 2, total >= 1.
+    the exact endpoints: a list, an int64 or object array, or KeyedInts on
+    the grid scale, or on the grid POINT_UNIT >> bit_length(total) when
+    total * scale >= 2**62; every int64 term stays below 2**62.  Needs len(w) >= 2,
+    total >= 1.
     """
     if not isinstance(w, KeyedInts):
-        shift = key_shift(total * scale)
-        w = KeyedInts(_keys(w, shift), shift, lambda i, values=w: int(values[i]))
+        read = lambda i, values=w: int(values[i])
+        if total * scale < _PRODUCT_LIMIT:
+            w = KeyedInts(np.asarray(w, dtype=np.int64), scale, read)
+        else:
+            unit = POINT_UNIT >> total.bit_length()
+            w = KeyedInts(fixed_point_keys(w, scale, unit), unit, read)
     lt, eq = np.asarray(lt, dtype=np.int64), np.asarray(eq, dtype=np.int64)
     # count * scale - total * width splits into a right-end term minus a
     # left-end term; each end counts the points up to w (closed right, open
     # left) or below w (open right, closed left)
-    unit = scale >> w.shift
-    below = lt * unit
+    below = lt * w.unit
     below -= w.keys * total
-    upto = eq * unit
+    upto = eq * w.unit
     upto += below
     # any two of the ends below[0], upto[0], below[1], ..., below[m-1], the
     # earlier as the left end, bound an interval of the family and every

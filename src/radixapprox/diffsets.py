@@ -1,4 +1,4 @@
-"""Difference-set combinatorics and the zero-sum subset finder.
+"""Difference-set combinatorics.
 
 The anchored quantity is the largest #J over J subseteq Z with every
 positive pairwise difference of J inside S; translation invariance anchors
@@ -111,42 +111,3 @@ def max_difference_set(
     if variant == VARIANT_ANCHORED:
         size, clique = size + 1, (0,) + clique
     return DiffSetReport(size, clique, variant, bound=bound, nodes=nodes)
-
-
-def zero_sum_subset(k: int, residues: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """A nonempty subset of the residues summing to 0 mod k, if one exists.
-
-    Dynamic programming over Z/kZ with subset reconstruction; among all
-    zero-sum subsets the returned one is minimal by (size, lexicographic)
-    order on ascending value tuples.  Residues must be pairwise distinct
-    mod k.
-    """
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    elems = sorted(residues)
-    seen_mod = set()
-    for e in elems:
-        m = e % k
-        if m in seen_mod:
-            raise DomainError(f"residues are not pairwise distinct mod {k}")
-        seen_mod.add(m)
-
-    best: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * k
-    for e in elems:
-        snapshot = list(best)
-        em = e % k
-        cand = (1, (e,))
-        if best[em] is None or cand < best[em]:
-            best[em] = cand
-        for r, entry in enumerate(snapshot):
-            if entry is None:
-                continue
-            size, vals = entry
-            target = (r + em) % k
-            cand = (size + 1, vals + (e,))
-            if best[target] is None or cand < best[target]:
-                best[target] = cand
-    if best[0] is None:
-        return None
-    return best[0][1]
-

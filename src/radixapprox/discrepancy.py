@@ -8,49 +8,48 @@ attained on the finite family of intervals whose endpoints are point values
 included.  That family is scanned in linear int64 passes
 (``_kernels.interval_deviation_max``), so the supremum is exact.
 
-The scan reads each residue v through its key k = v >> s, s = max(0,
-bit_length(T Q) - 62), so every table and every end fits int64; s = 0, and
-the keys are the residues, while T Q < 2**62.  The points sort on their
-keys, and only a run of equal keys (points within 2**s / Q of each other)
-is ordered and split exactly in Python ints.  An end e = c Q - w T, c <= T
-a count, reads as E = c (Q >> s) - k T with |e / 2**s - E| < T, both
-remainders being below 2**s; so every end equal to the largest or least e
-lies within 2T of the largest or least E, and only those ends, and the two
-witness endpoints, are read as Python ints.
+While T Q < 2**62 the points are int64 residues v, their own keys, and
+every end is exact.  Beyond, each point is read through a 62-bit
+fixed-point key k <= v 2**62 / Q < k + 2: an orbit's keys come from int64
+limbs (``_kernels.fixed_point_orbit``), explicit residues are keyed
+floor(v 2**62 / Q).  The points sort on these keys, and only points keyed
+within one unit of a neighbour are read exactly and ordered by one sort of
+their residues.  The endpoints w are keyed on the grid 2**K, K = 62 -
+bit_length(T), by the top K bits; an end e = c Q - w T, c <= T a count,
+reads as E = c 2**K - k T with e 2**K / Q in (E - 2T, E], so every end
+equal to the largest or least e lies within 2T of the largest or least E,
+and only those ends, and the two witness endpoints, are read as Python
+ints.
 
 Point n of the orbit {n gamma} is the exact residue v/Q of n M/Q on the
 grid Q of gamma.mid = M/Q, for exact and enclosure gamma alike, within
 n * gamma.rad of the true point; so the discrepancy picks up the radius
 2*T*T*gamma.rad: the interval-count functional is 2T-Lipschitz in a
 sup-norm perturbation of the points as long as no point wraps past an
-integer (wrapping raises IndeterminateComparison instead).
+integer (wrapping raises IndeterminateComparison instead).  Only a point
+within T rad of an integer can straddle one; with the key's own two units
+that is a key below tau = ceil(T rad 2**62) or at least 2**62 - tau - 1,
+and the top key 2**62 - 1 also holds any limb reading that wrapped past 1:
+those points are read exactly (``exact.residue_of_multiple``) and keyed
+floor(v 2**62 / Q).
 
 The Erdos-Turan right side is read off gamma in closed form, O(G) on top
 of the O(T) scan: the orbit {n gamma} is an arithmetic progression mod 1.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import _PRODUCT_LIMIT, KeyedInts, _int_array, _keys, interval_deviation_max, key_shift
+from ._kernels import (_PRODUCT_LIMIT, POINT_UNIT, KeyedInts, fixed_point_keys,
+                       fixed_point_orbit, interval_deviation_max)
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real, dist_ends_of_multiple, residue_of_multiple
 from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_bounds
-
-#: An orbit whose residues outgrow int64 (T Q >= 2^62) holds Python ints:
-#: discrepancy_L over it peaks at about 120 B a point for pi at 128 bits and
-#: 650 B at 4096 bits, against 17 B for int64 residues.  Such an orbit takes
-#: at most this share of the cap, scaled down by the bytes of Q past those of
-#: a 150-bit int (pi at the default 128 bits has a 142-bit Q), so its peak
-#: stays at or below 16 MB at every precision under the default cap.
-BIG_ORBIT_SHARE = 256
-_BIG_ORBIT_Q_BYTES = sys.getsizeof(1 << 149)
 
 
 @dataclass(frozen=True)
@@ -65,57 +64,73 @@ class DiscrepancyReport:
 
 
 class ScaledPoints(NamedTuple):
-    """Points nums[i] / q in [0, 1), each within worst of the point it stands for."""
+    """Points nums[i] / q in [0, 1), each within worst of the point it stands
+    for: nums is any sequence of ints, or KeyedInts for an orbit read
+    through its fixed-point keys."""
 
-    nums: np.ndarray
+    nums: Sequence[int]
     q: int
     worst: Fraction
 
 
-def _split_ties(nums, order: np.ndarray, starts: np.ndarray) -> None:
-    """Order each run of equal keys in ``order`` by the exact values, in
-    place, and mark in ``starts`` where those values change."""
-    first = np.flatnonzero(starts)
-    size = np.diff(first, append=len(starts))
-    for a, n in zip(first[size > 1].tolist(), size[size > 1].tolist()):
-        run = sorted(order[a : a + n].tolist(), key=nums.__getitem__)
-        order[a : a + n] = run
-        starts[a + 1 : a + n] = [nums[u] != nums[v] for u, v in zip(run, run[1:])]
+def _order_close_runs(points: KeyedInts, order: np.ndarray, starts: np.ndarray) -> None:
+    """Order the points of every run of keys within one unit of the last
+    (starts False) by their exact values, in place, and mark in starts
+    where those values change.  Keys two units apart order their points
+    (keys[i] <= v_i unit / q < keys[i] + 2), so the runs lie in key order
+    and one sort of their values, read at once, puts each back in its own
+    slots."""
+    inner = ~starts
+    if not inner.any():
+        return
+    slots = np.flatnonzero(inner | np.append(inner[1:], False))
+    values = points.value(order[slots])
+    by = np.argsort(values, kind="stable")
+    order[slots] = order[slots[by]]
+    values = values[by]
+    starts[slots[1:]] = values[1:] != values[:-1]
 
 
 def _candidate_tables(nums, q: int):
     """Sorted endpoint values w (0 and q included) as KeyedInts, with
-    below/equal counts.  The points sort on their keys; only a run of equal
-    keys (points within 2**shift / q of each other) is ordered exactly."""
+    below/equal counts.  While T q < 2**62 the residues are their own keys;
+    beyond, the points sort on 62-bit fixed-point keys (an orbit's own, or
+    floor(v 2**62 / q) of explicit residues), w is keyed on their top
+    62 - bit_length(T) bits, and only points keyed within one unit of a
+    neighbour are read exactly."""
     T = len(nums)
-    shift = key_shift(T * q)
-    keys = _keys(nums, shift)
-    if shift:  # the exact values behind the keys are read through the sort order
-        order = np.argsort(keys)
-        keys = keys[order]
-    else:  # the keys are the values
-        keys.sort()
     starts = np.empty(T, dtype=bool)  # where the sorted points start a new value
     starts[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    if shift:
-        _split_ties(nums, order, starts)
-    first = np.flatnonzero(starts)
-    # 0 is an endpoint also with no point on it
-    head = np.zeros(int((nums[order[0]] if shift else keys[0]) != 0), dtype=np.int64)
-    w = np.concatenate((head, keys[first], [q >> shift]))
-    eq = np.concatenate((head, np.diff(first, append=T), [0]))
-    if shift:
+    if T * q < _PRODUCT_LIMIT:
+        keys = np.array(nums, dtype=np.int64)
+        keys.sort()
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        # 0 is an endpoint also with no point on it
+        head = np.zeros(int(keys[0] != 0), dtype=np.int64)
+        w = np.concatenate((head, keys[first], [q]))
+        w = KeyedInts(w, q, lambda i, w=w: int(w[i]))
+    else:
+        points = nums if isinstance(nums, KeyedInts) else KeyedInts(
+            fixed_point_keys(nums, q, POINT_UNIT), POINT_UNIT,
+            np.asarray(nums, dtype=object).__getitem__)
+        order = np.argsort(points.keys)
+        np.greater(np.diff(points.keys[order]), 1, out=starts[1:])
+        _order_close_runs(points, order, starts)
+        first = np.flatnonzero(starts)
         rep = order[first]
+        low = int(rep[0])
+        head = np.zeros(int(points.keys[low] != 0 or points.value(low) != 0), dtype=np.int64)
+        shift = T.bit_length()
+        w = np.concatenate((head, points.keys[rep] >> shift, [POINT_UNIT >> shift]))
 
         def value(i: int) -> int:
             i -= len(head)
-            return q if i == len(rep) else int(nums[rep[i]]) if i >= 0 else 0
-    else:
-        def value(i: int) -> int:
-            return int(w[i])
+            return q if i == len(rep) else points.value(int(rep[i])) if i >= 0 else 0
 
-    return KeyedInts(w, shift, value), np.cumsum(eq) - eq, eq
+        w = KeyedInts(w, POINT_UNIT >> shift, value)
+    eq = np.concatenate((head, np.diff(first, append=T), [0]))
+    return w, np.cumsum(eq) - eq, eq
 
 
 def discrepancy_L(points: ScaledPoints) -> DiscrepancyReport:
@@ -200,23 +215,34 @@ def _weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
 
 
 def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> ScaledPoints:
-    """The sequence {n * gamma} for n = 1..T, refused over cap (over cap //
-    BIG_ORBIT_SHARE, scaled by the size of Q, when T Q >= 2^62) before any
-    point is read: the residues v = n M mod Q of gamma.mid = M/Q as one
-    array.  v/Q is within n * gamma.rad of {n gamma}, so worst = T *
-    gamma.rad, 0 for an exact gamma."""
+    """The sequence {n * gamma} for n = 1..T, refused over cap before any
+    point is read: the residues v = n M mod Q of gamma.mid = M/Q, as one
+    int64 array while T Q < 2**62 and otherwise as KeyedInts, the 62-bit
+    keys of ``fixed_point_orbit`` with the exact v read by index.  v/Q is
+    within n * gamma.rad of {n gamma}, so worst = T * gamma.rad, 0 for an
+    exact gamma."""
     M, Q = gamma.mid.numerator, gamma.mid.denominator
+    R, D = gamma.rad.numerator, gamma.rad.denominator
     if T < 1:
         raise DomainError(f"need T >= 1, got {T}")
-    if T * Q >= _PRODUCT_LIMIT:
-        cap = cap // BIG_ORBIT_SHARE * _BIG_ORBIT_Q_BYTES // max(_BIG_ORBIT_Q_BYTES, sys.getsizeof(Q))
     if T > cap:
         raise ResourceLimit(f"orbit of {T} points exceeds the cap {cap}")
-    nums = _int_array(np.arange(1, T + 1), T * Q)
-    nums *= M % Q
-    nums %= Q
-    # only a point within t = ceil(T rad Q) of 0 or Q can straddle an integer
-    t = -(-T * gamma.rad.numerator * Q // gamma.rad.denominator)
-    for n in np.flatnonzero((nums < t) | (nums >= Q - t)).tolist():
-        residue_of_multiple(gamma, n + 1)
-    return ScaledPoints(nums, Q, T * gamma.rad)
+    r = M % Q
+    if T * Q < _PRODUCT_LIMIT:
+        keys, unit = np.arange(1, T + 1), Q
+        keys *= r
+        keys %= Q
+    else:
+        keys, unit = fixed_point_orbit(r, Q, T), POINT_UNIT
+    # only a point within T rad of an integer can straddle one: its key lies
+    # below tau, or at least unit - tau, one unit lower for a fixed-point
+    # key, whose top key unit - 1 also holds any limb reading that wrapped
+    # past 1; read those exactly, and key them floor(v unit / Q)
+    tau = min(-(-T * R * unit // D), unit)
+    top = unit - tau - (unit != Q)
+    for n in np.flatnonzero((keys < tau) | (keys >= top)).tolist():
+        keys[n] = residue_of_multiple(gamma, n + 1) * unit // Q
+    if unit == Q:
+        return ScaledPoints(keys, Q, T * gamma.rad)
+    return ScaledPoints(KeyedInts(keys, unit, lambda i: np.add(i, 1, dtype=object) * r % Q),
+                        Q, T * gamma.rad)

@@ -584,11 +584,13 @@ class TestExitCodes:
         assert code == 0 and json.loads(out), err
 
     def test_an_orbit_on_python_ints_is_refused_at_once(self, capsys, tmp_path, monkeypatch):
-        # cap 2^20: orbits on Python ints (T Q >= 2^62) stop at 2^20 / 256 = 4096 points
+        # cap 2^16: an orbit whose residues are Python ints (T Q >= 2^62, read
+        # through int64 keys) and an int64 one stop at the same cap
+        cap = 1 << 16
         cfg = tmp_path / "cfg"
-        cfg.write_text(f"enumeration_cap={1 << 20}\n")
+        cfg.write_text(f"enumeration_cap={cap}\n")
         monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
-        argv = ["discrepancy", "--gamma", "pi", "--limit", "4097", "--G", "5"]
+        argv = ["discrepancy", "--gamma", "pi", "--limit", str(cap + 1), "--G", "5"]
         main(argv[:2] + ["1/7", "--limit", "1"])  # warm the parser and the imports
         capsys.readouterr()
         started = time.perf_counter()
@@ -599,27 +601,28 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert time.perf_counter() - started < 1 and peak < 1 << 20
-        assert code == 3 and err == "resource limit: orbit of 4097 points exceeds the cap 4096\n"
-        code, _, err = run_cli(argv[:4] + ["4096"], capsys)
+        assert code == 3 and err == f"resource limit: orbit of {cap + 1} points exceeds the cap {cap}\n"
+        code, _, err = run_cli(argv[:4] + [str(cap)] + argv[5:], capsys)
         assert code == 0, err
-        code, _, err = run_cli(["discrepancy", "--gamma", "1/7", "--limit", "4097"], capsys)
-        assert code == 0, err
+        code, _, err = run_cli(["discrepancy", "--gamma", "1/7", "--limit", str(cap + 1)], capsys)
+        assert code == 3 and err == f"resource limit: orbit of {cap + 1} points exceeds the cap {cap}\n"
 
     def test_entry_point_runs(self):
         proc = self.run_entry_point(["--version"])
         assert proc.returncode == 0 and "radix-approx" in proc.stdout
 
     def test_a_4096_bit_orbit_past_its_limit_is_refused_at_once(self, capsys):
-        # the default cap's 2^17 Python-int points, scaled by 44/576, the
-        # bytes of a 142-bit Q (pi at 128 bits) over those of pi's Q at 4096 bits
-        argv = ["discrepancy", "--gamma", "pi", "--precision-bits", "4096", "--limit", "10013"]
+        # the default cap, 2^25 points, holds for pi at 4096 bits as for any
+        # orbit: past it the orbit is refused before any point is read, and
+        # 10^6 points run
+        argv = ["discrepancy", "--gamma", "pi", "--precision-bits", "4096", "--limit", str((1 << 25) + 1)]
         main(argv[:5] + ["--limit", "1"])  # warm the parser and the 4096-bit pi
         capsys.readouterr()
         started = time.perf_counter()
         code, _, err = run_cli(argv, capsys)
         assert time.perf_counter() - started < 1
-        assert code == 3 and err == "resource limit: orbit of 10013 points exceeds the cap 10012\n"
-        code, _, err = run_cli(argv[:-1] + ["10012"], capsys)
+        assert code == 3 and err == "resource limit: orbit of 33554433 points exceeds the cap 33554432\n"
+        code, _, err = run_cli(argv[:-1] + ["1000000"], capsys)
         assert code == 0, err
 
 

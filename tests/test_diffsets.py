@@ -11,7 +11,6 @@ from radixapprox.diffsets import (
     anchored_cap,
     max_difference_set,
     positive_differences,
-    zero_sum_subset,
 )
 from radixapprox.errors import DomainError, ResourceLimit
 
@@ -124,50 +123,3 @@ class TestMaxDifferenceSet:
     def test_cap_excludes_base_two(self):
         with pytest.raises(DomainError):
             anchored_cap(2, 100)
-
-
-def brute_zero_sum(k, residues):
-    best = None
-    elems = sorted(residues)
-    for r in range(1, len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            if sum(combo) % k == 0:
-                cand = (r, combo)
-                if best is None or cand < best:
-                    best = cand
-        if best is not None:
-            break
-    return None if best is None else best[1]
-
-
-class TestZeroSum:
-    def test_examples(self):
-        assert zero_sum_subset(6, [1, 2, 3]) == (1, 2, 3)
-        assert zero_sum_subset(7, [1, 2, 3]) is None
-        assert zero_sum_subset(4, [1, 3]) == (1, 3)
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(DomainError):
-            zero_sum_subset(5, [1, 6])
-
-    def test_matches_brute_force(self):
-        rng = random.Random(11)
-        for _ in range(120):
-            k = rng.randint(1, 30)
-            n = rng.randint(1, min(k, 9))
-            residues = rng.sample(range(k), n)
-            residues = [x + k * rng.randint(0, 3) for x in residues]
-            assert zero_sum_subset(k, residues) == brute_zero_sum(k, residues)
-
-    def test_guarantee_threshold(self):
-        rng = random.Random(12)
-        for _ in range(60):
-            k = rng.randint(1, 400)
-            need = 1
-            while need * need < 9 * k:
-                need += 1
-            if need > k:
-                continue
-            residues = rng.sample(range(k), need)
-            out = zero_sum_subset(k, residues)
-            assert out is not None and sum(out) % k == 0

@@ -204,6 +204,34 @@ def _differential_orbits(rng):
         yield "repeated", Real(Fraction(rng.randrange(0, 5 * Q), Q)), rng.randint(Q, 2000)
     for _ in range(30):
         yield "near-rational", _near_rational(rng, rng.choice([70, 200, 1100])), rng.randint(2, 2000)
+    for _ in range(30):
+        yield "near-integer", *_near_integer_point(rng)
+
+
+def _near_integer_point(rng):
+    """(gamma, T) with n gamma within 2^-e of an integer, or on one, for
+    some n <= T: gamma = (k 2^e + d) / (n 2^e), |d| <= 2, e far past the
+    bits of the orbit's fixed-point reading, so that point's reading may
+    wrap past 1; half of them carry a radius."""
+    T, e = rng.randint(2, 3000), rng.choice([80, 300])
+    n = rng.randint(1, T)
+    mid = Fraction(rng.randrange(1, 5 * n) * 2**e + rng.randint(-2, 2), n * 2**e)
+    return Real(mid, rng.choice([Fraction(0), Fraction(1, 2 ** (2 * e))])), T
+
+
+def _undecided_by_keys(points):
+    """Whether the 62-bit fixed-point keys the scan sorts on leave two
+    distinct points within one unit of each other, so that their order is
+    read from the exact residues."""
+    nums, q, _ = points
+    if len(nums) * q < 1 << 62:
+        return False
+    if isinstance(nums, _kernels.KeyedInts):
+        keys = nums.keys
+    else:
+        keys = _kernels.fixed_point_keys(nums, q, 1 << 62)
+    pairs = sorted(zip(keys.tolist(), (int(v) for v in nums)))
+    return any(k - j <= 1 and u != v for (j, u), (k, v) in zip(pairs, pairs[1:]))
 
 
 def _differential_points(rng):
@@ -241,9 +269,24 @@ class TestDiscrepancy:
             assert [int(v) for v in nums] == before, label  # the points stay as given
             assert got == _report_or_raise(discrepancy_object_parent, points), label
             kinds[label] += 1
-            s = _kernels.key_shift(len(nums) * q)
-            tied += s > 0 and len({int(v) >> s for v in nums}) < len({int(v) for v in nums})
-        assert len(kinds) == 3 * 5 + 6 and tied > 30, (kinds, tied)
+            tied += _undecided_by_keys(points)
+        assert len(kinds) == 3 * 5 + 7 and tied > 30, (kinds, tied)
+
+    def test_keys_a_unit_low_are_ordered_exactly(self):
+        # an orbit's key is floor(v 2^62 / q) or one less: points around a
+        # key boundary, some keyed one unit low, give the same report as the
+        # exact scan; so do sets whose least point is keyed 0 but is not 0
+        rng = random.Random(40)
+        for _ in range(200):
+            q = rng.choice([rng.randint(1 << 100, 1 << 101), rng.randint(1 << 1100, 1 << 1101)])
+            bounds = [-(-g * q >> 62) for g in (rng.randrange(1, 1 << 62), rng.randrange(1, 8))]
+            pool = [max(b + d, 1) for b in bounds for d in range(-3, 4)] + [q - 1, q - 2]
+            values = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+            keys = np.array([max((v << 62) // q - rng.randint(0, 1), 0) for v in values])
+            read = np.asarray(values, dtype=object).__getitem__
+            points = ScaledPoints(_kernels.KeyedInts(keys, 1 << 62, read), q, Fraction(0))
+            want = discrepancy_object_parent(ScaledPoints(values, q, Fraction(0)))
+            assert discrepancy_L(points) == want
 
     def test_single_point(self):
         rep = discrepancy_L(scaled([E(1, 2)]))
@@ -599,21 +642,22 @@ class TestFractionalOrbit:
             tracemalloc.stop()
         assert len(pts.nums) == T and peak <= 64 * T
 
-    @pytest.mark.parametrize("bits, limit", [(128, 2**17), (4096, 10012)])
-    def test_python_int_orbit_limit_counts_bytes(self, bits, limit):
-        # 2^17 points of a 142-bit Q peak at 26 MB; a 4111-bit Q (576 B a
-        # residue against 44) takes 2^17 * 44 // 576 points
-        gamma = Real.parse("pi", bits)
-        with pytest.raises(ResourceLimit, match=f"orbit of {limit + 1} points exceeds the cap {limit}$"):
-            fractional_orbit(gamma, limit + 1)
-        if bits == 4096:
-            tracemalloc.start()
-            try:
-                discrepancy_L(fractional_orbit(gamma, limit))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 32 << 20
+    @pytest.mark.parametrize("bits", [128, 4096])
+    def test_orbit_reaches_the_cap_at_every_precision(self, bits):
+        # every orbit has the one cap: 10^6 points of pi peak at 78 B a point
+        # at 128 and at 4096 bits (a 142- and a 4111-bit Q), keys and scan
+        # tables only, against 122 B a point for 2^17 points of pi@128 when
+        # the orbit held one Python int per point
+        gamma, T = Real.parse("pi", bits), 10**6
+        with pytest.raises(ResourceLimit, match=f"orbit of {T + 1} points exceeds the cap {T}$"):
+            fractional_orbit(gamma, T + 1, cap=T)
+        tracemalloc.start()
+        try:
+            rep = discrepancy_L(fractional_orbit(gamma, T))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.T == T and peak <= 122 * T
 
     def test_bad_T(self):
         with pytest.raises(DomainError):

@@ -632,21 +632,26 @@ def test_interval_deviation_max_at_the_product_limit(total, q):
 
 @pytest.mark.parametrize("q", [(1 << 64) + 13, (1 << 200) + 235])
 def test_interval_deviation_max_certifies_the_ends_near_an_extreme(q):
-    # point k within 2^s of k q / T, s = key_shift(T q): every end c q - w T
-    # lies within T 2^s of 0 or of q, so many read within 2T of an extreme
-    # through their keys, and the first key-level argmax is often not the
-    # first exact one
+    # point k within one key unit q 2^-K of k q / T, K = 62 - bit_length(T): every
+    # end c q - w T lies within T q 2^-K of 0 or of q, so many read within 2T
+    # of an extreme through their keys floor(w 2^K / q), and the first
+    # key-level argmax is often not the first exact one
     rng = random.Random(q)
     misread = 0
     for _ in range(100):
         total = rng.randint(2, 12)
-        s = K.key_shift(total * q)
-        nums = [min(max(k * q // total + rng.randint(-(1 << s), 1 << s), 0), q - 1)
+        bits = 62 - total.bit_length()
+        unit = q >> bits
+        nums = [min(max(k * q // total + rng.randint(-unit, unit), 0), q - 1)
                 for k in range(total)]
         w, lt, eq = candidate_tables_py(nums, q)
         dev, i, j, lc, rc = K.interval_deviation_max(w, lt, eq, total, q)
         assert (dev, w[i], w[j], lc, rc) == deviation_max_py(nums, q, total)
-        ends = [(c * q - v * total, c * (q >> s) - (v >> s) * total)
+        # the limb keys of an orbit may read one unit low: the window holds
+        keys = np.array([max((v << bits) // q - rng.randint(0, 1), 0) for v in w])
+        low = K.KeyedInts(keys, 1 << bits, w.__getitem__)
+        assert K.interval_deviation_max(low, lt, eq, total, q) == (dev, i, j, lc, rc)
+        ends = [(c * q - v * total, (c << bits) - (v << bits) // q * total)
                 for v, a, b in zip(w, lt, eq) for c in (a, a + b)][:-1]
         exact, key = zip(*ends)
         misread += exact.index(max(exact)) != key.index(max(key))
@@ -670,3 +675,28 @@ def test_discrepancy_reads_only_the_ends_near_an_extreme(monkeypatch):
     points = discrepancy.fractional_orbit(Real.parse("pi", 128), 4000)
     assert discrepancy.discrepancy_L(points) == discrepancy_object_parent(points)
     assert 2 < len(reads) < 16
+
+
+@pytest.mark.parametrize("count", [1, 7, 3000, (1 << 20) + 5])
+def test_fixed_point_orbit_keys_lie_one_unit_below_the_points(count):
+    # the key of {n r / q} is floor or floor - 1 of its 62-bit reading, or
+    # 2^62 - 1 for a point that wrapped past 1 (exactly on, or within 2^-62
+    # above, an integer); 2^20 + 5 points take three limbs, the others two
+    rng = random.Random(count)
+    wrapped = 0
+    for _ in range(30 if count < 1 << 20 else 8):
+        q = rng.choice([rng.randint(2, 1 << 70), 1 << rng.randint(60, 200),
+                        rng.randint(1 << 4000, 1 << 4200)])
+        r, n = rng.randrange(q), rng.randint(1, count)
+        if rng.random() < 0.5:  # point n on, or within q^-1 of, an integer
+            q = n << rng.randint(70, 300)
+            r = (rng.randrange(n) * q // n + rng.randint(-2, 2)) % q
+        keys = K.fixed_point_orbit(r, q, count)
+        assert keys.dtype == np.int64 and len(keys) == count
+        picks = range(count) if count < 1 << 20 else rng.sample(range(count), 3000) + [n - 1, count - 1]
+        for i in picks:
+            exact = ((i + 1) * r % q << 62) // q
+            key = int(keys[i])
+            wrapped += key == (1 << 62) - 1 and exact == 0
+            assert exact - 1 <= key <= exact or (key == (1 << 62) - 1 and exact == 0)
+    assert wrapped or count < 7
