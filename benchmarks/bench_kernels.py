@@ -49,11 +49,16 @@ each) and collides, and the
 separation check passes, so its merge reads every window hit and all 105
 power gaps at r=14; each at sqrt2@128 and at the exact
 1254027132096/886731088897, within 10^-24 of sqrt2.
+The report writer case times the JSON text cli.main writes, report and
+meta, of the nine commands under README's "## CLI" and one enclosure
+expsum report (pi at 256 bits: six Reals), from the library's objects.
 The compute_constants cases time the certified scan of the depth
 coefficient H in mpmath intervals at the CLI's default 128 bits: b=2 stops
 at scale 6, b=3 at 4 and b=10 at 2.
 """
 import argparse
+import pathlib
+import shlex
 import statistics
 import time
 from fractions import Fraction
@@ -61,6 +66,8 @@ from fractions import Fraction
 import numpy as np
 
 import radixapprox._kernels as K
+import radixapprox.cli as cli
+from radixapprox import __version__
 from radixapprox.exact import Real
 from radixapprox.discrepancy import (
     _candidate_tables,
@@ -74,8 +81,40 @@ from radixapprox.constants import compute_constants
 from radixapprox.expsum import eval_expsum, separation_check
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def envelope_parts():
+    """(report, meta) of the JSON envelope of each command under README's
+    "## CLI", and of an enclosure expsum report: what cli.main writes."""
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("radix-approx ")]
+    argvs.append(["expsum", "--base", "3", "--r", "14", "--k", "1", "--gamma", "pi",
+                  "--precision-bits", "256"])
+    parts = []
+    for argv in argvs:
+        if "--format" in argv:
+            at = argv.index("--format")
+            argv = argv[:at] + argv[at + 2:]
+        args = cli._parser().parse_args([*argv, "--format", "json"])
+        cfg = cli._config_from(args)
+        meta = {"tool": "radixapprox", "version": __version__, "subcommand": args.subcommand,
+                "config": cfg, "wall_time_ms": cli._Number(1.0)}
+        parts.append((args.handler(args, cfg), meta))
+    return parts
+
+
+def write_envelopes(parts):
+    for report, meta in parts:
+        cli._write(report, "\n  ")
+        cli._write(meta, "\n  ")
+
+
 def cases():
     rng = np.random.default_rng(0)
+
+    # the layer above the kernels: the JSON text of ten reports and their meta
+    yield "report writer (9 README envelopes + expsum pi@256)", write_envelopes, (envelope_parts(),)
 
     modulus = (1 << 22) - 1
     pow_mod = [pow(2, d, modulus) for d in range(21)]

@@ -11,9 +11,11 @@ Each subcommand takes only the flags its handler reads, plus --format and
 grammar: main reads the usual argv, a subcommand followed by distinct
 "--flag value" pairs, off a table taken once from the parser's own actions
 (flag -> action, the defaults, the required flags), and hands any other
-argv to parse_args, so every usage message is argparse's.  The JSON
-envelope is written in one pass over _ser's output, byte for byte what
-json.dumps(envelope, indent=2) writes.
+argv to parse_args, so every usage message is argparse's.  The report is
+written to JSON text in one walk over the library's objects (_write: one
+writer per exact type, a dataclass's built once from its fields), byte for
+byte what json.dumps(envelope, indent=2) writes of its tree, with no tree
+built; the csv and human forms read that same text back with json.loads.
 
 Exit codes: 0 success, 1 usage or domain error (a bad or unknown flag, a
 missing required flag, an unparsable value, a config file that is missing
@@ -111,76 +113,104 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _ser(value: Any) -> Any:
-    """JSON-ready form: Fractions as p/q strings, Reals as mid/rad pairs."""
-    if isinstance(value, Fraction):
-        try:
-            return f"{value.numerator}/{value.denominator}"
-        except ValueError:  # CPython's int-to-text digit limit
-            raise ResourceLimit(f"a report value exceeds the {sys.get_int_max_str_digits()}"
-                                "-digit limit for printing an int") from None
-    if isinstance(value, Real):
-        if value.is_exact:
-            return {"exact": _ser(value.mid)}
-        return {"mid": _ser(value.mid), "rad": _ser(value.rad)}
-    if isinstance(value, ds.SetSpec):
-        return value.to_dict()
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _ser(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {k: _ser(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_ser(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    return str(value)
-
-
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json_text(value: Any) -> str:
-    """json.dumps(value, indent=2) of a value made of what _ser returns
-    (dicts with str keys, lists, str, int, bool, None) and finite floats."""
-    parts: list[str] = []
-    _write_json(value, "\n", parts)
-    return "".join(parts)
+def _write_real(value: Real, pad: str) -> str:
+    inner = pad + "  "
+    mid = _WRITERS[type(value.mid)](value.mid, inner)
+    if value.is_exact:
+        return f'{{{inner}"exact": {mid}{pad}}}'
+    return f'{{{inner}"mid": {mid},{inner}"rad": {_WRITERS[type(value.rad)](value.rad, inner)}{pad}}}'
 
 
-def _write_json(value: Any, pad: str, parts: list[str]) -> None:
-    """Append value's text to parts; pad is the newline and indent of its line."""
-    if isinstance(value, str):
-        parts.append(_quote(value))
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner, sep = pad + "  ", "{"
-        for key, item in value.items():
-            parts.append(f"{sep}{inner}{_quote(key)}: ")
-            _write_json(item, inner, parts)
-            sep = ","
-        parts.append(pad + "}")
-    elif isinstance(value, list):
-        if not value:
-            parts.append("[]")
-            return
-        inner, sep = pad + "  ", "["
-        for item in value:
-            parts.append(sep + inner)
-            _write_json(item, inner, parts)
-            sep = ","
-        parts.append(pad + "]")
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    else:
-        parts.append(float.__repr__(value))
+def _write_dict(value: dict, pad: str) -> str:
+    if not value:
+        return "{}"
+    inner = pad + "  "
+    return "{" + ",".join([f"{inner}{_quote(key)}: {_WRITERS[type(item)](item, inner)}"
+                           for key, item in value.items()]) + pad + "}"
+
+
+def _write_list(value, pad: str) -> str:
+    if not value:
+        return "[]"
+    inner = pad + "  "
+    return "[" + ",".join([inner + _WRITERS[type(item)](item, inner) for item in value]) + pad + "]"
+
+
+def _dataclass_writer(cls):
+    """The writer of cls's instances: a dict of its fields, in order."""
+    fields = [(f.name, _quote(f.name)) for f in dataclasses.fields(cls)]
+    if not fields:
+        return lambda value, pad: "{}"
+
+    def write(value, pad: str) -> str:
+        inner = pad + "  "
+        items = [(key, getattr(value, name)) for name, key in fields]
+        return "{" + ",".join([f"{inner}{key}: {_WRITERS[type(item)](item, inner)}"
+                               for key, item in items]) + pad + "}"
+    return write
+
+
+def _writer_for(cls):
+    """The writer of a type outside the table, by the first rule that fits:
+    a Fraction or Real subclass as its base; a SetSpec as its to_dict();
+    any other dataclass as a dict of its fields; a dict, list, tuple, str or
+    int subclass as its base; anything else as the string str(value) (a
+    float or a numpy int, say)."""
+    for base in (Fraction, Real):
+        if issubclass(cls, base):
+            return _WRITERS[base]
+    if issubclass(cls, ds.SetSpec):
+        return lambda value, pad: _write_dict(value.to_dict(), pad)
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _dataclass_writer(cls)
+    for base in (dict, list, tuple, str, int):
+        if issubclass(cls, base):
+            return _WRITERS[base]
+    return lambda value, pad: _quote(str(value))
+
+
+class _Writers(dict):
+    """type -> writer(value, pad), pad the newline and indent of the value's
+    line; a type missing from the table is resolved once by _writer_for
+    and kept, so a dataclass's fields are read once per class."""
+
+    def __missing__(self, cls):
+        self[cls] = writer = _writer_for(cls)
+        return writer
+
+
+class _Number(float):
+    """A float written as a JSON number; any other float is written as a string."""
+
+
+_WRITERS = _Writers({
+    Fraction: lambda value, pad: f'"{value.numerator}/{value.denominator}"',
+    Real: _write_real,  # {"exact": p/q} or {"mid": p/q, "rad": p/q}
+    dict: _write_dict,
+    list: _write_list,
+    tuple: _write_list,
+    str: lambda value, pad: _quote(value),
+    int: lambda value, pad: int.__repr__(value),
+    bool: lambda value, pad: "true" if value else "false",
+    type(None): lambda value, pad: "null",
+    _Number: lambda value, pad: float.__repr__(value),
+})
+
+
+def _write(value: Any, pad: str = "\n") -> str:
+    """The JSON text of a report value, in one walk: json.dumps(value,
+    indent=2) of its tree of Fractions as "p/q" strings, Reals as
+    {"exact": ...} or {"mid": ..., "rad": ...}, dataclasses as dicts of
+    their fields and tuples as lists, indented one level per two spaces
+    in pad.  An int or Fraction too long to print raises ResourceLimit."""
+    try:
+        return _WRITERS[type(value)](value, pad)
+    except ValueError:  # CPython's int-to-text digit limit, the one ValueError a writer raises
+        raise ResourceLimit(f"a report value exceeds the {sys.get_int_max_str_digits()}"
+                            "-digit limit for printing an int") from None
 
 
 def _human(value: Any, indent: int = 0) -> str:
@@ -479,7 +509,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config_from(args)
         started = time.perf_counter()
-        report = _ser(args.handler(args, cfg))
+        report = _write(args.handler(args, cfg), "\n  ")
         wall_ms = (time.perf_counter() - started) * 1000.0
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
@@ -494,26 +524,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.exit(1, f"error: {exc}\n")
 
     if cfg.output_format == "json":
-        envelope = {
-            "report": report,
-            "meta": {
-                "tool": "radixapprox",
-                "version": __version__,
-                "subcommand": args.subcommand,
-                "config": _ser(cfg),
-                "wall_time_ms": round(wall_ms, 3),
-            },
+        meta = {
+            "tool": "radixapprox",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "config": cfg,
+            "wall_time_ms": _Number(round(wall_ms, 3)),
         }
-        text = _json_text(envelope) + "\n"
+        text = '{\n  "report": ' + report + ',\n  "meta": ' + _write(meta, "\n  ") + "\n}\n"
     elif cfg.output_format == "csv":
-        row = _csv_row(args, report)
+        row = _csv_row(args, json.loads(report))
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(row))
         writer.writeheader()
         writer.writerow(row)
         text = buf.getvalue()
     else:
-        text = _human(report) + "\n"
+        text = _human(json.loads(report)) + "\n"
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -92,12 +92,17 @@ def _order_close_runs(points: KeyedInts, order: np.ndarray, starts: np.ndarray) 
 
 
 def _candidate_tables(nums, q: int):
-    """Sorted endpoint values w (0 and q included) as KeyedInts, with
-    below/equal counts.  While T q < 2**62 the residues are their own keys;
-    beyond, the points sort on 62-bit fixed-point keys (an orbit's own, or
-    floor(v 2**62 / q) of explicit residues), w is keyed on their top
-    62 - bit_length(T) bits, and only points keyed within one unit of a
-    neighbour are read exactly."""
+    """Sorted endpoint values w (the point values, then q) as KeyedInts,
+    with below/equal counts.  While T q < 2**62 the residues are their own
+    keys; beyond, the points sort on 62-bit fixed-point keys (an orbit's
+    own, or floor(v 2**62 / q) of explicit residues), w is keyed on their
+    top 62 - bit_length(T) bits, and only points keyed within one unit of a
+    neighbour are read exactly.
+
+    0 is no endpoint unless a point lies on it: both ends of its row would
+    be 0, strictly between the extremes, for the top is at least
+    T (q - v_max) > 0 and the bottom at most -v_min T < 0, and the row of q
+    already holds an end of 0 (q counts all T points below it)."""
     T = len(nums)
     starts = np.empty(T, dtype=bool)  # where the sorted points start a new value
     starts[0] = True
@@ -106,9 +111,7 @@ def _candidate_tables(nums, q: int):
         keys.sort()
         np.not_equal(keys[1:], keys[:-1], out=starts[1:])
         first = np.flatnonzero(starts)
-        # 0 is an endpoint also with no point on it
-        head = np.zeros(int(keys[0] != 0), dtype=np.int64)
-        w = np.concatenate((head, keys[first], [q]))
+        w = np.append(keys[first], q)
         w = KeyedInts(w, q, lambda i, w=w: int(w[i]))
     else:
         points = nums if isinstance(nums, KeyedInts) else KeyedInts(
@@ -119,17 +122,11 @@ def _candidate_tables(nums, q: int):
         _order_close_runs(points, order, starts)
         first = np.flatnonzero(starts)
         rep = order[first]
-        low = int(rep[0])
-        head = np.zeros(int(points.keys[low] != 0 or points.value(low) != 0), dtype=np.int64)
         shift = T.bit_length()
-        w = np.concatenate((head, points.keys[rep] >> shift, [POINT_UNIT >> shift]))
-
-        def value(i: int) -> int:
-            i -= len(head)
-            return q if i == len(rep) else points.value(int(rep[i])) if i >= 0 else 0
-
-        w = KeyedInts(w, POINT_UNIT >> shift, value)
-    eq = np.concatenate((head, np.diff(first, append=T), [0]))
+        w = np.append(points.keys[rep] >> shift, POINT_UNIT >> shift)
+        w = KeyedInts(w, POINT_UNIT >> shift,
+                      lambda i: q if i == len(rep) else points.value(int(rep[i])))
+    eq = np.append(np.diff(first, append=T), 0)
     return w, np.cumsum(eq) - eq, eq
 
 

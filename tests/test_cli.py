@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import dataclasses
 import decimal
+import enum
 import inspect
 import io
 import itertools
@@ -16,12 +18,20 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radixapprox.cli as cli
+from radixapprox import digitsets as ds
+from radixapprox.approx import ApproxResult
 from radixapprox.cli import MAX_PRECISION_BITS, main
+from radixapprox.diffsets import DiffSetReport
+from radixapprox.discrepancy import DiscrepancyReport
+from radixapprox.errors import ResourceLimit
+from radixapprox.exact import Real
+from radixapprox.expsum import ExpSumReport, SeparationReport, ShiftReport
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 #: stdout of every README command in each output format, wall time masked.
@@ -577,9 +587,10 @@ class TestExitCodes:
     ], ids=["oracle", "pigeonhole", "expsum"])
     def test_a_report_over_the_digit_limit_is_a_resource_limit(self, capsys, argv):
         # 1e-4300 prints with a 4301-digit denominator, 1.5e-4000 with 4001 digits
-        code, _, err = run_cli([*argv, "--gamma", "1e-4300"], capsys)
-        assert code == 3
-        assert err == "resource limit: a report value exceeds the 4300-digit limit for printing an int\n"
+        for fmt in ((), *(("--format", f) for f in cli.FORMATS)):
+            code, out, err = run_cli([*argv, "--gamma", "1e-4300", *fmt], capsys)
+            assert code == 3 and out == ""
+            assert err == "resource limit: a report value exceeds the 4300-digit limit for printing an int\n"
         code, out, err = run_cli([*argv, "--gamma", "1.5e-4000", "--format", "json"], capsys)
         assert code == 0 and json.loads(out), err
 
@@ -766,11 +777,75 @@ class TestArgvTable:
         assert code == 0 and out.splitlines()[1].startswith("constants,3,")
 
 
+def reference_ser(value):
+    """The report tree the JSON writer walks in one pass: Fractions as p/q
+    strings, Reals as mid/rad pairs, dataclasses as dicts of their fields
+    (the writer's reference: json.dumps(reference_ser(x), indent=2))."""
+    if isinstance(value, Fraction):
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        except ValueError:  # CPython's int-to-text digit limit
+            raise ResourceLimit(f"a report value exceeds the {sys.get_int_max_str_digits()}"
+                                "-digit limit for printing an int") from None
+    if isinstance(value, Real):
+        if value.is_exact:
+            return {"exact": reference_ser(value.mid)}
+        return {"mid": reference_ser(value.mid), "rad": reference_ser(value.rad)}
+    if isinstance(value, ds.SetSpec):
+        return value.to_dict()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: reference_ser(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: reference_ser(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_ser(v) for v in value]
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    return str(value)
+
+
+class Half(Fraction):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 3
+
+
+@dataclasses.dataclass(frozen=True)
+class Empty:
+    pass
+
+
 JSON_TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ∑ 😀", "\u2028"])
+INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
-    | st.integers(max_value=-2**64) | JSON_TEXT,
+    st.none() | st.booleans() | INTS | JSON_TEXT,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30)
+FRACTIONS = st.builds(Fraction, INTS, INTS.filter(bool))
+REALS = st.builds(Real, FRACTIONS) | st.builds(Real, FRACTIONS, FRACTIONS.map(abs))
+REPORTS = (ApproxResult, DiscrepancyReport, DiffSetReport, SeparationReport, ShiftReport,
+           ExpSumReport, Empty)
+REPORT_LEAVES = (
+    st.none() | st.booleans() | INTS | JSON_TEXT | FRACTIONS | REALS
+    | st.builds(ds.SetSpec, st.integers(2, 36)) | st.floats()
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+    | FRACTIONS.map(lambda x: Half(x.numerator, x.denominator)) | st.just(Level.LOW)
+    | st.just(Empty) | st.just(ds.SetSpec(3))
+)
+
+
+def report_of(cls, inner):
+    n = len(dataclasses.fields(cls))
+    return st.lists(inner, min_size=n, max_size=n).map(lambda values: cls(*values))
+
+
+REPORT_VALUES = st.recursive(
+    REPORT_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)
+                   | st.sampled_from(REPORTS).flatmap(lambda cls: report_of(cls, inner))),
     max_leaves=30)
 
 
@@ -779,21 +854,45 @@ class TestJsonWriter:
     @given(JSON_VALUES, st.floats(allow_nan=False, allow_infinity=False))
     def test_writer_is_json_dumps(self, report, wall):
         envelope = {"report": report, "meta": {"tool": "radixapprox", "wall_time_ms": wall}}
-        assert cli._json_text(envelope) == json.dumps(envelope, indent=2)
+        text = cli._write({**envelope, "meta": {**envelope["meta"], "wall_time_ms": cli._Number(wall)}})
+        assert text == json.dumps(envelope, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(REPORT_VALUES)
+    @example(Fraction(-3, 2**70 + 1))
+    @example(Real(Fraction(1, 3)))
+    @example((ApproxResult(5, Real(Fraction(1, 7), Fraction(1, 2**130)), ds.SetSpec(10), None,
+                           "approximate"), np.int64(7), 1.5, Empty()))
+    def test_writer_is_json_dumps_of_the_reference_tree(self, value):
+        tree = reference_ser(value)
+        assert cli._write(value) == json.dumps(tree, indent=2)
+        assert cli._write(value, "\n    ") == json.dumps(tree, indent=2).replace("\n", "\n    ")
+
+    @pytest.mark.parametrize("value", [Fraction(1, 10**4300), Real(Fraction(1, 3), Fraction(1, 10**4300)),
+                                       [10**4300], {"T": -10**4300}])
+    def test_a_value_past_the_digit_limit_is_a_resource_limit(self, value):
+        with pytest.raises(ResourceLimit, match="4300-digit limit"):
+            cli._write(value)
 
     def test_writer_is_json_dumps_on_readme_envelopes(self, capsys, monkeypatch):
+        # the report and meta are each written once: as json.dumps writes the
+        # reference tree, meta's wall time the one float written as a number
         written = []
 
-        def spy(value):
-            written.append((json_text(value), json.dumps(value, indent=2)))
-            return written[-1][0]
+        def spy(value, pad="\n"):
+            text, tree = write(value, pad), reference_ser(value)
+            if "wall_time_ms" in tree:
+                tree["wall_time_ms"] = float(value["wall_time_ms"])
+            written.append((text, json.dumps(tree, indent=2).replace("\n", pad)))
+            return text
 
-        json_text = cli._json_text
-        monkeypatch.setattr(cli, "_json_text", spy)
+        write = cli._write
+        monkeypatch.setattr(cli, "_write", spy)
         for argv in readme_cli_commands():
-            code, _, err = run_cli([*argv, "--format", "json"], capsys)
+            code, out, err = run_cli([*argv, "--format", "json"], capsys)
             assert code == 0, err
-        assert len(written) == 9
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(written) == 18
         assert all(ours == theirs for ours, theirs in written)
 
 

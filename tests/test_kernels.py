@@ -677,6 +677,21 @@ def test_discrepancy_reads_only_the_ends_near_an_extreme(monkeypatch):
     assert 2 < len(reads) < 16
 
 
+def test_fixed_point_orbit_limbs_cover_the_largest_truncation():
+    # T = 2^21 + 1 points on q = 2^256: the last point lies 2^-80 above the
+    # 2^-62 boundary j, and n F / 2^B falls short of n r / q by almost
+    # T 2^-B; B = 62 + bit_length(T) bits keep that below one key unit,
+    # where B = 80 (J = ceil(62 / W) limbs) would read the key 8 units low
+    T, q = (1 << 21) + 1, 1 << 256
+    j = random.Random(T).getrandbits(62) | 1 << 61
+    r = ((j << 194) + (1 << 176) - T) * pow(T, -1, q) % q
+    last = T * r % q
+    exact = (last << 62) // q
+    assert exact == j and (last << 62) % q > q >> 19
+    keys = K.fixed_point_orbit(r, q, T)
+    assert exact - 1 <= int(keys[-1]) <= exact
+
+
 @pytest.mark.parametrize("count", [1, 7, 3000, (1 << 20) + 5])
 def test_fixed_point_orbit_keys_lie_one_unit_below_the_points(count):
     # the key of {n r / q} is floor or floor - 1 of its 62-bit reading, or
