@@ -16,10 +16,12 @@ q~2^144 case is the enclosure oracle's one scan, its minimum and every hit
 of its window; the direct sum has no Python-int path.  The eval_expsum
 cases time it: it turns the same two half tables into unit vectors once
 (one cos and one sin per table entry), for every modulus, and forms its
-2^(r+1) terms as one complex product each, in runs of whole rows.  The sum picks the cheaper of two paths by the cost
-model min(2^(r+1), (r+1) q): the cases at 5/313 and 457/499 have (r+1) q
-below 2^(r+1), so they build the q exact residue counts by r+1
-roll-and-adds and sum q weighted angles instead of 2^(r+1).  The dense
+2^(r+1) terms as one complex product each, in runs of whole rows.  The
+sum picks the cheaper of two paths by the cost model min(2^(r+1),
+(r+1) q): the cases at 5/313, 457/499 and 5/262147 have (r+1) q below
+2^(r+1), so they build the q exact residue counts by r+1 roll-and-adds and
+sum q weighted unit vectors instead of 2^(r+1) terms.  Both paths add each
+complex run with cos_sin_sum, whose case times the sum of one run.  The dense
 first hit is the first pull of a separation check as the decay queries
 send it (beta = 1/(4 b^2)), which looks the rows up in chunks of 1, 1, 2,
 4, ... and stops at the first that holds a hit.
@@ -133,8 +135,8 @@ def cases():
     # a half table of criterion 10's oracle scans (N <= 10^4)
     yield "subset_residues (2^6 entries)", K.subset_residues, (adds[:6], q)
 
-    theta = rng.uniform(-2 * np.pi, 2 * np.pi, size=1 << 21)
-    yield "cos_sin_sum (2^21 terms)", K.cos_sin_sum, (theta,)
+    z = np.exp(1j * rng.uniform(-np.pi, np.pi, size=1 << 21))
+    yield "cos_sin_sum (2^21 terms)", K.cos_sin_sum, (z,)
 
     # int64 half tables at r = 21 and 22, Python-int ones at q = 2^64+13 and
     # for sqrt2 and pi at 128 and 256 bits
@@ -146,6 +148,8 @@ def cases():
     # the count path: q exact residue counts in place of 2^(r+1) angles
     yield "eval_expsum (r=24, q=313, counts)", eval_expsum, (2, 24, 1, Real.parse("5/313"))
     yield "eval_expsum (b=3, r=18, q=499, counts)", eval_expsum, (3, 18, 1, Real.parse("457/499"))
+    # q > 2^16: the counts in five runs of weighted unit vectors
+    yield "eval_expsum (r=22, q=262147, counts)", eval_expsum, (2, 22, 1, Real.parse("5/262147"))
 
     # T=4000 is the longest orbit the spectral benchmark workload sends
     for label, q in (("2^40", 1 << 40), ("2^64+13", (1 << 64) + 13)):

@@ -1,4 +1,7 @@
-"""Hot numeric kernels; the only module that knows the int64 limits.
+"""Hot numeric kernels, and the int64 limits they keep.
+
+``discrepancy`` reads one of them, ``_PRODUCT_LIMIT``, to pick the grid of
+the orbit it hands to the scan; every other module leaves the limits here.
 
 Residues and products are int64 arrays while the bound documented next to
 each kernel keeps every intermediate below 2**62, and numpy ``object``
@@ -27,12 +30,14 @@ O(2**k).  ``digit_scan_min`` looks up every row's minimum at once, and its
 hits read the rows within a slack of the least (the oracle's certify
 window); ``digit_scan_close`` looks rows up in doubling chunks, so a first
 hit stops early.  Rows ascend and so does l within a row, so the first hit
-is the smallest n.  The direct trigonometric sums read the same tables
-as unit vectors e(t/M), one cos and one sin per table entry, and form the
-term e(res_n/M) of every n as one complex product E_H[h] E_L[l], whole rows
-at a time (``term_rows``), for every modulus; for a small modulus the sums
-read counts instead: how many n have each residue (``residue_counts``), one
-weighted angle per residue (``angle_counts``).
+is the smallest n.  The trigonometric sums take one term form, complex
+runs of unit vectors e(t/M) (``_unit_vectors``, one cos and one sin per
+entry), and one float sum of a run (``cos_sin_sum``).  The direct sum reads
+the half tables as unit vectors and forms the term e(res_n/M) of every n as
+one complex product E_H[h] E_L[l], whole rows at a time (``term_rows``), for
+every modulus; for a small modulus the sum reads counts instead: how many n
+have each residue v (``residue_counts``), one weighted unit vector c_v e(v/M)
+per residue (``count_rows``).
 """
 from __future__ import annotations
 
@@ -46,7 +51,7 @@ __all__ = [
     "subset_residues",
     "residue_counts",
     "term_rows",
-    "angle_counts",
+    "count_rows",
     "cos_sin_sum",
     "digit_scan_close",
     "first_close",
@@ -67,14 +72,8 @@ USE_NUMBA = False
 MOD_LIMIT = 1 << 57
 
 _PRODUCT_LIMIT = 1 << 62  # int64 products and sums must stay below this
-_ROW_RUN = 1 << 16  # term_rows and angle_counts yield runs of about this many entries
+_ROW_RUN = 1 << 16  # term_rows and count_rows yield runs of about this many entries
 _FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
-
-
-def _int_array(values, bound: int) -> np.ndarray:
-    """values as int64 when bound, the largest intermediate the caller will
-    form, is below 2**62; as Python ints otherwise."""
-    return np.asarray(values, dtype=np.int64 if bound < _PRODUCT_LIMIT else object)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +158,19 @@ def term_rows(pow_mod, modulus: int):
         yield (high[h : h + step, None] * low).ravel()
 
 
-def angle_counts(pow_mod, modulus: int):
-    """Yield (theta, c) for the residues v in [0, M), ascending, in runs of
-    at most 2**16: the angles 2 pi v/M, in [-pi, pi), and the number c[v] of
-    n in [0, 2**len(pow_mod)) with res_n = v."""
+def count_rows(pow_mod, modulus: int):
+    """Yield c_v e(v/M) for the residues v in [0, M), ascending, as complex128
+    runs of at most 2**16: c[v] the number of n in [0, 2**len(pow_mod)) with
+    res_n = v, times the unit vector of v (``_unit_vectors``).  Each
+    component is the one rounded product c_v fl(cos theta_v) (or fl(sin)):
+    the complex product's cross term, fl(sin theta_v) 0, is an exact zero."""
     counts = residue_counts(pow_mod, modulus)
     for v in range(0, modulus, _ROW_RUN):
         c = counts[v : v + _ROW_RUN]
-        yield _angles(np.arange(v, v + len(c)), modulus), c
+        z = _unit_vectors(np.arange(v, v + len(c)), modulus)
+        z *= c
+        yield z
+        del z  # free the run before the next one is formed
 
 
 def _row(h: int, count: int, s: int):
@@ -252,19 +256,17 @@ def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> 
     """The first index i with min(res[i], M - res[i]) / M <= beta_num /
     beta_den, or -1; in int64 while modulus * max(beta_num, beta_den) <
     2**62, on Python ints otherwise."""
-    dist = _int_array(_dist(res, modulus), modulus * max(beta_num, beta_den))
+    wide = modulus * max(beta_num, beta_den) >= _PRODUCT_LIMIT
+    dist = np.asarray(_dist(res, modulus), dtype=object if wide else np.int64)
     return int(next(iter(np.flatnonzero(dist * beta_den <= beta_num * modulus)), -1))
 
 
-def cos_sin_sum(theta: np.ndarray, weights=None):
-    """(sum of w cos(theta), sum of w sin(theta)) over the float64 angles,
-    w the weights (each rounded product counted in ``expsum._sum_radius``)
-    or 1 without them."""
-    cos, sin = np.cos(theta), np.sin(theta)
-    if weights is not None:
-        cos *= weights
-        sin *= weights
-    return float(cos.sum()), float(sin.sum())
+def cos_sin_sum(z: np.ndarray):
+    """(sum of z.real, sum of z.imag) over one complex run of terms
+    (``term_rows`` or ``count_rows``): each part numpy's pairwise sum of a
+    strided view, the float sum ``expsum._sum_radius`` bounds; ``z.sum()``
+    blocks the complex sum differently."""
+    return float(z.real.sum()), float(z.imag.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ evaluated term by term (never through that factorization, which is what the
 reports are checking) over exact residues, each term one rounded complex
 product of two half-table unit vectors, each of those from an angle rounded
 once, or, when the grid q of the residues has (r+1) q < 2**(r+1), as the sum of
-c_v e(v/q) over the q residues v with the exact count c_v of terms at each;
+c_v e(v/q) over the q residues v with the exact count c_v of terms at each,
+each the unit vector of v times c_v; both sums add complex runs of terms;
 the product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2)
 are rational intervals, rounded outward to a dyadic grid (_product_interval).
 
@@ -24,11 +25,10 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import starmap
 from typing import Optional
 
 from . import digitsets as ds
-from ._kernels import angle_counts, cos_sin_sum, digit_scan_close, term_rows
+from ._kernels import cos_sin_sum, count_rows, digit_scan_close, term_rows
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -116,11 +116,11 @@ def _sin_pi(num: int, den: int) -> Optional[tuple[int, int]]:
 
 def _sum_radius(n: int) -> Fraction:
     """Worst-case float64 radius for one component of an n-term sum of
-    cos(2 pi v/q) or sin(2 pi v/q), summed block by block (``_re_im_sum``
-    on the direct path, ``cos_sin_sum`` on the count path) and, over several
-    blocks, by ``math.fsum``; on the direct path a block is a run of whole
-    rows of the half tables (``term_rows``), at most max(2**16, 2**s)
-    entries and at most n.  With u = 2**-53:
+    cos(2 pi v/q) or sin(2 pi v/q), summed block by block (``cos_sin_sum``
+    on a complex run) and, over several blocks, by ``math.fsum``; on the
+    direct path a block is a run of whole rows of the half tables
+    (``term_rows``), at most max(2**16, 2**s) entries and at most n.  With
+    u = 2**-53:
 
     Each term is within _TERM_ERR = 4.3e-15 per component.  A half-table
     angle fl(fl(2 pi) (x - (x >= 1/2))), x = fl(t/q) for an exact residue t
@@ -147,19 +147,22 @@ def _sum_radius(n: int) -> Fraction:
     gamma_(h+1) * sum |x_i| <= (bits(n) + 20) * 1.01 u * n (1 + _TERM_ERR),
     and _EPS = 1.2e-16 exceeds 1.01 u (1 + _TERM_ERR).
 
-    The count path (``angle_counts``, taken when (r+1) q < n) sums q
-    weighted terms c_v cos(theta_v) instead, c_v the exact number of the n
+    The count path (``count_rows``, taken when (r+1) q < n) sums q
+    weighted unit vectors c_v E_v instead, c_v the exact number of the n
     terms with residue v: at most n <= 2**27, so exact in int64 and
     float64, and sum c_v = n.  Each angle theta_v is one half angle above,
-    rounded once, within 2 pi * 2u of 2 pi v/q mod 2 pi, and its cos and sin
-    within 4 pi u + 4u < 1.9e-15, inside _TERM_ERR, so the weighted terms
-    are within n * _TERM_ERR.  Each product c_v * fl(cos theta_v) adds one
-    rounding, relative u.  The q products are summed in blocks of at most
-    min(q, 2**16) residues, so each passes at most bits(q) + 19 additions,
-    and ``fsum`` rounds once more: h = bits(q) + 21 roundings in all, error
-    at most gamma_h * n.  On this path r >= 1, so q < n / 2 and bits(q) <
-    bits(n): h is at most the direct path's bits(n) + 20, and _sum_radius(n)
-    covers both.  At r = 0 the path needs q < 2, where every residue is 0
+    rounded once, within 2 pi * 2u of 2 pi v/q mod 2 pi, so E_v = fl(cos
+    theta_v) + i fl(sin theta_v) is within 4 pi u + 4u < 1.9e-15 per
+    component, inside _TERM_ERR, and the weighted terms are within n *
+    _TERM_ERR.  numpy's complex product c_v E_v forms each component as
+    c_v fl(cos theta_v) - fl(sin theta_v) 0 (or c_v fl(sin) + fl(cos) 0),
+    whose cross term is an exact zero, so it adds one rounding, relative
+    u.  The q products are summed in blocks of at most min(q, 2**16)
+    residues, so each passes at most bits(q) + 19 additions, and ``fsum``
+    rounds once more: h = bits(q) + 21 roundings in all, error at most
+    gamma_h * n.  On this path r >= 1, so q < n / 2 and bits(q) < bits(n):
+    h is at most the direct path's bits(n) + 20, and _sum_radius(n) covers
+    both.  At r = 0 the path needs q < 2, where every residue is 0
     and the sum takes the exact shortcut of ``eval_expsum``.
     """
     bits = max(n.bit_length(), 1)
@@ -312,18 +315,10 @@ def _product_interval(factors_lo, factors_hi, scale: int) -> Real:
     return Real.from_interval(Fraction(max(0, lo) * scale, one), Fraction(hi * scale, one))
 
 
-def _re_im_sum(z) -> tuple[float, float]:
-    """(sum of z.real, sum of z.imag) over one run of complex terms, each
-    part numpy's pairwise sum of a strided view; ``z.sum()`` blocks the
-    complex sum differently, outside ``_sum_radius``."""
-    return float(z.real.sum()), float(z.imag.sum())
-
-
 def _trig_sum(parts, n: int, extra_rad: Fraction) -> tuple[Real, Real]:
     """(re, im) enclosures of the n-term sum of exp(i theta) from its
-    (re, im) parts, one per block (``_re_im_sum`` or ``cos_sin_sum``),
-    combined by ``math.fsum``, within _sum_radius(n) plus the caller's
-    extra_rad."""
+    (re, im) parts, one per block (``cos_sin_sum``), combined by
+    ``math.fsum``, within _sum_radius(n) plus the caller's extra_rad."""
     cos_parts, sin_parts = zip(*parts)
     rad = _sum_radius(n) + extra_rad
     return Real(Fraction(math.fsum(cos_parts)), rad), Real(Fraction(math.fsum(sin_parts)), rad)
@@ -398,14 +393,13 @@ def eval_expsum(
     product_bound = _product_interval(b_lo, b_hi, n)
 
     # the direct sum over the n terms, exact when every angle is 0; by the
-    # cost model min(n, (r+1) q), sum q angles weighted by the count of terms
-    # at each residue when that is cheaper, the n terms otherwise
+    # cost model min(n, (r+1) q), sum q unit vectors weighted by the count of
+    # terms at each residue when that is cheaper, the n terms otherwise
     if all(v == 0 for v in res_mods):
         re_full, im_full = Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
-    elif (r + 1) * q < n:
-        re_full, im_full = _trig_sum(starmap(cos_sin_sum, angle_counts(res_mods, q)), n, extra_rad)
     else:
-        re_full, im_full = _trig_sum(map(_re_im_sum, term_rows(res_mods, q)), n, extra_rad)
+        runs = count_rows if (r + 1) * q < n else term_rows
+        re_full, im_full = _trig_sum(map(cos_sin_sum, runs(res_mods, q)), n, extra_rad)
     mag_full = _magnitude(re_full, im_full)
 
     # both enclose the same number, so they must intersect

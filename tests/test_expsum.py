@@ -30,7 +30,6 @@ from radixapprox.expsum import (
     _decay_bound,
     _magnitude,
     _product_interval,
-    _re_im_sum,
     _sum_radius,
     _trig_sum,
     classify_G,
@@ -69,7 +68,7 @@ def _direct_sum(b, r, k, gamma: Fraction):
     terms, through the term rows and trig-sum enclosure eval_expsum uses."""
     q, weights = digit_weights(b, r, k, gamma)
     n = 1 << (r + 1)
-    re, im = _trig_sum(map(_re_im_sum, term_rows(weights, q)), n, Fraction(0))
+    re, im = _trig_sum(map(cos_sin_sum, term_rows(weights, q)), n, Fraction(0))
     return re, im, n
 
 
@@ -95,7 +94,7 @@ def _pinned_expsum(monkeypatch, b, r, k, gamma: Fraction, exclude_zero: bool = F
         raise AssertionError(f"the cost model left the {'count' if count_path else 'row-run'} path")
 
     with monkeypatch.context() as m:
-        m.setattr(expsum, "term_rows" if count_path else "angle_counts", other_path)
+        m.setattr(expsum, "term_rows" if count_path else "count_rows", other_path)
         rep = eval_expsum(b, r, k, E(gamma), exclude_zero)
     assert rep.term_count == (1 << (r + 1)) - exclude_zero
     for part, want in zip((rep.value_re, rep.value_im), _product_value(b, r, k, gamma, exclude_zero)):
@@ -608,6 +607,26 @@ class TestProductInterval:
                 assert len(str(enc.mid.denominator)) < 40 and len(str(enc.rad.denominator)) < 40
 
 
+# value_re.mid and value_im.mid of eval_expsum(b, r, k, gamma, exclude_zero):
+# 5/313, 457/499 and 5/262147 take the count path, the int64 modulus, the
+# modulus 2^64 + 13 and sqrt2 at 128 bits the direct path
+PINNED_MIDS = [
+    (2, 14, 1, "5/313", False, "2212025877987/549755813888", "2649602045623/137438953472"),
+    (3, 12, -7, "5/313", True, "-5710379988763/2199023255552", "1492303902423/274877906944"),
+    (10, 13, 3, "457/499", False, "14519827155/2199023255552", "421045719/137438953472"),
+    (2, 15, 100, "457/499", True, "-111716334925/549755813888", "-4790693667/8589934592"),
+    (2, 22, 1, "5/262147", True, "-3412808413517293/35184372088832", "1256443289405253/2251799813685248"),
+    (3, 10, 3, "314159265358/1099511627689", False,
+     "-2643871691083975/2251799813685248", "134725858217387/281474976710656"),
+    (2, 11, -1, "314159265358/1099511627689", True,
+     "436551160556327/4503599627370496", "-1524734270690661/9007199254740992"),
+    (10, 9, 7, "12345678901234567/18446744073709551629", True,
+     "-23832988607045945/18014398509481984", "-3620794134077189/18014398509481984"),
+    (2, 12, 1, "sqrt2@128", False, "2695257453561937/4503599627370496", "-3343291001515181/9007199254740992"),
+    (3, 8, 10, "sqrt2@128", True, "-72851041850774001/72057594037927936", "1521716278905997/144115188075855872"),
+]
+
+
 class TestEvalExpsum:
     def test_single_pair_cancels(self):
         rep = eval_expsum(2, 0, 1, E(1, 2))
@@ -723,8 +742,10 @@ class TestEvalExpsum:
             n = 1 << (r + 1)
             extra = 7 * abs(k) * (1 << r) * (b ** (r + 1) - 1) // (b - 1) * gamma.rad
             grid, res = all_residues(b, r, k, gamma.mid)
-            # one Python-int division per term, not the half-table angles
-            ref = cos_sin_sum(np.array([v / grid for v in res.tolist()]) * (2 * np.pi))
+            # one Python-int division per term, not the half-table angles,
+            # and numpy's own cos, sin and sum, not the kernels'
+            theta = np.array([v / grid for v in res.tolist()]) * (2 * np.pi)
+            ref = float(np.cos(theta).sum()), float(np.sin(theta).sum())
             assert rep.term_count == len(res) == n
             for part, want in zip((rep.value_re, rep.value_im), ref):
                 assert part.rad == _sum_radius(n) + extra
@@ -774,8 +795,9 @@ class TestEvalExpsum:
 
     def test_count_path_builds_no_angle_run(self):
         # r = 24 has 2^25 terms; the count path holds the 313 counts and
-        # angles, where the row runs peak at about 1.4 MB under tracemalloc;
-        # bound the peak by a quarter of one 2^16-entry run of complex terms
+        # weighted unit vectors, where the row runs peak at about 1.4 MB
+        # under tracemalloc; bound the peak by a quarter of one 2^16-entry
+        # run of complex terms
         gamma = E(5, 313)
         tracemalloc.start()
         try:
@@ -787,9 +809,10 @@ class TestEvalExpsum:
 
     def test_count_path_holds_float_runs_at_a_large_modulus(self):
         # r = 22, q = 262147 > 2^16 (23 q < 2^23): the q int64 counts and
-        # float64 angles in runs of at most 2^16 residues peak at about
-        # 4.2 MB under tracemalloc; angles divided through Python ints
-        # peaked at 21 MB, and the row runs of 2^23 terms peak at 1.5 MB
+        # one run of at most 2^16 weighted unit vectors peak at about 5.4 MB
+        # under tracemalloc (4.2 MB while a run held float angles only);
+        # angles divided through Python ints peaked at 21 MB, and the row
+        # runs of 2^23 terms peak at 1.5 MB
         gamma = E(5, 262147)
         tracemalloc.start()
         try:
@@ -817,13 +840,36 @@ class TestEvalExpsum:
     def test_strided_parts_sum_as_contiguous_arrays(self, size):
         # _sum_radius bounds numpy's pairwise sum of a contiguous array; the
         # real and imaginary parts of a complex run are strided views, and
-        # _re_im_sum must add them along the same tree, bit for bit
+        # cos_sin_sum must add them along the same tree, bit for bit
         rng = np.random.default_rng(size)
         for _ in range(10):
             z = np.exp(1j * rng.uniform(-np.pi, np.pi, size)) * rng.uniform(0.5, 1.5, size)
             assert not z.real.flags.c_contiguous
             want = (np.ascontiguousarray(z.real).sum(), np.ascontiguousarray(z.imag).sum())
-            assert _re_im_sum(z) == want
+            assert cos_sin_sum(z) == want
+
+    @pytest.mark.parametrize("b, r, k, gamma, exclude_zero, re_mid, im_mid", PINNED_MIDS,
+                             ids=[f"{g}-r{r}-{'excl' if x else 'all'}" for _, r, _, g, x, _, _ in PINNED_MIDS])
+    def test_mids_match_the_recorded_sums(self, b, r, k, gamma, exclude_zero, re_mid, im_mid):
+        # the float sums of both paths, bit for bit as recorded while the
+        # count path summed weighted angles and the direct path its own runs
+        name, _, bits = gamma.partition("@")
+        rep = eval_expsum(b, r, k, Real.parse(name, int(bits)) if bits else E(Fraction(gamma)),
+                          exclude_zero)
+        count_path = (r + 1) * rep.gamma.mid.denominator < 1 << (r + 1)
+        assert count_path == (gamma in ("5/313", "457/499", "5/262147"))
+        assert (rep.value_re.mid, rep.value_im.mid) == (Fraction(re_mid), Fraction(im_mid))
+
+    @pytest.mark.parametrize("gamma, r, terms", [(E(5, 313), 14, 313),
+                                                  (E(314159265358, 1099511627689), 10, 1 << 11)])
+    def test_both_paths_sum_their_runs_through_cos_sin_sum(self, gamma, r, terms, monkeypatch):
+        # one float sum of a run: the count path's q weighted unit vectors
+        # and the direct path's n terms all pass through cos_sin_sum
+        assert "_re_im_sum" not in vars(expsum)
+        seen = []
+        monkeypatch.setattr(expsum, "cos_sin_sum", lambda z: seen.append(len(z)) or cos_sin_sum(z))
+        eval_expsum(2, r, 1, gamma)
+        assert sum(seen) == terms
 
     def test_magnitude_slack_covers_200_bit_hypot(self):
         rng = random.Random(31)

@@ -26,7 +26,7 @@ def as_array(request):
     """Kernels take numpy-typed arrays and object arrays of Python numbers
     (what the big-modulus paths carry); each test runs on both.  Where numpy
     would infer a float dtype for ints (some below 2^63, some at or above),
-    the numpy case builds an object array, as `_kernels._int_array` does."""
+    the numpy case builds an object array, as `_kernels.first_close` does."""
     def build(values):
         arr = np.asarray(values, dtype=request.param)
         if arr.dtype.kind == "f" and all(isinstance(v, (int, np.integer)) for v in values):
@@ -161,34 +161,42 @@ def test_first_close(as_array):
         assert got == ref_first_close(res, modulus, num, den)
 
 
-# the angles are float64 for every modulus: no object-array case
+# the terms are complex128 for every modulus: no object-array case
 @pytest.mark.parametrize("as_array", [np.asarray], ids=["numpy"])
 def test_cos_sin_sum(as_array):
     rng = random.Random(9)
     for _ in range(10):
         modulus = rng.randint(2, 10**5)
         theta = [2 * math.pi * rng.randrange(modulus) / modulus for _ in range(500)]
-        c, s = K.cos_sin_sum(as_array(theta))
+        c, s = K.cos_sin_sum(as_array([complex(math.cos(t), math.sin(t)) for t in theta]))
         cc = math.fsum(math.cos(t) for t in theta)
         ss = math.fsum(math.sin(t) for t in theta)
         assert abs(c - cc) < 1e-9 and abs(s - ss) < 1e-9
 
 
-def test_cos_sin_sum_with_weights_repeats_each_angle():
-    # integer weights: the weighted sum is the plain sum with angle i
-    # repeated weights[i] times
-    rng = random.Random(19)
-    theta = np.array([rng.uniform(-math.pi, math.pi) for _ in range(300)])
-    weights = np.array([rng.randrange(40) for _ in range(300)], dtype=np.int64)
-    c, s = K.cos_sin_sum(theta, weights)
-    cc, ss = K.cos_sin_sum(np.repeat(theta, weights))
+def test_count_rows_weigh_each_unit_vector_by_its_count():
+    # each run is the unit vectors of its residues times their counts, bit
+    # for bit: every component the one rounded product c_v fl(cos) or
+    # c_v fl(sin).  Its sum is the plain sum with unit vector v repeated
+    # c_v times
+    modulus = 313
+    adds = [random.Random(19).randrange(modulus) for _ in range(14)]
+    counts = K.residue_counts(adds, modulus)
+    z = np.concatenate(list(K.count_rows(adds, modulus)))
+    unit = K._unit_vectors(np.arange(modulus), modulus)
+    assert z.dtype == np.complex128 and np.array_equal(z, unit * counts)
+    theta = K._angles(np.arange(modulus), modulus)
+    assert np.array_equal(z.real, counts * np.cos(theta)) and np.array_equal(z.imag, counts * np.sin(theta))
+    c, s = K.cos_sin_sum(z)
+    cc, ss = K.cos_sin_sum(np.repeat(unit, counts))
     assert abs(c - cc) < 1e-9 and abs(s - ss) < 1e-9
 
 
 @pytest.mark.parametrize("modulus", [1, 2, 3, 313, 4093])
 def test_residue_counts_tally_the_subset_residues(modulus):
     # the counts are the histogram of the subset_residues table, and the
-    # angles of angle_counts are those of the residues 0 .. M-1
+    # terms of count_rows are the counts at the angles of the residues
+    # 0 .. M-1
     rng = random.Random(modulus)
     for bits in (0, 1, 5, 12):
         adds = [rng.randrange(modulus) for _ in range(bits)]
@@ -196,20 +204,23 @@ def test_residue_counts_tally_the_subset_residues(modulus):
         assert counts.dtype == np.int64 and len(counts) == modulus
         want = np.bincount(K.subset_residues(adds, modulus), minlength=modulus)
         assert counts.tolist() == want.tolist()
-        theta, same = map(np.concatenate, zip(*K.angle_counts(adds, modulus)))
-        assert same.tolist() == want.tolist()
-        assert turn_error(theta, range(modulus), modulus) < 4 * 2.0**-53
+        z = np.concatenate(list(K.count_rows(adds, modulus)))
+        assert np.rint(np.abs(z)).astype(np.int64).tolist() == want.tolist()
+        held = np.flatnonzero(want)
+        assert turn_error(np.angle(z[held]), held, modulus) < 2.0**-45
 
 
-def test_angle_counts_yield_runs_of_at_most_2_16_residues():
+def test_count_rows_yield_runs_of_at_most_2_16_residues():
+    # the eight residues of three weights fall in all three runs
     modulus = (1 << 17) + 21
-    runs = list(K.angle_counts([1, 7, 100], modulus))
-    assert [len(theta) for theta, _ in runs] == [1 << 16, 1 << 16, 21]
-    assert all(len(theta) == len(c) for theta, c in runs)
-    theta, counts = map(np.concatenate, zip(*runs))
-    assert np.flatnonzero(counts).tolist() == [0, 1, 7, 8, 100, 101, 107, 108] and counts.max() == 1
-    ends = [0, 1 << 16, modulus - 1]
-    assert turn_error(theta[ends], ends, modulus) < 4 * 2.0**-53
+    runs = list(K.count_rows([1, 1 << 16, modulus - 3], modulus))
+    assert [len(z) for z in runs] == [1 << 16, 1 << 16, 21]
+    assert all(z.dtype == np.complex128 for z in runs)
+    z = np.concatenate(runs)
+    held = np.flatnonzero(z)
+    assert held.tolist() == [0, 1, 65533, 65534, 65536, 65537, modulus - 3, modulus - 2]
+    assert np.abs(np.abs(z[held]) - 1).max() < 2.0**-45
+    assert turn_error(np.angle(z[held]), held, modulus) < 2.0**-45
 
 
 @pytest.mark.parametrize("modulus", [3, 4093, (1 << 40) - 87, (1 << 53) - 111, (1 << 53) + 5],
