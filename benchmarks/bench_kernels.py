@@ -21,7 +21,10 @@ sum picks the cheaper of two paths by the cost model min(2^(r+1),
 (r+1) q): the cases at 5/313, 457/499 and 5/262147 have (r+1) q below
 2^(r+1), so they build the q exact residue counts by r+1 roll-and-adds and
 sum q weighted unit vectors instead of 2^(r+1) terms.  Both paths add each
-complex run with cos_sin_sum, whose case times the sum of one run.  The dense
+complex run with cos_sin_sum, whose case times the sum of one run.  The
+eval_expsum case at r=2 sums 8 terms, so it times the scalar side: the
+distance ends, the sine and product ends, the checks on them and the
+report's five Reals.  The dense
 first hit is the first pull of a separation check as the decay queries
 send it (beta = 1/(4 b^2)), which looks the rows up in chunks of 1, 1, 2,
 4, ... and stops at the first that holds a hit.
@@ -145,6 +148,8 @@ def cases():
     yield "eval_expsum (r=18, q=2^64+13)", eval_expsum, (2, 18, 3, Real.parse(f"314159265358/{(1 << 64) + 13}"))
     yield "eval_expsum (r=14, gamma=sqrt2@128)", eval_expsum, (3, 14, 1, Real.parse("sqrt2", 128))
     yield "eval_expsum (r=14, gamma=pi@256)", eval_expsum, (3, 14, 1, Real.parse("pi", 256))
+    # 8 terms: the scalar side, from the certified ends to the five Reals
+    yield "eval_expsum (r=2, gamma=pi@256)", eval_expsum, (3, 2, 1, Real.parse("pi", 256))
     # the count path: q exact residue counts in place of 2^(r+1) angles
     yield "eval_expsum (r=24, q=313, counts)", eval_expsum, (2, 24, 1, Real.parse("5/313"))
     yield "eval_expsum (b=3, r=18, q=499, counts)", eval_expsum, (3, 18, 1, Real.parse("457/499"))

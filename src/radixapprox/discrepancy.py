@@ -48,7 +48,7 @@ from ._kernels import (_PRODUCT_LIMIT, POINT_UNIT, KeyedInts, fixed_point_keys,
                        fixed_point_orbit, interval_deviation_max)
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
-from .exact import Real, dist_ends_of_multiple, residue_of_multiple
+from .exact import Real, _real_of_ends, dist_ends_of_multiple, residue_of_multiple
 from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_bounds
 
 
@@ -182,8 +182,9 @@ def erdos_turan_check(gamma: Real, T: int, G: int, *, cap: int = CAP_DEFAULT) ->
         (lo, lo_den), (hi, hi_den) = _weyl_sum_bounds(gamma, T, g)
         sum_lo += c_lo.numerator * lo * one // (c_lo.denominator * lo_den * g)
         sum_hi -= c_hi.numerator * hi * one // -(c_hi.denominator * hi_den * g)
-    fixed = Fraction(T, G + 1)
-    rhs = Real.from_interval(fixed + Fraction(sum_lo, one), fixed + Fraction(sum_hi, one))
+    # T/(G+1) plus each end of the sum, over (G+1) 2**_PRODUCT_BITS
+    fixed, den = T * one, (G + 1) * one
+    rhs = _real_of_ends((fixed + sum_lo * (G + 1), den), (fixed + sum_hi * (G + 1), den))
     if base.L_value - base.L_radius > rhs.hi:
         raise InvariantViolation(
             f"Erdos-Turan inequality violated: L={float(base.L_value):.6g} "

@@ -356,10 +356,15 @@ def dist_of_multiple(gamma: Real, n: int) -> Real:
 
 
 def _real_of_ends(lo: tuple[int, int], hi: tuple[int, int]) -> Real:
-    # the Real [lo, hi] of two integer pairs, exact when they are equal
+    """The Real [lo, hi] of two integer pairs (num, den), den > 0, reduced or
+    not: its midpoint and radius are one Fraction each, over twice the
+    common denominator, and it is exact when the pairs are equal."""
+    (a, c), (e, f) = lo, hi
     if lo == hi:
-        return Real(Fraction(*lo))
-    return Real.from_interval(Fraction(*lo), Fraction(*hi))
+        return Real(Fraction(a, c))
+    if c != f:
+        a, e, c = a * f, e * c, c * f
+    return Real(Fraction(a + e, 2 * c), Fraction(e - a, 2 * c))
 
 
 def power_residues(gamma: Real, k: int, b: int, digits: int) -> tuple[int, list[int]]:

@@ -10,7 +10,10 @@ once, or, when the grid q of the residues has (r+1) q < 2**(r+1), as the sum of
 c_v e(v/q) over the q residues v with the exact count c_v of terms at each,
 each the unit vector of v times c_v; both sums add complex runs of terms;
 the product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2)
-are rational intervals, rounded outward to a dyadic grid (_product_interval).
+are integer ends, rounded outward to a dyadic grid (_product_ends).  The
+report stays on integer ends from the certified bounds to the checks, which
+cross-multiply them; each reported number is built once, as a midpoint and
+a radius (``exact._real_of_ends``).
 
 Error-radius policy: every float quantity carries a rigorously conservative
 radius (one-sided term evaluation error plus summation error), and every
@@ -39,6 +42,7 @@ from .errors import (
 from .exact import (
     BOUND_PRECISION,
     Real,
+    _real_of_ends,
     dist_ends_of_multiple,
     dist_le_of_multiple,
     dist_to_nearest_int,
@@ -51,10 +55,11 @@ from .exact import (
 #: terms, and the separation scan's half tables at most 2**14 entries each.
 R_CAP_DEFAULT = 26
 
-# float64 budgets: |term evaluated - e(v/q)| per component, and the unit
-# roundoff 2**-53 with room for the factor 1/(1 - h u); see _sum_radius
-_TERM_ERR = Fraction(43, 10**16)
-_EPS = Fraction(12, 10**17)
+# float64 budgets in units of 1/_ERR_UNIT: |term evaluated - e(v/q)| per
+# component, and the unit roundoff 2**-53 with room for the factor
+# 1/(1 - h u); see _sum_radius
+_ERR_UNIT = 10**17
+_TERM_ERR, _EPS = 430, 12
 # relative envelope _FACTOR_ERR * 2**-51 for one float64 sin at an exact
 # argument: its bounds are (2**51 -+ _FACTOR_ERR) / 2**51 times it; see sin_pi_bounds
 _FACTOR_ERR = 9
@@ -114,15 +119,15 @@ def _sin_pi(num: int, den: int) -> Optional[tuple[int, int]]:
     return math.sin(math.pi * x).as_integer_ratio()
 
 
-def _sum_radius(n: int) -> Fraction:
-    """Worst-case float64 radius for one component of an n-term sum of
-    cos(2 pi v/q) or sin(2 pi v/q), summed block by block (``cos_sin_sum``
-    on a complex run) and, over several blocks, by ``math.fsum``; on the
-    direct path a block is a run of whole rows of the half tables
-    (``term_rows``), at most max(2**16, 2**s) entries and at most n.  With
-    u = 2**-53:
+def _sum_radius(n: int) -> tuple[int, int]:
+    """Worst-case float64 radius, as an integer pair (num, den), for one
+    component of an n-term sum of cos(2 pi v/q) or sin(2 pi v/q), summed
+    block by block (``cos_sin_sum`` on a complex run) and, over several
+    blocks, by ``math.fsum``; on the direct path a block is a run of whole
+    rows of the half tables (``term_rows``), at most max(2**16, 2**s)
+    entries and at most n.  With u = 2**-53:
 
-    Each term is within _TERM_ERR = 4.3e-15 per component.  A half-table
+    Each term is within 4.3e-15 (_TERM_ERR) per component.  A half-table
     angle fl(fl(2 pi) (x - (x >= 1/2))), x = fl(t/q) for an exact residue t
     (Sterbenz makes the shift exact), lies in [-pi, pi) and within
     2 pi * 2u of 2 pi t/q mod 2 pi.  cos and sin are 1-Lipschitz and numpy
@@ -144,8 +149,8 @@ def _sum_radius(n: int) -> Fraction:
     most 16 terms (15 additions), combines them in 3 more, then adds at most
     7 leftover terms one by one.  So a term passes at most h = bits(n) + 19
     additions, and ``fsum`` rounds once more.  The error is at most
-    gamma_(h+1) * sum |x_i| <= (bits(n) + 20) * 1.01 u * n (1 + _TERM_ERR),
-    and _EPS = 1.2e-16 exceeds 1.01 u (1 + _TERM_ERR).
+    gamma_(h+1) * sum |x_i| <= (bits(n) + 20) * 1.01 u * n (1 + 4.3e-15),
+    and 1.2e-16 (_EPS) exceeds 1.01 u (1 + 4.3e-15).
 
     The count path (``count_rows``, taken when (r+1) q < n) sums q
     weighted unit vectors c_v E_v instead, c_v the exact number of the n
@@ -166,7 +171,7 @@ def _sum_radius(n: int) -> Fraction:
     and the sum takes the exact shortcut of ``eval_expsum``.
     """
     bits = max(n.bit_length(), 1)
-    return n * (_TERM_ERR + (bits + 20) * _EPS)
+    return n * (_TERM_ERR + (bits + 20) * _EPS), _ERR_UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +302,10 @@ class ExpSumReport:
     far_positions: Optional[tuple[int, ...]] = None
 
 
-def _product_interval(factors_lo, factors_hi, scale: int) -> Real:
-    """Enclosure of scale * prod [lo_d, hi_d] for factors with 0 <= lo_d,
-    each given as an integer pair (num, den) with den > 0, reduced or not.
+def _product_ends(factors_lo, factors_hi, scale: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((lo, 2**_PRODUCT_BITS), (hi, 2**_PRODUCT_BITS)), integer ends of an
+    enclosure of scale * prod [lo_d, hi_d] for factors with 0 <= lo_d, each
+    given as an integer pair (num, den) with den > 0, reduced or not.
 
     Every partial product is rounded outward to the grid 2**-_PRODUCT_BITS,
     so the digits stay bounded.  Each of the m roundings moves its end by
@@ -312,40 +318,39 @@ def _product_interval(factors_lo, factors_hi, scale: int) -> Real:
     for (a, c), (e, f) in zip(factors_lo, factors_hi):
         lo = lo * a // c
         hi = -(-hi * e // f)
-    return Real.from_interval(Fraction(max(0, lo) * scale, one), Fraction(hi * scale, one))
+    return (max(0, lo) * scale, one), (hi * scale, one)
 
 
-def _trig_sum(parts, n: int, extra_rad: Fraction) -> tuple[Real, Real]:
-    """(re, im) enclosures of the n-term sum of exp(i theta) from its
-    (re, im) parts, one per block (``cos_sin_sum``), combined by
-    ``math.fsum``, within _sum_radius(n) plus the caller's extra_rad."""
-    cos_parts, sin_parts = zip(*parts)
-    rad = _sum_radius(n) + extra_rad
-    return Real(Fraction(math.fsum(cos_parts)), rad), Real(Fraction(math.fsum(sin_parts)), rad)
+def _magnitude_ends(x: float, y: float, rad: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((lo, den), (hi, den)), integer ends of an enclosure of |z| for z in
+    the box [x -+ rad] x [y -+ rad], rad an integer pair (num, den), around a
+    float hypot; exact, |x|, when rad and y are 0.
 
-
-def _magnitude(re: Real, im: Real) -> Real:
-    """Enclosure of |z| for z in the box re x im, around a float hypot.
-
-    With u = 2**-53, x = re.mid and y = im.mid: float() rounds each to
-    nearest, within u relative (every mid here is a double, which converts
-    exactly, or a double minus 1, which is exact or at least 1/2 in
-    magnitude, so no subnormal arises), so the float pair has a norm within
-    u * |(x, y)| of |(x, y)|.  CPython >= 3.10 documents ``math.hypot`` within 1 ulp,
-    at most 2u relative to the result h.  Together |h - |(x, y)|| <=
-    2u h + u (1 + 2u) h / (1 - u) < 3.01 u h, inside the slack h * 2**-50
-    = 8u h.  Moving x and y by at most re.rad and im.rad moves |(x, y)| by
-    at most hypot(re.rad, im.rad) <= re.rad + im.rad.
+    With u = 2**-53: x and y are the float sums, or x a sum minus 1.0,
+    which IEEE subtraction rounds correctly, so it equals float(Fraction(x)
+    - 1): within u relative of the exact difference, which is exact or at
+    least 1/2 in magnitude (Sterbenz), so no subnormal arises.  The float
+    pair thus has a norm within u * |(x, y)| of the exact one.  CPython >=
+    3.10 documents ``math.hypot`` within 1 ulp, at most 2u relative to the
+    result h.  Together |h - |(x, y)|| <= 2u h + u (1 + 2u) h / (1 - u) <
+    3.01 u h, inside the slack h * 2**-50 = 8u h.  Moving x and y by at most
+    rad each moves |(x, y)| by at most hypot(rad, rad) <= 2 rad.  The lower
+    end is clamped at 0.
     """
-    if re.is_exact and im.is_exact:
-        if im.mid == 0:
-            return Real(abs(re.mid))
-        if re.mid == 0:
-            return Real(abs(im.mid))
-    mid = math.hypot(float(re.mid), float(im.mid))
-    slack = re.rad + im.rad + Fraction(abs(mid)) * Fraction(1, 2**50)
-    lo = max(Fraction(0), Fraction(mid) - slack)
-    return Real.from_interval(lo, Fraction(mid) + slack)
+    p, d = rad
+    if not (p or y):
+        a, c = abs(x).as_integer_ratio()
+        return (a, c), (a, c)
+    a, c = math.hypot(x, y).as_integer_ratio()
+    # h and its slack 2 rad + h 2**-50 over the one denominator d c 2**50
+    mid, slack = a * d << 50, (p * c << 51) + a * d
+    den = d * c << 50
+    return (max(0, mid - slack), den), (mid + slack, den)
+
+
+def _exceeds(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    # a > b for integer pairs (num, den) with den > 0
+    return a[0] * b[1] > b[0] * a[1]
 
 
 def eval_expsum(
@@ -359,18 +364,14 @@ def eval_expsum(
     companions: the factored product magnitude and the product bound.
 
     The report's internal consistency (|sum| against the product magnitude,
-    and against the bound) is verified before returning; radii make both
-    checks rigorous.
+    and against the bound) is verified before returning, on the integer
+    ends of the enclosures; radii make both checks rigorous.
     """
     ds.check_base(b)
     if r < 0:
         raise DomainError(f"need r >= 0, got {r}")
     if r > R_CAP_DEFAULT:
         raise ResourceLimit(f"r={r} exceeds the term cap r <= {R_CAP_DEFAULT}")
-
-    # every term e(k j gamma) moves by at most 2 pi |k| j rad
-    total_j = (1 << r) * (b ** (r + 1) - 1) // (b - 1)
-    extra_rad = Fraction(7) * abs(k) * total_j * gamma.rad
 
     q, res_mods = power_residues(gamma, k, b, r + 1)
 
@@ -384,47 +385,64 @@ def eval_expsum(
     # product magnitude 2^(r+1) prod sin(pi h_d); a factor at h = 0 is exactly 0
     n = 1 << (r + 1)
     f_lo, f_hi = zip(*map(sin_pi_bounds, h_los, h_his))
-    product_magnitude = _product_interval(f_lo, f_hi, n)
+    prod_lo, prod_hi = _product_ends(f_lo, f_hi, n)
 
     # product bound 2^(r+1) prod (1 - pi w_d^2), from exact rational factors
     (lo_p, lo_q), (hi_p, hi_q) = map(Fraction.as_integer_ratio, pi_bounds())
     b_lo = [(hi_q * c * c - hi_p * a * a, hi_q * c * c) for a, c in w_his]
     b_hi = [(lo_q * c * c - lo_p * a * a, lo_q * c * c) for a, c in w_los]
-    product_bound = _product_interval(b_lo, b_hi, n)
+    bound_lo, bound_hi = _product_ends(b_lo, b_hi, n)
 
     # the direct sum over the n terms, exact when every angle is 0; by the
     # cost model min(n, (r+1) q), sum q unit vectors weighted by the count of
-    # terms at each residue when that is cheaper, the n terms otherwise
+    # terms at each residue when that is cheaper, the n terms otherwise;
+    # each part is the fsum of its blocks' sums (cos_sin_sum)
     if all(v == 0 for v in res_mods):
-        re_full, im_full = Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
+        x, y, (s, S) = float(n), 0.0, (0, 1)
     else:
         runs = count_rows if (r + 1) * q < n else term_rows
-        re_full, im_full = _trig_sum(map(cos_sin_sum, runs(res_mods, q)), n, extra_rad)
-    mag_full = _magnitude(re_full, im_full)
+        cos_parts, sin_parts = zip(*map(cos_sin_sum, runs(res_mods, q)))
+        x, y, (s, S) = math.fsum(cos_parts), math.fsum(sin_parts), _sum_radius(n)
+    # both parts within _sum_radius(n) and, as every term e(k j gamma) moves
+    # by at most 2 pi |k| j rad, 7 |k| (sum of the j) R/D for gamma.rad = R/D
+    R, D = gamma.rad.numerator, gamma.rad.denominator
+    total_j = (1 << r) * (b ** (r + 1) - 1) // (b - 1)
+    rad = (s * D + 7 * abs(k) * total_j * R * S, S * D)
+    mag_lo, mag_hi = _magnitude_ends(x, y, rad)
 
+    product_magnitude = _real_of_ends(prod_lo, prod_hi)
+    product_bound = _real_of_ends(bound_lo, bound_hi)
     # both enclose the same number, so they must intersect
-    if mag_full.lo > product_magnitude.hi or product_magnitude.lo > mag_full.hi:
+    if _exceeds(mag_lo, prod_hi) or _exceeds(prod_lo, mag_hi):
         raise InvariantViolation(
             f"product identity failed at b={b}, r={r}, k={k}, gamma={gamma!r}: "
-            f"|sum|={float(mag_full.mid):.6g} vs product={float(product_magnitude.mid):.6g}"
+            f"|sum|={float(_real_of_ends(mag_lo, mag_hi).mid):.6g} "
+            f"vs product={float(product_magnitude.mid):.6g}"
         )
-    if mag_full.lo > product_bound.hi:
+    if _exceeds(mag_lo, bound_hi):
         raise InvariantViolation(
             f"product bound violated at b={b}, r={r}, k={k}: "
-            f"|sum|={float(mag_full.mid):.6g} > bound={float(product_bound.hi):.6g}"
+            f"|sum|={float(_real_of_ends(mag_lo, mag_hi).mid):.6g} "
+            f"> bound={float(product_bound.hi):.6g}"
         )
 
-    # the zero-excluded sum drops the term e(0) = 1
-    re_val, terms = (re_full - 1, n - 1) if exclude_zero else (re_full, n)
+    # the zero-excluded sum drops the term e(0) = 1: its real part is the
+    # exact x - 1, its magnitude reads the float x - 1.0
+    re_num, re_den = x.as_integer_ratio()
+    terms = n
+    if exclude_zero:
+        re_num, terms = re_num - re_den, n - 1
+        mag_lo, mag_hi = _magnitude_ends(x - 1.0, y, rad)
+    part_rad = Fraction(*rad)
 
     return ExpSumReport(
         b=b,
         r=r,
         k=k,
         gamma=gamma,
-        value_re=re_val,
-        value_im=im_full,
-        magnitude=_magnitude(re_val, im_full),
+        value_re=Real(Fraction(re_num, re_den), part_rad),
+        value_im=Real(Fraction(y), part_rad),
+        magnitude=_real_of_ends(mag_lo, mag_hi),
         product_magnitude=product_magnitude,
         product_bound=product_bound,
         term_count=terms,

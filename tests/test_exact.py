@@ -12,6 +12,7 @@ from radixapprox import adversary, constants, expsum
 from radixapprox.errors import DomainError, IndeterminateComparison
 from radixapprox.exact import (
     Real,
+    _real_of_ends,
     cos_bound_margin,
     dist_exact,
     dist_ends_of_multiple,
@@ -485,6 +486,25 @@ class TestScalarFormsMatchTheParent:
             raised += isinstance(want[0], type)
             negative += n < 0 and isinstance(want[0], type)
         assert raised > 600 and negative > 200
+
+
+def test_real_of_ends_is_the_interval_of_its_ends():
+    # mid and rad one Fraction each, the Real that from_interval builds from
+    # the two ends; equal pairs give an exact Real
+    rng = random.Random(14)
+    for _ in range(2000):
+        lo = Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+        hi = lo + rng.choice([Fraction(0), Fraction(rng.randint(1, 10**9), rng.randint(1, 10**40))])
+        pairs = []
+        for f in (lo, hi):
+            m = rng.choice([1, 1, rng.randint(2, 10**12)])
+            pairs.append((f.numerator * m, f.denominator * m))
+        if rng.random() < 0.1:
+            pairs[1] = pairs[0]
+        real = _real_of_ends(*pairs)
+        assert real == Real.from_interval(Fraction(*pairs[0]), Fraction(*pairs[1]))
+        assert real.is_exact == (real.lo == real.hi)
+    assert _real_of_ends((3, 6), (3, 6)) == Real(Fraction(1, 2)) and _real_of_ends((0, 1), (0, 1)).is_exact
 
 
 def test_only_exact_reads_a_multiple_of_gamma():

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import json
 import math
+import pathlib
 import random
 import tracemalloc
 from collections import Counter
@@ -14,13 +15,13 @@ import pytest
 
 from radixapprox import digitsets as ds
 from radixapprox import expsum
-from radixapprox._kernels import (MOD_LIMIT, cos_sin_sum, digit_scan_close, first_close, subset_residues,
-                                  term_rows)
+from radixapprox._kernels import (MOD_LIMIT, cos_sin_sum, count_rows, digit_scan_close, first_close,
+                                  subset_residues, term_rows)
 from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import (DomainError, HypothesisViolation, IndeterminateComparison,
                                InvariantViolation)
-from radixapprox.exact import (Real, dist_exact, dist_of_multiple, dist_to_nearest_int, mpf_to_fraction,
-                               power_residues)
+from radixapprox.exact import (Real, _real_of_ends, dist_exact, dist_of_multiple, dist_to_nearest_int,
+                               mpf_to_fraction, power_residues)
 from radixapprox.expsum import (
     _FACTOR_HI,
     _FACTOR_LO,
@@ -28,10 +29,9 @@ from radixapprox.expsum import (
     SeparationReport,
     _class_of,
     _decay_bound,
-    _magnitude,
-    _product_interval,
+    _magnitude_ends,
+    _product_ends,
     _sum_radius,
-    _trig_sum,
     classify_G,
     decay_bound_check,
     eval_expsum,
@@ -65,11 +65,12 @@ def all_residues(b, r, k, gamma: Fraction):
 
 def _direct_sum(b, r, k, gamma: Fraction):
     """(re, im, n) of the direct sum over the 2^(r+1) truncated zero-one
-    terms, through the term rows and trig-sum enclosure eval_expsum uses."""
+    terms, through the term rows, float sums and radius eval_expsum uses."""
     q, weights = digit_weights(b, r, k, gamma)
     n = 1 << (r + 1)
-    re, im = _trig_sum(map(cos_sin_sum, term_rows(weights, q)), n, Fraction(0))
-    return re, im, n
+    cos_parts, sin_parts = zip(*map(cos_sin_sum, term_rows(weights, q)))
+    rad = Fraction(*_sum_radius(n))
+    return Real(Fraction(math.fsum(cos_parts)), rad), Real(Fraction(math.fsum(sin_parts)), rad), n
 
 
 def _product_value(b, r, k, gamma: Fraction, exclude_zero: bool):
@@ -156,18 +157,85 @@ def parent_product_interval(factors_lo, factors_hi, scale: int) -> Real:
     return Real.from_interval(Fraction(max(0, lo) * scale, one), Fraction(hi * scale, one))
 
 
-def parent_product_side(b, r, k, gamma: Real) -> tuple[Real, Real]:
-    """(product_magnitude, product_bound) of eval_expsum, as the Fraction code computed them."""
-    pi_lo, pi_hi = pi_bounds()
+def parent_product_side(b, r, k, gamma: Real, sin_interval=parent_sin_pi_interval,
+                        pi=None) -> tuple[Real, Real]:
+    """(product_magnitude, product_bound) of eval_expsum, as the Fraction code
+    computed them (with the sine bounds and pi bounds given, if any)."""
+    pi_lo, pi_hi = pi or pi_bounds()
     ws = [parent_dist_of_multiple(gamma, k * b**d) for d in range(r + 1)]
     w_los, w_his = [w.lo for w in ws], [w.hi for w in ws]
     h_los = [Fraction(1, 2) - w for w in w_his]
     h_his = [Fraction(1, 2) - w for w in w_los]
     n = 1 << (r + 1)
-    f_lo, f_hi = zip(*map(parent_sin_pi_interval, h_los, h_his))
+    f_lo, f_hi = zip(*map(sin_interval, h_los, h_his))
     b_lo = [1 - pi_hi * w * w for w in w_his]
     b_hi = [1 - pi_lo * w * w for w in w_los]
     return parent_product_interval(f_lo, f_hi, n), parent_product_interval(b_lo, b_hi, n)
+
+
+# The Fraction sum side that the integer ends replaced: _sum_radius as a
+# Fraction, the trig-sum enclosure and _magnitude, composed as eval_expsum
+# composed them, kept as the reference its five reported Reals must match.
+def parent_sum_radius(n: int) -> Fraction:
+    bits = max(n.bit_length(), 1)
+    return n * (Fraction(43, 10**16) + (bits + 20) * Fraction(12, 10**17))
+
+
+def parent_magnitude(re: Real, im: Real) -> Real:
+    if re.is_exact and im.is_exact:
+        if im.mid == 0:
+            return Real(abs(re.mid))
+        if re.mid == 0:
+            return Real(abs(im.mid))
+    mid = math.hypot(float(re.mid), float(im.mid))
+    slack = re.rad + im.rad + Fraction(abs(mid)) * Fraction(1, 2**50)
+    lo = max(Fraction(0), Fraction(mid) - slack)
+    return Real.from_interval(lo, Fraction(mid) + slack)
+
+
+def parent_sum(b, r, k, gamma: Real) -> tuple[Real, Real]:
+    """(re, im) of the full sum: the float sums of the runs eval_expsum
+    picks, within parent_sum_radius(n) plus 7 |k| (sum of the j) gamma.rad."""
+    n = 1 << (r + 1)
+    total_j = (1 << r) * (b ** (r + 1) - 1) // (b - 1)
+    extra_rad = Fraction(7) * abs(k) * total_j * gamma.rad
+    q, res_mods = power_residues(gamma, k, b, r + 1)
+    if all(v == 0 for v in res_mods):
+        return Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
+    runs = count_rows if (r + 1) * q < n else term_rows
+    cos_parts, sin_parts = zip(*map(cos_sin_sum, runs(res_mods, q)))
+    rad = parent_sum_radius(n) + extra_rad
+    return Real(Fraction(math.fsum(cos_parts)), rad), Real(Fraction(math.fsum(sin_parts)), rad)
+
+
+def parent_report(b, r, k, gamma: Real, exclude_zero: bool) -> tuple[Real, ...]:
+    """(value_re, value_im, magnitude, product_magnitude, product_bound) of
+    eval_expsum, as the Fraction and from_interval code composed them."""
+    re, im = parent_sum(b, r, k, gamma)
+    if exclude_zero:
+        re = re - 1
+    return (re, im, parent_magnitude(re, im), *parent_product_side(b, r, k, gamma))
+
+
+def parent_check_messages(b, r, k, gamma: Real, **factors) -> tuple[str, str]:
+    """The two InvariantViolation messages of eval_expsum's checks, as the
+    parent formatted them from its Reals of the full sum and the products."""
+    mag = parent_magnitude(*parent_sum(b, r, k, gamma))
+    product, bound = parent_product_side(b, r, k, gamma, **factors)
+    return (f"product identity failed at b={b}, r={r}, k={k}, gamma={gamma!r}: "
+            f"|sum|={float(mag.mid):.6g} vs product={float(product.mid):.6g}",
+            f"product bound violated at b={b}, r={r}, k={k}: "
+            f"|sum|={float(mag.mid):.6g} > bound={float(bound.hi):.6g}")
+
+
+def product_real(factors_lo, factors_hi, scale: int) -> Real:
+    """The Real eval_expsum reports of _product_ends."""
+    return _real_of_ends(*_product_ends(factors_lo, factors_hi, scale))
+
+
+def magnitude_real(x: float, y: float, rad: Fraction = Fraction(0)) -> Real:
+    """The Real eval_expsum reports of _magnitude_ends."""
+    return _real_of_ends(*_magnitude_ends(x, y, rad.as_integer_ratio()))
 
 
 def count_builds(monkeypatch, fn, *args) -> tuple[int, int]:
@@ -584,7 +652,7 @@ class TestProductInterval:
             lo = [Fraction(rng.randint(0, 10**6), rng.randint(10**6, 10**7)) for _ in range(m)]
             hi = [f + Fraction(rng.randint(0, 10**4), rng.randint(10**6, 10**9)) for f in lo]
             scale = 1 << rng.randint(1, 27)
-            enc = _product_interval(_pairs(lo, rng), _pairs(hi, rng), scale)
+            enc = product_real(_pairs(lo, rng), _pairs(hi, rng), scale)
             assert enc == parent_product_interval(lo, hi, scale)
             exact_lo, exact_hi = scale * math.prod(lo), scale * math.prod(hi)
             assert enc.lo <= exact_lo and exact_hi <= enc.hi
@@ -595,7 +663,7 @@ class TestProductInterval:
     def test_digits_stay_bounded_at_r_26(self):
         rng = random.Random(42)
         factors = [Fraction(rng.randrange(10**599, 10**600), 10**600 + 7) for _ in range(27)]
-        enc = _product_interval(_pairs(factors, rng), _pairs(factors, rng), 1 << 27)
+        enc = product_real(_pairs(factors, rng), _pairs(factors, rng), 1 << 27)
         assert enc.lo <= (1 << 27) * math.prod(factors) <= enc.hi
         assert max(enc.mid.denominator, enc.rad.denominator) <= 2**65
 
@@ -706,7 +774,7 @@ class TestEvalExpsum:
         with mpmath.workprec(200):
             exact_re = mpmath.fsum(mpmath.cos(2 * mpmath.pi * v / q) for v in range(n))
             exact_im = mpmath.fsum(mpmath.sin(2 * mpmath.pi * v / q) for v in range(n))
-        assert re.rad == im.rad == _sum_radius(n)
+        assert re.rad == im.rad == Fraction(*_sum_radius(n))
         assert abs(_mpf(re.mid) - exact_re) <= _mpf(re.rad)
         assert abs(_mpf(im.mid) - exact_im) <= _mpf(im.rad)
 
@@ -748,8 +816,8 @@ class TestEvalExpsum:
             ref = float(np.cos(theta).sum()), float(np.sin(theta).sum())
             assert rep.term_count == len(res) == n
             for part, want in zip((rep.value_re, rep.value_im), ref):
-                assert part.rad == _sum_radius(n) + extra
-                assert abs(part.mid - Fraction(want)) <= part.rad + _sum_radius(n)
+                assert part.rad == Fraction(*_sum_radius(n)) + extra
+                assert abs(part.mid - Fraction(want)) <= part.rad + Fraction(*_sum_radius(n))
 
     def test_enclosure_sum_holds_no_python_int_per_term(self):
         # r = 14 has 2^15 terms; the two half tables of Python ints hold
@@ -882,6 +950,9 @@ class TestEvalExpsum:
             # excluded zero term; and rationals that are not doubles
             d = Fraction(1 + rng.uniform(-1, 1) * 2.0 ** -rng.randint(1, 52))
             cases.append((d - 1, Fraction(rng.uniform(-1, 1)) / 2 ** rng.randint(0, 60)))
+            # eval_expsum reads the excluded sum as the float x - 1.0: IEEE
+            # subtraction rounds the exact difference correctly
+            assert float(d) - 1.0 == float(d - 1)
             cases.append((Fraction(1, rng.randint(3, 10**9)), -Fraction(1, rng.randint(3, 10**9))))
         def hypot200(x, y):
             with mpmath.workprec(200):
@@ -889,15 +960,19 @@ class TestEvalExpsum:
 
         for x, y in cases:
             true = hypot200(x, y)
-            mag = _magnitude(Real(x), Real(y))
+            # the helper reads the parts as floats, each rounded once
+            mag = magnitude_real(float(x), float(y))
             assert mag.lo <= true <= mag.hi
             # the derivation in the docstring: within 3 * 2^-53 of the float
             assert abs(true - mag.mid) <= 3 * mag.mid / 2**53
-            # component radii add to the slack
+            # the parts' one radius adds to the slack: the corners of its
+            # box, and of the smaller box of radii rx and ry, lie inside
             rx, ry = abs(x) / 7 + Fraction(1, 10**9), abs(y) / 5
-            wide = _magnitude(Real(x, rx), Real(y, ry))
-            for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                assert wide.lo <= hypot200(x + sx * rx, y + sy * ry) <= wide.hi
+            rad = max(rx, ry)
+            wide = magnitude_real(float(x), float(y), rad)
+            for dx, dy in ((rx, ry), (rad, rad)):
+                for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    assert wide.lo <= hypot200(x + sx * dx, y + sy * dy) <= wide.hi
 
     def test_sin_pi_bounds_against_200_bits(self):
         # the docstring's analysis: the float sine is within 13u of sin(pi h),
@@ -960,6 +1035,76 @@ class TestEvalExpsum:
             assert (rep.product_magnitude, rep.product_bound) == want
             seen.add((gamma.is_exact, rep.product_magnitude.is_exact))
         assert seen >= {(True, False), (False, False)}
+
+    def test_report_matches_the_fraction_code(self):
+        # the five reported Reals equal the Fraction and from_interval
+        # composition on drawn (b, r, k, gamma), exact and enclosed, with
+        # and without the zero term
+        rng = random.Random(44)
+        cases = []
+        for _ in range(200):
+            if rng.random() < 0.5:
+                q = rng.choice([rng.randint(2, 50), rng.randint(2, 10**6), rng.randint(2, 2**70)])
+                gamma = E(rng.randint(1, q - 1), q)
+            else:
+                gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.choice([64, 128, 256]))
+            k = rng.choice([1, -1]) * rng.randint(1, 10**rng.randint(1, 6))
+            cases.append((rng.randint(2, 7), rng.randint(0, 10), k, gamma))
+        # every residue 0 (the exact shortcut): gamma = 0 and k a multiple of q
+        cases += [(5, 3, 7, E(0)), (2, 2, 1, Real.approx(0, Fraction(1, 10**20))),
+                  (3, 4, 14, E(3, 7)), (2, 6, -21, Real.approx(Fraction(2, 7), Fraction(1, 10**30)))]
+        # |sum| within its slack of 0, so the magnitude is clamped at 0
+        cases += [(2, 0, 1, E(1, 2)), (2, 1, 1, E(1, 4)), (3, 0, 1, Real.parse("1/2") + Fraction(1, 10**30))]
+        seen = set()
+        for b, r, k, gamma in cases:
+            for exclude_zero in (False, True):
+                rep = eval_expsum(b, r, k, gamma, exclude_zero)
+                got = (rep.value_re, rep.value_im, rep.magnitude, rep.product_magnitude, rep.product_bound)
+                assert got == parent_report(b, r, k, gamma, exclude_zero)
+                shortcut = all(v == 0 for v in power_residues(gamma, k, b, r + 1)[1])
+                seen.add((gamma.is_exact, exclude_zero, shortcut, rep.magnitude.lo == 0 < rep.magnitude.hi))
+        assert {(e, x, False, False) for e in (True, False) for x in (True, False)} <= seen
+        assert {(e, x, True, False) for e in (True, False) for x in (True, False)} <= seen
+        assert (True, False, False, True) in seen
+
+    @pytest.mark.parametrize("gamma", [E(314159265358, 1099511627689), Real.parse("pi", 256)],
+                             ids=["exact", "pi@256"])
+    @pytest.mark.parametrize("exclude_zero", [False, True])
+    def test_builds_ten_fractions_and_five_reals_at_any_r(self, gamma, exclude_zero, monkeypatch):
+        # a midpoint and a radius per reported number, the two parts sharing
+        # their radius; the Fraction code built 52 Fractions and 6 Reals a
+        # call (55 and 8 without the zero term)
+        few, many = (count_builds(monkeypatch, eval_expsum, 3, r, 1, gamma, exclude_zero) for r in (2, 14))
+        assert few == many
+        assert few[0] <= 10 and few[1] <= 5
+        assert not {"_trig_sum", "_magnitude", "_product_interval"} & vars(expsum).keys()
+        assert "from_interval" not in pathlib.Path(expsum.__file__).read_text()
+
+    @pytest.mark.parametrize("gamma", [E(1, 3), Real.approx(Fraction(1, 3), Fraction(1, 10**30))],
+                             ids=["exact", "enclosure"])
+    def test_a_failed_identity_raises_the_parent_message(self, gamma, monkeypatch):
+        # halved sine bounds put the product near 2^-(r+1) of |sum| = 1
+        # (every ||2^d / 3|| is 1/3, and |cos(pi/3)| = 1/2)
+        sin_bounds = expsum.sin_pi_bounds
+        monkeypatch.setattr(expsum, "sin_pi_bounds",
+                            lambda lo, hi: tuple((p, 2 * q) for p, q in sin_bounds(lo, hi)))
+        want, _ = parent_check_messages(
+            2, 3, 1, gamma, sin_interval=lambda lo, hi: tuple(s / 2 for s in parent_sin_pi_interval(lo, hi)))
+        with pytest.raises(InvariantViolation) as info:
+            eval_expsum(2, 3, 1, gamma)
+        assert str(info.value) == want and want.startswith("product identity failed")
+
+    @pytest.mark.parametrize("gamma", [E(1, 3), Real.approx(Fraction(1, 3), Fraction(1, 10**30))],
+                             ids=["exact", "enclosure"])
+    def test_a_violated_bound_raises_the_parent_message(self, gamma, monkeypatch):
+        # pi read as 6 puts each bound factor at 1 - 6/9 = 1/3, below the
+        # factor |cos(pi/3)| = 1/2 of |sum| = 1
+        six = (Fraction(6), Fraction(6))
+        monkeypatch.setattr(expsum, "pi_bounds", lambda: six)
+        _, want = parent_check_messages(2, 3, 1, gamma, pi=six)
+        with pytest.raises(InvariantViolation) as info:
+            eval_expsum(2, 3, 1, gamma)
+        assert str(info.value) == want and want.startswith("product bound violated")
 
     def test_enclosure_gamma_widens_radius(self):
         gamma = Real.approx(Fraction(2, 7), Fraction(1, 10**25))

@@ -14,7 +14,7 @@ import pytest
 import radixapprox._kernels as K
 from radixapprox import discrepancy
 from radixapprox.exact import Real
-from radixapprox.expsum import _TERM_ERR
+from radixapprox.expsum import _ERR_UNIT, _TERM_ERR
 from test_discrepancy import discrepancy_object_parent
 
 ML = K.MOD_LIMIT
@@ -356,7 +356,7 @@ def test_term_rows_stay_within_the_term_error_budget(modulus):
     with mpmath.workprec(200):
         worst = max(max(abs(mpmath.mpf(float(z.real)) - e.real), abs(mpmath.mpf(float(z.imag)) - e.imag))
                     for z, e in zip(runs[0], (mpmath.expjpi(2 * mpmath.mpf(v) / modulus) for v in res)))
-        assert worst <= mpmath.mpf(_TERM_ERR.numerator) / _TERM_ERR.denominator
+        assert worst <= mpmath.mpf(_TERM_ERR) / _ERR_UNIT
 
 
 @pytest.mark.parametrize("modulus", [ML - 1, ML, ML + 1, (1 << 64) + 13])
