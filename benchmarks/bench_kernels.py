@@ -15,13 +15,13 @@ so they time the Python-int (object array) path of the residue scans; the
 q~2^144 case is the enclosure oracle's one scan, its minimum and every hit
 of its window; the direct sum has no Python-int path.  The eval_expsum
 cases time it: it turns the same two half tables into unit vectors once
-(one cos and one sin per table entry), for every modulus, and forms its
-2^(r+1) terms as one complex product each, in runs of whole rows.  The
-sum picks the cheaper of two paths by the cost model min(2^(r+1),
-(r+1) q): the cases at 5/313, 457/499 and 5/262147 have (r+1) q below
-2^(r+1), so they build the q exact residue counts by r+1 roll-and-adds and
-sum q weighted unit vectors instead of 2^(r+1) terms.  Both paths add each
-complex run with cos_sin_sum, whose case times the sum of one run.  The
+(one cos and one sin per table entry), for every modulus, and multiplies
+the sums of the two tables' runs once, so a sum of 2^(r+1) terms costs
+2^s + 2^(r+1-s) unit vectors, s = (r+1) // 2, whatever the modulus: the
+cases at 5/313, 457/499 and 5/262147 time small moduli, and r=26 (q=3) the
+largest sum the term cap admits.
+Each half table's run goes through cos_sin_sum, whose case times the
+largest run a sum passes, 2^14 unit vectors at r=26.  The
 eval_expsum case at r=2 sums 8 terms, so it times the scalar side: the
 distance ends, the sine and product ends, the checks on them and the
 report's five Reals.  The dense
@@ -138,8 +138,9 @@ def cases():
     # a half table of criterion 10's oracle scans (N <= 10^4)
     yield "subset_residues (2^6 entries)", K.subset_residues, (adds[:6], q)
 
-    z = np.exp(1j * rng.uniform(-np.pi, np.pi, size=1 << 21))
-    yield "cos_sin_sum (2^21 terms)", K.cos_sin_sum, (z,)
+    # the high half table's run of unit vectors at r = 26
+    z = np.exp(1j * rng.uniform(-np.pi, np.pi, size=1 << 14))
+    yield "cos_sin_sum (2^14 terms)", K.cos_sin_sum, (z,)
 
     # int64 half tables at r = 21 and 22, Python-int ones at q = 2^64+13 and
     # for sqrt2 and pi at 128 and 256 bits
@@ -150,11 +151,12 @@ def cases():
     yield "eval_expsum (r=14, gamma=pi@256)", eval_expsum, (3, 14, 1, Real.parse("pi", 256))
     # 8 terms: the scalar side, from the certified ends to the five Reals
     yield "eval_expsum (r=2, gamma=pi@256)", eval_expsum, (3, 2, 1, Real.parse("pi", 256))
-    # the count path: q exact residue counts in place of 2^(r+1) angles
-    yield "eval_expsum (r=24, q=313, counts)", eval_expsum, (2, 24, 1, Real.parse("5/313"))
-    yield "eval_expsum (b=3, r=18, q=499, counts)", eval_expsum, (3, 18, 1, Real.parse("457/499"))
-    # q > 2^16: the counts in five runs of weighted unit vectors
-    yield "eval_expsum (r=22, q=262147, counts)", eval_expsum, (2, 22, 1, Real.parse("5/262147"))
+    # small moduli, summed as every other modulus
+    yield "eval_expsum (r=24, q=313)", eval_expsum, (2, 24, 1, Real.parse("5/313"))
+    yield "eval_expsum (b=3, r=18, q=499)", eval_expsum, (3, 18, 1, Real.parse("457/499"))
+    yield "eval_expsum (r=22, q=262147)", eval_expsum, (2, 22, 1, Real.parse("5/262147"))
+    # the term cap: two half sums of 2^13 and 2^14 unit vectors
+    yield "eval_expsum (r=26, q=3)", eval_expsum, (2, 26, 1, Real.parse("1/3"))
 
     # T=4000 is the longest orbit the spectral benchmark workload sends
     for label, q in (("2^40", 1 << 40), ("2^64+13", (1 << 64) + 13)):

@@ -33,11 +33,9 @@ hit stops early.  Rows ascend and so does l within a row, so the first hit
 is the smallest n.  The trigonometric sums take one term form, complex
 runs of unit vectors e(t/M) (``_unit_vectors``, one cos and one sin per
 entry), and one float sum of a run (``cos_sin_sum``).  The direct sum reads
-the half tables as unit vectors and forms the term e(res_n/M) of every n as
-one complex product E_H[h] E_L[l], whole rows at a time (``term_rows``), for
-every modulus; for a small modulus the sum reads counts instead: how many n
-have each residue v (``residue_counts``), one weighted unit vector c_v e(v/M)
-per residue (``count_rows``).
+the half tables as unit vectors and sums each table's run (``half_sums``),
+for every modulus: the term of n = h 2**s + l is E_H[h] E_L[l], so the sum
+of all 2**k terms is the product of the two half sums (distributivity).
 """
 from __future__ import annotations
 
@@ -49,9 +47,7 @@ __all__ = [
     "digit_scan_min",
     "digit_scan_min_sharded",
     "subset_residues",
-    "residue_counts",
-    "term_rows",
-    "count_rows",
+    "half_sums",
     "cos_sin_sum",
     "digit_scan_close",
     "first_close",
@@ -72,7 +68,6 @@ USE_NUMBA = False
 MOD_LIMIT = 1 << 57
 
 _PRODUCT_LIMIT = 1 << 62  # int64 products and sums must stay below this
-_ROW_RUN = 1 << 16  # term_rows and count_rows yield runs of about this many entries
 _FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 
 
@@ -96,22 +91,6 @@ def subset_residues(add_mod, modulus: int) -> np.ndarray:
         np.add(table[: 1 << d], int(a) % modulus, out=half)
         np.remainder(half, modulus, out=half)
     return table
-
-
-def residue_counts(add_mod, modulus: int) -> np.ndarray:
-    """c[v] = the number of masks m with subset residue v (as in
-    subset_residues), for v in [0, modulus): the coefficients of
-    prod_d (1 + x**add_mod[d]) in Z[x]/(x**modulus - 1).
-
-    The same doubling over the digit weights, kept as counts: digit d adds
-    add_mod[d] to every residue so far, one roll-and-add.  O(len * modulus);
-    exact in int64 while 2**len(add_mod) < 2**63.
-    """
-    counts = np.zeros(modulus, dtype=np.int64)
-    counts[0] = 1
-    for a in add_mod:
-        counts += np.roll(counts, int(a) % modulus)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -146,31 +125,15 @@ def _unit_vectors(table: np.ndarray, modulus: int) -> np.ndarray:
     return np.cos(theta) + 1j * np.sin(theta)
 
 
-def term_rows(pow_mod, modulus: int):
-    """Yield the terms e(res_n/M) of every n in [0, 2**len(pow_mod)),
-    ascending, as complex128 runs of whole rows (E_H[h] E_L, flattened) of at
-    most max(2**16, 2**s) entries: each term is one rounded complex product
-    of two half-table unit vectors (``expsum._sum_radius``)."""
-    s, L, H = _half_tables(pow_mod, (1 << len(pow_mod)) - 1, modulus)
-    low, high = _unit_vectors(L, modulus), _unit_vectors(H, modulus)
-    step = max(_ROW_RUN >> s, 1)
-    for h in range(0, len(high), step):
-        yield (high[h : h + step, None] * low).ravel()
-
-
-def count_rows(pow_mod, modulus: int):
-    """Yield c_v e(v/M) for the residues v in [0, M), ascending, as complex128
-    runs of at most 2**16: c[v] the number of n in [0, 2**len(pow_mod)) with
-    res_n = v, times the unit vector of v (``_unit_vectors``).  Each
-    component is the one rounded product c_v fl(cos theta_v) (or fl(sin)):
-    the complex product's cross term, fl(sin theta_v) 0, is an exact zero."""
-    counts = residue_counts(pow_mod, modulus)
-    for v in range(0, modulus, _ROW_RUN):
-        c = counts[v : v + _ROW_RUN]
-        z = _unit_vectors(np.arange(v, v + len(c)), modulus)
-        z *= c
-        yield z
-        del z  # free the run before the next one is formed
+def half_sums(pow_mod, modulus: int):
+    """((a, b), (c, d)): a + i b the float sum of the unit vectors E_H of
+    the high half table and c + i d that of the E_L of the low one
+    (``_half_tables`` of all 2**k subsets, k = len(pow_mod)), each through
+    ``cos_sin_sum``.  The terms E_H[h] E_L[l] of all n = h 2**s + l sum to
+    the product of the two exact sums, so 2**s + 2**(k-s) unit vectors
+    stand in for 2**k complex products (``expsum._sum_radius``)."""
+    _, L, H = _half_tables(pow_mod, (1 << len(pow_mod)) - 1, modulus)
+    return cos_sin_sum(_unit_vectors(H, modulus)), cos_sin_sum(_unit_vectors(L, modulus))
 
 
 def _row(h: int, count: int, s: int):
@@ -262,9 +225,9 @@ def first_close(res: np.ndarray, modulus: int, beta_num: int, beta_den: int) -> 
 
 
 def cos_sin_sum(z: np.ndarray):
-    """(sum of z.real, sum of z.imag) over one complex run of terms
-    (``term_rows`` or ``count_rows``): each part numpy's pairwise sum of a
-    strided view, the float sum ``expsum._sum_radius`` bounds; ``z.sum()``
+    """(sum of z.real, sum of z.imag) over one complex run of terms (a half
+    table's unit vectors in ``half_sums``): each part numpy's pairwise sum of
+    a strided view, the float sum ``expsum._sum_radius`` bounds; ``z.sum()``
     blocks the complex sum differently."""
     return float(z.real.sum()), float(z.imag.sum())
 

@@ -3,12 +3,12 @@
 The central identity: the sum of e(k*j*gamma) over j ranging across the
 truncated zero-one set factors as a product of cosines, so its magnitude
 equals 2**(r+1) * prod |cos(pi * k * b**d * gamma)|.  The direct sum is
-evaluated term by term (never through that factorization, which is what the
-reports are checking) over exact residues, each term one rounded complex
-product of two half-table unit vectors, each of those from an angle rounded
-once, or, when the grid q of the residues has (r+1) q < 2**(r+1), as the sum of
-c_v e(v/q) over the q residues v with the exact count c_v of terms at each,
-each the unit vector of v times c_v; both sums add complex runs of terms;
+evaluated over exact residues, not through the cosines the reports check:
+the term of n = h 2**s + l is the product E_H[h] E_L[l] of two half-table
+unit vectors, each from an angle rounded once, so the sum of all the terms
+is the product of the two half sums (``_kernels.half_sums``), a
+distributivity step that applies no identity the terms do not already use;
+each half sum still adds 2**s (or 2**(k-s)) subset residues, and
 the product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2)
 are integer ends, rounded outward to a dyadic grid (_product_ends).  The
 report stays on integer ends from the certified bounds to the checks, which
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import digitsets as ds
-from ._kernels import cos_sin_sum, count_rows, digit_scan_close, term_rows
+from ._kernels import digit_scan_close, half_sums
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -51,12 +51,14 @@ from .exact import (
     power_residues,
 )
 
-#: Cap on r for every method: a direct sum has at most 2**(R_CAP_DEFAULT + 1)
-#: terms, and the separation scan's half tables at most 2**14 entries each.
+#: Cap on r for every method: a direct sum adds two half sums of at most
+#: 2**14 unit vectors each, and the separation scan's half tables hold at most
+#: 2**14 entries each.
 R_CAP_DEFAULT = 26
 
-# float64 budgets in units of 1/_ERR_UNIT: |term evaluated - e(v/q)| per
-# component, and the unit roundoff 2**-53 with room for the factor
+# float64 budgets in units of 1/_ERR_UNIT, per term of the sum: the two
+# half-table unit vectors' errors and the rounding of the product of the
+# half sums, and the unit roundoff 2**-53 with room for the factor
 # 1/(1 - h u); see _sum_radius
 _ERR_UNIT = 10**17
 _TERM_ERR, _EPS = 430, 12
@@ -120,58 +122,54 @@ def _sin_pi(num: int, den: int) -> Optional[tuple[int, int]]:
 
 
 def _sum_radius(n: int) -> tuple[int, int]:
-    """Worst-case float64 radius, as an integer pair (num, den), for one
-    component of an n-term sum of cos(2 pi v/q) or sin(2 pi v/q), summed
-    block by block (``cos_sin_sum`` on a complex run) and, over several
-    blocks, by ``math.fsum``; on the direct path a block is a run of whole
-    rows of the half tables (``term_rows``), at most max(2**16, 2**s)
-    entries and at most n.  With u = 2**-53:
+    """Worst-case float64 radius, as an integer pair (num, den), for each
+    component of the sum of the n = 2**k terms e(v/q), k = r + 1, as
+    ``eval_expsum`` forms it: the complex product A' B' of the two float
+    half sums of ``_kernels.half_sums``, over m_H = 2**(k-s) and m_L =
+    2**s unit vectors, s = k // 2, so m_H m_L = n.  With u = 2**-53:
 
-    Each term is within 4.3e-15 (_TERM_ERR) per component.  A half-table
-    angle fl(fl(2 pi) (x - (x >= 1/2))), x = fl(t/q) for an exact residue t
-    (Sterbenz makes the shift exact), lies in [-pi, pi) and within
-    2 pi * 2u of 2 pi t/q mod 2 pi.  cos and sin are 1-Lipschitz and numpy
-    evaluates them on [-pi, pi] within 4 ulp, 4u, so the unit vector E =
-    fl(cos) + i fl(sin) is within eta = 4 pi u + sqrt(2) 4u < 2.03e-15 of
-    e(t/q), and |E| <= 1 + eta.  The exact product E_H E_L is then within
-    eta (1 + eta) + eta = 2 eta + eta**2 < 4.05e-15 of e(v/q).  numpy rounds
-    each component of the complex product a c - b d (or a d + b c): without
-    FMA it rounds both products and the difference, with FMA one product
-    and the fused result, and either way the error is at most
-    (2u + u**2)(|a c| + |b d|) <= (2u + u**2)(1 + eta)**2 < 2.3e-16, as
-    |a c| + |b d| <= |E_H| |E_L| (Cauchy-Schwarz).  In all, under 4.28e-15.
+    Each unit vector E is within eta < 2.03e-15 of e(t/q) (modulus of the
+    difference).  A half-table angle fl(fl(2 pi) (x - (x >= 1/2))), x =
+    fl(t/q) for an exact residue t (Sterbenz makes the shift exact), lies in
+    [-pi, pi) and within 2 pi * 2u of 2 pi t/q mod 2 pi, which moves the
+    point on the circle by at most 4 pi u.  numpy evaluates cos and sin on
+    [-pi, pi] within 4 ulp, 4u, each, so eta = 4 pi u + sqrt(2) 4u <
+    2.03e-15, and |E| <= 1 + eta.
 
-    Summation (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 4): numpy's ``sum`` halves a block of m <= n terms until it is at
-    most 128 long, in at most bits(m) - 6 <= bits(n) - 6 levels, on a
-    strided view (the real or imaginary part of a complex run) as on a
-    contiguous array.  A leaf of 128 holds 8 interleaved accumulators of at
-    most 16 terms (15 additions), combines them in 3 more, then adds at most
-    7 leftover terms one by one.  So a term passes at most h = bits(n) + 19
-    additions, and ``fsum`` rounds once more.  The error is at most
-    gamma_(h+1) * sum |x_i| <= (bits(n) + 20) * 1.01 u * n (1 + 4.3e-15),
-    and 1.2e-16 (_EPS) exceeds 1.01 u (1 + 4.3e-15).
+    A half sum of m unit vectors is within m eps of the exact sum A of its
+    m terms e(t/q), eps = eta + gamma_h (1 + eta).  The exact sum of the E
+    is within m eta of A.  numpy's ``sum`` (``cos_sin_sum``, each component
+    a strided view, summed as a contiguous array) halves a run of m terms
+    until it is at most 128 long, in at most bits(m) - 6 levels; a leaf of
+    128 holds 8 interleaved accumulators of at most 16 terms (15
+    additions), combines them in 3 more, then adds at most 7 leftover terms
+    one by one.  So a term passes at most h = bits(m) + 19 additions, and
+    each component is within gamma_h = h u / (1 - h u) times its sum of
+    absolute values (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 4); by Minkowski the two components' errors together
+    have modulus at most gamma_h sum |E| <= gamma_h m (1 + eta).
 
-    The count path (``count_rows``, taken when (r+1) q < n) sums q
-    weighted unit vectors c_v E_v instead, c_v the exact number of the n
-    terms with residue v: at most n <= 2**27, so exact in int64 and
-    float64, and sum c_v = n.  Each angle theta_v is one half angle above,
-    rounded once, within 2 pi * 2u of 2 pi v/q mod 2 pi, so E_v = fl(cos
-    theta_v) + i fl(sin theta_v) is within 4 pi u + 4u < 1.9e-15 per
-    component, inside _TERM_ERR, and the weighted terms are within n *
-    _TERM_ERR.  numpy's complex product c_v E_v forms each component as
-    c_v fl(cos theta_v) - fl(sin theta_v) 0 (or c_v fl(sin) + fl(cos) 0),
-    whose cross term is an exact zero, so it adds one rounding, relative
-    u.  The q products are summed in blocks of at most min(q, 2**16)
-    residues, so each passes at most bits(q) + 19 additions, and ``fsum``
-    rounds once more: h = bits(q) + 21 roundings in all, error at most
-    gamma_h * n.  On this path r >= 1, so q < n / 2 and bits(q) < bits(n):
-    h is at most the direct path's bits(n) + 20, and _sum_radius(n) covers
-    both.  At r = 0 the path needs q < 2, where every residue is 0
-    and the sum takes the exact shortcut of ``eval_expsum``.
+    With A, B the exact half sums of the float ones A', B', |A| <= m_H and
+    |B'| <= m_L (1 + eps_L), so the exact product is off by |A'B' - AB| <=
+    |A' - A||B'| + |A||B' - B| <= n (eps_H + eps_L + eps_H eps_L).  Each
+    component of the float product, a c - b d or a d + b c for A' = a + i b
+    and B' = c + i d, in Python floats (two rounded products and a rounded
+    sum, no FMA), is within (2u + u**2)(|a c| + |b d|) <= (2u + u**2)|A'||B'|
+    <= (2u + u**2) n (1 + eps_H)(1 + eps_L) of that of A'B', by
+    Cauchy-Schwarz.  So each component is within n times
+
+        2 eta + (2u + u**2)(1 + eps_H)(1 + eps_L) + eps_H eps_L
+            + (gamma_hH + gamma_hL)(1 + eta).
+
+    At r <= R_CAP_DEFAULT, m <= 2**14 and h <= 34, so eps < 5.9e-15: the
+    first three terms are under 4.06e-15 + 2.3e-16 + 4e-29 < 4.3e-15
+    (_TERM_ERR), and as gamma_h (1 + eta) < 1.01 h u, the last is under
+    (hH + hL) 1.2e-16 (_EPS), where hH + hL = bits(m_H) + bits(m_L) + 38 =
+    k + 40 = bits(n) + 39.  At r = 0 the low table is the one entry e(0) = 1
+    and its sum is exact.
     """
     bits = max(n.bit_length(), 1)
-    return n * (_TERM_ERR + (bits + 20) * _EPS), _ERR_UNIT
+    return n * (_TERM_ERR + (bits + 39) * _EPS), _ERR_UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +391,13 @@ def eval_expsum(
     b_hi = [(lo_q * c * c - lo_p * a * a, lo_q * c * c) for a, c in w_los]
     bound_lo, bound_hi = _product_ends(b_lo, b_hi, n)
 
-    # the direct sum over the n terms, exact when every angle is 0; by the
-    # cost model min(n, (r+1) q), sum q unit vectors weighted by the count of
-    # terms at each residue when that is cheaper, the n terms otherwise;
-    # each part is the fsum of its blocks' sums (cos_sin_sum)
+    # the direct sum over the n terms, exact when every angle is 0, and
+    # otherwise the product of the two half sums, in Python floats
     if all(v == 0 for v in res_mods):
         x, y, (s, S) = float(n), 0.0, (0, 1)
     else:
-        runs = count_rows if (r + 1) * q < n else term_rows
-        cos_parts, sin_parts = zip(*map(cos_sin_sum, runs(res_mods, q)))
-        x, y, (s, S) = math.fsum(cos_parts), math.fsum(sin_parts), _sum_radius(n)
+        (ar, ai), (br, bi) = half_sums(res_mods, q)
+        x, y, (s, S) = ar * br - ai * bi, ar * bi + ai * br, _sum_radius(n)
     # both parts within _sum_radius(n) and, as every term e(k j gamma) moves
     # by at most 2 pi |k| j rad, 7 |k| (sum of the j) R/D for gamma.rad = R/D
     R, D = gamma.rad.numerator, gamma.rad.denominator

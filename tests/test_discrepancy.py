@@ -525,7 +525,6 @@ class TestErdosTuran:
             raise AssertionError("cos_sin_sum called")
 
         monkeypatch.setattr(_kernels, "cos_sin_sum", no_trig_sum)
-        monkeypatch.setattr(expsum, "cos_sin_sum", no_trig_sum)
         reads = []
         read = discrepancy.dist_ends_of_multiple
         monkeypatch.setattr(discrepancy, "dist_ends_of_multiple",

@@ -1,5 +1,4 @@
 import heapq
-import itertools
 import json
 import math
 import pathlib
@@ -15,8 +14,8 @@ import pytest
 
 from radixapprox import digitsets as ds
 from radixapprox import expsum
-from radixapprox._kernels import (MOD_LIMIT, cos_sin_sum, count_rows, digit_scan_close, first_close,
-                                  subset_residues, term_rows)
+from radixapprox import _kernels
+from radixapprox._kernels import MOD_LIMIT, cos_sin_sum, digit_scan_close, first_close, half_sums, subset_residues
 from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import (DomainError, HypothesisViolation, IndeterminateComparison,
                                InvariantViolation)
@@ -65,12 +64,26 @@ def all_residues(b, r, k, gamma: Fraction):
 
 def _direct_sum(b, r, k, gamma: Fraction):
     """(re, im, n) of the direct sum over the 2^(r+1) truncated zero-one
-    terms, through the term rows, float sums and radius eval_expsum uses."""
+    terms, through the half sums, float product and radius eval_expsum uses."""
     q, weights = digit_weights(b, r, k, gamma)
     n = 1 << (r + 1)
-    cos_parts, sin_parts = zip(*map(cos_sin_sum, term_rows(weights, q)))
+    (ar, ai), (br, bi) = half_sums(weights, q)
     rad = Fraction(*_sum_radius(n))
-    return Real(Fraction(math.fsum(cos_parts)), rad), Real(Fraction(math.fsum(sin_parts)), rad), n
+    return Real(Fraction(ar * br - ai * bi), rad), Real(Fraction(ar * bi + ai * br), rad), n
+
+
+def parent_row_run_sum(weights, q: int) -> tuple[float, float]:
+    """(re, im) of the direct sum as the per-term code formed it: every term
+    one rounded complex product E_H[h] E_L[l] of two half-table unit
+    vectors, in runs of whole rows of at most 2^16 terms, each run's parts
+    summed by cos_sin_sum and the runs by math.fsum; each part within
+    parent_sum_radius(n) of the exact sum."""
+    s, L, H = _kernels._half_tables(weights, (1 << len(weights)) - 1, q)
+    low, high = _kernels._unit_vectors(L, q), _kernels._unit_vectors(H, q)
+    step = max((1 << 16) >> s, 1)
+    runs = ((high[h : h + step, None] * low).ravel() for h in range(0, len(high), step))
+    cos_parts, sin_parts = zip(*map(cos_sin_sum, runs))
+    return math.fsum(cos_parts), math.fsum(sin_parts)
 
 
 def _product_value(b, r, k, gamma: Fraction, exclude_zero: bool):
@@ -83,24 +96,6 @@ def _product_value(b, r, k, gamma: Fraction, exclude_zero: bool):
             s *= 1 + mpmath.expjpi(2 * mpmath.mpf(w) / q)
         s -= exclude_zero
         return mpf_to_fraction(s.real), mpf_to_fraction(s.imag)
-
-
-def _pinned_expsum(monkeypatch, b, r, k, gamma: Fraction, exclude_zero: bool = False):
-    """(count path, report) of eval_expsum on the path the cost model
-    (r+1) q < 2^(r+1) picks, with the other path's kernel made to raise; the
-    report must contain the 200-bit value of the sum."""
-    count_path = (r + 1) * gamma.denominator < 1 << (r + 1)
-
-    def other_path(*args):
-        raise AssertionError(f"the cost model left the {'count' if count_path else 'row-run'} path")
-
-    with monkeypatch.context() as m:
-        m.setattr(expsum, "term_rows" if count_path else "count_rows", other_path)
-        rep = eval_expsum(b, r, k, E(gamma), exclude_zero)
-    assert rep.term_count == (1 << (r + 1)) - exclude_zero
-    for part, want in zip((rep.value_re, rep.value_im), _product_value(b, r, k, gamma, exclude_zero)):
-        assert part.lo <= want <= part.hi
-    return count_path, rep
 
 
 # The Fraction factor side that the integer pairs replaced, kept as the
@@ -177,8 +172,16 @@ def parent_product_side(b, r, k, gamma: Real, sin_interval=parent_sin_pi_interva
 # Fraction, the trig-sum enclosure and _magnitude, composed as eval_expsum
 # composed them, kept as the reference its five reported Reals must match.
 def parent_sum_radius(n: int) -> Fraction:
+    """The radius of the per-term row-run sum (parent_row_run_sum)."""
     bits = max(n.bit_length(), 1)
     return n * (Fraction(43, 10**16) + (bits + 20) * Fraction(12, 10**17))
+
+
+def factored_sum_radius(n: int) -> Fraction:
+    """The radius of the product of the two half sums: two half-table
+    summation trees of bits(m) + 19 additions each, bits(n) + 39 in all."""
+    bits = max(n.bit_length(), 1)
+    return n * (Fraction(43, 10**16) + (bits + 39) * Fraction(12, 10**17))
 
 
 def parent_magnitude(re: Real, im: Real) -> Real:
@@ -194,18 +197,17 @@ def parent_magnitude(re: Real, im: Real) -> Real:
 
 
 def parent_sum(b, r, k, gamma: Real) -> tuple[Real, Real]:
-    """(re, im) of the full sum: the float sums of the runs eval_expsum
-    picks, within parent_sum_radius(n) plus 7 |k| (sum of the j) gamma.rad."""
+    """(re, im) of the full sum: the float product of the two half sums,
+    within factored_sum_radius(n) plus 7 |k| (sum of the j) gamma.rad."""
     n = 1 << (r + 1)
     total_j = (1 << r) * (b ** (r + 1) - 1) // (b - 1)
     extra_rad = Fraction(7) * abs(k) * total_j * gamma.rad
     q, res_mods = power_residues(gamma, k, b, r + 1)
     if all(v == 0 for v in res_mods):
         return Real(Fraction(n), extra_rad), Real(Fraction(0), extra_rad)
-    runs = count_rows if (r + 1) * q < n else term_rows
-    cos_parts, sin_parts = zip(*map(cos_sin_sum, runs(res_mods, q)))
-    rad = parent_sum_radius(n) + extra_rad
-    return Real(Fraction(math.fsum(cos_parts)), rad), Real(Fraction(math.fsum(sin_parts)), rad)
+    (ar, ai), (br, bi) = half_sums(res_mods, q)
+    rad = factored_sum_radius(n) + extra_rad
+    return Real(Fraction(ar * br - ai * bi), rad), Real(Fraction(ar * bi + ai * br), rad)
 
 
 def parent_report(b, r, k, gamma: Real, exclude_zero: bool) -> tuple[Real, ...]:
@@ -675,24 +677,44 @@ class TestProductInterval:
                 assert len(str(enc.mid.denominator)) < 40 and len(str(enc.rad.denominator)) < 40
 
 
-# value_re.mid and value_im.mid of eval_expsum(b, r, k, gamma, exclude_zero):
-# 5/313, 457/499 and 5/262147 take the count path, the int64 modulus, the
-# modulus 2^64 + 13 and sqrt2 at 128 bits the direct path
+# value_re.mid and value_im.mid of eval_expsum(b, r, k, gamma, exclude_zero),
+# the float product of the two half sums: small moduli, an int64 modulus, the
+# modulus 2^64 + 13, sqrt2 at 128 bits and the README's two sums.
+# recorded_sums() writes the table.
 PINNED_MIDS = [
-    (2, 14, 1, "5/313", False, "2212025877987/549755813888", "2649602045623/137438953472"),
-    (3, 12, -7, "5/313", True, "-5710379988763/2199023255552", "1492303902423/274877906944"),
-    (10, 13, 3, "457/499", False, "14519827155/2199023255552", "421045719/137438953472"),
-    (2, 15, 100, "457/499", True, "-111716334925/549755813888", "-4790693667/8589934592"),
-    (2, 22, 1, "5/262147", True, "-3412808413517293/35184372088832", "1256443289405253/2251799813685248"),
+    (2, 14, 1, "5/313", False, "4530228998115129/1125899906842624", "5426384989435615/281474976710656"),
+    (3, 12, -7, "5/313", True, "-2923714554246685/1125899906842624", "764059598040529/140737488355328"),
+    (10, 13, 3, "457/499", False,
+     "7612571138642035/1152921504606846976", "3531987486047963/1152921504606846976"),
+    (2, 15, 100, "457/499", True, "-1830360431446087/9007199254740992", "-5023406402581695/9007199254740992"),
+    (2, 22, 1, "5/262147", True, "-3412808413516887/35184372088832", "157055411151691/281474976710656"),
     (3, 10, 3, "314159265358/1099511627689", False,
-     "-2643871691083975/2251799813685248", "134725858217387/281474976710656"),
+     "-5287743382167947/4503599627370496", "8622454925912775/18014398509481984"),
     (2, 11, -1, "314159265358/1099511627689", True,
-     "436551160556327/4503599627370496", "-1524734270690661/9007199254740992"),
+     "218275580278149/2251799813685248", "-6098937082762605/36028797018963968"),
     (10, 9, 7, "12345678901234567/18446744073709551629", True,
-     "-23832988607045945/18014398509481984", "-3620794134077189/18014398509481984"),
-    (2, 12, 1, "sqrt2@128", False, "2695257453561937/4503599627370496", "-3343291001515181/9007199254740992"),
-    (3, 8, 10, "sqrt2@128", True, "-72851041850774001/72057594037927936", "1521716278905997/144115188075855872"),
+     "-11916494303522961/9007199254740992", "-226299633379825/1125899906842624"),
+    (2, 12, 1, "sqrt2@128", False, "2695257453561923/4503599627370496", "-1671645500757589/4503599627370496"),
+    (3, 8, 10, "sqrt2@128", True,
+     "-291404167403095747/288230376151711744", "3043432557812231/288230376151711744"),
+    # the sum and decay commands under README's "## CLI"
+    (2, 12, 7, "5/313", False, "765394798843669/2251799813685248", "-5756800016864623/72057594037927936"),
+    (5, 6, 3, "457/499", True, "-8796085866637833/4503599627370496", "-6987408875260985/4503599627370496"),
 ]
+
+
+def _pinned_gamma(text: str) -> Real:
+    name, _, bits = text.partition("@")
+    return Real.parse(name, int(bits)) if bits else E(Fraction(text))
+
+
+def recorded_sums():
+    """PINNED_MIDS with the mids eval_expsum reports now, one Python line a
+    case.  Print them with ``PYTHONPATH=src python tests/test_expsum.py``
+    only when the float sums are meant to change."""
+    for b, r, k, gamma, exclude_zero, _, _ in PINNED_MIDS:
+        rep = eval_expsum(b, r, k, _pinned_gamma(gamma), exclude_zero)
+        yield (b, r, k, gamma, exclude_zero, str(rep.value_re.mid), str(rep.value_im.mid))
 
 
 class TestEvalExpsum:
@@ -831,78 +853,60 @@ class TestEvalExpsum:
             tracemalloc.stop()
         assert peak < 1.5e6
 
-    @pytest.mark.parametrize("q", [2, 3, 313, 4093])
-    def test_count_path_agrees_with_the_row_runs(self, q, monkeypatch):
-        # both sides of the cost model: at r = 1 every q and at r = 5 the
-        # larger two stay on the row runs, the rest count residues; each
-        # report contains the 200-bit product (in _pinned_expsum), and a
-        # count-path report meets the row-run enclosure of the same sum.
-        # The row runs cost 2^25 terms at r = 24, so only 5/313 sums them
-        rng = random.Random(q)
-        for i, (r, b) in enumerate(itertools.product((1, 5, 18, 24), (2, 3, 10))):
-            k, exclude = (1, -7, 3, -1, 100)[i % 5], i % 2 == 1
-            gamma = Fraction(5, 313) if (q, r, b) == (313, 24, 2) else _coprime_gamma(rng, q)
-            count_path, rep = _pinned_expsum(monkeypatch, b, r, k, gamma, exclude)
-            assert count_path == (r >= 18 or (r == 5 and q < 10))
-            if count_path and (r <= 18 or gamma == Fraction(5, 313)):
-                modulus, weights = digit_weights(b, r, k, gamma)
-                assert sum(map(len, term_rows(weights, modulus))) == 1 << (r + 1)
-                re, im, _ = _direct_sum(b, r, k, gamma)
-                for part, ref in zip((rep.value_re, rep.value_im), (re - exclude, im)):
-                    assert abs(part.mid - ref.mid) <= part.rad + ref.rad
+    @pytest.mark.parametrize("kind", ["below 2^53", "above 2^53", "2^64+13", "sqrt2@128"])
+    def test_factored_sum_meets_the_per_term_row_runs(self, kind):
+        # the product of the half sums against the parent's sum of every
+        # term E_H[h] E_L[l]: both enclose the one exact sum, so their mids
+        # differ by at most the two radii
+        rng = random.Random(kind)
+        for i in range(12):
+            b, r = rng.randint(2, 10), rng.choice([0, 1, 2, 5, rng.randint(0, 16), 16])
+            k = rng.choice([1, -1]) * rng.randint(1, 10**rng.randint(1, 4))
+            if kind == "sqrt2@128":
+                gamma = Real.parse("sqrt2", 128)
+            else:
+                q = {"below 2^53": rng.randint(2, 1 << 53), "above 2^53": rng.randint(1 << 53, 1 << 62),
+                     "2^64+13": (1 << 64) + 13}[kind]
+                gamma = E(_coprime_gamma(rng, q))
+            exclude_zero = i % 2 == 1
+            rep = eval_expsum(b, r, k, gamma, exclude_zero)
+            q, res_mods = power_residues(gamma, k, b, r + 1)
+            if all(v == 0 for v in res_mods):
+                continue
+            n = 1 << (r + 1)
+            extra = 7 * abs(k) * (1 << r) * (b ** (r + 1) - 1) // (b - 1) * gamma.rad
+            ref = parent_row_run_sum(res_mods, q)
+            for part, want in zip((rep.value_re, rep.value_im), (Fraction(ref[0]) - exclude_zero, Fraction(ref[1]))):
+                assert part.rad == factored_sum_radius(n) + extra
+                assert abs(part.mid - want) <= part.rad + parent_sum_radius(n)
 
-    @pytest.mark.parametrize("r, q", [(1, 2), (3, 4), (7, 32), (15, 4096)])
-    def test_the_cost_model_boundary_sums_the_row_runs(self, r, q, monkeypatch):
-        # (r+1) q == 2^(r+1) costs the same both ways and stays on the row
-        # runs; one residue fewer counts (q = 1 takes the exact shortcut)
-        rng = random.Random(r)
-        assert (r + 1) * q == 1 << (r + 1)
-        assert _pinned_expsum(monkeypatch, 3, r, -5, _coprime_gamma(rng, q))[0] is False
-        if q > 2:
-            assert _pinned_expsum(monkeypatch, 3, r, -5, _coprime_gamma(rng, q - 1), True)[0] is True
+    @pytest.mark.parametrize("gamma", [E(1, 3), E(314159265358, 1099511627689), E(1, (1 << 64) + 13)],
+                             ids=["1/3", "2^40-87", "aligned"])
+    def test_parts_hold_the_200_bit_product_at_the_term_cap(self, gamma):
+        # r = R_CAP_DEFAULT: 2^27 terms in two half sums of 2^13 and 2^14;
+        # at 1/(2^64+13) every term's angle is below 2^-20 of a turn, so
+        # |sum| is close to n, the radius's worst case
+        r = expsum.R_CAP_DEFAULT
+        for b, k, exclude_zero in ((2, 1, False), (3, -5, True)):
+            rep = eval_expsum(b, r, k, gamma, exclude_zero)
+            for part, want in zip((rep.value_re, rep.value_im),
+                                  _product_value(b, r, k, gamma.mid, exclude_zero)):
+                assert part.lo <= want <= part.hi
+        if gamma.mid.denominator > 1 << 64:
+            assert rep.magnitude.lo > (1 - Fraction(1, 10**6)) * 2 ** (r + 1)
 
-    def test_count_path_builds_no_angle_run(self):
-        # r = 24 has 2^25 terms; the count path holds the 313 counts and
-        # weighted unit vectors, where the row runs peak at about 1.4 MB
-        # under tracemalloc; bound the peak by a quarter of one 2^16-entry
-        # run of complex terms
-        gamma = E(5, 313)
-        tracemalloc.start()
-        try:
-            eval_expsum(2, 24, 1, gamma)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**18
-
-    def test_count_path_holds_float_runs_at_a_large_modulus(self):
-        # r = 22, q = 262147 > 2^16 (23 q < 2^23): the q int64 counts and
-        # one run of at most 2^16 weighted unit vectors peak at about 5.4 MB
-        # under tracemalloc (4.2 MB while a run held float angles only);
-        # angles divided through Python ints peaked at 21 MB, and the row
-        # runs of 2^23 terms peak at 1.5 MB
-        gamma = E(5, 262147)
-        tracemalloc.start()
-        try:
-            eval_expsum(2, 22, 1, gamma)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12e6
-
-    def test_direct_sum_holds_one_run_of_terms(self):
-        # r = 22 has 2^23 terms, formed and summed in runs of 2^16 complex
-        # terms (1 MiB each): the call peaks at about 1.5 MB under
-        # tracemalloc, where runs of 2^18 terms peaked at 4.6 MB and the
-        # float angle runs of 2^18 at 6.4 MB
+    def test_factored_sum_holds_two_half_tables(self):
+        # r = 26 has 2^27 terms; the call holds the two int64 half tables of
+        # 2^13 and 2^14 residues and their angles and unit vectors, and peaks
+        # at about 1.0 MB under tracemalloc
         gamma = E(314159265358, 1099511627689)
         tracemalloc.start()
         try:
-            eval_expsum(2, 22, 3, gamma)
+            eval_expsum(2, 26, 3, gamma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert peak < 2e6
 
     @pytest.mark.parametrize("size", [1000, 8193, 1 << 18])
     def test_strided_parts_sum_as_contiguous_arrays(self, size):
@@ -919,25 +923,26 @@ class TestEvalExpsum:
     @pytest.mark.parametrize("b, r, k, gamma, exclude_zero, re_mid, im_mid", PINNED_MIDS,
                              ids=[f"{g}-r{r}-{'excl' if x else 'all'}" for _, r, _, g, x, _, _ in PINNED_MIDS])
     def test_mids_match_the_recorded_sums(self, b, r, k, gamma, exclude_zero, re_mid, im_mid):
-        # the float sums of both paths, bit for bit as recorded while the
-        # count path summed weighted angles and the direct path its own runs
-        name, _, bits = gamma.partition("@")
-        rep = eval_expsum(b, r, k, Real.parse(name, int(bits)) if bits else E(Fraction(gamma)),
-                          exclude_zero)
-        count_path = (r + 1) * rep.gamma.mid.denominator < 1 << (r + 1)
-        assert count_path == (gamma in ("5/313", "457/499", "5/262147"))
+        # the float product of the half sums, bit for bit as recorded, and
+        # each recorded mid within _sum_radius(n) of the 200-bit sum at
+        # gamma.mid, whose residues the float sums read
+        rep = eval_expsum(b, r, k, _pinned_gamma(gamma), exclude_zero)
         assert (rep.value_re.mid, rep.value_im.mid) == (Fraction(re_mid), Fraction(im_mid))
+        rad = Fraction(*_sum_radius(1 << (r + 1)))
+        want = _product_value(b, r, k, rep.gamma.mid, exclude_zero)
+        assert abs(Fraction(re_mid) - want[0]) <= rad and abs(Fraction(im_mid) - want[1]) <= rad
 
-    @pytest.mark.parametrize("gamma, r, terms", [(E(5, 313), 14, 313),
-                                                  (E(314159265358, 1099511627689), 10, 1 << 11)])
-    def test_both_paths_sum_their_runs_through_cos_sin_sum(self, gamma, r, terms, monkeypatch):
-        # one float sum of a run: the count path's q weighted unit vectors
-        # and the direct path's n terms all pass through cos_sin_sum
-        assert "_re_im_sum" not in vars(expsum)
+    @pytest.mark.parametrize("gamma, r", [(E(5, 313), 14), (E(314159265358, 1099511627689), 10),
+                                          (Real.parse("sqrt2", 128), 9), (E(5, 262147), 26)])
+    def test_the_sum_adds_each_half_table_once_through_cos_sin_sum(self, gamma, r, monkeypatch):
+        # one float sum of a run per half table: 2^s + 2^(k-s) unit
+        # vectors, k = r + 1 digits and s = k // 2, and no term of the 2^k
+        assert not {"_re_im_sum", "cos_sin_sum", "term_rows", "count_rows"} & vars(expsum).keys()
         seen = []
-        monkeypatch.setattr(expsum, "cos_sin_sum", lambda z: seen.append(len(z)) or cos_sin_sum(z))
+        monkeypatch.setattr(_kernels, "cos_sin_sum", lambda z: seen.append(len(z)) or cos_sin_sum(z))
         eval_expsum(2, r, 1, gamma)
-        assert sum(seen) == terms
+        k = r + 1
+        assert sorted(seen) == [1 << k // 2, 1 << (k - k // 2)]
 
     def test_magnitude_slack_covers_200_bit_hypot(self):
         rng = random.Random(31)
@@ -1180,3 +1185,8 @@ class TestDecayBound:
             decay_bound_check(2, 1, 0, 1, E(1, 3))
         with pytest.raises(DomainError):
             decay_bound_check(2, -1, 1, 1, E(1, 3))
+
+
+if __name__ == "__main__":
+    for case in recorded_sums():
+        print(f"    {case!r},")

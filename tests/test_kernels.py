@@ -14,7 +14,7 @@ import pytest
 import radixapprox._kernels as K
 from radixapprox import discrepancy
 from radixapprox.exact import Real
-from radixapprox.expsum import _ERR_UNIT, _TERM_ERR
+from radixapprox.expsum import _sum_radius
 from test_discrepancy import discrepancy_object_parent
 
 ML = K.MOD_LIMIT
@@ -174,55 +174,6 @@ def test_cos_sin_sum(as_array):
         assert abs(c - cc) < 1e-9 and abs(s - ss) < 1e-9
 
 
-def test_count_rows_weigh_each_unit_vector_by_its_count():
-    # each run is the unit vectors of its residues times their counts, bit
-    # for bit: every component the one rounded product c_v fl(cos) or
-    # c_v fl(sin).  Its sum is the plain sum with unit vector v repeated
-    # c_v times
-    modulus = 313
-    adds = [random.Random(19).randrange(modulus) for _ in range(14)]
-    counts = K.residue_counts(adds, modulus)
-    z = np.concatenate(list(K.count_rows(adds, modulus)))
-    unit = K._unit_vectors(np.arange(modulus), modulus)
-    assert z.dtype == np.complex128 and np.array_equal(z, unit * counts)
-    theta = K._angles(np.arange(modulus), modulus)
-    assert np.array_equal(z.real, counts * np.cos(theta)) and np.array_equal(z.imag, counts * np.sin(theta))
-    c, s = K.cos_sin_sum(z)
-    cc, ss = K.cos_sin_sum(np.repeat(unit, counts))
-    assert abs(c - cc) < 1e-9 and abs(s - ss) < 1e-9
-
-
-@pytest.mark.parametrize("modulus", [1, 2, 3, 313, 4093])
-def test_residue_counts_tally_the_subset_residues(modulus):
-    # the counts are the histogram of the subset_residues table, and the
-    # terms of count_rows are the counts at the angles of the residues
-    # 0 .. M-1
-    rng = random.Random(modulus)
-    for bits in (0, 1, 5, 12):
-        adds = [rng.randrange(modulus) for _ in range(bits)]
-        counts = K.residue_counts(adds, modulus)
-        assert counts.dtype == np.int64 and len(counts) == modulus
-        want = np.bincount(K.subset_residues(adds, modulus), minlength=modulus)
-        assert counts.tolist() == want.tolist()
-        z = np.concatenate(list(K.count_rows(adds, modulus)))
-        assert np.rint(np.abs(z)).astype(np.int64).tolist() == want.tolist()
-        held = np.flatnonzero(want)
-        assert turn_error(np.angle(z[held]), held, modulus) < 2.0**-45
-
-
-def test_count_rows_yield_runs_of_at_most_2_16_residues():
-    # the eight residues of three weights fall in all three runs
-    modulus = (1 << 17) + 21
-    runs = list(K.count_rows([1, 1 << 16, modulus - 3], modulus))
-    assert [len(z) for z in runs] == [1 << 16, 1 << 16, 21]
-    assert all(z.dtype == np.complex128 for z in runs)
-    z = np.concatenate(runs)
-    held = np.flatnonzero(z)
-    assert held.tolist() == [0, 1, 65533, 65534, 65536, 65537, modulus - 3, modulus - 2]
-    assert np.abs(np.abs(z[held]) - 1).max() < 2.0**-45
-    assert turn_error(np.angle(z[held]), held, modulus) < 2.0**-45
-
-
 @pytest.mark.parametrize("modulus", [3, 4093, (1 << 40) - 87, (1 << 53) - 111, (1 << 53) + 5],
                          ids=["3", "4093", "2^40-87", "2^53-111", "2^53+5"])
 def test_angles_divide_once_on_either_side_of_2_53(modulus):
@@ -233,12 +184,6 @@ def test_angles_divide_once_on_either_side_of_2_53(modulus):
     res = [0, 1, modulus // 2, modulus // 2 + 1, modulus - 1] + [rng.randrange(modulus) for _ in range(500)]
     x = np.array([t / modulus for t in res])
     assert np.array_equal(K._angles(np.array(res, dtype=np.int64), modulus), (x - (x >= 0.5)) * (2.0 * np.pi))
-
-
-def test_residue_counts_stay_exact_at_the_term_cap():
-    # 27 zero weights put all 2^27 subsets on residue 0
-    counts = K.residue_counts([0] * 27, 5)
-    assert counts.tolist() == [1 << 27, 0, 0, 0, 0]
 
 
 def test_interval_deviation_max(as_array):
@@ -302,23 +247,24 @@ ROW_IDS = ["2", "1009", "2^40-87", "ML-1", "ML", "ML+1", "2^64+13", "2^144-83"]
 
 @pytest.mark.parametrize("modulus", ROW_MODULI)
 def test_residue_rows_are_whole_rows_of_every_residue_in_order(modulus):
-    # term_rows: the term of every residue, in runs of whole rows
+    # the half tables of half_sums: n = h 2^s + l has the residue H[h] +
+    # L[l] mod M, so the rows h hold every residue in ascending n, and the
+    # term E_H[h] E_L[l] the half sums multiply out to has its phase
     rng = random.Random(modulus)
     for bits in (0, 1, 2, 7, 19, 20):
         pow_mod = [rng.randrange(modulus) for _ in range(bits)]
-        runs = list(K.term_rows(pow_mod, modulus))
-        # runs of whole rows of 2^s entries, s = bits // 2, at most 2^16 long
-        assert all(len(z) % (1 << bits // 2) == 0 and len(z) <= 1 << 16 for z in runs)
-        got = np.concatenate(runs)
-        assert len(got) == 1 << bits and got.dtype == np.complex128
+        s, L, H = K._half_tables(pow_mod, (1 << bits) - 1, modulus)
+        assert s == bits // 2 and (len(L), len(H)) == (1 << s, 1 << (bits - s))
         if bits <= 7:
             ns, want = list(range(1 << bits)), ref_residues(pow_mod, (1 << bits) - 1, modulus)
         else:
             ns = [0, 1, (1 << bits) - 1] + [rng.randrange(1 << bits) for _ in range(200)]
             want = [ref_subset_residue(pow_mod, n, modulus) for n in ns]
-        # the phase of term n names its residue; the budget test below
-        # bounds the terms themselves
-        assert turn_error(np.angle(got[ns]), want, modulus) < 2.0**-45
+        rows, cols = [n >> s for n in ns], [n & ((1 << s) - 1) for n in ns]
+        assert [(int(H[h]) + int(L[l])) % modulus for h, l in zip(rows, cols)] == want
+        terms = K._unit_vectors(H, modulus)[rows] * K._unit_vectors(L, modulus)[cols]
+        assert terms.dtype == np.complex128
+        assert turn_error(np.angle(terms), want, modulus) < 2.0**-45
 
 
 def budget_weights(modulus: int) -> list[int]:
@@ -332,7 +278,7 @@ def budget_weights(modulus: int) -> list[int]:
 @pytest.mark.parametrize("modulus", ROW_MODULI, ids=ROW_IDS)
 def test_angle_rows_stay_within_the_angle_error_budget(modulus):
     # expsum._sum_radius: the angle rows of the two half tables, which
-    # term_rows turns into unit vectors, lie in [-pi, pi) and within
+    # half_sums turns into unit vectors, lie in [-pi, pi) and within
     # 2 pi * 2u of 2 pi t / M mod 2 pi
     _, L, H = K._half_tables(budget_weights(modulus), (1 << 12) - 1, modulus)
     for table in (L, H):
@@ -346,17 +292,26 @@ def test_angle_rows_stay_within_the_angle_error_budget(modulus):
 
 
 @pytest.mark.parametrize("modulus", ROW_MODULI, ids=ROW_IDS)
-def test_term_rows_stay_within_the_term_error_budget(modulus):
-    # expsum._sum_radius: every term is within _TERM_ERR of e(res / M) per
-    # component
+def test_half_sums_stay_within_the_half_sum_budget(modulus):
+    # expsum._sum_radius: a half sum of m unit vectors is within m (eta +
+    # gamma_h (1 + eta)) of the exact sum of e(t / M) over its table, eta =
+    # 2.03e-15 and h = bits(m) + 19, and the float product of the two half
+    # sums within _sum_radius(n) of the exact sum of all n terms
     pow_mod = budget_weights(modulus)
-    runs = list(K.term_rows(pow_mod, modulus))
-    assert len(runs) == 1 and len(runs[0]) == 1 << 12 and runs[0].dtype == np.complex128
-    res = ref_residues(pow_mod, (1 << 12) - 1, modulus)
+    _, L, H = K._half_tables(pow_mod, (1 << 12) - 1, modulus)
+    sums = K.half_sums(pow_mod, modulus)
+    u, eta = mpmath.mpf(2) ** -53, mpmath.mpf("2.03e-15")
     with mpmath.workprec(200):
-        worst = max(max(abs(mpmath.mpf(float(z.real)) - e.real), abs(mpmath.mpf(float(z.imag)) - e.imag))
-                    for z, e in zip(runs[0], (mpmath.expjpi(2 * mpmath.mpf(v) / modulus) for v in res)))
-        assert worst <= mpmath.mpf(_TERM_ERR) / _ERR_UNIT
+        exact = []
+        for table, (re, im) in zip((H, L), sums):
+            m, h = len(table), len(table).bit_length() + 19
+            want = mpmath.fsum(mpmath.expjpi(2 * mpmath.mpf(int(t)) / modulus) for t in table)
+            assert abs(mpmath.mpc(re, im) - want) <= m * (eta + h * u / (1 - h * u) * (1 + eta))
+            exact.append(want)
+        (ar, ai), (br, bi) = sums
+        rad = mpmath.mpf(_sum_radius(1 << 12)[0]) / _sum_radius(1 << 12)[1]
+        total = exact[0] * exact[1]
+        assert abs(ar * br - ai * bi - total.real) <= rad and abs(ar * bi + ai * br - total.imag) <= rad
 
 
 @pytest.mark.parametrize("modulus", [ML - 1, ML, ML + 1, (1 << 64) + 13])
