@@ -895,10 +895,32 @@ class TestEvalExpsum:
         if gamma.mid.denominator > 1 << 64:
             assert rep.magnitude.lo > (1 - Fraction(1, 10**6)) * 2 ** (r + 1)
 
-    def test_factored_sum_holds_two_half_tables(self):
-        # r = 26 has 2^27 terms; the call holds the two int64 half tables of
-        # 2^13 and 2^14 residues and their angles and unit vectors, and peaks
-        # at about 1.0 MB under tracemalloc
+    @pytest.mark.parametrize("r, q", [(1, 2), (3, 4), (7, 32), (15, 4096)])
+    def test_the_cost_model_boundary_sums_the_row_runs(self, r, q):
+        # (r+1) q == 2^(r+1), where the former min(2^(r+1), (r+1) q) cost
+        # model left the row runs for residue counts at one residue fewer:
+        # small moduli, whose residues repeat, on both sides of it.  The one
+        # factored sum holds the 200-bit product and meets the per-term row
+        # runs within the two radii (q = 1 takes the exact shortcut)
+        rng = random.Random(r)
+        assert (r + 1) * q == 1 << (r + 1)
+        n = 1 << (r + 1)
+        for modulus, exclude_zero in ((q, False), (q - 1, True))[: 1 + (q > 2)]:
+            gamma = _coprime_gamma(rng, modulus)
+            rep = eval_expsum(3, r, -5, E(gamma), exclude_zero)
+            assert rep.term_count == n - exclude_zero
+            ref = parent_row_run_sum(digit_weights(3, r, -5, gamma)[1], modulus)
+            for part, want, value in zip((rep.value_re, rep.value_im),
+                                         (Fraction(ref[0]) - exclude_zero, Fraction(ref[1])),
+                                         _product_value(3, r, -5, gamma, exclude_zero)):
+                assert part.lo <= value <= part.hi
+                assert abs(part.mid - want) <= part.rad + parent_sum_radius(n)
+
+    def test_direct_sum_holds_one_run_of_terms(self):
+        # r = 26 has 2^27 terms; the direct sum, the product of the two half
+        # sums, holds one run of unit vectors per half table (2^13 and 2^14)
+        # with their int64 residues and angles, never a run of the terms
+        # themselves, and peaks at about 1.0 MB under tracemalloc
         gamma = E(314159265358, 1099511627689)
         tracemalloc.start()
         try:

@@ -14,7 +14,7 @@ import pytest
 import radixapprox._kernels as K
 from radixapprox import discrepancy
 from radixapprox.exact import Real
-from radixapprox.expsum import _sum_radius
+from radixapprox.expsum import _ERR_UNIT, _TERM_ERR, _sum_radius
 from test_discrepancy import discrepancy_object_parent
 
 ML = K.MOD_LIMIT
@@ -289,6 +289,22 @@ def test_angle_rows_stay_within_the_angle_error_budget(modulus):
                         (mpmath.mpf(float(t)) / (2 * mpmath.pi) - mpmath.mpf(int(v)) / modulus
                          for t, v in zip(theta, table)))
             assert worst <= 2 * mpmath.mpf(2) ** -53
+
+
+@pytest.mark.parametrize("modulus", ROW_MODULI, ids=ROW_IDS)
+def test_term_rows_stay_within_the_term_error_budget(modulus):
+    # expsum._sum_radius: every term E_H[h] E_L[l] that the product of the
+    # half sums multiplies out to, formed as one rounded complex product,
+    # row by row, is within _TERM_ERR of e(res / M) per component
+    pow_mod = budget_weights(modulus)
+    s, L, H = K._half_tables(pow_mod, (1 << 12) - 1, modulus)
+    terms = (K._unit_vectors(H, modulus)[:, None] * K._unit_vectors(L, modulus)).ravel()
+    assert len(terms) == 1 << 12 and terms.dtype == np.complex128
+    res = ref_residues(pow_mod, (1 << 12) - 1, modulus)
+    with mpmath.workprec(200):
+        worst = max(max(abs(mpmath.mpf(float(z.real)) - e.real), abs(mpmath.mpf(float(z.imag)) - e.imag))
+                    for z, e in zip(terms, (mpmath.expjpi(2 * mpmath.mpf(v) / modulus) for v in res)))
+        assert worst <= mpmath.mpf(_TERM_ERR) / _ERR_UNIT
 
 
 @pytest.mark.parametrize("modulus", ROW_MODULI, ids=ROW_IDS)
