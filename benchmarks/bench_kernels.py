@@ -43,10 +43,12 @@ keys within one unit of each other, whose points are read exactly and
 ordered by one sort of their residues.
 The erdos_turan_check cases time the whole check, which builds its own
 orbit: fractional_orbit, the O(T) discrepancy scan and the closed-form
-right side, two distance reads and two sine bounds per g, all on integer
-pairs.  The Weyl-bound cases time that
-right side alone, and the eval_expsum case at b=5, r=14 is dominated by its cosine-product side
-(r+1 distance reads, sine bounds and product factors on integer pairs).
+right side, one float pass over g: two residues stepped in Python ints,
+two correctly rounded divisions and the sines, two per g for an exact
+gamma and four for an enclosure.  The Weyl-sum-ends cases time that pass
+alone at G = 1, 5 and 50, for 5/313 and pi at 128 bits, and the eval_expsum
+case at b=5, r=14 is dominated by its cosine-product side (r+1 distance
+reads, sine bounds and product factors on integer pairs).
 The pigeonhole_witness and separation_check cases time the scans that
 compare ||gamma n|| with a bound on integer ends: the pigeonhole visits all
 25 repunits of base 3 twice (direct scan, then bins, on one residue read
@@ -76,7 +78,7 @@ from radixapprox import __version__
 from radixapprox.exact import Real
 from radixapprox.discrepancy import (
     _candidate_tables,
-    _weyl_sum_bounds,
+    _weyl_sum_ends,
     discrepancy_L,
     erdos_turan_check,
     fractional_orbit,
@@ -181,10 +183,11 @@ def cases():
         gamma = Real.parse(text, 128)
         yield f"erdos_turan_check with orbit (gamma={text}, T={T}, G={G})", erdos_turan_check, (
             gamma, T, G)
-    # the Erdos-Turan right side without the scan: G Weyl-sum bounds
-    for text, bits, T, G in (("1/3", 128, 50, 10**4), ("pi", 128, 2000, 50), ("e", 256, 2000, 50)):
-        yield f"Weyl sum bounds (gamma={text}@{bits}, T={T}, G={G})", lambda g, t, n: [
-            _weyl_sum_bounds(g, t, i) for i in range(1, n + 1)], (Real.parse(text, bits), T, G)
+    # the Erdos-Turan right side without the scan: one pass over G terms
+    for text in ("5/313", "pi"):
+        for G in (1, 5, 50):
+            yield f"Weyl sum ends (gamma={text}@128, T=2000, G={G})", _weyl_sum_ends, (
+                Real.parse(text, 128), 2000, G)
     yield "eval_expsum (b=5, r=14, gamma=pi@256)", eval_expsum, (5, 14, 1, Real.parse("pi", 256))
 
     # 1254027132096/886731088897 lies within 10^-24 of sqrt2 and collides at

@@ -34,10 +34,17 @@ those points are read exactly (``exact.residue_of_multiple``) and keyed
 floor(v 2**62 / Q).
 
 The Erdos-Turan right side is read off gamma in closed form, O(G) on top
-of the O(T) scan: the orbit {n gamma} is an arithmetic progression mod 1.
+of the O(T) scan: the orbit {n gamma} is an arithmetic progression mod 1,
+so each Weyl sum is a quotient of two sines.  The sum over g is one pass
+in floats (``_weyl_sum_ends``), from the residues g M mod Q and g T M mod
+Q stepped in Python ints, with a written outward error bound; only a g
+whose distance falls below float range, or whose enclosure may reach 0, is
+read from integer ends.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -49,7 +56,14 @@ from ._kernels import (_PRODUCT_LIMIT, POINT_UNIT, KeyedInts, fixed_point_keys,
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real, _real_of_ends, dist_ends_of_multiple, residue_of_multiple
-from .expsum import _PRODUCT_BITS, pi_bounds, sin_pi_bounds
+from .expsum import _NORMAL_MIN, _PRODUCT_BITS, pi_bounds, sin_pi_bounds
+
+# the factors of _weyl_sum_ends, u = 2**-53: 1 - 4u for a lower distance
+# end, 1 + 8u for the radius, 1 -+ 2**-46 = 128u around each float sum and
+# 1 - 2**-44 for the least quotient summed as T; and the right side's grid
+_DIST_DOWN, _RAD_UP = 1 - 2.0**-51, 1 + 2.0**-50
+_SUM_DOWN, _SUM_UP, _TOP = 1 - 2.0**-46, 1 + 2.0**-46, 1 - 2.0**-44
+_GRID = float(1 << _PRODUCT_BITS)
 
 
 @dataclass(frozen=True)
@@ -163,53 +177,170 @@ def erdos_turan_check(gamma: Real, T: int, G: int, *, cap: int = CAP_DEFAULT) ->
     where its enclosure reaches 0.  So the right side encloses that of every
     gamma in the enclosure, whose L lies within L_radius of the reported L.
 
-    Each term of the sum is rounded outward to the grid 2**-_PRODUCT_BITS,
-    so the digits stay bounded and each end of the right side widens by
-    less than G * 2**-_PRODUCT_BITS; the check is radius-aware and raises
-    on a genuine violation.  A term is one integer floor (or ceiling)
-    division of the products of the numerators and the denominators, with
-    no Fraction reduced along the way.
+    The sum over g is one pass in floats with a written outward bound
+    (``_weyl_sum_ends``), rounded outward once onto the grid
+    2**-_PRODUCT_BITS, so the right side prints in few digits at any G.
+    The check cross-multiplies integer ends, and raises only on a genuine
+    violation; the right side and the slack are one ``Real`` each, built
+    from integer ends.
     """
     points = fractional_orbit(gamma, T, cap=cap)
     if G < 1:
         raise DomainError(f"need G >= 1, got {G}")
     base = discrepancy_L(points)
-    pi_lo, pi_hi = pi_bounds()
-    c_lo, c_hi = 2 + 2 / pi_hi, 2 + 2 / pi_lo
-    one = 1 << _PRODUCT_BITS
-    sum_lo = sum_hi = 0
-    for g in range(1, G + 1):
-        (lo, lo_den), (hi, hi_den) = _weyl_sum_bounds(gamma, T, g)
-        sum_lo += c_lo.numerator * lo * one // (c_lo.denominator * lo_den * g)
-        sum_hi -= c_hi.numerator * hi * one // -(c_hi.denominator * hi_den * g)
+    lo, hi = _weyl_sum_ends(gamma, T, G)
     # T/(G+1) plus each end of the sum, over (G+1) 2**_PRODUCT_BITS
-    fixed, den = T * one, (G + 1) * one
-    rhs = _real_of_ends((fixed + sum_lo * (G + 1), den), (fixed + sum_hi * (G + 1), den))
-    if base.L_value - base.L_radius > rhs.hi:
+    fixed, den = T << _PRODUCT_BITS, (G + 1) << _PRODUCT_BITS
+    lo, hi = fixed + lo * (G + 1), fixed + hi * (G + 1)
+    # L -+ L_radius, over c
+    L, radius = base.L_value, base.L_radius
+    c = L.denominator * radius.denominator
+    mid, rad = L.numerator * radius.denominator, radius.numerator * L.denominator
+    if (mid - rad) * den > hi * c:
         raise InvariantViolation(
-            f"Erdos-Turan inequality violated: L={float(base.L_value):.6g} "
-            f"> rhs={float(rhs.hi):.6g} at T={T}, G={G}"
+            f"Erdos-Turan inequality violated: L={float(L):.6g} "
+            f"> rhs={hi / den:.6g} at T={T}, G={G}"
         )
-    slack = rhs - Real(base.L_value, base.L_radius)
+    rhs = _real_of_ends((lo, den), (hi, den))
+    slack = _real_of_ends((lo * c - (mid + rad) * den, den * c), (hi * c - (mid - rad) * den, den * c))
     return replace(base, G=G, et_rhs=rhs, slack=slack)
 
 
-def _weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
-    """((p, q), (r, s)) with p/q <= |sum_{n<=T} e(n g gamma')| <= r/s for
-    every gamma' in gamma: quotients of the integer sine bounds of the
-    integer distance ends, left unreduced."""
-    w_lo, w_hi = dist_ends_of_multiple(gamma, g)
-    if w_hi[0] == 0:
-        return (T, 1), (T, 1)
-    if w_lo[0] == 0:
-        return (0, 1), (T, 1)
-    # sin(pi ||T g gamma||) in [s/s_den, t/t_den], sin(pi ||g gamma||) in [u/u_den, v/v_den]
-    (s, s_den), (t, t_den) = sin_pi_bounds(*dist_ends_of_multiple(gamma, T * g))
-    (u, u_den), (v, v_den) = sin_pi_bounds(w_lo, w_hi)
-    hi = (t * u_den, t_den * u)
-    if hi[0] > T * hi[1]:
-        hi = (T, 1)
-    return (s * v_den, s_den * v), hi
+@functools.cache
+def _et_factor_bounds() -> tuple[tuple[Fraction, Fraction], tuple[float, float]]:
+    """The bounds 2 + 2/pi_hi < 2 + 2/pi < 2 + 2/pi_lo of ``pi_bounds``, and
+    floats below and above them, one step outward of the nearest."""
+    pi_lo, pi_hi = pi_bounds()
+    c_lo, c_hi = 2 + 2 / pi_hi, 2 + 2 / pi_lo
+    return (c_lo, c_hi), (math.nextafter(float(c_lo), 0.0), math.nextafter(float(c_hi), math.inf))
+
+
+def _weyl_sum_ends(gamma: Real, T: int, G: int) -> tuple[int, int]:
+    """Integers lo, hi with lo <= 2**64 (2 + 2/pi) sum_{g<=G} W_g / g <= hi
+    for every gamma' in gamma, W_g = |sum_{n<=T} e(n g gamma')|, from one
+    pass over g in Python floats.  With u = 2**-53 and gamma.mid = M/Q:
+
+    The residues v = g M mod Q and t = g (T M mod Q) mod Q step by one
+    addition mod Q in Python ints, exact at every Q.  The midpoint's
+    distances read x = fl(w/Q), w = min(v, Q - v), and y the same of t:
+    one correctly rounded division each, within u relative.  gamma.rad
+    reads as rho = max(next(f), fl(f (1 + 8u))), f the nearest float and
+    next(f) the float after it, and T rad as rho_T, the same of fl(T rho),
+    so that fl(g rho) >= g rad and fl(g rho_T) >= g T rad: where f is
+    normal, rho >= rad (1 + 5u) covers the u of each product; a radius
+    below float range reads as a subnormal, never 0, and rho >= rad +
+    2**-1075, while a product of an integer and a subnormal is exact until
+    it is normal, and then that 2**-1075 per unit of g covers its u.
+
+    Ends of ||g gamma'||: lo = fl(fl(x (1 - 4u)) - fl(g rho)) is at most
+    w/Q - g rad, for fl(x (1 - 4u)) (1 + u) <= w/Q (1 + u)**3 (1 - 4u) <
+    w/Q and the subtraction adds at most u of a positive result (nothing to
+    a subnormal one); hi = min(1/2, fl(x + fl(g rho))) is at least (1 -
+    2u) min(1/2, w/Q + g rad).  The ends a_lo, a_hi of ||T g gamma'|| are
+    read the same from y; for an exact gamma all four ends are x and y.
+    The lower end of a term is sin(pi a_lo) / sin(pi hi), its upper end
+    sin(pi a_hi) / sin(pi lo).  As sin(pi h) is increasing on [0, 1/2] and
+    sin(l h) / sin(h) lies between 1 and l for l >= 1 and l h <= pi/2, a
+    sine at an end within 2u is within 2u of the sine at the end.  Each
+    math.sin of fl(pi h) is within _FACTOR_ERR 2**-51 = 36u of sin(pi h),
+    the envelope of ``expsum.sin_pi_bounds`` (on its 4-ulp assumption about
+    the platform sin), and the quotient and the division by g add u each:
+    each float term is within 36u + 36u + 2u + u + u = 76u, and second
+    order, of an outward end of W_g / g.  ``math.fsum`` adds one ulp (2u),
+    and the floats around 2 + 2/pi and the product with 1 -+ 2**-46 one u
+    each: 80u and second order, inside 2**-46 = 128u, and 2**64 is exact,
+    so floor and ceil of the two float sums are outward ends.
+
+    Integer ends: a g with an end below tiny = G _NORMAL_MIN (a distance
+    below float range reads as 0), and so every g whose enclosure of
+    ||g gamma'|| may reach 0, is read from the integer ends of
+    ``_integer_term`` instead: [0, T] where the lower end of ||g gamma'||
+    is 0, and otherwise the exact small-angle branch of ``sin_pi_bounds``
+    below _NORMAL_MIN.  Its ends are 0 or at least tiny, so every sine argument
+    and every float term is 0 or normal: a term is at least tiny / g >=
+    _NORMAL_MIN.
+
+    Clamps: the lower end of a term is 0 where a_lo <= 0.  An upper end is
+    T where its quotient reads at least T (1 - 2**-44), and both ends are T
+    for an exact gamma with w = 0.  An end of T is summed on integers, as
+    floor(k_lo / g) or ceil(k_hi / g) with k = c T 2**64 rounded outward
+    for the bounds c of 2 + 2/pi, so within a unit of c T 2**64 / g; every
+    float upper end times 1 + 2**-46 stays below T; so hi exceeds the
+    trivial bound 2**64 c_hi T sum_{g<=G} 1/g by at most G.
+    """
+    M, Q = gamma.mid.numerator, gamma.mid.denominator
+    r, s, half = M % Q, T * M % Q, Q >> 1
+    tiny, top = G * _NORMAL_MIN, T * _TOP
+    sin, pi = math.sin, math.pi
+    lows, highs, lows_at_T, highs_at_T = [], [], [], []
+    add_lo, add_hi = lows.append, highs.append
+    exact = not gamma.rad
+    if not exact:
+        f = float(gamma.rad)
+        rho = max(math.nextafter(f, math.inf), f * _RAD_UP)
+        f = T * rho
+        rho_T = max(math.nextafter(f, math.inf), f * _RAD_UP)
+    v = t = 0
+    for g in range(1, G + 1):
+        v += r
+        if v >= Q:
+            v -= Q
+        t += s
+        if t >= Q:
+            t -= Q
+        x, y = (v if v <= half else Q - v) / Q, (t if t <= half else Q - t) / Q
+        if exact:
+            if not v:
+                lows_at_T.append(g)
+                highs_at_T.append(g)
+                continue
+            if x < tiny or 0 < y < tiny:
+                down, up = _integer_term(gamma, T, g, v, t, tiny)
+            else:
+                down = up = sin(pi * y) / sin(pi * x)
+        else:
+            e, e_T = g * rho, g * rho_T
+            lo, hi = x * _DIST_DOWN - e, x + e
+            a_lo, a_hi = y * _DIST_DOWN - e_T, y + e_T
+            if lo < tiny or a_hi < tiny or 0 < a_lo < tiny:
+                down, up = _integer_term(gamma, T, g, v, t, tiny)
+            else:
+                up = sin(pi * (a_hi if a_hi < 0.5 else 0.5)) / sin(pi * lo)
+                down = sin(pi * a_lo) / sin(pi * (hi if hi < 0.5 else 0.5)) if a_lo > 0 else 0.0
+        add_lo(down / g)
+        if up < top:
+            add_hi(up / g)
+        else:
+            highs_at_T.append(g)
+    (c_lo, c_hi), (f_lo, f_hi) = _et_factor_bounds()
+    lo = math.floor(math.fsum(lows) * f_lo * _SUM_DOWN * _GRID)
+    hi = math.ceil(math.fsum(highs) * f_hi * _SUM_UP * _GRID)
+    if lows_at_T:
+        k = (c_lo.numerator * T << _PRODUCT_BITS) // c_lo.denominator
+        lo += sum(k // g for g in lows_at_T)
+    if highs_at_T:
+        k = -(-(c_hi.numerator * T << _PRODUCT_BITS) // c_hi.denominator)
+        hi += sum(-(-k // g) for g in highs_at_T)
+    return lo, hi
+
+
+def _integer_term(gamma: Real, T: int, g: int, v: int, t: int, tiny: float) -> tuple[float, float]:
+    """Floats lo <= W_g <= hi <= T, each 0 or at least tiny, from the integer
+    distance ends of ``dist_ends_of_multiple`` (of the residues v of g and t
+    of T g) and the integer sine ends of ``sin_pi_bounds``, whose
+    small-angle branch is exact: each quotient is one correctly rounded
+    division, moved one float step outward.  The caller has found
+    ||g gamma|| > 0 for an exact gamma; an enclosure that reaches 0 takes
+    [0, T]."""
+    w_lo, w_hi = dist_ends_of_multiple(gamma, g, v)
+    if not w_lo[0]:
+        return 0.0, T
+    (a, a_den), (b, b_den) = sin_pi_bounds(*dist_ends_of_multiple(gamma, T * g, t))
+    (c, c_den), (d, d_den) = sin_pi_bounds(w_lo, w_hi)
+    lo = math.nextafter(a * d_den / (a_den * d), 0.0)
+    hi = b * c_den
+    hi = T if hi >= T * b_den * c else math.nextafter(hi / (b_den * c), math.inf)
+    return (lo if lo >= tiny else 0.0), max(hi, tiny)
 
 
 def fractional_orbit(gamma: Real, T: int, *, cap: int = CAP_DEFAULT) -> ScaledPoints:

@@ -81,6 +81,19 @@ def weyl_sum_200(value, T, g):
         return abs(mpmath.fsum(mpmath.expjpi(2 * n * g * x) for n in range(1, T + 1)))
 
 
+def et_rhs_closed_form(value, T, G):
+    """T/(G+1) + (2 + 2/pi) * sum_{g<=G} |sum_{n<=T} e(n g value)|/g at 300
+    bits for a Fraction value, each inner sum in the closed form
+    sin(pi T g value) / sin(pi g value), T where g value is an integer."""
+    with mpmath.workprec(300):
+        x = mpmath.mpf(value.numerator) / value.denominator
+        total = mpmath.fsum(
+            (mpmath.mpf(T) if (g * value).denominator == 1 else
+             abs(mpmath.sin(mpmath.pi * T * g * x) / mpmath.sin(mpmath.pi * g * x))) / g
+            for g in range(1, G + 1))
+        return T / mpmath.mpf(G + 1) + (2 + 2 / mpmath.pi) * total
+
+
 def exact_mpf(x):
     man, exp = x.man_exp
     return Fraction(man) * Fraction(2) ** exp
@@ -402,7 +415,8 @@ def _rhs_cases():
 
 
 def parent_weyl_sum_bounds(gamma: Real, T: int, g: int) -> tuple:
-    """``_weyl_sum_bounds`` as the Fraction code computed it."""
+    """((p, q), (r, s)) with p/q <= |sum_{n<=T} e(n g gamma')| <= r/s for
+    every gamma' in gamma, as the Fraction code computed them."""
     w = parent_dist_of_multiple(gamma, g)
     if w.hi == 0:
         return (T, 1), (T, 1)
@@ -438,23 +452,39 @@ class TestErdosTuran:
         assert few == many
 
     def test_matches_the_fraction_code(self):
+        # the float pass encloses the right side and lies within 1e-12 of
+        # the Fraction code's, on exact gamma and on named constants at
+        # 64-4096 bits; the slack is the same Real the Real subtraction builds
         rng = random.Random(44)
-        for _ in range(300):
+        for _ in range(120):
             if rng.random() < 0.5:
                 q = rng.choice([rng.randint(1, 50), rng.randint(2, 10**6), rng.randint(2, 2**70)])
                 gamma = E(rng.randrange(q), q)
             else:
-                gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.choice([64, 128, 256]))
+                bits = rng.choice([64, 128, 256, 1024, 4096])
+                gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), bits)
                 gamma = gamma * Fraction(rng.randint(1, 30), rng.randint(1, 30))
             T, G = rng.randint(1, 400), rng.randint(1, 40)
             rep = erdos_turan_check(gamma, T, G)
-            rhs = parent_et_rhs(gamma, T, G)
-            assert rep.et_rhs == rhs
+            rhs, want = rep.et_rhs, parent_et_rhs(gamma, T, G)
+            for value in {gamma.lo, gamma.mid, gamma.hi}:
+                assert encloses(rhs, et_rhs_closed_form(value, T, G))
+            assert max(abs(rhs.lo - want.lo), abs(rhs.hi - want.hi)) <= want.hi * 1e-12
             assert rep.slack == rhs - Real(rep.L_value, rep.L_radius)
-            for g in (1, G):
-                got = discrepancy._weyl_sum_bounds(gamma, T, g)
-                want = parent_weyl_sum_bounds(gamma, T, g)
-                assert [Fraction(*e) for e in got] == [Fraction(*e) for e in want]
+
+    @pytest.mark.parametrize("gamma, T, G", [
+        (Real(Fraction(355, 1131), Fraction(1, 2**1100)), 50, 5),  # rad below float range
+        # and ||T g gamma|| below float range too
+        (Real(Fraction(1, 7) + Fraction(1, 2**1060), Fraction(1, 2**1100)), 7, 6),
+        (Real(Fraction(5, 2**1100), Fraction(1, 2**1103)), 80, 12),  # distances below float range
+        (E(9, 2**962), 217, 33),  # tiny distances, normal floats
+        (Real(Fraction(3, 2**1000), Fraction(1, 2**1010)), 300, 40),
+    ])
+    def test_float_range_edges_match_the_fraction_code(self, gamma, T, G):
+        rhs, want = erdos_turan_check(gamma, T, G).et_rhs, parent_et_rhs(gamma, T, G)
+        for value in {gamma.lo, gamma.mid, gamma.hi}:
+            assert encloses(rhs, et_rhs_closed_form(value, T, G))
+        assert max(abs(rhs.lo - want.lo), abs(rhs.hi - want.hi)) <= want.hi * 1e-12
 
     def test_single_point(self):
         rep = erdos_turan_check(E(1, 2), 1, 1)
@@ -518,21 +548,17 @@ class TestErdosTuran:
         assert rhs.lo.denominator <= (G + 1) * 2**64 and rhs.hi.denominator <= (G + 1) * 2**64
 
     @pytest.mark.parametrize("gamma", [E(355, 113), Real.parse("pi")])
-    def test_two_distance_reads_per_term_and_no_trig_sum(self, gamma, monkeypatch):
+    def test_no_integer_reads_per_term_and_no_trig_sum(self, gamma, monkeypatch):
         assert not {"_trig_sum", "_magnitude", "cos_sin_sum"} & vars(discrepancy).keys()
 
-        def no_trig_sum(*args):
-            raise AssertionError("cos_sin_sum called")
+        def no_call(*args):
+            raise AssertionError("called")
 
-        monkeypatch.setattr(_kernels, "cos_sin_sum", no_trig_sum)
-        reads = []
-        read = discrepancy.dist_ends_of_multiple
-        monkeypatch.setattr(discrepancy, "dist_ends_of_multiple",
-                            lambda g, n: reads.append(n) or read(g, n))
+        monkeypatch.setattr(_kernels, "cos_sin_sum", no_call)
+        monkeypatch.setattr(discrepancy, "dist_ends_of_multiple", no_call)
+        monkeypatch.setattr(discrepancy, "sin_pi_bounds", no_call)
         for T in (7, 2000):
-            reads.clear()
             erdos_turan_check(gamma, T, 50)
-            assert 50 <= len(reads) <= 100
 
     @pytest.mark.parametrize("gamma, T, g, want", [
         # ||7 gamma|| reaches 0 inside the enclosure: the term is clamped to
@@ -543,13 +569,22 @@ class TestErdosTuran:
     ])
     def test_weyl_sum_bounds_contain_the_200_bit_sum(self, gamma, T, g, want):
         fractional_orbit(gamma, T)  # the orbit builds
-        lo, hi = (Fraction(*q) for q in discrepancy._weyl_sum_bounds(gamma, T, g))
-        if want:
-            assert (lo, hi) == want
-        else:
-            assert 0 < lo <= hi < T
+        lo, hi = discrepancy._weyl_sum_ends(gamma, T, g)
         for value in (gamma.lo, gamma.mid, gamma.hi):
-            assert encloses(Real.from_interval(Fraction(lo), Fraction(hi)), weyl_sum_200(value, T, g))
+            with mpmath.workprec(200):
+                total = mpmath.fsum(weyl_sum_200(value, T, k) / k for k in range(1, g + 1))
+                total *= 2 + 2 / mpmath.pi
+            assert encloses(Real.from_interval(Fraction(lo), Fraction(hi)), mpmath.ldexp(total, 64))
+        # term g alone: a clamp is summed on integers, rounded outward as the
+        # Fraction code rounded it, on top of the same float terms before it
+        before = discrepancy._weyl_sum_ends(gamma, T, g - 1)
+        step_lo, step_hi = lo - before[0], hi - before[1]
+        c_lo, c_hi = (2 + 2 / p for p in reversed(expsum.pi_bounds()))
+        if want:
+            assert (step_lo, step_hi) == (math.floor(c_lo * want[0] * 2**64 / g),
+                                          math.ceil(c_hi * want[1] * 2**64 / g))
+        else:
+            assert 0 < step_lo <= step_hi < c_lo * T * 2**64 / g
 
     def test_bad_G(self):
         with pytest.raises(DomainError):
