@@ -23,8 +23,8 @@ largest sum the term cap admits.
 Each half table's run goes through cos_sin_sum, whose case times the
 largest run a sum passes, 2^14 unit vectors at r=26.  The
 eval_expsum case at r=2 sums 8 terms, so it times the scalar side: the
-distance ends, the sine and product ends, the checks on them and the
-report's five Reals.  The dense
+float pass of the cosine product and its bound, the checks on their
+integer ends and the report's five Reals.  The dense
 first hit is the first pull of a separation check as the decay queries
 send it (beta = 1/(4 b^2)), which looks the rows up in chunks of 1, 1, 2,
 4, ... and stops at the first that holds a hit.
@@ -47,8 +47,9 @@ right side, one float pass over g: two residues stepped in Python ints,
 two correctly rounded divisions and the sines, two per g for an exact
 gamma and four for an enclosure.  The Weyl-sum-ends cases time that pass
 alone at G = 1, 5 and 50, for 5/313 and pi at 128 bits, and the eval_expsum
-case at b=5, r=14 is dominated by its cosine-product side (r+1 distance
-reads, sine bounds and product factors on integer pairs).
+case at b=5, r=14 times the cosine-product side beside the sum: one float
+pass over the r+1 digits, two correctly rounded divisions and two sines a
+digit, as in the Erdos-Turan pass.
 The pigeonhole_witness and separation_check cases time the scans that
 compare ||gamma n|| with a bound on integer ends: the pigeonhole visits all
 25 repunits of base 3 twice (direct scan, then bins, on one residue read
@@ -198,7 +199,7 @@ def cases():
         yield f"pigeonhole_witness (b=3, N=(3^25-1)/2, gamma={label})", pigeonhole_witness, (
             gamma, 3, (3**25 - 1) // 2)
         # the check without its kept last verdict, which would time a lookup
-        yield f"separation_check (b=2, r=14, beta=1e-6, gamma={label})", separation_check.__wrapped__, (
+        yield f"separation_check (b=2, r=14, beta=1e-6, gamma={label})", separation_check, (
             2, 14, Fraction(1, 10**6), gamma)
 
     for b in (2, 3, 10):

@@ -37,9 +37,11 @@ The Erdos-Turan right side is read off gamma in closed form, O(G) on top
 of the O(T) scan: the orbit {n gamma} is an arithmetic progression mod 1,
 so each Weyl sum is a quotient of two sines.  The sum over g is one pass
 in floats (``_weyl_sum_ends``), from the residues g M mod Q and g T M mod
-Q stepped in Python ints, with a written outward error bound; only a g
+Q stepped in Python ints, with a written outward error bound: its sines lie
+in the _FACTOR_ERR envelope of ``expsum._cosine_product_ends``, and gamma.rad
+reads through ``expsum._float_up``, as in the cosine product.  Only a g
 whose distance falls below float range, or whose enclosure may reach 0, is
-read from integer ends.
+read from integer ends, with the exact small-angle bounds of sin(pi h).
 """
 from __future__ import annotations
 
@@ -56,12 +58,11 @@ from ._kernels import (_PRODUCT_LIMIT, POINT_UNIT, KeyedInts, fixed_point_keys,
 from .digitsets import CAP_DEFAULT
 from .errors import DomainError, InvariantViolation, ResourceLimit
 from .exact import Real, _real_of_ends, dist_ends_of_multiple, residue_of_multiple
-from .expsum import _NORMAL_MIN, _PRODUCT_BITS, pi_bounds, sin_pi_bounds
+from .expsum import _DIST_DOWN, _NORMAL_MIN, _PRODUCT_BITS, _float_up, pi_bounds
 
-# the factors of _weyl_sum_ends, u = 2**-53: 1 - 4u for a lower distance
-# end, 1 + 8u for the radius, 1 -+ 2**-46 = 128u around each float sum and
-# 1 - 2**-44 for the least quotient summed as T; and the right side's grid
-_DIST_DOWN, _RAD_UP = 1 - 2.0**-51, 1 + 2.0**-50
+# the factors of _weyl_sum_ends, u = 2**-53: 1 -+ 2**-46 = 128u around each
+# float sum and 1 - 2**-44 for the least quotient summed as T; and the right
+# side's grid
 _SUM_DOWN, _SUM_UP, _TOP = 1 - 2.0**-46, 1 + 2.0**-46, 1 - 2.0**-44
 _GRID = float(1 << _PRODUCT_BITS)
 
@@ -224,41 +225,34 @@ def _weyl_sum_ends(gamma: Real, T: int, G: int) -> tuple[int, int]:
     addition mod Q in Python ints, exact at every Q.  The midpoint's
     distances read x = fl(w/Q), w = min(v, Q - v), and y the same of t:
     one correctly rounded division each, within u relative.  gamma.rad
-    reads as rho = max(next(f), fl(f (1 + 8u))), f the nearest float and
-    next(f) the float after it, and T rad as rho_T, the same of fl(T rho),
-    so that fl(g rho) >= g rad and fl(g rho_T) >= g T rad: where f is
-    normal, rho >= rad (1 + 5u) covers the u of each product; a radius
-    below float range reads as a subnormal, never 0, and rho >= rad +
-    2**-1075, while a product of an integer and a subnormal is exact until
-    it is normal, and then that 2**-1075 per unit of g covers its u.
+    reads as rho = ``expsum._float_up(gamma.rad)``, the reading the cosine
+    product shares, and T rad as rho_T = _float_up(fl(T rho)), so that
+    fl(g rho) >= g rad and fl(g rho_T) >= g T rad.
 
-    Ends of ||g gamma'||: lo = fl(fl(x (1 - 4u)) - fl(g rho)) is at most
-    w/Q - g rad, for fl(x (1 - 4u)) (1 + u) <= w/Q (1 + u)**3 (1 - 4u) <
-    w/Q and the subtraction adds at most u of a positive result (nothing to
-    a subnormal one); hi = min(1/2, fl(x + fl(g rho))) is at least (1 -
-    2u) min(1/2, w/Q + g rad).  The ends a_lo, a_hi of ||T g gamma'|| are
-    read the same from y; for an exact gamma all four ends are x and y.
+    Ends of ||g gamma'||, as in ``expsum._cosine_product_ends``: lo =
+    fl(fl(x (1 - 4u)) - fl(g rho)) is at most w/Q - g rad, and hi = min(1/2,
+    fl(x + fl(g rho))) at least (1 - 2u) min(1/2, w/Q + g rad).  The ends
+    a_lo, a_hi of ||T g gamma'|| read the same from y; for an exact gamma
+    all four ends are x and y.
     The lower end of a term is sin(pi a_lo) / sin(pi hi), its upper end
-    sin(pi a_hi) / sin(pi lo).  As sin(pi h) is increasing on [0, 1/2] and
-    sin(l h) / sin(h) lies between 1 and l for l >= 1 and l h <= pi/2, a
-    sine at an end within 2u is within 2u of the sine at the end.  Each
-    math.sin of fl(pi h) is within _FACTOR_ERR 2**-51 = 36u of sin(pi h),
-    the envelope of ``expsum.sin_pi_bounds`` (on its 4-ulp assumption about
-    the platform sin), and the quotient and the division by g add u each:
-    each float term is within 36u + 36u + 2u + u + u = 76u, and second
-    order, of an outward end of W_g / g.  ``math.fsum`` adds one ulp (2u),
-    and the floats around 2 + 2/pi and the product with 1 -+ 2**-46 one u
-    each: 80u and second order, inside 2**-46 = 128u, and 2**64 is exact,
-    so floor and ceil of the two float sums are outward ends.
+    sin(pi a_hi) / sin(pi lo).  Each math.sin of fl(pi h) at such an end,
+    outward of the true end or within 2u of it, is within _FACTOR_ERR 2**-51
+    = 36u of the sine at the true end: the envelope of
+    ``expsum._cosine_product_ends``, on its 4-ulp assumption about the
+    platform sin.  The quotient and the division by g add u each: each float
+    term is within 36u + 36u + u + u = 74u, and second order, of an outward
+    end of W_g / g.  ``math.fsum`` adds one ulp (2u), and the floats around
+    2 + 2/pi and the product with 1 -+ 2**-46 one u each: 78u and second
+    order, inside 2**-46 = 128u, and 2**64 is exact, so floor and ceil of
+    the two float sums are outward ends.
 
     Integer ends: a g with an end below tiny = G _NORMAL_MIN (a distance
     below float range reads as 0), and so every g whose enclosure of
     ||g gamma'|| may reach 0, is read from the integer ends of
     ``_integer_term`` instead: [0, T] where the lower end of ||g gamma'||
-    is 0, and otherwise the exact small-angle branch of ``sin_pi_bounds``
-    below _NORMAL_MIN.  Its ends are 0 or at least tiny, so every sine argument
-    and every float term is 0 or normal: a term is at least tiny / g >=
-    _NORMAL_MIN.
+    is 0, and otherwise the exact small-angle bounds of sin(pi h).  Its
+    ends are 0 or at least tiny, so every sine argument and every float
+    term is 0 or normal: a term is at least tiny / g >= _NORMAL_MIN.
 
     Clamps: the lower end of a term is 0 where a_lo <= 0.  An upper end is
     T where its quotient reads at least T (1 - 2**-44), and both ends are T
@@ -276,10 +270,8 @@ def _weyl_sum_ends(gamma: Real, T: int, G: int) -> tuple[int, int]:
     add_lo, add_hi = lows.append, highs.append
     exact = not gamma.rad
     if not exact:
-        f = float(gamma.rad)
-        rho = max(math.nextafter(f, math.inf), f * _RAD_UP)
-        f = T * rho
-        rho_T = max(math.nextafter(f, math.inf), f * _RAD_UP)
+        rho = _float_up(gamma.rad)
+        rho_T = _float_up(T * rho)
     v = t = 0
     for g in range(1, G + 1):
         v += r
@@ -327,19 +319,21 @@ def _weyl_sum_ends(gamma: Real, T: int, G: int) -> tuple[int, int]:
 def _integer_term(gamma: Real, T: int, g: int, v: int, t: int, tiny: float) -> tuple[float, float]:
     """Floats lo <= W_g <= hi <= T, each 0 or at least tiny, from the integer
     distance ends of ``dist_ends_of_multiple`` (of the residues v of g and t
-    of T g) and the integer sine ends of ``sin_pi_bounds``, whose
-    small-angle branch is exact: each quotient is one correctly rounded
-    division, moved one float step outward.  The caller has found
-    ||g gamma|| > 0 for an exact gamma; an enclosure that reaches 0 takes
-    [0, T]."""
-    w_lo, w_hi = dist_ends_of_multiple(gamma, g, v)
-    if not w_lo[0]:
+    of T g) and the exact small-angle bounds pi_lo h (1 - (pi_hi h)**2 / 6)
+    <= sin(pi h) <= pi_hi h of ``pi_bounds``, which hold at every h >= 0 and
+    are tight where a distance falls below float range: each quotient is one
+    correctly rounded division of Fractions, moved one float step outward.
+    The caller has found ||g gamma|| > 0 for an exact gamma; an enclosure
+    that reaches 0 takes [0, T]."""
+    w_lo, w_hi = (Fraction(*end) for end in dist_ends_of_multiple(gamma, g, v))
+    if not w_lo:
         return 0.0, T
-    (a, a_den), (b, b_den) = sin_pi_bounds(*dist_ends_of_multiple(gamma, T * g, t))
-    (c, c_den), (d, d_den) = sin_pi_bounds(w_lo, w_hi)
-    lo = math.nextafter(a * d_den / (a_den * d), 0.0)
-    hi = b * c_den
-    hi = T if hi >= T * b_den * c else math.nextafter(hi / (b_den * c), math.inf)
+    a_lo, a_hi = (Fraction(*end) for end in dist_ends_of_multiple(gamma, T * g, t))
+    pi_lo, pi_hi = pi_bounds()
+    lo = pi_lo * a_lo * (1 - (pi_hi * a_lo) ** 2 / 6) / (pi_hi * w_hi)
+    hi = pi_hi * a_hi / (pi_lo * w_lo * (1 - (pi_hi * w_lo) ** 2 / 6))
+    lo = math.nextafter(float(lo), 0.0)
+    hi = T if hi >= T else math.nextafter(float(hi), math.inf)
     return (lo if lo >= tiny else 0.0), max(hi, tiny)
 
 

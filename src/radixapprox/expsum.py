@@ -8,10 +8,11 @@ the term of n = h 2**s + l is the product E_H[h] E_L[l] of two half-table
 unit vectors, each from an angle rounded once, so the sum of all the terms
 is the product of the two half sums (``_kernels.half_sums``), a
 distributivity step that applies no identity the terms do not already use;
-each half sum still adds 2**s (or 2**(k-s)) subset residues, and
-the product side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2)
-are integer ends, rounded outward to a dyadic grid (_product_ends).  The
-report stays on integer ends from the certified bounds to the checks, which
+each half sum still adds 2**s (or 2**(k-s)) subset residues.  The product
+side and the bound 2**(r+1) * prod (1 - pi*||k b^d gamma||^2) are one float
+pass over the digits (``_cosine_product_ends``), each product widened once
+and rounded outward onto the dyadic grid 2**-_PRODUCT_BITS.  The report
+stays on integer ends from the certified bounds to the checks, which
 cross-multiply them; each reported number is built once, as a midpoint and
 a radius (``exact._real_of_ends``).
 
@@ -43,7 +44,6 @@ from .exact import (
     BOUND_PRECISION,
     Real,
     _real_of_ends,
-    dist_ends_of_multiple,
     dist_le_of_multiple,
     dist_to_nearest_int,
     iv_precision,
@@ -62,13 +62,19 @@ R_CAP_DEFAULT = 26
 # 1/(1 - h u); see _sum_radius
 _ERR_UNIT = 10**17
 _TERM_ERR, _EPS = 430, 12
-# relative envelope _FACTOR_ERR * 2**-51 for one float64 sin at an exact
-# argument: its bounds are (2**51 -+ _FACTOR_ERR) / 2**51 times it; see sin_pi_bounds
+# the relative envelope _FACTOR_ERR * 2**-51 = 36u of one float factor; see
+# _cosine_product_ends
 _FACTOR_ERR = 9
-_FACTOR_LO, _FACTOR_HI = (1 << 51) - _FACTOR_ERR, (1 << 51) + _FACTOR_ERR
 _NORMAL_MIN = 2.0**-1021
-# the product enclosures round every partial product outward to 2**-_PRODUCT_BITS
+# the products and the Erdos-Turan right side are rounded outward to 2**-_PRODUCT_BITS
 _PRODUCT_BITS = 64
+# u = 2**-53: 1 -+ 4u moves a distance end outward, 1 + 8u a radius
+# (_float_up) and 1 -+ 2**-42 a product; a product read below _PRODUCT_MIN
+# takes the ends [0, _PRODUCT_MIN]; _PI_FLOATS bracket pi for the bound
+# factors 1 - pi w**2
+_DIST_DOWN, _DIST_UP, _RAD_UP = 1 - 2.0**-51, 1 + 2.0**-51, 1 + 2.0**-50
+_PROD_DOWN, _PROD_UP, _PRODUCT_MIN = 1 - 2.0**-42, 1 + 2.0**-42, 2.0**-900
+_PI_FLOATS = (math.pi, math.nextafter(math.pi, math.inf))
 
 
 @functools.cache
@@ -79,46 +85,16 @@ def pi_bounds() -> tuple[Fraction, Fraction]:
     return enc.lo, enc.hi
 
 
-def sin_pi_bounds(
-    lo: tuple[int, int], hi: tuple[int, int]
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Unreduced integer pairs (s, t), (u, v) with s/t <= sin(pi lo) and
-    sin(pi hi) <= u/v, for ends given as pairs (num, den) with 0 <= lo <=
-    hi <= 1/2.
-
-    Each distinct end h = num/den is fl(sin(fl(pi) fl(h))) widened by
-    _FACTOR_ERR * 2**-51 = 36u: its integer ratio times (2**51 -+
-    _FACTOR_ERR) over 2**51.  With u = 2**-53, the three roundings of the
-    argument (num/den is one correctly rounded division, reduced or not) keep
-    it within 3.01u of x = pi h, which moves sin x by at most 3.01u * pi/2 <
-    4.73u relative, as x / sin x <= pi/2 on (0, pi/2].  A platform ``sin``
-    within 4 ulp (8u, the assumption of ``_sum_radius``) makes the total
-    under 13u, inside the 36u.  A nonzero h that reads below _NORMAL_MIN may
-    have left the normal range (10**-400 reads as 0), so it gets the exact
-    pi_lo h (1 - (pi_hi h)**2 / 6) <= sin(pi h) <= pi_hi h from
-    ``pi_bounds``; a read at or above it puts h above 2**-1022.
-    """
-    s_lo = _sin_pi(*lo)
-    s_hi = s_lo if hi == lo else _sin_pi(*hi)
-    if s_lo is None:
-        (a, c), ((p, q), (P, Q)) = lo, map(Fraction.as_integer_ratio, pi_bounds())
-        below = (p * a * (6 * Q * Q * c * c - P * P * a * a), 6 * q * Q * Q * c * c * c)
-    else:
-        below = (s_lo[0] * _FACTOR_LO, s_lo[1] << 51)
-    if s_hi is None:
-        (a, c), (P, Q) = hi, pi_bounds()[1].as_integer_ratio()
-        above = (P * a, Q * c)
-    else:
-        above = (s_hi[0] * _FACTOR_HI, s_hi[1] << 51)
-    return below, above
-
-
-def _sin_pi(num: int, den: int) -> Optional[tuple[int, int]]:
-    # fl(sin(fl(pi) fl(num/den))) as an integer ratio, or None below _NORMAL_MIN
-    x = num / den
-    if x < _NORMAL_MIN and num:
-        return None
-    return math.sin(math.pi * x).as_integer_ratio()
+def _float_up(x) -> float:
+    """The float reading rho of a radius x >= 0, a Fraction or a float, such
+    that fl(fl(n) rho) >= n x for every integer 1 <= n < 2**1023: rho =
+    max(next(f), fl(f (1 + 8u))), f the float nearest x, u = 2**-53.  Where
+    f is normal, rho >= x (1 + 5u) covers the two roundings.  Where it is
+    subnormal, rho >= x + 2**-1075 (x + 3 * 2**-1075 from f >= 2**-1023 on),
+    and fl(n) rho is exact until it is normal, from where that margin, n
+    times over, covers its 2u."""
+    f = float(x)
+    return max(math.nextafter(f, math.inf), f * _RAD_UP)
 
 
 def _sum_radius(n: int) -> tuple[int, int]:
@@ -218,13 +194,9 @@ class SeparationReport:
     beta: Fraction
 
 
-@functools.lru_cache(maxsize=1)
 def separation_check(b: int, r: int, beta: Fraction, gamma: Real) -> SeparationReport:
     """Check ||gamma * x|| > beta for every nonzero x in the extended
-    truncated set; on failure report the least violating x.
-
-    The last verdict is kept: small_shift_count checks again the
-    (b, r, beta, gamma) its caller has usually just checked, and scans once."""
+    truncated set; on failure report the least violating x."""
     ds.check_base(b)
     if r < 0:
         raise DomainError(f"need r >= 0, got {r}")
@@ -300,23 +272,70 @@ class ExpSumReport:
     far_positions: Optional[tuple[int, ...]] = None
 
 
-def _product_ends(factors_lo, factors_hi, scale: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """((lo, 2**_PRODUCT_BITS), (hi, 2**_PRODUCT_BITS)), integer ends of an
-    enclosure of scale * prod [lo_d, hi_d] for factors with 0 <= lo_d, each
-    given as an integer pair (num, den) with den > 0, reduced or not.
+def _cosine_product_ends(gamma: Real, k: int, b: int, residues: list[int]):
+    """Integer ends ((lo, 2**64), (hi, 2**64)) of the product magnitude
+    2**(r+1) prod_d |cos(pi theta_d)| and of the bound 2**(r+1) prod_d (1 -
+    pi ||theta_d||**2), theta_d = k b**d gamma', for every gamma' in gamma:
+    one float pass over the residues v_d = k b**d M mod Q of gamma.mid = M/Q.
 
-    Every partial product is rounded outward to the grid 2**-_PRODUCT_BITS,
-    so the digits stay bounded.  Each of the m roundings moves its end by
-    less than 2**-_PRODUCT_BITS and the later factors scale that by at most
-    F**(m-1), F = max(1, every hi_d): each end widens by at most
-    scale * m * F**(m-1) * 2**-_PRODUCT_BITS.
+    Ends (u = 2**-53): w = ||theta_d|| reads x = fl(a/Q), a = min(v, Q - v),
+    and h = 1/2 - w (|cos(pi theta)| = sin(pi h)) y = fl((Q - 2a)/(2Q)), each
+    within u; e = fl(n rho) >= n rad, n = |k| b**d, rho =
+    ``_float_up(min(gamma.rad, 1))`` (0 where rad or k is 0; e = 1 from n =
+    2**1023 on), as a radius of 1 or more widens every distance to [0, 1/2].  Where x is normal, fl(fl(x (1 - 4u)) - e), clamped at 0, is below
+    the lower end, and fl(fl(x (1 + 4u)) + e), clamped at 1/2, at least (1 -
+    u) times the upper end, and y the same; a w below float range reads the
+    bound factor 1.
+
+    The _FACTOR_ERR envelope: a factor read in floats at an end outward of
+    the true end, or within 2u of it, is within _FACTOR_ERR 2**-51 = 36u of
+    the factor at the true end, relative, on its outward side.  A sine
+    fl(sin(fl(fl(pi) h))), h in [_NORMAL_MIN, 1/2]: sin(pi h) is concave on
+    [0, 1/2] and 0 at 0, so h within 2u moves it by 2u; fl(pi) and the
+    product move the argument by 1.36u, and a platform sin within 4 ulp (8u,
+    as in ``_sum_radius``) adds 8u: under 12u.  A bound factor fl(1 - fl(fl(p
+    w) w)), p from _PI_FLOATS: w within 2u and the two roundings move pi
+    w**2 by 6u, at most 3.66 times the factor (at w = 1/2), and the
+    subtraction adds u: under 23u.
+
+    Products: a factor within 36u is within 36 factors 1 + delta, |delta| <=
+    u, so a product of r + 1 <= 27 of them, with its r roundings, is within
+    gamma_999 < 2**-43 of the product at the true ends, on the outward side,
+    while its partial products stay normal (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 3): floor and ceil of fl(P (1 -+ 2**-42))
+    2**(r+1) 2**64 are the integer ends.  No factor exceeds 1, so partial
+    products decrease: a lower product read at least _PRODUCT_MIN had every
+    partial product and sine argument normal, and one below reads 0.  An upper
+    product reads at least _PRODUCT_MIN, above the true end (below 2**-1019)
+    where a partial product left the normal range or an h read below
+    _NORMAL_MIN (its true end is below 2**-1021 (1 + 2u)).  An exact reading
+    keeps 0 where some 2v = Q, and the bound 2**(r+1) where every v is 0.
     """
-    one = 1 << _PRODUCT_BITS
-    lo = hi = one
-    for (a, c), (e, f) in zip(factors_lo, factors_hi):
-        lo = lo * a // c
-        hi = -(-hi * e // f)
-    return (max(0, lo) * scale, one), (hi * scale, one)
+    Q, one = gamma.mid.denominator, 1 << _PRODUCT_BITS
+    grid = float(one << len(residues))
+    rho = _float_up(min(gamma.rad, 1)) if gamma.rad and k else 0.0
+    pi_lo, pi_hi = _PI_FLOATS
+    m_lo = m_hi = b_lo = b_hi = 1.0
+    n = abs(k)
+    for v in residues:
+        a = min(v, Q - v)
+        x, y = a / Q, (Q - 2 * a) / (2 * Q)
+        e = rho and (n * rho if n.bit_length() < 1024 else 1.0)
+        n *= b
+        w_lo, w_hi = max(0.0, x * _DIST_DOWN - e), min(0.5, x * _DIST_UP + e)
+        h_lo, h_hi = max(0.0, y * _DIST_DOWN - e), min(0.5, y * _DIST_UP + e)
+        m_lo *= math.sin(math.pi * h_lo)
+        m_hi *= math.sin(math.pi * h_hi)
+        b_lo *= 1 - pi_hi * w_hi * w_hi
+        b_hi *= 1 - pi_lo * w_lo * w_lo
+    magnitude, bound = (((math.floor(lo * _PROD_DOWN * grid) if lo >= _PRODUCT_MIN else 0, one),
+                         (math.ceil(max(hi * _PROD_UP, _PRODUCT_MIN) * grid), one))
+                        for lo, hi in ((m_lo, m_hi), (b_lo, b_hi)))
+    if not rho and any(2 * v == Q for v in residues):
+        magnitude = (0, one), (0, one)
+    if not (rho or any(residues)):
+        bound = ((one << len(residues), one),) * 2
+    return magnitude, bound
 
 
 def _magnitude_ends(x: float, y: float, rad: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -373,23 +392,8 @@ def eval_expsum(
 
     q, res_mods = power_residues(gamma, k, b, r + 1)
 
-    # the ends of w_d = ||k b^d gamma|| as integer pairs (num, den)
-    w_los, w_his = zip(*(dist_ends_of_multiple(gamma, k * b**d) for d in range(r + 1)))
-    # |cos(pi theta)| = sin(pi h) with h = 1/2 - ||theta||, an identity of
-    # the tent map; so the h interval flips the w interval around 1/2
-    h_los = [(c - 2 * a, 2 * c) for a, c in w_his]
-    h_his = [(c - 2 * a, 2 * c) for a, c in w_los]
-
-    # product magnitude 2^(r+1) prod sin(pi h_d); a factor at h = 0 is exactly 0
     n = 1 << (r + 1)
-    f_lo, f_hi = zip(*map(sin_pi_bounds, h_los, h_his))
-    prod_lo, prod_hi = _product_ends(f_lo, f_hi, n)
-
-    # product bound 2^(r+1) prod (1 - pi w_d^2), from exact rational factors
-    (lo_p, lo_q), (hi_p, hi_q) = map(Fraction.as_integer_ratio, pi_bounds())
-    b_lo = [(hi_q * c * c - hi_p * a * a, hi_q * c * c) for a, c in w_his]
-    b_hi = [(lo_q * c * c - lo_p * a * a, lo_q * c * c) for a, c in w_los]
-    bound_lo, bound_hi = _product_ends(b_lo, b_hi, n)
+    (prod_lo, prod_hi), (bound_lo, bound_hi) = _cosine_product_ends(gamma, k, b, res_mods)
 
     # the direct sum over the n terms, exact when every angle is 0, and
     # otherwise the product of the two half sums, in Python floats

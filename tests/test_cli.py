@@ -251,21 +251,21 @@ class TestOtherSubcommands:
         assert all(len(v) < 50 for k in ("product_magnitude", "product_bound")
                    for v in rep[k].values())
 
-    def test_expsum_shifts_scans_the_separation_once(self, capsys, monkeypatch):
+    def test_expsum_shifts_rescans_the_separation_for_a_large_count(self, capsys, monkeypatch):
         # gamma = 0: all six positions are close, g = 6 >= 3 sqrt(1), so
-        # small_shift_count checks the separation its caller just checked
-        from radixapprox import _kernels, expsum
+        # small_shift_count checks again the separation its caller just
+        # checked; no verdict is kept between calls, so it scans twice
+        from radixapprox import _kernels
 
         built, tables = [], _kernels._half_tables
         monkeypatch.setattr(_kernels, "_half_tables", lambda *a: built.append(a) or tables(*a))
-        expsum.separation_check.cache_clear()
         code, out, err = run_cli(["expsum", "--method", "shifts", "--base", "2", "--r", "5",
                                   "--k", "1", "--beta", "1/8", "--gamma", "0", "--format", "json"],
                                  capsys)
         assert code == 0, err
         rep = json.loads(out)["report"]
         assert rep["separation"]["counterexample"] == 1 and rep["shifts"]["g"] == 6
-        assert len(built) == 1
+        assert len(built) == 2 and built[0] == built[1]
 
     def test_expsum_shifts(self, capsys):
         code, out, _ = run_cli(

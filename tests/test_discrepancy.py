@@ -17,7 +17,7 @@ from radixapprox.discrepancy import (
     fractional_orbit,
 )
 from radixapprox.errors import DomainError, IndeterminateComparison, InvariantViolation, ResourceLimit
-from radixapprox.exact import Real, frac
+from radixapprox.exact import Real, dist_exact, frac
 from test_expsum import count_builds, parent_dist_of_multiple, parent_sin_pi_interval
 
 E = lambda *a: Real.exact(Fraction(*a))
@@ -538,6 +538,37 @@ class TestErdosTuran:
         assert encloses(rhs, et_rhs_reference(true_orbit(gamma.mid, 5), 1))
         assert rhs.rad < Fraction(1, 2**40)
 
+    @pytest.mark.parametrize("gamma, T, G", [
+        (E(1, 10**400), 5, 3),  # every distance below float range
+        # within 2^-3000 of 1/7: ||7 g gamma|| below float range for every g,
+        # and ||7 gamma|| too
+        (Real(Fraction(1, 7) + Fraction(1, 2**3001), Fraction(1, 2**3010)), 7, 8),
+        (E(1, 7) + Fraction(1, 2**1060), 7, 6),  # 0 < ||T g gamma|| < 2^-1021
+    ], ids=["1e-400", "1/7+2^-3001", "1/7+2^-1060"])
+    def test_small_distances_hold_the_200_bit_sum(self, gamma, T, G, monkeypatch):
+        # the terms read from integer ends, with the exact small-angle
+        # bounds of sin(pi h) and no float sine, enclose the closed form at
+        # 200 bits, its distances reduced exactly first
+        sines = []
+        sin = math.sin
+        monkeypatch.setattr(math, "sin", lambda x: sines.append(x) or sin(x))
+        lo, hi = discrepancy._weyl_sum_ends(gamma, T, G)
+        monkeypatch.undo()
+        assert all(x >= 0.1 for x in sines)  # only the float terms of normal distances
+        for value in {gamma.lo, gamma.mid, gamma.hi}:
+            with mpmath.workprec(200):
+                total = 0
+                for g in range(1, G + 1):
+                    w, a = dist_exact(g * value), dist_exact(T * g * value)
+                    term = (mpmath.mpf(T) if not w else
+                            mpmath.sin(mpmath.pi * mpmath.mpf(a.numerator) / a.denominator)
+                            / mpmath.sin(mpmath.pi * mpmath.mpf(w.numerator) / w.denominator))
+                    total += term / g
+                total = mpmath.ldexp(total * (2 + 2 / mpmath.pi), 64)
+                assert lo <= total <= hi
+                if gamma.is_exact:
+                    assert hi - lo <= total * 2**-40 + G + 1
+
     @pytest.mark.parametrize("gamma, T, G", [(E(1, 7), 7, 6), (E(5, 313), 300, 40),
                                               (Real.parse("pi"), 200, 25)])
     def test_rounded_rhs_encloses_the_exact_sum(self, gamma, T, G):
@@ -549,14 +580,13 @@ class TestErdosTuran:
 
     @pytest.mark.parametrize("gamma", [E(355, 113), Real.parse("pi")])
     def test_no_integer_reads_per_term_and_no_trig_sum(self, gamma, monkeypatch):
-        assert not {"_trig_sum", "_magnitude", "cos_sin_sum"} & vars(discrepancy).keys()
+        assert not {"_trig_sum", "_magnitude", "cos_sin_sum", "sin_pi_bounds"} & vars(discrepancy).keys()
 
         def no_call(*args):
             raise AssertionError("called")
 
         monkeypatch.setattr(_kernels, "cos_sin_sum", no_call)
         monkeypatch.setattr(discrepancy, "dist_ends_of_multiple", no_call)
-        monkeypatch.setattr(discrepancy, "sin_pi_bounds", no_call)
         for T in (7, 2000):
             erdos_turan_check(gamma, T, 50)
 

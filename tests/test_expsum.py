@@ -22,21 +22,21 @@ from radixapprox.errors import (DomainError, HypothesisViolation, IndeterminateC
 from radixapprox.exact import (Real, _real_of_ends, dist_exact, dist_of_multiple, dist_to_nearest_int,
                                mpf_to_fraction, power_residues)
 from radixapprox.expsum import (
-    _FACTOR_HI,
-    _FACTOR_LO,
+    _FACTOR_ERR,
     _NORMAL_MIN,
+    _PI_FLOATS,
+    R_CAP_DEFAULT,
     SeparationReport,
     _class_of,
+    _cosine_product_ends,
     _decay_bound,
     _magnitude_ends,
-    _product_ends,
     _sum_radius,
     classify_G,
     decay_bound_check,
     eval_expsum,
     pi_bounds,
     separation_check,
-    sin_pi_bounds,
     small_shift_count,
 )
 from test_exact import gamma_near, parent_dist_to_nearest_int
@@ -230,9 +230,21 @@ def parent_check_messages(b, r, k, gamma: Real, **factors) -> tuple[str, str]:
             f"|sum|={float(mag.mid):.6g} > bound={float(bound.hi):.6g}")
 
 
-def product_real(factors_lo, factors_hi, scale: int) -> Real:
-    """The Real eval_expsum reports of _product_ends."""
-    return _real_of_ends(*_product_ends(factors_lo, factors_hi, scale))
+def true_products(b, r, k, value: Fraction) -> tuple:
+    """(2^(r+1) prod_d |cos(pi theta_d)|, 2^(r+1) prod_d (1 - pi ||theta_d||^2))
+    at 200 bits, theta_d = k b^d value, each distance reduced exactly first."""
+    with mpmath.workprec(200):
+        magnitude = bound = mpmath.mpf(2) ** (r + 1)
+        for d in range(r + 1):
+            w = dist_exact(k * b**d * value)
+            magnitude *= mpmath.sin(mpmath.pi * _mpf(Fraction(1, 2) - w))
+            bound *= 1 - mpmath.pi * _mpf(w) ** 2
+        return magnitude, bound
+
+
+def encloses_200(enc: Real, value) -> bool:
+    with mpmath.workprec(200):
+        return _mpf(enc.lo) <= value <= _mpf(enc.hi)
 
 
 def magnitude_real(x: float, y: float, rad: Fraction = Fraction(0)) -> Real:
@@ -260,15 +272,6 @@ def count_builds(monkeypatch, fn, *args) -> tuple[int, int]:
         m.setattr(Real, "__post_init__", counting_post_init)
         fn(*args)
     return counts[0], counts[1]
-
-
-def _pairs(fractions, rng):
-    """Each fraction as an integer pair, unreduced by a random factor."""
-    out = []
-    for f in fractions:
-        m = rng.randint(1, 10**6)
-        out.append((f.numerator * m, f.denominator * m))
-    return out
 
 
 def _coprime_gamma(rng, q: int) -> Fraction:
@@ -520,9 +523,7 @@ class TestSeparation:
         # a passing check reads every power gap: 3 at r = 2, 105 at r = 14
         beta = Fraction(1, 10**6)
         assert all(separation_check(2, r, beta, gamma).ok for r in (2, 14))
-        # the unkept check: a kept verdict would build nothing at all
-        few, many = (count_builds(monkeypatch, separation_check.__wrapped__, 2, r, beta, gamma)
-                     for r in (2, 14))
+        few, many = (count_builds(monkeypatch, separation_check, 2, r, beta, gamma) for r in (2, 14))
         assert few == many and few[1] == 0
 
     def test_window_reaches_the_largest_truncated_element(self):
@@ -646,28 +647,85 @@ class TestSmallShifts:
         assert calls == [(2, 5, Fraction(1, 8), E(0))]
 
 
+def product_cases():
+    """(b, r, k, gamma) for the 200-bit product test: small and large exact
+    moduli, sqrt2/pi/e at 64, 256 and 4096 bits, r = 0 and the term cap, b
+    up to 40, ||theta|| at 1/2 and within 10^-400 of it, radii past 1/2 and
+    beyond float range, and a k b^d rad beyond float range."""
+    rng = random.Random(45)
+    cases = []
+    for i in range(48):
+        if i % 3 == 0:
+            q = rng.choice([rng.randint(2, 50), rng.randint(2, 10**6), rng.randint(2, 2**70), 10**199 + 7])
+            gamma = E(_coprime_gamma(rng, q))
+        else:
+            gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.choice([64, 256, 4096]))
+        r = rng.choice([0, R_CAP_DEFAULT, rng.randint(0, 12)])
+        k = rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(1, 6))
+        cases.append((rng.randint(2, 40), r, k, gamma))
+    half = Fraction(1, 2) + Fraction(1, 10**400)
+    cases += [(2, 3, 1, E(1, 2)), (3, 5, 1, E(1, 2)), (2, 0, 1, E(half)), (3, 4, 1, E(half)),
+              (2, 0, 1, Real(half, Fraction(1, 10**500))), (7, 6, 1, Real(half, Fraction(1, 10**500))),
+              (2, 3, 1, Real(Fraction(1, 3), Fraction(3, 4))), (5, 2, 7, Real(Fraction(2, 5), 1)),
+              (3, 4, 10**400, Real.parse("pi", 64)), (2, 3, 1, Real(Fraction(1, 3), Fraction(10**400))),
+              (40, R_CAP_DEFAULT, 1, Real.parse("e", 4096)),
+              (5, 3, 7, E(0)), (2, 6, -21, Real.approx(Fraction(2, 7), Fraction(1, 10**30)))]
+    return cases
+
+
 class TestProductInterval:
     def test_contains_the_exact_product_within_the_stated_widening(self):
-        rng = random.Random(41)
-        for _ in range(300):
-            m = rng.randint(0, 12)
-            lo = [Fraction(rng.randint(0, 10**6), rng.randint(10**6, 10**7)) for _ in range(m)]
-            hi = [f + Fraction(rng.randint(0, 10**4), rng.randint(10**6, 10**9)) for f in lo]
-            scale = 1 << rng.randint(1, 27)
-            enc = product_real(_pairs(lo, rng), _pairs(hi, rng), scale)
-            assert enc == parent_product_interval(lo, hi, scale)
-            exact_lo, exact_hi = scale * math.prod(lo), scale * math.prod(hi)
-            assert enc.lo <= exact_lo and exact_hi <= enc.hi
-            F = max([1, *hi])
-            widening = scale * m * F ** max(m - 1, 0) / Fraction(2**64)
-            assert exact_lo - enc.lo <= widening and enc.hi - exact_hi <= widening
+        # every field holds the 200-bit products at the ends and the midpoint
+        # of gamma; for an exact gamma each end lies within 2^-41 of the
+        # product plus one grid step 2^-64 (the docstring's widening)
+        seen = Counter()
+        for b, r, k, gamma in product_cases():
+            rep = eval_expsum(b, r, k, gamma)
+            for value in {gamma.lo, gamma.mid, gamma.hi}:
+                magnitude, bound = true_products(b, r, k, value)
+                assert encloses_200(rep.product_magnitude, magnitude), (b, r, k, gamma)
+                assert encloses_200(rep.product_bound, bound), (b, r, k, gamma)
+            if gamma.is_exact:
+                for enc, value in zip((rep.product_magnitude, rep.product_bound), (magnitude, bound)):
+                    with mpmath.workprec(200):
+                        slack = value * mpmath.ldexp(1, -41) + mpmath.ldexp(1, -64)
+                        assert value - _mpf(enc.lo) <= slack and _mpf(enc.hi) - value <= slack
+            seen[(gamma.is_exact, rep.product_magnitude.is_exact, rep.product_bound.is_exact)] += 1
+            seen["zero lower end"] += rep.product_magnitude.lo == 0 < rep.product_magnitude.hi
+        # exact zeros and exact bounds, rounded products, and products below the grid
+        assert seen[(True, True, False)] >= 2 and seen[(True, False, True)] >= 1, seen
+        assert seen[(True, False, False)] > 10 and seen[(False, False, False)] > 20, seen
+        assert seen["zero lower end"] >= 6, seen
+
+    def test_exact_fields_stay_exact(self):
+        from radixapprox.cli import _write
+
+        for b in (2, 3):
+            rep = eval_expsum(b, 3, 1, E(1, 2))  # h = 0 at d = 0
+            assert json.loads(_write(rep.product_magnitude)) == {"exact": "0/1"}
+        for gamma in (E(0), E(3, 7)):
+            rep = eval_expsum(5, 3, 7, gamma)  # every k b^d gamma an integer
+            assert json.loads(_write(rep.product_bound)) == {"exact": "16/1"}
+
+    @pytest.mark.parametrize("digits", [20, 24, 27])
+    def test_a_product_below_float_range_reads_zero_to_a_grid_step(self, digits):
+        # every factor sin(pi 2^-40): the float product reads about 2^-767,
+        # 2^-920 (below _PRODUCT_MIN) and 2^-1035 (partial products below
+        # float range); each encloses the 200-bit product as [0, 2^-64]
+        Q = 1 << 41
+        (lo, hi), _ = _cosine_product_ends(E(1, Q), 1, 2, [Q // 2 - 1] * digits)
+        assert (lo, hi) == ((0, 1 << 64), (1, 1 << 64))
+        with mpmath.workprec(200):
+            assert 0 < 2**digits * mpmath.sin(mpmath.pi * mpmath.ldexp(1, -40)) ** digits < mpmath.ldexp(1, -64)
 
     def test_digits_stay_bounded_at_r_26(self):
+        # 600-digit moduli: both fields keep the grid 2^-64 at the term cap
         rng = random.Random(42)
-        factors = [Fraction(rng.randrange(10**599, 10**600), 10**600 + 7) for _ in range(27)]
-        enc = product_real(_pairs(factors, rng), _pairs(factors, rng), 1 << 27)
-        assert enc.lo <= (1 << 27) * math.prod(factors) <= enc.hi
-        assert max(enc.mid.denominator, enc.rad.denominator) <= 2**65
+        q = 10**600 + 7
+        for gamma in (E(rng.randrange(1, q), q), Real(Fraction(rng.randrange(1, q), q), Fraction(1, 10**590))):
+            rep = eval_expsum(3, R_CAP_DEFAULT, 1, gamma)
+            for enc in (rep.product_magnitude, rep.product_bound):
+                assert max(enc.mid.denominator, enc.rad.denominator) <= 2**65
 
     def test_report_fields_stay_short_for_long_inputs(self):
         q = 10**199 + 7
@@ -1001,44 +1059,34 @@ class TestEvalExpsum:
                 for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                     assert wide.lo <= hypot200(x + sx * dx, y + sy * dy) <= wide.hi
 
-    def test_sin_pi_bounds_against_200_bits(self):
-        # the docstring's analysis: the float sine is within 13u of sin(pi h),
-        # inside the _FACTOR_ERR widening; tiny h get exact bounds
+    def test_float_factors_lie_within_the_factor_envelope(self):
+        # the docstring of _cosine_product_ends: a float sine at h in
+        # [_NORMAL_MIN, 1/2] within 12u of sin(pi h), a bound factor within
+        # 23u of 1 - pi w^2 on its outward side, both inside _FACTOR_ERR
+        # 2^-51 = 36u; and R_CAP_DEFAULT + 1 factors of it, with their
+        # roundings, stay inside the gamma_n < 2^-43 of a product
+        u = Fraction(1, 2**53)
+        n = (4 * _FACTOR_ERR + 1) * (R_CAP_DEFAULT + 1)
+        assert n * u / (1 - n * u) < Fraction(1, 2**43)
         rng = random.Random(39)
-        hs = [Fraction(rng.randint(1, 2**60), 2**61) for _ in range(2000)]
-        hs += [Fraction(1, 2) - Fraction(rng.randint(1, 2**20), 2**rng.randint(21, 80))
-               for _ in range(300)]
-        hs += [Fraction(rng.randint(1, 2**20), 2**rng.randint(21, 1040)) for _ in range(300)]
-        hs += [Fraction(1, 2), Fraction(1, 2**1021), Fraction(1, 2**1022), Fraction(1, 10**400),
-               Fraction(1, 2**1021) - Fraction(1, 2**1080), Fraction(1, 3 * 10**307)]
-        half, zero = (1, 2), (0, 1)
-        worst = 0
-        for h in hs:
-            # an unreduced pair reads the same float, so gives the same bounds
-            m = rng.choice([1, 3, rng.randint(2, 10**40)])
-            pair = (h.numerator * m, h.denominator * m)
-            lo, hi = sin_pi_bounds(pair, pair)
-            assert min(lo[1], hi[1]) > 0
-            lo, hi = Fraction(*lo), Fraction(*hi)
-            # the values of the Fraction code it replaced
-            assert (lo, hi) == parent_sin_pi_interval(h, h)
-            # one float sine per distinct end: the same bounds as two reads
-            assert (lo, hi) == (Fraction(*sin_pi_bounds(pair, half)[0]),
-                                Fraction(*sin_pi_bounds(zero, pair)[1]))
-            with mpmath.workprec(200):
-                true = mpmath.sin(mpmath.pi * _mpf(h))
-                assert 0 < _mpf(lo) <= true <= _mpf(hi)
-                if float(h) >= _NORMAL_MIN:
-                    err = abs(_mpf(hi * 2**51 / _FACTOR_HI) - true) / true * 2**53
-                    worst = max(worst, err)
-        assert worst < 13
-        assert Fraction(*sin_pi_bounds(half, half)[0]) == Fraction(_FACTOR_LO, 2**51)
-        assert [Fraction(*s) for s in sin_pi_bounds(zero, zero)] == [0, 0]
-        # 10^-400 reads as 0.0: the exact branch, not a zero sine
-        tiny = (1, 10**400)
-        lo, hi = sin_pi_bounds(tiny, tiny)
-        pi_lo, pi_hi = pi_bounds()
-        assert Fraction(*hi) == pi_hi / 10**400 and 0 < Fraction(*lo) < pi_lo / 10**400
+        hs = [rng.uniform(0, 0.5) for _ in range(2000)]
+        hs += [0.5 - rng.randint(1, 2**20) * 2.0 ** -rng.randint(21, 80) for _ in range(300)]
+        hs += [rng.randint(1, 2**20) * 2.0 ** -rng.randint(21, 1040) for _ in range(300)]
+        hs = [h for h in hs if _NORMAL_MIN <= h <= 0.5] + [0.5, _NORMAL_MIN]
+        pi_lo, pi_hi = _PI_FLOATS
+        worst = [0, 0]
+        with mpmath.workprec(200):
+            assert _mpf(Fraction(pi_lo)) < mpmath.pi < _mpf(Fraction(pi_hi))
+            for h in hs:
+                true = mpmath.sin(mpmath.pi * _mpf(Fraction(h)))
+                err = abs(_mpf(Fraction(math.sin(math.pi * h))) - true) / true / _mpf(u)
+                worst[0] = max(worst[0], err)
+                w = min(h, 0.5)
+                true = 1 - mpmath.pi * _mpf(Fraction(w)) ** 2
+                upper, lower = (_mpf(Fraction(1 - p * w * w)) for p in (pi_lo, pi_hi))
+                assert lower <= true * (1 + 23 * _mpf(u)) and upper >= true * (1 - 23 * _mpf(u))
+                worst[1] = max(worst[1], abs(upper - true) / true / _mpf(u))
+        assert worst[0] < 12 and worst[1] < 23 < 4 * _FACTOR_ERR, worst
 
     @pytest.mark.parametrize("gamma", [E(314159265358, 1099511627689), Real.parse("pi", 128)])
     def test_product_side_builds_no_fraction_or_real_per_digit(self, gamma, monkeypatch):
@@ -1047,26 +1095,11 @@ class TestEvalExpsum:
         few, many = (count_builds(monkeypatch, eval_expsum, 3, r, 1, gamma) for r in (2, 12))
         assert few == many
 
-    def test_product_side_matches_the_fraction_code(self):
-        rng = random.Random(43)
-        seen = set()
-        for _ in range(300):
-            if rng.random() < 0.5:
-                q = rng.choice([rng.randint(2, 50), rng.randint(2, 10**6), rng.randint(2, 2**70)])
-                gamma = E(rng.randint(1, q - 1), q)
-            else:
-                gamma = Real.parse(rng.choice(["sqrt2", "pi", "e"]), rng.choice([64, 128, 256]))
-            b, r, k = rng.randint(2, 7), rng.randint(0, 10), rng.randint(1, 10**rng.randint(1, 6))
-            rep = eval_expsum(b, r, k, gamma)
-            want = parent_product_side(b, r, k, gamma)
-            assert (rep.product_magnitude, rep.product_bound) == want
-            seen.add((gamma.is_exact, rep.product_magnitude.is_exact))
-        assert seen >= {(True, False), (False, False)}
-
     def test_report_matches_the_fraction_code(self):
-        # the five reported Reals equal the Fraction and from_interval
+        # the three Reals of the sum equal the Fraction and from_interval
         # composition on drawn (b, r, k, gamma), exact and enclosed, with
-        # and without the zero term
+        # and without the zero term; the two products, now one float pass,
+        # meet the Fraction code's, whose exact fields they keep
         rng = random.Random(44)
         cases = []
         for _ in range(200):
@@ -1086,8 +1119,11 @@ class TestEvalExpsum:
         for b, r, k, gamma in cases:
             for exclude_zero in (False, True):
                 rep = eval_expsum(b, r, k, gamma, exclude_zero)
-                got = (rep.value_re, rep.value_im, rep.magnitude, rep.product_magnitude, rep.product_bound)
-                assert got == parent_report(b, r, k, gamma, exclude_zero)
+                *want, product, bound = parent_report(b, r, k, gamma, exclude_zero)
+                assert [rep.value_re, rep.value_im, rep.magnitude] == want
+                for got, parent in ((rep.product_magnitude, product), (rep.product_bound, bound)):
+                    assert got.lo <= parent.hi and parent.lo <= got.hi
+                    assert got.is_exact == parent.is_exact and (got == parent or not got.is_exact)
                 shortcut = all(v == 0 for v in power_residues(gamma, k, b, r + 1)[1])
                 seen.add((gamma.is_exact, exclude_zero, shortcut, rep.magnitude.lo == 0 < rep.magnitude.hi))
         assert {(e, x, False, False) for e in (True, False) for x in (True, False)} <= seen
@@ -1110,13 +1146,13 @@ class TestEvalExpsum:
     @pytest.mark.parametrize("gamma", [E(1, 3), Real.approx(Fraction(1, 3), Fraction(1, 10**30))],
                              ids=["exact", "enclosure"])
     def test_a_failed_identity_raises_the_parent_message(self, gamma, monkeypatch):
-        # halved sine bounds put the product near 2^-(r+1) of |sum| = 1
-        # (every ||2^d / 3|| is 1/3, and |cos(pi/3)| = 1/2)
-        sin_bounds = expsum.sin_pi_bounds
-        monkeypatch.setattr(expsum, "sin_pi_bounds",
-                            lambda lo, hi: tuple((p, 2 * q) for p, q in sin_bounds(lo, hi)))
+        # halved sines put the product near 2^-(r+1) of |sum| = 1 (every
+        # ||2^d / 3|| is 1/3, and |cos(pi/3)| = 1/2); the float pass reads
+        # every sine through math.sin
         want, _ = parent_check_messages(
             2, 3, 1, gamma, sin_interval=lambda lo, hi: tuple(s / 2 for s in parent_sin_pi_interval(lo, hi)))
+        sin = math.sin
+        monkeypatch.setattr(math, "sin", lambda x: sin(x) / 2)
         with pytest.raises(InvariantViolation) as info:
             eval_expsum(2, 3, 1, gamma)
         assert str(info.value) == want and want.startswith("product identity failed")
@@ -1127,7 +1163,7 @@ class TestEvalExpsum:
         # pi read as 6 puts each bound factor at 1 - 6/9 = 1/3, below the
         # factor |cos(pi/3)| = 1/2 of |sum| = 1
         six = (Fraction(6), Fraction(6))
-        monkeypatch.setattr(expsum, "pi_bounds", lambda: six)
+        monkeypatch.setattr(expsum, "_PI_FLOATS", (6.0, 6.0))
         _, want = parent_check_messages(2, 3, 1, gamma, pi=six)
         with pytest.raises(InvariantViolation) as info:
             eval_expsum(2, 3, 1, gamma)
