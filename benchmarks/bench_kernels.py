@@ -61,8 +61,12 @@ The report writer case times the JSON text cli.main writes, report and
 meta, of the nine commands under README's "## CLI" and one enclosure
 expsum report (pi at 256 bits: six Reals), from the library's objects.
 The compute_constants cases time the certified scan of the depth
-coefficient H in mpmath intervals at the CLI's default 128 bits: b=2 stops
-at scale 6, b=3 at 4 and b=10 at 2.
+coefficient H on libmp's interval primitives at the CLI's default 128 bits:
+b=2 stops at scale 6, b=3 at 4 and b=10 at 2.  The _power_decay_bound and
+_decay_bound cases time the other two closed forms on the same primitives,
+at 80 bits: the adversary's b^-4 N^(-log2 b/(b-1)) (two logs and an exp)
+and the decay bound 2^(r+3) (1 - pi/(4b^2))^((r+1-3 sqrt(k))/m) (a sqrt, a
+log and an exp), each built into a Real once.
 """
 import argparse
 import pathlib
@@ -84,9 +88,10 @@ from radixapprox.discrepancy import (
     erdos_turan_check,
     fractional_orbit,
 )
+from radixapprox.adversary import _power_decay_bound
 from radixapprox.approx import pigeonhole_witness
 from radixapprox.constants import compute_constants
-from radixapprox.expsum import eval_expsum, separation_check
+from radixapprox.expsum import _decay_bound, eval_expsum, separation_check
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -204,6 +209,8 @@ def cases():
 
     for b in (2, 3, 10):
         yield f"compute_constants (b={b}, 128 bits)", compute_constants, (b, 128)
+    yield "_power_decay_bound (b=3, N=2^24)", _power_decay_bound, (3, 1 << 24)
+    yield "_decay_bound (b=5, r=6, k=3, m=2)", _decay_bound, (5, 6, 3, 2)
 
     xs = np.linspace(-2.0, 2.0, 400_000)
     yield "cos_margin_values (4e5 points)", K.cos_margin_values, (xs,)

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from mpmath.libmp import mpf_ln2, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg
+
 from . import digitsets as ds
 from .approx import oracle_min
 from .errors import DomainError, InvariantViolation
-from .exact import BOUND_PRECISION, Real, iv_precision, iv_to_real
+from .exact import BOUND_PRECISION, Real, mpi_of_int, mpi_to_real
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,12 @@ class AdversaryCertificate:
 
 def _power_decay_bound(b: int, N: int) -> Real:
     """Outward enclosure of b**-4 * N**(-log2(b)/(b-1)) in exact rationals."""
-    with iv_precision(BOUND_PRECISION) as iv:
-        # N^(-log2 b/(b-1)) = exp(-ln N * ln b / (ln 2 * (b-1)))
-        decay = iv.exp(-iv.log(N) * iv.log(b) / (iv.ln2 * (b - 1)))
-        return iv_to_real(decay / b**4)
+    p = BOUND_PRECISION
+    # N^(-log2 b/(b-1)) = exp(-ln N * ln b / (ln 2 * (b-1)))
+    ln2 = mpf_ln2(p, round_floor), mpf_ln2(p, round_ceiling)
+    log_product = mpi_mul(mpi_neg(mpi_log(mpi_of_int(N, p), p), p), mpi_log(mpi_of_int(b, p), p), p)
+    decay = mpi_exp(mpi_div(log_product, mpi_mul(ln2, mpi_of_int(b - 1, p), p), p), p)
+    return mpi_to_real(mpi_div(decay, mpi_of_int(b**4, p), p))
 
 
 def adversarial_gamma(

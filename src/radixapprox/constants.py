@@ -10,7 +10,8 @@ The chain, all per base b:
   deep a truncation can stay fully separated at scale m;
 * window coefficient J = 2*H.
 
-All are certified enclosures (mpmath interval arithmetic).  The scan for H
+All are certified enclosures: libmp interval arithmetic at the requested
+precision, on integers read outward (``exact.mpi_of_int``).  The scan for H
 writes the m-th term as 3*sqrt(8) + (2*m^2*L - 1)/sqrt(b^m), L = log_U(256*C*b),
 evaluates 3*sqrt(8) and each sqrt(b^m) once, and keeps the running maximum
 an interval.  Once m^2/b^(m/2) decreases, it stops when the tail bound
@@ -30,9 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from mpmath.libmp import fone, mpf_gt, mpf_lt
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_pi, mpi_sqrt, mpi_sub
+
 from .digitsets import check_base, repunit_cap
 from .errors import DomainError, IndeterminateComparison, InvariantViolation
-from .exact import DEFAULT_PRECISION, Real, iv_from_fractions, iv_precision, iv_to_real
+from .exact import DEFAULT_PRECISION, Real, mpi_of_fractions, mpi_of_int, mpi_to_real
 
 _SCAN_HARD_CAP = 500
 
@@ -69,42 +73,50 @@ def _decreasing_from(b: int) -> int:
 def compute_constants(b: int, precision_bits: int = DEFAULT_PRECISION) -> ConstantSet:
     """Certified enclosures for the full constant chain at base b."""
     check_base(b)
-    with iv_precision(precision_bits) as iv:
-        four_b2 = iv.mpf(4 * b * b)
-        U = four_b2 / (four_b2 - iv.pi)
-        if not U.a > 1:
-            # 2*bit_length(b) + 3 bits keep the rounding of U below pi/(4b^2)
-            raise IndeterminateComparison(
-                f"contraction base 4b^2/(4b^2 - pi) at b={b} is not certified above 1 at "
-                f"{precision_bits} bits; {2 * b.bit_length() + 3} bits decide it"
-            )
-        C = 2 + 2 / iv.pi
-        log_term = iv.log(256 * C * b) / iv.log(U)
-        three_root8 = 3 * iv.sqrt(8)
-
-        m_dec = _decreasing_from(b)
-        m = 1
-        best = three_root8 + (2 * log_term - 1) / iv.sqrt(iv.mpf(b))
-        while True:
-            root = iv.sqrt(iv.mpf(b ** (m + 1)))  # the tail's and the next term's
-            if m >= m_dec and (three_root8 + 2 * log_term * (m + 1) ** 2 / root).b < best.a:
-                break
-            m += 1
-            if m > _SCAN_HARD_CAP:
-                raise InvariantViolation(
-                    f"depth-coefficient scan failed to certify a maximum by m={m}"
-                )
-            term = three_root8 + (2 * m * m * log_term - 1) / root
-            best = iv.mpf([max(best.a, term.a), max(best.b, term.b)])
-        depth = iv_to_real(best)
-        return ConstantSet(
-            b=b,
-            contraction_base=iv_to_real(U),
-            et_constant=iv_to_real(C),
-            depth_coeff=depth,
-            window_coeff=depth * 2,
-            scan_depth=m,
+    p = precision_bits
+    one, two = mpi_of_int(1, p), mpi_of_int(2, p)
+    pi = mpi_pi(p)
+    four_b2 = mpi_of_int(4 * b * b, p)
+    U = mpi_div(four_b2, mpi_sub(four_b2, pi, p), p)
+    if not mpf_gt(U[0], fone):
+        # 2*bit_length(b) + 3 bits keep the rounding of U below pi/(4b^2)
+        raise IndeterminateComparison(
+            f"contraction base 4b^2/(4b^2 - pi) at b={b} is not certified above 1 at "
+            f"{precision_bits} bits; {2 * b.bit_length() + 3} bits decide it"
         )
+    C = mpi_add(two, mpi_div(two, pi, p), p)
+    log_arg = mpi_mul(mpi_mul(mpi_of_int(256, p), C, p), mpi_of_int(b, p), p)
+    log_term = mpi_div(mpi_log(log_arg, p), mpi_log(U, p), p)
+    two_log = mpi_mul(two, log_term, p)  # 2L, in the first term and in every tail bound
+    three_root8 = mpi_mul(mpi_of_int(3, p), mpi_sqrt(mpi_of_int(8, p), p), p)
+
+    m_dec = _decreasing_from(b)
+    m = 1
+    root = mpi_sqrt(mpi_of_int(b, p), p)
+    best = mpi_add(three_root8, mpi_div(mpi_sub(two_log, one, p), root, p), p)
+    while True:
+        root = mpi_sqrt(mpi_of_int(b ** (m + 1), p), p)  # the tail's and the next term's
+        if m >= m_dec:
+            tail = mpi_div(mpi_mul(two_log, mpi_of_int((m + 1) ** 2, p), p), root, p)
+            if mpf_lt(mpi_add(three_root8, tail, p)[1], best[0]):
+                break
+        m += 1
+        if m > _SCAN_HARD_CAP:
+            raise InvariantViolation(
+                f"depth-coefficient scan failed to certify a maximum by m={m}"
+            )
+        rise = mpi_sub(mpi_mul(mpi_of_int(2 * m * m, p), log_term, p), one, p)
+        lo, hi = mpi_add(three_root8, mpi_div(rise, root, p), p)
+        best = (lo if mpf_lt(best[0], lo) else best[0], hi if mpf_lt(best[1], hi) else best[1])
+    depth = mpi_to_real(best)
+    return ConstantSet(
+        b=b,
+        contraction_base=mpi_to_real(U),
+        et_constant=mpi_to_real(C),
+        depth_coeff=depth,
+        window_coeff=Real(depth.mid * 2, depth.rad * 2),
+        scan_depth=m,
+    )
 
 
 def approximation_bound(
@@ -130,9 +142,10 @@ def approximation_bound(
     zero_one = ext * (b - 1)
 
     # target scale floor(2 log_b (t/J)), from a certified log enclosure
-    with iv_precision(precision_bits) as iv:
-        j_iv = iv_from_fractions(iv, J.lo, J.hi)
-        x = iv_to_real(2 * iv.log(iv.mpf(t) / j_iv) / iv.log(iv.mpf(b)))
+    p = precision_bits
+    log_t_over_j = mpi_log(mpi_div(mpi_of_int(t, p), mpi_of_fractions(J.lo, J.hi, p), p), p)
+    two_log = mpi_mul(mpi_of_int(2, p), log_t_over_j, p)
+    x = mpi_to_real(mpi_div(two_log, mpi_log(mpi_of_int(b, p), p), p))
     if x.hi < 1:
         return ApproxBound(b, N, t, None, True, ext, zero_one)
     lo_floor = x.lo.numerator // x.lo.denominator

@@ -11,8 +11,11 @@ Two number representations are used everywhere in this package:
 
 Ball arithmetic on ``Real`` is exact (no rounding step ever widens an
 interval silently); radii enter only through declared input uncertainty and
-through transcendental evaluations, which are performed with mpmath's
-interval context and therefore carry certified outward-rounded endpoints.
+through transcendental evaluations, which call libmp's interval primitives
+(``mpmath.libmp.libmpi``) at an explicit precision and therefore carry
+certified outward-rounded endpoints: ``mpi_of_int`` and ``mpi_of_fractions``
+read the exact operands outward, and ``mpi_to_real`` reads an interval back
+as a ``Real``.  No function here sets mpmath's process-wide precision.
 Comparisons whose outcome is not decidable outside the radius raise
 :class:`~radixapprox.errors.IndeterminateComparison` instead of guessing.
 
@@ -29,12 +32,20 @@ indeterminate comparison.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
+from mpmath.libmp import (
+    from_int,
+    mpf_e,
+    mpf_pi,
+    mpf_sqrt,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+)
+from mpmath.libmp.libmpi import mpi_abs, mpi_cos, mpi_div, mpi_mul, mpi_pi, mpi_pow, mpi_sub
 
 from .errors import DomainError, IndeterminateComparison
 
@@ -61,21 +72,22 @@ _EXPONENT_LIMIT = 4300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def _raw_to_fraction(raw) -> Fraction:
-    """Exact rational value of a libmp raw (sign, man, exp, bc) tuple."""
+def _man_exp(raw) -> tuple[int, int]:
+    """(m, e), python ints, with m * 2**e the value of a finite libmp raw
+    (sign, man, exp, bc) tuple; a non-finite one raises DomainError."""
     sign, man, exp, _ = raw
     if man == 0:
         if exp == 0:
-            return Fraction(0)
+            return 0, 0
         raise DomainError("cannot convert a non-finite value to a rational")
     # the mantissa may be a gmpy2 integer; keep Fractions on python ints
-    man, exp = -int(man) if sign else int(man), int(exp)
+    return -int(man) if sign else int(man), int(exp)
+
+
+def _raw_to_fraction(raw) -> Fraction:
+    """Exact rational value of a libmp raw (sign, man, exp, bc) tuple."""
+    man, exp = _man_exp(raw)
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Convert an mpmath float to the exact rational it represents."""
-    return _raw_to_fraction(mpmath.mpf(x)._mpf_)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -137,14 +149,14 @@ class Real:
         """
         text = text.strip()
         if text in _NAMED_CONSTANTS:
-            with mpmath.workprec(precision_bits + _GUARD_BITS):
-                if text == "sqrt2":
-                    mid = mpf_to_fraction(mpmath.sqrt(2))
-                elif text == "pi":
-                    mid = mpf_to_fraction(+mpmath.pi)
-                else:
-                    mid = mpf_to_fraction(+mpmath.e)
-            return cls(mid, Fraction(4, 2**precision_bits))
+            bits = precision_bits + _GUARD_BITS
+            if text == "sqrt2":
+                mid = mpf_sqrt(from_int(2), bits, round_nearest)
+            elif text == "pi":
+                mid = mpf_pi(bits, round_nearest)
+            else:
+                mid = mpf_e(bits, round_nearest)
+            return cls(_raw_to_fraction(mid), Fraction(4, 2**precision_bits))
         return cls(parse_rational(text))
 
     # -- basic queries ------------------------------------------------
@@ -376,34 +388,40 @@ def power_residues(gamma: Real, k: int, b: int, digits: int) -> tuple[int, list[
     return Q, [a * pow(b, d, Q) % Q for d in range(digits)]
 
 
-@contextmanager
-def iv_precision(bits: int):
-    """mpmath's interval context with ``bits`` of working precision.
+def mpi_of_int(n: int, prec: int):
+    """The interval of the integer n at ``prec`` bits: n rounded down and
+    up, so one point whenever n fits in ``prec`` bits."""
+    if n.bit_length() <= prec:
+        x = from_int(n)
+        return x, x
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
-    The only place that sets ``mpmath.iv.prec``; the previous precision is
-    restored on exit, also when the body raises.
+
+def mpi_of_fractions(lo: Fraction, hi: Fraction, prec: int):
+    """Outward enclosure of [lo, hi] at ``prec`` bits: the lower end of the
+    quotient interval of lo's numerator and denominator, and the upper end
+    of hi's."""
+    a = mpi_div(mpi_of_int(lo.numerator, prec), mpi_of_int(lo.denominator, prec), prec)[0]
+    b = mpi_div(mpi_of_int(hi.numerator, prec), mpi_of_int(hi.denominator, prec), prec)[1]
+    return a, b
+
+
+def mpi_to_real(value) -> Real:
+    """Exact Real enclosure of a libmp interval (lo, hi) (no further
+    rounding); an unbounded or NaN end raises ``DomainError``.
+
+    The ends are read as integers over one power of two, 2**(1 - g), so the
+    midpoint and the radius are one Fraction each: ``Real.from_interval``'s
+    value, without its Fraction arithmetic.
     """
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield iv
-    finally:
-        iv.prec = old
-
-
-def iv_from_fractions(ctx, lo: Fraction, hi: Fraction):
-    """Certified interval enclosing [lo, hi] in the given iv context."""
-    a = ctx.mpf(lo.numerator) / ctx.mpf(lo.denominator)
-    b = ctx.mpf(hi.numerator) / ctx.mpf(hi.denominator)
-    return ctx.mpf([a.a, b.b])
-
-
-def iv_to_real(value) -> Real:
-    """Exact Real enclosure of an mpmath interval (no further rounding);
-    an unbounded or NaN endpoint raises ``DomainError``."""
-    a, b = value._mpi_
-    return Real.from_interval(_raw_to_fraction(a), _raw_to_fraction(b))
+    (m, e), (n, f) = _man_exp(value[0]), _man_exp(value[1])
+    g = min(e, f)
+    lo, hi = m << (e - g), n << (f - g)
+    if hi < lo:
+        raise DomainError("empty interval")
+    if g > 0:
+        return Real(Fraction((lo + hi) << (g - 1)), Fraction((hi - lo) << (g - 1)))
+    return Real(Fraction(lo + hi, 1 << (1 - g)), Fraction(hi - lo, 1 << (1 - g)))
 
 
 def cos_bound_margin(x: Real, precision_bits: int = DEFAULT_PRECISION) -> Real:
@@ -411,14 +429,16 @@ def cos_bound_margin(x: Real, precision_bits: int = DEFAULT_PRECISION) -> Real:
 
     Returns (1 - pi*||x||^2) - |cos(pi*x)| as a certified enclosure; the
     inequality asserts this is >= 0 for every real x.  Transcendental parts
-    are evaluated with mpmath interval arithmetic at the requested precision.
+    are evaluated in interval arithmetic at the requested precision plus
+    guard bits.
     """
-    with iv_precision(precision_bits + _GUARD_BITS) as iv:
-        w = dist_to_nearest_int(x)
-        w_iv = iv_from_fractions(iv, w.lo, w.hi)
-        # |cos(pi*t)| is 1-periodic, so shift the argument by floor(mid)
-        k = x.mid.numerator // x.mid.denominator
-        arg = iv_from_fractions(iv, x.lo - k, x.hi - k)
-        cos_abs = abs(iv.cos(iv.pi * arg))
-        margin = (1 - iv.pi * w_iv**2) - cos_abs
-        return iv_to_real(margin)
+    p = precision_bits + _GUARD_BITS
+    w = dist_to_nearest_int(x)
+    w_mpi = mpi_of_fractions(w.lo, w.hi, p)
+    # |cos(pi*t)| is 1-periodic, so shift the argument by floor(mid)
+    k = x.mid.numerator // x.mid.denominator
+    arg = mpi_of_fractions(x.lo - k, x.hi - k, p)
+    pi, one = mpi_pi(p), mpi_of_int(1, p)
+    cos_abs = mpi_abs(mpi_cos(mpi_mul(pi, arg, p), p), p)
+    square = mpi_pow(w_mpi, mpi_of_int(2, p), p)
+    return mpi_to_real(mpi_sub(mpi_sub(one, mpi_mul(pi, square, p), p), cos_abs, p))

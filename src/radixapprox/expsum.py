@@ -31,6 +31,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
+from mpmath.libmp.libmpi import mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_pi, mpi_sqrt, mpi_sub
+
 from . import digitsets as ds
 from ._kernels import digit_scan_close, half_sums
 from .errors import (
@@ -46,8 +48,8 @@ from .exact import (
     _real_of_ends,
     dist_le_of_multiple,
     dist_to_nearest_int,
-    iv_precision,
-    iv_to_real,
+    mpi_of_int,
+    mpi_to_real,
     power_residues,
 )
 
@@ -80,8 +82,7 @@ _PI_FLOATS = (math.pi, math.nextafter(math.pi, math.inf))
 @functools.cache
 def pi_bounds() -> tuple[Fraction, Fraction]:
     """Certified rational bounds pi_lo < pi < pi_hi (120-bit tight)."""
-    with iv_precision(120) as iv:
-        enc = iv_to_real(iv.pi)
+    enc = mpi_to_real(mpi_pi(120))
     return enc.lo, enc.hi
 
 
@@ -451,9 +452,12 @@ def eval_expsum(
 
 def _decay_bound(b: int, r: int, k: int, m: int) -> Real:
     """Outward enclosure of 2^(r+3) * (1 - pi/(4 b^2))^((r+1 - 3 sqrt(k))/m)."""
-    with iv_precision(BOUND_PRECISION) as iv:
-        e = (r + 1 - 3 * iv.sqrt(k)) / m
-        return iv_to_real(2 ** (r + 3) * iv.exp(e * iv.log(1 - iv.pi / (4 * b * b))))
+    p = BOUND_PRECISION
+    three_root_k = mpi_mul(mpi_of_int(3, p), mpi_sqrt(mpi_of_int(k, p), p), p)
+    e = mpi_div(mpi_sub(mpi_of_int(r + 1, p), three_root_k, p), mpi_of_int(m, p), p)
+    factor = mpi_sub(mpi_of_int(1, p), mpi_div(mpi_pi(p), mpi_of_int(4 * b * b, p), p), p)
+    power = mpi_exp(mpi_mul(e, mpi_log(factor, p), p), p)
+    return mpi_to_real(mpi_mul(mpi_of_int(2 ** (r + 3), p), power, p))
 
 
 def decay_bound_check(b: int, r: int, k: int, m: int, gamma: Real) -> ExpSumReport:

@@ -15,7 +15,8 @@ from radixapprox.adversary import (
 )
 from radixapprox.approx import oracle_min
 from radixapprox.errors import DomainError, ResourceLimit
-from radixapprox.exact import Real, dist_exact, mpf_to_fraction
+from radixapprox.exact import Real, dist_exact
+from iv_reference import mpf_to_fraction
 
 
 class TestCertificate:

@@ -7,7 +7,8 @@ import pytest
 from radixapprox import constants
 from radixapprox.constants import ApproxBound, approximation_bound, compute_constants
 from radixapprox.errors import DomainError, IndeterminateComparison, InvariantViolation
-from radixapprox.exact import Real, iv_precision, iv_to_real, mpf_to_fraction
+from radixapprox.exact import Real, mpi_to_real
+from iv_reference import iv_precision, iv_to_real, mpf_to_fraction
 
 
 def _reference_constants(b, precision_bits):
@@ -105,9 +106,9 @@ class TestConstantSet:
 
         def spy(value):
             calls.append(value)
-            return iv_to_real(value)
+            return mpi_to_real(value)
 
-        monkeypatch.setattr(constants, "iv_to_real", spy)
+        monkeypatch.setattr(constants, "mpi_to_real", spy)
         counts = []
         for b, depth in ((2, 6), (1000003, 1)):
             calls.clear()

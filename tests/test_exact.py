@@ -1,17 +1,22 @@
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import finf, fninf, fone, from_int, fzero, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_div, mpi_log
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from iv_reference import mpf_to_fraction
 
 from radixapprox import adversary, constants, expsum
 from radixapprox.errors import DomainError, IndeterminateComparison
 from radixapprox.exact import (
     Real,
+    _raw_to_fraction,
     _real_of_ends,
     cos_bound_margin,
     dist_exact,
@@ -22,9 +27,8 @@ from radixapprox.exact import (
     frac,
     frac_ends_of_multiple,
     frac_of_multiple,
-    iv_precision,
-    iv_to_real,
-    mpf_to_fraction,
+    mpi_of_int,
+    mpi_to_real,
     parse_rational,
     residue_of_multiple,
 )
@@ -168,39 +172,54 @@ class TestBallArithmetic:
 
 
 class TestIntervals:
-    def test_iv_to_real_keeps_the_endpoints(self):
-        with iv_precision(80) as iv:
-            r = iv_to_real(iv.mpf(1) / 3)
+    def test_mpi_to_real_keeps_the_endpoints(self):
+        r = mpi_to_real(mpi_div(mpi_of_int(1, 80), mpi_of_int(3, 80), 80))
         assert r.lo < Fraction(1, 3) < r.hi and r.rad < Fraction(1, 2**79)
         with mpmath.workprec(80):
             assert mpf_to_fraction(mpmath.mpf(1) / 3) in (r.lo, r.hi)
 
-    @pytest.mark.parametrize("make", [
-        lambda iv: iv.mpf(["-inf", 1]),
-        lambda iv: iv.mpf([0, "inf"]),
-        lambda iv: iv.log(iv.mpf([0, 1])),
-    ], ids=["below", "above", "log-of-zero"])
-    def test_iv_to_real_refuses_unbounded_intervals(self, make):
-        with iv_precision(80) as iv:
-            value = make(iv)
-        with pytest.raises(DomainError):
-            iv_to_real(value)
+    def test_mpi_to_real_is_the_interval_of_its_ends(self):
+        ends = [fzero, fone, from_int(-3), from_int(3 << 90), mpi_log((fone, from_int(7)), 64)[1],
+                mpi_div(mpi_of_int(-1, 80), mpi_of_int(3, 80), 80)[0]]
+        for a in ends:
+            for b in ends:
+                lo, hi = _raw_to_fraction(a), _raw_to_fraction(b)
+                if lo <= hi:
+                    assert mpi_to_real((a, b)) == Real.from_interval(lo, hi)
+                else:
+                    with pytest.raises(DomainError):
+                        mpi_to_real((a, b))
 
-    def test_iv_precision_restores_on_exit_and_on_raise(self):
-        before = mpmath.iv.prec
-        with iv_precision(before + 77) as iv:
-            assert iv.prec == before + 77
-        assert mpmath.iv.prec == before
-        with pytest.raises(ZeroDivisionError):
-            with iv_precision(before + 5):
-                1 / 0
-        assert mpmath.iv.prec == before
+    def test_mpi_of_int_rounds_outward_past_the_precision(self):
+        for n in (0, 1, -3, 2**80 - 1, 2**80, 2**80 + 1, -(2**81 + 3), 10**40):
+            for prec in (2, 53, 80, 81):
+                assert mpi_of_int(n, prec) == (
+                    from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)), (n, prec)
+
+    @pytest.mark.parametrize("make", [
+        lambda: (fninf, fone),
+        lambda: (fzero, finf),
+        lambda: mpi_log((fzero, fone), 80),
+    ], ids=["below", "above", "log-of-zero"])
+    def test_mpi_to_real_refuses_unbounded_intervals(self, make):
+        with pytest.raises(DomainError):
+            mpi_to_real(make())
+
+
+def test_src_sets_no_mpmath_precision():
+    """Every interval in the library comes from libmp's primitives at an
+    explicit precision: no module names the interval context, a precision
+    context manager, or writes a context's precision."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "radixapprox"
+    banned = re.compile(r"mpmath\.iv|workprec|iv_precision|\.prec\s*=|\.dps\s*=")
+    for path in sorted(src.glob("*.py")):
+        assert not banned.findall(path.read_text(encoding="utf-8")), path.name
 
 
 _CONSTS_3 = constants.compute_constants(3)
 
-# every public function that evaluates under iv_precision, with the module
-# whose iv_to_real a failing body goes through
+# every public function that evaluates an interval, with the module whose
+# mpi_to_real its body goes through
 _IV_CALLERS = [
     ("cos_margin", None, lambda: cos_bound_margin(Real.exact(Fraction(1, 3)))),
     ("pi_bounds", expsum, lambda: expsum.pi_bounds()),
@@ -209,31 +228,53 @@ _IV_CALLERS = [
     ("constants", constants, lambda: constants.compute_constants(3)),
     ("approx-bound", constants,
      lambda: constants.approximation_bound(_CONSTS_3, 10**6)),
+    ("parse", None, lambda: Real.parse("pi", 200)),
 ]
 
 
+def _mpmath_state():
+    # mpmath keeps mp's rounding mode beside its precision, in _prec_rounding
+    return mpmath.mp.prec, mpmath.mp._prec_rounding[1], mpmath.iv.prec
+
+
+@pytest.fixture
+def odd_mpmath_state(monkeypatch):
+    """Precisions and a rounding that no caller uses, so that a caller which
+    set or read them would show."""
+    monkeypatch.setattr(mpmath.iv, "prec", 61)
+    monkeypatch.setattr(mpmath.mp, "prec", 59)
+    rounding = mpmath.mp._prec_rounding[1]
+    mpmath.mp._prec_rounding[1] = "f"
+    try:
+        yield _mpmath_state()
+    finally:
+        mpmath.mp._prec_rounding[1] = rounding
+
+
 @pytest.mark.parametrize("call", [c[2] for c in _IV_CALLERS], ids=[c[0] for c in _IV_CALLERS])
-def test_public_functions_leave_iv_prec_unchanged(monkeypatch, call):
-    monkeypatch.setattr(mpmath.iv, "prec", 61)  # a value no caller uses
+def test_public_functions_leave_iv_prec_unchanged(odd_mpmath_state, call):
+    expsum.pi_bounds.cache_clear()
     call()
-    assert mpmath.iv.prec == 61
+    assert _mpmath_state() == odd_mpmath_state
 
 
 @pytest.mark.parametrize("name, module, call", _IV_CALLERS, ids=[c[0] for c in _IV_CALLERS])
-def test_iv_prec_is_restored_when_the_body_raises(monkeypatch, name, module, call):
+def test_iv_prec_is_restored_when_the_body_raises(monkeypatch, odd_mpmath_state, name, module, call):
     import radixapprox.exact as exact
 
-    def boom(value):
+    def boom(*args):
         raise RuntimeError("interval body failed")
 
     expsum.pi_bounds()  # cached, so only the pi_bounds case evaluates pi under the patch
     if name == "pi_bounds":
         expsum.pi_bounds.cache_clear()
-    monkeypatch.setattr(module or exact, "iv_to_real", boom)
-    monkeypatch.setattr(mpmath.iv, "prec", 61)
+    if name == "parse":
+        monkeypatch.setattr(exact, "_raw_to_fraction", boom)
+    else:
+        monkeypatch.setattr(module or exact, "mpi_to_real", boom)
     with pytest.raises(RuntimeError):
         call()
-    assert mpmath.iv.prec == 61
+    assert _mpmath_state() == odd_mpmath_state
 
 
 class TestCosMargin:

@@ -20,7 +20,7 @@ from radixapprox.digitsets import power_gaps, unrank
 from radixapprox.errors import (DomainError, HypothesisViolation, IndeterminateComparison,
                                InvariantViolation)
 from radixapprox.exact import (Real, _real_of_ends, dist_exact, dist_of_multiple, dist_to_nearest_int,
-                               mpf_to_fraction, power_residues)
+                               power_residues)
 from radixapprox.expsum import (
     _FACTOR_ERR,
     _NORMAL_MIN,
@@ -39,6 +39,7 @@ from radixapprox.expsum import (
     separation_check,
     small_shift_count,
 )
+from iv_reference import mpf_to_fraction
 from test_exact import gamma_near, parent_dist_to_nearest_int
 
 E = lambda *a: Real.exact(Fraction(*a))
