@@ -66,7 +66,10 @@ b=2 stops at scale 6, b=3 at 4 and b=10 at 2.  The _power_decay_bound and
 _decay_bound cases time the other two closed forms on the same primitives,
 at 80 bits: the adversary's b^-4 N^(-log2 b/(b-1)) (two logs and an exp)
 and the decay bound 2^(r+3) (1 - pi/(4b^2))^((r+1-3 sqrt(k))/m) (a sqrt, a
-log and an exp), each built into a Real once.
+log and an exp), each built into a Real once.  The power-decay bound is
+most of an adversarial_gamma call: the certificate itself is two integer
+comparisons on T, k and b (the digit counts of the no-multiples lemma)
+and one power b^k, with no scan of the zero-one set at any N.
 """
 import argparse
 import pathlib
@@ -88,7 +91,7 @@ from radixapprox.discrepancy import (
     erdos_turan_check,
     fractional_orbit,
 )
-from radixapprox.adversary import _power_decay_bound
+from radixapprox.adversary import _power_decay_bound, adversarial_gamma
 from radixapprox.approx import pigeonhole_witness
 from radixapprox.constants import compute_constants
 from radixapprox.expsum import _decay_bound, eval_expsum, separation_check
@@ -210,6 +213,7 @@ def cases():
     for b in (2, 3, 10):
         yield f"compute_constants (b={b}, 128 bits)", compute_constants, (b, 128)
     yield "_power_decay_bound (b=3, N=2^24)", _power_decay_bound, (3, 1 << 24)
+    yield "adversarial_gamma (b=2, N=2^24)", adversarial_gamma, (2, 1 << 24)
     yield "_decay_bound (b=5, r=6, k=3, m=2)", _decay_bound, (5, 6, 3, 2)
 
     xs = np.linspace(-2.0, 2.0, 400_000)

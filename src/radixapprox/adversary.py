@@ -4,11 +4,13 @@ For any N, take T = ceil(log2(N+1)) and k = ceil(T/(b-1)) + 1; then no sum
 of at most T powers of b is a multiple of b**k - 1, so gamma = 1/(b**k - 1)
 keeps ||gamma * n|| >= 1/(b**k - 1) for the first N zero-one integers.
 That quantity in turn dominates b**-4 * N**(-log2(b)/(b-1)).
+``adversarial_gamma`` certifies the minimum from the digit counts of that
+lemma, in O(T) exact integer steps at any N, with no scan of the set.
 
-The toolkit proving the no-multiples step: a carry procedure folding any
-digit vector into base-b range without raising its digit sum or changing
-its residue mod b**k - 1, the reduction of a power sum into the digit-sum
-bounded set, and the closed form for that set's maximum.
+The toolkit proving the no-multiples step in general: a carry procedure
+folding any digit vector into base-b range without raising its digit sum or
+changing its residue mod b**k - 1, the reduction of a power sum into the
+digit-sum bounded set, and the scan of the truncated power sums.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from mpmath.libmp import mpf_ln2, round_ceiling, round_floor
 from mpmath.libmp.libmpi import mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg
 
 from . import digitsets as ds
-from .approx import oracle_min
 from .errors import DomainError, InvariantViolation
 from .exact import BOUND_PRECISION, Real, mpi_of_int, mpi_to_real
 
@@ -49,17 +50,29 @@ def _power_decay_bound(b: int, N: int) -> Real:
     return mpi_to_real(mpi_div(decay, mpi_of_int(b**4, p), p))
 
 
-def adversarial_gamma(
-    b: int,
-    N: int,
-    cap: int = ds.CAP_DEFAULT,
-) -> AdversaryCertificate:
+def adversarial_gamma(b: int, N: int) -> AdversaryCertificate:
     """Construct the adversarial rational and certify its lower bound.
 
-    Evaluates min ||gamma_N * b_n|| over the first N zero-one integers
-    exactly, through residues mod b**k - 1 (constant-size arithmetic per
-    element no matter how large b_n grows), and compares against the
-    power-decay bound with the right side rounded outward.
+    The minimum of ||gamma_N * b_n|| over the first N zero-one integers is
+    certified by the no-multiples lemma, in exact integers and with no
+    enumeration, so any N >= 1 answers in O(T) time.  The written
+    certificate, with M = b**k - 1:
+
+    * every zero-one n <= b_N has at most T digits, and b**d = b**(d mod k)
+      mod M, so n = sum c_j b**j mod M, where c_j counts the ones of n at
+      the positions d = j mod k;
+    * c_j <= ceil(T/k) <= b - 1, so that sum is a base-b number of k digits
+      and no digit carries: it lies in [0, M];
+    * it is 0 only for n = 0, and M only when every c_j is b - 1, which
+      needs k(b - 1) <= T ones;
+    * so for n >= 1 the residue r lies in [1, M - 1) and
+      ||n / M|| = min(r, M - r) / M >= 1/M, with equality at n = 1 (r = 1),
+      the smallest tying index.
+
+    Both digit-count inequalities follow from k > T/(b-1) and are checked
+    exactly; a failure raises ``InvariantViolation``.  The minimum is then
+    compared against the power-decay bound with the right side rounded
+    outward.
     """
     ds.check_base(b)
     if N < 1:
@@ -67,29 +80,26 @@ def adversarial_gamma(
     # ceil(log2(N + 1)) for N >= 1 equals the bit length of N
     T = N.bit_length()
     k = -(-T // (b - 1)) + 1
+    if -(-T // k) > b - 1:
+        raise InvariantViolation(
+            f"a digit count of {-(-T // k)} > b-1 can carry at b={b}, T={T}, k={k}")
+    if T >= k * (b - 1):
+        raise InvariantViolation(
+            f"T={T} ones can fill all k={k} digits with b-1 at b={b}")
     modulus = b**k - 1
     gamma = Fraction(1, modulus)
-
-    res = oracle_min(Real(gamma), b, ds.unrank(b, N), cap=cap)
-    min_distance = res.distance.mid
-    if min_distance == 0:
-        raise InvariantViolation(
-            f"zero-one element {res.witness} is a multiple of {modulus}; "
-            f"the no-multiples construction failed at b={b}, N={N}"
-        )
     bound = _power_decay_bound(b, N)
-    passed = min_distance >= bound.hi
     return AdversaryCertificate(
         b=b,
         N=N,
         T=T,
         k=k,
         gamma_N=gamma,
-        min_distance=min_distance,
-        min_witness_index=ds.rank(b, res.witness),
-        guaranteed_bound=Fraction(1, modulus),
+        min_distance=gamma,
+        min_witness_index=1,
+        guaranteed_bound=gamma,
         power_decay_bound=bound,
-        passed=passed,
+        passed=gamma >= bound.hi,
     )
 
 

@@ -345,7 +345,7 @@ def _cmd_adversary(args, cfg: RunConfig):
         return no_multiples_check(args.base, args.k, args.t, args.e_max, cap=cfg.enumeration_cap)
     if args.limit is None:
         raise DomainError("adversary needs --count")
-    return adversarial_gamma(args.base, args.limit, cap=cfg.enumeration_cap)
+    return adversarial_gamma(args.base, args.limit)
 
 
 def _cmd_constants(args, cfg: RunConfig):
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("discrepancy", _cmd_discrepancy, "interval discrepancy of {n*gamma}",
         flags=("--gamma", "--limit", "--G", "--precision-bits"), required=("--gamma", "--limit"))
     add("adversary", _cmd_adversary, "lower-bound certificate / no-multiples scan",
-        ("certificate", "no-multiples"), ("--base", "--limit", "--k", "--t", "--e-max", "--threads"))
+        ("certificate", "no-multiples"), ("--base", "--limit", "--k", "--t", "--e-max"))
     add("constants", _cmd_constants, "the explicit constant chain",
         flags=("--base", "--limit", "--precision-bits"))
     add("verify-all", _cmd_verify_all, "run the acceptance suite")

@@ -1,11 +1,14 @@
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 import radixapprox.digitsets as ds
+from radixapprox import _kernels, approx
 from radixapprox.adversary import (
     _power_decay_bound,
     adversarial_gamma,
@@ -14,7 +17,7 @@ from radixapprox.adversary import (
     residue_reduce,
 )
 from radixapprox.approx import oracle_min
-from radixapprox.errors import DomainError, ResourceLimit
+from radixapprox.errors import DomainError
 from radixapprox.exact import Real, dist_exact
 from iv_reference import mpf_to_fraction
 
@@ -45,30 +48,80 @@ class TestCertificate:
                 assert c.min_distance >= c.guaranteed_bound
 
     def test_min_matches_bruteforce_and_oracle(self):
-        rng = random.Random(41)
-        for _ in range(15):
-            b = rng.choice([2, 3, 4, 5, 7])
-            N = rng.randint(1, 400)
+        # the certificate against the reference scan, and against brute
+        # force where N <= 2^12
+        grid = [(b, N) for b in range(2, 11)
+                for N in (1, 2, 3, 7, 100, 2**10, 2**14, 2**20)]
+        for b, N in grid:
             c = adversarial_gamma(b, N)
-            brute = min(
-                (dist_exact(c.gamma_N * ds.unrank(b, i)), i) for i in range(1, N + 1)
-            )
-            assert (c.min_distance, c.min_witness_index) == brute
             o = oracle_min(Real.exact(c.gamma_N), b, ds.unrank(b, N))
-            assert o.distance.mid == c.min_distance
+            assert o.distance.rad == 0
+            assert (o.distance.mid, ds.rank(b, o.witness)) == (
+                c.min_distance, c.min_witness_index), (b, N)
+            if N <= 2**12:
+                brute = min(
+                    (dist_exact(c.gamma_N * ds.unrank(b, i)), i) for i in range(1, N + 1)
+                )
+                assert (c.min_distance, c.min_witness_index) == brute, (b, N)
 
     def test_big_base_modulus(self):
-        # b**k - 1 is far past 2^57 here, so the scan runs on Python ints
-        for b, N in ((10**6, 300), (10**9, 700)):
+        # b**k - 1 is far past 2^57 here
+        for b, N in ((10**6, 300), (10**6, 700), (10**9, 300), (10**9, 700)):
             c = adversarial_gamma(b, N)
             brute = min(
                 (dist_exact(c.gamma_N * ds.unrank(b, i)), i) for i in range(1, N + 1)
             )
-            assert (c.min_distance, c.min_witness_index) == brute
+            assert (c.min_distance, c.min_witness_index) == brute, (b, N)
+            o = oracle_min(Real.exact(c.gamma_N), b, ds.unrank(b, N))
+            assert o.distance.rad == 0
+            assert (o.distance.mid, ds.rank(b, o.witness)) == (
+                c.min_distance, c.min_witness_index), (b, N)
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimit):
-            adversarial_gamma(2, 100, cap=50)
+    def test_calls_no_scan(self, monkeypatch):
+        banned = {id(approx.oracle_min): "approx.oracle_min"}
+        banned.update({id(f): f"_kernels.{name}" for name, f in vars(_kernels).items()
+                       if inspect.isfunction(f) and f.__module__ == _kernels.__name__})
+
+        def refuse(label):
+            def call(*args, **kwargs):
+                raise AssertionError(f"adversarial_gamma called {label}")
+            return call
+
+        for name, module in list(sys.modules.items()):
+            if name == "radixapprox" or name.startswith("radixapprox."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in banned:
+                        monkeypatch.setattr(module, attr, refuse(banned[id(value)]))
+        for b in (2, 3, 10, 10**9):
+            for N in (1, 7, 2**14, 2**24, 10**100):
+                c = adversarial_gamma(b, N)
+                assert (c.min_distance, c.min_witness_index) == (Fraction(1, b**c.k - 1), 1)
+
+    def test_residue_is_the_digit_count_number(self):
+        # the proof's key step: the residue of a zero-one n <= b_N mod
+        # b**k - 1 is the base-b number of its one-counts per position mod k
+        rng = random.Random(44)
+        for _ in range(2000):
+            b = rng.choice([2, 3, 4, 5, 7, 10, 10**6])
+            N = rng.randint(1, 2 ** rng.randint(1, 80))
+            T = N.bit_length()
+            k = -(-T // (b - 1)) + 1
+            i = rng.randint(1, N)
+            counts = [0] * k
+            for d in range(T):
+                counts[d % k] += i >> d & 1
+            residue = sum(c * b**j for j, c in enumerate(counts))
+            assert ds.unrank(b, i) % (b**k - 1) == residue
+            assert max(counts) <= b - 1 and 1 <= residue <= b**k - 2
+
+    def test_takes_no_cap_and_answers_any_N(self):
+        assert list(inspect.signature(adversarial_gamma).parameters) == ["b", "N"]
+        for b in (2, 3, 10):
+            for N in (2**40, 10**100):
+                c = adversarial_gamma(b, N)
+                assert c.k == -(-N.bit_length() // (b - 1)) + 1
+                assert (c.min_distance, c.min_witness_index) == (Fraction(1, b**c.k - 1), 1)
+                assert c.passed
 
     @pytest.mark.parametrize("b", range(2, 11))
     def test_power_decay_bound_contains_the_300_bit_value(self, b):

@@ -148,8 +148,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("argv", [
         ["search", "--method", "oracle", "--base", "2", "--limit", "300000", "--gamma", "355/113"],
-        ["adversary", "--base", "2", "--count", "200000"],
-    ], ids=["search", "adversary"])
+    ], ids=["search"])
     def test_threads_do_not_change_the_report(self, capsys, argv):
         reports = []
         for threads in ("1", "2"):
@@ -366,6 +365,7 @@ class TestExitCodes:
         ["diffset", "--limit", "13", "--gamma", "1/3"],
         ["adversary", "--count", "128", "--precision-bits", "200"],
         ["search", "--limit", "10", "--gamma", "1/3", "--r", "3"],
+        ["adversary", "--count", "128", "--threads", "2"],
     ]
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS)
@@ -405,11 +405,23 @@ class TestExitCodes:
         cfg = tmp_path / "cfg"
         cfg.write_text("enumeration_cap=10\n")
         monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
-        code, _, err = run_cli(["adversary", "--base", "2", "--count", "1000"], capsys)
-        assert code == 3 and "resource limit" in err
         code, _, err = run_cli(["adversary", "--method", "no-multiples", "--base", "2",
                                 "--k", "3", "--t", "3", "--e-max", "6"], capsys)
         assert code == 3 and "resource limit" in err
+
+    @pytest.mark.parametrize("b", [2, 3, 10])
+    def test_the_certificate_enumerates_nothing(self, capsys, tmp_path, monkeypatch, b):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("enumeration_cap=10\n")
+        monkeypatch.setenv("RADIX_APPROX_CONFIG", str(cfg))
+        for N in (2**40, 10**100):
+            code, out, err = run_cli(["adversary", "--base", str(b), "--count", str(N),
+                                      "--format", "json"], capsys)
+            assert (code, err) == (0, "")
+            rep = json.loads(out)["report"]
+            k = -(-N.bit_length() // (b - 1)) + 1
+            assert rep["k"] == k and rep["min_witness_index"] == 1 and rep["passed"] is True
+            assert Fraction(rep["min_distance"]) == Fraction(1, b**k - 1)
 
     @pytest.mark.parametrize("argv", [
         ["expsum", "--method", "shifts", "--base", "2", "--r", "60", "--k", "1",

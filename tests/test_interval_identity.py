@@ -4,12 +4,13 @@ is what the ``iv`` bodies in ``iv_reference`` print."""
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp.libmpi import mpi_log
 
 import iv_reference as ref
-from radixapprox import constants, expsum
+from radixapprox import adversary, constants, expsum
 from radixapprox.adversary import _power_decay_bound
 from radixapprox.errors import IndeterminateComparison
-from radixapprox.exact import Real, cos_bound_margin
+from radixapprox.exact import Real, _raw_to_fraction, cos_bound_margin
 
 PRECISIONS = (64, 128, 256, 4096)
 
@@ -42,6 +43,23 @@ def test_approximation_bound(b, bits, N):
 @pytest.mark.parametrize("b", range(2, 11))
 def test_power_decay_bound(b, N):
     assert _power_decay_bound(b, N) == ref.power_decay_bound(b, N)
+
+
+def test_power_decay_bound_reads_N_outward(monkeypatch):
+    # ln moves a rounding of N by less than one step of ln N, so the grid
+    # above cannot see how N is read: the log's operand must enclose N
+    operands = []
+
+    def spy(x, prec):
+        operands.append(x)
+        return mpi_log(x, prec)
+
+    monkeypatch.setattr(adversary, "mpi_log", spy)
+    N = 2**81 + 1
+    _power_decay_bound(3, N)
+    ends = [(_raw_to_fraction(lo), _raw_to_fraction(hi)) for lo, hi in operands]
+    (lo, hi), = [(lo, hi) for lo, hi in ends if hi > 3]
+    assert lo <= N <= hi and lo < hi
 
 
 def test_decay_bound_on_the_criterion_5_family():
